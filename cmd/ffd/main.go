@@ -108,7 +108,7 @@ func runServe(args []string) error {
 		leaseTTL   = fs.Duration("lease-ttl", 30*time.Second, "how long a shard may hold a lease without renewing")
 		leaseSize  = fs.Int("lease-size", 64, "maximum indexes per lease")
 		lookahead  = fs.Int("lookahead", 16, "speculative lease distance past the ML replay frontier")
-		checkpoint = fs.String("checkpoint", "", "write the merged campaign journal (JSONL) to this path")
+		checkpoint = fs.String("checkpoint", "", "write the merged campaign journal (framed records: read with cut -c19- | jq) to this path")
 		saveJSON   = fs.String("save", "", "write the merged campaign result to a JSON file")
 		progress   = fs.Bool("progress", false, "print a live progress line (outcomes, shards, pts/s) to stderr")
 		eventsPath = fs.String("events", "", "append the coordinator's typed event stream as JSONL to this file")

@@ -26,9 +26,9 @@ import (
 // Everything here is deterministic given Options.Seed: a trial's seed
 // depends only on (point index, trial index), the stopping index is a pure
 // function of the ordered outcome prefix, and refinement grants are a pure
-// function of the phase-1 results. The serial engine, the supervised
-// worker pool and an interrupted-then-resumed campaign therefore produce
-// identical CampaignResults.
+// function of the phase-1 results. A one-worker campaign, a pooled one
+// and an interrupted-then-resumed one therefore produce identical
+// CampaignResults.
 
 const (
 	// adaptiveMinTrials is the floor before the settling rule may fire.
@@ -164,7 +164,7 @@ type refineGrant struct {
 // per-point budget. Extensions are deterministic trial-stream prefixes, so
 // refinement can sharpen an estimate but never takes a point outside what
 // the fixed-budget run would have measured. The allocation is a pure
-// function of the phase-1 results, which is what keeps serial, supervised
+// function of the phase-1 results, which is what keeps one-worker, pooled
 // and resumed campaigns identical.
 func (e *Engine) refineGrants(phase1 map[int]PointResult) []refineGrant {
 	if !e.opts.Adaptive.Enabled {
@@ -287,36 +287,4 @@ func (e *Engine) emitRefined(idx int, pr, prior PointResult) {
 		Trials: len(pr.Trials),
 		Extra:  len(pr.Trials) - len(prior.Trials),
 	})
-}
-
-// refineMeasuredSerial runs the refinement pass in place over a serial
-// campaign's measured slice. idxs[i], when non-nil, is measured[i]'s
-// campaign injection index (the ML loop's shuffled order); a nil idxs
-// means measured[i] is point i (the direct path).
-func (e *Engine) refineMeasuredSerial(measured []PointResult, idxs []int) {
-	phase1 := make(map[int]PointResult, len(measured))
-	pos := make(map[int]int, len(measured))
-	for i, pr := range measured {
-		idx := i
-		if idxs != nil {
-			idx = idxs[i]
-		}
-		phase1[idx] = pr
-		pos[idx] = i
-	}
-	grants := e.refineGrants(phase1)
-	if len(grants) == 0 {
-		return
-	}
-	e.emit(PhaseChanged{Phase: CampaignRefining, Points: len(grants)})
-	for _, g := range grants {
-		i := pos[g.Idx]
-		prior := measured[i]
-		pr, err := e.RefinePoint(context.Background(), prior.Point, g.Idx, prior, g.Extra)
-		if err != nil {
-			return
-		}
-		measured[i] = pr
-		e.emitRefined(g.Idx, pr, prior)
-	}
 }

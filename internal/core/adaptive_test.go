@@ -111,9 +111,9 @@ func TestAdaptiveSavesTrials(t *testing.T) {
 		total, budget, 100*(1-float64(total)/float64(budget)))
 }
 
-// TestAdaptiveSerialMatchesSupervised: with adaptive budgets on, the
-// supervised parallel runner (including its refinement pass) must be
-// bit-identical to the serial RunCampaign.
+// TestAdaptiveSerialMatchesSupervised: with adaptive budgets on, a
+// Workers:4 campaign (including its pooled refinement pass) must be
+// bit-identical to RunCampaign's Workers:1 run of the same driver.
 func TestAdaptiveSerialMatchesSupervised(t *testing.T) {
 	opts := adaptiveTestOptions()
 	serial, err := supTestEngine(t, opts).RunCampaign()
@@ -183,8 +183,8 @@ func TestAdaptiveInterruptResumeDeterminism(t *testing.T) {
 	}
 }
 
-// TestAdaptiveMLSerialSupervisedResumeIdentity covers the ML path: serial
-// learn loop, supervised parallel run, and interrupt/resume must all yield
+// TestAdaptiveMLSerialSupervisedResumeIdentity covers the ML path: the
+// Workers:1 run, the Workers:4 run, and interrupt/resume must all yield
 // byte-identical CampaignResults with adaptive budgets on. This exercises
 // the phase-1/refined split in the journal: the resumed learner must
 // retrain on the phase-1 trial prefix even when the journal already holds

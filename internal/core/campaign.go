@@ -46,9 +46,9 @@ type CampaignResult struct {
 
 // campaignPlan is the profiled-and-pruned injection space of one campaign:
 // the points left to inject plus the pruning accounting already filled into
-// a fresh CampaignResult. Both RunCampaign and the Supervisor start from a
-// plan, so an interrupted supervised campaign resumes over exactly the
-// point list an uninterrupted run would have used.
+// a fresh CampaignResult. Every run starts from a plan, so an interrupted
+// campaign resumes over exactly the point list an uninterrupted run would
+// have used.
 type campaignPlan struct {
 	res    *CampaignResult
 	points []Point
@@ -113,49 +113,25 @@ func (p *campaignPlan) finish() *CampaignResult {
 	return res
 }
 
-// RunCampaign executes the full FastFIT pipeline: profile, prune, inject,
-// learn. Points are injected serially (parallelism lives inside each
-// point); for a cancellable, checkpointed, point-parallel campaign use a
-// Supervisor instead.
+// RunCampaign executes the full FastFIT pipeline — profile, prune, inject,
+// learn — one point at a time: it is, by definition, the journal-less
+// Workers:1 supervised campaign, the reference every other execution mode
+// is byte-compared against. A point the harness could not measure is an
+// error here rather than a quarantine: the caller gets a CampaignResult
+// with no Quarantined field to inspect, so a result silently short of
+// points must not be returned. For a cancellable, checkpointed,
+// point-parallel campaign use a Supervisor directly.
 func (e *Engine) RunCampaign() (*CampaignResult, error) {
-	e.emitCampaignStarted()
-	plan, err := e.planCampaign()
+	sup, err := NewSupervisor(e, SupervisorOptions{Workers: 1, MaxAttempts: 1}).Run(context.Background())
 	if err != nil {
 		return nil, err
 	}
-	res, points := plan.res, plan.points
-	if e.opts.ML.Pruning {
-		lr := e.LearnCampaign(points)
-		res.Learn = &lr
-		res.Measured = lr.Measured
-		res.Predicted = lr.Predicted
-		res.MLReduction = lr.Reduction
-		res.VerifyAccuracy = lr.VerifyAccuracy
-		// The refinement pass runs after the learn loop so the model
-		// trains on exactly the phase-1 measurements (what a resumed
-		// campaign can reconstruct from its journal); refined records then
-		// replace the phase-1 ones in Measured in place.
-		e.refineMeasuredSerial(res.Measured, lr.MeasuredIdx)
-	} else {
-		e.emit(PhaseChanged{Phase: CampaignInjecting, Points: len(points)})
-		for i, p := range points {
-			e.emit(PointStarted{Index: i, Point: p})
-			pr, _ := e.injectAuto(context.Background(), p, i)
-			e.emitSettled(i, pr, false)
-			res.Measured = append(res.Measured, pr)
-			e.emit(PointCompleted{Index: i, Result: pr, Completed: i + 1, Total: len(points)})
-		}
-		e.refineMeasuredSerial(res.Measured, nil)
+	if len(sup.Quarantined) > 0 {
+		q := sup.Quarantined[0]
+		return nil, fmt.Errorf("campaign of %s: point %d (%s): %s (%d points unmeasured)",
+			e.app.Name(), q.Index, q.Point.SiteName, q.Err, len(sup.Quarantined))
 	}
-	fin := plan.finish()
-	e.emit(e.stats.snapshot())
-	e.emit(CampaignFinished{
-		App:       fin.AppName,
-		Injected:  fin.Injected,
-		Predicted: fin.PredictedN,
-		Counts:    OutcomeBreakdown(fin.Measured),
-	})
-	return fin, nil
+	return sup.CampaignResult, nil
 }
 
 // Summary renders the campaign's pruning accounting as a one-line record

@@ -6,28 +6,33 @@ import (
 	"fmt"
 	"hash/fnv"
 	"os"
-	"path/filepath"
-	"strings"
-	"sync"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/fault"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
-// A campaign checkpoint is an append-only JSONL journal: a header line
-// binding the file to one campaign fingerprint, followed by one line per
-// completed (or quarantined) injection point. Appends are single writes of
-// whole lines, so a crash can at worst leave one torn trailing line, which
-// loading tolerates; the header itself is created via write-to-temp-then-
-// rename so a half-written journal is never observed under the final path.
+// A campaign checkpoint is an append-only journal in the shared record
+// grammar (internal/recfile): a header record binding the file to one
+// campaign fingerprint, followed by one record per completed (or
+// quarantined) injection point. recfile.Log owns the file lifecycle —
+// atomic creation, CRC-validated load, torn-tail repair, single-write
+// appends; this file keeps the record kinds and how they fold into a
+// CheckpointState.
 
-// checkpointVersion identifies the journal's on-disk schema.
-const checkpointVersion = 1
+// checkpointVersion identifies the journal's on-disk schema. Version 1 was
+// plain JSONL with no length/CRC frame; it is refused, not dual-read.
+const checkpointVersion = 2
 
 // ErrCheckpointMismatch reports a checkpoint whose fingerprint does not
 // match the campaign being run — a stale journal from a different app,
 // configuration, seed or pruning setup must never be merged.
 var ErrCheckpointMismatch = errors.New("checkpoint fingerprint mismatch")
+
+// ErrCheckpointVersion reports a journal written in a schema this build
+// does not read. Finish that campaign with the build that started it, or
+// start it over.
+var ErrCheckpointVersion = errors.New("unsupported checkpoint version")
 
 // CampaignFingerprint identifies one campaign for checkpoint purposes: the
 // application, its configuration, every option that shapes the injection
@@ -38,7 +43,9 @@ var ErrCheckpointMismatch = errors.New("checkpoint fingerprint mismatch")
 func CampaignFingerprint(appName string, cfg apps.Config, opts Options, points []Point) string {
 	o := opts.withDefaults()
 	h := fnv.New64a()
-	fmt.Fprintf(h, "v%d|app=%s|ranks=%d|scale=%d|iters=%d|appseed=%d|", checkpointVersion,
+	// The v1 tag versions the fingerprint recipe, not the journal file:
+	// WAL store directories and sense keys are named by this value.
+	fmt.Fprintf(h, "v1|app=%s|ranks=%d|scale=%d|iters=%d|appseed=%d|",
 		appName, cfg.Ranks, cfg.Scale, cfg.Iters, cfg.Seed)
 	fmt.Fprintf(h, "trials=%d|seed=%d|policy=%d|sem=%t|ctx=%t|ml=%t|",
 		o.TrialsPerPoint, o.Seed, o.Policy, o.Pruning.Semantic, o.Pruning.Context, o.ML.Pruning)
@@ -113,229 +120,120 @@ type CheckpointState struct {
 	// TornTail reports that a torn trailing line (interrupted append) was
 	// discarded while loading.
 	TornTail bool
-	// validLen is the byte length of the journal up to and including its
-	// last complete line; OpenCheckpoint truncates a torn tail to it.
-	validLen int64
 }
 
 // Checkpoint is an open campaign journal accepting appends. Methods are
 // safe for concurrent use by the supervisor's point workers.
 type Checkpoint struct {
-	path   string
-	header ckptHeader
-
-	mu sync.Mutex
-	f  *os.File
+	log *recfile.Log
 }
 
 // Path returns the journal's file path.
-func (c *Checkpoint) Path() string { return c.path }
+func (c *Checkpoint) Path() string { return c.log.Path() }
 
-// CreateCheckpoint atomically creates a fresh journal at path: the header
-// is written to a temporary file in the same directory and renamed into
-// place, then the file is reopened for appends.
+// CreateCheckpoint atomically creates a fresh journal at path holding only
+// the header and opens it for appends. It refuses an existing file.
 func CreateCheckpoint(path, fingerprint, app string, ranks, total int) (*Checkpoint, error) {
-	hdr := ckptHeader{Kind: "header", Version: checkpointVersion, Fingerprint: fingerprint,
-		App: app, Ranks: ranks, Total: total}
-	line, err := json.Marshal(hdr)
-	if err != nil {
-		return nil, fmt.Errorf("encoding checkpoint header: %w", err)
-	}
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
+	log, err := recfile.Create(path, ckptHeader{Kind: "header", Version: checkpointVersion,
+		Fingerprint: fingerprint, App: app, Ranks: ranks, Total: total})
 	if err != nil {
 		return nil, fmt.Errorf("creating checkpoint: %w", err)
 	}
-	tmpName := tmp.Name()
-	if _, err := tmp.Write(append(line, '\n')); err == nil {
-		err = tmp.Sync()
+	return &Checkpoint{log: log}, nil
+}
+
+// foldInto returns the record fold that rebuilds st from a journal bound
+// to fingerprint. Point and quarantine payloads go through the wire
+// decoders (dist.go), so a record is validated identically on disk, on the
+// wire and in the coordinator's WAL.
+func (st *CheckpointState) foldInto(fingerprint string) func(recfile.Record) error {
+	return func(rec recfile.Record) error {
+		switch rec.Kind {
+		case "header":
+			if err := json.Unmarshal(rec.Payload, &st.Header); err != nil {
+				return fmt.Errorf("corrupt header: %w", err)
+			}
+			if st.Header.Version != checkpointVersion {
+				return fmt.Errorf("%w %d (want %d)", ErrCheckpointVersion, st.Header.Version, checkpointVersion)
+			}
+			if st.Header.Fingerprint != fingerprint {
+				return fmt.Errorf("written by a different campaign (app %q, fingerprint %s, want %s): %w",
+					st.Header.App, st.Header.Fingerprint, fingerprint, ErrCheckpointMismatch)
+			}
+		case "point":
+			pr, err := DecodeJournalPoint(rec.Payload)
+			if err != nil {
+				return err
+			}
+			st.Results[pr.Index] = pr.Result
+			st.BaseTrials[pr.Index] = pr.Base
+		case "quarantine":
+			q, err := DecodeJournalQuarantine(rec.Payload)
+			if err != nil {
+				return err
+			}
+			st.Quarantined[q.Index] = q
+		default:
+			return fmt.Errorf("unknown record kind %q", rec.Kind)
+		}
+		return nil
 	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
+}
+
+// loadErr names the version when a journal that failed to load turns out
+// to be an unframed version-1 file, which would otherwise read as corrupt.
+func loadErr(path string, err error) error {
+	if data, rerr := os.ReadFile(path); rerr == nil && len(data) > 0 && data[0] == '{' {
+		return fmt.Errorf("checkpoint %s: %w 1 (unframed JSONL; want %d)", path, ErrCheckpointVersion, checkpointVersion)
 	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
+	return fmt.Errorf("checkpoint %w", err)
+}
+
+func newCheckpointState() *CheckpointState {
+	return &CheckpointState{
+		Results:     map[int]PointResult{},
+		Quarantined: map[int]QuarantinedPoint{},
+		BaseTrials:  map[int]int{},
 	}
-	if err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("creating checkpoint %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("reopening checkpoint %s: %w", path, err)
-	}
-	return &Checkpoint{path: path, header: hdr, f: f}, nil
 }
 
 // LoadCheckpointState reads and validates a journal, rejecting one whose
 // fingerprint does not match. A torn trailing line (the signature of a
-// crash mid-append) is discarded; corruption anywhere else is an error.
-func LoadCheckpointState(path, fingerprint string) (*CheckpointState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	if len(data) == 0 {
-		return nil, fmt.Errorf("checkpoint %s: empty file", path)
-	}
-	lines := strings.Split(string(data), "\n")
-	// A well-formed journal ends with "\n", leaving one empty trailing
-	// element; anything non-empty there is a torn final append.
-	torn := lines[len(lines)-1] != ""
-	validLen := int64(len(data))
-	if torn {
-		validLen -= int64(len(lines[len(lines)-1]))
-	}
-	lines = lines[:len(lines)-1]
-
-	st := &CheckpointState{
-		Results:     make(map[int]PointResult),
-		Quarantined: make(map[int]QuarantinedPoint),
-		BaseTrials:  make(map[int]int),
-		TornTail:    torn,
-		validLen:    validLen,
-	}
-	for i, line := range lines {
-		if line == "" {
-			continue
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal([]byte(line), &kind); err != nil {
-			return nil, fmt.Errorf("checkpoint %s line %d: corrupt record: %w", path, i+1, err)
-		}
-		switch kind.Kind {
-		case "header":
-			if i != 0 {
-				return nil, fmt.Errorf("checkpoint %s line %d: unexpected second header", path, i+1)
-			}
-			if err := json.Unmarshal([]byte(line), &st.Header); err != nil {
-				return nil, fmt.Errorf("checkpoint %s: corrupt header: %w", path, err)
-			}
-			if st.Header.Version != checkpointVersion {
-				return nil, fmt.Errorf("checkpoint %s: unsupported version %d (want %d)", path, st.Header.Version, checkpointVersion)
-			}
-			if st.Header.Fingerprint != fingerprint {
-				return nil, fmt.Errorf("checkpoint %s was written by a different campaign (app %q, fingerprint %s, want %s): %w",
-					path, st.Header.App, st.Header.Fingerprint, fingerprint, ErrCheckpointMismatch)
-			}
-		case "point":
-			if i == 0 {
-				return nil, fmt.Errorf("checkpoint %s: missing header line", path)
-			}
-			var rec ckptPoint
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: corrupt point record: %w", path, i+1, err)
-			}
-			pr, err := pointResultFromJSON(rec.Result)
-			if err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: %w", path, i+1, err)
-			}
-			base := rec.Base
-			if base == 0 {
-				base = len(pr.Trials)
-			}
-			if base < 0 || base > len(pr.Trials) {
-				return nil, fmt.Errorf("checkpoint %s line %d: baseTrials %d outside trial list of %d",
-					path, i+1, rec.Base, len(pr.Trials))
-			}
-			st.Results[rec.Index] = pr
-			st.BaseTrials[rec.Index] = base
-		case "quarantine":
-			if i == 0 {
-				return nil, fmt.Errorf("checkpoint %s: missing header line", path)
-			}
-			var rec ckptQuarantine
-			if err := json.Unmarshal([]byte(line), &rec); err != nil {
-				return nil, fmt.Errorf("checkpoint %s line %d: corrupt quarantine record: %w", path, i+1, err)
-			}
-			st.Quarantined[rec.Index] = QuarantinedPoint{
-				Point: pointFromJSON(rec.Point), Index: rec.Index,
-				Attempts: rec.Attempts, Err: rec.Err,
-			}
-		default:
-			return nil, fmt.Errorf("checkpoint %s line %d: unknown record kind %q", path, i+1, kind.Kind)
-		}
-	}
-	if st.Header.Kind != "header" {
-		return nil, fmt.Errorf("checkpoint %s: missing header line", path)
+// crash mid-append) is discarded; corruption anywhere else is an error
+// naming the record number and byte offset.
+func LoadCheckpointState(path, fingerprint string) (st *CheckpointState, err error) {
+	st = newCheckpointState()
+	if st.TornTail, err = recfile.Load(path, "header", st.foldInto(fingerprint)); err != nil {
+		return nil, loadErr(path, err)
 	}
 	return st, nil
 }
 
-// OpenCheckpoint loads an existing journal (validating its fingerprint)
-// and reopens it for appends.
+// OpenCheckpoint loads an existing journal (validating its fingerprint),
+// truncates a torn final append and reopens the file for appends.
 func OpenCheckpoint(path, fingerprint string) (*Checkpoint, *CheckpointState, error) {
-	st, err := LoadCheckpointState(path, fingerprint)
+	st := newCheckpointState()
+	log, torn, err := recfile.Open(path, "header", st.foldInto(fingerprint))
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, loadErr(path, err)
 	}
-	if st.TornTail {
-		// Discard the torn final append so the journal ends on a complete
-		// line before new records go after it.
-		if err := os.Truncate(path, st.validLen); err != nil {
-			return nil, nil, fmt.Errorf("repairing checkpoint %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reopening checkpoint %s: %w", path, err)
-	}
-	return &Checkpoint{path: path, header: st.Header, f: f}, st, nil
-}
-
-// appendLine writes one JSONL record in a single write.
-func (c *Checkpoint) appendLine(v any) error {
-	line, err := json.Marshal(v)
-	if err != nil {
-		return fmt.Errorf("encoding checkpoint record: %w", err)
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return fmt.Errorf("checkpoint %s: already closed", c.path)
-	}
-	if _, err := c.f.Write(append(line, '\n')); err != nil {
-		return fmt.Errorf("appending to checkpoint %s: %w", c.path, err)
-	}
-	return nil
+	st.TornTail = torn
+	return &Checkpoint{log: log}, st, nil
 }
 
 // AppendResult journals one completed injection point. base is the
 // phase-1 trial count (see ckptPoint.Base); pass len(pr.Trials) for a
 // non-adaptive or unrefined record.
 func (c *Checkpoint) AppendResult(index int, pr PointResult, base int) error {
-	return c.appendLine(ckptPoint{Kind: "point", Index: index, Result: pointResultToJSON(pr), Base: base})
+	return c.log.Append(ckptPoint{Kind: "point", Index: index, Result: pointResultToJSON(pr), Base: base})
 }
 
 // AppendQuarantine journals one poison point.
 func (c *Checkpoint) AppendQuarantine(q QuarantinedPoint) error {
-	return c.appendLine(ckptQuarantine{Kind: "quarantine", Index: q.Index,
+	return c.log.Append(ckptQuarantine{Kind: "quarantine", Index: q.Index,
 		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err})
-}
-
-// Sync flushes journal appends to stable storage.
-func (c *Checkpoint) Sync() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	return c.f.Sync()
 }
 
 // Close syncs and closes the journal. The file stays on disk: deleting it
 // after a successful campaign is the caller's decision.
-func (c *Checkpoint) Close() error {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.f == nil {
-		return nil
-	}
-	err := c.f.Sync()
-	if cerr := c.f.Close(); err == nil {
-		err = cerr
-	}
-	c.f = nil
-	return err
-}
+func (c *Checkpoint) Close() error { return c.log.Close() }

@@ -11,6 +11,7 @@ import (
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 func ckptTestPoints() []Point {
@@ -138,6 +139,15 @@ func TestCheckpointToleratesTornTail(t *testing.T) {
 	}
 }
 
+// framedJournal frames each payload as one journal line.
+func framedJournal(payloads ...string) []byte {
+	var out []byte
+	for _, p := range payloads {
+		out = append(out, recfile.EncodeLine([]byte(p))...)
+	}
+	return out
+}
+
 func TestCheckpointRejectsCorruptMiddleLine(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "c.ckpt")
 	pts := ckptTestPoints()
@@ -152,32 +162,74 @@ func TestCheckpointRejectsCorruptMiddleLine(t *testing.T) {
 		t.Fatal(err)
 	}
 	f.WriteString("{corrupt!!\n")
-	f.WriteString(`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}` + "\n")
+	f.Write(framedJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}`))
 	f.Close()
 
-	if _, err := LoadCheckpointState(path, fp); err == nil {
-		t.Fatal("corrupt middle line must fail loudly")
+	if _, err := LoadCheckpointState(path, fp); err == nil || !strings.Contains(err.Error(), "record 2 at offset") {
+		t.Fatalf("corrupt middle line must fail loudly, naming the record: %v", err)
 	}
 }
 
 func TestCheckpointRejectsMissingHeaderAndBadRecords(t *testing.T) {
 	dir := t.TempDir()
-	cases := map[string]string{
-		"empty":          "",
-		"no header":      `{"kind":"point","index":0,"result":{"point":{},"trials":[]}}` + "\n",
-		"unknown kind":   `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"wat"}` + "\n",
-		"bad outcome":    `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":99}]}}` + "\n",
-		"version skew":   `{"kind":"header","version":42,"fingerprint":"fp"}` + "\n",
-		"double header":  `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n" + `{"kind":"header","version":1,"fingerprint":"fp"}` + "\n",
-		"header-is-torn": `{"kind":"header","version":1,"fingerpr`,
+	const header = `{"kind":"header","version":2,"fingerprint":"fp"}`
+	const point = `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":0}]}}`
+	cases := map[string]struct {
+		content []byte
+		want    string
+	}{
+		"empty":          {nil, "empty file"},
+		"no header":      {framedJournal(point), "missing header"},
+		"unknown kind":   {framedJournal(header, `{"kind":"wat"}`), `unknown record kind "wat"`},
+		"bad outcome":    {framedJournal(header, `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":99}]}}`), "outcome"},
+		"negative index": {framedJournal(header, strings.Replace(point, `"index":0`, `"index":-1`, 1)), "negative index -1"},
+		"negative quarantine index": {framedJournal(header, `{"kind":"quarantine","index":-2,"point":{},"attempts":1,"error":"x"}`),
+			"negative index -2"},
+		"base past trials": {framedJournal(header, strings.Replace(point, `}]}}`, `}]},"baseTrials":2}`, 1)), "baseTrials 2 outside trial list of 1"},
+		"negative base":    {framedJournal(header, strings.Replace(point, `}]}}`, `}]},"baseTrials":-1}`, 1)), "baseTrials -1 outside trial list of 1"},
+		"version skew":     {framedJournal(`{"kind":"header","version":42,"fingerprint":"fp"}`), "unsupported checkpoint version 42"},
+		"double header":    {framedJournal(header, header), "unexpected second header"},
+		"header-is-torn":   {framedJournal(header)[:30], "no complete record"},
 	}
-	for name, content := range cases {
+	for name, tc := range cases {
 		path := filepath.Join(dir, strings.ReplaceAll(name, " ", "_"))
-		if err := os.WriteFile(path, []byte(content), 0o644); err != nil {
+		if err := os.WriteFile(path, tc.content, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		if _, err := LoadCheckpointState(path, "fp"); err == nil {
-			t.Errorf("%s: want error, got none", name)
+		if _, err := LoadCheckpointState(path, "fp"); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: LoadCheckpointState = %v, want an error containing %q", name, err, tc.want)
 		}
+	}
+}
+
+// TestCheckpointRefusesUnframedV1: a version-1 journal (plain JSONL, no
+// length/CRC frame) is refused by name — not dual-read, and not reported
+// as mere corruption.
+func TestCheckpointRefusesUnframedV1(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v1.ckpt")
+	v1 := `{"kind":"header","version":1,"fingerprint":"fp","app":"toy","ranks":4,"totalPoints":3}` + "\n" +
+		`{"kind":"point","index":0,"result":{"point":{},"trials":[]}}` + "\n"
+	if err := os.WriteFile(path, []byte(v1), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err := LoadCheckpointState(path, "fp")
+	if !errors.Is(err, ErrCheckpointVersion) || !strings.Contains(err.Error(), "version 1") {
+		t.Fatalf("load of a v1 journal = %v, want ErrCheckpointVersion naming version 1", err)
+	}
+	if _, _, err := OpenCheckpoint(path, "fp"); !errors.Is(err, ErrCheckpointVersion) {
+		t.Fatalf("open of a v1 journal = %v, want ErrCheckpointVersion", err)
+	}
+	if after, _ := os.ReadFile(path); string(after) != v1 {
+		t.Fatal("refusing a v1 journal modified it")
+	}
+}
+
+// TestCampaignFingerprintPinned: fingerprints name WAL store directories,
+// key sense records and bind journals to campaigns, so the recipe must not
+// drift — in particular not with the journal's file version.
+func TestCampaignFingerprintPinned(t *testing.T) {
+	got := CampaignFingerprint("toy", apps.Config{Ranks: 4}, Options{}, ckptTestPoints())
+	if want := "1fa17c6e60a9f62c"; got != want {
+		t.Fatalf("CampaignFingerprint = %s, want %s (the recipe changed: every stored campaign key moves)", got, want)
 	}
 }

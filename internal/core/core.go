@@ -77,8 +77,8 @@ type Adaptive struct {
 	// separated from the runner-up; the saved trials fund a refinement
 	// pass over the points whose outcome intervals are still widest. The
 	// total budget never exceeds TrialsPerPoint × points, and with a fixed
-	// Seed the campaign result is identical across the serial, supervised
-	// and interrupt/resume paths.
+	// Seed the campaign result is identical at every worker count and
+	// across interrupt/resume.
 	Enabled bool
 	// Confidence is the settling rule's two-sided interval confidence in
 	// (0,1). Zero (or an out-of-range value) means 0.95.

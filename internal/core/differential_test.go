@@ -45,8 +45,8 @@ func diffTestEngine(t *testing.T, opts Options) *Engine {
 	return New(app, cfg, opts)
 }
 
-// runDiffSerial runs one serial campaign (direct, ML or adaptive,
-// depending on opts) and captures both output surfaces.
+// runDiffSerial runs one campaign a point at a time (RunCampaign: direct,
+// ML or adaptive, depending on opts) and captures both output surfaces.
 func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
 	t.Helper()
 	var stream bytes.Buffer

@@ -4,7 +4,6 @@ import (
 	"context"
 	"encoding/json"
 	"fmt"
-	"sync"
 )
 
 // Distributed-execution hooks. The distributed campaign service
@@ -216,28 +215,7 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 		sink:    sink,
 	}
 	e.emit(PhaseChanged{Phase: CampaignInjecting, Points: len(todo)})
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < s.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				s.runPoint(ctx, points[idx], idx, run)
-			}
-		}()
-	}
-	for _, idx := range todo {
-		if ctx.Err() != nil || run.err() != nil {
-			break
-		}
-		select {
-		case idxCh <- idx:
-		case <-ctx.Done():
-		}
-	}
-	close(idxCh)
-	wg.Wait()
+	pool(ctx, run, todo, func(idx int) { s.runPoint(ctx, points[idx], idx, run) })
 
 	if err := run.err(); err != nil {
 		return nil, err

@@ -169,20 +169,18 @@ func (e *Engine) Points() ([]Point, error) {
 
 // run executes the application once with the given hook.
 func (e *Engine) run(hook mpi.Hook) mpi.RunResult {
-	return e.runCtx(context.Background(), hook)
+	return e.exec(mpi.RunOptions{Hook: hook})
 }
 
-// runCtx executes the application once with the given hook, cancelling the
-// simulated world promptly when ctx is done.
-func (e *Engine) runCtx(ctx context.Context, hook mpi.Hook) mpi.RunResult {
-	return mpi.Run(mpi.RunOptions{
-		NumRanks:       e.cfg.Ranks,
-		Seed:           e.cfg.Seed,
-		Timeout:        e.opts.RunTimeout,
-		Hook:           hook,
-		Context:        ctx,
-		DisablePooling: e.opts.DisablePooling,
-	}, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
+// exec runs the application once under ro, after filling in what every
+// simulated run of this engine shares: the world size, the application
+// seed, the per-run timeout and the pooling switch.
+func (e *Engine) exec(ro mpi.RunOptions) mpi.RunResult {
+	ro.NumRanks = e.cfg.Ranks
+	ro.Seed = e.cfg.Seed
+	ro.Timeout = e.opts.RunTimeout
+	ro.DisablePooling = e.opts.DisablePooling
+	return mpi.Run(ro, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
 }
 
 // RunOnce executes the application with the given faults injected and
@@ -204,15 +202,7 @@ func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classif
 	if len(faults) == 1 {
 		if fk := e.trialFork(faults[0]); fk != nil {
 			e.stats.forked.Add(1)
-			res := mpi.Run(mpi.RunOptions{
-				NumRanks:       e.cfg.Ranks,
-				Seed:           e.cfg.Seed,
-				Timeout:        e.opts.RunTimeout,
-				Hook:           inj,
-				Context:        ctx,
-				DisablePooling: e.opts.DisablePooling,
-				Fork:           fk,
-			}, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
+			res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Fork: fk})
 			return e.classifyRun(res), res
 		}
 	}
@@ -221,16 +211,7 @@ func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classif
 	if net != nil {
 		inj.AttachNetwork(net)
 	}
-	res := mpi.Run(mpi.RunOptions{
-		NumRanks:       e.cfg.Ranks,
-		Seed:           e.cfg.Seed,
-		Timeout:        e.opts.RunTimeout,
-		Hook:           inj,
-		Context:        ctx,
-		DisablePooling: e.opts.DisablePooling,
-		Network:        net,
-		CrashedRanks:   crashed,
-	}, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
+	res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Network: net, CrashedRanks: crashed})
 	return e.classifyRun(res), res
 }
 

@@ -8,8 +8,8 @@ import (
 )
 
 // The campaign observation API. Every component that executes a campaign —
-// the serial engine (RunCampaign), the ML learn loop and the supervisor —
-// publishes its progress as a single typed stream of Event values delivered
+// the supervisor (which RunCampaign runs with one worker), a shard's
+// RunRange and the stand-alone ML learn loop — publishes its progress as a single typed stream of Event values delivered
 // to the Observer set in Options.Observer. Structured events are what turn
 // a fault-injection harness from a batch job into a measurement instrument
 // (FINJ, Netti et al., makes the same argument): running outcome

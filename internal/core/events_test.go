@@ -84,53 +84,68 @@ func assertWellOrdered(t *testing.T, events []Event) (completions int, total int
 	return completions, total
 }
 
-// TestSupervisorEventStream: a supervised direct campaign with a parallel
-// worker pool and intra-point parallelism emits a well-ordered stream whose
-// StreamStats tallies are byte-identical to OutcomeBreakdown of the
-// returned result.
+// TestSupervisorEventStream: a direct campaign emits a well-ordered stream
+// whose StreamStats tallies are byte-identical to OutcomeBreakdown of the
+// returned result — through a parallel worker pool with intra-point
+// parallelism, and through RunCampaign's one-worker run of the same driver.
 func TestSupervisorEventStream(t *testing.T) {
-	opts := supTestOptions()
-	opts.Parallelism = 4
-	stats := NewStreamStats()
-	rec := &eventRecorder{}
-	opts.Observer = MultiObserver(stats, rec)
+	for name, run := range map[string]func(Options) (*CampaignResult, error){
+		"workers=4": func(opts Options) (*CampaignResult, error) {
+			opts.Parallelism = 4
+			sup, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
+			if err != nil {
+				return nil, err
+			}
+			return sup.CampaignResult, nil
+		},
+		"RunCampaign": func(opts Options) (*CampaignResult, error) {
+			return supTestEngine(t, opts).RunCampaign()
+		},
+	} {
+		t.Run(name, func(t *testing.T) {
+			opts := supTestOptions()
+			stats := NewStreamStats()
+			rec := &eventRecorder{}
+			opts.Observer = MultiObserver(stats, rec)
 
-	sup, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	events := rec.all()
-	completions, total := assertWellOrdered(t, events)
-	if completions != len(sup.Measured) {
-		t.Fatalf("saw %d PointCompleted events, campaign measured %d points", completions, len(sup.Measured))
-	}
-	if total != sup.AfterContext {
-		t.Fatalf("event Total = %d, want the pruned point count %d", total, sup.AfterContext)
-	}
+			res, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			events := rec.all()
+			completions, total := assertWellOrdered(t, events)
+			if completions != len(res.Measured) {
+				t.Fatalf("saw %d PointCompleted events, campaign measured %d points", completions, len(res.Measured))
+			}
+			if total != res.AfterContext {
+				t.Fatalf("event Total = %d, want the pruned point count %d", total, res.AfterContext)
+			}
 
-	want := OutcomeBreakdown(sup.Measured)
-	if got := stats.Counts(); got != want {
-		t.Fatalf("StreamStats counts %v != OutcomeBreakdown %v", got, want)
-	}
-	fin := events[len(events)-1].(CampaignFinished)
-	if fin.Counts != want {
-		t.Fatalf("CampaignFinished counts %v != OutcomeBreakdown %v", fin.Counts, want)
-	}
-	if fin.Injected != sup.Injected || fin.Cancelled {
-		t.Fatalf("CampaignFinished accounting %+v does not match result (injected %d)", fin, sup.Injected)
-	}
+			want := OutcomeBreakdown(res.Measured)
+			if got := stats.Counts(); got != want {
+				t.Fatalf("StreamStats counts %v != OutcomeBreakdown %v", got, want)
+			}
+			fin := events[len(events)-1].(CampaignFinished)
+			if fin.Counts != want {
+				t.Fatalf("CampaignFinished counts %v != OutcomeBreakdown %v", fin.Counts, want)
+			}
+			if fin.Injected != res.Injected || fin.Cancelled {
+				t.Fatalf("CampaignFinished accounting %+v does not match result (injected %d)", fin, res.Injected)
+			}
 
-	sn := stats.Snapshot()
-	if !sn.Finished || sn.Cancelled || sn.Completed != total {
-		t.Fatalf("final snapshot inconsistent: %+v", sn)
-	}
-	// Per-site tallies must partition the global distribution.
-	var siteSum int
-	for _, c := range stats.SiteCounts() {
-		siteSum += c.Total()
-	}
-	if siteSum != want.Total() {
-		t.Fatalf("site tallies sum to %d trials, want %d", siteSum, want.Total())
+			sn := stats.Snapshot()
+			if !sn.Finished || sn.Cancelled || sn.Completed != total {
+				t.Fatalf("final snapshot inconsistent: %+v", sn)
+			}
+			// Per-site tallies must partition the global distribution.
+			var siteSum int
+			for _, c := range stats.SiteCounts() {
+				siteSum += c.Total()
+			}
+			if siteSum != want.Total() {
+				t.Fatalf("site tallies sum to %d trials, want %d", siteSum, want.Total())
+			}
+		})
 	}
 }
 
@@ -171,27 +186,6 @@ func TestStreamStatsMatchesBreakdownML(t *testing.T) {
 	fin := events[len(events)-1].(CampaignFinished)
 	if fin.Predicted != len(sup.Predicted) {
 		t.Fatalf("CampaignFinished.Predicted = %d, want %d", fin.Predicted, len(sup.Predicted))
-	}
-}
-
-// TestEngineRunCampaignEventStream: the serial engine path emits the same
-// well-ordered stream (no supervisor involved).
-func TestEngineRunCampaignEventStream(t *testing.T) {
-	opts := supTestOptions()
-	stats := NewStreamStats()
-	rec := &eventRecorder{}
-	opts.Observer = MultiObserver(stats, rec)
-
-	res, err := supTestEngine(t, opts).RunCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	completions, total := assertWellOrdered(t, rec.all())
-	if completions != len(res.Measured) || total != res.AfterContext {
-		t.Fatalf("completions %d/%d, want %d/%d", completions, total, len(res.Measured), res.AfterContext)
-	}
-	if got, want := stats.Counts(), OutcomeBreakdown(res.Measured); got != want {
-		t.Fatalf("StreamStats counts %v != OutcomeBreakdown %v", got, want)
 	}
 }
 

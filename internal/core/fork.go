@@ -110,13 +110,7 @@ func (e *Engine) forkSetup() *forkState {
 			e.forkSt = st
 			return
 		}
-		res := mpi.Run(mpi.RunOptions{
-			NumRanks:       e.cfg.Ranks,
-			Seed:           e.cfg.Seed,
-			Timeout:        e.opts.RunTimeout,
-			Record:         true,
-			DisablePooling: e.opts.DisablePooling,
-		}, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
+		res := e.exec(mpi.RunOptions{Record: true})
 		st = &forkState{forks: map[forkKey]*mpi.Fork{}}
 		if res.Trace.Forkable() && res.FirstError() == nil {
 			st.trace = res.Trace

@@ -16,12 +16,13 @@ import (
 // never a panic or a silently merged state.
 const fuzzFingerprint = "00000000deadbeef"
 
-// fuzzJournal builds a well-formed journal with the given point records so
-// the corpus starts from inputs that exercise the full decode path.
+const fuzzHeader = `{"kind":"header","version":2,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}`
+
+// fuzzJournal builds a well-formed framed journal with the given point
+// records so the corpus starts from inputs that exercise the full decode
+// path.
 func fuzzJournal(records ...string) []byte {
-	header := `{"kind":"header","version":1,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}`
-	lines := append([]string{header}, records...)
-	return []byte(strings.Join(lines, "\n") + "\n")
+	return framedJournal(append([]string{fuzzHeader}, records...)...)
 }
 
 const fuzzPointRecord = `{"kind":"point","index":0,"result":{"point":{"rank":1,"site":7,"siteName":"allreduce","collType":2,"invocation":3,"stackHash":9,"phase":1,"errHandling":false,"isRoot":false,"nInv":4,"stackDepth":2,"nDiffStacks":1},"trials":[{"target":0,"bit":3,"outcome":0},{"target":1,"bit":9,"outcome":2}]},"baseTrials":2}`
@@ -40,14 +41,20 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	// Duplicate index (refined record, last-wins).
 	f.Add(fuzzJournal(fuzzPointRecord, fuzzPointRecord))
 	// Wrong fingerprint.
-	f.Add([]byte(`{"kind":"header","version":1,"fingerprint":"ffffffffffffffff","app":"is","ranks":8,"totalPoints":4}` + "\n"))
-	// Unsupported version.
-	f.Add([]byte(`{"kind":"header","version":99,"fingerprint":"` + fuzzFingerprint + `","app":"is","ranks":8,"totalPoints":4}` + "\n"))
-	// Out-of-range outcome enum and negative baseTrials.
+	f.Add(framedJournal(strings.Replace(fuzzHeader, fuzzFingerprint, "ffffffffffffffff", 1)))
+	// Unsupported versions: a future one, and an unframed version-1 file.
+	f.Add(framedJournal(strings.Replace(fuzzHeader, `"version":2`, `"version":99`, 1)))
+	f.Add([]byte(strings.Replace(fuzzHeader, `"version":2`, `"version":1`, 1) + "\n" + fuzzPointRecord + "\n"))
+	// Out-of-range outcome enum, negative baseTrials, negative index.
 	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[{"target":0,"bit":0,"outcome":999}]}}`))
 	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]},"baseTrials":-1}`))
+	f.Add(fuzzJournal(strings.Replace(fuzzPointRecord, `"index":0`, `"index":-3`, 1)))
+	// Interior corruption: a flipped payload byte under an intact frame.
+	flipped := fuzzJournal(fuzzPointRecord, fuzzPointRecord)
+	flipped[len(flipped)/2] ^= 0x01
+	f.Add(flipped)
 	// Missing header, unknown kind, plain garbage, empty file.
-	f.Add([]byte(fuzzPointRecord + "\n"))
+	f.Add(framedJournal(fuzzPointRecord))
 	f.Add(fuzzJournal(`{"kind":"gremlin"}`))
 	f.Add([]byte("not json at all\n"))
 	f.Add([]byte{})

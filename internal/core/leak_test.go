@@ -165,8 +165,8 @@ func TestPooledBufferAliasingAcrossConcurrentRuns(t *testing.T) {
 
 // TestSupervisorPaperScalePooled runs a supervised adaptive campaign at
 // paper-scale rank count with pooling on and concurrent workers — the
-// configuration the arena exists for — and checks it against the serial
-// unpooled campaign. Under -race this doubles as the data-race proof for
+// configuration the arena exists for — and checks it against the
+// one-worker unpooled campaign. Under -race this doubles as the data-race proof for
 // the shell/slab pools; the sizes shrink there to keep it affordable.
 func TestSupervisorPaperScalePooled(t *testing.T) {
 	app := lu.New()

@@ -10,15 +10,15 @@ import (
 	"time"
 )
 
-// Supervisor wraps the profile→prune→inject pipeline in a resilient
-// runner: a point-level worker pool spreads a campaign across all cores
-// (RunCampaign parallelises only within a point), a JSONL checkpoint
-// journal makes an interrupted campaign resumable exactly where it
-// stopped, and per-point watchdogs with bounded retries classify *harness*
-// failures — a panicking runner, a wedged profile — separately from
-// injected-fault outcomes, quarantining points that repeatedly break the
-// harness so the campaign degrades to a complete-with-skips report instead
-// of aborting. The FINJ tool (Netti et al.) demonstrates exactly this
+// Supervisor is the campaign driver — the one place the profile → prune →
+// inject → learn pipeline runs (Engine.RunCampaign is a Workers:1
+// supervised run): a point-level worker pool spreads a campaign across all
+// cores, a checkpoint journal makes an interrupted campaign resumable
+// exactly where it stopped, and per-point watchdogs with bounded retries
+// classify *harness* failures — a panicking runner, a wedged profile —
+// separately from injected-fault outcomes, quarantining points that
+// repeatedly break the harness so the campaign degrades to a
+// complete-with-skips report instead of aborting. The FINJ tool (Netti et al.) demonstrates exactly this
 // supervision layer for production fault-injection campaigns.
 type Supervisor struct {
 	eng  *Engine
@@ -31,7 +31,7 @@ type SupervisorOptions struct {
 	// default from GOMAXPROCS. Each point additionally parallelises its
 	// trials per Options.Parallelism.
 	Workers int
-	// Checkpoint is the JSONL journal path. Empty disables persistence
+	// Checkpoint is the journal path. Empty disables persistence
 	// (the campaign is still cancellable and watchdogged). If the file
 	// exists and its fingerprint matches, the campaign resumes from it;
 	// a mismatched journal is rejected with ErrCheckpointMismatch.
@@ -138,7 +138,7 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 
 	// Open or create the checkpoint journal and restore prior progress.
 	var ckpt *Checkpoint
-	state := &CheckpointState{Results: map[int]PointResult{}, Quarantined: map[int]QuarantinedPoint{}}
+	state := newCheckpointState()
 	if s.opts.Checkpoint != "" {
 		fp := CampaignFingerprint(e.App().Name(), e.Config(), e.Options(), plan.points)
 		if _, statErr := os.Stat(s.opts.Checkpoint); statErr == nil {
@@ -158,9 +158,6 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 		defer ckpt.Close()
 	}
 
-	if state.BaseTrials == nil {
-		state.BaseTrials = map[int]int{}
-	}
 	run := &supervisedRun{
 		sup:     s,
 		ckpt:    ckpt,
@@ -279,12 +276,20 @@ func (r *supervisedRun) err() error {
 	return r.firstErr
 }
 
-func (r *supervisedRun) fail(err error) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.firstErr == nil {
-		r.firstErr = err
+// journal appends one record to the checkpoint, if the run has one, and
+// reports it; a failed append becomes the run's error. Callers hold r.mu.
+func (r *supervisedRun) journal(idx int, write func(*Checkpoint) error) {
+	if r.ckpt == nil {
+		return
 	}
+	if err := write(r.ckpt); err != nil {
+		if r.firstErr == nil {
+			r.firstErr = err
+		}
+		return
+	}
+	r.appends++
+	r.sup.eng.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
 }
 
 // record journals and stores one completed point. The PointCompleted (and
@@ -300,14 +305,7 @@ func (r *supervisedRun) record(idx int, pr PointResult) {
 	r.completed++
 	e.emitSettled(idx, pr, false)
 	e.emit(PointCompleted{Index: idx, Result: pr, Completed: r.completed, Total: r.total})
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendResult(idx, pr, len(pr.Trials)); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
-		}
-	}
+	r.journal(idx, func(c *Checkpoint) error { return c.AppendResult(idx, pr, len(pr.Trials)) })
 	if r.sink != nil {
 		if err := r.sink(PointRecord{Index: idx, Result: pr, Base: len(pr.Trials)}); err != nil && r.firstErr == nil {
 			r.firstErr = fmt.Errorf("journal sink: point %d: %w", idx, err)
@@ -321,17 +319,9 @@ func (r *supervisedRun) record(idx int, pr PointResult) {
 func (r *supervisedRun) recordRefined(idx int, pr, prior PointResult) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.sup.eng
 	r.results[idx] = pr
-	e.emitRefined(idx, pr, prior)
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendResult(idx, pr, r.base[idx]); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: idx, Records: r.appends})
-		}
-	}
+	r.sup.eng.emitRefined(idx, pr, prior)
+	r.journal(idx, func(c *Checkpoint) error { return c.AppendResult(idx, pr, r.base[idx]) })
 }
 
 // phase1 returns every completed point stripped to its phase-1 prefix —
@@ -364,26 +354,10 @@ func (r *supervisedRun) result(idx int) PointResult {
 func (r *supervisedRun) quarantine(q QuarantinedPoint) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	e := r.sup.eng
 	r.quar[q.Index] = q
 	r.completed++
-	e.emit(PointQuarantined{Point: q, Completed: r.completed, Total: r.total})
-	if r.ckpt != nil {
-		if err := r.ckpt.AppendQuarantine(q); err != nil && r.firstErr == nil {
-			r.firstErr = err
-		} else if err == nil {
-			r.appends++
-			e.emit(CheckpointAppended{Path: r.ckpt.Path(), Index: q.Index, Records: r.appends})
-		}
-	}
-}
-
-func (r *supervisedRun) done(idx int) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok1 := r.results[idx]
-	_, ok2 := r.quar[idx]
-	return ok1 || ok2
+	r.sup.eng.emit(PointQuarantined{Point: q, Completed: r.completed, Total: r.total})
+	r.journal(q.Index, func(c *Checkpoint) error { return c.AppendQuarantine(q) })
 }
 
 func (r *supervisedRun) bumpRetries() {
@@ -392,31 +366,50 @@ func (r *supervisedRun) bumpRetries() {
 	r.mu.Unlock()
 }
 
+// pool is the campaign's one point fan-out: it calls fn for each item on
+// at most Workers goroutines and returns when all have finished. Items are
+// dispatched in slice order, so a Workers:1 run is strictly sequential.
+// Dispatch stops at context cancellation or the run's first journal/sink
+// error — a campaign that can no longer persist results must not keep
+// spending trials on them.
+func pool[T any](ctx context.Context, run *supervisedRun, items []T, fn func(T)) {
+	sem := make(chan struct{}, run.sup.opts.Workers)
+	var wg sync.WaitGroup
+	for _, it := range items {
+		sem <- struct{}{} // wait for a free worker before deciding to go on
+		if ctx.Err() != nil || run.err() != nil {
+			break
+		}
+		wg.Add(1)
+		go func(it T) {
+			defer wg.Done()
+			defer func() { <-sem }()
+			fn(it)
+		}(it)
+	}
+	wg.Wait()
+}
+
+// pending returns the indexes in [lo, hi) this run has neither measured
+// nor quarantined yet, in order.
+func (r *supervisedRun) pending(lo, hi int) []int {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	todo := make([]int, 0, hi-lo)
+	for idx := lo; idx < hi; idx++ {
+		_, measured := r.results[idx]
+		_, quarantined := r.quar[idx]
+		if !measured && !quarantined {
+			todo = append(todo, idx)
+		}
+	}
+	return todo
+}
+
 // runDirect injects every point (no ML pruning) through the worker pool.
 func (s *Supervisor) runDirect(ctx context.Context, points []Point, run *supervisedRun) {
 	s.eng.emit(PhaseChanged{Phase: CampaignInjecting, Points: run.total})
-	idxCh := make(chan int)
-	var wg sync.WaitGroup
-	for w := 0; w < s.opts.Workers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for idx := range idxCh {
-				s.runPoint(ctx, points[idx], idx, run)
-			}
-		}()
-	}
-	for idx := range points {
-		if run.done(idx) || ctx.Err() != nil {
-			continue
-		}
-		select {
-		case idxCh <- idx:
-		case <-ctx.Done():
-		}
-	}
-	close(idxCh)
-	wg.Wait()
+	pool(ctx, run, run.pending(0, len(points)), func(idx int) { s.runPoint(ctx, points[idx], idx, run) })
 }
 
 // runML drives the injection/learning feedback loop, parallelising each
@@ -425,25 +418,10 @@ func (s *Supervisor) runDirect(ctx context.Context, points []Point, run *supervi
 func (s *Supervisor) runML(ctx context.Context, plan *campaignPlan, run *supervisedRun) {
 	res := plan.res
 	lr, abortedLoop := s.eng.learnCampaignBatched(plan.points, func(ps []Point, idxs []int) []*PointResult {
-		if ctx.Err() != nil {
-			return nil
-		}
-		var wg sync.WaitGroup
-		sem := make(chan struct{}, s.opts.Workers)
-		for i, idx := range idxs {
-			if run.done(idx) {
-				continue
-			}
-			wg.Add(1)
-			sem <- struct{}{}
-			go func(p Point, idx int) {
-				defer wg.Done()
-				defer func() { <-sem }()
-				s.runPoint(ctx, p, idx, run)
-			}(ps[i], idx)
-		}
-		wg.Wait()
-		if ctx.Err() != nil {
+		// idxs is a contiguous run of the shuffled order, ps its points.
+		lo := idxs[0]
+		pool(ctx, run, run.pending(lo, lo+len(idxs)), func(idx int) { s.runPoint(ctx, ps[idx-lo], idx, run) })
+		if ctx.Err() != nil || run.err() != nil {
 			return nil
 		}
 		out := make([]*PointResult, len(ps))
@@ -513,29 +491,20 @@ func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, pointAt
 		return
 	}
 	e.emit(PhaseChanged{Phase: CampaignRefining, Points: len(grants)})
-	sem := make(chan struct{}, s.opts.Workers)
-	var wg sync.WaitGroup
+	var todo []refineGrant
 	for _, g := range grants {
-		if ctx.Err() != nil {
-			break
+		if !run.refined(g.Idx) {
+			todo = append(todo, g)
 		}
-		if run.refined(g.Idx) {
-			continue
-		}
-		wg.Add(1)
-		sem <- struct{}{}
-		go func(g refineGrant) {
-			defer wg.Done()
-			defer func() { <-sem }()
-			prior := phase1[g.Idx]
-			pr, err := e.RefinePoint(ctx, pointAt(g.Idx), g.Idx, prior, g.Extra)
-			if err != nil {
-				return // cancelled: the point resumes unrefined
-			}
-			run.recordRefined(g.Idx, pr, prior)
-		}(g)
 	}
-	wg.Wait()
+	pool(ctx, run, todo, func(g refineGrant) {
+		prior := phase1[g.Idx]
+		pr, err := e.RefinePoint(ctx, pointAt(g.Idx), g.Idx, prior, g.Extra)
+		if err != nil {
+			return // cancelled: the point resumes unrefined
+		}
+		run.recordRefined(g.Idx, pr, prior)
+	})
 }
 
 // runPoint executes one point under the watchdog with bounded retries,
@@ -601,10 +570,7 @@ func (s *Supervisor) inject(ctx context.Context, p Point, idx int) (PointResult,
 	if s.opts.Inject != nil {
 		return s.opts.Inject(ctx, p, idx, s.eng.Options().TrialsPerPoint)
 	}
-	if s.eng.Options().Adaptive.Enabled {
-		return s.eng.InjectPointAdaptive(ctx, p, idx)
-	}
-	return s.eng.InjectPointCtx(ctx, p, idx, s.eng.Options().TrialsPerPoint)
+	return s.eng.injectAuto(ctx, p, idx)
 }
 
 // backoff returns the exponential retry delay for the given attempt number.

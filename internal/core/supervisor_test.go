@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -44,8 +45,9 @@ func campaignJSONBytes(t *testing.T, res *CampaignResult) []byte {
 	return buf.Bytes()
 }
 
-// TestSupervisorMatchesRunCampaign: the parallel supervised runner must be
-// bit-identical to the serial RunCampaign on the same configuration.
+// TestSupervisorMatchesRunCampaign: a Workers:4 campaign must be
+// bit-identical to RunCampaign — the same driver at Workers:1 — on the
+// same configuration: the worker count never reaches the result.
 func TestSupervisorMatchesRunCampaign(t *testing.T) {
 	opts := supTestOptions()
 	serial, err := supTestEngine(t, opts).RunCampaign()
@@ -335,5 +337,120 @@ func TestResumeCampaignRequiresJournal(t *testing.T) {
 	}
 	if _, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{}); err == nil {
 		t.Fatal("resume without a checkpoint path must fail")
+	}
+}
+
+// TestJournalFailureStopsInjection: a campaign that can no longer persist
+// results must stop spending trials. Once the k-th journal append has
+// landed the journal is broken; the next point's append fails, and no
+// PointStarted may follow it — on the direct path, inside an ML batch, and
+// on a shard's sink (RunRange).
+func TestJournalFailureStopsInjection(t *testing.T) {
+	const k = 3
+	inject := func(ctx context.Context, p Point, idx, trials int) (PointResult, error) {
+		return fakeInject(p, trials), nil
+	}
+	// startedAfterBreak counts PointStarted events after the k-th append.
+	startedAfterBreak := func(events []Event, broke func(Event) bool) int {
+		n, broken := 0, false
+		for _, ev := range events {
+			if _, ok := ev.(PointStarted); ok && broken {
+				n++
+			}
+			broken = broken || broke(ev)
+		}
+		return n
+	}
+
+	for _, path := range []string{"direct", "ml"} {
+		t.Run(path, func(t *testing.T) {
+			opts := supTestOptions()
+			opts.ML.Pruning = path == "ml"
+			opts.ML.Batch = 2 * k // the break lands mid-batch
+			rec := &eventRecorder{}
+			var ck *Checkpoint
+			kth := func(ev Event) bool {
+				ca, ok := ev.(CheckpointAppended)
+				return ok && ca.Records == k
+			}
+			opts.Observer = MultiObserver(rec, ObserverFunc(func(ev Event) {
+				if kth(ev) {
+					ck.Close() // every later append fails: "already closed"
+				}
+			}))
+			e := supTestEngine(t, opts)
+			s := NewSupervisor(e, SupervisorOptions{Workers: 1, Inject: inject})
+			plan, err := e.planCampaign()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(plan.points) < k+3 {
+				t.Fatalf("campaign of %d points is too small to break after %d", len(plan.points), k)
+			}
+			if ck, err = CreateCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"), "fp", "is", 8, len(plan.points)); err != nil {
+				t.Fatal(err)
+			}
+			st := newCheckpointState()
+			run := &supervisedRun{sup: s, ckpt: ck, results: st.Results, quar: st.Quarantined,
+				base: st.BaseTrials, total: len(plan.points)}
+			if opts.ML.Pruning {
+				s.runML(context.Background(), plan, run)
+			} else {
+				s.runDirect(context.Background(), plan.points, run)
+			}
+			if err := run.err(); err == nil || !strings.Contains(err.Error(), "closed") {
+				t.Fatalf("run error = %v, want the failed append", err)
+			}
+			// Exactly one point starts after the break: the one whose
+			// append then fails.
+			if n := startedAfterBreak(rec.all(), kth); n != 1 {
+				t.Fatalf("%d points started after the journal broke, want 1", n)
+			}
+		})
+	}
+
+	t.Run("sink", func(t *testing.T) {
+		opts := supTestOptions()
+		rec := &eventRecorder{}
+		opts.Observer = rec
+		s := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 1, Inject: inject})
+		sunk := 0
+		_, err := s.RunRange(context.Background(), 0, k+3, nil, func(PointRecord) error {
+			if sunk++; sunk == k {
+				return errors.New("coordinator gone")
+			}
+			return nil
+		})
+		if err == nil || !strings.Contains(err.Error(), "coordinator gone") {
+			t.Fatalf("RunRange error = %v, want the sink's", err)
+		}
+		if sunk != k {
+			t.Fatalf("sink called %d times, want %d", sunk, k)
+		}
+		started := 0
+		for _, ev := range rec.all() {
+			if _, ok := ev.(PointStarted); ok {
+				started++
+			}
+		}
+		if started != k {
+			t.Fatalf("%d points started, want %d: none after the sink failed", started, k)
+		}
+	})
+}
+
+// TestRunCampaignRefusesQuarantine: RunCampaign's caller has no Quarantined
+// field to inspect, so a point the harness could not measure is an error
+// naming the first failure — never a result silently short of points.
+func TestRunCampaignRefusesQuarantine(t *testing.T) {
+	e := supTestEngine(t, supTestOptions())
+	// RunCampaign has no injection seam, so break the harness itself: a
+	// negative budget (unreachable through New) panics the trial wave on
+	// the attempt's own goroutine, which the supervisor reports as a
+	// harness failure.
+	e.opts.TrialsPerPoint = -1
+	res, err := e.RunCampaign()
+	if err == nil || res != nil || !strings.Contains(err.Error(), "harness failure") || !strings.Contains(err.Error(), "point 0") {
+		t.Fatalf("RunCampaign = %v, %v; want no result and an error naming the first harness failure", res, err)
 	}
 }

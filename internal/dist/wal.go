@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
 
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/recfile"
@@ -22,18 +21,10 @@ import (
 // starts with zero leases and workers simply re-lease, the same path as a
 // TTL expiry.
 //
-// The on-disk format extends the checkpoint journal's torn-tail-repair
-// discipline with per-record integrity: one record per line in the shared
-// recfile grammar (internal/recfile), each line a length prefix, a CRC32
-// of the payload, and the JSON payload itself:
-//
-//	llllllll cccccccc {payload}\n
-//
-// (both prefixes fixed-width lowercase hex). Appends are single writes of
-// whole lines, so a crash can at worst leave one torn trailing line, which
-// loading discards and Open truncates away; a checksum or length failure
-// anywhere *before* the tail is real corruption and is reported as an
-// error naming the byte offset, never silently skipped.
+// The log is a recfile.Log (internal/recfile) — the same framed,
+// CRC-checked, torn-tail-repairing record file the checkpoint journal and
+// the sense store use; this file keeps only the WAL's record kinds and how
+// they fold into a WALState.
 
 // walVersion identifies the WAL's on-disk schema.
 const walVersion = 1
@@ -100,221 +91,127 @@ type WALState struct {
 	// TornTail reports that a torn trailing line (interrupted append) was
 	// discarded while loading.
 	TornTail bool
-	// validLen is the byte length of the log up to and including its last
-	// complete line; OpenWAL truncates a torn tail to it.
-	validLen int64
 }
 
 // WAL is an open coordinator write-ahead log accepting appends.
 type WAL struct {
-	path string
-
-	mu sync.Mutex
-	f  *os.File
+	log *recfile.Log
 }
 
 // Path returns the log's file path.
-func (w *WAL) Path() string { return w.path }
+func (w *WAL) Path() string { return w.log.Path() }
 
-// encodeWALLine renders one record as a length-prefixed, checksummed line
-// in the shared recfile grammar.
-func encodeWALLine(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("encoding wal record: %w", err)
-	}
-	return recfile.EncodeLine(payload), nil
-}
-
-// parseWALLine validates one complete line (without its newline) and
-// returns the JSON payload.
-func parseWALLine(line string) ([]byte, error) {
-	return recfile.ParseLine(line)
-}
-
-// CreateWAL starts a fresh log in dir (created if needed): the open record
-// and the first epoch record are written to a temporary file and renamed
-// into place, so a half-written log is never observed under the final
-// path. It refuses to overwrite an existing log — recover it instead.
+// CreateWAL starts a fresh log in dir (created if needed) holding the open
+// record and the first epoch record. It refuses to overwrite an existing
+// log — recover it instead.
 func CreateWAL(dir string, spec CampaignSpec) (*WAL, error) {
 	if err := os.MkdirAll(dir, 0o755); err != nil {
 		return nil, fmt.Errorf("creating campaign store %s: %w", dir, err)
 	}
-	path := filepath.Join(dir, WALFileName)
-	if _, err := os.Stat(path); err == nil {
-		return nil, fmt.Errorf("wal %s already exists: recover the campaign instead of re-opening it fresh", path)
-	}
-	open, err := encodeWALLine(walOpen{Kind: "open", Version: walVersion, Spec: spec})
+	log, err := recfile.Create(filepath.Join(dir, WALFileName),
+		walOpen{Kind: "open", Version: walVersion, Spec: spec}, walEpoch{Kind: "epoch", Epoch: 1})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("creating wal: %w (recover the campaign instead of re-opening it fresh)", err)
 	}
-	epoch, err := encodeWALLine(walEpoch{Kind: "epoch", Epoch: 1})
-	if err != nil {
-		return nil, err
-	}
-	tmp, err := os.CreateTemp(dir, ".wal-*")
-	if err != nil {
-		return nil, fmt.Errorf("creating wal: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(append(open, epoch...)); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
-	}
-	if err != nil {
-		os.Remove(tmpName)
-		return nil, fmt.Errorf("creating wal %s: %w", path, err)
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("reopening wal %s: %w", path, err)
-	}
-	return &WAL{path: path, f: f}, nil
+	return &WAL{log: log}, nil
 }
 
 // LoadWALState reads and validates a coordinator log. A torn trailing line
 // (the signature of a crash mid-append) is discarded and reported via
 // TornTail; corruption anywhere else — a failed checksum, a length
 // mismatch, a malformed prefix, an invalid payload — is an error naming
-// the record's byte offset.
-func LoadWALState(path string) (*WALState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
+// the record's number and byte offset.
+func LoadWALState(path string) (st *WALState, err error) {
+	st = newWALState()
+	if st.TornTail, err = recfile.Load(path, "open", st.fold); err != nil {
+		return nil, fmt.Errorf("wal %w", err)
 	}
-	return loadWALState(path, data)
+	return st, st.complete(path)
 }
 
-func loadWALState(path string, data []byte) (*WALState, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("wal %s: empty file", path)
-	}
-	// A well-formed log ends with "\n"; anything after the final newline is
-	// a torn final append (whole-line single writes mean a crash can only
-	// truncate the last line).
-	lines, torn, validLen := recfile.Split(data)
+func newWALState() *WALState {
+	return &WALState{Records: map[int]core.PointRecord{}, Quarantined: map[int]core.QuarantinedPoint{}}
+}
 
-	st := &WALState{
-		Records:     map[int]core.PointRecord{},
-		Quarantined: map[int]core.QuarantinedPoint{},
-		TornTail:    torn,
-		validLen:    validLen,
-	}
-	opened := false
-	offset := int64(0)
-	for i, line := range lines {
-		lineOffset := offset
-		offset += int64(len(line)) + 1
-		payload, err := parseWALLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("wal %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(payload, &kind); err != nil {
-			return nil, fmt.Errorf("wal %s: record %d at offset %d: corrupt payload: %w", path, i+1, lineOffset, err)
-		}
-		switch kind.Kind {
-		case "open":
-			if opened {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: unexpected second open record", path, i+1, lineOffset)
-			}
-			var rec walOpen
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: corrupt open record: %w", path, i+1, lineOffset, err)
-			}
-			if rec.Version != walVersion {
-				return nil, fmt.Errorf("wal %s: unsupported version %d (want %d)", path, rec.Version, walVersion)
-			}
-			spec, err := DecodeCampaignSpec(payloadOf(rec.Spec))
-			if err != nil {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-			}
-			st.Spec = spec
-			opened = true
-		case "epoch":
-			if !opened {
-				return nil, fmt.Errorf("wal %s: missing open record", path)
-			}
-			var rec walEpoch
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: corrupt epoch record: %w", path, i+1, lineOffset, err)
-			}
-			if rec.Epoch <= st.Epoch {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: epoch %d does not advance past %d",
-					path, i+1, lineOffset, rec.Epoch, st.Epoch)
-			}
-			st.Epoch = rec.Epoch
-		case "batch":
-			if !opened {
-				return nil, fmt.Errorf("wal %s: missing open record", path)
-			}
-			var rec walBatch
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: corrupt batch record: %w", path, i+1, lineOffset, err)
-			}
-			for j, line := range rec.Records {
-				pr, err := core.DecodeJournalPoint(line)
-				if err != nil {
-					return nil, fmt.Errorf("wal %s: record %d at offset %d: batch record %d: %w", path, i+1, lineOffset, j, err)
-				}
-				if pr.Index >= st.Spec.Points {
-					return nil, fmt.Errorf("wal %s: record %d at offset %d: point index %d outside campaign of %d points",
-						path, i+1, lineOffset, pr.Index, st.Spec.Points)
-				}
-				// First write wins, like the coordinator's record store: a
-				// duplicated batch (replayed append) changes nothing.
-				if _, dup := st.Records[pr.Index]; !dup {
-					st.Records[pr.Index] = pr
-				}
-			}
-			for j, line := range rec.Quarantines {
-				q, err := core.DecodeJournalQuarantine(line)
-				if err != nil {
-					return nil, fmt.Errorf("wal %s: record %d at offset %d: batch quarantine %d: %w", path, i+1, lineOffset, j, err)
-				}
-				if q.Index >= st.Spec.Points {
-					return nil, fmt.Errorf("wal %s: record %d at offset %d: quarantine index %d outside campaign of %d points",
-						path, i+1, lineOffset, q.Index, st.Spec.Points)
-				}
-				if _, dup := st.Quarantined[q.Index]; !dup {
-					st.Quarantined[q.Index] = q
-				}
-			}
-		case "frontier":
-			if !opened {
-				return nil, fmt.Errorf("wal %s: missing open record", path)
-			}
-			var rec walFrontier
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: corrupt frontier record: %w", path, i+1, lineOffset, err)
-			}
-			if rec.Needed < 0 || rec.Needed > st.Spec.Points {
-				return nil, fmt.Errorf("wal %s: record %d at offset %d: frontier %d outside campaign of %d points",
-					path, i+1, lineOffset, rec.Needed, st.Spec.Points)
-			}
-		case "merged":
-			if !opened {
-				return nil, fmt.Errorf("wal %s: missing open record", path)
-			}
-			st.Merged = true
-		default:
-			return nil, fmt.Errorf("wal %s: record %d at offset %d: unknown record kind %q", path, i+1, lineOffset, kind.Kind)
-		}
-	}
-	if !opened {
-		return nil, fmt.Errorf("wal %s: missing open record", path)
-	}
+// complete checks what only the whole log can show: it was opened by at
+// least one process generation.
+func (st *WALState) complete(path string) error {
 	if st.Epoch == 0 {
-		return nil, fmt.Errorf("wal %s: missing epoch record", path)
+		return fmt.Errorf("wal %s: missing epoch record", path)
 	}
-	return st, nil
+	return nil
+}
+
+// fold applies one log record to the state. Batches dedupe
+// first-write-wins, like the coordinator's record store, so a replayed
+// append changes nothing.
+func (st *WALState) fold(rec recfile.Record) error {
+	switch rec.Kind {
+	case "open":
+		var open walOpen
+		if err := json.Unmarshal(rec.Payload, &open); err != nil {
+			return fmt.Errorf("corrupt open record: %w", err)
+		}
+		if open.Version != walVersion {
+			return fmt.Errorf("unsupported version %d (want %d)", open.Version, walVersion)
+		}
+		spec, err := DecodeCampaignSpec(payloadOf(open.Spec))
+		if err != nil {
+			return err
+		}
+		st.Spec = spec
+	case "epoch":
+		var epoch walEpoch
+		if err := json.Unmarshal(rec.Payload, &epoch); err != nil {
+			return fmt.Errorf("corrupt epoch record: %w", err)
+		}
+		if epoch.Epoch <= st.Epoch {
+			return fmt.Errorf("epoch %d does not advance past %d", epoch.Epoch, st.Epoch)
+		}
+		st.Epoch = epoch.Epoch
+	case "batch":
+		var batch walBatch
+		if err := json.Unmarshal(rec.Payload, &batch); err != nil {
+			return fmt.Errorf("corrupt batch record: %w", err)
+		}
+		for j, line := range batch.Records {
+			pr, err := core.DecodeJournalPoint(line)
+			if err != nil {
+				return fmt.Errorf("batch record %d: %w", j, err)
+			}
+			if pr.Index >= st.Spec.Points {
+				return fmt.Errorf("point index %d outside campaign of %d points", pr.Index, st.Spec.Points)
+			}
+			if _, dup := st.Records[pr.Index]; !dup {
+				st.Records[pr.Index] = pr
+			}
+		}
+		for j, line := range batch.Quarantines {
+			q, err := core.DecodeJournalQuarantine(line)
+			if err != nil {
+				return fmt.Errorf("batch quarantine %d: %w", j, err)
+			}
+			if q.Index >= st.Spec.Points {
+				return fmt.Errorf("quarantine index %d outside campaign of %d points", q.Index, st.Spec.Points)
+			}
+			if _, dup := st.Quarantined[q.Index]; !dup {
+				st.Quarantined[q.Index] = q
+			}
+		}
+	case "frontier":
+		var fr walFrontier
+		if err := json.Unmarshal(rec.Payload, &fr); err != nil {
+			return fmt.Errorf("corrupt frontier record: %w", err)
+		}
+		if fr.Needed < 0 || fr.Needed > st.Spec.Points {
+			return fmt.Errorf("frontier %d outside campaign of %d points", fr.Needed, st.Spec.Points)
+		}
+	case "merged":
+		st.Merged = true
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
+	}
+	return nil
 }
 
 // payloadOf round-trips a spec through JSON so LoadWALState applies the
@@ -332,45 +229,21 @@ func payloadOf(spec CampaignSpec) []byte {
 // recovery replays; the returned WAL accepts the new generation's appends.
 func OpenWAL(dir string) (*WAL, *WALState, error) {
 	path := filepath.Join(dir, WALFileName)
-	st, err := LoadWALState(path)
+	st := newWALState()
+	log, torn, err := recfile.Open(path, "open", st.fold)
 	if err != nil {
+		return nil, nil, fmt.Errorf("wal %w", err)
+	}
+	st.TornTail = torn
+	if err = st.complete(path); err == nil {
+		st.Epoch++
+		err = log.Append(walEpoch{Kind: "epoch", Epoch: st.Epoch})
+	}
+	if err != nil {
+		log.Close()
 		return nil, nil, err
 	}
-	if st.TornTail {
-		// Discard the torn final append so the log ends on a complete line
-		// before new records go after it.
-		if err := os.Truncate(path, st.validLen); err != nil {
-			return nil, nil, fmt.Errorf("repairing wal %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("reopening wal %s: %w", path, err)
-	}
-	w := &WAL{path: path, f: f}
-	st.Epoch++
-	if err := w.append(walEpoch{Kind: "epoch", Epoch: st.Epoch}); err != nil {
-		f.Close()
-		return nil, nil, err
-	}
-	return w, st, nil
-}
-
-// append writes one record line in a single write.
-func (w *WAL) append(v any) error {
-	line, err := encodeWALLine(v)
-	if err != nil {
-		return err
-	}
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return fmt.Errorf("wal %s: already closed", w.path)
-	}
-	if _, err := w.f.Write(line); err != nil {
-		return fmt.Errorf("appending to wal %s: %w", w.path, err)
-	}
-	return nil
+	return &WAL{log: log}, st, nil
 }
 
 // AppendBatch logs one applied journal batch: only the newly accepted
@@ -381,52 +254,30 @@ func (w *WAL) AppendBatch(leaseID, worker string, recs []core.PointRecord, quars
 	for _, rec := range recs {
 		line, err := core.EncodeJournalPoint(rec)
 		if err != nil {
-			return fmt.Errorf("wal %s: encoding point %d: %w", w.path, rec.Index, err)
+			return fmt.Errorf("wal %s: encoding point %d: %w", w.Path(), rec.Index, err)
 		}
 		b.Records = append(b.Records, line)
 	}
 	for _, q := range quars {
 		line, err := core.EncodeJournalQuarantine(q)
 		if err != nil {
-			return fmt.Errorf("wal %s: encoding quarantine %d: %w", w.path, q.Index, err)
+			return fmt.Errorf("wal %s: encoding quarantine %d: %w", w.Path(), q.Index, err)
 		}
 		b.Quarantines = append(b.Quarantines, line)
 	}
-	return w.append(b)
+	return w.log.Append(b)
 }
 
 // AppendFrontier logs an ML lease-frontier advance.
 func (w *WAL) AppendFrontier(needed int, done bool) error {
-	return w.append(walFrontier{Kind: "frontier", Needed: needed, Done: done})
+	return w.log.Append(walFrontier{Kind: "frontier", Needed: needed, Done: done})
 }
 
 // AppendMerged marks the campaign merged; a later recovery refuses the log
 // with ErrCampaignMerged instead of re-serving a finished campaign.
 func (w *WAL) AppendMerged() error {
-	return w.append(walMerged{Kind: "merged"})
-}
-
-// Sync flushes appends to stable storage.
-func (w *WAL) Sync() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	return w.f.Sync()
+	return w.log.Append(walMerged{Kind: "merged"})
 }
 
 // Close syncs and closes the log. The file stays on disk.
-func (w *WAL) Close() error {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.f == nil {
-		return nil
-	}
-	err := w.f.Sync()
-	if cerr := w.f.Close(); err == nil {
-		err = cerr
-	}
-	w.f = nil
-	return err
-}
+func (w *WAL) Close() error { return w.log.Close() }

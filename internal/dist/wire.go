@@ -23,9 +23,9 @@ import (
 // Wire messages. Every decoder validates what it accepts and returns a
 // descriptive error on malformed input — these functions face the network
 // and are fuzzed (see fuzz_test.go); they must never panic. Journal
-// records reuse the checkpoint journal's JSONL line format verbatim
+// records reuse the checkpoint journal's record payloads verbatim
 // (core.EncodeJournalPoint), so a shard's stream is literally a slice of
-// the journal the merger writes.
+// the journal the merger writes, minus the file's length/CRC frame.
 
 // CampaignSpec describes the campaign a coordinator is serving — enough
 // for a zero-configuration worker to rebuild the identical engine.

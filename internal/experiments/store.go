@@ -28,8 +28,7 @@ type Store struct {
 	Observer core.Observer
 
 	mu        sync.Mutex
-	campaigns map[string]*core.CampaignResult // full-measurement (no ML)
-	mlRuns    map[string]*core.CampaignResult // with ML pruning
+	campaigns map[string]*core.CampaignResult // by app name, "|mode"-suffixed for the variants
 	engines   map[string]*core.Engine
 }
 
@@ -38,7 +37,6 @@ func NewStore(scale Scale) *Store {
 	return &Store{
 		Scale:     scale,
 		campaigns: map[string]*core.CampaignResult{},
-		mlRuns:    map[string]*core.CampaignResult{},
 		engines:   map[string]*core.Engine{},
 	}
 }
@@ -107,44 +105,64 @@ func (st *Store) Engine(name string) (*core.Engine, error) {
 	if e, ok := st.engines[name]; ok {
 		return e, nil
 	}
+	e, err := st.newEngine(name, false, st.Scale.Adaptive)
+	if err != nil {
+		return nil, err
+	}
+	st.engines[name] = e
+	return e, nil
+}
+
+// cached returns the campaign stored under key, running it on the engine
+// build returns — and caching the result — on a miss. what names the
+// campaign in progress lines and errors. The lock is not held across the
+// run, so two concurrent misses both run; the campaigns are deterministic,
+// so either result is the result.
+func (st *Store) cached(key, what string, build func() (*core.Engine, error)) (*core.CampaignResult, error) {
+	st.mu.Lock()
+	c, ok := st.campaigns[key]
+	st.mu.Unlock()
+	if ok {
+		return c, nil
+	}
+	e, err := build()
+	if err != nil {
+		return nil, err
+	}
+	st.logf("running %s ...", what)
+	c, err = e.RunCampaign()
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", what, err)
+	}
+	st.logf("%s", c.Summary())
+
+	st.mu.Lock()
+	st.campaigns[key] = c
+	st.mu.Unlock()
+	return c, nil
+}
+
+// newEngine builds an engine for an app at the store's scale under the
+// paper's per-workload policy, with ML pruning and adaptive budgets as
+// given.
+func (st *Store) newEngine(name string, mlPruning, adaptive bool) (*core.Engine, error) {
 	app, cfg, err := st.AppConfig(name)
 	if err != nil {
 		return nil, err
 	}
 	opts := st.Options()
-	opts.ML.Pruning = false
 	opts.Policy = policyFor(name)
-	e := core.New(app, cfg, opts)
-	st.engines[name] = e
-	return e, nil
+	opts.ML.Pruning = mlPruning
+	opts.Adaptive.Enabled = adaptive
+	return core.New(app, cfg, opts), nil
 }
 
 // Campaign returns the cached full-measurement campaign for an app:
 // semantic and context pruning applied, every surviving point injected
 // with TrialsPerPoint tests under the data-buffer policy.
 func (st *Store) Campaign(name string) (*core.CampaignResult, error) {
-	st.mu.Lock()
-	if c, ok := st.campaigns[name]; ok {
-		st.mu.Unlock()
-		return c, nil
-	}
-	st.mu.Unlock()
-
-	e, err := st.Engine(name)
-	if err != nil {
-		return nil, err
-	}
-	st.logf("running full-measurement campaign for %s ...", name)
-	c, err := e.RunCampaign()
-	if err != nil {
-		return nil, fmt.Errorf("campaign %s: %w", name, err)
-	}
-	st.logf("%s", c.Summary())
-
-	st.mu.Lock()
-	st.campaigns[name] = c
-	st.mu.Unlock()
-	return c, nil
+	return st.cached(name, "full-measurement campaign for "+name,
+		func() (*core.Engine, error) { return st.Engine(name) })
 }
 
 // CampaignMode returns the full-measurement campaign for an app with
@@ -156,71 +174,19 @@ func (st *Store) CampaignMode(name string, adaptive bool) (*core.CampaignResult,
 	if adaptive == st.Scale.Adaptive {
 		return st.Campaign(name)
 	}
-	key := name + "|adaptive"
-	if !adaptive {
-		key = name + "|fixed"
-	}
-	st.mu.Lock()
-	if c, ok := st.campaigns[key]; ok {
-		st.mu.Unlock()
-		return c, nil
-	}
-	st.mu.Unlock()
-
-	app, cfg, err := st.AppConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	opts := st.Options()
-	opts.ML.Pruning = false
-	opts.Policy = policyFor(name)
-	opts.Adaptive.Enabled = adaptive
-	e := core.New(app, cfg, opts)
-	mode := "fixed-budget"
+	mode := "fixed"
 	if adaptive {
-		mode = "adaptive-budget"
+		mode = "adaptive"
 	}
-	st.logf("running %s campaign for %s ...", mode, name)
-	c, err := e.RunCampaign()
-	if err != nil {
-		return nil, fmt.Errorf("%s campaign %s: %w", mode, name, err)
-	}
-	st.logf("%s", c.Summary())
-
-	st.mu.Lock()
-	st.campaigns[key] = c
-	st.mu.Unlock()
-	return c, nil
+	return st.cached(name+"|"+mode, mode+"-budget campaign for "+name,
+		func() (*core.Engine, error) { return st.newEngine(name, false, adaptive) })
 }
 
 // MLCampaign returns the cached ML-pruned campaign for an app (the paper
 // applies the ML technique to LAMMPS).
 func (st *Store) MLCampaign(name string) (*core.CampaignResult, error) {
-	st.mu.Lock()
-	if c, ok := st.mlRuns[name]; ok {
-		st.mu.Unlock()
-		return c, nil
-	}
-	st.mu.Unlock()
-
-	app, cfg, err := st.AppConfig(name)
-	if err != nil {
-		return nil, err
-	}
-	opts := st.Options()
-	opts.Policy = policyFor(name)
-	e := core.New(app, cfg, opts)
-	st.logf("running ML-pruned campaign for %s ...", name)
-	c, err := e.RunCampaign()
-	if err != nil {
-		return nil, fmt.Errorf("ML campaign %s: %w", name, err)
-	}
-	st.logf("%s", c.Summary())
-
-	st.mu.Lock()
-	st.mlRuns[name] = c
-	st.mu.Unlock()
-	return c, nil
+	return st.cached(name+"|ml", "ML-pruned campaign for "+name,
+		func() (*core.Engine, error) { return st.newEngine(name, true, st.Scale.Adaptive) })
 }
 
 // MeasuredAcross concatenates the measured point results of the given

@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 func trainTestModel(t *testing.T) (*Model, []Record) {
@@ -128,7 +130,7 @@ func corruptModel(t *testing.T, m *Model, edit func(kind string, payload map[str
 }
 
 func encodeLineHelper(payload []byte) []byte {
-	line, _ := encodeStoreLine(json.RawMessage(payload))
+	line, _ := recfile.Marshal(json.RawMessage(payload))
 	return line
 }
 

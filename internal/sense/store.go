@@ -2,6 +2,7 @@ package sense
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"hash/fnv"
 	"os"
@@ -12,13 +13,10 @@ import (
 	"github.com/fastfit/fastfit/internal/recfile"
 )
 
-// The feature store is a JSONL log in the shared recfile grammar
-// (internal/dist's WAL discipline): one record per line, each line a
-// length prefix, a CRC32 of the payload and the JSON payload. Appends are
-// single writes of whole lines, so a crash can at worst leave one torn
-// trailing line, which opening discards and truncates away; corruption
-// anywhere before the tail is an error naming the byte offset, never
-// silently skipped. Records are keyed by (campaign fingerprint, index)
+// The feature store is a recfile.Log (internal/recfile) — the framed,
+// CRC-checked, torn-tail-repairing record file the checkpoint journal and
+// the coordinator WAL also use. This file keeps the store's record kinds
+// and their folding: records are keyed by (campaign fingerprint, index)
 // with first-write-wins dedup, so re-ingesting a campaign is a no-op.
 
 // storeVersion identifies the store's on-disk schema.
@@ -51,28 +49,26 @@ type StoreState struct {
 	// TornTail reports that a torn trailing line (interrupted append) was
 	// discarded while loading.
 	TornTail bool
-	// validLen is the byte length up to and including the last complete
-	// line; OpenStore truncates a torn tail to it.
-	validLen int64
 
-	seen map[string]bool // "fingerprint/index" dedup keys
+	seen map[storeKey]bool // dedup keys
+}
+
+// storeKey identifies one observation: first write wins.
+type storeKey struct {
+	fingerprint string
+	index       int
 }
 
 // Store is an open feature store accepting appends.
 type Store struct {
-	path string
+	log *recfile.Log
 
 	mu sync.Mutex
-	f  *os.File
 	st *StoreState
 }
 
-func encodeStoreLine(v any) ([]byte, error) {
-	payload, err := json.Marshal(v)
-	if err != nil {
-		return nil, fmt.Errorf("encoding sense record: %w", err)
-	}
-	return recfile.EncodeLine(payload), nil
+func newStoreState() *StoreState {
+	return &StoreState{Campaigns: map[string]int{}, seen: map[storeKey]bool{}}
 }
 
 // OpenStore opens the feature store in dir, creating it (directory
@@ -83,144 +79,82 @@ func OpenStore(dir string) (*Store, error) {
 		return nil, fmt.Errorf("creating sense store dir %s: %w", dir, err)
 	}
 	path := filepath.Join(dir, StoreFileName)
-	if _, err := os.Stat(path); os.IsNotExist(err) {
-		if err := createStore(dir, path); err != nil {
-			return nil, err
-		}
-	}
-	st, err := LoadStoreState(path)
-	if err != nil {
-		return nil, err
-	}
-	if st.TornTail {
-		if err := os.Truncate(path, st.validLen); err != nil {
-			return nil, fmt.Errorf("repairing sense store %s: %w", path, err)
-		}
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return nil, fmt.Errorf("reopening sense store %s: %w", path, err)
-	}
-	return &Store{path: path, f: f, st: st}, nil
-}
-
-// createStore writes a fresh header-only store to a temporary file and
-// renames it into place, so a half-written store is never observed.
-func createStore(dir, path string) error {
-	header, err := encodeStoreLine(storeHeader{Kind: "sense-store", Version: storeVersion})
-	if err != nil {
-		return err
-	}
-	tmp, err := os.CreateTemp(dir, ".sense-*")
-	if err != nil {
-		return fmt.Errorf("creating sense store: %w", err)
-	}
-	tmpName := tmp.Name()
-	if _, err = tmp.Write(header); err == nil {
-		err = tmp.Sync()
-	}
-	if cerr := tmp.Close(); err == nil {
-		err = cerr
-	}
-	if err == nil {
-		err = os.Rename(tmpName, path)
+	st := newStoreState()
+	var log *recfile.Log
+	var err error
+	if _, serr := os.Stat(path); os.IsNotExist(serr) {
+		log, err = recfile.Create(path, storeHeader{Kind: "sense-store", Version: storeVersion})
+	} else {
+		log, st.TornTail, err = recfile.Open(path, "sense-store", st.fold)
 	}
 	if err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("creating sense store %s: %w", path, err)
+		return nil, fmt.Errorf("sense store %w", err)
 	}
-	return nil
+	return &Store{log: log, st: st}, nil
 }
 
 // LoadStoreState reads and validates a feature store file. A torn trailing
 // line is discarded and reported via TornTail; corruption anywhere else is
-// an error naming the record's byte offset.
-func LoadStoreState(path string) (*StoreState, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return nil, err
-	}
-	return loadStoreState(path, data)
-}
-
-func loadStoreState(path string, data []byte) (*StoreState, error) {
-	if len(data) == 0 {
-		return nil, fmt.Errorf("sense store %s: empty file", path)
-	}
-	lines, torn, validLen := recfile.Split(data)
-
-	st := &StoreState{
-		Campaigns: map[string]int{},
-		TornTail:  torn,
-		validLen:  validLen,
-		seen:      map[string]bool{},
-	}
-	opened := false
-	offset := int64(0)
-	for i, line := range lines {
-		lineOffset := offset
-		offset += int64(len(line)) + 1
-		payload, err := recfile.ParseLine(line)
-		if err != nil {
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-		}
-		var kind struct {
-			Kind string `json:"kind"`
-		}
-		if err := json.Unmarshal(payload, &kind); err != nil {
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt payload: %w", path, i+1, lineOffset, err)
-		}
-		switch kind.Kind {
-		case "sense-store":
-			if opened {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: unexpected second header", path, i+1, lineOffset)
-			}
-			var h storeHeader
-			if err := json.Unmarshal(payload, &h); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt header: %w", path, i+1, lineOffset, err)
-			}
-			if h.Version != storeVersion {
-				return nil, fmt.Errorf("sense store %s: unsupported version %d (want %d)", path, h.Version, storeVersion)
-			}
-			opened = true
-		case "record":
-			if !opened {
-				return nil, fmt.Errorf("sense store %s: missing header", path)
-			}
-			var rec storeRecord
-			if err := json.Unmarshal(payload, &rec); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: corrupt record: %w", path, i+1, lineOffset, err)
-			}
-			if rec.Fingerprint == "" {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: missing fingerprint", path, i+1, lineOffset)
-			}
-			if rec.Index < 0 {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: negative index %d", path, i+1, lineOffset, rec.Index)
-			}
-			if err := rec.Record.validate(); err != nil {
-				return nil, fmt.Errorf("sense store %s: record %d at offset %d: %w", path, i+1, lineOffset, err)
-			}
-			// First write wins, like the WAL's record store: a replayed
-			// append changes nothing.
-			key := fmt.Sprintf("%s/%d", rec.Fingerprint, rec.Index)
-			if st.seen[key] {
-				continue
-			}
-			st.seen[key] = true
-			st.Records = append(st.Records, rec.Record)
-			st.Campaigns[rec.Fingerprint]++
-		default:
-			return nil, fmt.Errorf("sense store %s: record %d at offset %d: unknown record kind %q", path, i+1, lineOffset, kind.Kind)
-		}
-	}
-	if !opened {
-		return nil, fmt.Errorf("sense store %s: missing header", path)
+// an error naming the record's number and byte offset.
+func LoadStoreState(path string) (st *StoreState, err error) {
+	st = newStoreState()
+	if st.TornTail, err = recfile.Load(path, "sense-store", st.fold); err != nil {
+		return nil, fmt.Errorf("sense store %w", err)
 	}
 	return st, nil
 }
 
+// fold applies one store record to the state. Observations dedupe
+// first-write-wins, like the WAL's record store, so a replayed append
+// changes nothing.
+func (st *StoreState) fold(rec recfile.Record) error {
+	switch rec.Kind {
+	case "sense-store":
+		var h storeHeader
+		if err := json.Unmarshal(rec.Payload, &h); err != nil {
+			return fmt.Errorf("corrupt header: %w", err)
+		}
+		if h.Version != storeVersion {
+			return fmt.Errorf("unsupported version %d (want %d)", h.Version, storeVersion)
+		}
+	case "record":
+		var sr storeRecord
+		if err := json.Unmarshal(rec.Payload, &sr); err != nil {
+			return fmt.Errorf("corrupt record: %w", err)
+		}
+		if sr.Fingerprint == "" {
+			return errors.New("missing fingerprint")
+		}
+		if sr.Index < 0 {
+			return fmt.Errorf("negative index %d", sr.Index)
+		}
+		if err := sr.Record.validate(); err != nil {
+			return err
+		}
+		st.add(sr.Fingerprint, sr.Index, sr.Record)
+	default:
+		return fmt.Errorf("unknown record kind %q", rec.Kind)
+	}
+	return nil
+}
+
+// has reports whether the (fingerprint, index) observation is stored.
+func (st *StoreState) has(fingerprint string, index int) bool {
+	return st.seen[storeKey{fingerprint, index}]
+}
+
+// add stores one observation unless its key is already present.
+func (st *StoreState) add(fingerprint string, index int, rec Record) {
+	if st.has(fingerprint, index) {
+		return
+	}
+	st.seen[storeKey{fingerprint, index}] = true
+	st.Records = append(st.Records, rec)
+	st.Campaigns[fingerprint]++
+}
+
 // Path returns the store's file path.
-func (s *Store) Path() string { return s.path }
+func (s *Store) Path() string { return s.log.Path() }
 
 // Records returns a copy of the accumulated observations.
 func (s *Store) Records() []Record {
@@ -258,60 +192,31 @@ func (s *Store) Campaigns() int {
 // is appended past the first bad one.
 func (s *Store) AddCampaign(fingerprint string, recs []Record) (added int, err error) {
 	if fingerprint == "" {
-		return 0, fmt.Errorf("sense store %s: empty campaign fingerprint", s.path)
+		return 0, fmt.Errorf("sense store %s: empty campaign fingerprint", s.Path())
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.f == nil {
-		return 0, fmt.Errorf("sense store %s: already closed", s.path)
-	}
 	for i, rec := range recs {
 		if err := rec.validate(); err != nil {
-			return added, fmt.Errorf("sense store %s: campaign %s record %d: %w", s.path, fingerprint, i, err)
+			return added, fmt.Errorf("sense store %s: campaign %s record %d: %w", s.Path(), fingerprint, i, err)
 		}
-		key := fmt.Sprintf("%s/%d", fingerprint, i)
-		if s.st.seen[key] {
+		if s.st.has(fingerprint, i) {
 			continue
 		}
-		line, err := encodeStoreLine(storeRecord{Kind: "record", Fingerprint: fingerprint, Index: i, Record: rec})
-		if err != nil {
-			return added, err
+		if err := s.log.Append(storeRecord{Kind: "record", Fingerprint: fingerprint, Index: i, Record: rec}); err != nil {
+			return added, fmt.Errorf("sense store %w", err)
 		}
-		if _, err := s.f.Write(line); err != nil {
-			return added, fmt.Errorf("appending to sense store %s: %w", s.path, err)
-		}
-		s.st.seen[key] = true
-		s.st.Records = append(s.st.Records, rec)
-		s.st.Campaigns[fingerprint]++
+		s.st.add(fingerprint, i, rec)
 		added++
 	}
 	return added, nil
 }
 
 // Sync flushes appends to stable storage.
-func (s *Store) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	return s.f.Sync()
-}
+func (s *Store) Sync() error { return s.log.Sync() }
 
 // Close syncs and closes the store. The file stays on disk.
-func (s *Store) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.f == nil {
-		return nil
-	}
-	err := s.f.Sync()
-	if cerr := s.f.Close(); err == nil {
-		err = cerr
-	}
-	s.f = nil
-	return err
-}
+func (s *Store) Close() error { return s.log.Close() }
 
 // Fingerprint derives a stable campaign key from the app name and the
 // campaign's records — the store-side analogue of core.CampaignFingerprint,

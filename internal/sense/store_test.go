@@ -6,6 +6,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 // syntheticRecords builds records for one app whose label follows a rule
@@ -203,7 +205,7 @@ func TestStoreRefusals(t *testing.T) {
 	}
 
 	// Missing header: a record line first.
-	line, _ := encodeStoreLine(storeRecord{Kind: "record", Fingerprint: "x", Index: 0,
+	line, _ := recfile.Marshal(storeRecord{Kind: "record", Fingerprint: "x", Index: 0,
 		Record: syntheticRecords("is", 1, 7)[0]})
 	os.WriteFile(path, line, 0o644)
 	if _, err := LoadStoreState(path); err == nil || !strings.Contains(err.Error(), "missing header") {
@@ -211,22 +213,22 @@ func TestStoreRefusals(t *testing.T) {
 	}
 
 	// Future version.
-	hdr, _ := encodeStoreLine(storeHeader{Kind: "sense-store", Version: storeVersion + 1})
+	hdr, _ := recfile.Marshal(storeHeader{Kind: "sense-store", Version: storeVersion + 1})
 	os.WriteFile(path, hdr, 0o644)
 	if _, err := LoadStoreState(path); err == nil || !strings.Contains(err.Error(), "unsupported version") {
 		t.Fatalf("future-version store error = %v", err)
 	}
 
 	// Unknown record kind.
-	hdr, _ = encodeStoreLine(storeHeader{Kind: "sense-store", Version: storeVersion})
-	junk, _ := encodeStoreLine(map[string]string{"kind": "mystery"})
+	hdr, _ = recfile.Marshal(storeHeader{Kind: "sense-store", Version: storeVersion})
+	junk, _ := recfile.Marshal(map[string]string{"kind": "mystery"})
 	os.WriteFile(path, append(hdr, junk...), 0o644)
 	if _, err := LoadStoreState(path); err == nil || !strings.Contains(err.Error(), "unknown record kind") {
 		t.Fatalf("unknown-kind store error = %v", err)
 	}
 
 	// Malformed record payload: tallies of the wrong width.
-	bad, _ := encodeStoreLine(storeRecord{Kind: "record", Fingerprint: "x", Index: 0,
+	bad, _ := recfile.Marshal(storeRecord{Kind: "record", Fingerprint: "x", Index: 0,
 		Record: Record{Features: Features{App: "is"}, Counts: []int{1, 2}, Trials: 3}})
 	os.WriteFile(path, append(hdr, bad...), 0o644)
 	if _, err := LoadStoreState(path); err == nil || !strings.Contains(err.Error(), "tallies 2 classes") {
