@@ -387,6 +387,39 @@ func BenchmarkSubstrateAlltoall(b *testing.B) {
 	})
 }
 
+// BenchmarkSubstrateHaloExchange is the halo codes' inner step at mg's
+// paper-scale shape: 32 ranks in a periodic ring, each sending one 32 KB
+// plane (64 x 64 float64) both ways and receiving its neighbours' planes
+// into buffers it keeps. One op is one exchange on every rank: 64 messages.
+// The timer starts once every rank holds its buffers, so allocs/op is the
+// steady state the alloc-budget test pins at zero.
+func BenchmarkSubstrateHaloExchange(b *testing.B) {
+	const ranks, plane = 32, 64 * 64
+	b.ReportAllocs()
+	b.SetBytes(2 * ranks * plane * 8)
+	res := fastfit.RunRanks(fastfit.RunOptions{NumRanks: ranks, Seed: 1, Timeout: 5 * time.Minute, WorkBudget: -1},
+		func(r *fastfit.Rank) error {
+			up, down := (r.ID()+1)%ranks, (r.ID()+ranks-1)%ranks
+			u := make([]float64, plane)
+			below, above := make([]float64, plane), make([]float64, plane)
+			r.Barrier(fastfit.CommWorld)
+			if r.ID() == 0 {
+				b.ResetTimer()
+			}
+			r.Barrier(fastfit.CommWorld)
+			for i := 0; i < b.N; i++ {
+				r.SendFloat64s(fastfit.CommWorld, up, 21, u)
+				r.SendFloat64s(fastfit.CommWorld, down, 22, u)
+				below = r.RecvFloat64sInto(fastfit.CommWorld, down, 21, below)
+				above = r.RecvFloat64sInto(fastfit.CommWorld, up, 22, above)
+			}
+			return nil
+		})
+	if err := res.FirstError(); err != nil {
+		b.Fatal(err)
+	}
+}
+
 func BenchmarkSubstrateWorldSpawn(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		fastfit.RunRanks(fastfit.RunOptions{NumRanks: 8, Seed: 1}, func(r *fastfit.Rank) error {
@@ -465,11 +498,16 @@ const benchPointStride = 167
 // cache produces — warm fork snapshots, mature heap — is the state the
 // benchmark is meant to measure; rebuilding the engine per -count run
 // instead measures a cold-start transient no campaign ever sees.
-var benchPaperEngines = map[[2]bool]*fastfit.Engine{}
+var benchPaperEngines = map[benchPaperKey]*fastfit.Engine{}
 
-func benchPaperEngine(b *testing.B, disablePooling, disableFork bool) (*fastfit.Engine, []fastfit.Point) {
+type benchPaperKey struct {
+	app                         string
+	disablePooling, disableFork bool
+}
+
+func benchPaperEngine(b *testing.B, name string, disablePooling, disableFork bool) (*fastfit.Engine, []fastfit.Point) {
 	b.Helper()
-	key := [2]bool{disablePooling, disableFork}
+	key := benchPaperKey{name, disablePooling, disableFork}
 	if e := benchPaperEngines[key]; e != nil {
 		points, err := e.Points()
 		if err != nil {
@@ -477,7 +515,7 @@ func benchPaperEngine(b *testing.B, disablePooling, disableFork bool) (*fastfit.
 		}
 		return e, points
 	}
-	app, err := fastfit.LookupApp("lu")
+	app, err := fastfit.LookupApp(name)
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -507,9 +545,9 @@ func benchPaperEngine(b *testing.B, disablePooling, disableFork bool) (*fastfit.
 	return e, points
 }
 
-func benchPaperTrial(b *testing.B, disablePooling, disableFork bool) {
+func benchPaperTrial(b *testing.B, name string, disablePooling, disableFork bool) {
 	b.Helper()
-	e, points := benchPaperEngine(b, disablePooling, disableFork)
+	e, points := benchPaperEngine(b, name, disablePooling, disableFork)
 	rng := rand.New(rand.NewSource(1))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -523,9 +561,15 @@ func benchPaperTrial(b *testing.B, disablePooling, disableFork bool) {
 // The fork/replay pair isolates the fork-at-injection-site win at fixed
 // pooling; the pool/nopool pair isolates the buffer arena at fixed (full
 // replay) execution, keeping its delta comparable across baselines.
-func BenchmarkPaperTrialLU32(b *testing.B)       { benchPaperTrial(b, false, false) }
-func BenchmarkPaperTrialLU32NoFork(b *testing.B) { benchPaperTrial(b, false, true) }
-func BenchmarkPaperTrialLU32NoPool(b *testing.B) { benchPaperTrial(b, true, true) }
+func BenchmarkPaperTrialLU32(b *testing.B)       { benchPaperTrial(b, "lu", false, false) }
+func BenchmarkPaperTrialLU32NoFork(b *testing.B) { benchPaperTrial(b, "lu", false, true) }
+func BenchmarkPaperTrialLU32NoPool(b *testing.B) { benchPaperTrial(b, "lu", true, true) }
+
+// BenchmarkPaperTrialMG32 is the same trial on the halo-exchange-bound
+// kernel (mg, 64^3 on 32 ranks: 32 KB planes, forked, pooled): its B/op and
+// allocs/op are what the typed point-to-point path and the applications'
+// halo scratch keep down.
+func BenchmarkPaperTrialMG32(b *testing.B) { benchPaperTrial(b, "mg", false, false) }
 
 // BenchmarkGoldenDigestClassify isolates the per-trial classification cost
 // against a precomputed digest versus the full golden comparison.

@@ -57,9 +57,13 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	rows := n / p
 	r.Barrier(mpi.CommWorld)
 
-	// Static arrays.
+	// Static arrays. The two boundary rows double as the pipeline's receive
+	// buffers: the strip at either end of the pipeline never receives into
+	// its outer one, which therefore stays the zero boundary row.
 	u := make([]float64, (nStatic/p)*nStatic)
 	b := make([]float64, (nStatic/p)*nStatic)
+	south := make([]float64, nStatic)
+	north := make([]float64, nStatic)
 
 	// --- input phase: random right-hand side, zero initial guess ---
 	r.SetPhase(mpi.PhaseInput)
@@ -79,11 +83,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 
 		// Lower sweep: dependencies flow from smaller y and x, so the
 		// pipeline runs rank 0 -> rank p-1.
-		var south []float64
 		if r.ID() > 0 {
-			south = r.RecvFloat64s(mpi.CommWorld, r.ID()-1, 31)
-		} else {
-			south = make([]float64, nStatic) // static boundary row
+			south = r.RecvFloat64sInto(mpi.CommWorld, r.ID()-1, 31, south)
 		}
 		for y := 0; y < rows; y++ {
 			for x := 1; x < n-1; x++ {
@@ -103,11 +104,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 
 		// Upper sweep: dependencies flow from larger y and x, pipeline
 		// runs rank p-1 -> rank 0.
-		var north []float64
 		if r.ID() < p-1 {
-			north = r.RecvFloat64s(mpi.CommWorld, r.ID()+1, 32)
-		} else {
-			north = make([]float64, nStatic) // static boundary row
+			north = r.RecvFloat64sInto(mpi.CommWorld, r.ID()+1, 32, north)
 		}
 		for y := rows - 1; y >= 0; y-- {
 			for x := n - 2; x >= 1; x-- {

@@ -42,6 +42,24 @@ type grid struct {
 	u      []float64
 	b      []float64 // right-hand side
 	res    []float64 // residual workspace
+	next   []float64 // smooth's sweep target; cells no sweep writes stay 0
+	below  []float64 // halo plane received from the rank below
+	above  []float64 // halo plane received from the rank above
+}
+
+// newGrid allocates a level for the static problem class — edge x edge
+// planes, slab of them per rank — indexed with the runtime n and planes.
+func newGrid(n, planes, edge, slab int) *grid {
+	plane := edge * edge
+	return &grid{
+		n: n, planes: planes,
+		u:     make([]float64, slab*plane),
+		b:     make([]float64, slab*plane),
+		res:   make([]float64, slab*plane),
+		next:  make([]float64, slab*plane),
+		below: make([]float64, plane),
+		above: make([]float64, plane),
+	}
 }
 
 func (g *grid) at(zl, y, x int) int { return (zl*g.n+y)*g.n + x }
@@ -68,18 +86,8 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	r.Barrier(mpi.CommWorld)
 
 	// Static allocations; runtime dimensions for indexing.
-	fine := &grid{
-		n: n, planes: n / p,
-		u:   make([]float64, (nStatic/p)*nStatic*nStatic),
-		b:   make([]float64, (nStatic/p)*nStatic*nStatic),
-		res: make([]float64, (nStatic/p)*nStatic*nStatic),
-	}
-	coarse := &grid{
-		n: n / 2, planes: n / (2 * p),
-		u:   make([]float64, (nStatic/(2*p))*(nStatic/2)*(nStatic/2)),
-		b:   make([]float64, (nStatic/(2*p))*(nStatic/2)*(nStatic/2)),
-		res: make([]float64, (nStatic/(2*p))*(nStatic/2)*(nStatic/2)),
-	}
+	fine := newGrid(n, n/p, nStatic, nStatic/p)
+	coarse := newGrid(n/2, n/(2*p), nStatic/2, nStatic/(2*p))
 
 	// --- input phase: sparse random right-hand side (NPB MG style) ---
 	r.SetPhase(mpi.PhaseInput)
@@ -158,24 +166,24 @@ func maxI(a, b int) int {
 
 // haloExchange sends the top plane to the rank above and the bottom plane
 // to the rank below (periodic in z) and returns the neighbours' boundary
-// planes (below, above).
+// planes (below, above), received into the grid's halo buffers. Each has
+// the length its sender gave it; one that outgrows the static buffer comes
+// back in a slice of its own.
 func haloExchange(r *mpi.Rank, g *grid) (below, above []float64) {
 	p := r.NumRanks()
+	topPlane := g.u[g.at(g.planes-1, 0, 0) : g.at(g.planes-1, 0, 0)+g.n*g.n]
+	bottomPlane := g.u[:g.n*g.n]
 	if p == 1 {
-		top := append([]float64(nil), g.u[g.at(g.planes-1, 0, 0):g.at(g.planes-1, 0, 0)+g.n*g.n]...)
-		bottom := append([]float64(nil), g.u[:g.n*g.n]...)
-		return top, bottom
+		return append(g.below[:0], topPlane...), append(g.above[:0], bottomPlane...)
 	}
 	up := (r.ID() + 1) % p
 	down := (r.ID() - 1 + p) % p
-	topPlane := g.u[g.at(g.planes-1, 0, 0) : g.at(g.planes-1, 0, 0)+g.n*g.n]
-	bottomPlane := g.u[:g.n*g.n]
 	// Tag by direction; even/odd ordering is unnecessary because sends are
 	// buffered.
 	r.SendFloat64s(mpi.CommWorld, up, 21, topPlane)
 	r.SendFloat64s(mpi.CommWorld, down, 22, bottomPlane)
-	below = r.RecvFloat64s(mpi.CommWorld, down, 21)
-	above = r.RecvFloat64s(mpi.CommWorld, up, 22)
+	below = r.RecvFloat64sInto(mpi.CommWorld, down, 21, g.below)
+	above = r.RecvFloat64sInto(mpi.CommWorld, up, 22, g.above)
 	return below, above
 }
 
@@ -183,7 +191,7 @@ func haloExchange(r *mpi.Rank, g *grid) (below, above []float64) {
 // exchanges between sweeps.
 func smooth(r *mpi.Rank, g *grid, iters int) {
 	n := g.n
-	next := make([]float64, len(g.u))
+	next := g.next
 	for s := 0; s < iters; s++ {
 		below, above := haloExchange(r, g)
 		for zl := 0; zl < g.planes; zl++ {

@@ -51,6 +51,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	if perRank <= 0 {
 		perRank = 24
 	}
+	perRankStatic := perRank
 	steps := cfg.Iters
 	if steps <= 0 {
 		steps = 6
@@ -109,6 +110,20 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	left := (r.ID() - 1 + p) % p
 	right := (r.ID() + 1) % p
 	var lastKE, lastPE float64
+
+	// Per-rank exchange and force scratch, sized from the compile-time
+	// problem class and reused every step: pack buffers for the two
+	// neighbours, their receive buffers (recvL also holds the concatenation
+	// of both, hence twice the room), the unpacked ghosts, the atoms that
+	// stay, and the force accumulators.
+	room := perRankStatic * 2 * atomFloats
+	packL := make([]float64, 0, room)
+	packR := make([]float64, 0, room)
+	recvL := make([]float64, 0, 2*room)
+	recvR := make([]float64, 0, room)
+	ghosts := make([]atom, 0, perRankStatic*2)
+	stay := make([]atom, 0, perRankStatic*2)
+	var fx, fy, fz []float64
 	for step := 0; step < steps; step++ {
 		// Charge this step's estimated cost against the work budget: a
 		// corrupted step count or atom count turns into a scheduler kill
@@ -117,7 +132,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		r.Tick(la*la/2 + la*50 + 200)
 
 		// Ghost-atom exchange with the two z-neighbours.
-		var toLeft, toRight []float64
+		toLeft, toRight := packL[:0], packR[:0]
 		for _, a := range atoms {
 			if a.z < lo+rc {
 				g := a
@@ -136,16 +151,14 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		}
 		r.SendFloat64s(mpi.CommWorld, left, 41, toLeft)
 		r.SendFloat64s(mpi.CommWorld, right, 42, toRight)
-		fromRight := r.RecvFloat64s(mpi.CommWorld, right, 41)
-		fromLeft := r.RecvFloat64s(mpi.CommWorld, left, 42)
-		ghosts := unpackAtoms(append(fromLeft, fromRight...))
+		fromRight := r.RecvFloat64sInto(mpi.CommWorld, right, 41, recvR)
+		fromLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 42, recvL)
+		ghosts = unpackAtoms(ghosts[:0], append(fromLeft, fromRight...))
 		r.Tick(la * len(ghosts))
 
 		// Lennard-Jones forces with a softened core (deterministic and
 		// stable at this miniature scale).
-		fx := make([]float64, len(atoms))
-		fy := make([]float64, len(atoms))
-		fz := make([]float64, len(atoms))
+		fx, fy, fz = zeroed(fx, la), zeroed(fy, la), zeroed(fz, la)
 		pe := 0.0
 		virial := 0.0
 		pair := func(i int, bx, by, bz float64, full bool) {
@@ -215,8 +228,8 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		}
 
 		// Migrate atoms that crossed a slab boundary (periodic in z).
-		var stay []atom
-		var migLeft, migRight []float64
+		stay = stay[:0]
+		migLeft, migRight := packL[:0], packR[:0]
 		lost := int64(0)
 		for _, a := range atoms {
 			z := a.z
@@ -241,9 +254,11 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		}
 		r.SendFloat64s(mpi.CommWorld, left, 43, migLeft)
 		r.SendFloat64s(mpi.CommWorld, right, 44, migRight)
-		inRight := r.RecvFloat64s(mpi.CommWorld, right, 43)
-		inLeft := r.RecvFloat64s(mpi.CommWorld, left, 44)
-		atoms = append(stay, unpackAtoms(append(inLeft, inRight...))...)
+		inRight := r.RecvFloat64sInto(mpi.CommWorld, right, 43, recvR)
+		inLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 44, recvL)
+		// The new atom list grows in stay's storage; the old one becomes the
+		// next step's stay.
+		atoms, stay = unpackAtoms(stay, append(inLeft, inRight...)), atoms
 
 		// Error handling 1: global lost-atom check (LAMMPS Error::all).
 		r.ErrCheck(func() {
@@ -353,12 +368,22 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	return nil
 }
 
-func unpackAtoms(vals []float64) []atom {
-	out := make([]atom, 0, len(vals)/atomFloats)
+// unpackAtoms appends the atoms packed in vals to out.
+func unpackAtoms(out []atom, vals []float64) []atom {
 	for i := 0; i+atomFloats <= len(vals); i += atomFloats {
 		out = append(out, atom{vals[i], vals[i+1], vals[i+2], vals[i+3], vals[i+4], vals[i+5]})
 	}
 	return out
+}
+
+// zeroed returns an n-element all-zero slice, in buf's storage when it fits.
+func zeroed(buf []float64, n int) []float64 {
+	if n > cap(buf) {
+		return make([]float64, n)
+	}
+	buf = buf[:n]
+	clear(buf)
+	return buf
 }
 
 func minImage(d, l float64) float64 {

@@ -151,12 +151,12 @@ func TestMinImage(t *testing.T) {
 }
 
 func TestUnpackAtoms(t *testing.T) {
-	atoms := unpackAtoms([]float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
+	atoms := unpackAtoms(nil, []float64{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12})
 	if len(atoms) != 2 || atoms[1].z != 9 || atoms[0].vx != 4 {
 		t.Fatalf("unpack = %+v", atoms)
 	}
 	// Truncated payloads drop the partial atom.
-	if got := unpackAtoms(make([]float64, 7)); len(got) != 1 {
+	if got := unpackAtoms(atoms[:1], make([]float64, 7)); len(got) != 2 || got[0].x != 1 {
 		t.Fatalf("partial atom should be dropped: %d", len(got))
 	}
 }

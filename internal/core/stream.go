@@ -53,9 +53,9 @@ type StreamStats struct {
 	senseFallback  int // advisor queries that fell back to real injection
 	senseCacheHits int // advisor queries answered from the subspace cache
 	topology       string
-	linksDown      int // standing permanent link failures (FaultDomainEvent)
-	dropBursts     int // standing transient drop bursts
-	nodesDown      int // standing at-start node crashes
+	linksDown      int             // standing permanent link failures (FaultDomainEvent)
+	dropBursts     int             // standing transient drop bursts
+	nodesDown      int             // standing at-start node crashes
 	shardWorkers   map[string]bool // shards ever granted a lease (ShardLease)
 	leasesActive   int             // leases granted and not yet completed/expired
 	leasesExpired  int             // leases reaped past their deadline (re-leased)

@@ -101,10 +101,10 @@ func FuzzDecodeJournalBatch(f *testing.F) {
 		Done:        true,
 	})
 	f.Add(valid)
-	f.Add([]byte(`{"worker":"shard-0","records":[]}`))                               // missing lease id
-	f.Add([]byte(`{"leaseId":"x","records":["not a record"]}`))                      // non-JSON record line
-	f.Add([]byte(`{"leaseId":"x","records":[{"kind":"gremlin"}]}`))                  // wrong record kind
-	f.Add([]byte(`{"leaseId":"x","records":[{"kind":"point","index":-1}]}`))         // negative index
+	f.Add([]byte(`{"worker":"shard-0","records":[]}`))                                // missing lease id
+	f.Add([]byte(`{"leaseId":"x","records":["not a record"]}`))                       // non-JSON record line
+	f.Add([]byte(`{"leaseId":"x","records":[{"kind":"gremlin"}]}`))                   // wrong record kind
+	f.Add([]byte(`{"leaseId":"x","records":[{"kind":"point","index":-1}]}`))          // negative index
 	f.Add([]byte(`{"leaseId":"x","quarantines":[{"kind":"quarantine","index":-2}]}`)) // negative quarantine index
 	f.Add([]byte("\x00\x01\x02"))
 	f.Add([]byte{})
@@ -147,8 +147,8 @@ func FuzzDecodeEventFrame(f *testing.F) {
 	}
 	f.Add(frame)
 	f.Add([]byte(`{"seq":2,"event":"pointCompleted","data":{}}`))
-	f.Add([]byte(`{"seq":0,"event":"x"}`))  // non-positive seq
-	f.Add([]byte(`{"seq":3}`))              // missing event name
+	f.Add([]byte(`{"seq":0,"event":"x"}`)) // non-positive seq
+	f.Add([]byte(`{"seq":3}`))             // missing event name
 	f.Add([]byte(`{"seq":-9,"event":""}`))
 	f.Add([]byte("data: not even json"))
 	f.Add([]byte{})

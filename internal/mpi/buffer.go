@@ -165,9 +165,7 @@ func NewComplex128Buffer(n int) *Buffer { return NewBuffer(n * 16) }
 // FromFloat64s builds a buffer containing the given values.
 func FromFloat64s(vs []float64) *Buffer {
 	b := NewFloat64Buffer(len(vs))
-	for i, v := range vs {
-		storeFloat64(b.mem[i*8:], v)
-	}
+	putFloat64s(b.mem, vs)
 	return b
 }
 
@@ -224,9 +222,7 @@ func (r *Rank) NewComplex128Buffer(n int) *Buffer { return r.allocBuffer(n*16, t
 // FromFloat64s builds an arena buffer containing the given values.
 func (r *Rank) FromFloat64s(vs []float64) *Buffer {
 	b := r.allocBuffer(len(vs)*8, false)
-	for i, v := range vs {
-		storeFloat64(b.mem[i*8:], v)
-	}
+	putFloat64s(b.mem, vs)
 	return b
 }
 
@@ -291,12 +287,7 @@ func (b *Buffer) SetComplex128(i int, v complex128) {
 
 // Float64s copies the whole buffer out as float64 values.
 func (b *Buffer) Float64s() []float64 {
-	n := b.Len() / 8
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = loadFloat64(b.mem[i*8:])
-	}
-	return out
+	return float64sFrom(b.Bytes())
 }
 
 // Int64s copies the whole buffer out as int64 values.
@@ -331,10 +322,7 @@ func (b *Buffer) Complex128s() []complex128 {
 
 // CopyFloat64s overwrites the buffer prefix with the given values.
 func (b *Buffer) CopyFloat64s(vs []float64) {
-	raw := b.access("store float64 slice", 0, len(vs)*8)
-	for i, v := range vs {
-		storeFloat64(raw[i*8:], v)
-	}
+	putFloat64s(b.access("store float64 slice", 0, len(vs)*8), vs)
 }
 
 // CopyInt64s overwrites the buffer prefix with the given values.

@@ -189,17 +189,21 @@ func (r *Rank) replayActive() bool {
 }
 
 // goLive ends the rank's replay: golden messages whose sends were replayed
-// are materialised into the pending queue (in tape order, which for any
-// one sender+tag is also golden arrival order), and subsequent operations
+// are placed in the pending queue (in tape order, which for any one
+// sender+tag is also golden arrival order), and subsequent operations
 // execute normally. Live arrivals already sitting in the inbox are
 // consumed after pending, exactly matching channel FIFO order per sender.
+// The prestocked messages borrow their tape spans (message.tape): a typed
+// receive decodes them where they lie, and only a raw receive, which gives
+// the bytes away, copies.
 func (r *Rank) goLive() {
 	rs := r.replay
 	r.replay = nil
 	for _, pe := range rs.fork.prestock[r.id] {
-		data := make([]byte, pe.n)
-		copy(data, rs.tape.span(pe.off, pe.n))
-		r.pending = append(r.pending, message{comm: pe.comm, src: int(pe.src), tag: pe.tag, data: data})
+		r.pending = append(r.pending, message{
+			comm: pe.comm, src: int(pe.src), tag: pe.tag,
+			data: rs.tape.span(pe.off, pe.n), tape: true,
+		})
 	}
 }
 

@@ -180,6 +180,49 @@ func TestForkUnpooled(t *testing.T) {
 	}
 }
 
+// TestPrestockBorrowsTape pins the prestock ownership rule: go-live
+// messages alias the golden tape, which every trial of a campaign shares,
+// so a raw Recv must hand the application a private copy (here scribbled
+// over) while a typed receive decodes the span where it lies — and after
+// any number of forked runs the tape still holds the golden bytes.
+func TestPrestockBorrowsTape(t *testing.T) {
+	app := func(r *Rank) error {
+		if r.ID() == 0 {
+			r.SendFloat64s(CommWorld, 1, 9, []float64{1.5, 2.5})
+			r.Send(CommWorld, 1, 10, []byte{1, 2, 3})
+		}
+		r.Barrier(CommWorld)
+		if r.ID() == 1 {
+			raw := r.Recv(CommWorld, 0, 10)
+			r.ReportResult(float64(raw[0]), float64(raw[1]), float64(raw[2]))
+			for i := range raw {
+				raw[i] = 0xFF
+			}
+			r.ReportResult(r.RecvFloat64sInto(CommWorld, 0, 9, make([]float64, 2))...)
+		}
+		return nil
+	}
+	rec := Run(RunOptions{NumRanks: 2, Seed: 1, Record: true}, app)
+	if !rec.Trace.Forkable() {
+		t.Fatalf("trace not forkable: %s", rec.Trace.Reason())
+	}
+	barrier := rec.Trace.ranks[0].events[2]
+	f := rec.Trace.Fork(0, barrier.site, int(barrier.inv))
+	if f == nil || len(f.prestock[1]) != 2 {
+		t.Fatalf("fork at the barrier should prestock both messages on rank 1: %+v", f)
+	}
+	tape := string(rec.Trace.ranks[1].data)
+	for i := 0; i < 3; i++ {
+		res := Run(RunOptions{NumRanks: 2, Seed: 1, Fork: f}, app)
+		if want, got := runDigest(rec), runDigest(res); want != got {
+			t.Fatalf("forked run %d diverges:\ngolden:\n%s\nforked:\n%s", i, want, got)
+		}
+		if string(rec.Trace.ranks[1].data) != tape {
+			t.Fatalf("forked run %d wrote through a prestocked message into the golden tape", i)
+		}
+	}
+}
+
 // TestTracePoison checks each unreplayable feature marks the trace broken.
 func TestTracePoison(t *testing.T) {
 	cases := []struct {

@@ -329,12 +329,12 @@ func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 	for i, m := range r.pending {
 		if match(m) {
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return m.data, true
+			return m.payload(), true
 		}
 	}
 	if !w.faulty {
 		m := r.recvMatch(comm, src, t)
-		return m.data, true
+		return m.payload(), true
 	}
 	for {
 		// Load the epoch channel BEFORE sampling the death mask: a death
@@ -352,7 +352,7 @@ func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 				w.absorbed.Add(1)
 				w.progress.Add(1)
 				if match(m) {
-					return m.data, true
+					return m.payload(), true
 				}
 				r.pending = append(r.pending, m)
 			default:
@@ -372,7 +372,7 @@ func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 			w.absorbed.Add(1)
 			w.progress.Add(1)
 			if match(m) {
-				return m.data, true
+				return m.payload(), true
 			}
 			r.pending = append(r.pending, m)
 		case <-ep:

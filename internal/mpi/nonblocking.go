@@ -58,7 +58,7 @@ func (req *Request) Wait() []byte {
 	}
 	if req.isRecv {
 		m := req.rank.recvMatch(req.comm, req.src, req.tag)
-		req.data = m.data
+		req.data = m.payload()
 	}
 	req.completed = true
 	return req.data
@@ -103,7 +103,7 @@ drained:
 	for i, m := range r.pending {
 		if match(m) {
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			req.data = m.data
+			req.data = m.payload()
 			req.completed = true
 			return true, req.data
 		}

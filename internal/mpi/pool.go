@@ -20,9 +20,22 @@ package mpi
 //   - A shell is taken from its pool before the rank goroutines start and
 //     returned only after every rank goroutine has been joined, so two
 //     in-flight runs can never share a shell.
-//   - A slab carried by an internal collective message is recycled at the
-//     single site that consumes the message; user-level payloads escape
-//     into the application (Recv returns them) and stay GC-managed.
+//   - A slab carried by a message has exactly one owner at a time — the
+//     sender until the message is enqueued, then whoever dequeues it — and
+//     the consumer settles it. An internal collective, or a typed receive
+//     (RecvFloat64sInto), reads the bytes and recycles the slab: nothing
+//     else ever saw them. A raw Recv (and RecvOrFail, Wait, Test) gives the
+//     bytes to the application, which may keep and mutate them for as long
+//     as it likes, so it never recycles: the slab leaves the arena with
+//     them, and a slab never returned to the pool is an ordinary GC object.
+//     A typed send (SendFloat64s) encodes straight into the slab that
+//     becomes the payload; the hook sees those bytes as P2PArgs.Data. A raw
+//     Send's payload is a plain exact-size copy, not a slab: its receiver
+//     is a raw Recv, which could only take the slab out of the arena.
+//   - A prestocked go-live message of a forked run borrows its span of the
+//     golden tape instead of owning a slab. The tape is shared by every
+//     trial, so a typed receive decodes it in place and a raw receive
+//     copies it (message.payload) before the application can touch it.
 //   - Pooled Buffers are tracked per rank and swept back into the arena at
 //     the end of the run; convenience wrappers that know their buffers do
 //     not escape release them early via (*Buffer).Release.
@@ -33,7 +46,6 @@ package mpi
 
 import (
 	"math/bits"
-
 	"sync"
 )
 

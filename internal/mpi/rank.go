@@ -36,9 +36,11 @@ const AnyTag = -1
 const maxUserTag = 1 << 20
 
 // message is one point-to-point payload in flight. pooled, when non-nil,
-// is the arena slab backing data; the consumer of an internal collective
-// message recycles it, while user payloads escape into the application and
-// stay GC-managed.
+// is the arena slab backing data, and whoever consumes the message decides
+// the slab's fate (the ownership rule, see pool.go): an internal collective
+// or a typed receive (RecvFloat64sInto) decodes the bytes and recycles it;
+// a raw Recv hands the bytes to the application, so the slab leaves the
+// arena with them and is an ordinary GC object from then on.
 type message struct {
 	comm   Comm
 	src    int // rank within comm
@@ -49,6 +51,10 @@ type message struct {
 	// when a trace is being recorded (-1 when it is not): the causal edge
 	// the fork cut computation needs (see trace.go).
 	tracePos int32
+	// tape marks a prestocked go-live message whose data aliases the
+	// immutable golden tape (see goLive): readable in place, never handed
+	// to the application.
+	tape bool
 }
 
 // recycle returns the message's pooled payload to the arena. Safe to call
@@ -59,6 +65,19 @@ func (m *message) recycle() {
 		m.pooled = nil
 		m.data = nil
 	}
+}
+
+// payload hands the message's bytes to the application, which may keep and
+// mutate them. A slab-backed payload is given away as it is; one borrowed
+// from the golden tape is copied first, because the tape is shared by every
+// trial of the campaign.
+func (m *message) payload() []byte {
+	if !m.tape {
+		return m.data
+	}
+	cp := make([]byte, len(m.data))
+	copy(cp, m.data)
+	return cp
 }
 
 // Rank is the per-process handle an application's rank function receives.
@@ -247,6 +266,12 @@ func (r *Rank) Send(comm Comm, dst, tag int, data []byte) {
 		r.replaySend()
 		return
 	}
+	r.sendUser(comm, dst, tag, data, nil)
+}
+
+// sendUser is the live half of a user-level send. own, when non-nil, is the
+// arena slab backing data, whose ownership passes to the message.
+func (r *Rank) sendUser(comm Comm, dst, tag int, data []byte, own *slab) {
 	args := r.beginP2P(P2PSend, P2PArgs{Peer: dst, Tag: tag, Data: data, Comm: comm})
 	if args.Tag < 0 || args.Tag >= maxUserTag {
 		abortf(r.id, "MPI_Send", ErrTag, "tag %d outside [0,%d)", args.Tag, maxUserTag)
@@ -255,22 +280,46 @@ func (r *Rank) Send(comm Comm, dst, tag int, data []byte) {
 	if args.Peer < 0 || args.Peer >= len(ci.members) {
 		abortf(r.id, "MPI_Send", ErrRank, "destination %d outside communicator of size %d", args.Peer, len(ci.members))
 	}
-	r.sendRaw(ci, args.Comm, args.Peer, int64(args.Tag), args.Data)
+	if own != nil && (len(args.Data) != len(data) || &args.Data[0] != &data[0]) {
+		// The hook substituted a payload of its own (possibly a sub-slice of
+		// the slab): post copies it, and only then may the slab be reused.
+		r.post(ci, args.Comm, args.Peer, int64(args.Tag), args.Data, nil)
+		putSlab(own)
+		return
+	}
+	r.post(ci, args.Comm, args.Peer, int64(args.Tag), args.Data, own)
 }
 
-// SendFloat64s is a convenience wrapper marshalling float64 values.
+// SendFloat64s sends vals as one message of little-endian float64s. A send
+// inside the replayed prefix of a forked run costs one tape step and no
+// marshalling: its payload is already on the receiver's tape. Live, vals is
+// encoded once into an arena slab which — after the hook has seen it as
+// P2PArgs.Data, so a p2p bit flip lands on the transmitted bytes and never
+// on vals — becomes the message payload itself.
 func (r *Rank) SendFloat64s(comm Comm, dst, tag int, vals []float64) {
-	b := r.FromFloat64s(vals)
-	r.Send(comm, dst, tag, b.Bytes())
-	b.Release()
+	if r.replayActive() {
+		r.replaySend()
+		return
+	}
+	data, own := r.scratch(len(vals) * 8)
+	putFloat64s(data, vals)
+	r.sendUser(comm, dst, tag, data, own)
 }
 
 // Recv blocks until a user message from src with the given tag arrives.
-// src may be AnySource and tag may be AnyTag.
+// src may be AnySource and tag may be AnyTag. The returned bytes belong to
+// the caller.
 func (r *Rank) Recv(comm Comm, src, tag int) []byte {
 	if r.replayActive() {
 		return r.replayRecv()
 	}
+	m := r.recvUser(comm, src, tag)
+	return m.payload()
+}
+
+// recvUser is the live half of a user-level receive: hook, validation,
+// match, and the tape record when a trace is being taken.
+func (r *Rank) recvUser(comm Comm, src, tag int) message {
 	args := r.beginP2P(P2PRecv, P2PArgs{Peer: src, Tag: tag, Comm: comm})
 	if args.Tag != AnyTag && (args.Tag < 0 || args.Tag >= maxUserTag) {
 		abortf(r.id, "MPI_Recv", ErrTag, "tag %d outside [0,%d)", args.Tag, maxUserTag)
@@ -292,30 +341,48 @@ func (r *Rank) Recv(comm Comm, src, tag int) []byte {
 	if r.world.rec != nil {
 		r.world.rec.recordRecv(r.id, args.Comm, m.src, ci.members[m.src], m.tag, m.tracePos, m.data)
 	}
-	return m.data
+	return m
 }
 
-// RecvFloat64s receives and unmarshals float64 values.
-func (r *Rank) RecvFloat64s(comm Comm, src, tag int) []float64 {
+// RecvFloat64sInto receives a message of float64s and decodes it into dst's
+// storage, returning dst[:n] for an n-element message — so a halo exchange
+// that keeps its buffers allocates nothing per sweep. The result's length is
+// always the message's: one shorter than dst leaves dst's tail and capacity
+// alone, and one longer than cap(dst) is returned in a fresh slice with dst
+// untouched, exactly what RecvFloat64s returns. In the replayed prefix of a
+// forked run the values come straight off the immutable tape; live, the
+// payload is decoded in place and its slab goes back to the arena.
+func (r *Rank) RecvFloat64sInto(comm Comm, src, tag int, dst []float64) []float64 {
 	if r.replayActive() {
-		// The raw bytes never leave this frame, so the replay can decode
-		// straight off the immutable tape instead of paying replayRecv's
-		// private copy (the live path's copy is made at send time; see
-		// sendRaw).
 		ev := r.replay.replayNext(evRecv, "Recv")
-		return float64sFrom(r.replay.tape.span(ev.off, ev.n))
+		return float64sInto(dst, r.replay.tape.span(ev.off, ev.n))
 	}
-	return float64sFrom(r.Recv(comm, src, tag))
-}
-
-// float64sFrom decodes a payload exactly as Buffer.Float64s does.
-func float64sFrom(raw []byte) []float64 {
-	out := make([]float64, len(raw)/8)
-	for i := range out {
-		out[i] = loadFloat64(raw[i*8:])
-	}
+	m := r.recvUser(comm, src, tag)
+	out := float64sInto(dst, m.data)
+	m.recycle()
 	return out
 }
+
+// RecvFloat64s receives and unmarshals float64 values into a fresh slice.
+func (r *Rank) RecvFloat64s(comm Comm, src, tag int) []float64 {
+	return r.RecvFloat64sInto(comm, src, tag, nil)
+}
+
+// float64sInto decodes a payload's whole float64s (a ragged tail is
+// ignored) into dst[:n]; a nil dst or one too small for the payload is
+// replaced by a fresh slice of the payload's length.
+func float64sInto(dst []float64, raw []byte) []float64 {
+	n := len(raw) / 8
+	if dst == nil || n > cap(dst) {
+		dst = make([]float64, n)
+	}
+	dst = dst[:n]
+	getFloat64s(dst, raw)
+	return dst
+}
+
+// float64sFrom decodes a payload into a fresh slice.
+func float64sFrom(raw []byte) []float64 { return float64sInto(nil, raw) }
 
 // int64sFrom decodes a payload exactly as Buffer.Int64s does.
 func int64sFrom(raw []byte) []int64 {
@@ -337,14 +404,25 @@ func (r *Rank) Sendrecv(comm Comm, dst, sendTag int, data []byte, src, recvTag i
 
 const anyTagSentinel int64 = -2
 
-// sendRaw copies data and enqueues it at the destination rank's inbox. dst
-// is a rank within ci. Blocking on a full inbox participates in quiescence
-// accounting so a jammed schedule is detected as deadlock.
-//
-// Internal collective payloads (tag >= maxUserTag) are copied into arena
-// slabs and recycled by the receiving collective; user payloads use plain
-// allocations because Recv hands them to the application.
+// sendRaw copies data and enqueues it at the destination rank's inbox; the
+// collectives' entry to post.
 func (r *Rank) sendRaw(ci *commInfo, comm Comm, dst int, tag int64, data []byte) {
+	r.post(ci, comm, dst, tag, data, nil)
+}
+
+// post enqueues data at the destination rank's inbox. dst is a rank within
+// ci. Blocking on a full inbox participates in quiescence accounting so a
+// jammed schedule is detected as deadlock.
+//
+// own, when non-nil, is the slab already backing data (a typed send's
+// single encoding), which becomes the message payload without a copy.
+// Otherwise data is the caller's memory and is copied: into an arena slab
+// for an internal collective payload (tag >= maxUserTag), whose consumer
+// recycles it, and into a plain exact-size allocation for a raw user Send —
+// its receiver is a raw Recv, which would take a slab out of the arena for
+// good and pay for the size class's rounding. The consumer settles a slab
+// (see message).
+func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, own *slab) {
 	w := r.world
 	wdst := ci.members[dst]
 	if w.faulty {
@@ -353,22 +431,21 @@ func (r *Rank) sendRaw(ci *commInfo, comm Comm, dst int, tag int64, data []byte)
 		// an armed drop, is silently discarded — exactly what a lossy
 		// fabric does. On the default reliable network this whole block is
 		// one predicted-false branch, preserving the zero-alloc hot path.
-		if w.dead[wdst].Load() {
-			return
-		}
-		if w.net != nil && !w.net.deliver(r.id, wdst) {
+		if w.dead[wdst].Load() || (w.net != nil && !w.net.deliver(r.id, wdst)) {
+			putSlab(own)
 			return
 		}
 	}
-	var cp []byte
-	var pooled *slab
-	if n := len(data); n > 0 && tag >= maxUserTag && n <= maxSlabBytes && w.pooling {
-		pooled = getSlab(n)
-		cp = pooled.b[:n]
-	} else {
-		cp = make([]byte, n)
+	cp, pooled := data, own
+	if own == nil {
+		if n := len(data); n > 0 && tag >= maxUserTag && n <= maxSlabBytes && w.pooling {
+			pooled = getSlab(n)
+			cp = pooled.b[:n]
+		} else {
+			cp = make([]byte, n)
+		}
+		copy(cp, data)
 	}
-	copy(cp, data)
 	me := ci.rankOf[r.id]
 	tracePos := int32(-1)
 	if w.rec != nil && tag >= 0 && tag < maxUserTag {
