@@ -60,20 +60,3 @@ func TestRunNilContextCompletes(t *testing.T) {
 		t.Fatalf("clean run should complete: %+v", res)
 	}
 }
-
-func TestRunContextCancelNoDeadlockCheck(t *testing.T) {
-	ctx, cancel := context.WithCancel(context.Background())
-	go func() {
-		time.Sleep(20 * time.Millisecond)
-		cancel()
-	}()
-	res := Run(RunOptions{NumRanks: 2, Timeout: 30 * time.Second, NoDeadlockCheck: true, Context: ctx}, func(r *Rank) error {
-		if r.ID() == 0 {
-			r.Recv(CommWorld, 1, 99) // never sent: blocks until killed
-		}
-		return nil
-	})
-	if !res.Cancelled {
-		t.Fatalf("expected Cancelled, got %+v", res)
-	}
-}

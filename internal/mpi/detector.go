@@ -6,10 +6,10 @@ package mpi
 //
 // Isolation from the quiescence detector (by construction, and pinned by
 // TestHeartbeatDoesNotAffectDeadlockVerdict): the monitor NEVER touches the
-// four quiescence counters (blocked/finished/progress/failed), and the
+// quiescence counters (blocked/finished/failed, delivered/absorbed), and the
 // supervisor's fin+blk == size arithmetic counts only rank goroutines — so
 // heartbeat timers and channel operations can neither hide a genuine
-// deadlock (by faking progress) nor manufacture one (by being counted as a
+// deadlock (by faking a message) nor manufacture one (by being counted as a
 // blocked rank). Link-fault campaigns therefore classify slow-but-live runs
 // and true deadlocks identically with or without heartbeats running.
 //
@@ -22,9 +22,8 @@ import (
 	"time"
 )
 
-// defaultHeartbeatPeriod is short relative to the quiescence detector's
-// 12 ms stuck window so a monitor observes several beats even in runs the
-// supervisor is about to reap.
+// defaultHeartbeatPeriod is short enough that a monitor observes several
+// beats even in a short run.
 const defaultHeartbeatPeriod = 200 * time.Microsecond
 
 // heartbeat is the per-World monitor state.

@@ -8,7 +8,7 @@ import (
 // The heartbeat monitor must not perturb the quiescence detector: a genuine
 // application deadlock is still declared Deadlock even while heartbeat
 // goroutines are alive and ticking. (The monitor never touches the
-// blocked/finished/progress counters the detector reads.)
+// blocked/finished/delivered/absorbed counters the detector reads.)
 func TestHeartbeatDoesNotAffectDeadlockVerdict(t *testing.T) {
 	net := net2(t, 2)
 	res := Run(RunOptions{NumRanks: 2, Network: net, Timeout: 10 * time.Second}, func(r *Rank) error {
@@ -33,7 +33,7 @@ func TestSlowLiveRunWithHeartbeatCompletes(t *testing.T) {
 	res := Run(RunOptions{NumRanks: 2, Network: net, Timeout: 10 * time.Second}, func(r *Rank) error {
 		r.StartHeartbeat(20 * time.Microsecond)
 		if r.ID() == 0 {
-			// Sleep well past the quiescence stuck-window before sending.
+			// Stay off-CPU far longer than any deadlock is left standing.
 			time.Sleep(60 * time.Millisecond)
 			r.Send(CommWorld, 1, 5, []byte{1})
 		} else {

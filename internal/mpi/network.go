@@ -350,7 +350,6 @@ func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 			select {
 			case m := <-r.inbox:
 				w.absorbed.Add(1)
-				w.progress.Add(1)
 				if match(m) {
 					return m.payload(), true
 				}
@@ -370,7 +369,6 @@ func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 			w.blocked.Add(-1)
 			r.blockKind.Store(blockNone)
 			w.absorbed.Add(1)
-			w.progress.Add(1)
 			if match(m) {
 				return m.payload(), true
 			}

@@ -81,7 +81,6 @@ func (req *Request) Test() (bool, []byte) {
 		select {
 		case m := <-r.inbox:
 			r.world.absorbed.Add(1)
-			r.world.progress.Add(1)
 			r.pending = append(r.pending, m)
 		default:
 			goto drained

@@ -144,9 +144,8 @@ type Rank struct {
 	blockPeer atomic.Int32
 }
 
-// blockKind values. Park sites that never annotate themselves leave
-// blockNone, which makes exactQuiesced conservatively fall back to the
-// wall-clock stuck window.
+// blockKind values. All three park sites (post, recvMatch, RecvOrFail)
+// publish theirs before blocked.Add(1); blockNone means not parked.
 const (
 	blockNone int32 = iota
 	blockRecv
@@ -456,7 +455,6 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 	select {
 	case target.inbox <- msg:
 		w.delivered.Add(1)
-		w.progress.Add(1)
 		return
 	default:
 	}
@@ -483,7 +481,6 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 			w.blocked.Add(-1)
 			r.blockKind.Store(blockNone)
 			w.delivered.Add(1)
-			w.progress.Add(1)
 			return
 		case <-ep:
 			// Membership changed; re-check whether dst is still alive.
@@ -525,9 +522,6 @@ func (r *Rank) recvMatch(comm Comm, src int, tag int64) message {
 		case m := <-r.inbox:
 			r.world.blocked.Add(-1)
 			r.world.absorbed.Add(1)
-			// Draining the inbox is progress even when the message does not
-			// match: it frees sender inbox capacity.
-			r.world.progress.Add(1)
 			if match(m) {
 				r.blockKind.Store(blockNone)
 				return m

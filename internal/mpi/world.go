@@ -18,12 +18,12 @@ type RunOptions struct {
 	// NumRanks is the number of MPI processes (goroutines) to launch.
 	NumRanks int
 	// Timeout bounds the wall-clock duration of the run; past it the run is
-	// cancelled and blocked ranks die with Killed. Zero means 2 seconds.
+	// cancelled and blocked ranks die with Killed. Zero means 2 seconds. It
+	// is the backstop for ranks that compute forever, and the only wall
+	// clock that can decide an outcome: a run whose surviving ranks are all
+	// blocked with no message in flight is reaped by the quiescence
+	// detector (World.supervise) at event latency, never by waiting.
 	Timeout time.Duration
-	// DeadlockCheck enables the quiescence detector that cancels runs whose
-	// surviving ranks are all blocked with no messages in flight. Enabled
-	// unless explicitly disabled with NoDeadlockCheck.
-	NoDeadlockCheck bool
 	// Seed feeds the per-rank deterministic random generators.
 	Seed int64
 	// WorkBudget bounds the work units each rank may Tick before being
@@ -145,7 +145,6 @@ type World struct {
 	// quiescence accounting
 	blocked  atomic.Int64 // ranks currently blocked in send/recv
 	finished atomic.Int64 // ranks that returned
-	progress atomic.Int64 // bumped on every successful message match
 	failed   atomic.Int64 // ranks that ended in a panic or error
 
 	// Message conservation counters for the exact-quiescence proof:
@@ -158,9 +157,9 @@ type World struct {
 	absorbed  atomic.Int64
 
 	// quiesce wakes the supervisor when a park or exit completes the
-	// fin+blk == size sum, so starved runs are reaped at event latency
-	// instead of on the next poll tick. Buffered; notifications are
-	// best-effort hints verified by exactNow.
+	// fin+blk == size sum, so starved runs are reaped at event latency.
+	// Buffered; notifications are hints verified by exactNow, and the only
+	// thing that ever makes the supervisor look (see supervise).
 	quiesce chan struct{}
 
 	// Network fault domain (nil/false on the default reliable network, so
@@ -321,6 +320,12 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		wg.Add(1)
 		go func(rk *Rank) {
 			defer wg.Done()
+			// Outcome precedence: the recover below runs before this defer,
+			// so a failing rank bumps failed before finished. A frozen state
+			// that counts the rank finished therefore already sees failed > 0
+			// and reap says "job abort", never "deadlock": a failure that
+			// coincides with a quiescence verdict always wins
+			// (TestFailureDominatesQuiescenceVerdict).
 			defer func() {
 				w.finished.Add(1)
 				w.notifyQuiesce() // this exit may leave only parked ranks
@@ -355,22 +360,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		ctxDone = opts.Context.Done()
 	}
 
-	var deadlock, timedOut, cancelled bool
-	if opts.NoDeadlockCheck {
-		select {
-		case <-allDone:
-		case <-time.After(timeout):
-			timedOut = true
-			w.kill("wall-clock timeout")
-			<-allDone
-		case <-ctxDone:
-			cancelled = true
-			w.kill("run cancelled")
-			<-allDone
-		}
-	} else {
-		deadlock, timedOut, cancelled = w.supervise(allDone, ctxDone, timeout)
-	}
+	deadlock, timedOut, cancelled := w.supervise(allDone, ctxDone, timeout)
 
 	// All rank goroutines are joined on every path above; the heartbeat
 	// monitor (if a resilient collective started one) is stopped and joined
@@ -401,43 +391,20 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	return res
 }
 
-// supervise watches for completion, deadlock, timeout or external
-// cancellation. Deadlock is declared when every unfinished rank is blocked
-// in a communication call and the global progress counter has not moved
-// across two consecutive samples.
+// supervise waits for completion, deadlock, timeout or external
+// cancellation. Deadlock has exactly one detector: a true exactNow. The
+// supervisor never polls and never measures how long nothing happened — on a
+// loaded host a receiver that a channel hand-off has already woken can stay
+// off-CPU, still counted blocked, for longer than any window worth waiting.
+// It looks only when a park or exit says it completed the fin+blk == size
+// sum, which is enough: every transition into that sum is a blocked.Add(1)
+// or finished.Add(1) followed, on the same goroutine, by notifyQuiesce; the
+// buffered hint is therefore received after the counter move that made the
+// state, and a hint exactNow rejects means some rank is still running and
+// will itself park or exit — and hint — later.
 func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) (deadlock, timedOut, cancelled bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	const tickPeriod = 250 * time.Microsecond
-	tick := time.NewTicker(tickPeriod)
-	defer tick.Stop()
-
-	// The wall-clock stuck window must comfortably exceed scheduler jitter:
-	// a loaded machine can leave runnable goroutines unscheduled for a few
-	// milliseconds, which must not be mistaken for quiescence. It is the
-	// fallback for runs whose parked ranks are not all annotated, and is
-	// expressed in ticks so its ~12 ms width survives tick-period changes.
-	const stuckWindow = int(12 * time.Millisecond / tickPeriod)
-
-	// reap tears the frozen run down. Campaigns spend a large share of
-	// their wall clock on faulty runs whose survivors starve; this is the
-	// moment that cost is paid, so both the exact path and the fallback
-	// funnel through here.
-	reap := func() bool {
-		if w.failed.Load() > 0 {
-			// Not a deadlock of the application's own making: the surviving
-			// ranks are starved by a failed peer. Reap them like mpirun
-			// tearing down a job whose rank died — the failure itself is
-			// already in the results and dominates classification.
-			w.kill("job abort: peers starved by a failed rank")
-			return false
-		}
-		w.kill("deadlock: all surviving ranks blocked with no progress")
-		return true
-	}
-
-	lastProgress := int64(-1)
-	stuckSamples := 0
 	for {
 		select {
 		case <-allDone:
@@ -451,31 +418,29 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 			<-allDone
 			return false, false, true
 		case <-w.quiesce:
-			// A park or exit completed the fin+blk == size sum. Verify the
-			// frozen state exactly; a rejected hint costs one scan and the
-			// poll tick below remains as the safety net.
 			if w.exactNow() {
-				deadlock = reap()
+				deadlock = w.reap()
 				<-allDone
 				return deadlock, false, false
 			}
-		case <-tick.C:
-			fin := w.finished.Load()
-			blk := w.blocked.Load()
-			prog := w.progress.Load()
-			if fin < int64(w.size) && fin+blk == int64(w.size) && prog == lastProgress {
-				stuckSamples++
-				if stuckSamples >= stuckWindow || w.exactNow() {
-					deadlock = reap()
-					<-allDone
-					return deadlock, false, false
-				}
-			} else {
-				stuckSamples = 0
-			}
-			lastProgress = prog
 		}
 	}
+}
+
+// reap tears a frozen run down and reports whether it was a deadlock.
+// Campaigns spend a large share of their wall clock on faulty runs whose
+// survivors starve; this is the moment that cost is paid.
+func (w *World) reap() bool {
+	if w.failed.Load() > 0 {
+		// Not a deadlock of the application's own making: the surviving
+		// ranks are starved by a failed peer. Reap them like mpirun
+		// tearing down a job whose rank died — the failure itself is
+		// already in the results and dominates classification.
+		w.kill("job abort: peers starved by a failed rank")
+		return false
+	}
+	w.kill("deadlock: all surviving ranks blocked with no progress")
+	return true
 }
 
 // exactNow proves the run is frozen, at this instant, from published park
@@ -489,7 +454,6 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 func (w *World) exactNow() bool {
 	fin := w.finished.Load()
 	blk := w.blocked.Load()
-	prog := w.progress.Load()
 	del := w.delivered.Load()
 	abs := w.absorbed.Load()
 	if fin >= int64(w.size) || fin+blk != int64(w.size) || !w.exactQuiesced(fin) {
@@ -497,8 +461,8 @@ func (w *World) exactNow() bool {
 	}
 	runtime.Gosched()
 	return w.finished.Load() == fin && w.blocked.Load() == blk &&
-		w.progress.Load() == prog && w.delivered.Load() == del &&
-		w.absorbed.Load() == abs && w.exactQuiesced(fin)
+		w.delivered.Load() == del && w.absorbed.Load() == abs &&
+		w.exactQuiesced(fin)
 }
 
 // exactQuiesced is one scan of exactNow's frozen-state predicate: every
@@ -509,9 +473,9 @@ func (w *World) exactNow() bool {
 // closes the one window park-site inspection cannot see: a receiver that
 // has pulled its message off the channel but not yet advanced its own
 // counters looks parked with an empty inbox, yet the pulled message is
-// missing from every queue. Ranks parked at sites that do not publish a
-// blockKind (none today; the check is written defensively) make the count
-// come up short, falling back to the wall-clock window.
+// missing from every queue. All three park sites (post, recvMatch,
+// RecvOrFail) publish a blockKind before blocked.Add(1), so a rank counted
+// blocked is always one this scan can rule on.
 func (w *World) exactQuiesced(fin int64) bool {
 	parked, queued := int64(0), int64(0)
 	for _, rk := range w.ranks {
@@ -542,9 +506,12 @@ func (w *World) exactQuiesced(fin int64) bool {
 
 // notifyQuiesce pokes the supervisor when the caller's park or exit may
 // have been the last: with every rank now blocked or finished, the run is
-// frozen unless messages are still in flight, which exactNow rules on. The
-// send is a lossy hint — the buffered channel coalesces bursts, and any
-// hint racing a counter move is simply rejected by the verification.
+// frozen unless messages are still in flight, which exactNow rules on.
+// Callers invoke it after their own counter move, so the last mover of a
+// frozen state always sees the sum complete. The buffered channel coalesces
+// bursts (a full buffer holds a hint the supervisor has yet to read, which
+// serves as well), and a hint racing a counter move is rejected by the
+// verification and followed by that mover's own.
 func (w *World) notifyQuiesce() {
 	if w.finished.Load()+w.blocked.Load() == int64(w.size) {
 		select {
