@@ -16,11 +16,14 @@ import (
 // The three halo-exchange applications may be rewritten for speed (scratch
 // reuse, receive-into); what they compute may not move. This golden pins,
 // per application, seed and campaign mode, the SHA-256 of the campaign JSON
-// plus its JSONL event stream — every trial's (target, bit, outcome) and
-// every point's classification — so a rewrite that changes one halo value,
-// one slice length a corrupted count indexes past, or one zeroed boundary
-// cell shows up as a digest mismatch naming the leg. A p2p leg injects
-// directly into the Send/Recv calls the typed path serves.
+// and, separately, of its JSONL event stream — every trial's (target, bit,
+// outcome) and every point's classification — so a rewrite that changes one
+// halo value, one slice length a corrupted count indexes past, or one zeroed
+// boundary cell shows up as a digest mismatch naming the leg. The two
+// surfaces get a column each so that a change to the stream's accounting
+// events (a new SnapshotStats field, say) visibly leaves the json column —
+// the campaign's outcomes — untouched. A p2p leg injects directly into the
+// Send/Recv calls the typed path serves.
 //
 // Regenerate (only when outcomes are meant to change):
 //
@@ -43,13 +46,9 @@ func appDigestEngine(app apps.App, seed int64, opts Options) *Engine {
 
 func TestGoldenAppOutcomes(t *testing.T) {
 	var out bytes.Buffer
-	digest := func(leg string, surfaces ...[]byte) {
-		h := sha256.New()
-		for _, s := range surfaces {
-			s = codeAddrs.ReplaceAll(s, []byte(`"$1":0`))
-			h.Write(siteLines.ReplaceAll(s, []byte("$1:0")))
-		}
-		fmt.Fprintf(&out, "%s %x\n", leg, h.Sum(nil))
+	digest := func(surface []byte) [sha256.Size]byte {
+		surface = codeAddrs.ReplaceAll(surface, []byte(`"$1":0`))
+		return sha256.Sum256(siteLines.ReplaceAll(surface, []byte("$1:0")))
 	}
 	for _, app := range []apps.App{mg.New(), lu.New(), minimd.New()} {
 		for seed := int64(1); seed <= 3; seed++ {
@@ -72,7 +71,8 @@ func TestGoldenAppOutcomes(t *testing.T) {
 				if len(res.Measured) == 0 {
 					t.Fatalf("%s seed %d %s measured nothing", app.Name(), seed, mode)
 				}
-				digest(fmt.Sprintf("%s/seed=%d/%s", app.Name(), seed, mode), campaignJSONBytes(t, res), stream.Bytes())
+				fmt.Fprintf(&out, "%s/seed=%d/%s json=%x stream=%x\n", app.Name(), seed, mode,
+					digest(campaignJSONBytes(t, res)), digest(stream.Bytes()))
 			}
 		}
 
@@ -95,7 +95,7 @@ func TestGoldenAppOutcomes(t *testing.T) {
 			}
 			p2p.WriteByte('\n')
 		}
-		digest(app.Name()+"/seed=1/p2p", p2p.Bytes())
+		fmt.Fprintf(&out, "%s/seed=1/p2p trials=%x\n", app.Name(), digest(p2p.Bytes()))
 	}
 	goldenCompare(t, "app_outcomes.golden.txt", out.Bytes())
 }
