@@ -12,7 +12,7 @@
 // Usage:
 //
 //	ffprofile -app lu -ranks 16
-//	ffprofile -app minimd -points
+//	ffprofile -app minimd -points     (each point with its fault-space size)
 //	ffprofile -app lu -ranks 32 -trials 200
 //	ffprofile -app lu -ranks 32 -trials 200 -nopool -nofork
 package main
@@ -85,7 +85,7 @@ func run() error {
 		fmt.Printf("\ninjection points: %d total -> %d after semantic pruning (%.1f%%) -> %d after context pruning (%.1f%%)\n",
 			len(pts), len(sem), 100*semRed, len(ctx), 100*ctxRed)
 		for _, p := range ctx {
-			fmt.Printf("  %s\n", p.String())
+			fmt.Printf("  %s%s\n", p.String(), faultSpaceNote(engine, p))
 		}
 	}
 
@@ -144,4 +144,19 @@ func measureTrials(engine *core.Engine, n int, nopool bool) error {
 		fmt.Printf("  forked %d / replayed %d trials (%d snapshots)\n", st.Forked, st.Replayed, st.Snapshots)
 	}
 	return nil
+}
+
+// faultSpaceNote renders a point's fault-space size — the distinct effective
+// faults the policy can draw there — and flags a point with fewer of them
+// than the campaign's per-point trial budget: at most that many of its
+// trials execute, and the rest of the budget reuses their outcomes.
+func faultSpaceNote(engine *core.Engine, p core.Point) string {
+	size, ok := engine.FaultSpace(p)
+	if !ok {
+		return ""
+	}
+	if budget := engine.Options().TrialsPerPoint; budget > size {
+		return fmt.Sprintf("  [%d faults: at most %d of %d trials execute]", size, size, budget)
+	}
+	return fmt.Sprintf("  [%d faults]", size)
 }

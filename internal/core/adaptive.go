@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"runtime"
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
@@ -70,16 +69,11 @@ func (e *Engine) replaySettle(trials []TrialResult) *stats.SettleTest {
 // settled. The recorded trial list is the exact prefix an all-serial run
 // would record, regardless of Parallelism.
 func (e *Engine) InjectPointAdaptive(ctx context.Context, p Point, pointIdx int) (PointResult, error) {
-	st := e.newSettle()
-	trials, err := e.runTrialsAdaptive(ctx, p, pointIdx, 0, e.opts.TrialsPerPoint, st)
+	trials, how, err := e.runTrialsAdaptive(ctx, p, pointIdx, e.opts.TrialsPerPoint)
 	if err != nil {
 		return PointResult{Point: p}, err
 	}
-	pr := PointResult{Point: p, Trials: trials}
-	for _, t := range trials {
-		pr.Counts.Add(t.Outcome)
-	}
-	return pr, nil
+	return e.pointResult(p, trials, how), nil
 }
 
 // injectAuto dispatches to the adaptive or fixed-budget injector according
@@ -91,41 +85,37 @@ func (e *Engine) injectAuto(ctx context.Context, p Point, pointIdx int) (PointRe
 	return e.injectPointFiltered(ctx, p, pointIdx, e.opts.TrialsPerPoint, nil)
 }
 
-// runTrialsAdaptive executes trials [from, from+budget) in waves, feeding
-// each outcome to the settling test in trial order and stopping at the
-// first firing. Trials a wave executed beyond the stopping index are
-// discarded — side-effect-free in the simulated world — so the recorded
-// prefix is independent of the wave size and of Parallelism.
-func (e *Engine) runTrialsAdaptive(ctx context.Context, p Point, pointIdx, from, budget int, st *stats.SettleTest) ([]TrialResult, error) {
-	par := e.opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)/4 + 1
-	}
-	out := make([]TrialResult, 0, budget)
-	next, end := from, from+budget
-	for next < end && !st.Settled() {
+// runTrialsAdaptive executes a point's first trials, up to budget, in waves,
+// feeding each outcome to the settling test in trial order and stopping at
+// the first firing. Trials a wave produced beyond the stopping index are
+// discarded — side-effect-free in the simulated world, and absent from the
+// returned accounting — so the recorded prefix is independent of the wave
+// size and of Parallelism.
+func (e *Engine) runTrialsAdaptive(ctx context.Context, p Point, pointIdx, budget int) ([]TrialResult, []trialHow, error) {
+	st, par := e.newSettle(), e.parallelism()
+	out, outHow := make([]TrialResult, 0, budget), make([]trialHow, 0, budget)
+	for len(out) < budget && !st.Settled() {
 		wave := par
 		// The rule cannot fire before EarliestFire observations, so the
 		// opening wave safely runs up to that point in one batch.
 		if lead := st.EarliestFire() - st.N(); lead > wave {
 			wave = lead
 		}
-		if next+wave > end {
-			wave = end - next
+		if len(out)+wave > budget {
+			wave = budget - len(out)
 		}
-		trs, err := e.runTrialWave(ctx, p, pointIdx, next, wave, nil)
+		trs, how, err := e.runTrialWave(ctx, p, pointIdx, out, wave, nil)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
-		next += wave
-		for _, tr := range trs {
-			out = append(out, tr)
+		for t, tr := range trs {
+			out, outHow = append(out, tr), append(outHow, how[t])
 			if st.Observe(int(tr.Outcome)) {
-				return out, nil
+				return out, outHow, nil
 			}
 		}
 	}
-	return out, nil
+	return out, outHow, nil
 }
 
 // RefinePoint extends a point's trial sequence by exactly extra trials,
@@ -134,18 +124,14 @@ func (e *Engine) runTrialsAdaptive(ctx context.Context, p Point, pointIdx, from,
 // have executed next). The settling rule has already fired for refinement
 // candidates; the extra trials only narrow the dominant outcome's interval.
 func (e *Engine) RefinePoint(ctx context.Context, p Point, pointIdx int, prior PointResult, extra int) (PointResult, error) {
-	more, err := e.runTrialWave(ctx, p, pointIdx, len(prior.Trials), extra, nil)
+	more, how, err := e.runTrialWave(ctx, p, pointIdx, prior.Trials, extra, nil)
 	if err != nil {
 		return PointResult{Point: p}, err
 	}
 	trials := make([]TrialResult, 0, len(prior.Trials)+len(more))
 	trials = append(trials, prior.Trials...)
 	trials = append(trials, more...)
-	pr := PointResult{Point: prior.Point, Trials: trials}
-	for _, t := range trials {
-		pr.Counts.Add(t.Outcome)
-	}
-	return pr, nil
+	return e.pointResult(prior.Point, trials, how), nil
 }
 
 // refineGrant is one point's share of the reclaimed trial budget.

@@ -15,8 +15,14 @@ import (
 // Exec groups the options governing how trials execute: budgets, seeds,
 // timeouts, concurrency and the runtime fast paths.
 type Exec struct {
-	// TrialsPerPoint is the number of random fault-injection tests at each
-	// fault injection point (the paper uses at least 100).
+	// TrialsPerPoint is the number of random fault-injection tests
+	// reported at each fault injection point (the paper uses at least 100).
+	// Every test draws its own (parameter, bit); tests of one point that
+	// draw the same effective fault — the same bit once wrapped to the
+	// parameter's width — are one simulated execution, run at the first
+	// of them, whose outcome the repeats reuse (DESIGN.md "Effective
+	// faults"). A Barrier point has 32 distinct faults however many
+	// tests it is given.
 	TrialsPerPoint int
 	// Seed drives every random decision of the campaign: fault targets,
 	// bit positions, batch shuffling and forest training.

@@ -196,23 +196,30 @@ func (e *Engine) RunOnce(faults ...fault.Fault) (classify.Outcome, mpi.RunResult
 // Single-fault trials fork from the injection-prefix snapshot when one is
 // available (fork.go) and replay from t=0 otherwise; the two paths are
 // classification-identical, so which one a trial takes is invisible outside
-// the SnapshotStats accounting.
+// the SnapshotStats accounting. RunOnce always executes the faults it is
+// given: only a point's trial sequence (runTrialWave) reuses outcomes.
 func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classify.Outcome, mpi.RunResult) {
+	outcome, res, how := e.execute(ctx, faults...)
+	e.stats.count(how)
+	return outcome, res
+}
+
+// execute runs the application with the faults injected, classifies the
+// run and reports which way it ran; the caller does the accounting.
+func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.Outcome, mpi.RunResult, trialHow) {
 	inj := fault.NewInjector(nil, faults...)
 	if len(faults) == 1 {
 		if fk := e.trialFork(faults[0]); fk != nil {
-			e.stats.forked.Add(1)
 			res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Fork: fk})
-			return e.classifyRun(res), res
+			return e.classifyRun(res), res, howForked
 		}
 	}
-	e.stats.replayed.Add(1)
 	net, crashed := e.trialNetwork()
 	if net != nil {
 		inj.AttachNetwork(net)
 	}
 	res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Network: net, CrashedRanks: crashed})
-	return e.classifyRun(res), res
+	return e.classifyRun(res), res, howReplayed
 }
 
 // classifyRun classifies one run against the golden reference, through the
@@ -259,15 +266,22 @@ func (e *Engine) InjectPointTarget(p Point, pointIdx, n int, target fault.Target
 }
 
 func (e *Engine) injectPointFiltered(ctx context.Context, p Point, pointIdx, n int, target *fault.Target) (PointResult, error) {
-	trials, err := e.runTrialWave(ctx, p, pointIdx, 0, n, target)
+	trials, how, err := e.runTrialWave(ctx, p, pointIdx, nil, n, target)
 	if err != nil {
 		return PointResult{Point: p}, err
 	}
+	return e.pointResult(p, trials, how), nil
+}
+
+// pointResult assembles a point's record from its trials in order, and
+// books how the newly run ones — the last len(ran) — came by their outcomes.
+func (e *Engine) pointResult(p Point, trials []TrialResult, ran []trialHow) PointResult {
+	e.stats.count(ran...)
 	pr := PointResult{Point: p, Trials: trials}
 	for _, t := range trials {
 		pr.Counts.Add(t.Outcome)
 	}
-	return pr, nil
+	return pr
 }
 
 // trialFault picks the fault one trial injects, given the trial's rng.
@@ -284,19 +298,106 @@ func (e *Engine) trialFault(rng *rand.Rand, p Point, target *fault.Target) fault
 	}
 }
 
-// runTrialWave executes trials [from, from+n) of a point concurrently
-// (bounded by Options.Parallelism) and returns them in trial order. Each
-// trial's seed depends only on (pointIdx, trial index), so any partition
-// of the trial sequence into waves yields identical results.
-func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx, from, n int, target *fault.Target) ([]TrialResult, error) {
-	trials := make([]TrialResult, n)
-	par := e.opts.Parallelism
-	if par <= 0 {
-		par = runtime.GOMAXPROCS(0)/4 + 1
+// parallelism is the number of a point's trials in flight at once.
+func (e *Engine) parallelism() int {
+	if e.opts.Parallelism > 0 {
+		return e.opts.Parallelism
 	}
-	sem := make(chan struct{}, par)
+	return runtime.GOMAXPROCS(0)/4 + 1
+}
+
+// effectiveFault is what a trial actually does at its point: the corrupted
+// parameter and the bit the injector wraps the drawn index to. Trials of one
+// point that agree on it run the same simulated execution.
+type effectiveFault struct {
+	target fault.Target
+	bit    int
+}
+
+// pointWidths returns the parameter widths a fault at p wraps to, or false
+// when the point's trials cannot be keyed by effective fault: the profile
+// has no such invocation, or the campaign has a network dimension, under
+// which an injected run does not reach the point along the golden run's
+// prefix and may meet other arguments there.
+func (e *Engine) pointWidths(p Point) (fault.Widths, bool) {
+	if e.prof == nil || e.netSetup() != nil || e.topo != nil {
+		return fault.Widths{}, false
+	}
+	return e.prof.Widths(p.Rank, p.Site, p.Invocation)
+}
+
+// FaultSpace returns the number of distinct effective faults the engine's
+// policy can draw at p — the sum of the widths of the parameters it targets
+// there — or false when the point's trials are not keyed by effective fault
+// (network policy or dimension, point not in the profile). However large
+// the point's trial budget, at most that many of its trials execute; the
+// others reuse an outcome.
+func (e *Engine) FaultSpace(p Point) (int, bool) {
+	w, ok := e.pointWidths(p)
+	if !ok || e.opts.Policy == PolicyNetwork {
+		return 0, false
+	}
+	if e.opts.Policy == PolicyDataBuffer {
+		for _, t := range fault.TargetsFor(p.Type) {
+			if t == fault.TargetSendBuf {
+				return w.Send, true
+			}
+		}
+	}
+	return w.Space(p.Type), true
+}
+
+// runTrialWave produces trials [len(prior), len(prior)+n) of a point, in
+// trial order, given the trials the point has already recorded. It draws
+// the wave's faults first, executes — concurrently, bounded by
+// Options.Parallelism — only those whose effective fault occurs neither in
+// prior nor earlier in the wave, and gives every other trial the outcome of
+// its effective fault's first occurrence. A trial's seed depends only on
+// (pointIdx, trial index) and an outcome only on the effective fault, so
+// any partition of the trial sequence into waves yields identical results,
+// and which trials execute is a function of the sequence alone. how[t] says
+// which of the three ways trial t came by its outcome.
+func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior []TrialResult, n int, target *fault.Target) (trials []TrialResult, how []trialHow, err error) {
+	from := len(prior)
+	trials, how = make([]TrialResult, n), make([]trialHow, n)
+	faults := make([]fault.Fault, n)
+
+	// src[t] is the index, in the point's whole trial sequence, of the
+	// trial whose run decides trial t: from+t itself when t executes.
+	src := make([]int, n)
+	// first maps each effective fault to its first occurrence in the
+	// sequence. Network-target trials are never keyed: their Bit addresses
+	// a link and a burst length, not a parameter bit.
+	first := map[effectiveFault]int{}
+	w, keyed := e.pointWidths(p)
+	occurs := func(i int, tr TrialResult) int {
+		if !keyed || tr.Target.IsNet() {
+			return i
+		}
+		k := effectiveFault{tr.Target, w.EffectiveBit(tr.Target, tr.Bit)}
+		if j, seen := first[k]; seen {
+			return j
+		}
+		first[k] = i
+		return i
+	}
+	for i, tr := range prior {
+		occurs(i, tr)
+	}
+	for t := range faults {
+		f := e.trialFault(newRand(e.trialSeed(pointIdx, from+t)), p, target)
+		faults[t], trials[t] = f, TrialResult{Target: f.Target, Bit: f.Bit}
+		if src[t] = occurs(from+t, trials[t]); src[t] != from+t {
+			how[t] = howMemoised
+		}
+	}
+
+	sem := make(chan struct{}, e.parallelism())
 	var wg sync.WaitGroup
 	for t := 0; t < n; t++ {
+		if src[t] != from+t {
+			continue
+		}
 		if ctx.Err() != nil {
 			break
 		}
@@ -305,15 +406,20 @@ func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx, from, n in
 		go func(t int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			rng := newRand(e.trialSeed(pointIdx, from+t))
-			f := e.trialFault(rng, p, target)
-			outcome, _ := e.RunOnceCtx(ctx, f)
-			trials[t] = TrialResult{Target: f.Target, Bit: f.Bit, Outcome: outcome}
+			trials[t].Outcome, _, how[t] = e.execute(ctx, faults[t])
 		}(t)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return trials, nil
+	for t, i := range src {
+		switch {
+		case i < from:
+			trials[t].Outcome = prior[i].Outcome
+		case i != from+t:
+			trials[t].Outcome = trials[i-from].Outcome
+		}
+	}
+	return trials, how, nil
 }

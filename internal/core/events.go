@@ -216,16 +216,21 @@ type CheckpointAppended struct {
 	Records int
 }
 
-// SnapshotStats reports the campaign's fork-at-injection-site accounting,
-// emitted once right before CampaignFinished: Snapshots distinct injection
-// prefixes were forked from, Forked trials ran from a prefix snapshot and
-// Replayed trials fell back to full replay from t=0 (multi-fault trials,
-// network fault domains, unreplayable workloads). Forked + Replayed is the
-// campaign's simulated-run total, excluding profiling and tape recording.
+// SnapshotStats reports how the campaign's trials came by their outcomes,
+// emitted once right before CampaignFinished. Forked trials ran from a
+// prefix snapshot, Replayed trials fell back to full replay from t=0
+// (multi-fault trials, network fault domains, unreplayable workloads) and
+// Memoised trials ran nothing: an earlier trial of the same point had drawn
+// the same effective fault and its outcome was reused. The three partition
+// the trials of the points this engine injected (plus its RunOnce calls,
+// which always execute); Forked + Replayed is the simulated-run total,
+// excluding profiling and tape recording. Snapshots counts the distinct
+// injection prefixes forked from.
 type SnapshotStats struct {
 	Snapshots int
 	Forked    int
 	Replayed  int
+	Memoised  int
 }
 
 // SenseStats reports the cross-campaign advisor's traffic during planning

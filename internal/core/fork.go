@@ -37,10 +37,11 @@ type forkKey struct {
 
 // forkState is the snapshot store of one workload fingerprint: the recorded
 // golden trace plus the forks cut from it, one per injection prefix. A nil
-// trace caches "this workload is unreplayable" so the recording run is not
-// retried; nil fork entries cache "this prefix has no snapshot".
+// trace means "no snapshot store" — every trial replays in full — and
+// reason says why; nil fork entries cache "this prefix has no snapshot".
 type forkState struct {
-	trace *mpi.Trace
+	trace  *mpi.Trace
+	reason string // why trace is nil
 
 	mu    sync.Mutex
 	forks map[forkKey]*mpi.Fork
@@ -97,6 +98,15 @@ func (e *Engine) forkFingerprint() string {
 // recorder attached. Nil when forking is disabled or the campaign has a
 // network fault domain (those plans perturb delivery before the injection
 // site, so prefixes are unsnapshottable and every trial replays in full).
+//
+// A recording that yields no usable tape costs every trial its full prefix,
+// so it is never silent: the engine emits one Note with the cause. Only a
+// cause that is a property of the application (the recorder poisoned the
+// tape: wildcard receives, derived communicators, ...) is cached under the
+// fingerprint. A recording run that merely did not finish — an error, a
+// timeout, a deadlock verdict, on a workload whose profiling run had just
+// finished cleanly — says nothing about the next attempt, so the next engine
+// of the fingerprint records again.
 func (e *Engine) forkSetup() *forkState {
 	e.forkOnce.Do(func() {
 		if e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
@@ -106,27 +116,46 @@ func (e *Engine) forkSetup() *forkState {
 		forkCache.Lock()
 		st, ok := forkCache.m[fp]
 		forkCache.Unlock()
-		if ok {
-			e.forkSt = st
-			return
-		}
-		res := e.exec(mpi.RunOptions{Record: true})
-		st = &forkState{forks: map[forkKey]*mpi.Fork{}}
-		if res.Trace.Forkable() && res.FirstError() == nil {
-			st.trace = res.Trace
-		}
-		forkCache.Lock()
-		if len(forkCache.m) >= forkCacheCap {
-			for k := range forkCache.m {
-				delete(forkCache.m, k)
-				break
+		if !ok {
+			var keep bool
+			if st, keep = e.recordTape(); keep {
+				forkCache.Lock()
+				if len(forkCache.m) >= forkCacheCap {
+					for k := range forkCache.m {
+						delete(forkCache.m, k)
+						break
+					}
+				}
+				forkCache.m[fp] = st
+				forkCache.Unlock()
 			}
 		}
-		forkCache.m[fp] = st
-		forkCache.Unlock()
+		if st.trace == nil {
+			e.logf("no snapshot store for %s: %s; every trial replays from t=0", fp, st.reason)
+		}
 		e.forkSt = st
 	})
 	return e.forkSt
+}
+
+// recordTape runs the application once more, fault-free, with the tape
+// recorder attached. keep reports whether the result holds for every later
+// engine of the fingerprint (a tape, or a refusal the application caused)
+// or only for this attempt (the run did not finish).
+func (e *Engine) recordTape() (st *forkState, keep bool) {
+	res := e.exec(mpi.RunOptions{Record: true})
+	st = &forkState{forks: map[forkKey]*mpi.Fork{}}
+	switch err := res.FirstError(); {
+	case err != nil:
+		st.reason = fmt.Sprintf("the recording run failed: %v", err)
+	case res.TimedOut || res.Deadlock:
+		st.reason = fmt.Sprintf("the recording run hung (deadlock=%v timeout=%v)", res.Deadlock, res.TimedOut)
+	case !res.Trace.Forkable():
+		st.reason, keep = res.Trace.Reason(), true
+	default:
+		st.trace, keep = res.Trace, true
+	}
+	return st, keep
 }
 
 // trialFork returns the snapshot one trial forks from, or nil when the
@@ -144,22 +173,40 @@ func (e *Engine) trialFork(f fault.Fault) *mpi.Fork {
 	return fk
 }
 
+// trialHow is how a trial came by its outcome: the three-way partition
+// SnapshotStats reports.
+type trialHow uint8
+
+const (
+	howForked   trialHow = iota // executed from a prefix snapshot
+	howReplayed                 // executed by full replay from t=0
+	howMemoised                 // copied from the point's first trial of the same effective fault
+	numTrialHow
+)
+
 // snapshotStats is the engine's fork accounting, reset when a campaign's
 // event stream opens and published as one SnapshotStats event right before
 // CampaignFinished. Snapshots counts the distinct prefixes this campaign
 // forked from — not cache misses, which would make the stream depend on
 // whether an earlier campaign in the process warmed the shared cache.
 type snapshotStats struct {
-	forked   atomic.Int64 // trials run from a prefix snapshot
-	replayed atomic.Int64 // trials that fell back to full replay from t=0
+	trials [numTrialHow]atomic.Int64 // trials by how their outcome was obtained
 
 	mu   sync.Mutex
 	used map[forkKey]struct{} // distinct prefixes forked from
 }
 
+// count books trials, one per element of how.
+func (s *snapshotStats) count(how ...trialHow) {
+	for _, h := range how {
+		s.trials[h].Add(1)
+	}
+}
+
 func (s *snapshotStats) reset() {
-	s.forked.Store(0)
-	s.replayed.Store(0)
+	for h := range s.trials {
+		s.trials[h].Store(0)
+	}
 	s.mu.Lock()
 	s.used = nil
 	s.mu.Unlock()
@@ -186,7 +233,8 @@ func (s *snapshotStats) snapshot() SnapshotStats {
 	s.mu.Unlock()
 	return SnapshotStats{
 		Snapshots: used,
-		Forked:    int(s.forked.Load()),
-		Replayed:  int(s.replayed.Load()),
+		Forked:    int(s.trials[howForked].Load()),
+		Replayed:  int(s.trials[howReplayed].Load()),
+		Memoised:  int(s.trials[howMemoised].Load()),
 	}
 }

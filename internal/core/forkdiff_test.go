@@ -15,7 +15,8 @@ import (
 // the accounting of which path trials took — so the comparison strips it
 // from both streams (it occupies the same sequence number in each, keeping
 // the rest of the numbering aligned) and instead asserts its content:
-// the forked leg must actually have forked, the replayed leg must not.
+// the forked leg must actually have forked, the replayed leg must not, and
+// both must have reused the same number of outcomes.
 
 // stripSnapshotStats removes the SnapshotStats line from a JSONL stream and
 // returns it separately (nil when the stream has none, e.g. an aborted leg).
@@ -76,6 +77,11 @@ func compareForkDiff(t *testing.T, path string, forked, replayed diffCampaign, r
 	}
 	if fs.Forked != rs.Replayed {
 		t.Errorf("%s: legs ran different trial totals: forked leg %d, replayed leg %d", path, fs.Forked, rs.Replayed)
+	}
+	// Which trials reuse an earlier outcome is a function of the trial
+	// sequence alone, not of how the others execute.
+	if fs.Memoised != rs.Memoised {
+		t.Errorf("%s: legs memoised different trial totals: forked leg %d, replayed leg %d", path, fs.Memoised, rs.Memoised)
 	}
 }
 

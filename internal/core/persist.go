@@ -108,8 +108,12 @@ func pointResultToJSON(pr PointResult) pointResultJSON {
 }
 
 // pointResultFromJSON decodes one point's results, validating every
-// enum-valued field so a corrupt or hand-edited file surfaces a
-// descriptive error instead of poisoning downstream statistics.
+// enum-valued field and every bit index so a corrupt or hand-edited file
+// surfaces a descriptive error instead of poisoning downstream statistics.
+// It is also the journal's decoder, where a recorded (target, bit, outcome)
+// decides the outcome of the point's later trials of the same effective
+// fault: bit is held to the range the engine draws from, as strictly as
+// target and outcome are.
 func pointResultFromJSON(pj pointResultJSON) (PointResult, error) {
 	pr := PointResult{Point: pointFromJSON(pj.Point)}
 	for i, tj := range pj.Trials {
@@ -119,6 +123,9 @@ func pointResultFromJSON(pj pointResultJSON) (PointResult, error) {
 		}
 		if tr.Target < 0 || tr.Target >= fault.NumTargets {
 			return PointResult{}, fmt.Errorf("trial %d: invalid fault target %d (valid range 0..%d)", i, tj.Target, int(fault.NumTargets)-1)
+		}
+		if tr.Bit < 0 || tr.Bit >= fault.BitSpace {
+			return PointResult{}, fmt.Errorf("trial %d: invalid fault bit %d (valid range 0..%d)", i, tj.Bit, fault.BitSpace-1)
 		}
 		pr.Trials = append(pr.Trials, tr)
 		pr.Counts.Add(tr.Outcome)

@@ -49,6 +49,7 @@ type StreamStats struct {
 	snapshots      int // distinct injection prefixes forked from
 	forkedTrials   int // trials run from a prefix snapshot
 	replayedTrials int // trials that fell back to full replay
+	memoisedTrials int // trials that reused an earlier trial's outcome
 	senseServed    int // points answered zero-trial by the sense advisor
 	senseFallback  int // advisor queries that fell back to real injection
 	senseCacheHits int // advisor queries answered from the subspace cache
@@ -83,7 +84,7 @@ func (s *StreamStats) OnEvent(ev Event) {
 		s.injected, s.fromCheckpoint, s.quarantined, s.retries = 0, 0, 0, 0
 		s.batches, s.verifyAccuracy, s.predicted = 0, 0, 0
 		s.settled, s.trialsSaved, s.refined, s.trialsRefined = 0, 0, 0, 0
-		s.snapshots, s.forkedTrials, s.replayedTrials = 0, 0, 0
+		s.snapshots, s.forkedTrials, s.replayedTrials, s.memoisedTrials = 0, 0, 0, 0
 		s.senseServed, s.senseFallback, s.senseCacheHits = 0, 0, 0
 		s.topology, s.linksDown, s.dropBursts, s.nodesDown = "", 0, 0, 0
 		s.shardWorkers = nil
@@ -142,6 +143,7 @@ func (s *StreamStats) OnEvent(ev Event) {
 		s.snapshots = ev.Snapshots
 		s.forkedTrials = ev.Forked
 		s.replayedTrials = ev.Replayed
+		s.memoisedTrials = ev.Memoised
 	case SenseStats:
 		s.senseServed = ev.Served
 		s.senseFallback = ev.Fallback
@@ -203,6 +205,7 @@ type StreamSnapshot struct {
 	Snapshots      int // distinct injection prefixes forked from
 	Forked         int // trials run from a prefix snapshot
 	Replayed       int // trials that fell back to full replay
+	Memoised       int // trials that reused an earlier trial's outcome
 	SenseServed    int // points answered zero-trial by the sense advisor
 	SenseFallback  int // advisor queries that fell back to real injection
 	SenseCacheHits int // advisor queries answered from the subspace cache
@@ -243,6 +246,7 @@ func (s *StreamStats) Snapshot() StreamSnapshot {
 		Snapshots:      s.snapshots,
 		Forked:         s.forkedTrials,
 		Replayed:       s.replayedTrials,
+		Memoised:       s.memoisedTrials,
 		SenseServed:    s.senseServed,
 		SenseFallback:  s.senseFallback,
 		SenseCacheHits: s.senseCacheHits,
@@ -314,6 +318,9 @@ func (sn StreamSnapshot) ProgressLine() string {
 	}
 	if sn.Forked > 0 {
 		fmt.Fprintf(&sb, " | forked %d/%d (%d snapshots)", sn.Forked, sn.Forked+sn.Replayed, sn.Snapshots)
+	}
+	if sn.Memoised > 0 {
+		fmt.Fprintf(&sb, " | memo %d", sn.Memoised)
 	}
 	if sn.Quarantined > 0 {
 		fmt.Fprintf(&sb, " | quarantined %d", sn.Quarantined)
@@ -548,7 +555,8 @@ func eventJSON(ev Event) (string, any) {
 			Snapshots int `json:"snapshots"`
 			Forked    int `json:"forked"`
 			Replayed  int `json:"replayed"`
-		}{ev.Snapshots, ev.Forked, ev.Replayed}
+			Memoised  int `json:"memoised"`
+		}{ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised}
 	case SenseStats:
 		return "SenseStats", struct {
 			Served    int `json:"served"`

@@ -101,7 +101,7 @@ func (c Config) Faults(sites []SiteRef, rng interface{ Intn(int) int }) ([]Fault
 			Site:       ref.Site,
 			Invocation: c.InvID,
 			Target:     targets[c.ParamID],
-			Bit:        rng.Intn(1 << 20),
+			Bit:        rng.Intn(BitSpace),
 		})
 	}
 	return out, nil

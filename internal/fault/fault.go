@@ -79,6 +79,79 @@ func TargetsFor(t mpi.CollType) []Target {
 	return collTargets[t]
 }
 
+// BitSpace bounds the raw bit indices the random policies draw: every Bit a
+// campaign records lies in [0, BitSpace). It is far wider than most targets
+// (a handle has 32 bits), so a raw index names its flip only after Wrap has
+// folded it onto the target's width — the effective fault.
+const BitSpace = 1 << 20
+
+// Wrap folds a raw bit index onto a parameter width bits wide. It is total:
+// a negative index wraps like FlipBit's, and a zero width (an absent buffer,
+// a target that is no parameter flip) folds every index to 0, because all of
+// them do the same thing — nothing.
+func Wrap(bit, width int) int {
+	if width <= 0 {
+		return 0
+	}
+	return ((bit % width) + width) % width
+}
+
+// Widths holds how many distinct single-bit flips each variable-width
+// parameter of one collective call admits. Together with the fixed 32 bits
+// of the scalar parameters it is the call's whole fault space, and it is
+// what turns a raw (Target, Bit) into the flip Apply performs.
+type Widths struct {
+	Send   int // bits in the send buffer, 0 when absent
+	Recv   int // bits in the receive buffer, 0 when absent
+	Counts int // bits in the count vector a counts[] fault corrupts
+}
+
+// countsVec picks the vector a counts[] fault corrupts: the send counts
+// when the call has them, the receive counts otherwise.
+func countsVec(a *mpi.Args) []int32 {
+	if len(a.SendCounts) > 0 {
+		return a.SendCounts
+	}
+	return a.RecvCounts
+}
+
+// WidthsOf measures a call's arguments.
+func WidthsOf(a *mpi.Args) Widths {
+	return Widths{Send: 8 * a.Send.Len(), Recv: 8 * a.Recv.Len(), Counts: 32 * len(countsVec(a))}
+}
+
+// Of returns the width of one target: the number of distinct faults it has
+// on a call of these widths. Network targets are not parameter flips and
+// have none.
+func (w Widths) Of(t Target) int {
+	switch t {
+	case TargetSendBuf:
+		return w.Send
+	case TargetRecvBuf:
+		return w.Recv
+	case TargetCountsVec:
+		return w.Counts
+	case TargetCount, TargetDatatype, TargetOp, TargetRoot, TargetComm:
+		return 32
+	}
+	return 0
+}
+
+// EffectiveBit maps a raw (target, bit) to the bit Apply flips on a call of
+// these widths. Two faults at one injection point with the same target and
+// effective bit are the same fault.
+func (w Widths) EffectiveBit(t Target, bit int) int { return Wrap(bit, w.Of(t)) }
+
+// Space returns the size of a collective's fault space on a call of these
+// widths: the sum of the widths of its injectable parameters.
+func (w Widths) Space(collType mpi.CollType) int {
+	n := 0
+	for _, t := range TargetsFor(collType) {
+		n += w.Of(t)
+	}
+	return n
+}
+
 // Fault is one planned bit flip, addressed to a fault injection point.
 type Fault struct {
 	Rank       int     // world rank to corrupt
@@ -98,7 +171,7 @@ func (f Fault) String() string {
 func RandomFault(rng *rand.Rand, rank int, site uintptr, invocation int, collType mpi.CollType) Fault {
 	ts := TargetsFor(collType)
 	target := ts[rng.Intn(len(ts))]
-	bit := rng.Intn(1 << 20)
+	bit := rng.Intn(BitSpace)
 	return Fault{Rank: rank, Site: site, Invocation: invocation, Target: target, Bit: bit}
 }
 
@@ -111,7 +184,7 @@ func RandomFault(rng *rand.Rand, rank int, site uintptr, invocation int, collTyp
 func DataBufferFault(rng *rand.Rand, rank int, site uintptr, invocation int, collType mpi.CollType) Fault {
 	for _, t := range TargetsFor(collType) {
 		if t == TargetSendBuf {
-			return Fault{Rank: rank, Site: site, Invocation: invocation, Target: TargetSendBuf, Bit: rng.Intn(1 << 20)}
+			return Fault{Rank: rank, Site: site, Invocation: invocation, Target: TargetSendBuf, Bit: rng.Intn(BitSpace)}
 		}
 	}
 	return RandomFault(rng, rank, site, invocation, collType)
@@ -119,38 +192,32 @@ func DataBufferFault(rng *rand.Rand, rank int, site uintptr, invocation int, col
 
 // RandomFaultOn draws a random bit for a fixed target.
 func RandomFaultOn(rng *rand.Rand, rank int, site uintptr, invocation int, target Target) Fault {
-	return Fault{Rank: rank, Site: site, Invocation: invocation, Target: target, Bit: rng.Intn(1 << 20)}
+	return Fault{Rank: rank, Site: site, Invocation: invocation, Target: target, Bit: rng.Intn(BitSpace)}
 }
 
 // Apply mutates the collective call's arguments according to the fault.
 // It reports whether anything was actually flipped (an absent buffer, for
-// example, cannot be corrupted).
+// example, cannot be corrupted). The bit it flips is
+// WidthsOf(call.Args).EffectiveBit(f.Target, f.Bit) — the same function a
+// campaign keys its trials by, so the key and the flip cannot drift.
 func (f Fault) Apply(call *mpi.CollectiveCall) bool {
 	a := call.Args
-	flip32 := func(v int32) int32 { return v ^ (1 << (f.Bit % 32)) }
+	width := WidthsOf(a).Of(f.Target)
+	if width == 0 {
+		return false
+	}
+	bit := Wrap(f.Bit, width)
+	flip32 := func(v int32) int32 { return v ^ (1 << (bit % 32)) }
 	switch f.Target {
 	case TargetSendBuf:
-		if a.Send.Len() == 0 {
-			return false
-		}
-		a.Send.FlipBit(f.Bit)
+		a.Send.FlipBit(bit)
 	case TargetRecvBuf:
-		if a.Recv.Len() == 0 {
-			return false
-		}
-		a.Recv.FlipBit(f.Bit)
+		a.Recv.FlipBit(bit)
 	case TargetCount:
 		a.Count = flip32(a.Count)
 	case TargetCountsVec:
-		vec := a.SendCounts
-		if len(vec) == 0 {
-			vec = a.RecvCounts
-		}
-		if len(vec) == 0 {
-			return false
-		}
-		idx := (f.Bit / 32) % len(vec)
-		vec[idx] ^= 1 << (f.Bit % 32)
+		vec := countsVec(a)
+		vec[bit/32] = flip32(vec[bit/32])
 	case TargetDatatype:
 		a.Dtype = mpi.Datatype(flip32(int32(a.Dtype)))
 	case TargetOp:
@@ -159,8 +226,6 @@ func (f Fault) Apply(call *mpi.CollectiveCall) bool {
 		a.Root = flip32(a.Root)
 	case TargetComm:
 		a.Comm = mpi.Comm(flip32(int32(a.Comm)))
-	default:
-		return false
 	}
 	return true
 }

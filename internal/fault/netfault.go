@@ -234,6 +234,6 @@ func netDropCount(bit, n int) int {
 func RandomNetFault(rng *rand.Rand, rank int, site uintptr, invocation int, nRanks int) Fault {
 	targets := [...]Target{TargetNetLink, TargetNetDrop, TargetNetNode}
 	target := targets[rng.Intn(len(targets))]
-	bit := rng.Intn(1 << 20)
+	bit := rng.Intn(BitSpace)
 	return Fault{Rank: rank, Site: site, Invocation: invocation, Target: target, Bit: bit}
 }

@@ -61,7 +61,7 @@ func RandomP2PFault(rng *rand.Rand, rank int, site uintptr, invocation int, kind
 	return P2PFault{
 		Rank: rank, Site: site, Invocation: invocation,
 		Target: ts[rng.Intn(len(ts))],
-		Bit:    rng.Intn(1 << 20),
+		Bit:    rng.Intn(BitSpace),
 	}
 }
 
@@ -73,13 +73,12 @@ func (f P2PFault) Apply(call *mpi.P2PCall) bool {
 		if len(a.Data) == 0 {
 			return false
 		}
-		n := len(a.Data) * 8
-		bit := ((f.Bit % n) + n) % n
+		bit := Wrap(f.Bit, 8*len(a.Data))
 		a.Data[bit/8] ^= 1 << (bit % 8)
 	case P2PTargetTag:
-		a.Tag ^= 1 << (f.Bit % 32)
+		a.Tag ^= 1 << Wrap(f.Bit, 32)
 	case P2PTargetPeer:
-		a.Peer ^= 1 << (f.Bit % 32)
+		a.Peer ^= 1 << Wrap(f.Bit, 32)
 	default:
 		return false
 	}

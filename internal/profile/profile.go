@@ -18,6 +18,7 @@ import (
 	"sort"
 	"sync"
 
+	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
 )
 
@@ -30,6 +31,11 @@ type Invocation struct {
 	ErrHandling bool
 	IsRoot      bool // for rooted collectives: this rank was the root
 	Bytes       int  // payload bytes described by the arguments
+	// Widths is the size of the call's variable-width parameters as the
+	// hook saw them (zero for point-to-point sites). An injected run reaches
+	// this invocation with the same arguments, so these are the widths a
+	// fault addressed here wraps to. In-memory only: nothing persists them.
+	Widths fault.Widths
 }
 
 // Site aggregates all invocations of one call site on one rank.
@@ -138,6 +144,18 @@ func (p *Profile) TotalPoints() int {
 	return n
 }
 
+// Widths returns the parameter widths the golden run recorded at one
+// collective invocation, or false when the profile has no such invocation.
+func (p *Profile) Widths(rank int, pc uintptr, invocation int) (fault.Widths, bool) {
+	s := p.Sites[SiteKey{Rank: rank, PC: pc}]
+	// A rank's invocations of a site are appended in call order, so the
+	// invocation number is the slice index.
+	if s == nil || invocation < 0 || invocation >= len(s.Invs) || s.Invs[invocation].Index != invocation {
+		return fault.Widths{}, false
+	}
+	return s.Invs[invocation].Widths, true
+}
+
 // SitesOnRank returns rank's sites sorted by pc (the CALL_ID ordering).
 func (p *Profile) SitesOnRank(rank int) []*Site {
 	var out []*Site
@@ -221,6 +239,7 @@ func (c *Collector) BeforeCollective(call *mpi.CollectiveCall) {
 		ErrHandling: call.ErrHandling,
 		IsRoot:      isRoot,
 		Bytes:       bytes,
+		Widths:      fault.WidthsOf(call.Args),
 	})
 	s.numStack[call.StackHash]++
 

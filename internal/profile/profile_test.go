@@ -215,3 +215,38 @@ func TestSiteListDeterministicOrder(t *testing.T) {
 		}
 	}
 }
+
+// TestCollectorRecordsParameterWidths: the widths a fault wraps to are
+// recorded per invocation — they may differ between invocations of one site
+// — and a lookup outside the profile reports absence instead of guessing.
+func TestCollectorRecordsParameterWidths(t *testing.T) {
+	p := runProfiled(t, 2, func(r *mpi.Rank) error {
+		for n := 1; n <= 2; n++ {
+			send, recv := mpi.NewFloat64Buffer(3*n), mpi.NewFloat64Buffer(3*n)
+			r.Allreduce(send, recv, 3*n, mpi.Float64, mpi.OpSum, mpi.CommWorld)
+		}
+		r.Barrier(mpi.CommWorld)
+		return nil
+	})
+	for _, s := range p.SitesOnRank(1) {
+		for inv := range s.Invs {
+			w, ok := p.Widths(1, s.PC, inv)
+			if !ok {
+				t.Fatalf("%v invocation %d: no widths recorded", s.Type, inv)
+			}
+			want := 0
+			if s.Type == mpi.CollAllreduce {
+				want = 8 * 8 * 3 * (inv + 1)
+			}
+			if w.Send != want || w.Recv != want || w.Counts != 0 {
+				t.Errorf("%v invocation %d: widths %+v, want send=recv=%d counts=0", s.Type, inv, w, want)
+			}
+		}
+		if _, ok := p.Widths(1, s.PC, len(s.Invs)); ok {
+			t.Errorf("%v: widths reported for an invocation that never ran", s.Type)
+		}
+	}
+	if _, ok := p.Widths(1, 0xdead, 0); ok {
+		t.Error("widths reported for an unknown site")
+	}
+}
