@@ -40,7 +40,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"math/rand"
 	"os"
 	"os/signal"
@@ -76,6 +75,7 @@ func main() {
 
 func run() error {
 	camp := cliconf.Register(flag.CommandLine)
+	obsFlags := cliconf.RegisterObserver(flag.CommandLine, "fastfit", true)
 	var (
 		corr       = flag.Bool("correlations", false, "print the Table IV feature correlations")
 		advise     = flag.Bool("advise", false, "print per-site protection advice (paper §III-C criterion)")
@@ -86,9 +86,6 @@ func run() error {
 		retries    = flag.Int("retries", 0, "harness attempts per point before quarantine (0 = default 3)")
 		pointTmo   = flag.Duration("point-timeout", 0, "per-point watchdog (0 = derive from -trials and run timeout)")
 		envConfig  = flag.Bool("env-config", false, "run a single injection from Table II env vars instead of a campaign")
-		progress   = flag.Bool("progress", false, "print a live progress line (outcomes, pts/s, ETA) to stderr")
-		eventsPath = flag.String("events", "", "append the campaign's typed event stream as JSONL to this file")
-		verbose    = flag.Bool("v", false, "verbose progress")
 
 		senseStore   = flag.String("sense-store", "", "feature store directory; the finished campaign is ingested into DIR/"+sense.StoreFileName)
 		senseTrain   = flag.String("sense-train", "", "after ingesting, train a cross-campaign model over the -sense-store records and save it to this file")
@@ -111,30 +108,12 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	var observers []fastfit.Observer
-	if *verbose {
-		observers = append(observers, fastfit.LogfObserver(func(format string, args ...any) {
-			fmt.Printf("[fastfit] "+format+"\n", args...)
-		}))
+	observer, closeEvents, err := obsFlags.Build()
+	if err != nil {
+		return err
 	}
-	if *progress {
-		observers = append(observers, progressObserver(os.Stderr))
-	}
-	if *eventsPath != "" {
-		jo, err := fastfit.CreateJSONLObserver(*eventsPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := jo.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "fastfit: event stream %s: %v\n", *eventsPath, err)
-			}
-		}()
-		observers = append(observers, jo)
-	}
-	if len(observers) > 0 {
-		opts.Observer = fastfit.MultiObserver(observers...)
-	}
+	defer closeEvents()
+	opts.Observer = observer
 
 	var advisor *sense.Advisor
 	if *sensePredict != "" {
@@ -160,7 +139,7 @@ func run() error {
 	}
 
 	start := time.Now()
-	if *verbose {
+	if obsFlags.Verbose {
 		fmt.Printf("profiling %s (%d ranks, scale %d, %d iters)...\n", camp.App, cfg.Ranks, cfg.Scale, cfg.Iters)
 	}
 	var sup *fastfit.SupervisedResult
@@ -310,21 +289,6 @@ func senseIngest(res *fastfit.CampaignResult, dir, modelPath string, seed int64)
 	fmt.Printf("sense model: trained on %d records from %s, saved to %s\n",
 		model.Records, strings.Join(model.Apps, "+"), modelPath)
 	return nil
-}
-
-// progressObserver renders a self-overwriting live progress line from the
-// event stream: running outcome distribution, points/sec and ETA during the
-// campaign, a final summary line when it finishes.
-func progressObserver(w io.Writer) fastfit.Observer {
-	stats := fastfit.NewStreamStats()
-	return fastfit.MultiObserver(stats, fastfit.ObserverFunc(func(ev fastfit.Event) {
-		switch ev.(type) {
-		case fastfit.PointCompleted, fastfit.PointRefined, fastfit.PointQuarantined, fastfit.PhaseChanged:
-			fmt.Fprintf(w, "\r%-79s", stats.Snapshot().ProgressLine())
-		case fastfit.CampaignFinished:
-			fmt.Fprintf(w, "\r%-79s\n", stats.Snapshot().ProgressLine())
-		}
-	}))
 }
 
 // runEnvConfigured performs one injection described by the Table II

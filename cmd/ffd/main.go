@@ -32,7 +32,6 @@ import (
 	"errors"
 	"flag"
 	"fmt"
-	"io"
 	"net"
 	"net/http"
 	"os"
@@ -102,6 +101,7 @@ func signalContext() (context.Context, context.CancelFunc) {
 func runServe(args []string) error {
 	fs := flag.NewFlagSet("ffd serve", flag.ExitOnError)
 	camp := cliconf.Register(fs)
+	obsFlags := cliconf.RegisterObserver(fs, "ffd", true)
 	var (
 		listen     = fs.String("listen", "127.0.0.1:7411", "address to serve the coordinator API on")
 		store      = fs.String("store", "", "durable state root: WAL every campaign under DIR/<fingerprint>/ and recover unfinished campaigns on restart")
@@ -110,39 +110,16 @@ func runServe(args []string) error {
 		lookahead  = fs.Int("lookahead", 16, "speculative lease distance past the ML replay frontier")
 		checkpoint = fs.String("checkpoint", "", "write the merged campaign journal (framed records: read with cut -c19- | jq) to this path")
 		saveJSON   = fs.String("save", "", "write the merged campaign result to a JSON file")
-		progress   = fs.Bool("progress", false, "print a live progress line (outcomes, shards, pts/s) to stderr")
-		eventsPath = fs.String("events", "", "append the coordinator's typed event stream as JSONL to this file")
-		verbose    = fs.Bool("v", false, "verbose progress")
 	)
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 
-	var observers []core.Observer
-	if *verbose {
-		observers = append(observers, core.LogfObserver(func(format string, args ...any) {
-			fmt.Printf("[ffd] "+format+"\n", args...)
-		}))
+	feed, closeEvents, err := obsFlags.Build()
+	if err != nil {
+		return err
 	}
-	if *progress {
-		observers = append(observers, progressObserver(os.Stderr))
-	}
-	if *eventsPath != "" {
-		jo, err := core.CreateJSONLObserver(*eventsPath)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := jo.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ffd: event stream %s: %v\n", *eventsPath, err)
-			}
-		}()
-		observers = append(observers, jo)
-	}
-	var feed core.Observer
-	if len(observers) > 0 {
-		feed = core.MultiObserver(observers...)
-	}
+	defer closeEvents()
 
 	// The engines carry no observer: each coordinator authors its live feed
 	// itself (arrival-order point events, lease events, the merged finish).
@@ -387,19 +364,4 @@ func runStatus(args []string) error {
 		fmt.Printf("progress:   %s\n", st.Progress)
 	}
 	return nil
-}
-
-// progressObserver renders a self-overwriting live progress line from the
-// coordinator's event feed — the same line fastfit -progress prints, plus
-// the shard/lease segment StreamStats folds in from ShardLease events.
-func progressObserver(w io.Writer) core.Observer {
-	stats := core.NewStreamStats()
-	return core.MultiObserver(stats, core.ObserverFunc(func(ev core.Event) {
-		switch ev.(type) {
-		case core.PointCompleted, core.PointQuarantined, core.ShardLease, core.PhaseChanged:
-			fmt.Fprintf(w, "\r%-99s", stats.Snapshot().ProgressLine())
-		case core.CampaignFinished:
-			fmt.Fprintf(w, "\r%-99s\n", stats.Snapshot().ProgressLine())
-		}
-	}))
 }

@@ -26,7 +26,7 @@ import (
 	"strings"
 	"syscall"
 
-	"github.com/fastfit/fastfit"
+	"github.com/fastfit/fastfit/internal/cliconf"
 	"github.com/fastfit/fastfit/internal/experiments"
 )
 
@@ -45,6 +45,7 @@ func main() {
 }
 
 func run() error {
+	obsFlags := cliconf.RegisterObserver(flag.CommandLine, "ffexp", false)
 	var (
 		runID      = flag.String("run", "", "experiment id (fig1..fig13, table1..table4, ablation, adaptive, topology, transfer, summary) or 'all'")
 		scale      = flag.String("scale", "quick", "experiment scale: quick or paper")
@@ -57,8 +58,6 @@ func run() error {
 		confidence = flag.Float64("confidence", 0, "settling-rule confidence for adaptive budgets (0 = scale default: 0.95 quick, 0.999 paper)")
 		outDir     = flag.String("out", "", "write each report to <out>/<id>.txt instead of stdout")
 		csvOut     = flag.Bool("csv", false, "with -out: also write <out>/<id>.csv with the data series")
-		progress   = flag.Bool("progress", false, "print a live per-campaign progress line to stderr")
-		events     = flag.String("events", "", "append every campaign's typed event stream as JSONL to this file")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 	)
 	flag.Parse()
@@ -113,33 +112,12 @@ func run() error {
 		}
 	}
 
-	var observers []fastfit.Observer
-	if *progress {
-		stats := fastfit.NewStreamStats()
-		observers = append(observers, stats, fastfit.ObserverFunc(func(ev fastfit.Event) {
-			switch ev.(type) {
-			case fastfit.PointCompleted, fastfit.PointQuarantined, fastfit.PointRefined, fastfit.PhaseChanged:
-				fmt.Fprintf(os.Stderr, "\r%-79s", stats.Snapshot().ProgressLine())
-			case fastfit.CampaignFinished:
-				fmt.Fprintf(os.Stderr, "\r%-79s\n", stats.Snapshot().ProgressLine())
-			}
-		}))
+	observer, closeEvents, err := obsFlags.Build()
+	if err != nil {
+		return err
 	}
-	if *events != "" {
-		jo, err := fastfit.CreateJSONLObserver(*events)
-		if err != nil {
-			return err
-		}
-		defer func() {
-			if err := jo.Close(); err != nil {
-				fmt.Fprintf(os.Stderr, "ffexp: event stream %s: %v\n", *events, err)
-			}
-		}()
-		observers = append(observers, jo)
-	}
-	if len(observers) > 0 {
-		store.Observer = fastfit.MultiObserver(observers...)
-	}
+	defer closeEvents()
+	store.Observer = observer
 
 	ids := []string{*runID}
 	if *runID == "all" {

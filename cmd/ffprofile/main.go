@@ -3,31 +3,22 @@
 // table, call-stack diversity and rank-equivalence classes that the
 // semantic- and context-driven pruning techniques consume.
 //
-// With -trials it additionally drives N injected trials through the
-// engine hot path and reports per-trial wall time, memory churn and the
-// fork-at-injection-site accounting, which is how the numbers in
-// EXPERIMENTS.md were gathered; -nopool disables the buffer arena and
-// -nofork disables snapshot forking for before/after comparison.
+// Per-trial timing and allocation numbers are bench/ffbench's
+// (core.trial_fork_ms_p50, core.allocs_per_trial, ...; bench/README.md).
 //
 // Usage:
 //
 //	ffprofile -app lu -ranks 16
 //	ffprofile -app minimd -points     (each point with its fault-space size)
-//	ffprofile -app lu -ranks 32 -trials 200
-//	ffprofile -app lu -ranks 32 -trials 200 -nopool -nofork
 package main
 
 import (
 	"flag"
 	"fmt"
-	"math/rand"
 	"os"
-	"runtime"
-	"time"
 
 	"github.com/fastfit/fastfit"
 	"github.com/fastfit/fastfit/internal/core"
-	"github.com/fastfit/fastfit/internal/fault"
 )
 
 func main() {
@@ -44,9 +35,6 @@ func run() error {
 		scale   = flag.Int("scale", 0, "problem-size knob (0 = app default)")
 		iters   = flag.Int("iters", 0, "outer iterations (0 = app default)")
 		points  = flag.Bool("points", false, "also list the pruned injection points")
-		trials  = flag.Int("trials", 0, "run N injected trials and report ms/trial, allocs/trial, KB/trial")
-		nopool  = flag.Bool("nopool", false, "disable the buffer arena (per-trial allocation baseline)")
-		nofork  = flag.Bool("nofork", false, "disable fork-at-injection-site execution (full-replay baseline)")
 	)
 	flag.Parse()
 
@@ -65,10 +53,7 @@ func run() error {
 		cfg.Iters = *iters
 	}
 
-	opts := fastfit.DefaultOptions()
-	opts.DisablePooling = *nopool
-	opts.Fork.Disable = *nofork
-	engine := fastfit.New(app, cfg, opts)
+	engine := fastfit.New(app, cfg, fastfit.DefaultOptions())
 	prof, err := engine.Profile()
 	if err != nil {
 		return err
@@ -87,61 +72,6 @@ func run() error {
 		for _, p := range ctx {
 			fmt.Printf("  %s%s\n", p.String(), faultSpaceNote(engine, p))
 		}
-	}
-
-	if *trials > 0 {
-		if err := measureTrials(engine, *trials, *nopool); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// measureTrials drives n injected trials through the campaign hot path and
-// reports per-trial wall time and heap churn from runtime.ReadMemStats
-// deltas. Each trial rotates over the pruned injection points with a
-// deterministic per-trial fault, matching what a campaign executes.
-func measureTrials(engine *core.Engine, n int, nopool bool) error {
-	pts, err := engine.Points()
-	if err != nil {
-		return err
-	}
-	if len(pts) == 0 {
-		return fmt.Errorf("no injection points to measure")
-	}
-
-	// One warm-up trial populates the pools so steady state is measured.
-	warm := pts[0]
-	engine.RunOnce(fault.RandomFault(rand.New(rand.NewSource(0)), warm.Rank, warm.Site, warm.Invocation, warm.Type))
-
-	var m0, m1 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&m0)
-	start := time.Now()
-	for i := 0; i < n; i++ {
-		p := pts[i%len(pts)]
-		rng := rand.New(rand.NewSource(int64(i + 1)))
-		engine.RunOnce(fault.RandomFault(rng, p.Rank, p.Site, p.Invocation, p.Type))
-	}
-	elapsed := time.Since(start)
-	runtime.ReadMemStats(&m1)
-
-	mode := "pooled"
-	if nopool {
-		mode = "nopool"
-	}
-	st := engine.SnapshotStats()
-	if st.Forked > 0 {
-		mode += ", forked"
-	} else {
-		mode += ", full replay"
-	}
-	fmt.Printf("\ninjected trials: %d (%s)\n", n, mode)
-	fmt.Printf("  %8.3f ms/trial\n", float64(elapsed.Nanoseconds())/float64(n)/1e6)
-	fmt.Printf("  %8.0f allocs/trial\n", float64(m1.Mallocs-m0.Mallocs)/float64(n))
-	fmt.Printf("  %8.1f KB/trial\n", float64(m1.TotalAlloc-m0.TotalAlloc)/float64(n)/1024)
-	if st.Forked+st.Replayed > 0 {
-		fmt.Printf("  forked %d / replayed %d trials (%d snapshots)\n", st.Forked, st.Replayed, st.Snapshots)
 	}
 	return nil
 }

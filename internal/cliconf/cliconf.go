@@ -4,7 +4,9 @@
 // engine configuration. Keeping the mapping in one place is what lets a
 // distributed coordinator started with `ffd serve` host exactly the
 // campaign the same flags would run in-process under `fastfit` — same
-// flag names, same defaults, same fingerprint.
+// flag names, same defaults, same fingerprint. The event-stream flags
+// (-v, -progress, -events) those two share with ffexp live here too
+// (observer.go).
 package cliconf
 
 import (

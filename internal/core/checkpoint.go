@@ -49,8 +49,10 @@ func CampaignFingerprint(appName string, cfg apps.Config, opts Options, points [
 		appName, cfg.Ranks, cfg.Scale, cfg.Iters, cfg.Seed)
 	fmt.Fprintf(h, "trials=%d|seed=%d|policy=%d|sem=%t|ctx=%t|ml=%t|",
 		o.TrialsPerPoint, o.Seed, o.Policy, o.Pruning.Semantic, o.Pruning.Context, o.ML.Pruning)
-	fmt.Fprintf(h, "acc=%g|batch=%d|mintrain=%d|levels=%d|trees=%d|depth=%d|",
-		o.AccuracyThreshold, o.ML.Batch, o.ML.MinTrain, o.Levels, o.ForestTrees, o.ForestDepth)
+	// trees=0|depth=0: the forest bounds were options nobody set; the
+	// literals keep every existing fingerprint (WAL directory, sense key).
+	fmt.Fprintf(h, "acc=%g|batch=%d|mintrain=%d|levels=%d|trees=0|depth=0|",
+		o.AccuracyThreshold, o.ML.Batch, o.ML.MinTrain, o.Levels)
 	fmt.Fprintf(h, "adaptive=%t|conf=%g|", o.Adaptive.Enabled, o.Confidence)
 	// The network fault domain and algorithm variant are appended only when
 	// set, so fingerprints of classic campaigns (and their existing

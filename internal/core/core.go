@@ -69,10 +69,6 @@ type ML struct {
 	// Levels is the number of error-rate bands used as ML labels (the
 	// paper uses four: low, medium-low, medium-high, high).
 	Levels int
-	// ForestTrees and ForestDepth bound the random forest. Zeros pick the
-	// ml package defaults.
-	ForestTrees int
-	ForestDepth int
 }
 
 // Adaptive groups the sequential early-stopping options.
@@ -129,13 +125,8 @@ type Fork struct {
 // (trial execution), Pruning (static pruning), ML (learning loop),
 // Adaptive (early stopping), Network (standing fault environment), Fork
 // (fork-at-injection-site execution) and Sense (cross-campaign
-// zero-trial prediction). Unambiguous field reads keep
-// working through Go's embedded-field promotion (opts.Seed,
-// opts.TrialsPerPoint, ...); fields whose names changed in the regrouping
-// (SemanticPruning→Pruning.Semantic, ContextPruning→Pruning.Context,
-// MLPruning→ML.Pruning, MLBatch→ML.Batch, MLMinTrain→ML.MinTrain,
-// NetPlan→Network.Plan, AdaptiveTrials→Adaptive.Enabled) are a documented
-// one-release break; see DESIGN.md "Options regrouping".
+// zero-trial prediction). Unambiguous fields read through Go's
+// embedded-field promotion (opts.Seed, opts.TrialsPerPoint, ...).
 type Options struct {
 	Exec
 	Pruning

@@ -5,9 +5,13 @@ import (
 	"context"
 	"encoding/json"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
+
+	"github.com/fastfit/fastfit/internal/classify"
 )
 
 // eventRecorder captures a campaign's event stream for assertions.
@@ -186,6 +190,63 @@ func TestStreamStatsMatchesBreakdownML(t *testing.T) {
 	fin := events[len(events)-1].(CampaignFinished)
 	if fin.Predicted != len(sup.Predicted) {
 		t.Fatalf("CampaignFinished.Predicted = %d, want %d", fin.Predicted, len(sup.Predicted))
+	}
+}
+
+// TestStreamStatsResetsEveryField: one StreamStats observes a sequence of
+// campaigns (ffexp), so CampaignStarted must clear everything the previous
+// one tallied. The sequence below is an adaptive, sense-gated, sharded,
+// interrupted campaign on a faulted fabric — it must move every
+// StreamSnapshot field off zero, so a field added without an event here
+// fails the first loop and a field the reset misses fails the second.
+func TestStreamStatsResetsEveryField(t *testing.T) {
+	stats := NewStreamStats()
+	clock := time.Unix(1700000000, 0)
+	stats.now = func() time.Time { clock = clock.Add(time.Second); return clock }
+
+	res := PointResult{Point: Point{SiteName: "allreduce@solve"}}
+	res.Counts[classify.WrongAns] = 3
+	var added classify.Counts
+	added[classify.Success] = 2
+	for _, ev := range []Event{
+		CampaignStarted{App: "lu"},
+		FaultDomainEvent{Kind: "topology", Spec: "ring"},
+		FaultDomainEvent{Kind: "link"}, FaultDomainEvent{Kind: "drop"}, FaultDomainEvent{Kind: "crash"},
+		PhaseChanged{Phase: CampaignInjecting, Points: 4},
+		ShardLease{Kind: "granted", Worker: "a"}, ShardLease{Kind: "granted", Worker: "b"},
+		ShardLease{Kind: "expired", Worker: "b"},
+		PointCompleted{Result: res, Completed: 1, Total: 4, FromCheckpoint: true},
+		PointCompleted{Result: res, Completed: 2, Total: 4},
+		PointSettled{Saved: 5},
+		PointRetried{},
+		PointQuarantined{Completed: 3, Total: 4},
+		BatchVerified{Accuracy: 0.9},
+		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4},
+		SenseStats{Served: 1, Fallback: 2, CacheHits: 3},
+		PhaseChanged{Phase: CampaignRefining},
+		PointRefined{Result: res, Added: added, Extra: 2},
+		CampaignFinished{Predicted: 1, Cancelled: true},
+	} {
+		stats.OnEvent(ev)
+	}
+	before := reflect.ValueOf(stats.Snapshot())
+	for i := 0; i < before.NumField(); i++ {
+		if before.Field(i).IsZero() {
+			t.Errorf("the event sequence leaves StreamSnapshot.%s at zero; extend it", before.Type().Field(i).Name)
+		}
+	}
+
+	stats.now = func() time.Time { return clock }
+	stats.OnEvent(CampaignStarted{App: "mg"})
+	after := reflect.ValueOf(stats.Snapshot())
+	for i := 0; i < after.NumField(); i++ {
+		name := after.Type().Field(i).Name
+		if name != "App" && name != "Phase" && !after.Field(i).IsZero() {
+			t.Errorf("StreamSnapshot.%s = %v after a second CampaignStarted; the previous campaign's tally leaked", name, after.Field(i))
+		}
+	}
+	if sn := stats.Snapshot(); sn.App != "mg" || sn.Phase != CampaignProfiling || len(stats.SiteCounts()) != 0 {
+		t.Errorf("second campaign starts as %q in phase %v with %d sites", sn.App, sn.Phase, len(stats.SiteCounts()))
 	}
 }
 

@@ -223,7 +223,7 @@ func (s *snapshotStats) noteSnapshot(key forkKey) {
 
 // SnapshotStats returns the engine's current fork accounting — the same
 // values the SnapshotStats event carries at campaign end. Useful for tools
-// (ffprofile) that report fork effectiveness without observing a stream.
+// (bench/ffbench) that report fork effectiveness without observing a stream.
 func (e *Engine) SnapshotStats() SnapshotStats { return e.stats.snapshot() }
 
 // snapshot renders the accounting as its stream event.

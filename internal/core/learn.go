@@ -177,11 +177,7 @@ func (e *Engine) learnCampaignBatched(points []Point, inject batchInjector) (Lea
 // trainLevelForest fits the error-rate-level forest on measured results.
 func (e *Engine) trainLevelForest(measured []PointResult) *ml.Forest {
 	ds := BuildLevelDataset(measured, e.opts.Levels)
-	return ml.TrainForest(ds, ml.ForestConfig{
-		Trees:    e.opts.ForestTrees,
-		MaxDepth: e.opts.ForestDepth,
-		Seed:     e.opts.Seed * 17,
-	})
+	return ml.TrainForest(ds, ml.ForestConfig{Seed: e.opts.Seed * 17})
 }
 
 // BuildLevelDataset converts measured points into an ML dataset labelled

@@ -27,41 +27,15 @@ import (
 type StreamStats struct {
 	now func() time.Time // injectable clock for tests
 
-	mu             sync.Mutex
-	start          time.Time
-	app            string
-	phase          CampaignPhase
-	counts         classify.Counts
-	sites          map[string]classify.Counts
-	completed      int
-	total          int
-	injected       int // measured in this run (excludes checkpoint restores)
-	fromCheckpoint int
-	quarantined    int
-	retries        int
-	batches        int
-	verifyAccuracy float64
-	predicted      int
-	settled        int // points the settling rule stopped early
-	trialsSaved    int // budgeted trials reclaimed by early stopping
-	refined        int // points extended by the refinement pass
-	trialsRefined  int // extra trials respent by the refinement pass
-	snapshots      int // distinct injection prefixes forked from
-	forkedTrials   int // trials run from a prefix snapshot
-	replayedTrials int // trials that fell back to full replay
-	memoisedTrials int // trials that reused an earlier trial's outcome
-	senseServed    int // points answered zero-trial by the sense advisor
-	senseFallback  int // advisor queries that fell back to real injection
-	senseCacheHits int // advisor queries answered from the subspace cache
-	topology       string
-	linksDown      int             // standing permanent link failures (FaultDomainEvent)
-	dropBursts     int             // standing transient drop bursts
-	nodesDown      int             // standing at-start node crashes
-	shardWorkers   map[string]bool // shards ever granted a lease (ShardLease)
-	leasesActive   int             // leases granted and not yet completed/expired
-	leasesExpired  int             // leases reaped past their deadline (re-leased)
-	finished       bool
-	cancelled      bool
+	mu sync.Mutex
+	// sn holds every counter once, in the shape Snapshot returns it; the
+	// fields Snapshot derives (ErrorRate, PointsPerSec, ETA, Elapsed) stay
+	// zero here. CampaignStarted resets it by assignment.
+	sn           StreamSnapshot
+	start        time.Time
+	sites        map[string]classify.Counts
+	injected     int             // measured in this run (excludes checkpoint restores)
+	shardWorkers map[string]bool // shards ever granted a lease (ShardLease)
 }
 
 // NewStreamStats builds an empty statistics observer.
@@ -73,81 +47,58 @@ func NewStreamStats() *StreamStats {
 func (s *StreamStats) OnEvent(ev Event) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	sn := &s.sn
 	switch ev := ev.(type) {
 	case CampaignStarted:
+		*sn = StreamSnapshot{App: ev.App, Phase: CampaignProfiling}
 		s.start = s.now()
-		s.app = ev.App
-		s.phase = CampaignProfiling
-		s.counts = classify.Counts{}
 		s.sites = map[string]classify.Counts{}
-		s.completed, s.total = 0, 0
-		s.injected, s.fromCheckpoint, s.quarantined, s.retries = 0, 0, 0, 0
-		s.batches, s.verifyAccuracy, s.predicted = 0, 0, 0
-		s.settled, s.trialsSaved, s.refined, s.trialsRefined = 0, 0, 0, 0
-		s.snapshots, s.forkedTrials, s.replayedTrials, s.memoisedTrials = 0, 0, 0, 0
-		s.senseServed, s.senseFallback, s.senseCacheHits = 0, 0, 0
-		s.topology, s.linksDown, s.dropBursts, s.nodesDown = "", 0, 0, 0
+		s.injected = 0
 		s.shardWorkers = nil
-		s.leasesActive, s.leasesExpired = 0, 0
-		s.finished, s.cancelled = false, false
 	case FaultDomainEvent:
 		switch ev.Kind {
 		case "topology":
-			s.topology = ev.Spec
+			sn.Topology = ev.Spec
 		case "link":
-			s.linksDown++
+			sn.LinksDown++
 		case "drop":
-			s.dropBursts++
+			sn.DropBursts++
 		case "crash":
-			s.nodesDown++
+			sn.NodesDown++
 		}
 	case PhaseChanged:
-		s.phase = ev.Phase
+		sn.Phase = ev.Phase
 		if ev.Points > 0 && (ev.Phase == CampaignInjecting || ev.Phase == CampaignLearning) {
-			s.total = ev.Points
+			sn.Total = ev.Points
 		}
 	case PointCompleted:
-		s.completed, s.total = ev.Completed, ev.Total
-		s.counts.Merge(ev.Result.Counts)
-		site := ev.Result.Point.SiteName
-		c := s.sites[site]
-		c.Merge(ev.Result.Counts)
-		s.sites[site] = c
+		sn.Completed, sn.Total = ev.Completed, ev.Total
+		s.merge(ev.Result.Point.SiteName, ev.Result.Counts)
 		if ev.FromCheckpoint {
-			s.fromCheckpoint++
+			sn.FromCheckpoint++
 		} else {
 			s.injected++
 		}
 	case PointSettled:
-		s.settled++
-		s.trialsSaved += ev.Saved
+		sn.Settled++
+		sn.TrialsSaved += ev.Saved
 	case PointRefined:
 		// Added holds only the extra trials, so merging keeps Counts equal
 		// to OutcomeBreakdown over the final Measured slice.
-		s.counts.Merge(ev.Added)
-		site := ev.Result.Point.SiteName
-		c := s.sites[site]
-		c.Merge(ev.Added)
-		s.sites[site] = c
-		s.refined++
-		s.trialsRefined += ev.Extra
+		s.merge(ev.Result.Point.SiteName, ev.Added)
+		sn.Refined++
+		sn.TrialsRefined += ev.Extra
 	case PointQuarantined:
-		s.completed, s.total = ev.Completed, ev.Total
-		s.quarantined++
+		sn.Completed, sn.Total = ev.Completed, ev.Total
+		sn.Quarantined++
 	case PointRetried:
-		s.retries++
+		sn.Retries++
 	case BatchVerified:
-		s.batches++
-		s.verifyAccuracy = ev.Accuracy
+		sn.VerifyAccuracy = ev.Accuracy
 	case SnapshotStats:
-		s.snapshots = ev.Snapshots
-		s.forkedTrials = ev.Forked
-		s.replayedTrials = ev.Replayed
-		s.memoisedTrials = ev.Memoised
+		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised
 	case SenseStats:
-		s.senseServed = ev.Served
-		s.senseFallback = ev.Fallback
-		s.senseCacheHits = ev.CacheHits
+		sn.SenseServed, sn.SenseFallback, sn.SenseCacheHits = ev.Served, ev.Fallback, ev.CacheHits
 	case ShardLease:
 		switch ev.Kind {
 		case "granted":
@@ -155,25 +106,34 @@ func (s *StreamStats) OnEvent(ev Event) {
 				s.shardWorkers = map[string]bool{}
 			}
 			s.shardWorkers[ev.Worker] = true
-			s.leasesActive++
+			sn.ShardWorkers = len(s.shardWorkers)
+			sn.LeasesActive++
 		case "completed":
-			s.leasesActive--
+			sn.LeasesActive--
 		case "expired":
-			s.leasesActive--
-			s.leasesExpired++
+			sn.LeasesActive--
+			sn.LeasesExpired++
 		}
 	case CampaignFinished:
-		s.finished = true
-		s.cancelled = ev.Cancelled
-		s.predicted = ev.Predicted
+		sn.Finished = true
+		sn.Cancelled = ev.Cancelled
+		sn.Predicted = ev.Predicted
 	}
+}
+
+// merge adds one point's tallies to the campaign and per-site distributions.
+func (s *StreamStats) merge(site string, c classify.Counts) {
+	s.sn.Counts.Merge(c)
+	sc := s.sites[site]
+	sc.Merge(c)
+	s.sites[site] = sc
 }
 
 // Counts returns the running outcome distribution over completed points.
 func (s *StreamStats) Counts() classify.Counts {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return s.counts
+	return s.sn.Counts
 }
 
 // SiteCounts returns a copy of the per-call-site outcome tallies.
@@ -230,39 +190,8 @@ type StreamSnapshot struct {
 func (s *StreamStats) Snapshot() StreamSnapshot {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	sn := StreamSnapshot{
-		App:            s.app,
-		Phase:          s.phase,
-		Completed:      s.completed,
-		Total:          s.total,
-		FromCheckpoint: s.fromCheckpoint,
-		Quarantined:    s.quarantined,
-		Retries:        s.retries,
-		Predicted:      s.predicted,
-		Settled:        s.settled,
-		TrialsSaved:    s.trialsSaved,
-		Refined:        s.refined,
-		TrialsRefined:  s.trialsRefined,
-		Snapshots:      s.snapshots,
-		Forked:         s.forkedTrials,
-		Replayed:       s.replayedTrials,
-		Memoised:       s.memoisedTrials,
-		SenseServed:    s.senseServed,
-		SenseFallback:  s.senseFallback,
-		SenseCacheHits: s.senseCacheHits,
-		Topology:       s.topology,
-		LinksDown:      s.linksDown,
-		DropBursts:     s.dropBursts,
-		NodesDown:      s.nodesDown,
-		ShardWorkers:   len(s.shardWorkers),
-		LeasesActive:   s.leasesActive,
-		LeasesExpired:  s.leasesExpired,
-		Counts:         s.counts,
-		ErrorRate:      s.counts.ErrorRate(),
-		VerifyAccuracy: s.verifyAccuracy,
-		Finished:       s.finished,
-		Cancelled:      s.cancelled,
-	}
+	sn := s.sn
+	sn.ErrorRate = sn.Counts.ErrorRate()
 	if !s.start.IsZero() {
 		sn.Elapsed = s.now().Sub(s.start)
 	}
@@ -271,7 +200,7 @@ func (s *StreamStats) Snapshot() StreamSnapshot {
 	// collapse the ETA.
 	if sn.Elapsed > 0 && s.injected > 0 {
 		sn.PointsPerSec = float64(s.injected) / sn.Elapsed.Seconds()
-		if remaining := s.total - s.completed; remaining > 0 {
+		if remaining := sn.Total - sn.Completed; remaining > 0 {
 			sn.ETA = time.Duration(float64(remaining) / sn.PointsPerSec * float64(time.Second))
 		}
 	}

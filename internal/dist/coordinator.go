@@ -24,9 +24,6 @@ type CoordinatorOptions struct {
 	// not to need are discarded at merge. Zero means 16; ignored on
 	// non-ML campaigns (the whole space is needed). Negative means none.
 	Lookahead int
-	// SubscriberBuffer is each SSE subscriber's frame-channel capacity.
-	// Zero means 256.
-	SubscriberBuffer int
 	// Now is the lease clock, injectable for tests. Nil means time.Now.
 	// Expiry is reaped lazily on API calls — no background timers, so a
 	// fake clock fully controls lease death.
@@ -60,9 +57,6 @@ func (o CoordinatorOptions) withDefaults() CoordinatorOptions {
 	}
 	if o.Lookahead < 0 {
 		o.Lookahead = 0
-	}
-	if o.SubscriberBuffer <= 0 {
-		o.SubscriberBuffer = 256
 	}
 	if o.Now == nil {
 		o.Now = time.Now

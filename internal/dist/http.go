@@ -112,6 +112,11 @@ func (c *Coordinator) handleStatus(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, c.Status())
 }
 
+// subscriberBuffer is each SSE subscriber's frame-channel capacity: room
+// for a burst of point events while the handler flushes; a subscriber that
+// falls further behind has frames dropped and counted, never blocks the hub.
+const subscriberBuffer = 256
+
 // serveEvents streams the live event feed as server-sent events. Each
 // frame is one message carrying its seq as the SSE `id:` field and the
 // seq-numbered EventFrame envelope as `data:`. A subscriber that reads too
@@ -136,7 +141,7 @@ func (c *Coordinator) serveEvents(w http.ResponseWriter, r *http.Request) {
 		}
 		afterSeq = n
 	}
-	sub, replay := c.hub.SubscribeFrom(afterSeq, c.opts.SubscriberBuffer)
+	sub, replay := c.hub.SubscribeFrom(afterSeq, subscriberBuffer)
 	defer c.hub.Unsubscribe(sub)
 	w.Header().Set("Content-Type", "text/event-stream")
 	w.Header().Set("Cache-Control", "no-cache")

@@ -154,19 +154,6 @@ func Run(id string, st *Store) (*Result, error) {
 	return gen(st)
 }
 
-// RunAll generates every experiment in order, stopping on the first error.
-func RunAll(st *Store) ([]*Result, error) {
-	var out []*Result
-	for _, id := range registryOrder {
-		r, err := Run(id, st)
-		if err != nil {
-			return out, fmt.Errorf("%s: %w", id, err)
-		}
-		out = append(out, r)
-	}
-	return out, nil
-}
-
 // ---- small rendering helpers ----
 
 // table renders rows of cells with aligned columns.

@@ -39,6 +39,29 @@ func renderOutcomeTable(names []string, counts []classify.Counts) string {
 	return table(header, rows)
 }
 
+// renderLevelTable fills r with the low/med/high share of injection points
+// per collective type (the shape of paper Figs. 8 and 11); collectives with
+// no measured point are left out.
+func renderLevelTable(r *Result, byColl map[mpi.CollType][3]int) {
+	header := []string{"", "low", "med", "high", "points"}
+	var rows [][]string
+	var labels []string
+	for _, t := range core.SortedCollTypes(byColl) {
+		b := byColl[t]
+		tot := b[0] + b[1] + b[2]
+		if tot == 0 {
+			continue
+		}
+		shares := []float64{float64(b[0]) / float64(tot), float64(b[1]) / float64(tot), float64(b[2]) / float64(tot)}
+		rows = append(rows, []string{t.String(), pct(shares[0]), pct(shares[1]), pct(shares[2]), fmt.Sprint(tot)})
+		labels = append(labels, t.String())
+		r.Series[t.String()] = shares
+	}
+	r.Labels["collectives"] = labels
+	r.Labels["levels"] = []string{"low", "med", "high"}
+	r.Text = table(header, rows)
+}
+
 // Fig7 regenerates the NPB error-type breakdown (paper Fig. 7): the
 // response distribution when faults are injected into each kernel's
 // collectives under the data-buffer policy.
@@ -83,32 +106,7 @@ func Fig8(st *Store) (*Result, error) {
 			agg[t] = cur
 		}
 	}
-	header := []string{"", "low", "med", "high", "points"}
-	var rows [][]string
-	var labels []string
-	for _, t := range core.SortedCollTypes(agg) {
-		b := agg[t]
-		tot := b[0] + b[1] + b[2]
-		if tot == 0 {
-			continue
-		}
-		rows = append(rows, []string{
-			t.String(),
-			pct(float64(b[0]) / float64(tot)),
-			pct(float64(b[1]) / float64(tot)),
-			pct(float64(b[2]) / float64(tot)),
-			fmt.Sprint(tot),
-		})
-		labels = append(labels, t.String())
-		r.Series[t.String()] = []float64{
-			float64(b[0]) / float64(tot),
-			float64(b[1]) / float64(tot),
-			float64(b[2]) / float64(tot),
-		}
-	}
-	r.Labels["collectives"] = labels
-	r.Labels["levels"] = []string{"low", "med", "high"}
-	r.Text = table(header, rows)
+	renderLevelTable(r, agg)
 	r.Notes = append(r.Notes,
 		"Paper shape: faulty MPI_Reduce and MPI_Barrier are the most damaging; MPI_Alltoallv the mildest.")
 	return r, nil
@@ -197,33 +195,7 @@ func Fig11(st *Store) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	byColl := core.LevelsByCollective(c.Measured)
-	header := []string{"", "low", "med", "high", "points"}
-	var rows [][]string
-	var labels []string
-	for _, t := range core.SortedCollTypes(byColl) {
-		b := byColl[t]
-		tot := b[0] + b[1] + b[2]
-		if tot == 0 {
-			continue
-		}
-		rows = append(rows, []string{
-			t.String(),
-			pct(float64(b[0]) / float64(tot)),
-			pct(float64(b[1]) / float64(tot)),
-			pct(float64(b[2]) / float64(tot)),
-			fmt.Sprint(tot),
-		})
-		labels = append(labels, t.String())
-		r.Series[t.String()] = []float64{
-			float64(b[0]) / float64(tot),
-			float64(b[1]) / float64(tot),
-			float64(b[2]) / float64(tot),
-		}
-	}
-	r.Labels["collectives"] = labels
-	r.Labels["levels"] = []string{"low", "med", "high"}
-	r.Text = table(header, rows)
+	renderLevelTable(r, core.LevelsByCollective(c.Measured))
 	r.Notes = append(r.Notes,
 		"Paper shape: faulty MPI_Barrier is lethal (high/med dominated); MPI_Allreduce shows a low error rate despite being >84% of LAMMPS's collectives.")
 	return r, nil

@@ -60,19 +60,6 @@ func (f *Fork) Cut(rank int) int {
 	return f.cut[rank]
 }
 
-// ReplayedEvents returns the total number of tape events the fork serves
-// from the trace instead of executing (diagnostics and ffprofile -fork).
-func (f *Fork) ReplayedEvents() int {
-	if f == nil {
-		return 0
-	}
-	n := 0
-	for _, c := range f.cut {
-		n += c
-	}
-	return n
-}
-
 // Fork computes the injection-prefix snapshot for a fault addressed to the
 // collective at (rank, site, invocation). It returns nil when the trace is
 // not forkable or the addressed call does not appear on the tape (the
@@ -236,35 +223,28 @@ func (r *Rank) replayRecv() []byte {
 	return data
 }
 
-// replayCollective serves one collective from the tape: it mirrors the
-// live path's bookkeeping — the work-budget charge, the per-site
-// invocation counter (from the recorded site, so the injector's addressed
-// invocation index stays exact) and the per-comm sequence number — then
-// writes the recorded result prefix into the same buffer the live
-// algorithm would have written.
+// replayCollective serves one collective from the tape into the buffer the
+// live algorithm would have written: Bcast's result lands in its one
+// buffer (send), every other collective's in recv (collResultSpan).
 func (r *Rank) replayCollective(t CollType, send, recv *Buffer, comm Comm) {
-	r.Tick(collectiveWorkCharge)
-	ev := r.replay.replayNext(evColl, t.String())
-	if ev.coll != t {
-		panic(fmt.Sprintf("fork replay divergence: tape holds %v, application called %v", ev.coll, t))
-	}
-	r.invents[ev.site]++
-	r.nextSeq(comm)
-	if ev.n > 0 {
+	if span := r.replayCollectiveBytes(t, comm); span != nil {
 		dst := recv
-		if ev.buf == bufSend {
+		if t == CollBcast {
 			dst = send
 		}
-		dst.WriteAt("fork replay", 0, r.replay.tape.span(ev.off, ev.n))
+		dst.WriteAt("fork replay", 0, span)
 	}
 }
 
 // replayCollectiveBytes serves one collective from the tape without going
-// through simulated buffers: it performs replayCollective's bookkeeping and
-// returns the recorded local result span (nil when the call had none —
-// Barrier, or a non-root rank of a rooted operation). The convenience
-// wrappers use it to decode results straight off the immutable tape,
-// skipping the marshal + result-copy + decode round-trip a live call needs.
+// through simulated buffers: it mirrors the live path's bookkeeping — the
+// work-budget charge, the per-site invocation counter (from the recorded
+// site, so the injector's addressed invocation index stays exact) and the
+// per-comm sequence number — and returns the recorded local result span
+// (nil when the call had none: Barrier, or a non-root rank of a rooted
+// operation). The convenience wrappers decode results straight off the
+// immutable tape with it, skipping the marshal + result-copy + decode
+// round-trip a live call needs.
 func (r *Rank) replayCollectiveBytes(t CollType, comm Comm) []byte {
 	r.Tick(collectiveWorkCharge)
 	ev := r.replay.replayNext(evColl, t.String())

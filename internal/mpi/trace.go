@@ -29,19 +29,11 @@ const (
 	evColl              // a collective completed
 )
 
-// Collective result destinations.
-const (
-	bufNone uint8 = iota // no local result (Barrier, non-root Gather/Reduce)
-	bufSend              // result lands in Args.Send (Bcast)
-	bufRecv              // result lands in Args.Recv (everything else)
-)
-
 // traceEvent is one recorded communication step on one rank. The fields are
 // a union over the three kinds; payload spans index the owning rank's tape
 // data arena.
 type traceEvent struct {
 	kind uint8
-	buf  uint8 // evColl: which buffer receives the result span
 	comm Comm
 
 	// evSend: peer = destination (rank within comm).
@@ -94,23 +86,6 @@ func (t *Trace) Reason() string {
 		return "no trace recorded"
 	}
 	return t.reason
-}
-
-// Events returns the number of recorded events on one rank (profiling and
-// diagnostics; ffprofile -fork prints these).
-func (t *Trace) Events(rank int) int {
-	if t == nil || rank < 0 || rank >= len(t.ranks) {
-		return 0
-	}
-	return len(t.ranks[rank].events)
-}
-
-// NumRanks returns the number of per-rank tapes.
-func (t *Trace) NumRanks() int {
-	if t == nil {
-		return 0
-	}
-	return len(t.ranks)
 }
 
 // DataBytes returns the total payload bytes captured across all tapes.
@@ -210,7 +185,7 @@ func (rec *traceRecorder) recordCollective(r *Rank, call *CollectiveCall) {
 	buf, n := collResultSpan(r, call)
 	tape := &rec.ranks[r.id]
 	ev := traceEvent{
-		kind: evColl, comm: call.Args.Comm, buf: bufNone,
+		kind: evColl, comm: call.Args.Comm,
 		coll: call.Type, site: call.Site, inv: int32(call.Invocation),
 		seq: r.collSeq[call.Args.Comm] - 1,
 	}
@@ -223,11 +198,6 @@ func (rec *traceRecorder) recordCollective(r *Rank, call *CollectiveCall) {
 		ev.off = int32(len(tape.data))
 		ev.n = int32(n)
 		tape.data = append(tape.data, buf.mem[:n]...)
-		if buf == call.Args.Send {
-			ev.buf = bufSend
-		} else {
-			ev.buf = bufRecv
-		}
 	}
 	tape.events = append(tape.events, ev)
 }
