@@ -8,7 +8,7 @@ import (
 	"github.com/fastfit/fastfit/internal/stats"
 )
 
-// Adaptive trial budgets (Options.AdaptiveTrials): instead of spending a
+// Adaptive trial budgets (Options.Adaptive.Enabled): instead of spending a
 // fixed TrialsPerPoint at every injection point, a sequential settling
 // rule (internal/stats.SettleTest) watches each point's outcome stream and
 // stops as soon as the dominant outcome is statistically separated from
@@ -77,7 +77,7 @@ func (e *Engine) InjectPointAdaptive(ctx context.Context, p Point, pointIdx int)
 }
 
 // injectAuto dispatches to the adaptive or fixed-budget injector according
-// to Options.AdaptiveTrials.
+// to Options.Adaptive.Enabled.
 func (e *Engine) injectAuto(ctx context.Context, p Point, pointIdx int) (PointResult, error) {
 	if e.opts.Adaptive.Enabled {
 		return e.InjectPointAdaptive(ctx, p, pointIdx)

@@ -124,7 +124,7 @@ func TestAdaptiveSerialMatchesSupervised(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, serial), campaignJSONBytes(t, sup.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
 		t.Fatalf("adaptive supervised campaign diverged from serial:\nserial:     %s\nsupervised: %s",
 			serial.Summary(), sup.Summary())
 	}
@@ -177,7 +177,7 @@ func TestAdaptiveInterruptResumeDeterminism(t *testing.T) {
 	if res.FromCheckpoint == 0 {
 		t.Fatal("resume restored nothing from the checkpoint")
 	}
-	if !bytes.Equal(campaignJSONBytes(t, full.CampaignResult), campaignJSONBytes(t, res.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
 		t.Fatalf("resumed adaptive campaign diverged from uninterrupted run:\nfull:    %s\nresumed: %s",
 			full.Summary(), res.Summary())
 	}
@@ -206,7 +206,7 @@ func TestAdaptiveMLSerialSupervisedResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, serial), campaignJSONBytes(t, full.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, full.CampaignResult)) {
 		t.Fatalf("adaptive ML supervised run diverged from serial:\nserial:     %s\nsupervised: %s",
 			serial.Summary(), full.Summary())
 	}
@@ -237,7 +237,7 @@ func TestAdaptiveMLSerialSupervisedResumeIdentity(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, full.CampaignResult), campaignJSONBytes(t, res.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
 		t.Fatalf("resumed adaptive ML campaign diverged:\nfull:    %s\nresumed: %s",
 			full.Summary(), res.Summary())
 	}

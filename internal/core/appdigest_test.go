@@ -72,7 +72,7 @@ func TestGoldenAppOutcomes(t *testing.T) {
 					t.Fatalf("%s seed %d %s measured nothing", app.Name(), seed, mode)
 				}
 				fmt.Fprintf(&out, "%s/seed=%d/%s json=%x stream=%x\n", app.Name(), seed, mode,
-					digest(campaignJSONBytes(t, res)), digest(stream.Bytes()))
+					digest(campaignBytes(t, res)), digest(stream.Bytes()))
 			}
 		}
 

@@ -10,38 +10,38 @@ import (
 // application: the pruning accounting of the paper's Table III plus the
 // per-point injection results feeding every sensitivity figure.
 type CampaignResult struct {
-	AppName string
-	Ranks   int
+	AppName string `json:"app"`
+	Ranks   int    `json:"ranks"`
 	// Policy is the fault policy the campaign injected under. It is part of
 	// the transferable feature schema: outcome tallies are only comparable
 	// across campaigns that corrupted the same thing.
-	Policy FaultPolicy
+	Policy FaultPolicy `json:"policy"`
 
 	// Point accounting through the pruning pipeline.
-	TotalPoints   int // all (rank, site, invocation) triples
-	AfterSemantic int
-	AfterContext  int
-	Injected      int // points actually injected
-	PredictedN    int // points predicted by the model
+	TotalPoints   int `json:"totalPoints"` // all (rank, site, invocation) triples
+	AfterSemantic int `json:"afterSemantic"`
+	AfterContext  int `json:"afterContext"`
+	Injected      int `json:"injected"`  // points actually injected
+	PredictedN    int `json:"predicted"` // points predicted by the model
 
 	// Reduction ratios as the paper reports them: each technique's
 	// reduction is relative to the space it received (Table III's MPI,
 	// App and ML columns), and Total is relative to the full space.
-	SemanticReduction float64
-	ContextReduction  float64
-	MLReduction       float64
-	TotalReduction    float64
+	SemanticReduction float64 `json:"semanticReduction"`
+	ContextReduction  float64 `json:"contextReduction"`
+	MLReduction       float64 `json:"mlReduction"`
+	TotalReduction    float64 `json:"totalReduction"`
+	VerifyAccuracy    float64 `json:"verifyAccuracy"`
 
-	Measured       []PointResult
-	Predicted      []Prediction
-	VerifyAccuracy float64
-	Learn          *LearnResult
+	Measured  []PointResult `json:"measured"`
+	Predicted []Prediction  `json:"predictions,omitempty"`
+	Learn     *LearnResult  `json:"-"`
 
 	// SenseAdvised holds the points answered from the cross-campaign model
 	// with zero trials (Options.Sense). Empty on campaigns that never
-	// served a prediction, so never-sensed and gate-disabled runs persist
-	// byte-identically.
-	SenseAdvised []SenseAdvice
+	// served a prediction — and then omitted from the file — so never-sensed
+	// and gate-disabled runs persist byte-identically.
+	SenseAdvised []SenseAdvice `json:"senseAdvised,omitempty"`
 }
 
 // campaignPlan is the profiled-and-pruned injection space of one campaign:

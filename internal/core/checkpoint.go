@@ -79,35 +79,27 @@ type ckptHeader struct {
 	Total       int    `json:"totalPoints"` // points scheduled for injection
 }
 
-type ckptPoint struct {
-	Kind   string          `json:"kind"` // "point"
-	Index  int             `json:"index"`
-	Result pointResultJSON `json:"result"`
-	// Base is the point's phase-1 trial count under adaptive budgets: the
-	// prefix length the settling rule stopped at (or the full budget). A
-	// refined point is journaled as a second record for the same index
-	// whose trial list extends past Base; a resumed campaign replays
-	// Trials[:Base] through the learn loop so the model retraces the
-	// uninterrupted path. Zero (legacy records) means all trials.
-	Base int `json:"baseTrials,omitempty"`
+// journalPoint and journalQuarantine are the journal's two record payloads:
+// the record's own fields (its json tags are the schema) behind the kind
+// that says which record follows.
+type journalPoint struct {
+	Kind string `json:"kind"` // "point"
+	PointRecord
 }
 
-type ckptQuarantine struct {
-	Kind     string    `json:"kind"` // "quarantine"
-	Index    int       `json:"index"`
-	Point    pointJSON `json:"point"`
-	Attempts int       `json:"attempts"`
-	Err      string    `json:"error"`
+type journalQuarantine struct {
+	Kind string `json:"kind"` // "quarantine"
+	QuarantinedPoint
 }
 
 // QuarantinedPoint is a poison point: one that repeatedly wedged or crashed
 // the injection harness itself (not the simulated application) and was
 // withdrawn from the campaign so the remaining points could complete.
 type QuarantinedPoint struct {
-	Point    Point
-	Index    int    // position in the campaign's injection order
-	Attempts int    // harness attempts before giving up
-	Err      string // last harness failure
+	Index    int    `json:"index"` // position in the campaign's injection order
+	Point    Point  `json:"point"`
+	Attempts int    `json:"attempts"` // harness attempts before giving up
+	Err      string `json:"error"`    // last harness failure
 }
 
 // CheckpointState is the replayable content of a checkpoint journal.
@@ -185,8 +177,13 @@ func (st *CheckpointState) foldInto(fingerprint string) func(recfile.Record) err
 // loadErr names the version when a journal that failed to load turns out
 // to be an unframed version-1 file, which would otherwise read as corrupt.
 func loadErr(path string, err error) error {
-	if data, rerr := os.ReadFile(path); rerr == nil && len(data) > 0 && data[0] == '{' {
-		return fmt.Errorf("checkpoint %s: %w 1 (unframed JSONL; want %d)", path, ErrCheckpointVersion, checkpointVersion)
+	if f, oerr := os.Open(path); oerr == nil {
+		var first [1]byte
+		n, _ := f.Read(first[:])
+		f.Close()
+		if n == 1 && first[0] == '{' {
+			return fmt.Errorf("checkpoint %s: %w 1 (unframed JSONL; want %d)", path, ErrCheckpointVersion, checkpointVersion)
+		}
 	}
 	return fmt.Errorf("checkpoint %w", err)
 }
@@ -224,16 +221,15 @@ func OpenCheckpoint(path, fingerprint string) (*Checkpoint, *CheckpointState, er
 }
 
 // AppendResult journals one completed injection point. base is the
-// phase-1 trial count (see ckptPoint.Base); pass len(pr.Trials) for a
+// phase-1 trial count (see PointRecord.Base); pass len(pr.Trials) for a
 // non-adaptive or unrefined record.
 func (c *Checkpoint) AppendResult(index int, pr PointResult, base int) error {
-	return c.log.Append(ckptPoint{Kind: "point", Index: index, Result: pointResultToJSON(pr), Base: base})
+	return c.log.Append(journalPoint{"point", PointRecord{Index: index, Result: pr, Base: base}})
 }
 
 // AppendQuarantine journals one poison point.
 func (c *Checkpoint) AppendQuarantine(q QuarantinedPoint) error {
-	return c.log.Append(ckptQuarantine{Kind: "quarantine", Index: q.Index,
-		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err})
+	return c.log.Append(journalQuarantine{"quarantine", q})
 }
 
 // Close syncs and closes the journal. The file stays on disk: deleting it

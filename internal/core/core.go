@@ -139,10 +139,9 @@ type Options struct {
 	// Observer, when set, receives the campaign's typed event stream:
 	// CampaignStarted, phase changes, per-point results, ML batch
 	// verifications, SnapshotStats and CampaignFinished. This is the single
-	// observation surface shared by RunCampaign, the learn loop and the
-	// Supervisor; attach a StreamStats for running statistics or a
-	// JSONLObserver for a machine-readable journal, and combine consumers
-	// with MultiObserver.
+	// observation surface of every campaign, however it is driven; attach
+	// a StreamStats for running statistics or a JSONLObserver for a
+	// machine-readable journal, and combine consumers with MultiObserver.
 	Observer Observer
 }
 

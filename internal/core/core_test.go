@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"testing"
 	"time"
 
@@ -275,63 +276,85 @@ func TestRunCampaignAccounting(t *testing.T) {
 	}
 }
 
-func TestLearnCampaignThresholdBehaviour(t *testing.T) {
-	// With a zero threshold the model is "accurate" after the first
-	// verification batch, so later points are predicted, not injected.
+// learnLoopOptions makes the learn loop's stopping decision reachable on the
+// toy app: small batches over the whole, unpruned space.
+func learnLoopOptions(threshold float64) Options {
 	opts := DefaultOptions()
 	opts.TrialsPerPoint = 3
 	opts.ML.Batch = 3
 	opts.ML.MinTrain = 3
-	opts.AccuracyThreshold = 0.01
-	e := toyEngine(t, opts)
-	if _, err := e.Profile(); err != nil {
+	opts.Pruning = Pruning{}
+	opts.AccuracyThreshold = threshold
+	return opts
+}
+
+func TestLearnLoopThresholdBehaviour(t *testing.T) {
+	// With a near-zero threshold the model is "accurate" after the first
+	// verification batch, so later points are predicted, not injected.
+	res, err := toyEngine(t, learnLoopOptions(0.01)).RunCampaign()
+	if err != nil {
 		t.Fatal(err)
 	}
-	points, _ := e.Points()
-	lr := e.LearnCampaign(points)
-	if len(lr.Predicted) == 0 {
-		t.Fatalf("low threshold should leave predicted points (measured %d of %d)", len(lr.Measured), len(points))
+	if len(res.Predicted) == 0 {
+		t.Fatalf("low threshold should leave predicted points (measured %d of %d)", len(res.Measured), res.TotalPoints)
 	}
-	if lr.Reduction <= 0 {
-		t.Fatalf("reduction = %v", lr.Reduction)
+	if res.MLReduction <= 0 {
+		t.Fatalf("reduction = %v", res.MLReduction)
 	}
 	// An unreachable threshold must exhaust the points.
-	opts.AccuracyThreshold = 1.1
-	e2 := toyEngine(t, opts)
-	if _, err := e2.Profile(); err != nil {
+	res2, err := toyEngine(t, learnLoopOptions(1.1)).RunCampaign()
+	if err != nil {
 		t.Fatal(err)
 	}
-	lr2 := e2.LearnCampaign(points)
-	if len(lr2.Predicted) != 0 || !lr2.ExhaustedPoints {
+	if len(res2.Predicted) != 0 || !res2.Learn.ExhaustedPoints {
 		t.Fatalf("unreachable threshold should exhaust points: predicted=%d exhausted=%v",
-			len(lr2.Predicted), lr2.ExhaustedPoints)
+			len(res2.Predicted), res2.Learn.ExhaustedPoints)
 	}
-	if len(lr2.Measured) != len(points) {
-		t.Fatalf("exhaustion should measure everything: %d of %d", len(lr2.Measured), len(points))
+	if len(res2.Measured) != res2.TotalPoints {
+		t.Fatalf("exhaustion should measure everything: %d of %d", len(res2.Measured), res2.TotalPoints)
 	}
 }
 
-func TestLearnCampaignWithReplaysCache(t *testing.T) {
-	opts := DefaultOptions()
-	opts.TrialsPerPoint = 3
-	opts.ML.Batch = 3
-	opts.ML.MinTrain = 3
-	opts.AccuracyThreshold = 0.01
-	e := toyEngine(t, opts)
-	if _, err := e.Profile(); err != nil {
-		t.Fatal(err)
+// TestInjectSeamReplaysMeasurements is the Fig. 6 arrangement: the learn
+// loop runs under several thresholds on one observer, every injection
+// answered through SupervisorOptions.Inject. The seam is asked exactly once
+// per measured point, and each replay is a campaign of its own on the
+// stream: no point event falls outside a CampaignStarted/CampaignFinished
+// pair.
+func TestInjectSeamReplaysMeasurements(t *testing.T) {
+	rec := &eventRecorder{}
+	for _, th := range []float64{0.01, 1.1} {
+		opts := learnLoopOptions(th)
+		opts.Observer = rec
+		calls := 0
+		sup, err := NewSupervisor(toyEngine(t, opts), SupervisorOptions{Workers: 1,
+			Inject: func(_ context.Context, p Point, _, _ int) (PointResult, error) {
+				calls++
+				pr := PointResult{Point: p, Trials: []TrialResult{{Outcome: classify.Success}}}
+				pr.Counts.Add(classify.Success)
+				return pr, nil
+			}}).Run(context.Background())
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != len(sup.Measured) {
+			t.Fatalf("threshold %v: inject function called %d times for %d measured", th, calls, len(sup.Measured))
+		}
 	}
-	points, _ := e.Points()
-	calls := 0
-	lr := e.LearnCampaignWith(points, func(p Point, idx int) PointResult {
-		calls++
-		pr := PointResult{Point: p}
-		pr.Trials = []TrialResult{{Outcome: classify.Success}}
-		pr.Counts.Add(classify.Success)
-		return pr
-	})
-	if calls != len(lr.Measured) {
-		t.Fatalf("inject function called %d times for %d measured", calls, len(lr.Measured))
+	// Cut the stream at every CampaignFinished: each piece must be one
+	// well-ordered campaign, so no event — a point event least of all —
+	// falls between a finish and the next start.
+	campaigns := 0
+	var piece []Event
+	for _, ev := range rec.all() {
+		piece = append(piece, ev)
+		if _, ok := ev.(CampaignFinished); ok {
+			assertWellOrdered(t, piece)
+			campaigns, piece = campaigns+1, nil
+		}
+	}
+	if campaigns != 2 || len(piece) != 0 {
+		t.Fatalf("stream holds %d finished campaigns and %d trailing events, want 2 and 0", campaigns, len(piece))
 	}
 }
 

@@ -60,7 +60,7 @@ func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
 	if err := jo.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return diffCampaign{json: campaignJSONBytes(t, res), stream: stream.Bytes()}
+	return diffCampaign{json: campaignBytes(t, res), stream: stream.Bytes()}
 }
 
 // runDiffResumed interrupts a single-worker supervised campaign after two
@@ -117,7 +117,7 @@ func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 	// per-leg temp directory; redact it so the comparison sees behaviour,
 	// not t.TempDir naming.
 	redacted := bytes.ReplaceAll(stream.Bytes(), []byte(ckpt), []byte("CKPT"))
-	return diffCampaign{json: campaignJSONBytes(t, res.CampaignResult), stream: redacted}
+	return diffCampaign{json: campaignBytes(t, res.CampaignResult), stream: redacted}
 }
 
 func compareDiff(t *testing.T, path string, pooled, unpooled diffCampaign) {

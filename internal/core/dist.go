@@ -19,72 +19,75 @@ import (
 
 // PointRecord is one completed injection point in journal form — the unit
 // a checkpoint journal stores and a worker shard streams to its
-// coordinator. Base is the phase-1 trial count (see the checkpoint schema):
-// shards never refine, so for shard-produced records Base == len(Trials).
+// coordinator.
 type PointRecord struct {
-	Index  int
-	Result PointResult
-	Base   int
+	Index  int         `json:"index"`
+	Result PointResult `json:"result"`
+	// Base is the point's phase-1 trial count under adaptive budgets: the
+	// prefix length the settling rule stopped at (or the full budget). A
+	// refined point is journaled as a second record for the same index
+	// whose trial list extends past Base; a resumed campaign replays
+	// Trials[:Base] through the learn loop so the model retraces the
+	// uninterrupted path. Shards never refine, so for shard-produced
+	// records Base == len(Trials). Zero on the wire (legacy records) means
+	// all trials; DecodeJournalPoint fills it in.
+	Base int `json:"baseTrials,omitempty"`
 }
 
 // EncodeJournalPoint renders one completed point as a checkpoint-journal
 // "point" line (no trailing newline) — the wire form worker shards stream
 // to the coordinator, identical to what AppendResult writes.
 func EncodeJournalPoint(rec PointRecord) ([]byte, error) {
-	return json.Marshal(ckptPoint{Kind: "point", Index: rec.Index,
-		Result: pointResultToJSON(rec.Result), Base: rec.Base})
+	return json.Marshal(journalPoint{"point", rec})
 }
 
 // DecodeJournalPoint parses one checkpoint "point" line, validating every
 // enum-valued field; malformed input returns a descriptive error, never a
 // panic.
 func DecodeJournalPoint(line []byte) (PointRecord, error) {
-	var rec ckptPoint
-	if err := json.Unmarshal(line, &rec); err != nil {
+	var j journalPoint
+	if err := json.Unmarshal(line, &j); err != nil {
 		return PointRecord{}, fmt.Errorf("journal point record: %w", err)
 	}
-	if rec.Kind != "point" {
-		return PointRecord{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, "point")
+	if j.Kind != "point" {
+		return PointRecord{}, fmt.Errorf("journal record kind %q, want %q", j.Kind, "point")
 	}
-	if rec.Index < 0 {
-		return PointRecord{}, fmt.Errorf("journal point record: negative index %d", rec.Index)
+	if j.Index < 0 {
+		return PointRecord{}, fmt.Errorf("journal point record: negative index %d", j.Index)
 	}
-	pr, err := pointResultFromJSON(rec.Result)
-	if err != nil {
-		return PointRecord{}, fmt.Errorf("journal point record index %d: %w", rec.Index, err)
+	if err := j.Result.validate(); err != nil {
+		return PointRecord{}, fmt.Errorf("journal point record index %d: %w", j.Index, err)
 	}
-	base := rec.Base
-	if base == 0 {
-		base = len(pr.Trials)
-	}
-	if base < 0 || base > len(pr.Trials) {
+	trials := len(j.Result.Trials)
+	if j.Base < 0 || j.Base > trials {
 		return PointRecord{}, fmt.Errorf("journal point record index %d: baseTrials %d outside trial list of %d",
-			rec.Index, rec.Base, len(pr.Trials))
+			j.Index, j.Base, trials)
 	}
-	return PointRecord{Index: rec.Index, Result: pr, Base: base}, nil
+	if j.Base == 0 {
+		j.Base = trials
+	}
+	return j.PointRecord, nil
 }
 
 // EncodeJournalQuarantine renders one poison point as a checkpoint-journal
 // "quarantine" line (no trailing newline).
 func EncodeJournalQuarantine(q QuarantinedPoint) ([]byte, error) {
-	return json.Marshal(ckptQuarantine{Kind: "quarantine", Index: q.Index,
-		Point: pointToJSON(q.Point), Attempts: q.Attempts, Err: q.Err})
+	return json.Marshal(journalQuarantine{"quarantine", q})
 }
 
 // DecodeJournalQuarantine parses one checkpoint "quarantine" line.
 func DecodeJournalQuarantine(line []byte) (QuarantinedPoint, error) {
-	var rec ckptQuarantine
-	if err := json.Unmarshal(line, &rec); err != nil {
+	var j journalQuarantine
+	if err := json.Unmarshal(line, &j); err != nil {
 		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: %w", err)
 	}
-	if rec.Kind != "quarantine" {
-		return QuarantinedPoint{}, fmt.Errorf("journal record kind %q, want %q", rec.Kind, "quarantine")
+	if j.Kind != "quarantine" {
+		return QuarantinedPoint{}, fmt.Errorf("journal record kind %q, want %q", j.Kind, "quarantine")
 	}
-	if rec.Index < 0 {
-		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: negative index %d", rec.Index)
+	if j.Index < 0 {
+		return QuarantinedPoint{}, fmt.Errorf("journal quarantine record: negative index %d", j.Index)
 	}
-	return QuarantinedPoint{Point: pointFromJSON(rec.Point), Index: rec.Index,
-		Attempts: rec.Attempts, Err: rec.Err}, nil
+	return j.QuarantinedPoint, nil
 }
 
 // PlanInfo identifies a campaign's planned injection space without running

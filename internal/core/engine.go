@@ -22,8 +22,7 @@ type Engine struct {
 	opts Options
 
 	// events is the engine's single publication point for campaign
-	// observation; New seeds it from Options.Observer (plus the deprecated
-	// Logf adapter) and the Supervisor attaches its own adapters.
+	// observation; New seeds it from Options.Observer.
 	events emitter
 
 	prof   *profile.Profile
@@ -56,9 +55,8 @@ func (e *Engine) Options() Options { return e.opts }
 // emit publishes one event to the attached observers.
 func (e *Engine) emit(ev Event) { e.events.emit(ev) }
 
-// logf emits a free-text Note event; LogfObserver renders it verbatim for
-// the deprecated Options.Logf surface. Formatting is skipped when nothing
-// observes the campaign.
+// logf emits a free-text Note event (LogfObserver renders it verbatim).
+// Formatting is skipped when nothing observes the campaign.
 func (e *Engine) logf(format string, args ...any) {
 	if e.events.active() {
 		e.events.emit(Note{Text: fmt.Sprintf(format, args...)})
@@ -248,14 +246,6 @@ func (e *Engine) trialSeed(pointIdx, trial int) int64 {
 func (e *Engine) InjectPoint(p Point, pointIdx, n int) PointResult {
 	pr, _ := e.injectPointFiltered(context.Background(), p, pointIdx, n, nil)
 	return pr
-}
-
-// InjectPointCtx is InjectPoint with cancellation: when ctx is done, no new
-// trials start, in-flight simulated runs are torn down and ctx.Err() is
-// returned. A partially-injected point must not be recorded — its trial
-// slice is incomplete and would skew every downstream statistic.
-func (e *Engine) InjectPointCtx(ctx context.Context, p Point, pointIdx, n int) (PointResult, error) {
-	return e.injectPointFiltered(ctx, p, pointIdx, n, nil)
 }
 
 // InjectPointTarget performs n tests at a point, all on one parameter

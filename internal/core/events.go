@@ -7,17 +7,22 @@ import (
 	"github.com/fastfit/fastfit/internal/classify"
 )
 
-// The campaign observation API. Every component that executes a campaign —
-// the supervisor (which RunCampaign runs with one worker), a shard's
-// RunRange and the stand-alone ML learn loop — publishes its progress as a single typed stream of Event values delivered
-// to the Observer set in Options.Observer. Structured events are what turn
-// a fault-injection harness from a batch job into a measurement instrument
-// (FINJ, Netti et al., makes the same argument): running outcome
-// distributions, progress bars, JSONL journals for dashboards and any
-// future consumer all attach to this one surface instead of growing new
-// ad-hoc callbacks. (The legacy Options.Logf and SupervisorOptions.OnPoint
-// callback hooks have been removed; LogfObserver remains as the bridge for
-// printf-style logging.)
+// The campaign observation API. Both components that execute a campaign —
+// the supervisor (which RunCampaign runs with one worker) and a shard's
+// RunRange — publish their progress as a single typed stream of Event
+// values delivered to the Observer set in Options.Observer. Structured
+// events are what turn a fault-injection harness from a batch job into a
+// measurement instrument (FINJ, Netti et al., makes the same argument):
+// running outcome distributions, progress bars, JSONL journals for
+// dashboards and any future consumer all attach to this one surface instead
+// of growing new ad-hoc callbacks. LogfObserver is the bridge to
+// printf-style logging.
+//
+// An event's json tags are its wire form in the JSONL/SSE envelope
+// (EventEnvelope); the five events whose stream record is derived from
+// their fields rather than equal to them — PointCompleted, PointSettled,
+// PointRefined, PointQuarantined, CampaignFinished — carry no tags and are
+// rendered by eventJSON.
 
 // Event is one record in a campaign's observation stream. The concrete
 // types below form a closed sum: CampaignStarted, FaultDomainEvent,
@@ -88,16 +93,20 @@ func (p CampaignPhase) String() string {
 	return fmt.Sprintf("phase(%d)", int(p))
 }
 
+// MarshalText puts the phase on the wire by name ("learn"), as String
+// renders it.
+func (p CampaignPhase) MarshalText() ([]byte, error) { return []byte(p.String()), nil }
+
 // CampaignStarted opens every campaign's event stream.
 type CampaignStarted struct {
-	App            string
-	Ranks          int
-	TrialsPerPoint int
-	MLPruning      bool
+	App            string `json:"app"`
+	Ranks          int    `json:"ranks"`
+	TrialsPerPoint int    `json:"trialsPerPoint"`
+	MLPruning      bool   `json:"mlPruning"`
 	// Algorithm is the collective-implementation variant the workload runs
 	// (apps.Config.Algorithm); empty for apps that don't consult the
 	// resilient-algorithm registry.
-	Algorithm string
+	Algorithm string `json:"algorithm,omitempty"`
 }
 
 // FaultDomainEvent reports one element of the campaign's standing network
@@ -107,11 +116,11 @@ type CampaignStarted struct {
 // render "links down: N" from the first progress line. Campaigns without a
 // network dimension emit none.
 type FaultDomainEvent struct {
-	Kind  string // "topology", "link", "drop", "crash"
-	Spec  string // e.g. "ring", "link:2-3", "drop:0-1:4", "crash:5"
-	Rank  int    // faulted rank (link/drop/crash)
-	Peer  int    // link peer (link/drop)
-	Count int    // dropped-message budget (drop)
+	Kind  string `json:"kind"`            // "topology", "link", "drop", "crash"
+	Spec  string `json:"spec"`            // e.g. "ring", "link:2-3", "drop:0-1:4", "crash:5"
+	Rank  int    `json:"rank,omitempty"`  // faulted rank (link/drop/crash)
+	Peer  int    `json:"peer,omitempty"`  // link peer (link/drop)
+	Count int    `json:"count,omitempty"` // dropped-message budget (drop)
 }
 
 // PhaseChanged announces entry into a pipeline stage. Points is the size of
@@ -119,8 +128,8 @@ type FaultDomainEvent struct {
 // point count for CampaignInjecting/CampaignLearning, the remaining
 // uninjected count for CampaignPredicting.
 type PhaseChanged struct {
-	Phase  CampaignPhase
-	Points int
+	Phase  CampaignPhase `json:"phase"`
+	Points int           `json:"points,omitempty"`
 }
 
 // PointStarted announces that injection of one point has begun. Under a
@@ -128,8 +137,8 @@ type PhaseChanged struct {
 // interleave arbitrarily with other events; only completion events carry
 // the ordered Completed count.
 type PointStarted struct {
-	Index int
-	Point Point
+	Index int   `json:"index"`
+	Point Point `json:"point"`
 }
 
 // PointCompleted carries one point's full injection result. Completed is
@@ -147,7 +156,7 @@ type PointCompleted struct {
 }
 
 // PointSettled reports that the sequential settling rule (adaptive trial
-// budgets, Options.AdaptiveTrials) stopped a point before its full trial
+// budgets, Options.Adaptive.Enabled) stopped a point before its full trial
 // budget: Trials were run, Saved = Budget - Trials were reclaimed for the
 // refinement pass, and Dominant is the settled majority outcome. It
 // precedes the point's PointCompleted event; FromCheckpoint marks a
@@ -180,22 +189,22 @@ type PointRefined struct {
 // the stopping threshold. Measured is the training-set size before the
 // batch joined it.
 type BatchVerified struct {
-	BatchSize int
-	Measured  int
-	Accuracy  float64
-	Threshold float64
-	Met       bool
+	BatchSize int     `json:"batchSize"`
+	Measured  int     `json:"measured"`
+	Accuracy  float64 `json:"accuracy"`
+	Threshold float64 `json:"threshold"`
+	Met       bool    `json:"met"`
 }
 
 // PointRetried reports one failed harness attempt at a point (panic or
 // watchdog expiry). Attempts below MaxAttempts are retried; a failure on
 // the final attempt is followed by PointQuarantined.
 type PointRetried struct {
-	Index       int
-	Point       Point
-	Attempt     int
-	MaxAttempts int
-	Err         string
+	Index       int    `json:"index"`
+	Attempt     int    `json:"attempt"`
+	MaxAttempts int    `json:"maxAttempts"`
+	Err         string `json:"error"`
+	Point       Point  `json:"point"`
 }
 
 // PointQuarantined reports a poison point withdrawn from the campaign.
@@ -211,9 +220,9 @@ type PointQuarantined struct {
 // CheckpointAppended reports that a point or quarantine record was durably
 // journalled. Records counts appends made by this run.
 type CheckpointAppended struct {
-	Path    string
-	Index   int
-	Records int
+	Path    string `json:"path"`
+	Index   int    `json:"index"`
+	Records int    `json:"records"`
 }
 
 // SnapshotStats reports how the campaign's trials came by their outcomes,
@@ -227,10 +236,10 @@ type CheckpointAppended struct {
 // excluding profiling and tape recording. Snapshots counts the distinct
 // injection prefixes forked from.
 type SnapshotStats struct {
-	Snapshots int
-	Forked    int
-	Replayed  int
-	Memoised  int
+	Snapshots int `json:"snapshots"`
+	Forked    int `json:"forked"`
+	Replayed  int `json:"replayed"`
+	Memoised  int `json:"memoised"`
 }
 
 // SenseStats reports the cross-campaign advisor's traffic during planning
@@ -242,9 +251,9 @@ type SnapshotStats struct {
 // point was served, so never-sensed and gate-disabled campaigns produce
 // byte-identical event streams.
 type SenseStats struct {
-	Served    int
-	Fallback  int
-	CacheHits int
+	Served    int `json:"served"`
+	Fallback  int `json:"fallback"`
+	CacheHits int `json:"cacheHits"`
 }
 
 // ShardLease reports a distributed lease transition on the coordinator's
@@ -253,11 +262,11 @@ type SenseStats struct {
 // [Lo, Hi) the leased index range. Single-process campaigns never emit it,
 // so serial event streams are unchanged by the distributed service.
 type ShardLease struct {
-	Kind   string
-	Lease  string
-	Worker string
-	Lo     int
-	Hi     int
+	Kind   string `json:"kind"`
+	Lease  string `json:"lease"`
+	Worker string `json:"worker"`
+	Lo     int    `json:"lo"`
+	Hi     int    `json:"hi"`
 }
 
 // CampaignFinished closes the stream of a campaign that ran to completion
@@ -277,7 +286,7 @@ type CampaignFinished struct {
 // Note is a free-text progress line that has no structured representation
 // (profiling retries, pruning summaries). LogfObserver renders it verbatim.
 type Note struct {
-	Text string
+	Text string `json:"text"`
 }
 
 func (CampaignStarted) event()    {}

@@ -206,7 +206,7 @@ func TestSupervisorPaperScalePooled(t *testing.T) {
 	if settled == 0 {
 		t.Fatal("campaign settled no points early; the pooled early-settle path is untested")
 	}
-	if !bytes.Equal(campaignJSONBytes(t, serial), campaignJSONBytes(t, sup.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
 		t.Fatalf("pooled supervised campaign diverged from unpooled serial campaign:\nserial: %s\nsupervised: %s",
 			serial.Summary(), sup.Summary())
 	}

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/ml"
 )
@@ -10,8 +8,8 @@ import (
 // Prediction is a point whose sensitivity the model estimated instead of
 // measuring.
 type Prediction struct {
-	Point Point
-	Level int // predicted error-rate level in [0, Options.Levels)
+	Point Point `json:"point"`
+	Level int   `json:"level"` // predicted error-rate level in [0, Options.Levels)
 }
 
 // LearnResult is the outcome of the injection/learning feedback loop
@@ -36,39 +34,6 @@ type LearnResult struct {
 	ExhaustedPoints bool
 }
 
-// LearnCampaign runs the ML-driven injection loop over the given points:
-// inject a batch, train the random forest on everything measured so far,
-// verify its accuracy on the next batch before that batch joins the
-// training set, and once the accuracy threshold is met predict the
-// remaining points instead of injecting them.
-func (e *Engine) LearnCampaign(points []Point) LearnResult {
-	return e.LearnCampaignWith(points, func(p Point, idx int) PointResult {
-		pr, _ := e.injectAuto(context.Background(), p, idx)
-		return pr
-	})
-}
-
-// LearnCampaignWith is LearnCampaign with a caller-supplied injection
-// function; the threshold-sweep studies (paper Fig. 6) pass a cached lookup
-// so one physical injection campaign can be replayed under many accuracy
-// thresholds.
-func (e *Engine) LearnCampaignWith(points []Point, inject func(Point, int) PointResult) LearnResult {
-	completed, total := 0, len(points)
-	res, _ := e.learnCampaignBatched(points, func(ps []Point, idxs []int) []*PointResult {
-		out := make([]*PointResult, len(ps))
-		for i := range ps {
-			e.emit(PointStarted{Index: idxs[i], Point: ps[i]})
-			pr := inject(ps[i], idxs[i])
-			out[i] = &pr
-			completed++
-			e.emitSettled(idxs[i], pr, false)
-			e.emit(PointCompleted{Index: idxs[i], Result: pr, Completed: completed, Total: total})
-		}
-		return out
-	})
-	return res
-}
-
 // batchInjector injects one batch of points for the learning loop. idxs are
 // the points' positions in the shuffled campaign order (each trial's seed
 // derives from that index, so replaying the same order reproduces the same
@@ -77,8 +42,11 @@ func (e *Engine) LearnCampaignWith(points []Point, inject func(Point, int) Point
 // aborts the loop (cancellation).
 type batchInjector func(points []Point, idxs []int) []*PointResult
 
-// learnCampaignBatched is the batched core of the injection/learning
-// feedback loop. The second return reports whether the injector aborted the
+// learnCampaignBatched is the injection/learning feedback loop (paper
+// §III-C): inject a batch, train the random forest on everything measured
+// so far, verify its accuracy on the next batch before that batch joins the
+// training set, and once the accuracy threshold is met predict the
+// remaining points instead of injecting them. The second return reports whether the injector aborted the
 // loop; an aborted result carries the measurements so far and no
 // predictions (an immature model must not fabricate sensitivity levels for
 // a campaign that will resume later).

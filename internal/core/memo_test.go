@@ -145,7 +145,7 @@ func TestMemoDeterminism(t *testing.T) {
 		if res.Cancelled || len(res.Quarantined) != 0 {
 			t.Fatalf("leg not clean: %+v", res)
 		}
-		leg := memoLeg{json: campaignJSONBytes(t, res.CampaignResult)}
+		leg := memoLeg{json: campaignBytes(t, res.CampaignResult)}
 		leg.add(e.SnapshotStats())
 		if memoised, total := wantMemoised(t, e, res.Measured); res.FromCheckpoint == 0 &&
 			(leg.memoised != memoised || leg.forked+leg.replayed+leg.memoised != total) {

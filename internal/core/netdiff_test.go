@@ -70,7 +70,7 @@ func runNetSerial(t *testing.T, opts Options, algorithm string) diffCampaign {
 	if err := jo.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return diffCampaign{json: campaignJSONBytes(t, res), stream: stream.Bytes()}
+	return diffCampaign{json: campaignBytes(t, res), stream: stream.Bytes()}
 }
 
 // runNetResumed interrupts a single-worker supervised network campaign
@@ -119,7 +119,7 @@ func runNetResumed(t *testing.T, opts Options, algorithm string) diffCampaign {
 		t.Fatalf("resume leg not clean: %+v", res)
 	}
 	redacted := bytes.ReplaceAll(stream.Bytes(), []byte(ckpt), []byte("CKPT"))
-	return diffCampaign{json: campaignJSONBytes(t, res.CampaignResult), stream: redacted}
+	return diffCampaign{json: campaignBytes(t, res.CampaignResult), stream: redacted}
 }
 
 func compareNetDiff(t *testing.T, path string, first, second diffCampaign) {

@@ -14,20 +14,20 @@ import (
 // triple — together with the application features FastFIT's learning phase
 // consumes (paper §III-C).
 type Point struct {
-	Rank       int
-	Site       uintptr
-	SiteName   string
-	Type       mpi.CollType
-	Invocation int
-	StackHash  uint64
+	Rank       int          `json:"rank"`
+	Site       uintptr      `json:"site"`
+	SiteName   string       `json:"siteName"`
+	Type       mpi.CollType `json:"collType"`
+	Invocation int          `json:"invocation"`
+	StackHash  uint64       `json:"stackHash"`
 
 	// Application features.
-	Phase       mpi.Phase // execution phase at the invocation
-	ErrHandling bool      // invocation sits in error-handling code
-	IsRoot      bool      // rank is the collective's root (rooted types)
-	NInv        int       // total invocations of this site on this rank
-	StackDepth  int       // call-stack depth at the invocation
-	NDiffStacks int       // distinct call stacks seen at this site
+	Phase       mpi.Phase `json:"phase"`       // execution phase at the invocation
+	ErrHandling bool      `json:"errHandling"` // invocation sits in error-handling code
+	IsRoot      bool      `json:"isRoot"`      // rank is the collective's root (rooted types)
+	NInv        int       `json:"nInv"`        // total invocations of this site on this rank
+	StackDepth  int       `json:"stackDepth"`  // call-stack depth at the invocation
+	NDiffStacks int       `json:"nDiffStacks"` // distinct call stacks seen at this site
 }
 
 // FeatureNames are the six application features of the paper, in the order
@@ -82,16 +82,40 @@ func (p *Point) String() string {
 
 // TrialResult is one fault-injection test at a point.
 type TrialResult struct {
-	Target  fault.Target
-	Bit     int
-	Outcome classify.Outcome
+	Target  fault.Target     `json:"target"`
+	Bit     int              `json:"bit"`
+	Outcome classify.Outcome `json:"outcome"`
 }
 
-// PointResult aggregates a point's fault-injection tests.
+// PointResult aggregates a point's fault-injection tests. Counts is the
+// tally of Trials: it is not persisted, validate rebuilds it on load.
 type PointResult struct {
-	Point  Point
-	Trials []TrialResult
-	Counts classify.Counts
+	Point  Point           `json:"point"`
+	Trials []TrialResult   `json:"trials"`
+	Counts classify.Counts `json:"-"`
+}
+
+// validate is the one gate every decoded point result passes — campaign
+// file, checkpoint journal, shard wire batch and coordinator WAL alike. It
+// holds each trial's enum-valued fields and bit index to the range the
+// engine draws from, so a corrupt or hand-edited record surfaces a
+// descriptive error instead of poisoning downstream statistics (a recorded
+// (target, bit, outcome) decides the outcome of the point's later trials of
+// the same effective fault), and rebuilds Counts from the trials.
+func (pr *PointResult) validate() error {
+	pr.Counts = classify.Counts{}
+	for i, tr := range pr.Trials {
+		switch {
+		case tr.Outcome < 0 || tr.Outcome >= classify.NumOutcomes:
+			return fmt.Errorf("trial %d: invalid outcome %d (valid range 0..%d)", i, tr.Outcome, int(classify.NumOutcomes)-1)
+		case tr.Target < 0 || tr.Target >= fault.NumTargets:
+			return fmt.Errorf("trial %d: invalid fault target %d (valid range 0..%d)", i, tr.Target, int(fault.NumTargets)-1)
+		case tr.Bit < 0 || tr.Bit >= fault.BitSpace:
+			return fmt.Errorf("trial %d: invalid fault bit %d (valid range 0..%d)", i, tr.Bit, fault.BitSpace-1)
+		}
+		pr.Counts.Add(tr.Outcome)
+	}
+	return nil
 }
 
 // ErrorRate returns the fraction of trials with a non-SUCCESS outcome.

@@ -28,9 +28,9 @@ type Sense struct {
 // SenseAdvice is one point answered from the cross-campaign model with
 // zero trials.
 type SenseAdvice struct {
-	Point      Point
-	Outcome    classify.Outcome
-	Confidence float64
+	Point      Point            `json:"point"`
+	Outcome    classify.Outcome `json:"outcome"`
+	Confidence float64          `json:"confidence"`
 }
 
 // senseFeatures converts a point to the transferable feature schema the

@@ -68,7 +68,7 @@ func runSenseLeg(t *testing.T, opts Options) (*CampaignResult, diffCampaign) {
 	if err := jo.Err(); err != nil {
 		t.Fatal(err)
 	}
-	return res, diffCampaign{json: campaignJSONBytes(t, res), stream: stream.Bytes()}
+	return res, diffCampaign{json: campaignBytes(t, res), stream: stream.Bytes()}
 }
 
 // TestSenseGateIdentity is the differential contract of the confidence

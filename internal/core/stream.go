@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"reflect"
 	"sort"
 	"strings"
 	"sync"
@@ -385,123 +386,56 @@ func countsJSON(c classify.Counts) map[string]int {
 	return out
 }
 
-// eventJSON maps an event to its envelope name and wire representation.
+// eventJSON maps an event to its envelope name and wire representation. An
+// event's tagged fields are its wire form; only the five whose stream
+// record is derived — tallies by outcome name and an error rate in place
+// of a full trial list, a flattened quarantine — are rendered here.
 func eventJSON(ev Event) (string, any) {
+	var data any = ev
 	switch ev := ev.(type) {
-	case CampaignStarted:
-		return "CampaignStarted", struct {
-			App            string `json:"app"`
-			Ranks          int    `json:"ranks"`
-			TrialsPerPoint int    `json:"trialsPerPoint"`
-			MLPruning      bool   `json:"mlPruning"`
-			Algorithm      string `json:"algorithm,omitempty"`
-		}{ev.App, ev.Ranks, ev.TrialsPerPoint, ev.MLPruning, ev.Algorithm}
-	case FaultDomainEvent:
-		return "FaultDomainEvent", struct {
-			Kind  string `json:"kind"`
-			Spec  string `json:"spec"`
-			Rank  int    `json:"rank,omitempty"`
-			Peer  int    `json:"peer,omitempty"`
-			Count int    `json:"count,omitempty"`
-		}{ev.Kind, ev.Spec, ev.Rank, ev.Peer, ev.Count}
-	case PhaseChanged:
-		return "PhaseChanged", struct {
-			Phase  string `json:"phase"`
-			Points int    `json:"points,omitempty"`
-		}{ev.Phase.String(), ev.Points}
-	case PointStarted:
-		return "PointStarted", struct {
-			Index int       `json:"index"`
-			Point pointJSON `json:"point"`
-		}{ev.Index, pointToJSON(ev.Point)}
 	case PointCompleted:
-		return "PointCompleted", struct {
+		data = struct {
 			Index          int            `json:"index"`
 			Completed      int            `json:"completed"`
 			Total          int            `json:"total"`
 			FromCheckpoint bool           `json:"fromCheckpoint,omitempty"`
 			ErrorRate      float64        `json:"errorRate"`
 			Counts         map[string]int `json:"counts"`
-			Point          pointJSON      `json:"point"`
+			Point          Point          `json:"point"`
 		}{ev.Index, ev.Completed, ev.Total, ev.FromCheckpoint,
-			ev.Result.ErrorRate(), countsJSON(ev.Result.Counts), pointToJSON(ev.Result.Point)}
+			ev.Result.ErrorRate(), countsJSON(ev.Result.Counts), ev.Result.Point}
 	case PointSettled:
-		return "PointSettled", struct {
-			Index          int       `json:"index"`
-			Trials         int       `json:"trials"`
-			Budget         int       `json:"budget"`
-			Saved          int       `json:"saved"`
-			Dominant       string    `json:"dominant"`
-			FromCheckpoint bool      `json:"fromCheckpoint,omitempty"`
-			Point          pointJSON `json:"point"`
-		}{ev.Index, ev.Trials, ev.Budget, ev.Saved, ev.Dominant.String(),
-			ev.FromCheckpoint, pointToJSON(ev.Point)}
+		data = struct {
+			Index          int    `json:"index"`
+			Trials         int    `json:"trials"`
+			Budget         int    `json:"budget"`
+			Saved          int    `json:"saved"`
+			Dominant       string `json:"dominant"`
+			FromCheckpoint bool   `json:"fromCheckpoint,omitempty"`
+			Point          Point  `json:"point"`
+		}{ev.Index, ev.Trials, ev.Budget, ev.Saved, ev.Dominant.String(), ev.FromCheckpoint, ev.Point}
 	case PointRefined:
-		return "PointRefined", struct {
+		data = struct {
 			Index     int            `json:"index"`
 			Trials    int            `json:"trials"`
 			Extra     int            `json:"extra"`
 			ErrorRate float64        `json:"errorRate"`
 			Added     map[string]int `json:"added"`
-			Point     pointJSON      `json:"point"`
-		}{ev.Index, ev.Trials, ev.Extra, ev.Result.ErrorRate(),
-			countsJSON(ev.Added), pointToJSON(ev.Result.Point)}
-	case BatchVerified:
-		return "BatchVerified", struct {
-			BatchSize int     `json:"batchSize"`
-			Measured  int     `json:"measured"`
-			Accuracy  float64 `json:"accuracy"`
-			Threshold float64 `json:"threshold"`
-			Met       bool    `json:"met"`
-		}{ev.BatchSize, ev.Measured, ev.Accuracy, ev.Threshold, ev.Met}
-	case PointRetried:
-		return "PointRetried", struct {
-			Index       int       `json:"index"`
-			Attempt     int       `json:"attempt"`
-			MaxAttempts int       `json:"maxAttempts"`
-			Err         string    `json:"error"`
-			Point       pointJSON `json:"point"`
-		}{ev.Index, ev.Attempt, ev.MaxAttempts, ev.Err, pointToJSON(ev.Point)}
+			Point     Point          `json:"point"`
+		}{ev.Index, ev.Trials, ev.Extra, ev.Result.ErrorRate(), countsJSON(ev.Added), ev.Result.Point}
 	case PointQuarantined:
-		return "PointQuarantined", struct {
-			Index          int       `json:"index"`
-			Attempts       int       `json:"attempts"`
-			Err            string    `json:"error"`
-			Completed      int       `json:"completed"`
-			Total          int       `json:"total"`
-			FromCheckpoint bool      `json:"fromCheckpoint,omitempty"`
-			Point          pointJSON `json:"point"`
+		data = struct {
+			Index          int    `json:"index"`
+			Attempts       int    `json:"attempts"`
+			Err            string `json:"error"`
+			Completed      int    `json:"completed"`
+			Total          int    `json:"total"`
+			FromCheckpoint bool   `json:"fromCheckpoint,omitempty"`
+			Point          Point  `json:"point"`
 		}{ev.Point.Index, ev.Point.Attempts, ev.Point.Err, ev.Completed, ev.Total,
-			ev.FromCheckpoint, pointToJSON(ev.Point.Point)}
-	case CheckpointAppended:
-		return "CheckpointAppended", struct {
-			Path    string `json:"path"`
-			Index   int    `json:"index"`
-			Records int    `json:"records"`
-		}{ev.Path, ev.Index, ev.Records}
-	case SnapshotStats:
-		return "SnapshotStats", struct {
-			Snapshots int `json:"snapshots"`
-			Forked    int `json:"forked"`
-			Replayed  int `json:"replayed"`
-			Memoised  int `json:"memoised"`
-		}{ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised}
-	case SenseStats:
-		return "SenseStats", struct {
-			Served    int `json:"served"`
-			Fallback  int `json:"fallback"`
-			CacheHits int `json:"cacheHits"`
-		}{ev.Served, ev.Fallback, ev.CacheHits}
-	case ShardLease:
-		return "ShardLease", struct {
-			Kind   string `json:"kind"`
-			Lease  string `json:"lease"`
-			Worker string `json:"worker"`
-			Lo     int    `json:"lo"`
-			Hi     int    `json:"hi"`
-		}{ev.Kind, ev.Lease, ev.Worker, ev.Lo, ev.Hi}
+			ev.FromCheckpoint, ev.Point.Point}
 	case CampaignFinished:
-		return "CampaignFinished", struct {
+		data = struct {
 			App         string         `json:"app"`
 			Injected    int            `json:"injected"`
 			Predicted   int            `json:"predicted"`
@@ -511,11 +445,6 @@ func eventJSON(ev Event) (string, any) {
 			Counts      map[string]int `json:"counts"`
 		}{ev.App, ev.Injected, ev.Predicted, ev.Quarantined, ev.Cancelled,
 			ev.Counts.ErrorRate(), countsJSON(ev.Counts)}
-	case Note:
-		return "Note", struct {
-			Text string `json:"text"`
-		}{ev.Text}
-	default:
-		return fmt.Sprintf("%T", ev), nil
 	}
+	return reflect.TypeOf(ev).Name(), data
 }

@@ -47,8 +47,10 @@ type SupervisorOptions struct {
 	// Zero derives a generous bound from TrialsPerPoint and RunTimeout.
 	PointTimeout time.Duration
 	// Inject overrides the injection function — the seam tests use to
-	// simulate harness panics and hangs deterministically. Nil uses the
-	// engine's InjectPointCtx.
+	// simulate harness panics and hangs deterministically, and replays
+	// (dist.Merge, the Fig. 6 threshold sweep) use to answer points from
+	// recorded results while the learn loop runs for real. Nil uses the
+	// engine's injectAuto.
 	Inject func(ctx context.Context, p Point, pointIdx, trials int) (PointResult, error)
 }
 

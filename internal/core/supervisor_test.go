@@ -36,7 +36,7 @@ func supTestEngine(t *testing.T, opts Options) *Engine {
 	return New(app, cfg, opts)
 }
 
-func campaignJSONBytes(t *testing.T, res *CampaignResult) []byte {
+func campaignBytes(t *testing.T, res *CampaignResult) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := res.WriteJSON(&buf); err != nil {
@@ -61,7 +61,7 @@ func TestSupervisorMatchesRunCampaign(t *testing.T) {
 	if sup.Cancelled || len(sup.Quarantined) != 0 {
 		t.Fatalf("unexpected supervision events: %+v", sup)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, serial), campaignJSONBytes(t, sup.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
 		t.Fatalf("supervised campaign diverged from serial campaign:\nserial: %s\nsupervised: %s",
 			serial.Summary(), sup.Summary())
 	}
@@ -129,7 +129,7 @@ func TestSupervisorInterruptResumeDeterminism(t *testing.T) {
 	if res.FromCheckpoint+0 >= total {
 		t.Fatalf("resume had nothing left to inject (%d restored of %d)", res.FromCheckpoint, total)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, full.CampaignResult), campaignJSONBytes(t, res.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
 		t.Fatalf("resumed campaign diverged from uninterrupted run:\nfull:    %s\nresumed: %s",
 			full.Summary(), res.Summary())
 	}
@@ -183,7 +183,7 @@ func TestSupervisorMLResumeDeterminism(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(campaignJSONBytes(t, full.CampaignResult), campaignJSONBytes(t, res.CampaignResult)) {
+	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
 		t.Fatalf("resumed ML campaign diverged:\nfull:    %s\nresumed: %s",
 			full.Summary(), res.Summary())
 	}

@@ -1,6 +1,8 @@
 package experiments
 
 import (
+	"context"
+	"errors"
 	"fmt"
 	"math/rand"
 
@@ -46,7 +48,7 @@ func Fig5(st *Store) (*Result, error) {
                                     predict untested points instead
 `
 	r.Notes = append(r.Notes,
-		"Implemented by internal/profile (profiling), internal/fault (config generation + injection), internal/ml + internal/core (learning loop of Engine.LearnCampaign).")
+		"Implemented by internal/profile (profiling), internal/fault (config generation + injection), internal/ml + internal/core (the Supervisor's learning loop).")
 	return r, nil
 }
 
@@ -60,21 +62,25 @@ func Fig6(st *Store) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	// Cache the measured results by point identity for replay.
+	// Answer every injection from the measured results, by point identity;
+	// the learn loop itself runs for real under each threshold.
 	type pkey struct {
 		rank int
 		site uintptr
 		inv  int
 	}
 	cache := map[pkey]core.PointResult{}
-	points := make([]core.Point, 0, len(c.Measured))
 	for _, pr := range c.Measured {
 		cache[pkey{pr.Point.Rank, pr.Point.Site, pr.Point.Invocation}] = pr
-		points = append(points, pr.Point)
 	}
-	lookup := func(p core.Point, _ int) core.PointResult {
-		return cache[pkey{p.Rank, p.Site, p.Invocation}]
-	}
+	replay := core.SupervisorOptions{Workers: 1, MaxAttempts: 1,
+		Inject: func(_ context.Context, p core.Point, _, _ int) (core.PointResult, error) {
+			pr, ok := cache[pkey{p.Rank, p.Site, p.Invocation}]
+			if !ok {
+				return pr, fmt.Errorf("fig6: the measured campaign has no %v", &p)
+			}
+			return pr, nil
+		}}
 
 	app, cfg, err := st.AppConfig("minimd")
 	if err != nil {
@@ -85,11 +91,17 @@ func Fig6(st *Store) (*Result, error) {
 	for th := 0.45; th <= 0.751; th += 0.05 {
 		opts := st.Options()
 		opts.AccuracyThreshold = th
-		e := core.New(app, cfg, opts)
-		lr := e.LearnCampaignWith(points, lookup)
+		opts.Adaptive.Enabled = false // the replayed results are final: nothing to refine
+		res, err := core.NewSupervisor(core.New(app, cfg, opts), replay).Run(context.Background())
+		if err != nil {
+			return nil, err
+		}
+		if len(res.Quarantined) > 0 {
+			return nil, errors.New(res.Quarantined[0].Err)
+		}
 		thresholds = append(thresholds, th)
-		reductions = append(reductions, lr.Reduction)
-		rows = append(rows, []string{pct(th), pct(lr.Reduction), bar(lr.Reduction, 30)})
+		reductions = append(reductions, res.MLReduction)
+		rows = append(rows, []string{pct(th), pct(res.MLReduction), bar(res.MLReduction, 30)})
 	}
 	r.Series["thresholds"] = thresholds
 	r.Series["reductions"] = reductions
