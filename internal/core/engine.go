@@ -195,7 +195,11 @@ func (e *Engine) RunOnce(faults ...fault.Fault) (classify.Outcome, mpi.RunResult
 // available (fork.go) and replay from t=0 otherwise; the two paths are
 // classification-identical, so which one a trial takes is invisible outside
 // the SnapshotStats accounting. RunOnce always executes the faults it is
-// given: only a point's trial sequence (runTrialWave) reuses outcomes.
+// given: only a point's trial sequence (runTrialWave) reuses outcomes. A
+// forked trial whose fault is masked at the call — every rank leaves the
+// faulted collective holding the golden run's result — is ended there
+// (mpi/fork.go, part 3) and returns the golden run's ranks with
+// res.Reconverged set; it classifies SUCCESS through the ordinary path.
 func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classify.Outcome, mpi.RunResult) {
 	outcome, res, how := e.execute(ctx, faults...)
 	e.stats.count(how)
@@ -209,7 +213,11 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 	if len(faults) == 1 {
 		if fk := e.trialFork(faults[0]); fk != nil {
 			res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Fork: fk})
-			return e.classifyRun(res), res, howForked
+			how := howForked
+			if res.Reconverged {
+				how = howReconverged
+			}
+			return e.classifyRun(res), res, how
 		}
 	}
 	net, crashed := e.trialNetwork()

@@ -234,12 +234,16 @@ type CheckpointAppended struct {
 // the trials of the points this engine injected (plus its RunOnce calls,
 // which always execute); Forked + Replayed is the simulated-run total,
 // excluding profiling and tape recording. Snapshots counts the distinct
-// injection prefixes forked from.
+// injection prefixes forked from. Reconverged is not a fourth term but a
+// count inside Forked: the forked trials that were ended at the faulted
+// collective because every rank left it holding the golden run's result
+// (mpi.RunResult.Reconverged), every one of them a SUCCESS.
 type SnapshotStats struct {
-	Snapshots int `json:"snapshots"`
-	Forked    int `json:"forked"`
-	Replayed  int `json:"replayed"`
-	Memoised  int `json:"memoised"`
+	Snapshots   int `json:"snapshots"`
+	Forked      int `json:"forked"`
+	Replayed    int `json:"replayed"`
+	Memoised    int `json:"memoised"`
+	Reconverged int `json:"reconverged"`
 }
 
 // SenseStats reports the cross-campaign advisor's traffic during planning

@@ -221,7 +221,7 @@ func TestStreamStatsResetsEveryField(t *testing.T) {
 		PointRetried{},
 		PointQuarantined{Completed: 3, Total: 4},
 		BatchVerified{Accuracy: 0.9},
-		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4},
+		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4, Reconverged: 1},
 		SenseStats{Served: 1, Fallback: 2, CacheHits: 3},
 		PhaseChanged{Phase: CampaignRefining},
 		PointRefined{Result: res, Added: added, Extra: 2},

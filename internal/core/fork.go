@@ -173,14 +173,16 @@ func (e *Engine) trialFork(f fault.Fault) *mpi.Fork {
 	return fk
 }
 
-// trialHow is how a trial came by its outcome: the three-way partition
-// SnapshotStats reports.
+// trialHow is how a trial came by its outcome. SnapshotStats reports the
+// three-way partition forked / replayed / memoised, and the forked trials
+// that reconverged as a count inside the first.
 type trialHow uint8
 
 const (
-	howForked   trialHow = iota // executed from a prefix snapshot
-	howReplayed                 // executed by full replay from t=0
-	howMemoised                 // copied from the point's first trial of the same effective fault
+	howForked      trialHow = iota // executed from a prefix snapshot, to the end
+	howReconverged                 // executed from a prefix snapshot, ended at the faulted call
+	howReplayed                    // executed by full replay from t=0
+	howMemoised                    // copied from the point's first trial of the same effective fault
 	numTrialHow
 )
 
@@ -231,10 +233,12 @@ func (s *snapshotStats) snapshot() SnapshotStats {
 	s.mu.Lock()
 	used := len(s.used)
 	s.mu.Unlock()
+	cut := int(s.trials[howReconverged].Load())
 	return SnapshotStats{
-		Snapshots: used,
-		Forked:    int(s.trials[howForked].Load()),
-		Replayed:  int(s.trials[howReplayed].Load()),
-		Memoised:  int(s.trials[howMemoised].Load()),
+		Snapshots:   used,
+		Forked:      int(s.trials[howForked].Load()) + cut,
+		Replayed:    int(s.trials[howReplayed].Load()),
+		Memoised:    int(s.trials[howMemoised].Load()),
+		Reconverged: cut,
 	}
 }

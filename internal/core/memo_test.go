@@ -116,19 +116,22 @@ func TestMemoOracle(t *testing.T) {
 // memoLeg is one execution of the pinned campaign: its bytes and its trial
 // accounting, summed over the legs of an interrupted run.
 type memoLeg struct {
-	json                       []byte
-	forked, replayed, memoised int
+	json                                    []byte
+	forked, replayed, memoised, reconverged int
 }
 
 func (l *memoLeg) add(st SnapshotStats) {
 	l.forked, l.replayed, l.memoised = l.forked+st.Forked, l.replayed+st.Replayed, l.memoised+st.Memoised
+	l.reconverged += st.Reconverged
 }
 
 // TestMemoDeterminism: which trials execute is a function of the trial
 // sequence alone. The same adaptive campaign run one trial at a time, four
 // trials at a time (waves that overrun the stopping index), on three point
 // workers, and killed after k points then resumed from the journal, reports
-// the same Forked/Replayed/Memoised and the same campaign bytes.
+// the same Forked/Replayed/Memoised, the same Reconverged inside Forked (a
+// run is cut when its last rank matches the tape, not when the supervisor
+// happens to read the signal) and the same campaign bytes.
 func TestMemoDeterminism(t *testing.T) {
 	opts := diffTestOptions(5)
 	opts.Adaptive.Enabled = true
@@ -155,14 +158,15 @@ func TestMemoDeterminism(t *testing.T) {
 	}
 
 	ref := run(t, opts, SupervisorOptions{Workers: 1})
-	if ref.memoised == 0 || ref.forked == 0 {
-		t.Fatalf("reference leg memoised %d and forked %d trials; the campaign does not exercise the memo", ref.memoised, ref.forked)
+	if ref.memoised == 0 || ref.forked == 0 || ref.reconverged == 0 {
+		t.Fatalf("reference leg memoised %d, forked %d and cut %d trials; the campaign does not exercise the memo and the cut",
+			ref.memoised, ref.forked, ref.reconverged)
 	}
 	same := func(t *testing.T, name string, got memoLeg) {
 		t.Helper()
-		if got.forked != ref.forked || got.replayed != ref.replayed || got.memoised != ref.memoised {
-			t.Errorf("%s: forked/replayed/memoised %d/%d/%d, reference %d/%d/%d", name,
-				got.forked, got.replayed, got.memoised, ref.forked, ref.replayed, ref.memoised)
+		if got.forked != ref.forked || got.replayed != ref.replayed || got.memoised != ref.memoised || got.reconverged != ref.reconverged {
+			t.Errorf("%s: forked/replayed/memoised/reconverged %d/%d/%d/%d, reference %d/%d/%d/%d", name,
+				got.forked, got.replayed, got.memoised, got.reconverged, ref.forked, ref.replayed, ref.memoised, ref.reconverged)
 		}
 		if !bytes.Equal(got.json, ref.json) {
 			t.Errorf("%s: campaign JSON differs from the one-trial-at-a-time reference", name)

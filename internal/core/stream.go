@@ -97,7 +97,7 @@ func (s *StreamStats) OnEvent(ev Event) {
 	case BatchVerified:
 		sn.VerifyAccuracy = ev.Accuracy
 	case SnapshotStats:
-		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised
+		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised, sn.Reconverged = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised, ev.Reconverged
 	case SenseStats:
 		sn.SenseServed, sn.SenseFallback, sn.SenseCacheHits = ev.Served, ev.Fallback, ev.CacheHits
 	case ShardLease:
@@ -167,6 +167,7 @@ type StreamSnapshot struct {
 	Forked         int // trials run from a prefix snapshot
 	Replayed       int // trials that fell back to full replay
 	Memoised       int // trials that reused an earlier trial's outcome
+	Reconverged    int // forked trials ended at the faulted collective
 	SenseServed    int // points answered zero-trial by the sense advisor
 	SenseFallback  int // advisor queries that fell back to real injection
 	SenseCacheHits int // advisor queries answered from the subspace cache
@@ -251,6 +252,9 @@ func (sn StreamSnapshot) ProgressLine() string {
 	}
 	if sn.Memoised > 0 {
 		fmt.Fprintf(&sb, " | memo %d", sn.Memoised)
+	}
+	if sn.Reconverged > 0 {
+		fmt.Fprintf(&sb, " | cut %d", sn.Reconverged)
 	}
 	if sn.Quarantined > 0 {
 		fmt.Fprintf(&sb, " | quarantined %d", sn.Quarantined)

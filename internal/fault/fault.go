@@ -200,6 +200,13 @@ func RandomFaultOn(rng *rand.Rand, rank int, site uintptr, invocation int, targe
 // example, cannot be corrupted). The bit it flips is
 // WidthsOf(call.Args).EffectiveBit(f.Target, f.Bit) — the same function a
 // campaign keys its trials by, so the key and the flip cannot drift.
+//
+// Three targets mutate application memory in place, where the flip outlives
+// the call unless the call itself overwrites it: TargetSendBuf and
+// TargetRecvBuf flip a bit of the caller's buffer, TargetCountsVec a bit of
+// the caller's count slice (Args aliases all three). The five scalar targets
+// flip a field of the runtime's private Args copy, which dies with the call.
+// The reconvergence cut (mpi/fork.go, part 3) depends on exactly this split.
 func (f Fault) Apply(call *mpi.CollectiveCall) bool {
 	a := call.Args
 	width := WidthsOf(a).Of(f.Target)

@@ -10,6 +10,11 @@ package mpi
 type Buffer struct {
 	mem  []byte
 	slab *slab // arena backing when rank-allocated with pooling on (pool.go)
+	// temp marks a runtime temporary the application never reads: a
+	// convenience wrapper's send buffer, released before the wrapper
+	// returns. A flip left in one cannot outlive the call, so the
+	// reconvergence cut does not compare it (fork.go, part 3).
+	temp bool
 }
 
 // NewBuffer allocates a zeroed buffer of n bytes.

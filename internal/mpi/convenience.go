@@ -5,6 +5,14 @@ package mpi
 // buffers are what a fault injector corrupts, and corrupted results flow
 // back into application state through the returned slices. The buffers are
 // rank-bound so their backing arrays come from (and return to) the arena.
+// A wrapper's send buffer is marked temp: the application never sees it, so
+// a flip left in it dies with the wrapper (fork.go, part 3). Bcast's one
+// buffer and every recv buffer are decoded whole and are not.
+
+func (b *Buffer) asTemp() *Buffer {
+	b.temp = true
+	return b
+}
 
 // AllreduceFloat64s reduces vals element-wise across comm with op.
 func (r *Rank) AllreduceFloat64s(vals []float64, op Op, comm Comm) []float64 {
@@ -15,7 +23,7 @@ func (r *Rank) AllreduceFloat64s(vals []float64, op Op, comm Comm) []float64 {
 		// replayCollectiveBytes). Same pattern in every wrapper below.
 		return float64sFrom(r.replayCollectiveBytes(CollAllreduce, comm))
 	}
-	send := r.FromFloat64s(vals)
+	send := r.FromFloat64s(vals).asTemp()
 	recv := r.NewFloat64Buffer(len(vals))
 	r.Allreduce(send, recv, len(vals), Float64, op, comm)
 	out := recv.Float64s()
@@ -34,7 +42,7 @@ func (r *Rank) AllreduceInt64s(vals []int64, op Op, comm Comm) []int64 {
 	if r.replayActive() {
 		return int64sFrom(r.replayCollectiveBytes(CollAllreduce, comm))
 	}
-	send := r.FromInt64s(vals)
+	send := r.FromInt64s(vals).asTemp()
 	recv := r.NewInt64Buffer(len(vals))
 	r.Allreduce(send, recv, len(vals), Int64, op, comm)
 	out := recv.Int64s()
@@ -58,7 +66,7 @@ func (r *Rank) ReduceFloat64s(vals []float64, op Op, root int, comm Comm) []floa
 		}
 		return nil
 	}
-	send := r.FromFloat64s(vals)
+	send := r.FromFloat64s(vals).asTemp()
 	recv := r.NewFloat64Buffer(len(vals))
 	r.Reduce(send, recv, len(vals), Float64, op, root, comm)
 	var out []float64
@@ -101,7 +109,7 @@ func (r *Rank) AllgatherInt64s(v int64, comm Comm) []int64 {
 		return int64sFrom(r.replayCollectiveBytes(CollAllgather, comm))
 	}
 	size := r.Size(comm)
-	send := r.FromInt64s([]int64{v})
+	send := r.FromInt64s([]int64{v}).asTemp()
 	recv := r.NewInt64Buffer(size)
 	r.Allgather(send, recv, 1, Int64, comm)
 	out := recv.Int64s()
@@ -117,7 +125,7 @@ func (r *Rank) AllgatherFloat64s(vals []float64, comm Comm) []float64 {
 		return float64sFrom(r.replayCollectiveBytes(CollAllgather, comm))
 	}
 	size := r.Size(comm)
-	send := r.FromFloat64s(vals)
+	send := r.FromFloat64s(vals).asTemp()
 	recv := r.NewFloat64Buffer(size * len(vals))
 	r.Allgather(send, recv, len(vals), Float64, comm)
 	out := recv.Float64s()
@@ -135,7 +143,7 @@ func (r *Rank) GatherFloat64s(vals []float64, root int, comm Comm) []float64 {
 		return nil
 	}
 	size := r.Size(comm)
-	send := r.FromFloat64s(vals)
+	send := r.FromFloat64s(vals).asTemp()
 	var recv *Buffer
 	if r.CommRank(comm) == root {
 		recv = r.NewFloat64Buffer(size * len(vals))

@@ -1,7 +1,9 @@
 package mpi
 
 import (
+	"bytes"
 	"fmt"
+	"slices"
 )
 
 // Fork-at-injection-site execution, part 2: the consistent cut and replay.
@@ -50,6 +52,15 @@ type Fork struct {
 	trace    *Trace
 	cut      []int
 	prestock [][]prestockEntry
+
+	// The reconvergence cut (part 3 below). rank is the rank the fork was cut
+	// for, seq the CommWorld sequence number of the collective instance its
+	// fault is addressed to, and at[r] that instance's position on rank r's
+	// tape. at is nil — the fork never ends a run early — when a rank's tape
+	// does not hold the instance.
+	rank int
+	seq  int64
+	at   []int
 }
 
 // Cut returns rank's first live tape position (diagnostics).
@@ -140,7 +151,17 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 			}
 		}
 	}
-	return &Fork{trace: t, cut: cut, prestock: prestock}
+	f := &Fork{trace: t, cut: cut, prestock: prestock, rank: rank, seq: t.ranks[rank].events[pos].seq}
+	f.at = make([]int, n)
+	for r := range f.at {
+		p, ok := collPos[r][f.seq]
+		if !ok {
+			f.at = nil
+			break
+		}
+		f.at[r] = p
+	}
+	return f
 }
 
 // replayState is one rank's in-progress prefix replay. It lives on the
@@ -152,10 +173,18 @@ type replayState struct {
 	cut  int
 }
 
-// bindFork arms every rank of a freshly bound world to replay its prefix.
+// bindFork arms every rank of a freshly bound world to replay its prefix
+// and, where the fork allows it, to end the run at the faulted collective.
 func (w *World) bindFork(f *Fork) {
+	w.fork = f
+	cutSeq := int64(-1)
+	if f.at != nil {
+		cutSeq = f.seq
+		w.reconverged = make(chan struct{}, 1)
+	}
 	for i, rk := range w.ranks {
 		rk.replay = &replayState{fork: f, tape: &f.trace.ranks[i], cut: f.cut[i]}
+		rk.cutSeq = cutSeq
 	}
 }
 
@@ -257,4 +286,135 @@ func (r *Rank) replayCollectiveBytes(t CollType, comm Comm) []byte {
 		return nil
 	}
 	return r.replay.tape.span(ev.off, ev.n)
+}
+
+// Fork-at-injection-site execution, part 3: the reconvergence cut.
+//
+// Most faults a campaign draws are masked at the call they corrupt: the
+// flipped bit is overwritten by the result, lies in an operand the reduction
+// ignores, or perturbs a parameter whose change this rank's role never
+// reads. Such a trial would run the whole golden suffix only to be
+// classified SUCCESS. A forked run ends instead at the collective instance
+// its fork was cut for, once three conditions hold:
+//
+//  1. every rank has completed that instance (a rank that failed, or still
+//     waits for a message the fault misrouted, never reports);
+//  2. on every rank the bytes the golden call wrote — the tape's recorded
+//     result span — are what the buffer now holds;
+//  3. on the faulted rank nothing else the call could touch differs from a
+//     snapshot taken before the hook ran: the result buffer outside the
+//     span, the whole other buffer, the four count/displacement vectors.
+//     Scalar parameters live in the runtime's private Args copy and die
+//     with the call.
+//
+// An unfaulted rank needs only condition 2: its arguments are the golden
+// run's, so the algorithm cannot write outside the span whatever its peers
+// sent it (an oversized message is MPI_ERR_TRUNCATE, a short one leaves
+// golden pre-call bytes). Every rank's memory is then the golden run's at
+// the same program point, every user message in flight was sent from golden
+// state, and the rest of the run is the golden suffix by construction, so
+// Run returns the recording run's own per-rank results with
+// RunResult.Reconverged set. What the faulted instance may leave behind in
+// a mailbox — a block sent to a peer that never posted the receive — is
+// inert: internal tags carry the instance's sequence number, every later
+// collective uses a later one, and user receives match user tags only.
+//
+// A flip that outlives the call in application memory fails condition 3 on
+// its own: an application-owned send buffer, a counts[] vector (the slices
+// alias the caller's), a receive-buffer bit the call never writes (non-root
+// Reduce/Gather). The convenience wrappers' send buffers are runtime
+// temporaries, released before the wrapper returns and never read by the
+// application; they are marked (Buffer.temp) and not compared.
+//
+// The contract this rests on is Fork's: a hook run with RunOptions.Fork
+// mutates only the call the fork was built for.
+
+// goldenSpan is the result the golden run's faulted instance left on rank:
+// the bytes at the head of resultBuffer when that call returned.
+func (f *Fork) goldenSpan(rank int) []byte {
+	tape := &f.trace.ranks[rank]
+	ev := &tape.events[f.at[rank]]
+	return tape.span(ev.off, ev.n)
+}
+
+// resultBuffer is the buffer a collective writes its local result into:
+// Bcast's one buffer, every other collective's recv (collResultSpan).
+func resultBuffer(t CollType, a *Args) *Buffer {
+	if t == CollBcast {
+		return a.Send
+	}
+	return a.Recv
+}
+
+// callSnapshot is the faulted rank's pre-hook record of the application
+// memory the faulted call can reach, less the result span, which the tape
+// holds. other is the buffer that is not the result buffer: nil for Bcast,
+// which has one, and for a runtime temporary, which nobody reads again.
+type callSnapshot struct {
+	result, other *Buffer
+	tail          []byte // result's bytes past the span
+	otherMem      []byte
+	vecs, vecMem  [4][]int32
+}
+
+// snapshotFaultedCall runs in beginCollective, before the hook, while the
+// run may still end at the faulted instance; it acts on the faulted rank at
+// that instance only.
+func (r *Rank) snapshotFaultedCall(t CollType, a *Args) {
+	f := r.world.fork
+	if r.id != f.rank || r.collSeq[CommWorld] != r.cutSeq {
+		return
+	}
+	s := &callSnapshot{result: resultBuffer(t, a), vecs: [4][]int32{a.SendCounts, a.SendDispls, a.RecvCounts, a.RecvDispls}}
+	if t != CollBcast && a.Send != nil && !a.Send.temp {
+		s.other = a.Send
+	}
+	res := s.result.Bytes()
+	s.tail = bytes.Clone(res[min(len(f.goldenSpan(r.id)), len(res)):])
+	s.otherMem = bytes.Clone(s.other.Bytes())
+	for i, v := range s.vecs {
+		s.vecMem[i] = slices.Clone(v)
+	}
+	r.world.snap = s
+}
+
+// golden reports whether application memory after the faulted call is what
+// the golden call left: the snapshot with the recorded span written over
+// the head of the result buffer.
+func (s *callSnapshot) golden(span []byte) bool {
+	res := s.result.Bytes()
+	if !bytes.HasPrefix(res, span) || !bytes.Equal(res[len(span):], s.tail) || !bytes.Equal(s.other.Bytes(), s.otherMem) {
+		return false
+	}
+	for i, v := range s.vecs {
+		if !slices.Equal(v, s.vecMem[i]) {
+			return false
+		}
+	}
+	return true
+}
+
+// reconverge runs in endCollective while the run may still end at the
+// faulted instance. On that instance it compares this rank's memory with
+// the golden run's and, when it is the last of the world to find them
+// equal, tells the supervisor, which alone tears the run down. A rank that
+// differs says nothing, and the run continues to whatever end the fault
+// gives it.
+func (r *Rank) reconverge(call *CollectiveCall) {
+	if r.collSeq[CommWorld]-1 != r.cutSeq {
+		return // a live instance before the faulted one
+	}
+	r.cutSeq = -1
+	w := r.world
+	span := w.fork.goldenSpan(r.id)
+	if r.id == w.fork.rank {
+		if !w.snap.golden(span) {
+			return
+		}
+	} else if !bytes.HasPrefix(resultBuffer(call.Type, call.Args).Bytes(), span) {
+		return
+	}
+	if int(w.matched.Add(1)) == w.size {
+		w.reconverged <- struct{}{}
+	}
 }

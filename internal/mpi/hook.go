@@ -159,6 +159,9 @@ func (r *Rank) beginCollective(t CollType, args *Args) *CollectiveCall {
 		ErrHandling: r.errHandling,
 		Args:        args,
 	}
+	if r.cutSeq >= 0 {
+		r.snapshotFaultedCall(t, args)
+	}
 	if r.world.hook != nil {
 		r.world.hook.BeforeCollective(call)
 	}
@@ -171,6 +174,9 @@ func (r *Rank) endCollective(call *CollectiveCall) {
 	}
 	if r.world.hook != nil {
 		r.world.hook.AfterCollective(call)
+	}
+	if r.cutSeq >= 0 {
+		r.reconverge(call)
 	}
 }
 

@@ -221,6 +221,7 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.budget = budget
 	rk.reported = nil // escapes into RankResult.Values; never recycled
 	rk.replay = nil   // armed by bindFork after every rank is bound
+	rk.cutSeq = -1    // likewise
 	rk.blockKind.Store(blockNone)
 }
 
@@ -248,6 +249,7 @@ func (sh *runShell) reclaim() {
 			putSlab(b.slab)
 			b.slab = nil
 			b.mem = nil
+			b.temp = false // a recycled header must not inherit the mark
 			rk.bufFree = append(rk.bufFree, b)
 			rk.owned[i] = nil
 		}

@@ -130,6 +130,11 @@ type Rank struct {
 	// trace until the fork cut is reached (see fork.go).
 	replay *replayState
 
+	// cutSeq, while non-negative, is the CommWorld sequence number of the
+	// collective instance a forked run may end at (see fork.go, part 3). -1
+	// in every other run, and on a rank that has passed the instance.
+	cutSeq int64
+
 	// appRand/appSrc back SeededRand, the cheap per-run application RNG.
 	appRand *rand.Rand
 	appSrc  fibSource

@@ -71,6 +71,9 @@ type Trace struct {
 	ranks  []rankTape
 	broken bool
 	reason string
+	// golden is the recording run's per-rank results: what a forked run
+	// that reconverges at its faulted call returns (fork.go, part 3).
+	golden []RankResult
 }
 
 // Forkable reports whether the trace can serve forked trials. Traces of
@@ -125,10 +128,10 @@ func (rec *traceRecorder) poison(reason string) {
 	rec.dead.Store(true)
 }
 
-func (rec *traceRecorder) finish() *Trace {
-	t := &Trace{ranks: rec.ranks, broken: rec.dead.Load(), reason: rec.reason}
+func (rec *traceRecorder) finish(results []RankResult) *Trace {
+	t := &Trace{ranks: rec.ranks, broken: rec.dead.Load(), reason: rec.reason, golden: results}
 	if t.broken {
-		t.ranks = nil // the partial tapes are unusable; don't retain them
+		t.ranks, t.golden = nil, nil // the partial tapes are unusable; don't retain them
 	}
 	return t
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -81,6 +82,10 @@ type RunResult struct {
 	Cancelled bool // RunOptions.Context was done before completion
 	Elapsed   time.Duration
 	Trace     *Trace // recorded communication, when RunOptions.Record was set
+	// Reconverged reports that a forked run was ended at its faulted
+	// collective: every rank left the call holding what the golden run held
+	// there, so Ranks are the recording run's own (see fork.go, part 3).
+	Reconverged bool
 }
 
 // FirstError returns the highest-priority error across ranks, or nil. The
@@ -161,6 +166,16 @@ type World struct {
 	// Buffered; notifications are hints verified by exactNow, and the only
 	// thing that ever makes the supervisor look (see supervise).
 	quiesce chan struct{}
+
+	// Reconvergence cut of a forked run (fork.go, part 3): matched counts
+	// the ranks that left the faulted collective in the golden run's state,
+	// and the one that completes the world posts reconverged (buffered; nil,
+	// so never ready, when the run has no cut to make). snap belongs to the
+	// faulted rank's goroutine, between its hook and the end of its call.
+	fork        *Fork
+	snap        *callSnapshot
+	matched     atomic.Int32
+	reconverged chan struct{}
 
 	// Network fault domain (nil/false on the default reliable network, so
 	// the no-fault hot path pays a single branch in sendRaw).
@@ -382,20 +397,28 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		Cancelled: cancelled,
 		Elapsed:   time.Since(start),
 	}
+	if w.reconverged != nil && int(w.matched.Load()) == n {
+		// Decided by the tally, not by which of supervise's cases fired
+		// first: a run whose ranks all finished before the supervisor read
+		// the signal, or whose deadline raced it, reconverged all the same,
+		// and its outcome is the golden run's either way.
+		res.Ranks, res.Reconverged, res.TimedOut = slices.Clone(w.fork.trace.golden), true, false
+	}
 	if w.rec != nil {
 		if deadlock || timedOut || cancelled {
 			w.rec.poison("recording run did not complete cleanly")
 		}
-		res.Trace = w.rec.finish()
+		res.Trace = w.rec.finish(results)
 	}
 	return res
 }
 
-// supervise waits for completion, deadlock, timeout or external
-// cancellation. Deadlock has exactly one detector: a true exactNow. The
-// supervisor never polls and never measures how long nothing happened — on a
-// loaded host a receiver that a channel hand-off has already woken can stay
-// off-CPU, still counted blocked, for longer than any window worth waiting.
+// supervise waits for completion, deadlock, timeout, external cancellation
+// or reconvergence (fork.go, part 3). Deadlock has exactly one detector: a
+// true exactNow. The supervisor never polls and never measures how long
+// nothing happened — on a loaded host a receiver that a channel hand-off has
+// already woken can stay off-CPU, still counted blocked, for longer than any
+// window worth waiting.
 // It looks only when a park or exit says it completed the fin+blk == size
 // sum, which is enough: every transition into that sum is a blocked.Add(1)
 // or finished.Add(1) followed, on the same goroutine, by notifyQuiesce; the
@@ -417,6 +440,12 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 			w.kill("run cancelled")
 			<-allDone
 			return false, false, true
+		case <-w.reconverged:
+			// Returning here is what keeps a quiescence hint sent by the
+			// unwinding ranks from ever being read as a deadlock.
+			w.kill("reconverged: the rest of the run is the golden suffix")
+			<-allDone
+			return false, false, false
 		case <-w.quiesce:
 			if w.exactNow() {
 				deadlock = w.reap()
