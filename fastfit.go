@@ -247,7 +247,7 @@ type Engine = core.Engine
 type Options = core.Options
 
 // ExecOptions groups trial-execution options (budget, seed, timeout,
-// concurrency, pooling, policy) — the Exec sub-struct of Options.
+// concurrency, policy) — the Exec sub-struct of Options.
 type ExecOptions = core.Exec
 
 // PruningOptions groups the static pruning switches — the Pruning

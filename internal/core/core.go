@@ -13,7 +13,7 @@ import (
 )
 
 // Exec groups the options governing how trials execute: budgets, seeds,
-// timeouts, concurrency and the runtime fast paths.
+// timeouts, concurrency and the fault policy.
 type Exec struct {
 	// TrialsPerPoint is the number of random fault-injection tests
 	// reported at each fault injection point (the paper uses at least 100).
@@ -34,12 +34,6 @@ type Exec struct {
 	// Parallelism is the number of injected runs executed concurrently.
 	// Zero picks a conservative default based on GOMAXPROCS.
 	Parallelism int
-	// DisablePooling turns off the simulated runtime's buffer arena
-	// (mpi.RunOptions.DisablePooling) and the precomputed golden digest,
-	// falling back to per-run allocation and full golden comparison. The
-	// differential tests use this to prove the pooled fast path is
-	// outcome-identical; campaigns leave it off.
-	DisablePooling bool
 	// Policy selects which parameter each fault-injection test corrupts.
 	Policy FaultPolicy
 }

@@ -51,9 +51,10 @@ func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
 	t.Helper()
 	var stream bytes.Buffer
 	jo := NewJSONLObserver(&stream)
-	opts.DisablePooling = !pooled
 	opts.Observer = jo
-	res, err := diffTestEngine(t, opts).RunCampaign()
+	e := diffTestEngine(t, opts)
+	e.unpooled = !pooled
+	res, err := e.RunCampaign()
 	if err != nil {
 		t.Fatalf("campaign (pooled=%t): %v", pooled, err)
 	}
@@ -70,7 +71,6 @@ func runDiffSerial(t *testing.T, opts Options, pooled bool) diffCampaign {
 // stream and the final campaign JSON.
 func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 	t.Helper()
-	opts.DisablePooling = !pooled
 	dir := t.TempDir()
 	ckpt := filepath.Join(dir, "diff.ckpt")
 
@@ -82,7 +82,9 @@ func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 			cancel()
 		}
 	})
-	first, err := NewSupervisor(diffTestEngine(t, intOpts), SupervisorOptions{
+	interrupted := diffTestEngine(t, intOpts)
+	interrupted.unpooled = !pooled
+	first, err := NewSupervisor(interrupted, SupervisorOptions{
 		Workers:    1,
 		Checkpoint: ckpt,
 	}).Run(ctx)
@@ -100,7 +102,9 @@ func runDiffResumed(t *testing.T, opts Options, pooled bool) diffCampaign {
 	jo := NewJSONLObserver(&stream)
 	resumeOpts := opts
 	resumeOpts.Observer = jo
-	res, err := ResumeCampaign(context.Background(), diffTestEngine(t, resumeOpts), SupervisorOptions{
+	resumed := diffTestEngine(t, resumeOpts)
+	resumed.unpooled = !pooled
+	res, err := ResumeCampaign(context.Background(), resumed, SupervisorOptions{
 		Workers:    1,
 		Checkpoint: ckpt,
 	})

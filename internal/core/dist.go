@@ -182,7 +182,9 @@ type RangeResult struct {
 // completed point is delivered to sink (when non-nil) in completion order
 // as it lands, and the full set is returned in index order. skip marks
 // indexes already measured elsewhere (a re-leased range resumes past its
-// dead shard's acked records). A sink error aborts the run.
+// dead shard's acked records). A sink error aborts the run. The event
+// stream closes like a campaign's: SnapshotStats over the range's trials,
+// then CampaignFinished.
 //
 // No checkpoint journalling, refinement, learning or prediction happens
 // here: those passes consume the whole campaign's phase-1 results, so they
@@ -237,6 +239,7 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 	for _, idx := range sortedIdxs(run.quar) {
 		res.Quarantined = append(res.Quarantined, run.quar[idx])
 	}
+	e.emit(e.stats.snapshot())
 	e.emit(CampaignFinished{
 		App:         e.App().Name(),
 		Injected:    len(res.Records),

@@ -29,6 +29,12 @@ type Engine struct {
 	golden mpi.RunResult
 	digest *classify.Digest
 
+	// unpooled runs the simulated runtime without its buffer arena
+	// (mpi.RunOptions.DisablePooling) and classifies by the full golden
+	// walk instead of the digest: the reference this package's
+	// differential and leak tests hold the default fast paths to.
+	unpooled bool
+
 	// Network-fault-domain configuration, resolved once (netSetup): the
 	// parsed topology shared by every injected run, or nil when the
 	// campaign has no network dimension.
@@ -147,7 +153,7 @@ func (e *Engine) Profile() (*profile.Profile, error) {
 	}
 	e.prof = col.Finish()
 	e.golden = res
-	if !e.opts.DisablePooling {
+	if !e.unpooled {
 		e.digest = classify.NewDigest(res, classify.DefaultTolerance)
 	}
 	return e.prof, nil
@@ -177,7 +183,7 @@ func (e *Engine) exec(ro mpi.RunOptions) mpi.RunResult {
 	ro.NumRanks = e.cfg.Ranks
 	ro.Seed = e.cfg.Seed
 	ro.Timeout = e.opts.RunTimeout
-	ro.DisablePooling = e.opts.DisablePooling
+	ro.DisablePooling = e.unpooled
 	return mpi.Run(ro, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
 }
 

@@ -108,8 +108,8 @@ func TestPooledBufferAliasingAcrossConcurrentRuns(t *testing.T) {
 	build := func(disablePooling bool) (*Engine, []Point) {
 		opts := DefaultOptions()
 		opts.RunTimeout = 10 * time.Second
-		opts.DisablePooling = disablePooling
 		e := New(app, cfg, opts)
+		e.unpooled = disablePooling
 		if _, err := e.Profile(); err != nil {
 			t.Fatal(err)
 		}
@@ -183,9 +183,9 @@ func TestSupervisorPaperScalePooled(t *testing.T) {
 		cfg.Scale = 32
 	}
 
-	serialOpts := opts
-	serialOpts.DisablePooling = true
-	serial, err := New(app, cfg, serialOpts).RunCampaign()
+	unpooled := New(app, cfg, opts)
+	unpooled.unpooled = true
+	serial, err := unpooled.RunCampaign()
 	if err != nil {
 		t.Fatal(err)
 	}

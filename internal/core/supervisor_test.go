@@ -439,6 +439,36 @@ func TestJournalFailureStopsInjection(t *testing.T) {
 	})
 }
 
+// TestRunRangeClosesWithSnapshotStats: a shard's stream ends the way a
+// campaign's does — SnapshotStats, then CampaignFinished — so a shard's
+// -progress and -events show its fork accounting, and that accounting covers
+// exactly the trials the range recorded.
+func TestRunRangeClosesWithSnapshotStats(t *testing.T) {
+	opts := supTestOptions()
+	rec := &eventRecorder{}
+	opts.Observer = rec
+	s := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 2})
+	res, err := s.RunRange(context.Background(), 1, 6, map[int]bool{3: true}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	trials := 0
+	for _, r := range res.Records {
+		trials += len(r.Result.Trials)
+	}
+	evs := rec.all()
+	if len(evs) < 2 || len(res.Records) != 4 || trials == 0 {
+		t.Fatalf("range recorded %d points, %d trials, in a stream of %d events", len(res.Records), trials, len(evs))
+	}
+	snap, ok := evs[len(evs)-2].(SnapshotStats)
+	if _, fin := evs[len(evs)-1].(CampaignFinished); !ok || !fin {
+		t.Fatalf("stream ends %T, %T; want SnapshotStats, CampaignFinished", evs[len(evs)-2], evs[len(evs)-1])
+	}
+	if got := snap.Forked + snap.Replayed + snap.Memoised; got != trials || snap.Forked == 0 {
+		t.Fatalf("SnapshotStats %+v accounts for %d trials; the range recorded %d, and the is trials fork", snap, got, trials)
+	}
+}
+
 // TestRunCampaignRefusesQuarantine: RunCampaign's caller has no Quarantined
 // field to inspect, so a point the harness could not measure is an error
 // naming the first failure — never a result silently short of points.

@@ -3,9 +3,11 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -162,32 +164,70 @@ func TestClientBackoffExhaustion(t *testing.T) {
 }
 
 // TestClientNoRetryOnClientError pins that 4xx replies are never retried:
-// they are the caller's bug, and backing off cannot fix them.
+// they are the caller's bug, and backing off cannot fix them. 413 is the
+// coordinator's answer to a body over its limit.
 func TestClientNoRetryOnClientError(t *testing.T) {
-	var mu sync.Mutex
-	calls := 0
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		mu.Lock()
-		calls++
-		mu.Unlock()
-		http.Error(w, "campaign fingerprint mismatch", http.StatusConflict)
-	}))
-	defer srv.Close()
+	for _, code := range []int{http.StatusConflict, http.StatusRequestEntityTooLarge} {
+		var mu sync.Mutex
+		calls := 0
+		srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			mu.Lock()
+			calls++
+			mu.Unlock()
+			http.Error(w, "refused", code)
+		}))
+		sr := &sleepRecorder{}
+		cl := dist.NewClient(srv.URL, nil).WithRetry(recordedRetry(sr, 10))
+		_, err := cl.Status(context.Background())
+		srv.Close()
+		if err == nil {
+			t.Fatalf("%d reply succeeded", code)
+		}
+		if errors.Is(err, dist.ErrUnavailable) {
+			t.Fatalf("%d surfaced as ErrUnavailable: %v", code, err)
+		}
+		if calls != 1 {
+			t.Errorf("%d was retried: %d requests", code, calls)
+		}
+		if len(sr.recorded()) != 0 {
+			t.Errorf("%d triggered backoff sleeps: %v", code, sr.recorded())
+		}
+	}
+}
 
-	sr := &sleepRecorder{}
-	cl := dist.NewClient(srv.URL, nil).WithRetry(recordedRetry(sr, 10))
-	_, err := cl.Status(context.Background())
-	if err == nil {
-		t.Fatal("409 reply succeeded")
+// repeatByte is an endless reader of one byte value: a request body of any
+// size, generated as it is sent.
+type repeatByte byte
+
+func (b repeatByte) Read(p []byte) (int, error) {
+	for i := range p {
+		p[i] = byte(b)
 	}
-	if errors.Is(err, dist.ErrUnavailable) {
-		t.Fatalf("409 surfaced as ErrUnavailable: %v", err)
+	return len(p), nil
+}
+
+// TestOversizedBodyRefused: a request body over the coordinator's 64 MiB
+// limit is refused whole with 413 naming the limit. The body is a JSON
+// string that closes just past the limit, so a body cut at the limit would
+// be answered 400 as a syntax error instead.
+func TestOversizedBodyRefused(t *testing.T) {
+	coord, err := dist.NewCoordinator(testEngine(t, testOptions(1)), dist.CoordinatorOptions{LeaseSize: 4})
+	if err != nil {
+		t.Fatalf("coordinator: %v", err)
 	}
-	if calls != 1 {
-		t.Errorf("409 was retried: %d requests", calls)
-	}
-	if len(sr.recorded()) != 0 {
-		t.Errorf("409 triggered backoff sleeps: %v", sr.recorded())
+	srv := httptest.NewServer(coord.Handler())
+	defer srv.Close()
+	for _, path := range []string{"/v1/lease", "/v1/journal"} {
+		body := io.MultiReader(strings.NewReader(`{"worker":"`), io.LimitReader(repeatByte('a'), 64<<20), strings.NewReader(`"}`))
+		resp, err := http.Post(srv.URL+path, "application/json", body)
+		if err != nil {
+			t.Fatalf("POST %s: %v", path, err)
+		}
+		msg, _ := io.ReadAll(resp.Body)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusRequestEntityTooLarge || !strings.Contains(string(msg), "64 MiB") {
+			t.Errorf("POST %s with a body over the limit: %d %q, want 413 naming the 64 MiB limit", path, resp.StatusCode, msg)
+		}
 	}
 }
 

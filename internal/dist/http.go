@@ -2,6 +2,7 @@ package dist
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"net/http"
@@ -57,9 +58,8 @@ func (c *Coordinator) handleCampaign(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := DecodeLeaseRequest(body)
@@ -76,9 +76,8 @@ func (c *Coordinator) handleLease(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	req, err := DecodeRenewRequest(body)
@@ -90,9 +89,8 @@ func (c *Coordinator) handleRenew(w http.ResponseWriter, r *http.Request) {
 }
 
 func (c *Coordinator) handleJournal(w http.ResponseWriter, r *http.Request) {
-	body, err := readBody(r)
-	if err != nil {
-		httpError(w, http.StatusBadRequest, err)
+	body, ok := readBody(w, r)
+	if !ok {
 		return
 	}
 	batch, recs, quars, err := DecodeJournalBatch(body)
@@ -182,12 +180,22 @@ func writeSSEFrame(w io.Writer, frame []byte) error {
 	return err
 }
 
-func readBody(r *http.Request) ([]byte, error) {
-	data, err := io.ReadAll(io.LimitReader(r.Body, maxBodyBytes))
-	if err != nil {
-		return nil, fmt.Errorf("reading request body: %w", err)
+// readBody reads a request body of at most maxBodyBytes, or answers the
+// request itself and reports false: 413 naming the limit for a larger body,
+// which is refused whole rather than cut into a JSON syntax error, and 400
+// for one that cannot be read.
+func readBody(w http.ResponseWriter, r *http.Request) ([]byte, bool) {
+	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	var tooBig *http.MaxBytesError
+	switch {
+	case errors.As(err, &tooBig):
+		httpError(w, http.StatusRequestEntityTooLarge, fmt.Errorf("request body exceeds the %d MiB limit", maxBodyBytes>>20))
+	case err != nil:
+		httpError(w, http.StatusBadRequest, fmt.Errorf("reading request body: %w", err))
+	default:
+		return data, true
 	}
-	return data, nil
+	return nil, false
 }
 
 func writeJSON(w http.ResponseWriter, v any) {

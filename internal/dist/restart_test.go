@@ -1,6 +1,7 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -8,6 +9,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"sync"
 	"testing"
@@ -16,6 +18,7 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/all"
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/dist"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 // The chaos-restart suite: SIGKILL the coordinator mid-campaign (simulated
@@ -160,7 +163,8 @@ func TestChaosRestartIdentity(t *testing.T) {
 
 // TestChaosDoubleRestart kills the coordinator twice: crash, recover,
 // crash the recovery, recover again (epoch 3) and finish. Identity must
-// survive arbitrarily many generations.
+// survive arbitrarily many generations — and a first generation whose WAL
+// carries an option later builds no longer have.
 func TestChaosDoubleRestart(t *testing.T) {
 	opts := testOptions(5)
 	serial := runSerial(t, opts)
@@ -193,6 +197,7 @@ func TestChaosDoubleRestart(t *testing.T) {
 		t.Fatalf("doomed worker 1: %v", err)
 	}
 	killCoordinator(srv1, coord1)
+	addRemovedPoolingOption(t, dir)
 
 	coord2, err := dist.RecoverCoordinator(dir, all.Lookup, copts())
 	if err != nil {
@@ -244,6 +249,31 @@ func TestChaosDoubleRestart(t *testing.T) {
 	// history, not recoverable state.
 	if _, err := dist.RecoverCoordinator(dir, all.Lookup, copts()); !errors.Is(err, dist.ErrCampaignMerged) {
 		t.Fatalf("recovering a merged campaign: got %v, want ErrCampaignMerged", err)
+	}
+}
+
+// addRemovedPoolingOption rewrites the WAL's open record the way builds
+// that still had core.Exec.DisablePooling wrote it: the campaign options
+// carried "DisablePooling":false. Such a log must still recover — the field
+// never entered the fingerprint.
+func addRemovedPoolingOption(t *testing.T, dir string) {
+	t.Helper()
+	path := filepath.Join(dir, dist.WALFileName)
+	lines, _, _ := recfile.Split(readFile(t, path))
+	open, err := recfile.ParseLine(lines[0])
+	if err != nil {
+		t.Fatal(err)
+	}
+	legacy := regexp.MustCompile(`"Parallelism":\d+,`).ReplaceAll(open, []byte(`${0}"DisablePooling":false,`))
+	if bytes.Equal(legacy, open) {
+		t.Fatalf("open record has no Parallelism option to insert the field after: %s", open)
+	}
+	data := recfile.EncodeLine(legacy)
+	for _, line := range lines[1:] {
+		data = append(append(data, line...), '\n')
+	}
+	if err := recfile.WriteFile(path, data); err != nil {
+		t.Fatal(err)
 	}
 }
 

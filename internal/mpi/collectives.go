@@ -5,23 +5,116 @@ package mpi
 // recursive-doubling allreduce, linear scatter/gather, ring allgather,
 // pairwise-exchange alltoall(/v), reduce_scatter and linear scan.
 //
-// Every algorithm consumes the (possibly injector-mutated) Args fields of
-// its own rank only, so a corrupted parameter on one rank derails the
-// message schedule exactly as it would in a real MPI library: truncation
-// errors, stray reads of heap garbage, buffer overruns, garbage
-// reductions, or deadlock. Buffer traffic goes through the heap-slack
-// ReadAt/WriteAt model (see buffer.go), which decides whether a corrupted
-// size is a silent overread, an oversized message or a crash.
+// Every collective enters through enter, the one path a corrupted argument
+// takes whichever call it hits: hook, validation, sequencing. Each body
+// below is then only its algorithm. Every algorithm consumes the (possibly
+// injector-mutated) Args fields of its own rank only, so a corrupted
+// parameter on one rank derails the message schedule exactly as it would
+// in a real MPI library: truncation errors, stray reads of heap garbage,
+// buffer overruns, garbage reductions, or deadlock. Buffer traffic goes
+// through the heap-slack ReadAt/WriteAt model (see buffer.go), which
+// decides whether a corrupted size is a silent overread, an oversized
+// message or a crash.
 
-// recvBlock receives an internal collective message and applies MPI's
-// truncation rule: an incoming message longer than the posted receive is an
-// error (MPI_ERR_TRUNCATE); a shorter one is accepted as-is. The caller
-// owns the returned message and recycles its pooled payload once the data
-// has been consumed.
-func (r *Rank) recvBlock(op string, comm Comm, src int, tag int64, want int) message {
-	m := r.recvMatch(comm, src, tag)
+import "runtime"
+
+// collCall is one live collective invocation past its prologue: the
+// arguments as the hook left them, the MPI name the call's errors carry,
+// the communicator with this rank's place in it, and the sequence number
+// that keys the call's internal tags.
+type collCall struct {
+	*Args
+	r        *Rank
+	name     string
+	ci       *commInfo
+	me, size int
+	seq      int64
+	call     *CollectiveCall
+}
+
+// enter is every collective's prologue, in the order the fault model needs:
+// a call inside a forked run's replayed prefix is served from the tape, and
+// enter returns nil; otherwise the arguments go into the rank's Args frame,
+// the call is charged to the work budget and its application context
+// captured, the hook sees (and may corrupt) the arguments, the
+// communicator handle is dereferenced, the type's entry checks run on what
+// the hook left, and the call takes its sequence number. A rank runs one
+// collective at a time, so the record lives in its frame.
+func (r *Rank) enter(t CollType, a Args) *collCall {
+	if r.replayActive() {
+		r.replayCollective(t, a.Send, a.Recv, a.Comm)
+		return nil
+	}
+	args := r.newArgs(a)
+	r.Tick(collectiveWorkCharge)
+	st, site, inv := r.callSite(r.pcbuf[:runtime.Callers(2, r.pcbuf[:])])
+	call := r.newCollCall()
+	*call = CollectiveCall{
+		Rank:        r.id,
+		Type:        t,
+		Site:        site,
+		Invocation:  inv,
+		Stack:       st.stack,
+		StackHash:   st.hash,
+		Phase:       r.phase,
+		ErrHandling: r.errHandling,
+		Args:        args,
+	}
+	if r.cutSeq >= 0 {
+		r.snapshotFaultedCall(t, args)
+	}
+	if r.world.hook != nil {
+		r.world.hook.BeforeCollective(call)
+	}
+	ci := r.commDeref(args.Comm)
+	validate(r.id, t, args, ci)
+	c := &r.frame.coll
+	*c = collCall{Args: args, r: r, name: collNames[t], ci: ci,
+		me: ci.rankOf[r.id], size: len(ci.members), seq: r.nextSeq(args.Comm), call: call}
+	return c
+}
+
+// validate performs the argument validation a production MPI library
+// applies on entry to a collective: negative counts, null handles and
+// out-of-range roots are reported as MPI errors. What is checked follows
+// the signature: Barrier has nothing to check, the vector calls Alltoallv
+// and ReduceScatter carry no scalar count, only reductions take an op and
+// only rooted calls a root. Non-null corrupted datatype/op handles are
+// deliberately NOT validated — they are dereferenced later like the
+// pointers they are in real implementations, and crash.
+func validate(rank int, t CollType, a *Args, ci *commInfo) {
+	if t == CollBarrier {
+		return
+	}
+	op := collNames[t]
+	if t != CollAlltoallv && t != CollReduceScatter && a.Count < 0 {
+		abortf(rank, op, ErrCount, "negative count %d", a.Count)
+	}
+	checkDtype(rank, op, a.Dtype)
+	switch t {
+	case CollReduce, CollAllreduce, CollReduceScatter, CollScan:
+		checkOp(rank, op, a.Op)
+	}
+	if t.Rooted() && (a.Root < 0 || int(a.Root) >= len(ci.members)) {
+		abortf(rank, op, ErrRoot, "root %d outside communicator of size %d", a.Root, len(ci.members))
+	}
+}
+
+// sendTo posts data to dst (a rank of the call's communicator) under the
+// call's internal tag for round.
+func (c *collCall) sendTo(dst, round int, data []byte) {
+	c.r.post(c.ci, c.Comm, dst, internalTag(c.seq, round), data, nil)
+}
+
+// recvFrom receives the call's round message from src and applies MPI's
+// truncation rule: an incoming message longer than the posted receive of
+// want bytes is an error (MPI_ERR_TRUNCATE); a shorter one is accepted
+// as-is. The caller owns the returned message and recycles its pooled
+// payload once the data has been consumed.
+func (c *collCall) recvFrom(src, round, want int) message {
+	m, _ := c.r.recvMatch(matcher{c.Comm, src, internalTag(c.seq, round)}, -1)
 	if len(m.data) > want {
-		abortf(r.id, op, ErrTruncate, "message of %d bytes truncated to receive of %d bytes", len(m.data), want)
+		abortf(c.r.id, c.name, ErrTruncate, "message of %d bytes truncated to receive of %d bytes", len(m.data), want)
 	}
 	return m
 }
@@ -37,166 +130,106 @@ func padTo(data []byte, n int) []byte {
 	return out
 }
 
-// validateCommon performs the argument validation a production MPI library
-// applies on entry to a collective: negative counts, null handles and
-// out-of-range roots are reported as MPI errors. Non-null corrupted
-// datatype/op handles are deliberately NOT validated — they are dereferenced
-// later like the pointers they are in real implementations, and crash.
-func validateCommon(rank int, op string, a *Args, ci *commInfo, needDtype, needOp, rooted bool) {
-	if needDtype {
-		if a.Count < 0 {
-			abortf(rank, op, ErrCount, "negative count %d", a.Count)
-		}
-		checkDtype(rank, op, a.Dtype)
-	}
-	if needOp {
-		checkOp(rank, op, a.Op)
-	}
-	if rooted && (a.Root < 0 || int(a.Root) >= len(ci.members)) {
-		abortf(rank, op, ErrRoot, "root %d outside communicator of size %d", a.Root, len(ci.members))
-	}
-}
-
 // Barrier blocks until every rank of comm has entered it (dissemination
 // algorithm).
 func (r *Rank) Barrier(comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollBarrier, nil, nil, comm)
+	c := r.enter(CollBarrier, Args{Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Comm: comm})
-	call := r.beginCollective(CollBarrier, args)
-	ci := r.commDeref(args.Comm)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
 	round := 0
-	for mask := 1; mask < size; mask <<= 1 {
-		dst := (me + mask) % size
-		src := (me - mask + size) % size
-		r.sendRaw(ci, args.Comm, dst, internalTag(seq, round), nil)
-		m := r.recvMatch(args.Comm, src, internalTag(seq, round))
+	for mask := 1; mask < c.size; mask <<= 1 {
+		c.sendTo((c.me+mask)%c.size, round, nil)
+		m, _ := r.recvMatch(matcher{c.Comm, (c.me - mask + c.size) % c.size, internalTag(c.seq, round)}, -1)
 		m.recycle()
 		round++
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Bcast broadcasts count elements of dt from root's buf into every other
 // rank's buf (binomial tree).
 func (r *Rank) Bcast(buf *Buffer, count int, dt Datatype, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollBcast, buf, nil, comm)
+	c := r.enter(CollBcast, Args{Send: buf, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: buf, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
-	call := r.beginCollective(CollBcast, args)
-	const op = "MPI_Bcast"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	nbytes := int(args.Count) * args.Dtype.Size()
-	vrank := (me - int(args.Root) + size) % size
+	nbytes := int(c.Count) * c.Dtype.Size()
+	vrank := (c.me - int(c.Root) + c.size) % c.size
 
 	mask := 1
-	for mask < size {
+	for mask < c.size {
 		if vrank&mask != 0 {
-			parent := ((vrank-mask)%size + int(args.Root)) % size
-			m := r.recvBlock(op, args.Comm, parent, internalTag(seq, 0), nbytes)
-			args.Send.WriteAt(op+" recv", 0, m.data)
+			m := c.recvFrom(((vrank-mask)%c.size+int(c.Root))%c.size, 0, nbytes)
+			c.Send.WriteAt("MPI_Bcast recv", 0, m.data)
 			m.recycle()
 			break
 		}
 		mask <<= 1
 	}
 	for mask >>= 1; mask > 0; mask >>= 1 {
-		if vrank+mask < size {
-			child := (vrank + mask + int(args.Root)) % size
-			payload := args.Send.ReadAt(op+" send", 0, nbytes)
-			r.sendRaw(ci, args.Comm, child, internalTag(seq, 0), payload)
+		if vrank+mask < c.size {
+			payload := c.Send.ReadAt("MPI_Bcast send", 0, nbytes)
+			c.sendTo((vrank+mask+int(c.Root))%c.size, 0, payload)
 		}
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Reduce combines count elements of dt from every rank's send buffer with
 // op, leaving the result in root's recv buffer (binomial tree).
 func (r *Rank) Reduce(send, recv *Buffer, count int, dt Datatype, op Op, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollReduce, send, recv, comm)
+	c := r.enter(CollReduce, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Root: int32(root), Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Root: int32(root), Comm: comm})
-	call := r.beginCollective(CollReduce, args)
-	const opName = "MPI_Reduce"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, opName, args, ci, true, true, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	nbytes := int(args.Count) * args.Dtype.Size()
-	src := args.Send.ReadAt(opName+" send", 0, nbytes)
+	nbytes := int(c.Count) * c.Dtype.Size()
+	src := c.Send.ReadAt("MPI_Reduce send", 0, nbytes)
 	acc, accSlab := r.scratch(nbytes)
 	copy(acc, src)
 
-	vrank := (me - int(args.Root) + size) % size
-	for mask := 1; mask < size; mask <<= 1 {
+	vrank := (c.me - int(c.Root) + c.size) % c.size
+	for mask := 1; mask < c.size; mask <<= 1 {
 		if vrank&mask == 0 {
-			srcV := vrank | mask
-			if srcV < size {
-				from := (srcV + int(args.Root)) % size
-				m := r.recvBlock(opName, args.Comm, from, internalTag(seq, 0), nbytes)
-				combine(args.Op, args.Dtype, acc, padTo(m.data, nbytes), int(args.Count))
+			if srcV := vrank | mask; srcV < c.size {
+				m := c.recvFrom((srcV+int(c.Root))%c.size, 0, nbytes)
+				combine(c.Op, c.Dtype, acc, padTo(m.data, nbytes), int(c.Count))
 				m.recycle()
 			}
 		} else {
-			dstV := vrank - mask
-			dst := (dstV + int(args.Root)) % size
-			r.sendRaw(ci, args.Comm, dst, internalTag(seq, 0), acc)
+			c.sendTo((vrank-mask+int(c.Root))%c.size, 0, acc)
 			break
 		}
 	}
 	if vrank == 0 {
-		args.Recv.WriteAt(opName+" recv", 0, acc)
+		c.Recv.WriteAt("MPI_Reduce recv", 0, acc)
 	}
 	putSlab(accSlab)
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Allreduce combines count elements with op and leaves the result in every
 // rank's recv buffer. Power-of-two communicators use recursive doubling;
 // others fall back to reduce-to-zero plus broadcast.
 func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollAllreduce, send, recv, comm)
+	c := r.enter(CollAllreduce, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Comm: comm})
-	call := r.beginCollective(CollAllreduce, args)
-	const opName = "MPI_Allreduce"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, opName, args, ci, true, true, false)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	nbytes := int(args.Count) * args.Dtype.Size()
-	src := args.Send.ReadAt(opName+" send", 0, nbytes)
+	nbytes := int(c.Count) * c.Dtype.Size()
+	src := c.Send.ReadAt("MPI_Allreduce send", 0, nbytes)
 	acc, accSlab := r.scratch(nbytes)
 	copy(acc, src)
 
+	me, size := c.me, c.size
 	if size&(size-1) == 0 {
 		// recursive doubling
 		round := 0
 		for mask := 1; mask < size; mask <<= 1 {
 			partner := me ^ mask
-			r.sendRaw(ci, args.Comm, partner, internalTag(seq, round), acc)
-			m := r.recvBlock(opName, args.Comm, partner, internalTag(seq, round), nbytes)
-			combine(args.Op, args.Dtype, acc, padTo(m.data, nbytes), int(args.Count))
+			c.sendTo(partner, round, acc)
+			m := c.recvFrom(partner, round, nbytes)
+			combine(c.Op, c.Dtype, acc, padTo(m.data, nbytes), int(c.Count))
 			m.recycle()
 			round++
 		}
@@ -204,21 +237,20 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 		// reduce to rank 0, then binomial broadcast
 		for mask := 1; mask < size; mask <<= 1 {
 			if me&mask == 0 {
-				from := me | mask
-				if from < size {
-					m := r.recvBlock(opName, args.Comm, from, internalTag(seq, 200), nbytes)
-					combine(args.Op, args.Dtype, acc, padTo(m.data, nbytes), int(args.Count))
+				if from := me | mask; from < size {
+					m := c.recvFrom(from, 200, nbytes)
+					combine(c.Op, c.Dtype, acc, padTo(m.data, nbytes), int(c.Count))
 					m.recycle()
 				}
 			} else {
-				r.sendRaw(ci, args.Comm, me-mask, internalTag(seq, 200), acc)
+				c.sendTo(me-mask, 200, acc)
 				break
 			}
 		}
 		mask := 1
 		for mask < size {
 			if me&mask != 0 {
-				m := r.recvBlock(opName, args.Comm, me-mask, internalTag(seq, 201), nbytes)
+				m := c.recvFrom(me-mask, 201, nbytes)
 				copy(acc, padTo(m.data, nbytes))
 				m.recycle()
 				break
@@ -227,303 +259,233 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 		}
 		for mask >>= 1; mask > 0; mask >>= 1 {
 			if me+mask < size {
-				r.sendRaw(ci, args.Comm, me+mask, internalTag(seq, 201), acc)
+				c.sendTo(me+mask, 201, acc)
 			}
 		}
 	}
-	args.Recv.WriteAt(opName+" recv", 0, acc)
+	c.Recv.WriteAt("MPI_Allreduce recv", 0, acc)
 	putSlab(accSlab)
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Scatter distributes consecutive count-element blocks of root's send
 // buffer to the ranks' recv buffers (linear from root).
 func (r *Rank) Scatter(send, recv *Buffer, count int, dt Datatype, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollScatter, send, recv, comm)
+	c := r.enter(CollScatter, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
-	call := r.beginCollective(CollScatter, args)
-	const op = "MPI_Scatter"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	blk := int(args.Count) * args.Dtype.Size()
-	if me == int(args.Root) {
-		for p := 0; p < size; p++ {
-			src := args.Send.ReadAt(op+" send", p*blk, blk)
-			if p == me {
-				args.Recv.WriteAt(op+" recv", 0, src)
+	blk := int(c.Count) * c.Dtype.Size()
+	if c.me == int(c.Root) {
+		for p := 0; p < c.size; p++ {
+			src := c.Send.ReadAt("MPI_Scatter send", p*blk, blk)
+			if p == c.me {
+				c.Recv.WriteAt("MPI_Scatter recv", 0, src)
 			} else {
-				r.sendRaw(ci, args.Comm, p, internalTag(seq, 0), src)
+				c.sendTo(p, 0, src)
 			}
 		}
 	} else {
-		m := r.recvBlock(op, args.Comm, int(args.Root), internalTag(seq, 0), blk)
-		args.Recv.WriteAt(op+" recv", 0, m.data)
+		m := c.recvFrom(int(c.Root), 0, blk)
+		c.Recv.WriteAt("MPI_Scatter recv", 0, m.data)
 		m.recycle()
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Gather collects count-element blocks from every rank's send buffer into
 // consecutive blocks of root's recv buffer (linear to root).
 func (r *Rank) Gather(send, recv *Buffer, count int, dt Datatype, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollGather, send, recv, comm)
+	c := r.enter(CollGather, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Root: int32(root), Comm: comm})
-	call := r.beginCollective(CollGather, args)
-	const op = "MPI_Gather"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	blk := int(args.Count) * args.Dtype.Size()
-	if me == int(args.Root) {
-		for p := 0; p < size; p++ {
-			if p == me {
-				args.Recv.WriteAt(op+" recv", p*blk, args.Send.ReadAt(op+" send", 0, blk))
+	blk := int(c.Count) * c.Dtype.Size()
+	if c.me == int(c.Root) {
+		for p := 0; p < c.size; p++ {
+			if p == c.me {
+				c.Recv.WriteAt("MPI_Gather recv", p*blk, c.Send.ReadAt("MPI_Gather send", 0, blk))
 			} else {
-				m := r.recvBlock(op, args.Comm, p, internalTag(seq, 0), blk)
-				args.Recv.WriteAt(op+" recv", p*blk, m.data)
+				m := c.recvFrom(p, 0, blk)
+				c.Recv.WriteAt("MPI_Gather recv", p*blk, m.data)
 				m.recycle()
 			}
 		}
 	} else {
-		payload := args.Send.ReadAt(op+" send", 0, blk)
-		r.sendRaw(ci, args.Comm, int(args.Root), internalTag(seq, 0), payload)
+		c.sendTo(int(c.Root), 0, c.Send.ReadAt("MPI_Gather send", 0, blk))
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Allgather collects every rank's count-element send block into every
 // rank's recv buffer (ring algorithm).
 func (r *Rank) Allgather(send, recv *Buffer, count int, dt Datatype, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollAllgather, send, recv, comm)
+	c := r.enter(CollAllgather, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Comm: comm})
-	call := r.beginCollective(CollAllgather, args)
-	const op = "MPI_Allgather"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, false)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
+	blk := int(c.Count) * c.Dtype.Size()
+	c.Recv.WriteAt("MPI_Allgather recv own", c.me*blk, c.Send.ReadAt("MPI_Allgather send", 0, blk))
 
-	blk := int(args.Count) * args.Dtype.Size()
-	args.Recv.WriteAt(op+" recv own", me*blk, args.Send.ReadAt(op+" send", 0, blk))
-
-	right := (me + 1) % size
-	left := (me - 1 + size) % size
-	cur := me
-	for step := 0; step < size-1; step++ {
-		payload := args.Recv.ReadAt(op+" forward", cur*blk, blk)
-		r.sendRaw(ci, args.Comm, right, internalTag(seq, step), payload)
-		cur = (cur - 1 + size) % size
-		m := r.recvBlock(op, args.Comm, left, internalTag(seq, step), blk)
-		args.Recv.WriteAt(op+" recv", cur*blk, m.data)
+	right := (c.me + 1) % c.size
+	left := (c.me - 1 + c.size) % c.size
+	cur := c.me
+	for step := 0; step < c.size-1; step++ {
+		c.sendTo(right, step, c.Recv.ReadAt("MPI_Allgather forward", cur*blk, blk))
+		cur = (cur - 1 + c.size) % c.size
+		m := c.recvFrom(left, step, blk)
+		c.Recv.WriteAt("MPI_Allgather recv", cur*blk, m.data)
 		m.recycle()
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Alltoall exchanges count-element blocks between every pair of ranks
 // (pairwise exchange).
 func (r *Rank) Alltoall(send, recv *Buffer, count int, dt Datatype, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollAlltoall, send, recv, comm)
+	c := r.enter(CollAlltoall, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Comm: comm})
-	call := r.beginCollective(CollAlltoall, args)
-	const op = "MPI_Alltoall"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, false)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	blk := int(args.Count) * args.Dtype.Size()
-	for step := 0; step < size; step++ {
-		dst := (me + step) % size
-		src := (me - step + size) % size
-		if dst == me {
-			args.Recv.WriteAt(op+" recv self", me*blk, args.Send.ReadAt(op+" send self", me*blk, blk))
+	blk := int(c.Count) * c.Dtype.Size()
+	for step := 0; step < c.size; step++ {
+		dst := (c.me + step) % c.size
+		src := (c.me - step + c.size) % c.size
+		if dst == c.me {
+			c.Recv.WriteAt("MPI_Alltoall recv self", c.me*blk, c.Send.ReadAt("MPI_Alltoall send self", c.me*blk, blk))
 			continue
 		}
-		payload := args.Send.ReadAt(op+" send", dst*blk, blk)
-		r.sendRaw(ci, args.Comm, dst, internalTag(seq, step), payload)
-		m := r.recvBlock(op, args.Comm, src, internalTag(seq, step), blk)
-		args.Recv.WriteAt(op+" recv", src*blk, m.data)
+		c.sendTo(dst, step, c.Send.ReadAt("MPI_Alltoall send", dst*blk, blk))
+		m := c.recvFrom(src, step, blk)
+		c.Recv.WriteAt("MPI_Alltoall recv", src*blk, m.data)
 		m.recycle()
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Alltoallv exchanges variable-sized blocks between every pair of ranks.
 // Counts and displacements are in elements of dt.
 func (r *Rank) Alltoallv(send *Buffer, sendCounts, sendDispls []int32, recv *Buffer, recvCounts, recvDispls []int32, dt Datatype, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollAlltoallv, send, recv, comm)
-		return
-	}
-	args := r.newArgs(Args{
+	c := r.enter(CollAlltoallv, Args{
 		Send: send, Recv: recv, Dtype: dt, Comm: comm,
 		SendCounts: sendCounts, SendDispls: sendDispls,
 		RecvCounts: recvCounts, RecvDispls: recvDispls,
 	})
-	call := r.beginCollective(CollAlltoallv, args)
-	const op = "MPI_Alltoallv"
-	ci := r.commDeref(args.Comm)
-	checkDtype(r.id, op, args.Dtype)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-	esz := args.Dtype.Size()
+	if c == nil {
+		return
+	}
+	esz := c.Dtype.Size()
 
 	// Count vectors are indexed per peer with no bounds validation (a real
 	// MPI library trusts the caller's arrays); corrupted vectors therefore
 	// produce MPI_ERR_COUNT, truncation, overruns or deadlock.
 	cnt := func(v []int32, p int) int {
-		c := int(v[p])
-		if c < 0 {
-			abortf(r.id, op, ErrCount, "negative count %d for peer %d", c, p)
+		n := int(v[p])
+		if n < 0 {
+			abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
 		}
-		return c
+		return n
 	}
-	for step := 0; step < size; step++ {
-		dst := (me + step) % size
-		src := (me - step + size) % size
-		if dst == me {
-			n := cnt(args.SendCounts, me) * esz
-			data := args.Send.ReadAt(op+" send self", int(args.SendDispls[me])*esz, n)
-			want := cnt(args.RecvCounts, me) * esz
+	for step := 0; step < c.size; step++ {
+		dst := (c.me + step) % c.size
+		src := (c.me - step + c.size) % c.size
+		if dst == c.me {
+			n := cnt(c.SendCounts, c.me) * esz
+			data := c.Send.ReadAt("MPI_Alltoallv send self", int(c.SendDispls[c.me])*esz, n)
+			want := cnt(c.RecvCounts, c.me) * esz
 			if n > want {
-				abortf(r.id, op, ErrTruncate, "self message of %d bytes truncated to %d", n, want)
+				abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", n, want)
 			}
-			args.Recv.WriteAt(op+" recv self", int(args.RecvDispls[me])*esz, data)
+			c.Recv.WriteAt("MPI_Alltoallv recv self", int(c.RecvDispls[c.me])*esz, data)
 			continue
 		}
-		n := cnt(args.SendCounts, dst) * esz
-		payload := args.Send.ReadAt(op+" send", int(args.SendDispls[dst])*esz, n)
-		r.sendRaw(ci, args.Comm, dst, internalTag(seq, step), payload)
-		want := cnt(args.RecvCounts, src) * esz
-		m := r.recvBlock(op, args.Comm, src, internalTag(seq, step), want)
-		args.Recv.WriteAt(op+" recv", int(args.RecvDispls[src])*esz, m.data)
+		n := cnt(c.SendCounts, dst) * esz
+		c.sendTo(dst, step, c.Send.ReadAt("MPI_Alltoallv send", int(c.SendDispls[dst])*esz, n))
+		m := c.recvFrom(src, step, cnt(c.RecvCounts, src)*esz)
+		c.Recv.WriteAt("MPI_Alltoallv recv", int(c.RecvDispls[src])*esz, m.data)
 		m.recycle()
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // ReduceScatter reduces element-wise across ranks and scatters segment i
 // (counts[i] elements) to rank i. Implemented as reduce-to-zero followed by
 // a linear scatterv.
 func (r *Rank) ReduceScatter(send, recv *Buffer, counts []int32, dt Datatype, op Op, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollReduceScatter, send, recv, comm)
+	c := r.enter(CollReduceScatter, Args{Send: send, Recv: recv, Dtype: dt, Op: op, Comm: comm, RecvCounts: counts})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Dtype: dt, Op: op, Comm: comm, RecvCounts: counts})
-	call := r.beginCollective(CollReduceScatter, args)
-	const opName = "MPI_Reduce_scatter"
-	ci := r.commDeref(args.Comm)
-	checkDtype(r.id, opName, args.Dtype)
-	checkOp(r.id, opName, args.Op)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-	esz := args.Dtype.Size()
-
+	esz := c.Dtype.Size()
 	total := 0
-	for p := 0; p < size; p++ {
-		c := int(args.RecvCounts[p])
-		if c < 0 {
-			abortf(r.id, opName, ErrCount, "negative count %d for segment %d", c, p)
+	for p := 0; p < c.size; p++ {
+		n := int(c.RecvCounts[p])
+		if n < 0 {
+			abortf(r.id, c.name, ErrCount, "negative count %d for segment %d", n, p)
 		}
-		total += c
+		total += n
 	}
 	nbytes := total * esz
-	src := args.Send.ReadAt(opName+" send", 0, nbytes)
+	src := c.Send.ReadAt("MPI_Reduce_scatter send", 0, nbytes)
 	acc, accSlab := r.scratch(nbytes)
 	copy(acc, src)
 
-	for mask := 1; mask < size; mask <<= 1 {
-		if me&mask == 0 {
-			from := me | mask
-			if from < size {
-				m := r.recvBlock(opName, args.Comm, from, internalTag(seq, 0), nbytes)
-				combine(args.Op, args.Dtype, acc, padTo(m.data, nbytes), total)
+	for mask := 1; mask < c.size; mask <<= 1 {
+		if c.me&mask == 0 {
+			if from := c.me | mask; from < c.size {
+				m := c.recvFrom(from, 0, nbytes)
+				combine(c.Op, c.Dtype, acc, padTo(m.data, nbytes), total)
 				m.recycle()
 			}
 		} else {
-			r.sendRaw(ci, args.Comm, me-mask, internalTag(seq, 0), acc)
+			c.sendTo(c.me-mask, 0, acc)
 			break
 		}
 	}
-	if me == 0 {
+	if c.me == 0 {
 		off := 0
-		for p := 0; p < size; p++ {
-			n := int(args.RecvCounts[p]) * esz
+		for p := 0; p < c.size; p++ {
+			n := int(c.RecvCounts[p]) * esz
 			if p == 0 {
-				args.Recv.WriteAt(opName+" recv", 0, acc[off:off+n])
+				c.Recv.WriteAt("MPI_Reduce_scatter recv", 0, acc[off:off+n])
 			} else {
-				r.sendRaw(ci, args.Comm, p, internalTag(seq, 1), acc[off:off+n])
+				c.sendTo(p, 1, acc[off:off+n])
 			}
 			off += n
 		}
 	} else {
-		want := int(args.RecvCounts[me]) * esz
-		m := r.recvBlock(opName, args.Comm, 0, internalTag(seq, 1), want)
-		args.Recv.WriteAt(opName+" recv", 0, m.data)
+		m := c.recvFrom(0, 1, int(c.RecvCounts[c.me])*esz)
+		c.Recv.WriteAt("MPI_Reduce_scatter recv", 0, m.data)
 		m.recycle()
 	}
 	putSlab(accSlab)
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Scan computes an inclusive prefix reduction: rank i's recv buffer holds
 // op over the send buffers of ranks 0..i (linear chain).
 func (r *Rank) Scan(send, recv *Buffer, count int, dt Datatype, op Op, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollScan, send, recv, comm)
+	c := r.enter(CollScan, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Comm: comm})
+	if c == nil {
 		return
 	}
-	args := r.newArgs(Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Comm: comm})
-	call := r.beginCollective(CollScan, args)
-	const opName = "MPI_Scan"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, opName, args, ci, true, true, false)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-
-	nbytes := int(args.Count) * args.Dtype.Size()
-	src := args.Send.ReadAt(opName+" send", 0, nbytes)
+	nbytes := int(c.Count) * c.Dtype.Size()
+	src := c.Send.ReadAt("MPI_Scan send", 0, nbytes)
 	acc, accSlab := r.scratch(nbytes)
 	copy(acc, src)
-	if me > 0 {
-		m := r.recvBlock(opName, args.Comm, me-1, internalTag(seq, 0), nbytes)
+	if c.me > 0 {
+		m := c.recvFrom(c.me-1, 0, nbytes)
 		prev, prevSlab := r.scratch(nbytes)
 		copy(prev, padTo(m.data, nbytes))
 		m.recycle()
-		combine(args.Op, args.Dtype, prev, acc, int(args.Count))
+		combine(c.Op, c.Dtype, prev, acc, int(c.Count))
 		putSlab(accSlab)
 		acc, accSlab = prev, prevSlab
 	}
-	if me < size-1 {
-		r.sendRaw(ci, args.Comm, me+1, internalTag(seq, 0), acc)
+	if c.me < c.size-1 {
+		c.sendTo(c.me+1, 0, acc)
 	}
-	args.Recv.WriteAt(opName+" recv", 0, acc)
+	c.Recv.WriteAt("MPI_Scan recv", 0, acc)
 	putSlab(accSlab)
-	r.endCollective(call)
+	r.endCollective(c.call)
 }

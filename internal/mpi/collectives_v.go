@@ -9,93 +9,73 @@ package mpi
 // Scatterv distributes counts[i] elements starting at displs[i] of root's
 // send buffer to rank i's recv buffer (recvCount elements posted).
 func (r *Rank) Scatterv(send *Buffer, sendCounts, sendDispls []int32, recv *Buffer, recvCount int, dt Datatype, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollScatterv, send, recv, comm)
-		return
-	}
-	args := r.newArgs(Args{
+	c := r.enter(CollScatterv, Args{
 		Send: send, Recv: recv, Count: int32(recvCount), Dtype: dt,
 		Root: int32(root), Comm: comm,
 		SendCounts: sendCounts, SendDispls: sendDispls,
 	})
-	call := r.beginCollective(CollScatterv, args)
-	const op = "MPI_Scatterv"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-	esz := args.Dtype.Size()
-
-	if me == int(args.Root) {
-		for p := 0; p < size; p++ {
-			c := int(args.SendCounts[p])
-			if c < 0 {
-				abortf(r.id, op, ErrCount, "negative count %d for peer %d", c, p)
+	if c == nil {
+		return
+	}
+	esz := c.Dtype.Size()
+	want := int(c.Count) * esz
+	if c.me == int(c.Root) {
+		for p := 0; p < c.size; p++ {
+			n := int(c.SendCounts[p])
+			if n < 0 {
+				abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
 			}
-			payload := args.Send.ReadAt(op+" send", int(args.SendDispls[p])*esz, c*esz)
-			if p == me {
-				want := int(args.Count) * esz
+			payload := c.Send.ReadAt("MPI_Scatterv send", int(c.SendDispls[p])*esz, n*esz)
+			if p == c.me {
 				if len(payload) > want {
-					abortf(r.id, op, ErrTruncate, "self message of %d bytes truncated to %d", len(payload), want)
+					abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", len(payload), want)
 				}
-				args.Recv.WriteAt(op+" recv", 0, payload)
+				c.Recv.WriteAt("MPI_Scatterv recv", 0, payload)
 			} else {
-				r.sendRaw(ci, args.Comm, p, internalTag(seq, 0), payload)
+				c.sendTo(p, 0, payload)
 			}
 		}
 	} else {
-		want := int(args.Count) * esz
-		m := r.recvBlock(op, args.Comm, int(args.Root), internalTag(seq, 0), want)
-		args.Recv.WriteAt(op+" recv", 0, m.data)
+		m := c.recvFrom(int(c.Root), 0, want)
+		c.Recv.WriteAt("MPI_Scatterv recv", 0, m.data)
 		m.recycle()
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }
 
 // Gatherv collects sendCount elements from every rank into root's recv
 // buffer at displs[i], expecting counts[i] elements from rank i.
 func (r *Rank) Gatherv(send *Buffer, sendCount int, recv *Buffer, recvCounts, recvDispls []int32, dt Datatype, root int, comm Comm) {
-	if r.replayActive() {
-		r.replayCollective(CollGatherv, send, recv, comm)
-		return
-	}
-	args := r.newArgs(Args{
+	c := r.enter(CollGatherv, Args{
 		Send: send, Recv: recv, Count: int32(sendCount), Dtype: dt,
 		Root: int32(root), Comm: comm,
 		RecvCounts: recvCounts, RecvDispls: recvDispls,
 	})
-	call := r.beginCollective(CollGatherv, args)
-	const op = "MPI_Gatherv"
-	ci := r.commDeref(args.Comm)
-	validateCommon(r.id, op, args, ci, true, false, true)
-	me := ci.rankOf[r.id]
-	size := len(ci.members)
-	seq := r.nextSeq(args.Comm)
-	esz := args.Dtype.Size()
-
-	if me == int(args.Root) {
-		for p := 0; p < size; p++ {
-			c := int(args.RecvCounts[p])
-			if c < 0 {
-				abortf(r.id, op, ErrCount, "negative count %d for peer %d", c, p)
+	if c == nil {
+		return
+	}
+	esz := c.Dtype.Size()
+	if c.me == int(c.Root) {
+		for p := 0; p < c.size; p++ {
+			n := int(c.RecvCounts[p])
+			if n < 0 {
+				abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
 			}
-			want := c * esz
-			if p == me {
-				data := args.Send.ReadAt(op+" send", 0, int(args.Count)*esz)
+			want := n * esz
+			if p == c.me {
+				data := c.Send.ReadAt("MPI_Gatherv send", 0, int(c.Count)*esz)
 				if len(data) > want {
-					abortf(r.id, op, ErrTruncate, "self message of %d bytes truncated to %d", len(data), want)
+					abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", len(data), want)
 				}
-				args.Recv.WriteAt(op+" recv", int(args.RecvDispls[p])*esz, data)
+				c.Recv.WriteAt("MPI_Gatherv recv", int(c.RecvDispls[p])*esz, data)
 			} else {
-				m := r.recvBlock(op, args.Comm, p, internalTag(seq, 0), want)
-				args.Recv.WriteAt(op+" recv", int(args.RecvDispls[p])*esz, m.data)
+				m := c.recvFrom(p, 0, want)
+				c.Recv.WriteAt("MPI_Gatherv recv", int(c.RecvDispls[p])*esz, m.data)
 				m.recycle()
 			}
 		}
 	} else {
-		payload := args.Send.ReadAt(op+" send", 0, int(args.Count)*esz)
-		r.sendRaw(ci, args.Comm, int(args.Root), internalTag(seq, 0), payload)
+		c.sendTo(int(c.Root), 0, c.Send.ReadAt("MPI_Gatherv send", 0, int(c.Count)*esz))
 	}
-	r.endCollective(call)
+	r.endCollective(c.call)
 }

@@ -61,11 +61,11 @@ func (r *Rank) CommDup(comm Comm) Comm {
 		copy(members, ci.members)
 		h := r.world.addComm(members)
 		for p := 1; p < len(ci.members); p++ {
-			r.sendRaw(ci, comm, p, internalTag(seq, 0), FromInt64s([]int64{int64(h)}).Bytes())
+			r.post(ci, comm, p, internalTag(seq, 0), FromInt64s([]int64{int64(h)}).Bytes(), nil)
 		}
 		return h
 	}
-	m := r.recvMatch(comm, 0, internalTag(seq, 0))
+	m, _ := r.recvMatch(matcher{comm, 0, internalTag(seq, 0)}, -1)
 	h := Comm((&Buffer{mem: m.data}).Int64(0))
 	m.recycle()
 	return h
@@ -85,8 +85,8 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 
 	// Gather (color, key) pairs at rank 0 of the parent communicator.
 	if me != 0 {
-		r.sendRaw(ci, comm, 0, internalTag(seq, 0), FromInt64s([]int64{int64(color), int64(key)}).Bytes())
-		m := r.recvMatch(comm, 0, internalTag(seq, 1))
+		r.post(ci, comm, 0, internalTag(seq, 0), FromInt64s([]int64{int64(color), int64(key)}).Bytes(), nil)
+		m, _ := r.recvMatch(matcher{comm, 0, internalTag(seq, 1)}, -1)
 		h := Comm((&Buffer{mem: m.data}).Int64(0))
 		m.recycle()
 		return h
@@ -96,7 +96,7 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 	keys := make([]int, size)
 	colors[0], keys[0] = color, key
 	for p := 1; p < size; p++ {
-		m := r.recvMatch(comm, p, internalTag(seq, 0))
+		m, _ := r.recvMatch(matcher{comm, p, internalTag(seq, 0)}, -1)
 		b := &Buffer{mem: m.data}
 		colors[p], keys[p] = int(b.Int64(0)), int(b.Int64(1))
 		m.recycle()
@@ -137,7 +137,7 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 		handles[p] = seen[colors[p]]
 	}
 	for p := 1; p < size; p++ {
-		r.sendRaw(ci, comm, p, internalTag(seq, 1), FromInt64s([]int64{int64(handles[p])}).Bytes())
+		r.post(ci, comm, p, internalTag(seq, 1), FromInt64s([]int64{int64(handles[p])}).Bytes(), nil)
 	}
 	return handles[0]
 }

@@ -357,7 +357,7 @@ type callSnapshot struct {
 	vecs, vecMem  [4][]int32
 }
 
-// snapshotFaultedCall runs in beginCollective, before the hook, while the
+// snapshotFaultedCall runs in enter, before the hook, while the
 // run may still end at the faulted instance; it acts on the faulted rank at
 // that instance only.
 func (r *Rank) snapshotFaultedCall(t CollType, a *Args) {

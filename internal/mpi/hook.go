@@ -134,38 +134,22 @@ const pkgPrefix = "github.com/fastfit/fastfit/internal/mpi."
 // iteration count around a tight Allreduce loop.
 const collectiveWorkCharge = 2000
 
-// beginCollective captures the application context for a collective call,
-// assigns the invocation index and runs the world hook.
-func (r *Rank) beginCollective(t CollType, args *Args) *CollectiveCall {
-	r.Tick(collectiveWorkCharge)
-	n := runtime.Callers(2, r.pcbuf[:])
-	st := r.lookupStack(r.pcbuf[:n])
-	var site uintptr
+// callSite resolves a raw call stack, captured with runtime.Callers from a
+// public entry point (a collective, a user send or receive) outward, into
+// the call's application context: the trimmed stack (memoised by
+// lookupStack), its innermost application PC, and that site's invocation
+// index on this rank, which it advances. Callers capture the stack
+// themselves, directly in the entry point's first runtime frame: every
+// frame in between would be one more for runtime.Callers to walk on every
+// call.
+func (r *Rank) callSite(pcs []uintptr) (st stackEntry, site uintptr, inv int) {
+	st = r.lookupStack(pcs)
 	if len(st.stack) > 0 {
 		site = st.stack[0]
 	}
-	inv := r.invents[site]
+	inv = r.invents[site]
 	r.invents[site] = inv + 1
-
-	call := r.newCollCall()
-	*call = CollectiveCall{
-		Rank:        r.id,
-		Type:        t,
-		Site:        site,
-		Invocation:  inv,
-		Stack:       st.stack,
-		StackHash:   st.hash,
-		Phase:       r.phase,
-		ErrHandling: r.errHandling,
-		Args:        args,
-	}
-	if r.cutSeq >= 0 {
-		r.snapshotFaultedCall(t, args)
-	}
-	if r.world.hook != nil {
-		r.world.hook.BeforeCollective(call)
-	}
-	return call
+	return st, site, inv
 }
 
 func (r *Rank) endCollective(call *CollectiveCall) {

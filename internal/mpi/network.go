@@ -2,7 +2,7 @@ package mpi
 
 // Network overlays fault state and accounting on a Topology. It is the
 // runtime half of the network fault domain: the injector flips link and
-// egress bits here, and sendRaw consults deliver() before enqueueing a
+// egress bits here, and post consults deliver() before enqueueing a
 // message at its destination.
 //
 // Determinism contract ("anything time-varying is origin-scoped"):
@@ -15,7 +15,7 @@ package mpi
 //     counters (DropEgress) — is scoped to the originating rank: it only
 //     affects messages *sent by that rank* whose first hop matches. The
 //     injector applies these on the faulted rank's own goroutine, and the
-//     same goroutine later consults them in sendRaw, so whether a given
+//     same goroutine later consults them in post, so whether a given
 //     message is dropped is a pure function of that rank's program order.
 //     Globally-visible time-varying state would make drops depend on the
 //     scheduler's interleaving, and classification would stop being
@@ -299,88 +299,26 @@ func (r *Rank) LibSeq(key string) int {
 // RecvOrFail receives a message from src (rank within comm) with the given
 // tag, or reports that src has died. It returns (payload, true) on receipt
 // and (nil, false) when src is dead and no matching message is pending —
-// the failure-detection primitive surviving collectives are built on.
+// the failure-detection primitive surviving collectives are built on. It is
+// an ordinary receive with a death watch on src (recvMatch).
 //
 // Determinism: a dying rank's sends are enqueued before its death mark is
-// published (same goroutine), so once RecvOrFail observes the death it
-// drains the inbox completely before giving up; "message was sent" vs
-// "rank died first" is therefore decided by src's program order alone. A
-// message lost to a *link* fault with src still alive blocks forever, as a
-// real receiver would, and the quiescence detector reaps the run (INF_LOOP).
+// published (same goroutine), and RecvOrFail samples the epoch channel
+// before the death mask and, once it observes the death, drains the inbox
+// completely before giving up; "message was sent" vs "rank died first" is
+// therefore decided by src's program order alone. A message lost to a
+// *link* fault with src still alive blocks forever, as a real receiver
+// would, and the quiescence detector reaps the run (INF_LOOP).
 func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 	if r.world.rec != nil {
 		// Failure-detecting receives consume messages outside the recorded
 		// Recv path; such apps use full replay.
 		r.world.rec.poison("failure-detecting receive (RecvOrFail)")
 	}
-	if tag < 0 || tag >= maxUserTag {
-		abortf(r.id, "RecvOrFail", ErrTag, "tag %d outside [0,%d)", tag, maxUserTag)
+	ci, want := r.recvArgs("RecvOrFail", comm, src, tag, false)
+	m, ok := r.recvMatch(want, ci.members[src])
+	if !ok {
+		return nil, false
 	}
-	ci := r.commDeref(comm)
-	if src < 0 || src >= len(ci.members) {
-		abortf(r.id, "RecvOrFail", ErrRank, "source %d outside communicator of size %d", src, len(ci.members))
-	}
-	w := r.world
-	wsrc := ci.members[src]
-	t := int64(tag)
-	match := func(m message) bool {
-		return m.comm == comm && m.src == src && m.tag == t
-	}
-	for i, m := range r.pending {
-		if match(m) {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return m.payload(), true
-		}
-	}
-	if !w.faulty {
-		m := r.recvMatch(comm, src, t)
-		return m.payload(), true
-	}
-	for {
-		// Load the epoch channel BEFORE sampling the death mask: a death
-		// published after the sample closes the channel we already hold,
-		// so the blocking select below cannot miss it.
-		ep := *w.epoch.Load()
-		dead := w.dead[wsrc].Load()
-		// Drain without blocking. If dead was observed above, everything
-		// src ever sent is already in the inbox (or pending, checked
-		// before), so an empty drain is a definitive failure verdict.
-	drain:
-		for {
-			select {
-			case m := <-r.inbox:
-				w.absorbed.Add(1)
-				if match(m) {
-					return m.payload(), true
-				}
-				r.pending = append(r.pending, m)
-			default:
-				break drain
-			}
-		}
-		if dead {
-			return nil, false
-		}
-		r.blockKind.Store(blockRecv)
-		w.blocked.Add(1)
-		w.notifyQuiesce()
-		select {
-		case m := <-r.inbox:
-			w.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-			w.absorbed.Add(1)
-			if match(m) {
-				return m.payload(), true
-			}
-			r.pending = append(r.pending, m)
-		case <-ep:
-			// Membership changed; loop to re-sample the death mask.
-			w.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-		case <-w.done:
-			w.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-			panic(Killed{Reason: w.killWhy.Load().(string)})
-		}
-	}
+	return m.payload(), true
 }

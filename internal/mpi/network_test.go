@@ -1,6 +1,8 @@
 package mpi
 
 import (
+	"runtime"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -226,6 +228,79 @@ func TestRecvOrFailDrainsBeforeFailing(t *testing.T) {
 		if _, ok := res.FirstError().(NodeCrashed); !ok {
 			t.Fatalf("FirstError = %v, want NodeCrashed", res.FirstError())
 		}
+	}
+}
+
+// A message a failed link dropped, from a source that stays alive, leaves
+// RecvOrFail waiting forever, as a real receiver would: the run is frozen,
+// and the quiescence proof reaps it as a deadlock at event latency, long
+// before the wall clock could.
+func TestRecvOrFailOnDroppedMessageDeadlocks(t *testing.T) {
+	net := net2(t, 2)
+	net.FailLink(0, 1)
+	res := Run(RunOptions{NumRanks: 2, Network: net, Timeout: 30 * time.Second}, func(r *Rank) error {
+		if r.ID() == 1 {
+			r.Send(CommWorld, 0, 5, []byte{7}) // dropped on the failed link
+			r.Recv(CommWorld, 0, 6)            // alive, and parked
+			return nil
+		}
+		if data, ok := r.RecvOrFail(CommWorld, 1, 5); ok {
+			t.Errorf("RecvOrFail returned %v; the message was dropped", data)
+		}
+		return nil
+	})
+	if !res.Deadlock || res.TimedOut {
+		t.Fatalf("Deadlock %v TimedOut %v, want a deadlock verdict", res.Deadlock, res.TimedOut)
+	}
+	if res.Elapsed > 10*time.Second {
+		t.Fatalf("deadlock reaped after %v; the quiescence proof should not wait", res.Elapsed)
+	}
+	for _, rr := range res.Ranks {
+		if k, ok := rr.Err.(Killed); !ok || k.Reason != "deadlock: all surviving ranks blocked with no progress" {
+			t.Fatalf("rank %d error = %v, want Killed by the deadlock verdict", rr.Rank, rr.Err)
+		}
+	}
+}
+
+// A rank already parked in RecvOrFail when its source crashes is woken by
+// the epoch channel and returns the failure verdict. The crash comes only
+// once the receiver is parked, and until the receiver runs it still looks
+// parked: the dead peer it published is what keeps exactQuiesced from
+// calling the run frozen, at one P and at two.
+func TestRecvOrFailWokenByMidRunCrash(t *testing.T) {
+	reps := 200
+	if testing.Short() {
+		reps = 20
+	}
+	for i := 0; i < reps; i++ {
+		res := Run(RunOptions{NumRanks: 2, Network: net2(t, 2), Timeout: 30 * time.Second}, func(r *Rank) error {
+			if r.ID() == 1 {
+				for r.world.ranks[0].blockKind.Load() != blockRecv {
+					runtime.Gosched()
+				}
+				panic(NodeCrashed{Rank: 1, Reason: "test crash"})
+			}
+			if data, ok := r.RecvOrFail(CommWorld, 1, 5); ok {
+				t.Errorf("RecvOrFail returned %v from a rank that never sent", data)
+			}
+			return nil
+		})
+		if res.Ranks[0].Err != nil || res.Deadlock || res.TimedOut {
+			t.Fatalf("rep %d: receiver error %v, Deadlock %v, TimedOut %v; want RecvOrFail's verdict", i, res.Ranks[0].Err, res.Deadlock, res.TimedOut)
+		}
+	}
+
+	// The supervisor's Gosched usually lets the woken receiver run before
+	// the second scan, so the loop above rarely meets the state it guards
+	// against; build it by hand: the source dead and counted finished, the
+	// receiver woken but still published as parked on it.
+	w := &World{size: 2, ranks: newShell(2, 8).ranks, faulty: true, dead: make([]atomic.Bool, 2)}
+	w.dead[1].Store(true)
+	w.finished.Store(1)
+	w.ranks[0].world = w
+	w.ranks[0].park(blockRecv, 1)
+	if w.exactNow() {
+		t.Fatal("exactNow called a receiver its source's death has woken frozen")
 	}
 }
 

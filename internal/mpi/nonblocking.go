@@ -12,9 +12,7 @@ package mpi
 type Request struct {
 	rank      *Rank
 	isRecv    bool
-	comm      Comm
-	src       int
-	tag       int64
+	want      matcher
 	data      []byte
 	completed bool
 }
@@ -36,18 +34,8 @@ func (r *Rank) Irecv(comm Comm, src, tag int) *Request {
 		r.world.rec.poison("nonblocking receive (Irecv)")
 	}
 	args := r.beginP2P(P2PRecv, P2PArgs{Peer: src, Tag: tag, Comm: comm})
-	if args.Tag != AnyTag && (args.Tag < 0 || args.Tag >= maxUserTag) {
-		abortf(r.id, "MPI_Irecv", ErrTag, "tag %d outside [0,%d)", args.Tag, maxUserTag)
-	}
-	ci := r.commDeref(args.Comm)
-	if args.Peer != AnySource && (args.Peer < 0 || args.Peer >= len(ci.members)) {
-		abortf(r.id, "MPI_Irecv", ErrRank, "source %d outside communicator of size %d", args.Peer, len(ci.members))
-	}
-	t := int64(args.Tag)
-	if args.Tag == AnyTag {
-		t = anyTagSentinel
-	}
-	return &Request{rank: r, isRecv: true, comm: args.Comm, src: args.Peer, tag: t}
+	_, want := r.recvArgs("MPI_Irecv", args.Comm, args.Peer, args.Tag, true)
+	return &Request{rank: r, isRecv: true, want: want}
 }
 
 // Wait blocks until the request completes and returns the received payload
@@ -57,7 +45,7 @@ func (req *Request) Wait() []byte {
 		return req.data
 	}
 	if req.isRecv {
-		m := req.rank.recvMatch(req.comm, req.src, req.tag)
+		m, _ := req.rank.recvMatch(req.want, -1)
 		req.data = m.payload()
 	}
 	req.completed = true
@@ -75,39 +63,14 @@ func (req *Request) Test() (bool, []byte) {
 		req.completed = true
 		return true, nil
 	}
-	r := req.rank
-	// Drain whatever is already delivered.
-	for {
-		select {
-		case m := <-r.inbox:
-			r.world.absorbed.Add(1)
-			r.pending = append(r.pending, m)
-		default:
-			goto drained
-		}
+	req.rank.absorb(nil, -1, nil)
+	m, ok := req.rank.takePending(&req.want)
+	if !ok {
+		return false, nil
 	}
-drained:
-	match := func(m message) bool {
-		if m.comm != req.comm {
-			return false
-		}
-		if req.src != AnySource && m.src != req.src {
-			return false
-		}
-		if req.tag == anyTagSentinel {
-			return m.tag >= 0 && m.tag < maxUserTag
-		}
-		return m.tag == req.tag
-	}
-	for i, m := range r.pending {
-		if match(m) {
-			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			req.data = m.payload()
-			req.completed = true
-			return true, req.data
-		}
-	}
-	return false, nil
+	req.data = m.payload()
+	req.completed = true
+	return true, req.data
 }
 
 // Waitall completes all requests in order and returns the receive payloads

@@ -72,14 +72,7 @@ func (r *Rank) beginP2P(kind P2PKind, a P2PArgs) *P2PArgs {
 	if !ok {
 		return args
 	}
-	n := runtime.Callers(2, r.pcbuf[:])
-	st := r.lookupStack(r.pcbuf[:n])
-	var site uintptr
-	if len(st.stack) > 0 {
-		site = st.stack[0]
-	}
-	inv := r.invents[site]
-	r.invents[site] = inv + 1
+	st, site, inv := r.callSite(r.pcbuf[:runtime.Callers(2, r.pcbuf[:])])
 	call := r.newP2PCall()
 	*call = P2PCall{
 		Rank:        r.id,

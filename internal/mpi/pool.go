@@ -41,8 +41,10 @@ package mpi
 //     not escape release them early via (*Buffer).Release.
 //
 // Everything here is disabled by RunOptions.DisablePooling, which restores
-// the original allocate-per-run behaviour; the differential tests use that
-// switch to prove the two paths are outcome-identical.
+// the original allocate-per-run behaviour. It is the runtime's reference
+// seam, not a campaign option: internal/core's differential and leak tests
+// reach it through an unexported engine field to prove the two paths
+// outcome-identical.
 
 import (
 	"math/bits"
@@ -110,13 +112,16 @@ type stackEntry struct {
 	hash  uint64
 }
 
-// collFrame holds a rank's reusable hook records. With pooling on, every
-// collective on a rank reuses the same CollectiveCall/Args pair (a rank
-// executes at most one collective at a time); the records are only valid
-// for the duration of the hook callbacks, as documented on Hook.
+// collFrame holds a rank's reusable collective records. With pooling on,
+// every collective on a rank reuses the same CollectiveCall/Args pair (a
+// rank executes at most one collective at a time); the records are only
+// valid for the duration of the hook callbacks, as documented on Hook. coll,
+// the runtime's own per-call record (see enter), never reaches the hook and
+// is reused whether pooling is on or not.
 type collFrame struct {
 	call CollectiveCall
 	args Args
+	coll collCall
 }
 
 // p2pFrame is collFrame's point-to-point counterpart.

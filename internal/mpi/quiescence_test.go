@@ -101,3 +101,76 @@ func TestFailureDominatesQuiescenceVerdict(t *testing.T) {
 		}
 	}
 }
+
+// booksApp drives every way a message can leave an inbox: Recv, Irecv with
+// Wait and with Test, RecvOrFail (behind a death watch, on a faulty
+// network), CommSplit and all thirteen collectives. It ends by sending
+// messages nobody receives, so the inboxes are left holding some.
+func booksApp(r *Rank) error {
+	me, n := r.ID(), r.NumRanks()
+	next, prev := (me+1)%n, (me+n-1)%n
+	r.Send(CommWorld, next, 1, []byte{1})
+	r.Recv(CommWorld, prev, 1)
+	req := r.Irecv(CommWorld, prev, 2)
+	r.Isend(CommWorld, next, 2, []byte{2}).Wait()
+	for done, _ := req.Test(); !done; done, _ = req.Test() {
+		runtime.Gosched()
+	}
+	r.Send(CommWorld, next, 3, []byte{3})
+	r.Irecv(CommWorld, AnySource, 3).Wait()
+	r.Send(CommWorld, next, 4, []byte{4})
+	if _, ok := r.RecvOrFail(CommWorld, prev, 4); !ok {
+		r.Abort("RecvOrFail found a live source dead")
+	}
+	r.Barrier(r.CommSplit(CommWorld, me%2, me))
+
+	const k = 2
+	one, all := r.NewFloat64Buffer(k), r.NewFloat64Buffer(k*n)
+	out, outAll := r.NewFloat64Buffer(k), r.NewFloat64Buffer(k*n)
+	counts, displs := make([]int32, n), make([]int32, n)
+	for p := range counts {
+		counts[p], displs[p] = k, int32(p*k)
+	}
+	r.Barrier(CommWorld)
+	r.Bcast(one, k, Float64, 0, CommWorld)
+	r.Reduce(one, out, k, Float64, OpSum, 1, CommWorld)
+	r.Allreduce(one, out, k, Float64, OpSum, CommWorld)
+	r.Scatter(all, out, k, Float64, 2, CommWorld)
+	r.Gather(one, outAll, k, Float64, 3, CommWorld)
+	r.Allgather(one, outAll, k, Float64, CommWorld)
+	r.Alltoall(all, outAll, k, Float64, CommWorld)
+	r.Alltoallv(all, counts, displs, outAll, counts, displs, Float64, CommWorld)
+	r.ReduceScatter(all, out, counts, Float64, OpSum, CommWorld)
+	r.Scan(one, out, k, Float64, OpSum, CommWorld)
+	r.Scatterv(all, counts, displs, out, k, Float64, 0, CommWorld)
+	r.Gatherv(one, k, outAll, counts, displs, Float64, 1, CommWorld)
+
+	r.Send(CommWorld, next, 9, []byte{9})
+	r.Send(CommWorld, prev, 9, []byte{9})
+	return nil
+}
+
+// After the run, the books balance: every message delivered into an inbox
+// was either absorbed out of it or is still queued there. All drains go
+// through absorb, the only place a message leaves an inbox while ranks
+// run; a receive path that took a message without booking it would leave
+// delivered − absorbed above what is queued, and exactNow would then refuse
+// a frozen run forever.
+func TestQuiescenceBooksBalance(t *testing.T) {
+	for i := 0; i < 20; i++ {
+		var w *World
+		res := Run(RunOptions{NumRanks: 4, Network: net2(t, 4), DisablePooling: true, Timeout: 30 * time.Second}, func(r *Rank) error {
+			if r.ID() == 0 {
+				w = r.world
+			}
+			return booksApp(r)
+		})
+		if err := res.FirstError(); err != nil || res.Deadlock || res.TimedOut {
+			t.Fatalf("run %d: %v (deadlock %v, timeout %v)", i, err, res.Deadlock, res.TimedOut)
+		}
+		delivered, absorbed, queued := w.books()
+		if delivered-absorbed != queued || queued == 0 {
+			t.Fatalf("run %d: delivered %d − absorbed %d = %d, but the inboxes hold %d", i, delivered, absorbed, delivered-absorbed, queued)
+		}
+	}
+}

@@ -140,22 +140,44 @@ type Rank struct {
 	appSrc  fibSource
 
 	// blockKind/blockPeer publish where this rank is parked — blockRecv
-	// (waiting on its own inbox) or blockSend with the target's world rank
-	// (waiting for capacity in a full inbox) — for the supervisor's
-	// exact-quiescence check (World.exactQuiesced). Set before the matching
-	// blocked.Add(1), cleared after every blocked.Add(-1), so whenever a
-	// rank is counted blocked its park site is already published.
+	// (waiting on its own inbox) or blockSend (waiting for capacity in a
+	// full inbox) — for the supervisor's exact-quiescence check
+	// (World.exactQuiesced). blockPeer is the world rank whose death would
+	// wake the park through the epoch channel: a send's target, a
+	// death-watched source, or the rank itself, which no death wakes. Only
+	// park and unpark write them.
 	blockKind atomic.Int32
 	blockPeer atomic.Int32
 }
 
-// blockKind values. All three park sites (post, recvMatch, RecvOrFail)
-// publish theirs before blocked.Add(1); blockNone means not parked.
+// blockKind values; blockNone means not parked.
 const (
 	blockNone int32 = iota
 	blockRecv
 	blockSend
 )
+
+// park is the one way a rank starts to wait (absorb on its inbox, post on
+// a full one): it publishes the park site, then counts the rank blocked,
+// then hints the supervisor. That order is the invariant exactNow's proof
+// rests on: a rank counted blocked has its park site published, and a park
+// that completes the fin+blk == size sum hints after its own counter move.
+// A receive's peer is nearly always the rank itself, so the store is
+// skipped when the published peer is already right.
+func (r *Rank) park(kind int32, peer int) {
+	if r.blockPeer.Load() != int32(peer) {
+		r.blockPeer.Store(int32(peer))
+	}
+	r.blockKind.Store(kind)
+	r.world.blocked.Add(1)
+	r.world.notifyQuiesce()
+}
+
+// unpark ends a park in the reverse order: uncounted, then unpublished.
+func (r *Rank) unpark() {
+	r.world.blocked.Add(-1)
+	r.blockKind.Store(blockNone)
+}
 
 // Tick charges units of computational work to the rank's budget. Applications
 // call it in their outer loops with a cost estimate before performing the
@@ -166,7 +188,7 @@ const (
 // ranks terminate promptly when a peer has already crashed.
 func (r *Rank) Tick(units int) {
 	if r.world.killed() {
-		panic(Killed{Reason: r.world.killWhy.Load().(string)})
+		panic(r.world.killedBy())
 	}
 	r.work += int64(units)
 	if r.budget > 0 && r.work > r.budget {
@@ -325,27 +347,36 @@ func (r *Rank) Recv(comm Comm, src, tag int) []byte {
 // match, and the tape record when a trace is being taken.
 func (r *Rank) recvUser(comm Comm, src, tag int) message {
 	args := r.beginP2P(P2PRecv, P2PArgs{Peer: src, Tag: tag, Comm: comm})
-	if args.Tag != AnyTag && (args.Tag < 0 || args.Tag >= maxUserTag) {
-		abortf(r.id, "MPI_Recv", ErrTag, "tag %d outside [0,%d)", args.Tag, maxUserTag)
-	}
-	ci := r.commDeref(args.Comm)
-	if args.Peer != AnySource && (args.Peer < 0 || args.Peer >= len(ci.members)) {
-		abortf(r.id, "MPI_Recv", ErrRank, "source %d outside communicator of size %d", args.Peer, len(ci.members))
-	}
-	if r.world.rec != nil && (args.Peer == AnySource || args.Tag == AnyTag) {
+	ci, want := r.recvArgs("MPI_Recv", args.Comm, args.Peer, args.Tag, true)
+	if r.world.rec != nil && (want.src == AnySource || want.tag == anyTagSentinel) {
 		// A wildcard match depends on arrival interleaving, which the tape's
 		// per-rank cut cannot reconstruct; such apps use full replay.
 		r.world.rec.poison("wildcard receive (AnySource/AnyTag)")
 	}
-	var t int64 = int64(args.Tag)
-	if args.Tag == AnyTag {
-		t = anyTagSentinel
-	}
-	m := r.recvMatch(args.Comm, args.Peer, t)
+	m, _ := r.recvMatch(want, -1)
 	if r.world.rec != nil {
-		r.world.rec.recordRecv(r.id, args.Comm, m.src, ci.members[m.src], m.tag, m.tracePos, m.data)
+		r.world.rec.recordRecv(r.id, want.comm, m.src, ci.members[m.src], m.tag, m.tracePos, m.data)
 	}
 	return m
+}
+
+// recvArgs is the argument check of every user receive (Recv, Irecv,
+// RecvOrFail): a tag outside the user range or a source outside the
+// communicator is an MPI error, and AnyTag/AnySource pass only where wild
+// allows them. It returns the communicator and what the receive waits for.
+func (r *Rank) recvArgs(op string, comm Comm, src, tag int, wild bool) (*commInfo, matcher) {
+	if !(wild && tag == AnyTag) && (tag < 0 || tag >= maxUserTag) {
+		abortf(r.id, op, ErrTag, "tag %d outside [0,%d)", tag, maxUserTag)
+	}
+	ci := r.commDeref(comm)
+	if !(wild && src == AnySource) && (src < 0 || src >= len(ci.members)) {
+		abortf(r.id, op, ErrRank, "source %d outside communicator of size %d", src, len(ci.members))
+	}
+	t := int64(tag)
+	if tag == AnyTag {
+		t = anyTagSentinel
+	}
+	return ci, matcher{comm, src, t}
 }
 
 // RecvFloat64sInto receives a message of float64s and decodes it into dst's
@@ -408,15 +439,9 @@ func (r *Rank) Sendrecv(comm Comm, dst, sendTag int, data []byte, src, recvTag i
 
 const anyTagSentinel int64 = -2
 
-// sendRaw copies data and enqueues it at the destination rank's inbox; the
-// collectives' entry to post.
-func (r *Rank) sendRaw(ci *commInfo, comm Comm, dst int, tag int64, data []byte) {
-	r.post(ci, comm, dst, tag, data, nil)
-}
-
 // post enqueues data at the destination rank's inbox. dst is a rank within
-// ci. Blocking on a full inbox participates in quiescence accounting so a
-// jammed schedule is detected as deadlock.
+// ci. Blocking on a full inbox parks the sender, so a jammed schedule is
+// detected as deadlock.
 //
 // own, when non-nil, is the slab already backing data (a typed send's
 // single encoding), which becomes the message payload without a copy.
@@ -459,83 +484,130 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 	target := w.ranks[wdst]
 	select {
 	case target.inbox <- msg:
-		w.delivered.Add(1)
-		return
 	default:
-	}
-	r.blockPeer.Store(int32(wdst))
-	r.blockKind.Store(blockSend)
-	w.blocked.Add(1)
-	w.notifyQuiesce()
-	for {
-		var ep chan struct{}
-		if w.faulty {
-			// Epoch channel first, then the death mask: a death published
-			// in between closes the channel we hold, so the select below
-			// cannot sleep through it.
-			ep = *w.epoch.Load()
-			if w.dead[wdst].Load() {
-				w.blocked.Add(-1)
-				r.blockKind.Store(blockNone)
-				msg.recycle()
-				return
+		r.park(blockSend, wdst)
+		for sent := false; !sent; {
+			var ep chan struct{}
+			if w.faulty {
+				// Epoch channel first, then the death mask: a death published
+				// in between closes the channel we hold, so the select below
+				// cannot sleep through it.
+				ep = *w.epoch.Load()
+				if w.dead[wdst].Load() {
+					r.unpark()
+					msg.recycle()
+					return
+				}
+			}
+			select {
+			case target.inbox <- msg:
+				sent = true
+			case <-ep:
+				// Membership changed; re-check whether dst is still alive.
+			case <-w.done:
+				r.unpark()
+				panic(w.killedBy())
 			}
 		}
-		select {
-		case target.inbox <- msg:
-			w.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-			w.delivered.Add(1)
-			return
-		case <-ep:
-			// Membership changed; re-check whether dst is still alive.
-		case <-w.done:
-			w.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-			panic(Killed{Reason: w.killWhy.Load().(string)})
+		r.unpark()
+	}
+	w.delivered.Add(1)
+}
+
+// matcher is what a receive waits for: a message on comm from src (a rank
+// within comm, or AnySource) with tag (or anyTagSentinel: any user tag).
+type matcher struct {
+	comm Comm
+	src  int
+	tag  int64
+}
+
+func (want *matcher) ok(m *message) bool {
+	if m.comm != want.comm || (want.src != AnySource && m.src != want.src) {
+		return false
+	}
+	if want.tag == anyTagSentinel {
+		return m.tag >= 0 && m.tag < maxUserTag
+	}
+	return m.tag == want.tag
+}
+
+// recvMatch returns the first message want accepts: the oldest pending one,
+// else the next off the inbox, parking until it arrives. watch, when not
+// negative, is a death watch on that world rank (RecvOrFail's source), kept
+// only on a faulty network, where ranks can die: once the rank is seen dead
+// and a full drain of the inbox finds no match, recvMatch returns false.
+// The epoch channel is sampled before the death mask, so a death published
+// after the sample closes the channel the park holds; and a dying rank
+// enqueues its sends before its death mark, so the drain after a dead
+// sample sees all it ever sent.
+func (r *Rank) recvMatch(want matcher, watch int) (message, bool) {
+	if m, ok := r.takePending(&want); ok {
+		return m, true
+	}
+	if watch < 0 || !r.world.faulty {
+		m, _ := r.absorb(&want, r.id, nil)
+		return m, true
+	}
+	for {
+		ep := *r.world.epoch.Load()
+		if r.world.dead[watch].Load() {
+			return r.absorb(&want, -1, nil)
+		}
+		if m, ok := r.absorb(&want, watch, ep); ok {
+			return m, true
 		}
 	}
 }
 
-// recvMatch blocks until a message matching (comm, src, tag) is available.
-// src == AnySource matches any source; tag == anyTagSentinel matches any
-// user tag.
-func (r *Rank) recvMatch(comm Comm, src int, tag int64) message {
-	match := func(m message) bool {
-		if m.comm != comm {
-			return false
-		}
-		if src != AnySource && m.src != src {
-			return false
-		}
-		if tag == anyTagSentinel {
-			return m.tag >= 0 && m.tag < maxUserTag
-		}
-		return m.tag == tag
-	}
-	for i, m := range r.pending {
-		if match(m) {
+// takePending removes and returns the oldest pending message want accepts.
+func (r *Rank) takePending(want *matcher) (message, bool) {
+	for i := range r.pending {
+		if want.ok(&r.pending[i]) {
+			m := r.pending[i]
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
-			return m
+			return m, true
 		}
 	}
-	r.blockKind.Store(blockRecv)
+	return message{}, false
+}
+
+// absorb is the only way a message leaves the inbox while the run lasts:
+// it takes messages off in arrival order and books each (absorbed++)
+// before looking at it, returns the first one want accepts and moves every
+// other to pending (a nil want accepts none). With peer negative it drains
+// without waiting and returns false on an empty inbox; otherwise it parks
+// for each message, publishing peer (itself, or the rank a death watch is
+// on), until one arrives, ep closes (false: the caller re-samples its
+// watch) or the world is killed. It parks even with a message queued, as
+// the blocking receive always has: on lu campaigns, skipping that park woke
+// the supervisor half again as often, costing more than the park.
+func (r *Rank) absorb(want *matcher, peer int, ep <-chan struct{}) (message, bool) {
 	for {
-		r.world.blocked.Add(1)
-		r.world.notifyQuiesce()
-		select {
-		case m := <-r.inbox:
-			r.world.blocked.Add(-1)
-			r.world.absorbed.Add(1)
-			if match(m) {
-				r.blockKind.Store(blockNone)
-				return m
+		var m message
+		if peer < 0 {
+			select {
+			case m = <-r.inbox:
+			default:
+				return message{}, false
 			}
-			r.pending = append(r.pending, m)
-		case <-r.world.done:
-			r.world.blocked.Add(-1)
-			r.blockKind.Store(blockNone)
-			panic(Killed{Reason: r.world.killWhy.Load().(string)})
+		} else {
+			r.park(blockRecv, peer)
+			select {
+			case m = <-r.inbox:
+				r.unpark()
+			case <-ep:
+				r.unpark()
+				return message{}, false
+			case <-r.world.done:
+				r.unpark()
+				panic(r.world.killedBy())
+			}
 		}
+		r.world.absorbed.Add(1)
+		if want != nil && want.ok(&m) {
+			return m, true
+		}
+		r.pending = append(r.pending, m)
 	}
 }

@@ -137,7 +137,7 @@ func (rec *traceRecorder) finish(results []RankResult) *Trace {
 }
 
 // recordSend appends a send event on the sender's tape and returns its
-// position, which sendRaw threads through the message so the receiver can
+// position, which post threads through the message so the receiver can
 // record the causal edge. Called from the sending rank's goroutine.
 func (rec *traceRecorder) recordSend(rank int, comm Comm, dst int, tag int64) int32 {
 	if rec.dead.Load() {

@@ -153,11 +153,11 @@ type World struct {
 	failed   atomic.Int64 // ranks that ended in a panic or error
 
 	// Message conservation counters for the exact-quiescence proof:
-	// delivered counts messages enqueued into an inbox (sender side),
-	// absorbed counts messages taken out (receiver side). A receiver that
-	// has pulled a message but not yet advanced its own state is invisible
-	// to park-site inspection — conservation (delivered - absorbed ==
-	// messages still queued) is what rules that window out.
+	// delivered counts messages enqueued into an inbox (post, sender side),
+	// absorbed counts messages taken out (absorb, receiver side). A
+	// receiver that has pulled a message but not yet advanced its own state
+	// is invisible to park-site inspection — conservation (delivered -
+	// absorbed == messages still queued) is what rules that window out.
 	delivered atomic.Int64
 	absorbed  atomic.Int64
 
@@ -178,7 +178,7 @@ type World struct {
 	reconverged chan struct{}
 
 	// Network fault domain (nil/false on the default reliable network, so
-	// the no-fault hot path pays a single branch in sendRaw).
+	// the no-fault hot path pays a single branch in post).
 	faulty      bool
 	net         *Network
 	dead        []atomic.Bool                 // world-rank death mask
@@ -217,6 +217,9 @@ func (w *World) kill(why string) {
 	})
 }
 
+// killedBy is what a rank dies with once the world is killed.
+func (w *World) killedBy() Killed { return Killed{Reason: w.killWhy.Load().(string)} }
+
 func (w *World) killed() bool {
 	select {
 	case <-w.done:
@@ -227,7 +230,7 @@ func (w *World) killed() bool {
 }
 
 // markDead publishes world rank's death to the fault domain and wakes every
-// blocked peer so RecvOrFail and sendRaw re-sample the death mask. Called on
+// blocked peer so RecvOrFail and post re-sample the death mask. Called on
 // the dying rank's own goroutine, after all of its sends — that ordering is
 // what makes consumption-point failure detection deterministic.
 func (w *World) markDead(rank int) {
@@ -420,11 +423,11 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 // already woken can stay off-CPU, still counted blocked, for longer than any
 // window worth waiting.
 // It looks only when a park or exit says it completed the fin+blk == size
-// sum, which is enough: every transition into that sum is a blocked.Add(1)
-// or finished.Add(1) followed, on the same goroutine, by notifyQuiesce; the
-// buffered hint is therefore received after the counter move that made the
-// state, and a hint exactNow rejects means some rank is still running and
-// will itself park or exit — and hint — later.
+// sum, which is enough: every transition into that sum is a park or a rank
+// exit, each a counter move followed, on the same goroutine, by
+// notifyQuiesce; the buffered hint is therefore received after the counter
+// move that made the state, and a hint exactNow rejects means some rank is
+// still running, or woken, and will itself park or exit — and hint — later.
 func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) (deadlock, timedOut, cancelled bool) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
@@ -476,10 +479,11 @@ func (w *World) reap() bool {
 // sites and message conservation. It samples every quiescence counter, scans
 // the rank states, then re-checks that no counter moved and scans again: any
 // event that could wake a parked rank bumps a counter — a delivery moves
-// delivered, a drain moves absorbed, a park exit moves blocked, a rank death
-// passes through a neither-blocked-nor-finished unwind that breaks the
-// fin+blk == size sum and then moves finished — so two positive scans
-// bracketed by identical counters cannot straddle a wake in flight.
+// delivered, a drain (absorb) moves absorbed, an unpark moves blocked, a
+// rank death passes through a neither-blocked-nor-finished unwind that
+// breaks the fin+blk == size sum and then moves finished, after its death
+// mark, which the scan reads — so two positive scans bracketed by identical
+// counters cannot straddle a wake in flight.
 func (w *World) exactNow() bool {
 	fin := w.finished.Load()
 	blk := w.blocked.Load()
@@ -497,35 +501,32 @@ func (w *World) exactNow() bool {
 // exactQuiesced is one scan of exactNow's frozen-state predicate: every
 // unfinished rank is parked in a communication select that provably cannot
 // fire — a receiver whose inbox is empty, or a sender whose target inbox is
-// full — and message conservation holds: everything delivered was either
-// absorbed by a receiver or still sits in an inbox. The conservation term
-// closes the one window park-site inspection cannot see: a receiver that
-// has pulled its message off the channel but not yet advanced its own
-// counters looks parked with an empty inbox, yet the pulled message is
-// missing from every queue. All three park sites (post, recvMatch,
-// RecvOrFail) publish a blockKind before blocked.Add(1), so a rank counted
-// blocked is always one this scan can rule on.
+// full, and neither waiting on a rank that has died, whose death mark closed
+// (or will close) the epoch channel the park selects on — and message
+// conservation holds: everything delivered was either absorbed by a
+// receiver or still sits in an inbox. The conservation term closes the one
+// window park-site inspection cannot see: a receiver that has pulled its
+// message off the channel but not yet advanced its own counters looks
+// parked with an empty inbox, yet the pulled message is missing from every
+// queue. Both park sites (post and absorb) go through park, which publishes
+// the site before blocked.Add(1), so a rank counted blocked is always one
+// this scan can rule on.
 func (w *World) exactQuiesced(fin int64) bool {
 	parked, queued := int64(0), int64(0)
 	for _, rk := range w.ranks {
 		queued += int64(len(rk.inbox))
-		switch rk.blockKind.Load() {
-		case blockRecv:
-			if len(rk.inbox) != 0 {
-				return false
-			}
-			parked++
-		case blockSend:
-			p := int(rk.blockPeer.Load())
-			if p < 0 || p >= w.size {
-				return false
-			}
-			t := w.ranks[p]
-			if len(t.inbox) != cap(t.inbox) {
-				return false
-			}
-			parked++
+		kind := rk.blockKind.Load()
+		if kind == blockNone {
+			continue
 		}
+		p := int(rk.blockPeer.Load())
+		if p < 0 || p >= w.size || w.rankDead(p) {
+			return false
+		}
+		if t := w.ranks[p]; kind == blockRecv && len(rk.inbox) != 0 || kind == blockSend && len(t.inbox) != cap(t.inbox) {
+			return false
+		}
+		parked++
 	}
 	if w.delivered.Load()-w.absorbed.Load() != queued {
 		return false
