@@ -68,11 +68,6 @@ func (App) Main(r *mpi.Rank, cfg apps.Config) error {
 		itersStatic = 3
 	}
 	apps.GuardAlloc("shoot state", blockStatic*nproc)
-	if cfg.Algorithm == "hbreorg" {
-		// The reorganizing variant detects mid-run deaths; arm the runtime's
-		// failure detector so its monitoring runs alongside the kernel.
-		r.StartHeartbeat(0)
-	}
 	// Rank 0 distributes the run parameters through the variant's own
 	// allreduce (root contributes, the rest add zero), so the init phase is
 	// exactly as fault-tolerant as the variant under study — an unprotected

@@ -28,8 +28,8 @@ type Exec struct {
 	// bit positions, batch shuffling and forest training.
 	Seed int64
 	// RunTimeout bounds each injected run's wall-clock time (INF_LOOP
-	// backstop). Zero means 2s; the quiescence detector usually fires in
-	// milliseconds, well before this.
+	// backstop). Zero means 2s; a run whose ranks all block ends at the
+	// last one's park, well before this.
 	RunTimeout time.Duration
 	// Parallelism is the number of injected runs executed concurrently.
 	// Zero picks a conservative default based on GOMAXPROCS.

@@ -84,7 +84,7 @@ func (e AppError) Error() string {
 }
 
 // Killed is raised inside blocked ranks when the world is cancelled, either
-// because the deadlock detector fired or because the wall-clock timeout
+// because every surviving rank blocked or because the wall-clock timeout
 // expired. The runner maps it to the INF_LOOP response class.
 type Killed struct {
 	Reason string

@@ -4,11 +4,10 @@ package mpi
 // its sweep under the race detector, as the in-package tests do.
 const RaceEnabled = raceEnabled
 
-// books reads a world's message conservation counters and counts what its
-// inboxes still hold (quiescence_test.go).
-func (w *World) books() (delivered, absorbed, queued int64) {
-	for _, rk := range w.ranks {
-		queued += int64(len(rk.inbox))
-	}
-	return w.delivered.Load(), w.absorbed.Load(), queued
+// parkedCount reads how many ranks of the world are parked, under the lock
+// that guards the count.
+func (w *World) parkedCount() int {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.parked
 }

@@ -34,7 +34,7 @@ import (
 // replayed is fed by prestock: the golden payload is placed in the
 // receiver's pending queue at go-live, ahead of any live arrivals — the
 // same order a real run would see, since a sender's pre-cut messages always
-// precede its post-cut ones in channel FIFO order.
+// precede its post-cut ones in inbox arrival order.
 
 // prestockEntry is one golden message a forked rank must find in its
 // pending queue when it goes live: its matching send is replayed (never
@@ -180,7 +180,6 @@ func (w *World) bindFork(f *Fork) {
 	cutSeq := int64(-1)
 	if f.at != nil {
 		cutSeq = f.seq
-		w.reconverged = make(chan struct{}, 1)
 	}
 	for i, rk := range w.ranks {
 		rk.replay = &replayState{fork: f, tape: &f.trace.ranks[i], cut: f.cut[i]}
@@ -208,7 +207,7 @@ func (r *Rank) replayActive() bool {
 // are placed in the pending queue (in tape order, which for any one
 // sender+tag is also golden arrival order), and subsequent operations
 // execute normally. Live arrivals already sitting in the inbox are
-// consumed after pending, exactly matching channel FIFO order per sender.
+// consumed after pending, exactly matching arrival order per sender.
 // The prestocked messages borrow their tape spans (message.tape): a typed
 // receive decodes them where they lie, and only a raw receive, which gives
 // the bytes away, copies.
@@ -397,9 +396,8 @@ func (s *callSnapshot) golden(span []byte) bool {
 // reconverge runs in endCollective while the run may still end at the
 // faulted instance. On that instance it compares this rank's memory with
 // the golden run's and, when it is the last of the world to find them
-// equal, tells the supervisor, which alone tears the run down. A rank that
-// differs says nothing, and the run continues to whatever end the fault
-// gives it.
+// equal, kills the run. A rank that differs says nothing, and the run
+// continues to whatever end the fault gives it.
 func (r *Rank) reconverge(call *CollectiveCall) {
 	if r.collSeq[CommWorld]-1 != r.cutSeq {
 		return // a live instance before the faulted one
@@ -414,7 +412,10 @@ func (r *Rank) reconverge(call *CollectiveCall) {
 	} else if !bytes.HasPrefix(resultBuffer(call.Type, call.Args).Bytes(), span) {
 		return
 	}
-	if int(w.matched.Add(1)) == w.size {
-		w.reconverged <- struct{}{}
+	w.mu.Lock()
+	w.matched++
+	if w.matched == w.size {
+		w.kill(whyReconverged)
 	}
+	w.mu.Unlock()
 }

@@ -355,7 +355,7 @@ func TestDeadlockDetected(t *testing.T) {
 		t.Fatalf("deadlock not detected: %+v", res)
 	}
 	if elapsed := time.Since(start); elapsed > 5*time.Second {
-		t.Fatalf("deadlock detection took %v; quiescence detector should fire fast", elapsed)
+		t.Fatalf("deadlock detection took %v; the last park should end the run at once", elapsed)
 	}
 	for _, rr := range res.Ranks {
 		if _, ok := rr.Err.(Killed); !ok {

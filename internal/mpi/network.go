@@ -209,7 +209,7 @@ func (nw *Network) Stats() NetStats {
 // all deterministic given the run's fault plan: AliveAtStart and
 // PathBlocked consult only constant at-start state, and RecvOrFail detects
 // mid-run deaths at the message-consumption point (a dying rank's sends
-// happen-before its death mark, so "dead and nothing matching in the inbox"
+// reach their inboxes before its death mark, so "dead and nothing matching"
 // is a stable, schedule-independent verdict).
 
 // AliveAtStart reports whether world rank `rank` was alive when the run
@@ -221,17 +221,6 @@ func (r *Rank) AliveAtStart(rank int) bool {
 		return true
 	}
 	return !w.deadAtStart[rank]
-}
-
-// Alive reports whether world rank `rank` is currently alive. Unlike
-// AliveAtStart this is time-varying; use it for monitoring, not for
-// decisions that must agree across ranks.
-func (r *Rank) Alive(rank int) bool {
-	w := r.world
-	if !w.faulty || rank < 0 || rank >= w.size {
-		return true
-	}
-	return !w.dead[rank].Load()
 }
 
 // InitialLiveRanks returns the world ranks alive at run start, ascending.
@@ -302,13 +291,12 @@ func (r *Rank) LibSeq(key string) int {
 // the failure-detection primitive surviving collectives are built on. It is
 // an ordinary receive with a death watch on src (recvMatch).
 //
-// Determinism: a dying rank's sends are enqueued before its death mark is
-// published (same goroutine), and RecvOrFail samples the epoch channel
-// before the death mask and, once it observes the death, drains the inbox
-// completely before giving up; "message was sent" vs "rank died first" is
-// therefore decided by src's program order alone. A message lost to a
-// *link* fault with src still alive blocks forever, as a real receiver
-// would, and the quiescence detector reaps the run (INF_LOOP).
+// Determinism: a dying rank's sends are enqueued, under World.mu, before its
+// death mark is, and the mark wakes RecvOrFail, which looks at everything
+// queued for it before it reads the mark; "message was sent" vs "rank died
+// first" is therefore decided by src's program order alone. A message lost
+// to a *link* fault with src still alive blocks forever, as a real receiver
+// would, and the run ends as a deadlock once every rank waits (INF_LOOP).
 func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
 	if r.world.rec != nil {
 		// Failure-detecting receives consume messages outside the recorded

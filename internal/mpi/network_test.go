@@ -2,7 +2,6 @@ package mpi
 
 import (
 	"runtime"
-	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -233,8 +232,8 @@ func TestRecvOrFailDrainsBeforeFailing(t *testing.T) {
 
 // A message a failed link dropped, from a source that stays alive, leaves
 // RecvOrFail waiting forever, as a real receiver would: the run is frozen,
-// and the quiescence proof reaps it as a deadlock at event latency, long
-// before the wall clock could.
+// and the last rank to park ends it as a deadlock at once, long before the
+// wall clock could.
 func TestRecvOrFailOnDroppedMessageDeadlocks(t *testing.T) {
 	net := net2(t, 2)
 	net.FailLink(0, 1)
@@ -253,7 +252,7 @@ func TestRecvOrFailOnDroppedMessageDeadlocks(t *testing.T) {
 		t.Fatalf("Deadlock %v TimedOut %v, want a deadlock verdict", res.Deadlock, res.TimedOut)
 	}
 	if res.Elapsed > 10*time.Second {
-		t.Fatalf("deadlock reaped after %v; the quiescence proof should not wait", res.Elapsed)
+		t.Fatalf("deadlock ended after %v; the last park should end it at once", res.Elapsed)
 	}
 	for _, rr := range res.Ranks {
 		if k, ok := rr.Err.(Killed); !ok || k.Reason != "deadlock: all surviving ranks blocked with no progress" {
@@ -263,10 +262,8 @@ func TestRecvOrFailOnDroppedMessageDeadlocks(t *testing.T) {
 }
 
 // A rank already parked in RecvOrFail when its source crashes is woken by
-// the epoch channel and returns the failure verdict. The crash comes only
-// once the receiver is parked, and until the receiver runs it still looks
-// parked: the dead peer it published is what keeps exactQuiesced from
-// calling the run frozen, at one P and at two.
+// the death mark and returns the failure verdict. The crash comes only once
+// the receiver is parked, at one P and at two.
 func TestRecvOrFailWokenByMidRunCrash(t *testing.T) {
 	reps := 200
 	if testing.Short() {
@@ -275,7 +272,7 @@ func TestRecvOrFailWokenByMidRunCrash(t *testing.T) {
 	for i := 0; i < reps; i++ {
 		res := Run(RunOptions{NumRanks: 2, Network: net2(t, 2), Timeout: 30 * time.Second}, func(r *Rank) error {
 			if r.ID() == 1 {
-				for r.world.ranks[0].blockKind.Load() != blockRecv {
+				for r.world.parkedCount() != 1 {
 					runtime.Gosched()
 				}
 				panic(NodeCrashed{Rank: 1, Reason: "test crash"})
@@ -290,22 +287,27 @@ func TestRecvOrFailWokenByMidRunCrash(t *testing.T) {
 		}
 	}
 
-	// The supervisor's Gosched usually lets the woken receiver run before
-	// the second scan, so the loop above rarely meets the state it guards
-	// against; build it by hand: the source dead and counted finished, the
-	// receiver woken but still published as parked on it.
-	w := &World{size: 2, ranks: newShell(2, 8).ranks, faulty: true, dead: make([]atomic.Bool, 2)}
-	w.dead[1].Store(true)
-	w.finished.Store(1)
-	w.ranks[0].world = w
-	w.ranks[0].park(blockRecv, 1)
-	if w.exactNow() {
-		t.Fatal("exactNow called a receiver its source's death has woken frozen")
+	// The same wake by hand, so the state it guards against is met every
+	// time: the receiver parked on its source, the source's crash counted
+	// finished. The death mark must un-count the receiver before it runs,
+	// and the run must stay live while it has yet to.
+	sh := newShell(2)
+	w := &World{size: 2, ranks: sh.ranks, done: make(chan struct{}), mailbox: 8, faulty: true, dead: make([]bool, 2)}
+	receiver := w.ranks[0]
+	receiver.world = w
+	receiver.parked, w.parked = true, 1
+	w.exit(1, NodeCrashed{Rank: 1, Reason: "test crash"})
+	if w.killed() || w.parkedCount() != 0 || receiver.parked {
+		t.Fatalf("after the crash: killed %v, %d parked; the woken receiver must be un-counted before it runs", w.killed(), w.parkedCount())
+	}
+	<-receiver.wake
+	if _, ok := receiver.recvMatch(matcher{CommWorld, 1, 5}, 1); ok || w.killed() {
+		t.Fatalf("woken receiver: ok %v, killed %v; want the failure verdict in a live run", ok, w.killed())
 	}
 }
 
 // Senders blocked on a full inbox of a rank that then dies must not hang:
-// the epoch wakeup re-checks the death mask and the fabric discards.
+// the death mark wakes them, they re-check it, and the fabric discards.
 func TestBlockedSenderReleasedByCrash(t *testing.T) {
 	res := Run(RunOptions{NumRanks: 3, Network: net2(t, 3), MailboxCap: 1, Timeout: 10 * time.Second}, func(r *Rank) error {
 		switch r.ID() {

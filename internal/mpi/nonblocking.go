@@ -53,8 +53,7 @@ func (req *Request) Wait() []byte {
 }
 
 // Test reports whether the request can complete without blocking, and
-// completes it if so. For receives it drains the mailbox into the pending
-// list and checks for a match.
+// completes it if so: a receive takes a match if one has arrived.
 func (req *Request) Test() (bool, []byte) {
 	if req.completed {
 		return true, req.data
@@ -63,8 +62,10 @@ func (req *Request) Test() (bool, []byte) {
 		req.completed = true
 		return true, nil
 	}
-	req.rank.absorb(nil, -1, nil)
-	m, ok := req.rank.takePending(&req.want)
+	w := req.rank.world
+	w.mu.Lock()
+	m, ok := req.rank.take(&req.want)
+	w.mu.Unlock()
 	if !ok {
 		return false, nil
 	}

@@ -2,7 +2,7 @@ package mpi
 
 // Buffer arena. A fault-injection campaign executes the same application
 // thousands of times, and every run used to rebuild the same transient
-// state from scratch: per-rank mailbox channels, random sources and
+// state from scratch: per-rank mailboxes, random sources and
 // bookkeeping maps, a fresh backing array for every simulated-memory
 // Buffer, a copy of every message payload, and an accumulator per
 // reduction. At paper scale (32 ranks x 100 trials/point) that allocation
@@ -11,9 +11,9 @@ package mpi
 //
 //   - slabs: size-classed []byte regions backing message payloads,
 //     collective scratch accumulators and pooled Buffers;
-//   - run shells: the whole per-rank skeleton of a World (inbox channel,
-//     rand source, bookkeeping maps, reusable hook records and memoised
-//     call stacks), keyed by (ranks, mailbox capacity).
+//   - run shells: the whole per-rank skeleton of a World (inbox and
+//     pending slices, wake channel, rand source, bookkeeping maps, reusable
+//     hook records and memoised call stacks), keyed by rank count.
 //
 // Lifetime discipline is what makes this safe:
 //
@@ -131,13 +131,12 @@ type p2pFrame struct {
 }
 
 // runShell is the recyclable skeleton of one World: the Rank structs with
-// their channels, random sources, maps, frames and caches. The World
+// their mailboxes, random sources, maps, frames and caches. The World
 // itself (and the results it reports) is rebuilt per run; only the
 // expensive rank state is recycled.
 type runShell struct {
-	n       int
-	mailbox int
-	ranks   []*Rank
+	n     int
+	ranks []*Rank
 	// world0 is the CommWorld descriptor. Its members/rankOf tables depend
 	// only on n and are never mutated after construction, so they are
 	// shared across runs. Communicators created by CommSplit/CommDup are
@@ -145,40 +144,37 @@ type runShell struct {
 	world0 *commInfo
 }
 
-type shellKey struct{ n, mailbox int }
-
 var (
 	shellPoolsMu sync.Mutex
-	shellPools   = map[shellKey]*sync.Pool{}
+	shellPools   = map[int]*sync.Pool{}
 )
 
-func shellPoolFor(n, mailbox int) *sync.Pool {
-	k := shellKey{n: n, mailbox: mailbox}
+func shellPoolFor(n int) *sync.Pool {
 	shellPoolsMu.Lock()
 	defer shellPoolsMu.Unlock()
-	p := shellPools[k]
+	p := shellPools[n]
 	if p == nil {
 		p = &sync.Pool{}
-		shellPools[k] = p
+		shellPools[n] = p
 	}
 	return p
 }
 
-// getShell returns a recycled shell for the given shape, or nil.
-func getShell(n, mailbox int) *runShell {
-	if v := shellPoolFor(n, mailbox).Get(); v != nil {
+// getShell returns a recycled shell of n ranks, or nil.
+func getShell(n int) *runShell {
+	if v := shellPoolFor(n).Get(); v != nil {
 		return v.(*runShell)
 	}
 	return nil
 }
 
 func putShell(sh *runShell) {
-	shellPoolFor(sh.n, sh.mailbox).Put(sh)
+	shellPoolFor(sh.n).Put(sh)
 }
 
 // newShell builds a fresh shell. Rank random sources are created lazily in
 // bind, which knows the run seed.
-func newShell(n, mailbox int) *runShell {
+func newShell(n int) *runShell {
 	members := make([]int, n)
 	rankOf := make(map[int]int, n)
 	for i := range members {
@@ -186,15 +182,14 @@ func newShell(n, mailbox int) *runShell {
 		rankOf[i] = i
 	}
 	sh := &runShell{
-		n:       n,
-		mailbox: mailbox,
-		ranks:   make([]*Rank, n),
-		world0:  &commInfo{handle: CommWorld, members: members, rankOf: rankOf},
+		n:      n,
+		ranks:  make([]*Rank, n),
+		world0: &commInfo{handle: CommWorld, members: members, rankOf: rankOf},
 	}
 	for i := 0; i < n; i++ {
 		sh.ranks[i] = &Rank{
 			id:      i,
-			inbox:   make(chan message, mailbox),
+			wake:    make(chan struct{}, 1),
 			invents: make(map[uintptr]int),
 		}
 	}
@@ -207,8 +202,8 @@ func rankSeed(seed int64, i int) int64 {
 }
 
 // bind attaches a rank to a new run, resetting all per-run state. On a
-// recycled shell the mailbox, pending list and owned-buffer list are
-// already empty (reclaim drained them when the previous run ended). The
+// recycled shell the inbox, pending list, wake channel and owned-buffer list
+// are already empty (reclaim drained them when the previous run ended). The
 // default random source is only marked stale here; the first Rand call of
 // the run reseeds it through the fibSource cache (rng.go), reproducing
 // rand.New(rand.NewSource(s)) exactly, so a recycled rank's random stream
@@ -227,29 +222,22 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.reported = nil // escapes into RankResult.Values; never recycled
 	rk.replay = nil   // armed by bindFork after every rank is bound
 	rk.cutSeq = -1    // likewise
-	rk.blockKind.Store(blockNone)
 }
 
 // reclaim returns a finished run's pooled memory to the arena: leftover
-// messages in mailboxes and pending lists (a killed run abandons traffic
-// in flight) and every pooled Buffer handed out during the run. It must
-// only be called after all rank goroutines have been joined.
+// messages in inboxes and pending lists (a killed run abandons traffic in
+// flight) and every pooled Buffer handed out during the run. A rank killed
+// while parked may still be marked parked, with a wake it never read. It
+// must only be called after all rank goroutines have been joined.
 func (sh *runShell) reclaim() {
 	for _, rk := range sh.ranks {
-	drain:
-		for {
-			select {
-			case m := <-rk.inbox:
-				m.recycle()
-			default:
-				break drain
-			}
+		rk.inbox = recycleAll(rk.inbox)
+		rk.pending = recycleAll(rk.pending)
+		rk.parked = false
+		select {
+		case <-rk.wake:
+		default:
 		}
-		for i := range rk.pending {
-			rk.pending[i].recycle()
-			rk.pending[i] = message{}
-		}
-		rk.pending = rk.pending[:0]
 		for i, b := range rk.owned {
 			putSlab(b.slab)
 			b.slab = nil
@@ -261,6 +249,16 @@ func (sh *runShell) reclaim() {
 		rk.owned = rk.owned[:0]
 		rk.world = nil
 	}
+}
+
+// recycleAll recycles every message of q and returns q emptied, keeping its
+// backing array for the next run.
+func recycleAll(q []message) []message {
+	for i := range q {
+		q[i].recycle()
+	}
+	clear(q)
+	return q[:0]
 }
 
 // allocBuffer hands out an n-byte buffer from the arena (zeroed when zero

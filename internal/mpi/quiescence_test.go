@@ -6,68 +6,97 @@ import (
 	"time"
 )
 
-// A receiver that a channel hand-off has already woken, but that has not run
-// yet, still counts as blocked and its inbox is already empty: on a loaded
-// host that state can last for many milliseconds. It is a live run, and the
-// supervisor must wait for it however long it lasts — only the books
-// (delivered == absorbed + queued) tell it from a deadlock. The world is
-// built by hand in exactly that state, so the test needs no load; the 150 ms
-// it watches for is several times what a wall-clock stuck window of 48
-// samples of a 250 µs ticker lasts (12 ms nominally, ~45 ms where such a
-// ticker only fires at 1 kHz), which is what would kill it.
+// A receiver that a delivery has woken, but that has not run yet, is a live
+// rank however long it stays off-CPU: the sender un-counts it under w.mu
+// before letting go, so the run cannot read as frozen until the receiver
+// itself has run and parked again. The world is built by hand in exactly
+// that state, so the test needs no load: ranks 1..n-1 parked, rank 0
+// running. Rank 0 sends rank 1 a message it does not want and parks; only
+// rank 1's own park, once it has looked and found nothing, may end the run.
 func TestSuperviseWaitsForWokenReceiver(t *testing.T) {
 	const n = 4
-	w := &World{
-		size:    n,
-		ranks:   newShell(n, 8).ranks,
-		done:    make(chan struct{}),
-		quiesce: make(chan struct{}, 1),
-	}
+	sh := newShell(n)
+	w := &World{size: n, ranks: sh.ranks, comms: []*commInfo{sh.world0}, done: make(chan struct{}), mailbox: 8}
 	for _, rk := range w.ranks {
-		rk.blockKind.Store(blockRecv)
+		rk.world = w
 	}
-	w.blocked.Store(n)
-	w.delivered.Store(1) // handed to a receiver that has yet to run
+	for _, rk := range w.ranks[1:] {
+		rk.parked = true
+	}
+	w.parked = n - 1
+	sender, receiver := w.ranks[0], w.ranks[1]
 
-	allDone := make(chan struct{})
-	verdict := make(chan [3]bool, 1)
-	go func() {
-		deadlock, timedOut, cancelled := w.supervise(allDone, nil, 30*time.Second)
-		verdict <- [3]bool{deadlock, timedOut, cancelled}
-	}()
+	sender.post(sh.world0, CommWorld, 1, 7, []byte{1}, nil)
+	if got := w.parkedCount(); got != n-2 || receiver.parked {
+		t.Fatalf("after the delivery %d ranks are counted parked (receiver parked: %v); the woken receiver must be un-counted before it runs", got, receiver.parked)
+	}
 
-	w.notifyQuiesce() // the sender's own park: a hint exactNow must refuse
+	died := make(chan any, 2)
+	wait := func(rk *Rank, want matcher) {
+		defer func() { died <- recover() }()
+		rk.recvMatch(want, -1)
+	}
+	go wait(sender, matcher{CommWorld, 1, 8})
+	for w.parkedCount() != n-1 {
+		runtime.Gosched()
+	}
+	if w.killed() {
+		t.Fatalf("run killed while a woken receiver had yet to run: %s", w.why)
+	}
+
+	// The receiver runs, takes the wake, finds nothing it wants and parks
+	// again: now the run is frozen, and that park is what ends it.
 	select {
-	case <-w.done:
-		t.Fatalf("supervisor killed a live run: %v", w.killWhy.Load())
-	case <-time.After(150 * time.Millisecond):
+	case <-receiver.wake:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the delivery did not wake its parked receiver")
 	}
-
-	// The receiver runs, finds nothing to do with the message and parks
-	// again: now the run is frozen, and its hint is what reaps it.
-	w.absorbed.Add(1)
-	start := time.Now()
-	w.notifyQuiesce()
+	go wait(receiver, matcher{CommWorld, 0, 9})
 	select {
 	case <-w.done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("frozen run not reaped after its quiescence hint")
+		t.Fatal("frozen run not ended by the park that froze it")
 	}
-	t.Logf("reaped %v after the hint", time.Since(start))
-	if why := w.killWhy.Load().(string); why != "deadlock: all surviving ranks blocked with no progress" {
-		t.Fatalf("kill reason = %q", why)
+	if w.why != whyDeadlock {
+		t.Fatalf("kill reason = %q", w.why)
 	}
-	close(allDone)
-	if v := <-verdict; v != [3]bool{true, false, false} {
-		t.Fatalf("supervise = deadlock %v, timedOut %v, cancelled %v; want deadlock only", v[0], v[1], v[2])
+	for i := 0; i < 2; i++ {
+		if v := <-died; v != (Killed{Reason: whyDeadlock}) {
+			t.Fatalf("parked rank ended with %v, want Killed by the deadlock verdict", v)
+		}
+	}
+	if len(receiver.pending) != 1 || len(receiver.inbox) != 0 {
+		t.Fatalf("receiver holds %d pending, %d unexamined; want the passed-over message pending", len(receiver.pending), len(receiver.inbox))
 	}
 }
 
-// Outcome precedence when a failure coincides with a quiescence verdict: the
-// failing rank bumps failed before finished (see the defer pair in Run), so a
-// frozen state that counts it finished is always reaped as a job abort. The
-// failure is the run's outcome; Deadlock stays false whichever of the crash
-// and the last park comes first.
+// A rank sleeping off-CPU, not waiting on communication, is neither parked
+// nor finished: the run it holds up completes cleanly however long it
+// sleeps.
+func TestSlowLiveRunCompletes(t *testing.T) {
+	res := Run(RunOptions{NumRanks: 2, Network: net2(t, 2), Timeout: 10 * time.Second}, func(r *Rank) error {
+		if r.ID() == 0 {
+			// Stay off-CPU far longer than any deadlock is left standing.
+			time.Sleep(60 * time.Millisecond)
+			r.Send(CommWorld, 1, 5, []byte{1})
+		} else {
+			r.Recv(CommWorld, 0, 5)
+		}
+		return nil
+	})
+	if res.Deadlock {
+		t.Fatal("slow-but-live run misclassified as deadlock")
+	}
+	if err := res.FirstError(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// Outcome precedence when a failure coincides with a frozen run: a failing
+// rank's failure and finish are counted in one step under w.mu (World.exit),
+// so a frozen state that counts it finished is always ended as a job abort.
+// The failure is the run's outcome; Deadlock stays false whichever of the
+// crash and the last park comes first.
 func TestFailureDominatesQuiescenceVerdict(t *testing.T) {
 	reps := 2000
 	if testing.Short() {
@@ -82,7 +111,7 @@ func TestFailureDominatesQuiescenceVerdict(t *testing.T) {
 			if i%2 == 0 {
 				// Crash only once every peer is parked, so the crash itself
 				// completes the fin+blk == size sum.
-				for r.world.blocked.Load() != 3 {
+				for r.world.parkedCount() != 3 {
 					runtime.Gosched()
 				}
 			}
@@ -150,27 +179,14 @@ func booksApp(r *Rank) error {
 	return nil
 }
 
-// After the run, the books balance: every message delivered into an inbox
-// was either absorbed out of it or is still queued there. All drains go
-// through absorb, the only place a message leaves an inbox while ranks
-// run; a receive path that took a message without booking it would leave
-// delivered − absorbed above what is queued, and exactNow would then refuse
-// a frozen run forever.
-func TestQuiescenceBooksBalance(t *testing.T) {
+// Every receive path, a death watch among them, leaves the run live until
+// its ranks return: a path that took a message without waking or counting
+// its rank right would freeze the run early or hang it.
+func TestEveryReceivePathFinishesClean(t *testing.T) {
 	for i := 0; i < 20; i++ {
-		var w *World
-		res := Run(RunOptions{NumRanks: 4, Network: net2(t, 4), DisablePooling: true, Timeout: 30 * time.Second}, func(r *Rank) error {
-			if r.ID() == 0 {
-				w = r.world
-			}
-			return booksApp(r)
-		})
+		res := Run(RunOptions{NumRanks: 4, Network: net2(t, 4), Timeout: 30 * time.Second}, booksApp)
 		if err := res.FirstError(); err != nil || res.Deadlock || res.TimedOut {
 			t.Fatalf("run %d: %v (deadlock %v, timeout %v)", i, err, res.Deadlock, res.TimedOut)
-		}
-		delivered, absorbed, queued := w.books()
-		if delivered-absorbed != queued || queued == 0 {
-			t.Fatalf("run %d: delivered %d − absorbed %d = %d, but the inboxes hold %d", i, delivered, absorbed, delivered-absorbed, queued)
 		}
 	}
 }

@@ -1,9 +1,6 @@
 package mpi
 
-import (
-	"math/rand"
-	"sync/atomic"
-)
+import "math/rand"
 
 // Phase labels the coarse execution phase of the application, one of the
 // application features FastFIT correlates with fault sensitivity.
@@ -82,13 +79,20 @@ func (m *message) payload() []byte {
 
 // Rank is the per-process handle an application's rank function receives.
 // It is confined to its own goroutine; the runtime performs all cross-rank
-// communication through channels.
+// communication through the ranks' inboxes, under World.mu.
 type Rank struct {
 	world *World
 	id    int // world rank
 
-	inbox   chan message
+	// inbox holds, in arrival order, the messages no receive has examined
+	// yet (at most RunOptions.MailboxCap); pending holds the ones a receive
+	// passed over, oldest first. parked marks a rank waiting in park, and
+	// wake is the one-slot channel its waker signals. inbox and parked are
+	// guarded by World.mu.
+	inbox   []message
 	pending []message
+	parked  bool
+	wake    chan struct{}
 
 	// rnd backs Rand, the deterministic per-rank random source seeded from
 	// the run options. It draws from rngSrc, whose cached seeding makes
@@ -138,45 +142,23 @@ type Rank struct {
 	// appRand/appSrc back SeededRand, the cheap per-run application RNG.
 	appRand *rand.Rand
 	appSrc  fibSource
-
-	// blockKind/blockPeer publish where this rank is parked — blockRecv
-	// (waiting on its own inbox) or blockSend (waiting for capacity in a
-	// full inbox) — for the supervisor's exact-quiescence check
-	// (World.exactQuiesced). blockPeer is the world rank whose death would
-	// wake the park through the epoch channel: a send's target, a
-	// death-watched source, or the rank itself, which no death wakes. Only
-	// park and unpark write them.
-	blockKind atomic.Int32
-	blockPeer atomic.Int32
 }
 
-// blockKind values; blockNone means not parked.
-const (
-	blockNone int32 = iota
-	blockRecv
-	blockSend
-)
-
-// park is the one way a rank starts to wait (absorb on its inbox, post on
-// a full one): it publishes the park site, then counts the rank blocked,
-// then hints the supervisor. That order is the invariant exactNow's proof
-// rests on: a rank counted blocked has its park site published, and a park
-// that completes the fin+blk == size sum hints after its own counter move.
-// A receive's peer is nearly always the rank itself, so the store is
-// skipped when the published peer is already right.
-func (r *Rank) park(kind int32, peer int) {
-	if r.blockPeer.Load() != int32(peer) {
-		r.blockPeer.Store(int32(peer))
+// park waits, with World.mu held on entry and on return, until a delivery,
+// a drain of a full inbox or a death mark wakes the rank. It counts the rank
+// parked first, so the park that freezes the run is the one that ends it.
+func (r *Rank) park() {
+	w := r.world
+	r.parked = true
+	w.parked++
+	w.decide()
+	w.mu.Unlock()
+	select {
+	case <-r.wake:
+	case <-w.done:
+		panic(w.killedBy())
 	}
-	r.blockKind.Store(kind)
-	r.world.blocked.Add(1)
-	r.world.notifyQuiesce()
-}
-
-// unpark ends a park in the reverse order: uncounted, then unpublished.
-func (r *Rank) unpark() {
-	r.world.blocked.Add(-1)
-	r.blockKind.Store(blockNone)
+	w.mu.Lock()
 }
 
 // Tick charges units of computational work to the rank's budget. Applications
@@ -440,8 +422,8 @@ func (r *Rank) Sendrecv(comm Comm, dst, sendTag int, data []byte, src, recvTag i
 const anyTagSentinel int64 = -2
 
 // post enqueues data at the destination rank's inbox. dst is a rank within
-// ci. Blocking on a full inbox parks the sender, so a jammed schedule is
-// detected as deadlock.
+// ci. A sender finding the inbox full parks until the receiver examines what
+// is there, so a jammed schedule is detected as deadlock.
 //
 // own, when non-nil, is the slab already backing data (a typed send's
 // single encoding), which becomes the message payload without a copy.
@@ -460,7 +442,10 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 		// an armed drop, is silently discarded — exactly what a lossy
 		// fabric does. On the default reliable network this whole block is
 		// one predicted-false branch, preserving the zero-alloc hot path.
-		if w.dead[wdst].Load() || (w.net != nil && !w.net.deliver(r.id, wdst)) {
+		w.mu.Lock()
+		dead := w.dead[wdst]
+		w.mu.Unlock()
+		if dead || (w.net != nil && !w.net.deliver(r.id, wdst)) {
 			putSlab(own)
 			return
 		}
@@ -482,36 +467,23 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 	}
 	msg := message{comm: comm, src: me, tag: tag, data: cp, pooled: pooled, tracePos: tracePos}
 	target := w.ranks[wdst]
-	select {
-	case target.inbox <- msg:
-	default:
-		r.park(blockSend, wdst)
-		for sent := false; !sent; {
-			var ep chan struct{}
-			if w.faulty {
-				// Epoch channel first, then the death mask: a death published
-				// in between closes the channel we hold, so the select below
-				// cannot sleep through it.
-				ep = *w.epoch.Load()
-				if w.dead[wdst].Load() {
-					r.unpark()
-					msg.recycle()
-					return
-				}
-			}
-			select {
-			case target.inbox <- msg:
-				sent = true
-			case <-ep:
-				// Membership changed; re-check whether dst is still alive.
-			case <-w.done:
-				r.unpark()
-				panic(w.killedBy())
-			}
+	w.mu.Lock()
+	for len(target.inbox) >= w.mailbox {
+		if w.faulty && w.dead[wdst] {
+			w.mu.Unlock()
+			msg.recycle()
+			return
 		}
-		r.unpark()
+		r.park()
 	}
-	w.delivered.Add(1)
+	target.inbox = append(target.inbox, msg)
+	woke := w.unpark(target)
+	w.mu.Unlock()
+	if woke {
+		// Signalled after the unlock, so the receiver does not wake
+		// straight into a lock its sender still holds.
+		target.signal()
+	}
 }
 
 // matcher is what a receive waits for: a message on comm from src (a rank
@@ -532,82 +504,56 @@ func (want *matcher) ok(m *message) bool {
 	return m.tag == want.tag
 }
 
-// recvMatch returns the first message want accepts: the oldest pending one,
-// else the next off the inbox, parking until it arrives. watch, when not
-// negative, is a death watch on that world rank (RecvOrFail's source), kept
-// only on a faulty network, where ranks can die: once the rank is seen dead
-// and a full drain of the inbox finds no match, recvMatch returns false.
-// The epoch channel is sampled before the death mask, so a death published
-// after the sample closes the channel the park holds; and a dying rank
-// enqueues its sends before its death mark, so the drain after a dead
-// sample sees all it ever sent.
+// recvMatch returns the first message want accepts (take), parking until one
+// arrives. watch, when not negative, is a death watch on that world rank
+// (RecvOrFail's source), kept only on a faulty network, where ranks can die:
+// once the rank is dead and nothing matches, recvMatch returns false. A
+// dying rank's sends reach the inbox under World.mu before its death mark
+// does, so that verdict depends on the dying rank's program order alone.
 func (r *Rank) recvMatch(want matcher, watch int) (message, bool) {
-	if m, ok := r.takePending(&want); ok {
-		return m, true
-	}
-	if watch < 0 || !r.world.faulty {
-		m, _ := r.absorb(&want, r.id, nil)
-		return m, true
-	}
+	w := r.world
+	w.mu.Lock()
 	for {
-		ep := *r.world.epoch.Load()
-		if r.world.dead[watch].Load() {
-			return r.absorb(&want, -1, nil)
-		}
-		if m, ok := r.absorb(&want, watch, ep); ok {
+		if m, ok := r.take(&want); ok {
+			w.mu.Unlock()
 			return m, true
 		}
+		if watch >= 0 && w.faulty && w.dead[watch] {
+			w.mu.Unlock()
+			return message{}, false
+		}
+		r.park()
 	}
 }
 
-// takePending removes and returns the oldest pending message want accepts.
-func (r *Rank) takePending(want *matcher) (message, bool) {
+// take removes and returns the oldest message want accepts: pending first,
+// then the inbox in arrival order, moving every inbox message it passes over
+// to pending. Draining a full inbox wakes the parked ranks, so a sender
+// waiting for room tries again. Called under World.mu.
+func (r *Rank) take(want *matcher) (m message, ok bool) {
 	for i := range r.pending {
 		if want.ok(&r.pending[i]) {
-			m := r.pending[i]
+			m = r.pending[i]
 			r.pending = append(r.pending[:i], r.pending[i+1:]...)
 			return m, true
 		}
 	}
-	return message{}, false
-}
-
-// absorb is the only way a message leaves the inbox while the run lasts:
-// it takes messages off in arrival order and books each (absorbed++)
-// before looking at it, returns the first one want accepts and moves every
-// other to pending (a nil want accepts none). With peer negative it drains
-// without waiting and returns false on an empty inbox; otherwise it parks
-// for each message, publishing peer (itself, or the rank a death watch is
-// on), until one arrives, ep closes (false: the caller re-samples its
-// watch) or the world is killed. It parks even with a message queued, as
-// the blocking receive always has: on lu campaigns, skipping that park woke
-// the supervisor half again as often, costing more than the park.
-func (r *Rank) absorb(want *matcher, peer int, ep <-chan struct{}) (message, bool) {
-	for {
-		var m message
-		if peer < 0 {
-			select {
-			case m = <-r.inbox:
-			default:
-				return message{}, false
-			}
-		} else {
-			r.park(blockRecv, peer)
-			select {
-			case m = <-r.inbox:
-				r.unpark()
-			case <-ep:
-				r.unpark()
-				return message{}, false
-			case <-r.world.done:
-				r.unpark()
-				panic(r.world.killedBy())
-			}
-		}
-		r.world.absorbed.Add(1)
-		if want != nil && want.ok(&m) {
-			return m, true
-		}
-		r.pending = append(r.pending, m)
+	n, i := len(r.inbox), 0
+	for i < n && !want.ok(&r.inbox[i]) {
+		i++
 	}
+	r.pending = append(r.pending, r.inbox[:i]...)
+	if i < n {
+		m, ok = r.inbox[i], true
+		i++
+	}
+	// Shift what is left to the front in place: re-slicing past the head
+	// would make the next append reallocate.
+	left := copy(r.inbox, r.inbox[i:])
+	clear(r.inbox[left:n])
+	r.inbox = r.inbox[:left]
+	if n >= r.world.mailbox {
+		r.world.wakeAll()
+	}
+	return m, ok
 }

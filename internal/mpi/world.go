@@ -3,10 +3,8 @@ package mpi
 import (
 	"context"
 	"fmt"
-	"runtime"
 	"slices"
 	"sync"
-	"sync/atomic"
 	"time"
 )
 
@@ -22,8 +20,8 @@ type RunOptions struct {
 	// cancelled and blocked ranks die with Killed. Zero means 2 seconds. It
 	// is the backstop for ranks that compute forever, and the only wall
 	// clock that can decide an outcome: a run whose surviving ranks are all
-	// blocked with no message in flight is reaped by the quiescence
-	// detector (World.supervise) at event latency, never by waiting.
+	// blocked is ended by the rank whose park or exit froze it, never by
+	// waiting (World.decide).
 	Timeout time.Duration
 	// Seed feeds the per-rank deterministic random generators.
 	Seed int64
@@ -33,7 +31,9 @@ type RunOptions struct {
 	WorkBudget int64
 	// Hook observes (and may mutate) every collective call. May be nil.
 	Hook Hook
-	// MailboxCap is the per-rank inbox capacity; zero means 4096 messages.
+	// MailboxCap bounds the messages waiting in a rank's inbox that no
+	// receive has examined yet; a sender finding it full blocks. Zero means
+	// 4096 messages.
 	MailboxCap int
 	// Context, when non-nil, cancels the run early: once it is done the
 	// world is killed and blocked ranks die with Killed, exactly as on a
@@ -77,7 +77,7 @@ type RankResult struct {
 // RunResult aggregates one application execution.
 type RunResult struct {
 	Ranks     []RankResult
-	Deadlock  bool // the quiescence detector cancelled the run
+	Deadlock  bool // every surviving rank blocked, and none had failed
 	TimedOut  bool // the wall-clock timeout cancelled the run
 	Cancelled bool // RunOptions.Context was done before completion
 	Elapsed   time.Duration
@@ -129,14 +129,15 @@ func (r RunResult) FirstError() error {
 	return nil
 }
 
-// World is one simulated machine: ranks, communicators and the deadlock
-// monitor. A World lives for exactly one Run call.
+// World is one simulated machine: ranks, communicators and the mailboxes
+// between them. A World lives for exactly one Run call.
 type World struct {
 	size    int
 	ranks   []*Rank
 	comms   []*commInfo
 	hook    Hook
 	pooling bool // buffer arena active for this run (see pool.go)
+	mailbox int  // bound on each rank's inbox (RunOptions.MailboxCap)
 
 	commMu sync.Mutex // guards comms growth (Comm split/dup)
 
@@ -145,49 +146,34 @@ type World struct {
 
 	done     chan struct{} // closed to cancel the run
 	doneOnce sync.Once
-	killWhy  atomic.Value // string
+	why      string // the first kill's reason; written once, before done closes
 
-	// quiescence accounting
-	blocked  atomic.Int64 // ranks currently blocked in send/recv
-	finished atomic.Int64 // ranks that returned
-	failed   atomic.Int64 // ranks that ended in a panic or error
+	// mu guards every rank's inbox and parked flag, and the counts and death
+	// mask below. Only a running rank can wake a parked one, and every wake
+	// un-counts its rank under mu before the waker lets go, so the run is
+	// frozen exactly when parked+finished == size with some rank unfinished.
+	// The park or exit that completes that sum sees it under mu and ends the
+	// run there (decide).
+	mu       sync.Mutex
+	parked   int
+	finished int
+	failed   int    // ranks that ended in a panic or error
+	dead     []bool // world-rank death mask; nil on the reliable network
 
-	// Message conservation counters for the exact-quiescence proof:
-	// delivered counts messages enqueued into an inbox (post, sender side),
-	// absorbed counts messages taken out (absorb, receiver side). A
-	// receiver that has pulled a message but not yet advanced its own state
-	// is invisible to park-site inspection — conservation (delivered -
-	// absorbed == messages still queued) is what rules that window out.
-	delivered atomic.Int64
-	absorbed  atomic.Int64
-
-	// quiesce wakes the supervisor when a park or exit completes the
-	// fin+blk == size sum, so starved runs are reaped at event latency.
-	// Buffered; notifications are hints verified by exactNow, and the only
-	// thing that ever makes the supervisor look (see supervise).
-	quiesce chan struct{}
-
-	// Reconvergence cut of a forked run (fork.go, part 3): matched counts
-	// the ranks that left the faulted collective in the golden run's state,
-	// and the one that completes the world posts reconverged (buffered; nil,
-	// so never ready, when the run has no cut to make). snap belongs to the
-	// faulted rank's goroutine, between its hook and the end of its call.
-	fork        *Fork
-	snap        *callSnapshot
-	matched     atomic.Int32
-	reconverged chan struct{}
+	// Reconvergence cut of a forked run (fork.go, part 3): matched counts,
+	// under mu, the ranks that left the faulted collective in the golden
+	// run's state, and the one that completes the world ends the run. snap
+	// belongs to the faulted rank's goroutine, between its hook and the end
+	// of its call.
+	fork    *Fork
+	snap    *callSnapshot
+	matched int
 
 	// Network fault domain (nil/false on the default reliable network, so
 	// the no-fault hot path pays a single branch in post).
 	faulty      bool
 	net         *Network
-	dead        []atomic.Bool                 // world-rank death mask
-	deadAtStart []bool                        // immutable after launch
-	epoch       atomic.Pointer[chan struct{}] // closed+swapped on membership change
-
-	// Heartbeat failure-detection monitor (see detector.go).
-	hbMu sync.Mutex
-	hb   *heartbeat
+	deadAtStart []bool // immutable after launch
 }
 
 // commInfo is the runtime's communicator descriptor. The comms table is
@@ -200,25 +186,25 @@ type commInfo struct {
 	rankOf  map[int]int
 }
 
-// rankFailed records that a rank ended in a panic or error. The failure
-// does NOT abort its peers: every rank must reach its own deterministic
-// fate (crash, MPI error, app abort, completion) so that a run's
-// classification depends only on the injected fault, never on which
-// failing rank the scheduler happened to run first. Peers starved by a
-// dead rank are reaped by the quiescence supervisor.
-func (w *World) rankFailed() {
-	w.failed.Add(1)
-}
+// Kill reasons. The first kill of a run is the one that counts, and
+// RunResult's Deadlock, TimedOut and Cancelled say which it was.
+const (
+	whyDeadlock    = "deadlock: all surviving ranks blocked with no progress"
+	whyAbort       = "job abort: peers starved by a failed rank"
+	whyTimeout     = "wall-clock timeout"
+	whyCancelled   = "run cancelled"
+	whyReconverged = "reconverged: the rest of the run is the golden suffix"
+)
 
 func (w *World) kill(why string) {
 	w.doneOnce.Do(func() {
-		w.killWhy.Store(why)
+		w.why = why
 		close(w.done)
 	})
 }
 
 // killedBy is what a rank dies with once the world is killed.
-func (w *World) killedBy() Killed { return Killed{Reason: w.killWhy.Load().(string)} }
+func (w *World) killedBy() Killed { return Killed{Reason: w.why} }
 
 func (w *World) killed() bool {
 	select {
@@ -229,24 +215,72 @@ func (w *World) killed() bool {
 	}
 }
 
-// markDead publishes world rank's death to the fault domain and wakes every
-// blocked peer so RecvOrFail and post re-sample the death mask. Called on
-// the dying rank's own goroutine, after all of its sends — that ordering is
-// what makes consumption-point failure detection deterministic.
-func (w *World) markDead(rank int) {
-	if !w.faulty || rank < 0 || rank >= w.size {
+// decide ends the run if the caller's park or exit froze it: every rank
+// parked or finished, and some rank unfinished. Nothing is left to wake the
+// parked ones. With a failed rank among the finished it is a job abort, the
+// way mpirun tears down a job whose rank died: the peers starve behind the
+// failure, which stays the run's outcome. Otherwise it is a deadlock of the
+// application's own making. Called under mu.
+func (w *World) decide() {
+	if w.parked+w.finished != w.size || w.finished == w.size {
 		return
 	}
-	w.dead[rank].Store(true)
-	ch := make(chan struct{})
-	old := w.epoch.Swap(&ch)
-	if old != nil {
-		close(*old)
+	if w.failed > 0 {
+		w.kill(whyAbort)
+	} else {
+		w.kill(whyDeadlock)
 	}
 }
 
-func (w *World) rankDead(rank int) bool {
-	return w.faulty && w.dead[rank].Load()
+// exit books a rank's end under mu. A node crash marks the rank dead and
+// wakes every parked rank to re-check its death watch or blocked send; the
+// crashed rank's sends were all enqueued before, under the same lock. The
+// failure and the finish are counted in one step, so a frozen run that
+// counts a failed rank finished is always a job abort, never a deadlock.
+func (w *World) exit(rank int, err error) {
+	w.mu.Lock()
+	if _, crashed := err.(NodeCrashed); crashed && w.faulty {
+		w.dead[rank] = true
+		w.wakeAll()
+	}
+	if err != nil {
+		w.failed++
+	}
+	w.finished++
+	w.decide()
+	w.mu.Unlock()
+}
+
+// unpark un-counts rk if it is parked and reports whether it was; the
+// caller then signals it. Called under mu, so the run cannot read as frozen
+// between the wake and rk's next park. Only the caller that un-counted a
+// park signals it, so each park gets exactly one wake.
+func (w *World) unpark(rk *Rank) bool {
+	if !rk.parked {
+		return false
+	}
+	rk.parked = false
+	w.parked--
+	return true
+}
+
+// signal wakes a rank unpark has un-counted. It never blocks: the rank's
+// slot is free until this, its one wake, lands.
+func (rk *Rank) signal() {
+	select {
+	case rk.wake <- struct{}{}:
+	default:
+	}
+}
+
+// wakeAll wakes every parked rank to re-check what it waits for. Called
+// under mu on a death mark and when a full inbox is drained.
+func (w *World) wakeAll() {
+	for _, rk := range w.ranks {
+		if w.unpark(rk) {
+			rk.signal()
+		}
+	}
 }
 
 // Run executes fn on opts.NumRanks simulated MPI processes and collects the
@@ -275,22 +309,22 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		budget = 0 // disabled
 	}
 
-	// With pooling on, the per-rank skeleton (channels, rand sources,
-	// maps, caches) is recycled from earlier runs of the same shape and
+	// With pooling on, the per-rank skeleton (mailboxes, rand sources,
+	// maps, caches) is recycled from earlier runs of the same size and
 	// returned to the arena once every rank goroutine has been joined.
 	var shell *runShell
 	if pooling {
-		shell = getShell(n, mailbox)
+		shell = getShell(n)
 	}
 	if shell == nil {
-		shell = newShell(n, mailbox)
+		shell = newShell(n)
 	}
 	w := &World{
 		size:    n,
 		hook:    opts.Hook,
 		done:    make(chan struct{}),
-		quiesce: make(chan struct{}, 1),
 		pooling: pooling,
+		mailbox: mailbox,
 	}
 	w.comms = []*commInfo{shell.world0}
 	w.ranks = shell.ranks
@@ -307,64 +341,43 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		w.bindFork(opts.Fork)
 	}
 
+	results := make([]RankResult, n)
 	if opts.Network != nil || len(opts.CrashedRanks) > 0 {
 		w.faulty = true
 		w.net = opts.Network
-		w.dead = make([]atomic.Bool, n)
+		w.dead = make([]bool, n)
 		w.deadAtStart = make([]bool, n)
-		ch := make(chan struct{})
-		w.epoch.Store(&ch)
 		for _, cr := range opts.CrashedRanks {
-			if cr >= 0 && cr < n {
-				w.dead[cr].Store(true)
-				w.deadAtStart[cr] = true
+			if cr >= 0 && cr < n && !w.dead[cr] {
+				// The node failed before launch: its goroutine never starts,
+				// and it is counted finished and failed before any rank runs.
+				w.dead[cr], w.deadAtStart[cr] = true, true
+				w.finished++
+				w.failed++
+				results[cr] = RankResult{Rank: cr, Err: NodeCrashed{Rank: cr, Reason: "node failed before launch"}}
 			}
 		}
 	}
 
-	results := make([]RankResult, n)
 	var wg sync.WaitGroup
 	start := time.Now()
-	for i := 0; i < n; i++ {
-		if w.faulty && w.deadAtStart[i] {
-			// The node failed before launch: its goroutine never starts.
-			// It still counts as finished+failed so quiescence arithmetic
-			// (fin+blk == size) and starved-peer reaping stay exact.
-			results[i] = RankResult{Rank: i, Err: NodeCrashed{Rank: i, Reason: "node failed before launch"}}
-			w.finished.Add(1)
-			w.rankFailed()
+	for _, rk := range w.ranks {
+		if w.faulty && w.deadAtStart[rk.id] {
 			continue
 		}
 		wg.Add(1)
-		go func(rk *Rank) {
+		go func() {
 			defer wg.Done()
-			// Outcome precedence: the recover below runs before this defer,
-			// so a failing rank bumps failed before finished. A frozen state
-			// that counts the rank finished therefore already sees failed > 0
-			// and reap says "job abort", never "deadlock": a failure that
-			// coincides with a quiescence verdict always wins
-			// (TestFailureDominatesQuiescenceVerdict).
-			defer func() {
-				w.finished.Add(1)
-				w.notifyQuiesce() // this exit may leave only parked ranks
-			}()
+			var err error
 			defer func() {
 				if p := recover(); p != nil {
-					err := panicToError(rk.id, p)
-					if _, crashed := err.(NodeCrashed); crashed {
-						w.markDead(rk.id)
-					}
-					results[rk.id] = RankResult{Rank: rk.id, Err: err, Values: rk.reported}
-					w.rankFailed()
-					return
+					err = panicToError(rk.id, p)
 				}
+				results[rk.id] = RankResult{Rank: rk.id, Err: err, Values: rk.reported}
+				w.exit(rk.id, err)
 			}()
-			err := fn(rk)
-			results[rk.id] = RankResult{Rank: rk.id, Err: err, Values: rk.reported}
-			if err != nil {
-				w.rankFailed()
-			}
-		}(w.ranks[i])
+			err = fn(rk)
+		}()
 	}
 
 	allDone := make(chan struct{})
@@ -377,38 +390,31 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	if opts.Context != nil {
 		ctxDone = opts.Context.Done()
 	}
-
-	deadlock, timedOut, cancelled := w.supervise(allDone, ctxDone, timeout)
-
-	// All rank goroutines are joined on every path above; the heartbeat
-	// monitor (if a resilient collective started one) is stopped and joined
-	// before any rank state is recycled.
-	w.stopHeartbeat()
+	w.supervise(allDone, ctxDone, timeout)
 
 	if pooling {
-		// Every exit path above has joined all rank goroutines, so the
-		// shell (and any pooled memory still referenced by abandoned
-		// in-flight messages) can be reclaimed safely.
+		// Every rank goroutine has been joined, so the shell (and any pooled
+		// memory still referenced by abandoned in-flight messages) can be
+		// reclaimed safely.
 		shell.reclaim()
 		putShell(shell)
 	}
 
 	res := RunResult{
 		Ranks:     results,
-		Deadlock:  deadlock,
-		TimedOut:  timedOut,
-		Cancelled: cancelled,
+		Deadlock:  w.why == whyDeadlock,
+		TimedOut:  w.why == whyTimeout,
+		Cancelled: w.why == whyCancelled,
 		Elapsed:   time.Since(start),
 	}
-	if w.reconverged != nil && int(w.matched.Load()) == n {
-		// Decided by the tally, not by which of supervise's cases fired
-		// first: a run whose ranks all finished before the supervisor read
-		// the signal, or whose deadline raced it, reconverged all the same,
+	if w.matched == n {
+		// Decided by the tally, not by which kill came first: a run whose
+		// deadline raced its last matching rank reconverged all the same,
 		// and its outcome is the golden run's either way.
 		res.Ranks, res.Reconverged, res.TimedOut = slices.Clone(w.fork.trace.golden), true, false
 	}
 	if w.rec != nil {
-		if deadlock || timedOut || cancelled {
+		if res.Deadlock || res.TimedOut || res.Cancelled {
 			w.rec.poison("recording run did not complete cleanly")
 		}
 		res.Trace = w.rec.finish(results)
@@ -416,139 +422,22 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	return res
 }
 
-// supervise waits for completion, deadlock, timeout, external cancellation
-// or reconvergence (fork.go, part 3). Deadlock has exactly one detector: a
-// true exactNow. The supervisor never polls and never measures how long
-// nothing happened — on a loaded host a receiver that a channel hand-off has
-// already woken can stay off-CPU, still counted blocked, for longer than any
-// window worth waiting.
-// It looks only when a park or exit says it completed the fin+blk == size
-// sum, which is enough: every transition into that sum is a park or a rank
-// exit, each a counter move followed, on the same goroutine, by
-// notifyQuiesce; the buffered hint is therefore received after the counter
-// move that made the state, and a hint exactNow rejects means some rank is
-// still running, or woken, and will itself park or exit — and hint — later.
-func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) (deadlock, timedOut, cancelled bool) {
+// supervise waits for every rank goroutine to return, killing the run at
+// the wall-clock deadline or on external cancellation. It decides nothing
+// else: the rank whose park or exit freezes the run ends it (decide), as
+// does the rank that completes a reconvergence tally (reconverge).
+func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeout time.Duration) {
 	deadline := time.NewTimer(timeout)
 	defer deadline.Stop()
-	for {
-		select {
-		case <-allDone:
-			return false, false, false
-		case <-deadline.C:
-			w.kill("wall-clock timeout")
-			<-allDone
-			return false, true, false
-		case <-ctxDone:
-			w.kill("run cancelled")
-			<-allDone
-			return false, false, true
-		case <-w.reconverged:
-			// Returning here is what keeps a quiescence hint sent by the
-			// unwinding ranks from ever being read as a deadlock.
-			w.kill("reconverged: the rest of the run is the golden suffix")
-			<-allDone
-			return false, false, false
-		case <-w.quiesce:
-			if w.exactNow() {
-				deadlock = w.reap()
-				<-allDone
-				return deadlock, false, false
-			}
-		}
+	select {
+	case <-allDone:
+		return
+	case <-deadline.C:
+		w.kill(whyTimeout)
+	case <-ctxDone:
+		w.kill(whyCancelled)
 	}
-}
-
-// reap tears a frozen run down and reports whether it was a deadlock.
-// Campaigns spend a large share of their wall clock on faulty runs whose
-// survivors starve; this is the moment that cost is paid.
-func (w *World) reap() bool {
-	if w.failed.Load() > 0 {
-		// Not a deadlock of the application's own making: the surviving
-		// ranks are starved by a failed peer. Reap them like mpirun
-		// tearing down a job whose rank died — the failure itself is
-		// already in the results and dominates classification.
-		w.kill("job abort: peers starved by a failed rank")
-		return false
-	}
-	w.kill("deadlock: all surviving ranks blocked with no progress")
-	return true
-}
-
-// exactNow proves the run is frozen, at this instant, from published park
-// sites and message conservation. It samples every quiescence counter, scans
-// the rank states, then re-checks that no counter moved and scans again: any
-// event that could wake a parked rank bumps a counter — a delivery moves
-// delivered, a drain (absorb) moves absorbed, an unpark moves blocked, a
-// rank death passes through a neither-blocked-nor-finished unwind that
-// breaks the fin+blk == size sum and then moves finished, after its death
-// mark, which the scan reads — so two positive scans bracketed by identical
-// counters cannot straddle a wake in flight.
-func (w *World) exactNow() bool {
-	fin := w.finished.Load()
-	blk := w.blocked.Load()
-	del := w.delivered.Load()
-	abs := w.absorbed.Load()
-	if fin >= int64(w.size) || fin+blk != int64(w.size) || !w.exactQuiesced(fin) {
-		return false
-	}
-	runtime.Gosched()
-	return w.finished.Load() == fin && w.blocked.Load() == blk &&
-		w.delivered.Load() == del && w.absorbed.Load() == abs &&
-		w.exactQuiesced(fin)
-}
-
-// exactQuiesced is one scan of exactNow's frozen-state predicate: every
-// unfinished rank is parked in a communication select that provably cannot
-// fire — a receiver whose inbox is empty, or a sender whose target inbox is
-// full, and neither waiting on a rank that has died, whose death mark closed
-// (or will close) the epoch channel the park selects on — and message
-// conservation holds: everything delivered was either absorbed by a
-// receiver or still sits in an inbox. The conservation term closes the one
-// window park-site inspection cannot see: a receiver that has pulled its
-// message off the channel but not yet advanced its own counters looks
-// parked with an empty inbox, yet the pulled message is missing from every
-// queue. Both park sites (post and absorb) go through park, which publishes
-// the site before blocked.Add(1), so a rank counted blocked is always one
-// this scan can rule on.
-func (w *World) exactQuiesced(fin int64) bool {
-	parked, queued := int64(0), int64(0)
-	for _, rk := range w.ranks {
-		queued += int64(len(rk.inbox))
-		kind := rk.blockKind.Load()
-		if kind == blockNone {
-			continue
-		}
-		p := int(rk.blockPeer.Load())
-		if p < 0 || p >= w.size || w.rankDead(p) {
-			return false
-		}
-		if t := w.ranks[p]; kind == blockRecv && len(rk.inbox) != 0 || kind == blockSend && len(t.inbox) != cap(t.inbox) {
-			return false
-		}
-		parked++
-	}
-	if w.delivered.Load()-w.absorbed.Load() != queued {
-		return false
-	}
-	return parked > 0 && parked == int64(w.size)-fin
-}
-
-// notifyQuiesce pokes the supervisor when the caller's park or exit may
-// have been the last: with every rank now blocked or finished, the run is
-// frozen unless messages are still in flight, which exactNow rules on.
-// Callers invoke it after their own counter move, so the last mover of a
-// frozen state always sees the sum complete. The buffered channel coalesces
-// bursts (a full buffer holds a hint the supervisor has yet to read, which
-// serves as well), and a hint racing a counter move is rejected by the
-// verification and followed by that mover's own.
-func (w *World) notifyQuiesce() {
-	if w.finished.Load()+w.blocked.Load() == int64(w.size) {
-		select {
-		case w.quiesce <- struct{}{}:
-		default:
-		}
-	}
+	<-allDone
 }
 
 func panicToError(rank int, p any) error {

@@ -11,9 +11,9 @@ package resilient
 //
 //   - payload protection (checksum, voted, corrected): detects or masks
 //     corrupted collective *data* — the paper's original fault model;
-//   - heartbeat + reorganization (hbreorg): survives *node crashes* by
-//     building its trees over the surviving ranks and detecting mid-run
-//     deaths at message-consumption points;
+//   - failure detection + reorganization (hbreorg): survives *node
+//     crashes* by building its trees over the surviving ranks and
+//     detecting mid-run deaths at message-consumption points;
 //   - topology-aware rerouting (ftring): survives *link failures* by
 //     recomputing its ring schedule around broken edges.
 //

@@ -18,8 +18,8 @@ package resilient
 // The break set is computed from at-start state only (AliveAtStart,
 // PathBlocked) so all ranks agree without communicating; mid-run neighbor
 // crashes are caught by RecvOrFail like in hbreorg. A message lost to a
-// *mid-run* link fault leaves the receiver blocked, and the quiescence
-// detector reaps the run (INF_LOOP) — detecting in-flight loss would
+// *mid-run* link fault leaves the receiver blocked, and the run ends as a
+// deadlock once every rank waits (INF_LOOP) — detecting in-flight loss would
 // require timeouts, which are exactly the nondeterminism this harness
 // refuses.
 

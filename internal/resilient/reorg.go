@@ -1,8 +1,8 @@
 package resilient
 
-// Heartbeat-based failure detection with dynamic tree reorganization
-// (the "hbreorg" variant). Where the baseline collectives hang forever
-// when a peer's node dies (INF_LOOP), hbreorg keeps going:
+// Failure detection with dynamic tree reorganization (the "hbreorg"
+// variant). Where the baseline collectives hang forever when a peer's node
+// dies (INF_LOOP), hbreorg keeps going:
 //
 //   - Ranks dead *at run start* are simply left out: every rank computes
 //     the identical survivor set from mpi.(*Rank).InitialLiveRanks (an
@@ -14,10 +14,9 @@ package resilient
 //     order. Detection aborts the application visibly (APP_DETECTED) —
 //     the job fails fast and attributably instead of hanging.
 //
-// The heartbeat monitor (mpi/detector.go) is started on entry and provides
-// the liveness view a production implementation would reorganize from; the
-// *classified* behaviour, however, derives only from the two deterministic
-// mechanisms above, so campaign outcomes never depend on timer scheduling.
+// A production implementation would learn of deaths from heartbeats, a
+// wall-clock sample; here detection is a receive's verdict, so campaign
+// outcomes never depend on timer scheduling.
 //
 // Note the deliberate asymmetry: reorganization uses alive-at-*start*
 // membership, never a mid-run liveness snapshot. A mid-run snapshot is
@@ -52,7 +51,6 @@ func peerFailed(r *mpi.Rank, peer int, phase string) {
 // the lowest surviving rank followed by a binomial broadcast, both over the
 // compacted survivor set, with every receive failure-detected.
 func HeartbeatAllreduce(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, op mpi.Op, comm mpi.Comm) {
-	r.StartHeartbeat(0)
 	seq := r.LibSeq("hbreorg")
 	s, pos := survivorPos(r)
 	n := len(s)
@@ -103,7 +101,6 @@ func HeartbeatAllreduce(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.D
 // positions ahead/behind). Blocks belonging to dead ranks are neither sent
 // nor received — their slots in recv are left untouched.
 func HeartbeatAlltoall(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, comm mpi.Comm) {
-	r.StartHeartbeat(0)
 	seq := r.LibSeq("hbreorg")
 	s, pos := survivorPos(r)
 	n := len(s)
