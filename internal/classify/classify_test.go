@@ -1,6 +1,7 @@
 package classify
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -198,5 +199,51 @@ func TestLevel3Bands(t *testing.T) {
 	}
 	if Level3Name(0) != "low" || Level3Name(1) != "med" || Level3Name(2) != "high" {
 		t.Error("level names wrong")
+	}
+}
+
+// TestSegFaultOutranksEveryFailure guards the premise on which the runtime
+// ends a job at its first segfault (mpi.World.exit): nothing the other ranks
+// could still do changes the verdict. For every mix of per-rank errors that
+// holds a SegFault, with Deadlock and TimedOut each set or clear, FirstError
+// is the first SegFault and the outcome is SEG_FAULT.
+func TestSegFaultOutranksEveryFailure(t *testing.T) {
+	const ranks = 3
+	kinds := []func(rank int) error{
+		func(int) error { return nil },
+		func(r int) error { return mpi.SegFault{Op: fmt.Sprint("rank ", r)} },
+		func(r int) error { return mpi.MPIError{Class: mpi.ErrCount, Rank: r} },
+		func(r int) error { return mpi.AppError{Rank: r, Message: "detected"} },
+		func(int) error { return mpi.Killed{Reason: "job abort: a rank segfaulted"} },
+		func(r int) error { return mpi.NodeCrashed{Rank: r} },
+	}
+	golden := mkRun([]float64{1}, []float64{1}, []float64{1})
+	digest := NewDigest(golden, 0)
+	mixes := 0
+	for mix := 0; mix < len(kinds)*len(kinds)*len(kinds); mix++ {
+		res := mkRun([]float64{1}, []float64{1}, []float64{1})
+		var seg error
+		for r, m := 0, mix; r < ranks; r, m = r+1, m/len(kinds) {
+			res.Ranks[r].Err = kinds[m%len(kinds)](r)
+			if _, ok := res.Ranks[r].Err.(mpi.SegFault); ok && seg == nil {
+				seg = res.Ranks[r].Err
+			}
+		}
+		if seg == nil {
+			continue
+		}
+		mixes++
+		for flags := 0; flags < 4; flags++ {
+			res.Deadlock, res.TimedOut = flags&1 != 0, flags&2 != 0
+			if got := res.FirstError(); got != seg {
+				t.Fatalf("errors %v deadlock %v timeout %v: FirstError = %v, want %v", res.Ranks, res.Deadlock, res.TimedOut, got, seg)
+			}
+			if got, dgot := Classify(golden, res), digest.Classify(res); got != SegFault || dgot != SegFault {
+				t.Fatalf("errors %v deadlock %v timeout %v: classified %v (digest %v), want SEG_FAULT", res.Ranks, res.Deadlock, res.TimedOut, got, dgot)
+			}
+		}
+	}
+	if want := 6*6*6 - 5*5*5; mixes != want {
+		t.Fatalf("checked %d mixes, want %d", mixes, want)
 	}
 }

@@ -289,25 +289,26 @@ func (c *Coordinator) checkCompleteLocked() {
 		return
 	}
 	for idx := 0; idx < c.needed; idx++ {
-		if _, ok := c.records[idx]; ok {
-			continue
+		if !c.settledLocked(idx) {
+			return
 		}
-		if _, ok := c.quar[idx]; ok {
-			continue
-		}
-		return
 	}
 	c.complete = true
 	close(c.done)
 }
 
-// coveredLocked reports whether idx is settled (recorded/quarantined) or
-// inside an active lease.
-func (c *Coordinator) coveredLocked(idx int) bool {
-	if _, ok := c.records[idx]; ok {
-		return true
+// settledLocked reports whether idx is recorded or quarantined.
+func (c *Coordinator) settledLocked(idx int) bool {
+	_, ok := c.records[idx]
+	if !ok {
+		_, ok = c.quar[idx]
 	}
-	if _, ok := c.quar[idx]; ok {
+	return ok
+}
+
+// coveredLocked reports whether idx is settled or inside an active lease.
+func (c *Coordinator) coveredLocked(idx int) bool {
+	if c.settledLocked(idx) {
 		return true
 	}
 	for _, l := range c.leases {
@@ -358,11 +359,7 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseGrant, error) {
 		if leased {
 			break
 		}
-		_, done := c.records[idx]
-		if !done {
-			_, done = c.quar[idx]
-		}
-		if done {
+		if c.settledLocked(idx) {
 			skip = append(skip, idx)
 		} else {
 			todo++
@@ -459,8 +456,11 @@ func (c *Coordinator) Journal(batch JournalBatch, recs []core.PointRecord, quars
 		c.emitLocked(core.PointQuarantined{Point: q, Completed: c.arrivals, Total: c.spec.Points})
 	}
 	// Completed work extends the lease: a live streaming shard is not dead.
+	// A range settled whole is released with the batch that settles it, not
+	// with the shard's trailing Done batch, which may arrive after the
+	// campaign has completed and merged; that batch is answered Expired.
 	l.deadline = c.opts.Now().Add(c.opts.LeaseTTL)
-	if batch.Done {
+	if batch.Done || c.rangeSettledLocked(l) {
 		delete(c.leases, l.id)
 		c.emitLocked(core.ShardLease{Kind: "completed", Lease: l.id, Worker: l.worker, Lo: l.lo, Hi: l.hi})
 	}
@@ -471,6 +471,16 @@ func (c *Coordinator) Journal(batch JournalBatch, recs []core.PointRecord, quars
 	}
 	c.checkCompleteLocked()
 	return JournalReply{Acked: acked}, nil
+}
+
+// rangeSettledLocked reports whether every index of l's range is settled.
+func (c *Coordinator) rangeSettledLocked(l *lease) bool {
+	for idx := l.lo; idx < l.hi; idx++ {
+		if !c.settledLocked(idx) {
+			return false
+		}
+	}
+	return true
 }
 
 // Done is closed once the record store is complete; Result then merges.
@@ -554,13 +564,9 @@ func (c *Coordinator) Status() StatusReply {
 	for _, l := range c.leases {
 		remaining := 0
 		for idx := l.lo; idx < l.hi; idx++ {
-			if _, ok := c.records[idx]; ok {
-				continue
+			if !c.settledLocked(idx) {
+				remaining++
 			}
-			if _, ok := c.quar[idx]; ok {
-				continue
-			}
-			remaining++
 		}
 		st.Leases = append(st.Leases, LeaseStatus{
 			LeaseID: l.id, Worker: l.worker, Lo: l.lo, Hi: l.hi,

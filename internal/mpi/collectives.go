@@ -19,13 +19,15 @@ package mpi
 import "runtime"
 
 // collCall is one live collective invocation past its prologue: the
-// arguments as the hook left them, the MPI name the call's errors carry,
-// the communicator with this rank's place in it, and the sequence number
-// that keys the call's internal tags.
+// arguments as the hook left them, the type (whose MPI name the call's
+// errors carry), the communicator with this rank's place in it, and the
+// sequence number that keys the call's internal tags. call is the record
+// the recorder and the hook see, nil when neither looks at this call
+// (observed).
 type collCall struct {
 	*Args
 	r        *Rank
-	name     string
+	t        CollType
 	ci       *commInfo
 	me, size int
 	seq      int64
@@ -35,11 +37,11 @@ type collCall struct {
 // enter is every collective's prologue, in the order the fault model needs:
 // a call inside a forked run's replayed prefix is served from the tape, and
 // enter returns nil; otherwise the arguments go into the rank's Args frame,
-// the call is charged to the work budget and its application context
-// captured, the hook sees (and may corrupt) the arguments, the
-// communicator handle is dereferenced, the type's entry checks run on what
-// the hook left, and the call takes its sequence number. A rank runs one
-// collective at a time, so the record lives in its frame.
+// the call is charged to the work budget, an observed call's application
+// context is captured and the hook sees (and may corrupt) its arguments,
+// the communicator handle is dereferenced, the type's entry checks run on
+// what the hook left, and the call takes its sequence number. A rank runs
+// one collective at a time, so the record lives in its frame.
 func (r *Rank) enter(t CollType, a Args) *collCall {
 	if r.replayActive() {
 		r.replayCollective(t, a.Send, a.Recv, a.Comm)
@@ -47,31 +49,50 @@ func (r *Rank) enter(t CollType, a Args) *collCall {
 	}
 	args := r.newArgs(a)
 	r.Tick(collectiveWorkCharge)
-	st, site, inv := r.callSite(r.pcbuf[:runtime.Callers(2, r.pcbuf[:])])
-	call := r.newCollCall()
-	*call = CollectiveCall{
-		Rank:        r.id,
-		Type:        t,
-		Site:        site,
-		Invocation:  inv,
-		Stack:       st.stack,
-		StackHash:   st.hash,
-		Phase:       r.phase,
-		ErrHandling: r.errHandling,
-		Args:        args,
+	var call *CollectiveCall
+	if r.observed() {
+		st, site, inv := r.callSite(r.pcbuf[:runtime.Callers(2, r.pcbuf[:])])
+		call = r.newCollCall()
+		*call = CollectiveCall{
+			Rank:        r.id,
+			Type:        t,
+			Site:        site,
+			Invocation:  inv,
+			Stack:       st.stack,
+			StackHash:   st.hash,
+			Phase:       r.phase,
+			ErrHandling: r.errHandling,
+			Args:        args,
+		}
 	}
 	if r.cutSeq >= 0 {
 		r.snapshotFaultedCall(t, args)
 	}
-	if r.world.hook != nil {
+	if call != nil && r.world.hook != nil {
 		r.world.hook.BeforeCollective(call)
 	}
 	ci := r.commDeref(args.Comm)
 	validate(r.id, t, args, ci)
 	c := &r.frame.coll
-	*c = collCall{Args: args, r: r, name: collNames[t], ci: ci,
+	*c = collCall{Args: args, r: r, t: t, ci: ci,
 		me: ci.rankOf[r.id], size: len(ci.members), seq: r.nextSeq(args.Comm), call: call}
 	return c
+}
+
+// observed reports whether anything looks at the collective this rank is
+// entering: the recorder of a recording run, or the hook. In a forked run
+// the hook sees only the faulted rank's calls up to the faulted instance,
+// the only calls its fault can be addressed to (Fork's contract), so every
+// other live call skips the stack capture.
+func (r *Rank) observed() bool {
+	w := r.world
+	if w.rec != nil {
+		return true
+	}
+	if w.hook == nil {
+		return false
+	}
+	return w.fork == nil || r.id == w.fork.rank && r.collSeq[CommWorld] <= w.fork.seq
 }
 
 // validate performs the argument validation a production MPI library
@@ -114,7 +135,7 @@ func (c *collCall) sendTo(dst, round int, data []byte) {
 func (c *collCall) recvFrom(src, round, want int) message {
 	m, _ := c.r.recvMatch(matcher{c.Comm, src, internalTag(c.seq, round)}, -1)
 	if len(m.data) > want {
-		abortf(c.r.id, c.name, ErrTruncate, "message of %d bytes truncated to receive of %d bytes", len(m.data), want)
+		abortf(c.r.id, c.t.String(), ErrTruncate, "message of %d bytes truncated to receive of %d bytes", len(m.data), want)
 	}
 	return m
 }
@@ -144,7 +165,7 @@ func (r *Rank) Barrier(comm Comm) {
 		m.recycle()
 		round++
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Bcast broadcasts count elements of dt from root's buf into every other
@@ -173,7 +194,7 @@ func (r *Rank) Bcast(buf *Buffer, count int, dt Datatype, root int, comm Comm) {
 			c.sendTo((vrank+mask+int(c.Root))%c.size, 0, payload)
 		}
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Reduce combines count elements of dt from every rank's send buffer with
@@ -205,7 +226,7 @@ func (r *Rank) Reduce(send, recv *Buffer, count int, dt Datatype, op Op, root in
 		c.Recv.WriteAt("MPI_Reduce recv", 0, acc)
 	}
 	putSlab(accSlab)
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Allreduce combines count elements with op and leaves the result in every
@@ -265,7 +286,7 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 	}
 	c.Recv.WriteAt("MPI_Allreduce recv", 0, acc)
 	putSlab(accSlab)
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Scatter distributes consecutive count-element blocks of root's send
@@ -290,7 +311,7 @@ func (r *Rank) Scatter(send, recv *Buffer, count int, dt Datatype, root int, com
 		c.Recv.WriteAt("MPI_Scatter recv", 0, m.data)
 		m.recycle()
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Gather collects count-element blocks from every rank's send buffer into
@@ -314,7 +335,7 @@ func (r *Rank) Gather(send, recv *Buffer, count int, dt Datatype, root int, comm
 	} else {
 		c.sendTo(int(c.Root), 0, c.Send.ReadAt("MPI_Gather send", 0, blk))
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Allgather collects every rank's count-element send block into every
@@ -337,7 +358,7 @@ func (r *Rank) Allgather(send, recv *Buffer, count int, dt Datatype, comm Comm) 
 		c.Recv.WriteAt("MPI_Allgather recv", cur*blk, m.data)
 		m.recycle()
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Alltoall exchanges count-element blocks between every pair of ranks
@@ -360,7 +381,7 @@ func (r *Rank) Alltoall(send, recv *Buffer, count int, dt Datatype, comm Comm) {
 		c.Recv.WriteAt("MPI_Alltoall recv", src*blk, m.data)
 		m.recycle()
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Alltoallv exchanges variable-sized blocks between every pair of ranks.
@@ -382,7 +403,7 @@ func (r *Rank) Alltoallv(send *Buffer, sendCounts, sendDispls []int32, recv *Buf
 	cnt := func(v []int32, p int) int {
 		n := int(v[p])
 		if n < 0 {
-			abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
+			abortf(r.id, c.t.String(), ErrCount, "negative count %d for peer %d", n, p)
 		}
 		return n
 	}
@@ -394,7 +415,7 @@ func (r *Rank) Alltoallv(send *Buffer, sendCounts, sendDispls []int32, recv *Buf
 			data := c.Send.ReadAt("MPI_Alltoallv send self", int(c.SendDispls[c.me])*esz, n)
 			want := cnt(c.RecvCounts, c.me) * esz
 			if n > want {
-				abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", n, want)
+				abortf(r.id, c.t.String(), ErrTruncate, "self message of %d bytes truncated to %d", n, want)
 			}
 			c.Recv.WriteAt("MPI_Alltoallv recv self", int(c.RecvDispls[c.me])*esz, data)
 			continue
@@ -405,7 +426,7 @@ func (r *Rank) Alltoallv(send *Buffer, sendCounts, sendDispls []int32, recv *Buf
 		c.Recv.WriteAt("MPI_Alltoallv recv", int(c.RecvDispls[src])*esz, m.data)
 		m.recycle()
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // ReduceScatter reduces element-wise across ranks and scatters segment i
@@ -421,7 +442,7 @@ func (r *Rank) ReduceScatter(send, recv *Buffer, counts []int32, dt Datatype, op
 	for p := 0; p < c.size; p++ {
 		n := int(c.RecvCounts[p])
 		if n < 0 {
-			abortf(r.id, c.name, ErrCount, "negative count %d for segment %d", n, p)
+			abortf(r.id, c.t.String(), ErrCount, "negative count %d for segment %d", n, p)
 		}
 		total += n
 	}
@@ -459,7 +480,7 @@ func (r *Rank) ReduceScatter(send, recv *Buffer, counts []int32, dt Datatype, op
 		m.recycle()
 	}
 	putSlab(accSlab)
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Scan computes an inclusive prefix reduction: rank i's recv buffer holds
@@ -487,5 +508,5 @@ func (r *Rank) Scan(send, recv *Buffer, count int, dt Datatype, op Op, comm Comm
 	}
 	c.Recv.WriteAt("MPI_Scan recv", 0, acc)
 	putSlab(accSlab)
-	r.endCollective(c.call)
+	r.endCollective(c)
 }

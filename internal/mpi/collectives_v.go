@@ -23,12 +23,12 @@ func (r *Rank) Scatterv(send *Buffer, sendCounts, sendDispls []int32, recv *Buff
 		for p := 0; p < c.size; p++ {
 			n := int(c.SendCounts[p])
 			if n < 0 {
-				abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
+				abortf(r.id, c.t.String(), ErrCount, "negative count %d for peer %d", n, p)
 			}
 			payload := c.Send.ReadAt("MPI_Scatterv send", int(c.SendDispls[p])*esz, n*esz)
 			if p == c.me {
 				if len(payload) > want {
-					abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", len(payload), want)
+					abortf(r.id, c.t.String(), ErrTruncate, "self message of %d bytes truncated to %d", len(payload), want)
 				}
 				c.Recv.WriteAt("MPI_Scatterv recv", 0, payload)
 			} else {
@@ -40,7 +40,7 @@ func (r *Rank) Scatterv(send *Buffer, sendCounts, sendDispls []int32, recv *Buff
 		c.Recv.WriteAt("MPI_Scatterv recv", 0, m.data)
 		m.recycle()
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }
 
 // Gatherv collects sendCount elements from every rank into root's recv
@@ -59,13 +59,13 @@ func (r *Rank) Gatherv(send *Buffer, sendCount int, recv *Buffer, recvCounts, re
 		for p := 0; p < c.size; p++ {
 			n := int(c.RecvCounts[p])
 			if n < 0 {
-				abortf(r.id, c.name, ErrCount, "negative count %d for peer %d", n, p)
+				abortf(r.id, c.t.String(), ErrCount, "negative count %d for peer %d", n, p)
 			}
 			want := n * esz
 			if p == c.me {
 				data := c.Send.ReadAt("MPI_Gatherv send", 0, int(c.Count)*esz)
 				if len(data) > want {
-					abortf(r.id, c.name, ErrTruncate, "self message of %d bytes truncated to %d", len(data), want)
+					abortf(r.id, c.t.String(), ErrTruncate, "self message of %d bytes truncated to %d", len(data), want)
 				}
 				c.Recv.WriteAt("MPI_Gatherv recv", int(c.RecvDispls[p])*esz, data)
 			} else {
@@ -77,5 +77,5 @@ func (r *Rank) Gatherv(send *Buffer, sendCount int, recv *Buffer, recvCounts, re
 	} else {
 		c.sendTo(int(c.Root), 0, c.Send.ReadAt("MPI_Gatherv send", 0, int(c.Count)*esz))
 	}
-	r.endCollective(c.call)
+	r.endCollective(c)
 }

@@ -398,7 +398,7 @@ func (s *callSnapshot) golden(span []byte) bool {
 // the golden run's and, when it is the last of the world to find them
 // equal, kills the run. A rank that differs says nothing, and the run
 // continues to whatever end the fault gives it.
-func (r *Rank) reconverge(call *CollectiveCall) {
+func (r *Rank) reconverge(c *collCall) {
 	if r.collSeq[CommWorld]-1 != r.cutSeq {
 		return // a live instance before the faulted one
 	}
@@ -409,7 +409,7 @@ func (r *Rank) reconverge(call *CollectiveCall) {
 		if !w.snap.golden(span) {
 			return
 		}
-	} else if !bytes.HasPrefix(resultBuffer(call.Type, call.Args).Bytes(), span) {
+	} else if !bytes.HasPrefix(resultBuffer(c.t, c.Args).Bytes(), span) {
 		return
 	}
 	w.mu.Lock()

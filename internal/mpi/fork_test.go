@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sync"
 	"testing"
 )
 
@@ -117,6 +118,109 @@ func TestForkMatchesFullReplay(t *testing.T) {
 	}
 	if targets == 0 {
 		t.Fatal("trace recorded no collective events")
+	}
+}
+
+// scopeHook logs every collective the hook sees, mutating nothing.
+type scopeHook struct {
+	mu            sync.Mutex
+	before, after []CollectiveCall
+}
+
+func (h *scopeHook) BeforeCollective(c *CollectiveCall) {
+	h.mu.Lock()
+	h.before = append(h.before, *c)
+	h.mu.Unlock()
+}
+
+func (h *scopeHook) AfterCollective(c *CollectiveCall) {
+	h.mu.Lock()
+	h.after = append(h.after, *c)
+	h.mu.Unlock()
+}
+
+// lateSendApp has rank 1 receive, before two broadcasts, a message rank 0
+// sends only after them: a broadcast's root does not wait for its receivers.
+// A fork at either broadcast on rank 1 makes the send live, so the receive
+// and both broadcasts are live on rank 1.
+func lateSendApp(r *Rank) error {
+	v := []float64{1, 2}
+	if r.ID() == 1 {
+		v = r.RecvFloat64sInto(CommWorld, 0, 5, nil)
+	}
+	v = r.BcastFloat64s(v, 0, CommWorld)
+	v = r.BcastFloat64s(v, 0, CommWorld)
+	if r.ID() == 0 {
+		r.SendFloat64s(CommWorld, 1, 5, v)
+	}
+	r.ReportResult(v...)
+	return nil
+}
+
+// TestForkedHookScope sweeps every collective of two traces as fork targets
+// and checks that the hook of a forked run sees only the calls its fault can
+// be addressed to: the faulted rank's live collectives up to and including
+// the faulted instance, the last of them carrying the fault's site and
+// invocation. An unforked run's hook sees every call of every rank.
+func TestForkedHookScope(t *testing.T) {
+	const seed = int64(42)
+	earlier := false // some fork has a live call before its faulted one
+	for _, tc := range []struct {
+		n   int
+		app func(*Rank) error
+	}{{4, forkTestApp}, {2, lateSendApp}} {
+		rec := Run(RunOptions{NumRanks: tc.n, Seed: seed, Record: true}, tc.app)
+		if !rec.Trace.Forkable() {
+			t.Fatalf("golden trace not forkable: %s", rec.Trace.Reason())
+		}
+		all := &scopeHook{}
+		requireClean(t, Run(RunOptions{NumRanks: tc.n, Seed: seed, Hook: all}, tc.app))
+		colls := 0
+		for rank := 0; rank < tc.n; rank++ {
+			for _, ev := range rec.Trace.ranks[rank].events {
+				if ev.kind == evColl {
+					colls++
+				}
+			}
+		}
+		if len(all.before) != colls || len(all.after) != colls {
+			t.Fatalf("unforked hook saw %d/%d calls, want all %d", len(all.before), len(all.after), colls)
+		}
+
+		for rank := 0; rank < tc.n; rank++ {
+			events := rec.Trace.ranks[rank].events
+			for pos, ev := range events {
+				if ev.kind != evColl {
+					continue
+				}
+				f := rec.Trace.Fork(rank, ev.site, int(ev.inv))
+				want := 0
+				for _, e := range events[f.cut[rank] : pos+1] {
+					if e.kind == evColl {
+						want++
+					}
+				}
+				earlier = earlier || want > 1
+				h := &scopeHook{}
+				Run(RunOptions{NumRanks: tc.n, Seed: seed, Hook: h, Fork: f}, tc.app)
+				where := fmt.Sprintf("%d ranks, fork at rank %d tape position %d", tc.n, rank, pos)
+				if len(h.before) != want || len(h.after) != want {
+					t.Fatalf("%s: hook saw %d/%d calls, want %d", where, len(h.before), len(h.after), want)
+				}
+				for i, c := range h.before {
+					if c.Rank != rank {
+						t.Fatalf("%s: hook saw rank %d", where, c.Rank)
+					}
+					if faulted := c.Site == ev.site && c.Invocation == int(ev.inv); faulted != (i == want-1) {
+						t.Fatalf("%s: hooked call %d of %d has site %#x invocation %d; only the last may be the fault's (%#x, %d)",
+							where, i+1, want, c.Site, c.Invocation, ev.site, ev.inv)
+					}
+				}
+			}
+		}
+	}
+	if !earlier {
+		t.Fatal("no fork in the sweep has a live call before its faulted one")
 	}
 }
 

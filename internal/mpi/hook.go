@@ -107,6 +107,9 @@ func describePC(pc uintptr) string {
 // Hook observes (and in the injector's case mutates) collective calls.
 // BeforeCollective runs after argument capture but before validation and
 // execution; AfterCollective runs once the collective completes normally.
+// A run forked from a snapshot (RunOptions.Fork) calls both only for the
+// forked rank's live collectives up to and including the faulted one; a
+// hook there must not count on seeing any other call.
 //
 // The *CollectiveCall (including its Args and Stack) is only valid for the
 // duration of the callback: with buffer pooling active (the default) the
@@ -152,15 +155,19 @@ func (r *Rank) callSite(pcs []uintptr) (st stackEntry, site uintptr, inv int) {
 	return st, site, inv
 }
 
-func (r *Rank) endCollective(call *CollectiveCall) {
-	if r.world.rec != nil {
-		r.world.rec.recordCollective(r, call)
-	}
-	if r.world.hook != nil {
-		r.world.hook.AfterCollective(call)
+// endCollective is every live collective's epilogue: the recorder and the
+// hook see the call if enter let them, and a forked run may end here.
+func (r *Rank) endCollective(c *collCall) {
+	if c.call != nil {
+		if r.world.rec != nil {
+			r.world.rec.recordCollective(r, c.call)
+		}
+		if r.world.hook != nil {
+			r.world.hook.AfterCollective(c.call)
+		}
 	}
 	if r.cutSeq >= 0 {
-		r.reconverge(call)
+		r.reconverge(c)
 	}
 }
 

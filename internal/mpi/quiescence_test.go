@@ -96,7 +96,8 @@ func TestSlowLiveRunCompletes(t *testing.T) {
 // rank's failure and finish are counted in one step under w.mu (World.exit),
 // so a frozen state that counts it finished is always ended as a job abort.
 // The failure is the run's outcome; Deadlock stays false whichever of the
-// crash and the last park comes first.
+// error and the last park comes first. The failure is an MPI error, not a
+// segfault, which would end the job itself (TestSegFaultEndsTheJob).
 func TestFailureDominatesQuiescenceVerdict(t *testing.T) {
 	reps := 2000
 	if testing.Short() {
@@ -109,24 +110,49 @@ func TestFailureDominatesQuiescenceVerdict(t *testing.T) {
 				return nil
 			}
 			if i%2 == 0 {
-				// Crash only once every peer is parked, so the crash itself
-				// completes the fin+blk == size sum.
+				// Fail only once every peer is parked, so the failure itself
+				// completes the parked+finished == size sum.
 				for r.world.parkedCount() != 3 {
 					runtime.Gosched()
 				}
 			}
-			panic(SegFault{Op: "test", Offset: 8, Length: 8, Bound: 8})
+			panic(MPIError{Class: ErrCount, Op: "test", Detail: "test"})
 		})
 		if res.Deadlock || res.TimedOut {
 			t.Fatalf("rep %d: Deadlock %v TimedOut %v, want a job abort", i, res.Deadlock, res.TimedOut)
 		}
-		if _, ok := res.FirstError().(SegFault); !ok {
-			t.Fatalf("rep %d: FirstError = %v, want the SegFault", i, res.FirstError())
+		if _, ok := res.FirstError().(MPIError); !ok {
+			t.Fatalf("rep %d: FirstError = %v, want the MPIError", i, res.FirstError())
 		}
 		for _, rr := range res.Ranks[1:] {
 			if k, ok := rr.Err.(Killed); !ok || k.Reason != "job abort: peers starved by a failed rank" {
 				t.Fatalf("rep %d: rank %d error = %v, want Killed by the job abort", i, rr.Rank, rr.Err)
 			}
+		}
+	}
+}
+
+// A segfault ends the job at once: a peer computing on, here in an endless
+// Tick loop with no work budget to stop it, dies at its next Tick instead of
+// holding the run until the wall-clock timeout.
+func TestSegFaultEndsTheJob(t *testing.T) {
+	res := Run(RunOptions{NumRanks: 4, WorkBudget: -1, Timeout: 30 * time.Second}, func(r *Rank) error {
+		if r.ID() == 0 {
+			panic(SegFault{Op: "test", Offset: 8, Length: 8, Bound: 8})
+		}
+		for {
+			r.Tick(1)
+		}
+	})
+	if res.TimedOut || res.Deadlock || res.Elapsed > 10*time.Second {
+		t.Fatalf("TimedOut %v Deadlock %v after %v, want the segfault to end the run at once", res.TimedOut, res.Deadlock, res.Elapsed)
+	}
+	if _, ok := res.FirstError().(SegFault); !ok {
+		t.Fatalf("FirstError = %v, want the SegFault", res.FirstError())
+	}
+	for _, rr := range res.Ranks[1:] {
+		if rr.Err != (Killed{Reason: "job abort: a rank segfaulted"}) {
+			t.Fatalf("rank %d error = %v, want Killed by the segfault", rr.Rank, rr.Err)
 		}
 	}
 }

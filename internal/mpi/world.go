@@ -29,7 +29,8 @@ type RunOptions struct {
 	// killed (simulating a scheduler killing a runaway job). Zero means
 	// 10 million units; negative disables the budget.
 	WorkBudget int64
-	// Hook observes (and may mutate) every collective call. May be nil.
+	// Hook observes (and may mutate) every collective call, or with Fork set
+	// only the calls the fork's fault can be addressed to. May be nil.
 	Hook Hook
 	// MailboxCap bounds the messages waiting in a rank's inbox that no
 	// receive has examined yet; a sender finding it full blocks. Zero means
@@ -63,7 +64,9 @@ type RunOptions struct {
 	Record bool
 	// Fork, when non-nil, serves each rank's pre-injection communication
 	// prefix from a recorded golden trace instead of executing it (see
-	// fork.go). Mutually exclusive with Record.
+	// fork.go). Mutually exclusive with Record. The Hook then mutates only
+	// the collective the fork was cut for, and sees only the fork's rank's
+	// live collectives up to and including that one.
 	Fork *Fork
 }
 
@@ -160,9 +163,10 @@ type World struct {
 	failed   int    // ranks that ended in a panic or error
 	dead     []bool // world-rank death mask; nil on the reliable network
 
-	// Reconvergence cut of a forked run (fork.go, part 3): matched counts,
-	// under mu, the ranks that left the faulted collective in the golden
-	// run's state, and the one that completes the world ends the run. snap
+	// A forked run's snapshot, which also scopes the hook (Rank.observed),
+	// and its reconvergence cut (fork.go, part 3): matched counts, under
+	// mu, the ranks that left the faulted collective in the golden run's
+	// state, and the one that completes the world ends the run. snap
 	// belongs to the faulted rank's goroutine, between its hook and the end
 	// of its call.
 	fork    *Fork
@@ -191,6 +195,7 @@ type commInfo struct {
 const (
 	whyDeadlock    = "deadlock: all surviving ranks blocked with no progress"
 	whyAbort       = "job abort: peers starved by a failed rank"
+	whyCrash       = "job abort: a rank segfaulted"
 	whyTimeout     = "wall-clock timeout"
 	whyCancelled   = "run cancelled"
 	whyReconverged = "reconverged: the rest of the run is the golden suffix"
@@ -237,11 +242,22 @@ func (w *World) decide() {
 // crashed rank's sends were all enqueued before, under the same lock. The
 // failure and the finish are counted in one step, so a frozen run that
 // counts a failed rank finished is always a job abort, never a deadlock.
+//
+// A segfault ends the job there, the way a launcher tears down a job one of
+// whose processes died on a signal: nothing the other ranks could still do
+// changes the verdict. FirstError ranks a SegFault above every other error,
+// the classifier reads it before Deadlock and TimedOut, and a segfaulted
+// rank never matches a reconvergence tally (TestSegFaultOutranksEveryFailure
+// pins the first two). An MPI or application error is not final in the same
+// way, since a rank still running could yet segfault, so it only counts.
 func (w *World) exit(rank int, err error) {
 	w.mu.Lock()
 	if _, crashed := err.(NodeCrashed); crashed && w.faulty {
 		w.dead[rank] = true
 		w.wakeAll()
+	}
+	if _, seg := err.(SegFault); seg {
+		w.kill(whyCrash)
 	}
 	if err != nil {
 		w.failed++
