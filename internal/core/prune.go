@@ -3,10 +3,13 @@ package core
 import (
 	"math/rand"
 
+	"github.com/fastfit/fastfit/internal/mpi"
 	"github.com/fastfit/fastfit/internal/profile"
 )
 
-func newRand(seed int64) *rand.Rand { return rand.New(rand.NewSource(seed)) }
+// newRand is rand.New(rand.NewSource(seed)), seeded in O(draws): a trial
+// draws its fault from a fresh one and reads a handful of values.
+func newRand(seed int64) *rand.Rand { return mpi.NewRand(seed) }
 
 // SemanticPrune implements Semantic Driven Fault Injection (paper §III-A):
 // for rooted collectives only the root and one representative non-root

@@ -23,7 +23,7 @@ import "runtime"
 // errors carry), the communicator with this rank's place in it, and the
 // sequence number that keys the call's internal tags. call is the record
 // the recorder and the hook see, nil when neither looks at this call
-// (observed).
+// (observed). meets marks a call that may complete in the rendezvous.
 type collCall struct {
 	*Args
 	r        *Rank
@@ -32,6 +32,7 @@ type collCall struct {
 	me, size int
 	seq      int64
 	call     *CollectiveCall
+	meets    bool
 }
 
 // enter is every collective's prologue, in the order the fault model needs:
@@ -40,8 +41,10 @@ type collCall struct {
 // the call is charged to the work budget, an observed call's application
 // context is captured and the hook sees (and may corrupt) its arguments,
 // the communicator handle is dereferenced, the type's entry checks run on
-// what the hook left, and the call takes its sequence number. A rank runs
-// one collective at a time, so the record lives in its frame.
+// what the hook left, and the call takes its sequence number and books its
+// arrival at that instance (rendezvous.go; a Barrier or Allreduce that may
+// meet in memory books it in meet). A rank runs one collective at a time,
+// so the record lives in its frame.
 func (r *Rank) enter(t CollType, a Args) *collCall {
 	if r.replayActive() {
 		r.replayCollective(t, a.Send, a.Recv, a.Comm)
@@ -73,9 +76,11 @@ func (r *Rank) enter(t CollType, a Args) *collCall {
 	}
 	ci := r.commDeref(args.Comm)
 	validate(r.id, t, args, ci)
+	me, size := ci.rankOf[r.id], len(ci.members)
 	c := &r.frame.coll
-	*c = collCall{Args: args, r: r, t: t, ci: ci,
-		me: ci.rankOf[r.id], size: len(ci.members), seq: r.nextSeq(args.Comm), call: call}
+	meets := r.world.rendezvous(t, size)
+	*c = collCall{Args: args, r: r, t: t, ci: ci, me: me, size: size, call: call,
+		seq: r.joinSeq(ci, args.Comm, me, meets), meets: meets}
 	return c
 }
 
@@ -152,10 +157,14 @@ func padTo(data []byte, n int) []byte {
 }
 
 // Barrier blocks until every rank of comm has entered it (dissemination
-// algorithm).
+// algorithm, or the rendezvous).
 func (r *Rank) Barrier(comm Comm) {
 	c := r.enter(CollBarrier, Args{Comm: comm})
 	if c == nil {
+		return
+	}
+	if c.meet(nil) {
+		r.endCollective(c)
 		return
 	}
 	round := 0
@@ -230,8 +239,9 @@ func (r *Rank) Reduce(send, recv *Buffer, count int, dt Datatype, op Op, root in
 }
 
 // Allreduce combines count elements with op and leaves the result in every
-// rank's recv buffer. Power-of-two communicators use recursive doubling;
-// others fall back to reduce-to-zero plus broadcast.
+// rank's recv buffer. Power-of-two communicators use recursive doubling,
+// in the rendezvous when it completes the instance; others fall back to
+// reduce-to-zero plus broadcast.
 func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm Comm) {
 	c := r.enter(CollAllreduce, Args{Send: send, Recv: recv, Count: int32(count), Dtype: dt, Op: op, Comm: comm})
 	if c == nil {
@@ -243,7 +253,10 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 	copy(acc, src)
 
 	me, size := c.me, c.size
-	if size&(size-1) == 0 {
+	switch {
+	case c.meet(acc):
+		// the rendezvous completed it
+	case size&(size-1) == 0:
 		// recursive doubling
 		round := 0
 		for mask := 1; mask < size; mask <<= 1 {
@@ -254,7 +267,7 @@ func (r *Rank) Allreduce(send, recv *Buffer, count int, dt Datatype, op Op, comm
 			m.recycle()
 			round++
 		}
-	} else {
+	default:
 		// reduce to rank 0, then binomial broadcast
 		for mask := 1; mask < size; mask <<= 1 {
 			if me&mask == 0 {

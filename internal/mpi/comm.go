@@ -55,7 +55,7 @@ func (r *Rank) CommDup(comm Comm) Comm {
 	}
 	ci := r.commDeref(comm)
 	me := ci.rankOf[r.id]
-	seq := r.nextSeq(comm)
+	seq := r.joinSeq(ci, comm, me, false)
 	if me == 0 {
 		members := make([]int, len(ci.members))
 		copy(members, ci.members)
@@ -81,7 +81,7 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 	ci := r.commDeref(comm)
 	me := ci.rankOf[r.id]
 	size := len(ci.members)
-	seq := r.nextSeq(comm)
+	seq := r.joinSeq(ci, comm, me, false)
 
 	// Gather (color, key) pairs at rank 0 of the parent communicator.
 	if me != 0 {
@@ -151,7 +151,11 @@ func (w *World) addComm(members []int) Comm {
 	w.commMu.Lock()
 	defer w.commMu.Unlock()
 	h := commKind | Comm(len(w.comms))
-	w.comms = append(w.comms, &commInfo{handle: h, members: members, rankOf: rankOf})
+	ci := &commInfo{handle: h, members: members, rankOf: rankOf}
+	if w.meetOn {
+		ci.arrived = make([]progress, len(members))
+	}
+	w.comms = append(w.comms, ci)
 	return h
 }
 

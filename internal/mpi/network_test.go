@@ -292,7 +292,7 @@ func TestRecvOrFailWokenByMidRunCrash(t *testing.T) {
 	// finished. The death mark must un-count the receiver before it runs,
 	// and the run must stay live while it has yet to.
 	sh := newShell(2)
-	w := &World{size: 2, ranks: sh.ranks, done: make(chan struct{}), mailbox: 8, faulty: true, dead: make([]bool, 2)}
+	w := &World{size: 2, ranks: sh.ranks, mailbox: 8, faulty: true, dead: make([]bool, 2)}
 	receiver := w.ranks[0]
 	receiver.world = w
 	receiver.parked, w.parked = true, 1

@@ -84,6 +84,20 @@ func combine(op Op, dt Datatype, acc, in []byte, count int) {
 	}
 }
 
+// combinePair is one exchange of recursive doubling done in place:
+// a[i], b[i] = op(a[i], b[i]), op(b[i], a[i]) for count elements of dt, each
+// side combining its own value with the other's old one, in that order.
+func combinePair(op Op, dt Datatype, a, b []byte, count int) {
+	size := dt.Size()
+	var old [16]byte // the widest datatype, Complex128
+	for i := 0; i < count; i++ {
+		ea, eb := a[i*size:(i+1)*size], b[i*size:(i+1)*size]
+		copy(old[:], ea)
+		combineElem(op, dt, ea, eb)
+		combineElem(op, dt, eb, old[:size])
+	}
+}
+
 func combineElem(op Op, dt Datatype, a, b []byte) {
 	switch dt {
 	case Float64:

@@ -142,6 +142,10 @@ type runShell struct {
 	// shared across runs. Communicators created by CommSplit/CommDup are
 	// per-run and stay GC-managed.
 	world0 *commInfo
+	// The rendezvous tables of earlier runs (rendezvous.go): meetings is
+	// kept empty, for its backing array, and spare holds the records.
+	// world0's progress is cleared when a run ends.
+	meetings, spare []*meeting
 }
 
 var (
@@ -184,7 +188,7 @@ func newShell(n int) *runShell {
 	sh := &runShell{
 		n:      n,
 		ranks:  make([]*Rank, n),
-		world0: &commInfo{handle: CommWorld, members: members, rankOf: rankOf},
+		world0: &commInfo{handle: CommWorld, members: members, rankOf: rankOf, arrived: make([]progress, n)},
 	}
 	for i := 0; i < n; i++ {
 		sh.ranks[i] = &Rank{
@@ -222,6 +226,7 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.reported = nil // escapes into RankResult.Values; never recycled
 	rk.replay = nil   // armed by bindFork after every rank is bound
 	rk.cutSeq = -1    // likewise
+	rk.meeting = meetPending
 }
 
 // reclaim returns a finished run's pooled memory to the arena: leftover

@@ -16,7 +16,7 @@ import (
 func TestSuperviseWaitsForWokenReceiver(t *testing.T) {
 	const n = 4
 	sh := newShell(n)
-	w := &World{size: n, ranks: sh.ranks, comms: []*commInfo{sh.world0}, done: make(chan struct{}), mailbox: 8}
+	w := &World{size: n, ranks: sh.ranks, comms: []*commInfo{sh.world0}, mailbox: 8}
 	for _, rk := range w.ranks {
 		rk.world = w
 	}
@@ -52,10 +52,10 @@ func TestSuperviseWaitsForWokenReceiver(t *testing.T) {
 		t.Fatal("the delivery did not wake its parked receiver")
 	}
 	go wait(receiver, matcher{CommWorld, 0, 9})
-	select {
-	case <-w.done:
-	case <-time.After(10 * time.Second):
-		t.Fatal("frozen run not ended by the park that froze it")
+	for deadline := time.Now().Add(10 * time.Second); !w.killed(); runtime.Gosched() {
+		if time.Now().After(deadline) {
+			t.Fatal("frozen run not ended by the park that froze it")
+		}
 	}
 	if w.why != whyDeadlock {
 		t.Fatalf("kill reason = %q", w.why)

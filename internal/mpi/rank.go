@@ -94,6 +94,12 @@ type Rank struct {
 	parked  bool
 	wake    chan struct{}
 
+	// meeting is how the rendezvous the rank waits in ended (rendezvous.go),
+	// set under World.mu by the rank that ended it; woken is that rank's
+	// scratch list of the ranks to tell.
+	meeting meetState
+	woken   []*Rank
+
 	// rnd backs Rand, the deterministic per-rank random source seeded from
 	// the run options. It draws from rngSrc, whose cached seeding makes
 	// per-run reseeding cheap (rng.go), and is seeded lazily on first use:
@@ -145,20 +151,25 @@ type Rank struct {
 }
 
 // park waits, with World.mu held on entry and on return, until a delivery,
-// a drain of a full inbox or a death mark wakes the rank. It counts the rank
-// parked first, so the park that freezes the run is the one that ends it.
+// a drain of a full inbox, a death mark, a rendezvous or a kill wakes the
+// rank. It counts the rank parked first, so the park that freezes the run is
+// the one that ends it. A killed world's rank dies here, before it would
+// sleep and after it wakes; kill wakes every parked rank, so the one-slot
+// wake channel is all a rank sleeps on.
 func (r *Rank) park() {
 	w := r.world
-	r.parked = true
-	w.parked++
-	w.decide()
-	w.mu.Unlock()
-	select {
-	case <-r.wake:
-	case <-w.done:
+	if w.why == "" {
+		r.parked = true
+		w.parked++
+		w.decide()
+		w.mu.Unlock()
+		<-r.wake
+		w.mu.Lock()
+	}
+	if w.why != "" {
+		w.mu.Unlock()
 		panic(w.killedBy())
 	}
-	w.mu.Lock()
 }
 
 // Tick charges units of computational work to the rank's budget. Applications

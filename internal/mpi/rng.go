@@ -131,3 +131,103 @@ func seededVec(seed int64) *[rngLen]int64 {
 	}
 	return v
 }
+
+// NewRand returns a generator with the exact stream of
+// rand.New(rand.NewSource(seed)) that costs O(draws) to seed instead of
+// O(607): a trial that draws twice from a fresh generator reads four state
+// words, where the stdlib seeds all 607 with 1,841 steps of its
+// multiplicative congruential seedrand.
+func NewRand(seed int64) *rand.Rand {
+	s := new(lazySource)
+	s.Seed(seed)
+	return rand.New(s)
+}
+
+// lazySource is a fibSource seeded for a fresh value each time: it computes
+// each state word as the first window of draws reaches it, where Seed's
+// cache would pay a full seeding per fresh seed. The per-rank sources stay
+// plain fibSources: they reseed with the same value every run and draw a
+// hundred values or more, for which the cached 4.8 KB copy is several times
+// cheaper than computing the words (EXPERIMENTS.md, "Synchronizing
+// collectives meet in shared memory"), and they pay no first-window check.
+type lazySource struct {
+	fibSource
+	lazy int    // draws left in the first window
+	x0   uint64 // the normalised seed
+}
+
+// Seed resets the source to rand.NewSource(seed)'s starting state, with
+// math/rand's normalisation of the seed, and computes no word.
+func (s *lazySource) Seed(seed int64) {
+	lazyTables.once.Do(initLazyTables)
+	seed %= int32max
+	if seed < 0 {
+		seed += int32max
+	}
+	if seed == 0 {
+		seed = 89482311
+	}
+	s.x0 = uint64(seed)
+	s.tap, s.feed, s.lazy = 0, rngFeed, rngLen
+}
+
+// Uint64 draws through fibSource once the words the draw reads hold their
+// seeded values. As seededVec sets out, draw k of the first window reads
+// feed slot (333-k) mod 607, which no draw has written yet, and tap slot
+// 606-k, which holds its seeded value for k < 273 and draw k-273's sum
+// afterwards.
+func (s *lazySource) Uint64() uint64 {
+	if s.lazy > 0 {
+		k := rngLen - s.lazy
+		if k < rngTap {
+			s.vec[rngLen-1-k] = seededWord(s.x0, rngLen-1-k)
+		}
+		f := (rngFeed - 1 - k + rngLen) % rngLen
+		s.vec[f] = seededWord(s.x0, f)
+		s.lazy--
+	}
+	return s.fibSource.Uint64()
+}
+
+// Int63 mirrors rngSource.Int63.
+func (s *lazySource) Int63() int64 {
+	return int64(s.Uint64() &^ (1 << 63))
+}
+
+const int32max = 1<<31 - 1
+
+// lazyTables holds what seededWord needs: rand.NewSource(seed) fills word i
+// from steps 21+3i, 22+3i and 23+3i of seedrand, which is Schrage's exact
+// x·48271 mod (2³¹−1), so step k is x₀·48271ᵏ — three multiplications by
+// precomputed powers, XORed with the word's private rngCooked constant,
+// which is recovered from one stdlib-seeded vector.
+var lazyTables struct {
+	once   sync.Once
+	pow    [24 + 3*rngLen]uint64 // 48271ᵏ mod int32max
+	cooked [rngLen]int64
+}
+
+func initLazyTables() {
+	t := &lazyTables
+	t.pow[0] = 1
+	for k := 1; k < len(t.pow); k++ {
+		t.pow[k] = t.pow[k-1] * 48271 % int32max
+	}
+	v := seededVec(1)
+	for j := range t.cooked {
+		t.cooked[j] = v[j] ^ rawWord(1, j)
+	}
+}
+
+// seededWord is word i of the state rand.NewSource seeds from normalised
+// seed x0.
+func seededWord(x0 uint64, i int) int64 {
+	return rawWord(x0, i) ^ lazyTables.cooked[i]
+}
+
+// rawWord is word i before the rngCooked XOR: the three seedrand steps that
+// fill it, shifted into place as rngSource.Seed does.
+func rawWord(x0 uint64, i int) int64 {
+	p := lazyTables.pow[21+3*i:]
+	return int64(x0*p[0]%int32max)<<40 ^ int64(x0*p[1]%int32max)<<20 ^ int64(x0*p[2]%int32max)
+}

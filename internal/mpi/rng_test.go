@@ -1,6 +1,7 @@
 package mpi
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -35,6 +36,45 @@ func TestFibSourceMatchesStdlib(t *testing.T) {
 					t.Fatalf("seed %d pass %d: NormFloat64 %v != %v", seed, pass, g, w)
 				}
 			}
+		}
+	}
+}
+
+// NewRand's generator is rand.New(rand.NewSource(seed)) draw for draw: over
+// 10,000 seeds, among them math/rand's special cases (0, negatives, ±int32max
+// and their neighbours, the int64 extremes), 2,000 draws each through Int63,
+// Intn, Float64 and Shuffle.
+func TestNewRandMatchesStdlib(t *testing.T) {
+	seeds := []int64{0, 1, -1, 89482311, int32max, -int32max, int32max + 1, -int32max - 1,
+		int32max - 1, 2 * int32max, math.MaxInt64, math.MinInt64, 1 << 40, -985113245}
+	n := 10000
+	if raceEnabled {
+		n = 500
+	}
+	meta := rand.New(rand.NewSource(99))
+	for len(seeds) < n {
+		seeds = append(seeds, meta.Int63()-meta.Int63(), int64(meta.Int31n(1<<20))-1<<19)
+	}
+	const k = 500
+	var gotPerm, wantPerm [k]int
+	for _, seed := range seeds {
+		got, want := NewRand(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < k; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: Int63 %d != %d", seed, i, g, w)
+			}
+			if g, w := got.Intn(i+1), want.Intn(i+1); g != w {
+				t.Fatalf("seed %d draw %d: Intn %d != %d", seed, i, g, w)
+			}
+			if g, w := got.Float64(), want.Float64(); g != w {
+				t.Fatalf("seed %d draw %d: Float64 %v != %v", seed, i, g, w)
+			}
+			gotPerm[i], wantPerm[i] = i, i
+		}
+		got.Shuffle(k, func(i, j int) { gotPerm[i], gotPerm[j] = gotPerm[j], gotPerm[i] })
+		want.Shuffle(k, func(i, j int) { wantPerm[i], wantPerm[j] = wantPerm[j], wantPerm[i] })
+		if gotPerm != wantPerm {
+			t.Fatalf("seed %d: Shuffle differs", seed)
 		}
 	}
 }

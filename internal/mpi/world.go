@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -43,9 +44,12 @@ type RunOptions struct {
 	Context context.Context
 	// DisablePooling turns off the buffer arena (see pool.go) that
 	// recycles rank state, message payloads, collective scratch and
-	// simulated-memory buffers across runs. Pooling is on by default; the
-	// differential test harness uses this switch to prove the pooled and
-	// unpooled paths are outcome-identical.
+	// simulated-memory buffers across runs, and the shared-memory
+	// rendezvous (see rendezvous.go) that completes a Barrier or Allreduce
+	// without messages: every collective then runs on messages alone. Both
+	// are on by default; the differential test harness uses this switch to
+	// prove the pooled and unpooled paths, and the rendezvous and message
+	// paths, outcome-identical.
 	DisablePooling bool
 	// Network, when non-nil, routes every point-to-point message (and the
 	// internal traffic of every collective) through a simulated
@@ -89,6 +93,8 @@ type RunResult struct {
 	// collective: every rank left the call holding what the golden run held
 	// there, so Ranks are the recording run's own (see fork.go, part 3).
 	Reconverged bool
+
+	meetings meetCounts // how the run's rendezvous instances ended (tests)
 }
 
 // FirstError returns the highest-priority error across ranks, or nil. The
@@ -147,21 +153,29 @@ type World struct {
 	// rec, when non-nil, records the run's communication (see trace.go).
 	rec *traceRecorder
 
-	done     chan struct{} // closed to cancel the run
-	doneOnce sync.Once
-	why      string // the first kill's reason; written once, before done closes
-
-	// mu guards every rank's inbox and parked flag, and the counts and death
-	// mask below. Only a running rank can wake a parked one, and every wake
-	// un-counts its rank under mu before the waker lets go, so the run is
-	// frozen exactly when parked+finished == size with some rank unfinished.
-	// The park or exit that completes that sum sees it under mu and ends the
-	// run there (decide).
+	// mu guards every rank's inbox, parked flag and meeting state, the
+	// counts and death mask below, and the kill reason. Only a
+	// running rank can wake a parked one, and every wake un-counts its rank
+	// under mu before the waker lets go, so the run is frozen exactly when
+	// parked+finished == size with some rank unfinished. The park or exit
+	// that completes that sum sees it under mu and ends the run there
+	// (decide).
 	mu       sync.Mutex
 	parked   int
 	finished int
-	failed   int    // ranks that ended in a panic or error
-	dead     []bool // world-rank death mask; nil on the reliable network
+	failed   int         // ranks that ended in a panic or error
+	dead     []bool      // world-rank death mask; nil on the reliable network
+	why      string      // the first kill's reason; written once, under mu
+	stopped  atomic.Bool // set with why, for Tick's check outside mu
+
+	// The shared-memory rendezvous of the synchronizing collectives
+	// (rendezvous.go): on when meetOn; meetMu guards the records of the
+	// clean instances open, the records to reuse and the tally.
+	meetOn   bool
+	meetMu   sync.Mutex
+	meetings []*meeting
+	spare    []*meeting
+	met      meetCounts
 
 	// A forked run's snapshot, which also scopes the hook (Rank.observed),
 	// and its reconvergence cut (fork.go, part 3): matched counts, under
@@ -188,6 +202,12 @@ type commInfo struct {
 	handle  Comm
 	members []int // world ranks, index = rank within this communicator
 	rankOf  map[int]int
+
+	// The rendezvous bookings (rendezvous.go): each member's progress, which
+	// a split or duplicate has only where the rendezvous is on, and the
+	// clean instances open on the communicator.
+	arrived []progress
+	clean   atomic.Int32
 }
 
 // Kill reasons. The first kill of a run is the one that counts, and
@@ -201,24 +221,22 @@ const (
 	whyReconverged = "reconverged: the rest of the run is the golden suffix"
 )
 
+// kill ends the run with the first reason given and wakes every parked
+// rank, which dies in park (Killed). A running rank dies at its next park
+// or Tick. Called under mu.
 func (w *World) kill(why string) {
-	w.doneOnce.Do(func() {
-		w.why = why
-		close(w.done)
-	})
+	if w.why != "" {
+		return
+	}
+	w.why = why
+	w.stopped.Store(true)
+	w.wakeAll()
 }
 
 // killedBy is what a rank dies with once the world is killed.
 func (w *World) killedBy() Killed { return Killed{Reason: w.why} }
 
-func (w *World) killed() bool {
-	select {
-	case <-w.done:
-		return true
-	default:
-		return false
-	}
-}
+func (w *World) killed() bool { return w.stopped.Load() }
 
 // decide ends the run if the caller's park or exit froze it: every rank
 // parked or finished, and some rank unfinished. Nothing is left to wake the
@@ -290,7 +308,7 @@ func (rk *Rank) signal() {
 }
 
 // wakeAll wakes every parked rank to re-check what it waits for. Called
-// under mu on a death mark and when a full inbox is drained.
+// under mu on a death mark, on a kill and when a full inbox is drained.
 func (w *World) wakeAll() {
 	for _, rk := range w.ranks {
 		if w.unpark(rk) {
@@ -338,7 +356,6 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	w := &World{
 		size:    n,
 		hook:    opts.Hook,
-		done:    make(chan struct{}),
 		pooling: pooling,
 		mailbox: mailbox,
 	}
@@ -373,6 +390,9 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 				results[cr] = RankResult{Rank: cr, Err: NodeCrashed{Rank: cr, Reason: "node failed before launch"}}
 			}
 		}
+	}
+	if pooling && !w.faulty {
+		w.meetOn, w.meetings, w.spare = true, shell.meetings, shell.spare
 	}
 
 	var wg sync.WaitGroup
@@ -409,6 +429,8 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	w.supervise(allDone, ctxDone, timeout)
 
 	if pooling {
+		w.closeMeetings()
+		shell.meetings, shell.spare = w.meetings, w.spare
 		// Every rank goroutine has been joined, so the shell (and any pooled
 		// memory still referenced by abandoned in-flight messages) can be
 		// reclaimed safely.
@@ -422,6 +444,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		TimedOut:  w.why == whyTimeout,
 		Cancelled: w.why == whyCancelled,
 		Elapsed:   time.Since(start),
+		meetings:  w.met,
 	}
 	if w.matched == n {
 		// Decided by the tally, not by which kill came first: a run whose
@@ -449,9 +472,13 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 	case <-allDone:
 		return
 	case <-deadline.C:
+		w.mu.Lock()
 		w.kill(whyTimeout)
+		w.mu.Unlock()
 	case <-ctxDone:
+		w.mu.Lock()
 		w.kill(whyCancelled)
+		w.mu.Unlock()
 	}
 	<-allDone
 }
