@@ -66,6 +66,11 @@ import (
 // Tick.
 type Rank = mpi.Rank
 
+// State is an application's state at a checkpoint (Rank.Checkpoint): a
+// forked trial resumes each rank from its last one before the fault
+// (Rank.Resume) instead of recomputing the prefix.
+type State = mpi.State
+
 // Comm is a communicator handle.
 type Comm = mpi.Comm
 

@@ -40,5 +40,19 @@ type App interface {
 	// Main is the per-rank entry point. It must be deterministic given
 	// (cfg, rank id) and must report its final results through
 	// r.ReportResult so silent data corruption is detectable.
+	//
+	// An app may checkpoint, so that a forked trial need not recompute the
+	// prefix before its fault. It names its state as an mpi.State — a
+	// struct of everything the rest of the run reads of what the run so far
+	// computed, with a Clone that copies whatever the run still writes —
+	// and calls r.Checkpoint(s) at the top of every outer iteration but
+	// the first (which only the input phase precedes) and once before the
+	// end phase. Main's first call is r.Resume(): a non-nil
+	// result is a fresh copy of the last checkpoint before the rank's cut,
+	// the rank's bookkeeping already restored, and Main jumps to the
+	// iteration it names. Every collective and point-to-point call must
+	// keep its function and source order, since a rank's sites are ordered
+	// by PC. mg, lu and minimd checkpoint; an app that does not runs every
+	// trial's prefix from t=0.
 	Main(r *mpi.Rank, cfg Config) error
 }

@@ -14,6 +14,7 @@ package lu
 
 import (
 	"math"
+	"slices"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/mpi"
@@ -34,6 +35,24 @@ func (LU) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 64, Iters: 5, Seed: 141421}
 }
 
+// state is what an SSOR iteration reads of the run before it, checkpointed
+// at the top of every iteration but the first and once before the end
+// phase: the broadcast input deck, the iteration to run, the last residual
+// norm, the solution and the right-hand side.
+type state struct {
+	n, iters, it int
+	omega, rsdnm float64
+	u, b         []float64
+}
+
+// Clone implements mpi.State. Nothing writes the right-hand side after the
+// input phase, which no resumed run repeats, so clones share it.
+func (s *state) Clone() mpi.State {
+	c := *s
+	c.u = slices.Clone(s.u)
+	return &c
+}
+
 // Main implements apps.App.
 func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
@@ -48,36 +67,43 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 		itersStatic = 5
 	}
 
-	// --- init phase: broadcast the input deck ---
-	r.SetPhase(mpi.PhaseInit)
-	params := r.BcastFloat64s([]float64{float64(nStatic), float64(itersStatic), 1.2}, 0, mpi.CommWorld)
-	n := int(params[0])
-	iters := int(params[1])
-	omega := params[2]
-	rows := n / p
-	r.Barrier(mpi.CommWorld)
+	// A forked run starts from the last checkpoint before its cut, if any.
+	s, resumed := r.Resume().(*state)
+	if !resumed {
+		// --- init phase: broadcast the input deck ---
+		r.SetPhase(mpi.PhaseInit)
+		params := r.BcastFloat64s([]float64{float64(nStatic), float64(itersStatic), 1.2}, 0, mpi.CommWorld)
+		s = &state{n: int(params[0]), iters: int(params[1]), omega: params[2]}
+		r.Barrier(mpi.CommWorld)
 
-	// Static arrays. The two boundary rows double as the pipeline's receive
-	// buffers: the strip at either end of the pipeline never receives into
-	// its outer one, which therefore stays the zero boundary row.
-	u := make([]float64, (nStatic/p)*nStatic)
-	b := make([]float64, (nStatic/p)*nStatic)
+		// Static arrays.
+		s.u = make([]float64, (nStatic/p)*nStatic)
+		s.b = make([]float64, (nStatic/p)*nStatic)
+
+		// --- input phase: random right-hand side, zero initial guess ---
+		r.SetPhase(mpi.PhaseInput)
+		r.Tick(s.n/p*s.n*2 + 10)
+		rng := r.SeededRand(cfg.Seed + int64(r.ID())*3571)
+		for i := range s.b {
+			s.b[i] = rng.Float64() - 0.5
+		}
+	}
+	n, omega, rows := s.n, s.omega, s.n/p
+	u, b := s.u, s.b
+	// The two boundary rows double as the pipeline's receive buffers: the
+	// strip at either end of the pipeline never receives into its outer
+	// one, which therefore stays the zero boundary row. Every other rank
+	// receives into a row before it reads it, so the rows are scratch.
 	south := make([]float64, nStatic)
 	north := make([]float64, nStatic)
-
-	// --- input phase: random right-hand side, zero initial guess ---
-	r.SetPhase(mpi.PhaseInput)
-	r.Tick(rows*n*2 + 10)
-	rng := r.SeededRand(cfg.Seed + int64(r.ID())*3571)
-	for i := range b {
-		b[i] = rng.Float64() - 0.5
-	}
 	at := func(y, x int) int { return y*n + x }
 
 	// --- compute phase: pipelined SSOR sweeps ---
 	r.SetPhase(mpi.PhaseCompute)
-	var rsdnm float64
-	for it := 0; it < iters; it++ {
+	for ; s.it < s.iters; s.it++ {
+		if s.it > 0 { // resuming at the first iteration would skip only the input phase
+			r.Checkpoint(s)
+		}
 		// Work-budget charge for both sweeps and the norm computation.
 		r.Tick(rows*n*12 + 200)
 
@@ -133,12 +159,12 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 			}
 		}
 		norms := r.AllreduceFloat64s(local[:], mpi.OpSum, mpi.CommWorld)
-		rsdnm = math.Sqrt(norms[0])
+		s.rsdnm = math.Sqrt(norms[0])
 
 		// Divergence check: LU verifies its norms stay finite.
 		r.ErrCheck(func() {
 			flag := int64(0)
-			if math.IsNaN(rsdnm) || rsdnm > 1e8 {
+			if math.IsNaN(s.rsdnm) || s.rsdnm > 1e8 {
 				flag = 1
 			}
 			if r.AllreduceInt64(flag, mpi.OpLor, mpi.CommWorld) != 0 {
@@ -146,6 +172,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 			}
 		})
 	}
+
+	r.Checkpoint(s)
 
 	// --- end phase: printed verification + timing reduce on the root ---
 	r.SetPhase(mpi.PhaseEnd)
@@ -156,9 +184,9 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	total := r.ReduceFloat64s([]float64{usum}, mpi.OpSum, 0, mpi.CommWorld)
 	// NPB LU reduces the per-rank timer maxima to the root; our
 	// deterministic stand-in reduces the iteration count.
-	tmax := r.ReduceFloat64s([]float64{float64(iters)}, mpi.OpMax, 0, mpi.CommWorld)
+	tmax := r.ReduceFloat64s([]float64{float64(s.iters)}, mpi.OpMax, 0, mpi.CommWorld)
 	if r.ID() == 0 {
-		r.ReportResult(roundSig(rsdnm, 9), roundSig(total[0], 9), tmax[0])
+		r.ReportResult(roundSig(s.rsdnm, 9), roundSig(total[0], 9), tmax[0])
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil

@@ -14,6 +14,7 @@ package mg
 
 import (
 	"math"
+	"slices"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/mpi"
@@ -49,12 +50,17 @@ type grid struct {
 
 // newGrid allocates a level for the static problem class — edge x edge
 // planes, slab of them per rank — indexed with the runtime n and planes.
-func newGrid(n, planes, edge, slab int) *grid {
+// u and b, when not nil, are the level's solution and right-hand side,
+// taken over from a checkpoint.
+func newGrid(n, planes, edge, slab int, u, b []float64) *grid {
 	plane := edge * edge
+	if u == nil {
+		u, b = make([]float64, slab*plane), make([]float64, slab*plane)
+	}
 	return &grid{
 		n: n, planes: planes,
-		u:     make([]float64, slab*plane),
-		b:     make([]float64, slab*plane),
+		u:     u,
+		b:     b,
 		res:   make([]float64, slab*plane),
 		next:  make([]float64, slab*plane),
 		below: make([]float64, plane),
@@ -63,6 +69,25 @@ func newGrid(n, planes, edge, slab int) *grid {
 }
 
 func (g *grid) at(zl, y, x int) int { return (zl*g.n+y)*g.n + x }
+
+// state is what a V-cycle reads of the run before it, checkpointed at the
+// top of every cycle but the first and once before the end phase: the
+// broadcast runtime parameters, the cycle to run, the last residual norm
+// and the fine level's solution and right-hand side. Everything else on
+// both levels is scratch a cycle writes before it reads.
+type state struct {
+	n, cycles, c int
+	rnorm        float64
+	u, b         []float64
+}
+
+// Clone implements mpi.State. Nothing writes the right-hand side after the
+// input phase, which no resumed run repeats, so clones share it.
+func (s *state) Clone() mpi.State {
+	c := *s
+	c.u = slices.Clone(s.u)
+	return &c
+}
 
 // Main implements apps.App.
 func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
@@ -78,38 +103,47 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 		cyclesStatic = 4
 	}
 
-	// --- init phase: broadcast runtime parameters ---
-	r.SetPhase(mpi.PhaseInit)
-	params := r.BcastInt64s([]int64{int64(nStatic), int64(cyclesStatic)}, 0, mpi.CommWorld)
-	n := int(params[0])
-	cycles := int(params[1])
-	r.Barrier(mpi.CommWorld)
+	// A forked run starts from the last checkpoint before its cut, if any.
+	s, resumed := r.Resume().(*state)
+	if !resumed {
+		// --- init phase: broadcast runtime parameters ---
+		r.SetPhase(mpi.PhaseInit)
+		params := r.BcastInt64s([]int64{int64(nStatic), int64(cyclesStatic)}, 0, mpi.CommWorld)
+		s = &state{n: int(params[0]), cycles: int(params[1])}
+		r.Barrier(mpi.CommWorld)
+	}
+	n := s.n
 
 	// Static allocations; runtime dimensions for indexing.
-	fine := newGrid(n, n/p, nStatic, nStatic/p)
-	coarse := newGrid(n/2, n/(2*p), nStatic/2, nStatic/(2*p))
+	fine := newGrid(n, n/p, nStatic, nStatic/p, s.u, s.b)
+	coarse := newGrid(n/2, n/(2*p), nStatic/2, nStatic/(2*p), nil, nil)
+	s.u, s.b = fine.u, fine.b
 
-	// --- input phase: sparse random right-hand side (NPB MG style) ---
-	r.SetPhase(mpi.PhaseInput)
-	r.Tick(n*n*maxI(fine.planes, 1)*2 + 10)
-	rng := r.SeededRand(cfg.Seed) // same stream everywhere: global charges
-	for k := 0; k < 20; k++ {
-		x := 1 + rng.Intn(maxI(n-2, 1))
-		y := 1 + rng.Intn(maxI(n-2, 1))
-		z := rng.Intn(maxI(n, 1))
-		val := 1.0
-		if k%2 == 1 {
-			val = -1.0
-		}
-		if fine.planes > 0 && z/fine.planes == r.ID() {
-			fine.b[fine.at(z%fine.planes, y, x)] = val
+	if !resumed {
+		// --- input phase: sparse random right-hand side (NPB MG style) ---
+		r.SetPhase(mpi.PhaseInput)
+		r.Tick(n*n*maxI(fine.planes, 1)*2 + 10)
+		rng := r.SeededRand(cfg.Seed) // same stream everywhere: global charges
+		for k := 0; k < 20; k++ {
+			x := 1 + rng.Intn(maxI(n-2, 1))
+			y := 1 + rng.Intn(maxI(n-2, 1))
+			z := rng.Intn(maxI(n, 1))
+			val := 1.0
+			if k%2 == 1 {
+				val = -1.0
+			}
+			if fine.planes > 0 && z/fine.planes == r.ID() {
+				fine.b[fine.at(z%fine.planes, y, x)] = val
+			}
 		}
 	}
 
 	// --- compute phase: V-cycles with residual monitoring ---
 	r.SetPhase(mpi.PhaseCompute)
-	var rnorm float64
-	for c := 0; c < cycles; c++ {
+	for ; s.c < s.cycles; s.c++ {
+		if s.c > 0 { // resuming at the first cycle would skip only the input phase
+			r.Checkpoint(s)
+		}
 		// Work-budget charge for the V-cycle's smoothing sweeps.
 		r.Tick(fine.planes*n*n*60 + 200)
 
@@ -129,12 +163,12 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 		for _, v := range fine.res {
 			local += v * v
 		}
-		rnorm = math.Sqrt(r.AllreduceFloat64(local, mpi.OpSum, mpi.CommWorld))
+		s.rnorm = math.Sqrt(r.AllreduceFloat64(local, mpi.OpSum, mpi.CommWorld))
 
 		// Divergence detection: MG's error handling.
 		r.ErrCheck(func() {
 			flag := int64(0)
-			if math.IsNaN(rnorm) || rnorm > 1e6 {
+			if math.IsNaN(s.rnorm) || s.rnorm > 1e6 {
 				flag = 1
 			}
 			if r.AllreduceInt64(flag, mpi.OpLor, mpi.CommWorld) != 0 {
@@ -142,6 +176,8 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 			}
 		})
 	}
+
+	r.Checkpoint(s)
 
 	// --- end phase: the printed verification norm on the root ---
 	r.SetPhase(mpi.PhaseEnd)
@@ -151,7 +187,7 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	}
 	got := r.ReduceFloat64s([]float64{usum}, mpi.OpSum, 0, mpi.CommWorld)
 	if r.ID() == 0 {
-		r.ReportResult(roundSig(rnorm, 9), roundSig(got[0], 9))
+		r.ReportResult(roundSig(s.rnorm, 9), roundSig(got[0], 9))
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil

@@ -15,6 +15,7 @@ package minimd
 
 import (
 	"math"
+	"slices"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/mpi"
@@ -41,75 +42,96 @@ type atom struct {
 
 const atomFloats = 6
 
+// state is what a time step reads of the run before it, checkpointed at the
+// top of every step but the first and once before the end phase: the
+// broadcast input deck, the step to run, the last step's energies and the
+// atoms this rank owns.
+type state struct {
+	perRank, steps, step  int
+	dt, rc, lxy, slab, t0 float64
+	lastKE, lastPE        float64
+	atoms                 []atom
+}
+
+// Clone implements mpi.State.
+func (s *state) Clone() mpi.State {
+	c := *s
+	c.atoms = slices.Clone(s.atoms)
+	return &c
+}
+
 // Main implements apps.App.
 func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
+	perRankStatic := cfg.Scale
+	if perRankStatic <= 0 {
+		perRankStatic = 24
+	}
 
-	// --- init phase: broadcast the input deck ---
-	r.SetPhase(mpi.PhaseInit)
-	perRank := cfg.Scale
-	if perRank <= 0 {
-		perRank = 24
-	}
-	perRankStatic := perRank
-	steps := cfg.Iters
-	if steps <= 0 {
-		steps = 6
-	}
-	deck := []float64{
-		float64(perRank), // atoms per rank
-		float64(steps),   // time steps
-		0.002,            // dt
-		1.5,              // cutoff
-		4.0,              // box edge in x and y
-		2.0,              // slab width in z
-		1.0,              // target temperature
-		0.05,             // initial velocity scale
-	}
-	deck = r.BcastFloat64s(deck, 0, mpi.CommWorld)
-	perRank = apps.GuardAlloc("miniMD atoms", int(deck[0]))
-	steps = int(deck[1])
-	dt := deck[2]
-	rc := deck[3]
-	lxy := deck[4]
-	slab := deck[5]
-	t0 := deck[6]
-	vScale := deck[7]
-	lz := slab * float64(p)
-	nTotal := int64(perRank) * int64(p)
-	r.Barrier(mpi.CommWorld)
+	// A forked run starts from the last checkpoint before its cut, if any.
+	s, resumed := r.Resume().(*state)
+	if !resumed {
+		// --- init phase: broadcast the input deck ---
+		r.SetPhase(mpi.PhaseInit)
+		steps := cfg.Iters
+		if steps <= 0 {
+			steps = 6
+		}
+		deck := []float64{
+			float64(perRankStatic), // atoms per rank
+			float64(steps),         // time steps
+			0.002,                  // dt
+			1.5,                    // cutoff
+			4.0,                    // box edge in x and y
+			2.0,                    // slab width in z
+			1.0,                    // target temperature
+			0.05,                   // initial velocity scale
+		}
+		deck = r.BcastFloat64s(deck, 0, mpi.CommWorld)
+		s = &state{
+			perRank: apps.GuardAlloc("miniMD atoms", int(deck[0])),
+			steps:   int(deck[1]),
+			dt:      deck[2], rc: deck[3], lxy: deck[4], slab: deck[5], t0: deck[6],
+		}
+		vScale := deck[7]
+		r.Barrier(mpi.CommWorld)
 
-	// --- input phase: lattice positions with thermal jitter ---
-	r.SetPhase(mpi.PhaseInput)
-	r.Tick(perRank*4 + 10)
-	rng := r.SeededRand(cfg.Seed + int64(r.ID())*8111)
-	lo := float64(r.ID()) * slab
-	hi := lo + slab
-	atoms := make([]atom, 0, perRank*2)
-	side := int(math.Ceil(math.Cbrt(float64(perRank))))
-	n := 0
-	for i := 0; i < side && n < perRank; i++ {
-		for j := 0; j < side && n < perRank; j++ {
-			for k := 0; k < side && n < perRank; k++ {
-				a := atom{
-					x:  (float64(i) + 0.5) * lxy / float64(side),
-					y:  (float64(j) + 0.5) * lxy / float64(side),
-					z:  lo + (float64(k)+0.5)*slab/float64(side),
-					vx: vScale * (rng.Float64() - 0.5),
-					vy: vScale * (rng.Float64() - 0.5),
-					vz: vScale * (rng.Float64() - 0.5),
+		// --- input phase: lattice positions with thermal jitter ---
+		r.SetPhase(mpi.PhaseInput)
+		r.Tick(s.perRank*4 + 10)
+		rng := r.SeededRand(cfg.Seed + int64(r.ID())*8111)
+		lo := float64(r.ID()) * s.slab
+		s.atoms = make([]atom, 0, s.perRank*2)
+		side := int(math.Ceil(math.Cbrt(float64(s.perRank))))
+		n := 0
+		for i := 0; i < side && n < s.perRank; i++ {
+			for j := 0; j < side && n < s.perRank; j++ {
+				for k := 0; k < side && n < s.perRank; k++ {
+					a := atom{
+						x:  (float64(i) + 0.5) * s.lxy / float64(side),
+						y:  (float64(j) + 0.5) * s.lxy / float64(side),
+						z:  lo + (float64(k)+0.5)*s.slab/float64(side),
+						vx: vScale * (rng.Float64() - 0.5),
+						vy: vScale * (rng.Float64() - 0.5),
+						vz: vScale * (rng.Float64() - 0.5),
+					}
+					s.atoms = append(s.atoms, a)
+					n++
 				}
-				atoms = append(atoms, a)
-				n++
 			}
 		}
 	}
+	dt, rc, lxy, slab, t0 := s.dt, s.rc, s.lxy, s.slab, s.t0
+	lz := slab * float64(p)
+	nTotal := int64(s.perRank) * int64(p)
+	lo := float64(r.ID()) * slab
+	hi := lo + slab
+	atoms := s.atoms
 
 	// --- compute phase: the MD loop ---
 	r.SetPhase(mpi.PhaseCompute)
 	left := (r.ID() - 1 + p) % p
 	right := (r.ID() + 1) % p
-	var lastKE, lastPE float64
 
 	// Per-rank exchange and force scratch, sized from the compile-time
 	// problem class and reused every step: pack buffers for the two
@@ -124,7 +146,10 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	ghosts := make([]atom, 0, perRankStatic*2)
 	stay := make([]atom, 0, perRankStatic*2)
 	var fx, fy, fz []float64
-	for step := 0; step < steps; step++ {
+	for ; s.step < s.steps; s.step++ {
+		if s.step > 0 { // resuming at the first step would skip only the input phase
+			r.Checkpoint(s)
+		}
 		// Charge this step's estimated cost against the work budget: a
 		// corrupted step count or atom count turns into a scheduler kill
 		// (INF_LOOP) instead of hours of simulation.
@@ -259,6 +284,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		// The new atom list grows in stay's storage; the old one becomes the
 		// next step's stay.
 		atoms, stay = unpackAtoms(stay, append(inLeft, inRight...)), atoms
+		s.atoms = atoms
 
 		// Error handling 1: global lost-atom check (LAMMPS Error::all).
 		r.ErrCheck(func() {
@@ -288,7 +314,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		// disagreement).
 		r.ErrCheck(func() {
 			flag := int64(0)
-			if step%2 == 1 {
+			if s.step%2 == 1 {
 				flag = 1
 			}
 			mn := r.AllreduceInt64(flag, mpi.OpMin, mpi.CommWorld)
@@ -300,7 +326,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 
 		// Thermo output: energies and virial (diagnostics only).
 		th := r.AllreduceFloat64s([]float64{ke, pe, virial}, mpi.OpSum, mpi.CommWorld)
-		lastKE, lastPE = th[0], th[1]
+		s.lastKE, s.lastPE = th[0], th[1]
 
 		// Temperature (diagnostic Allreduce, like compute_temp).
 		tSum := r.AllreduceFloat64(ke, mpi.OpSum, mpi.CommWorld)
@@ -338,7 +364,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		}
 
 		// Load statistics every other step (Allgather of atom counts).
-		if step%2 == 1 {
+		if s.step%2 == 1 {
 			counts := r.AllgatherInt64s(int64(len(atoms)), mpi.CommWorld)
 			var max int64
 			for _, c := range counts {
@@ -350,9 +376,11 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		}
 	}
 
+	r.Checkpoint(s)
+
 	// --- end phase: final thermodynamic report ---
 	r.SetPhase(mpi.PhaseEnd)
-	final := r.AllreduceFloat64s([]float64{lastKE + lastPE, float64(len(atoms))}, mpi.OpSum, mpi.CommWorld)
+	final := r.AllreduceFloat64s([]float64{s.lastKE + s.lastPE, float64(len(atoms))}, mpi.OpSum, mpi.CommWorld)
 	counts := r.GatherFloat64s([]float64{float64(len(atoms))}, 0, mpi.CommWorld)
 	// LAMMPS prints its thermo table on the root with limited precision;
 	// tiny mantissa perturbations do not alter the reported result, and

@@ -195,7 +195,9 @@ func (e *Engine) RunOnce(faults ...fault.Fault) (classify.Outcome, mpi.RunResult
 
 // RunOnceCtx is RunOnce with cancellation: when ctx is done the simulated
 // world is torn down mid-run. The classification of a cancelled run is
-// meaningless and must be discarded by the caller (check res.Cancelled).
+// meaningless and must be discarded by the caller (check res.Cancelled), as
+// is that of a forked run whose prefix left its tape (res.Divergence), a
+// fault of the harness that a campaign reports as one.
 //
 // Single-fault trials fork from the injection-prefix snapshot when one is
 // available (fork.go) and replay from t=0 otherwise; the two paths are
@@ -398,6 +400,7 @@ func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior 
 
 	sem := make(chan struct{}, e.parallelism())
 	var wg sync.WaitGroup
+	diverged := make([]error, n)
 	for t := 0; t < n; t++ {
 		if src[t] != from+t {
 			continue
@@ -410,12 +413,19 @@ func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior 
 		go func(t int) {
 			defer wg.Done()
 			defer func() { <-sem }()
-			trials[t].Outcome, _, how[t] = e.execute(ctx, faults[t])
+			var res mpi.RunResult
+			trials[t].Outcome, res, how[t] = e.execute(ctx, faults[t])
+			diverged[t] = res.Divergence
 		}(t)
 	}
 	wg.Wait()
 	if err := ctx.Err(); err != nil {
 		return nil, nil, err
+	}
+	for _, d := range diverged {
+		if d != nil {
+			return nil, nil, harnessError{Reason: d.Error()}
+		}
 	}
 	for t, i := range src {
 		switch {

@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"os"
 	"runtime"
@@ -269,13 +270,22 @@ type supervisedRun struct {
 	completed int
 	total     int
 	appends   int   // journal records written by this run
-	firstErr  error // checkpoint I/O failure: abort, do not lose data silently
+	firstErr  error // checkpoint I/O or refinement harness failure: abort, do not lose data silently
 }
 
 func (r *supervisedRun) err() error {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	return r.firstErr
+}
+
+// fail makes err the run's error unless it already has one.
+func (r *supervisedRun) fail(err error) {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	if r.firstErr == nil {
+		r.firstErr = err
+	}
 }
 
 // journal appends one record to the checkpoint, if the run has one, and
@@ -502,6 +512,9 @@ func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, pointAt
 	pool(ctx, run, todo, func(g refineGrant) {
 		prior := phase1[g.Idx]
 		pr, err := e.RefinePoint(ctx, pointAt(g.Idx), g.Idx, prior, g.Extra)
+		if h := (harnessError{}); errors.As(err, &h) {
+			run.fail(fmt.Errorf("refining point %d: %w", g.Idx, h))
+		}
 		if err != nil {
 			return // cancelled: the point resumes unrefined
 		}

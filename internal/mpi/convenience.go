@@ -6,8 +6,9 @@ package mpi
 // back into application state through the returned slices. The buffers are
 // rank-bound so their backing arrays come from (and return to) the arena.
 // A wrapper's send buffer is marked temp: the application never sees it, so
-// a flip left in it dies with the wrapper (fork.go, part 3). Bcast's one
-// buffer and every recv buffer are decoded whole and are not.
+// a flip left in it dies with the wrapper (fork.go, part 3). So is the recv
+// buffer of a non-root ReduceFloat64s, which returns nil there. Bcast's one
+// buffer and every other recv buffer are decoded whole and are not.
 
 func (b *Buffer) asTemp() *Buffer {
 	b.temp = true
@@ -66,11 +67,15 @@ func (r *Rank) ReduceFloat64s(vals []float64, op Op, root int, comm Comm) []floa
 		}
 		return nil
 	}
+	isRoot := r.CommRank(comm) == root
 	send := r.FromFloat64s(vals).asTemp()
 	recv := r.NewFloat64Buffer(len(vals))
+	if !isRoot {
+		recv.asTemp()
+	}
 	r.Reduce(send, recv, len(vals), Float64, op, root, comm)
 	var out []float64
-	if r.CommRank(comm) == root {
+	if isRoot {
 		out = recv.Float64s()
 	}
 	send.Release()

@@ -107,6 +107,22 @@ func (e NodeCrashed) Error() string {
 	return fmt.Sprintf("rank %d node crashed: %s", e.Rank, e.Reason)
 }
 
+// Divergence is raised when a forked run's replayed prefix leaves the
+// golden tape: the application made a call the recording run did not make
+// at that point, or returned with recorded events still ahead of it. The
+// prefix is the golden run's by construction, so this is a fault of the
+// harness — a checkpoint that leaves out state the prefix changed, say — and
+// never an outcome of the application. Run reports it in
+// RunResult.Divergence.
+type Divergence struct {
+	Rank   int
+	Detail string
+}
+
+func (d Divergence) Error() string {
+	return fmt.Sprintf("rank %d: fork replay divergence: %s", d.Rank, d.Detail)
+}
+
 // abortf raises an MPIError for the given rank and operation.
 func abortf(rank int, op string, class ErrClass, format string, args ...any) {
 	panic(MPIError{Class: class, Rank: rank, Op: op, Detail: fmt.Sprintf(format, args...)})

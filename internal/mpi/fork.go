@@ -52,6 +52,9 @@ type Fork struct {
 	trace    *Trace
 	cut      []int
 	prestock [][]prestockEntry
+	// resume[r] is rank r's latest checkpoint at or before its cut, nil
+	// when it has none and replays from t=0 (part 4, checkpoint.go).
+	resume []*checkpoint
 
 	// The reconvergence cut (part 3 below). rank is the rank the fork was cut
 	// for, seq the CommWorld sequence number of the collective instance its
@@ -151,7 +154,11 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 			}
 		}
 	}
-	f := &Fork{trace: t, cut: cut, prestock: prestock, rank: rank, seq: t.ranks[rank].events[pos].seq}
+	resume := make([]*checkpoint, n)
+	for r := range resume {
+		resume[r] = resumeFrom(t.ranks[r].ckpts, cut[r])
+	}
+	f := &Fork{trace: t, cut: cut, prestock: prestock, resume: resume, rank: rank, seq: t.ranks[rank].events[pos].seq}
 	f.at = make([]int, n)
 	for r := range f.at {
 		p, ok := collPos[r][f.seq]
@@ -166,11 +173,13 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 
 // replayState is one rank's in-progress prefix replay. It lives on the
 // rank for the replayed portion of a forked run and is cleared at go-live.
+// resume is the checkpoint the rank may start from, until Resume takes it.
 type replayState struct {
-	fork *Fork
-	tape *rankTape
-	pos  int
-	cut  int
+	fork   *Fork
+	tape   *rankTape
+	pos    int
+	cut    int
+	resume *checkpoint
 }
 
 // bindFork arms every rank of a freshly bound world to replay its prefix
@@ -182,7 +191,7 @@ func (w *World) bindFork(f *Fork) {
 		cutSeq = f.seq
 	}
 	for i, rk := range w.ranks {
-		rk.replay = &replayState{fork: f, tape: &f.trace.ranks[i], cut: f.cut[i]}
+		rk.replay = &replayState{fork: f, tape: &f.trace.ranks[i], cut: f.cut[i], resume: f.resume[i]}
 		rk.cutSeq = cutSeq
 	}
 }
@@ -229,7 +238,7 @@ func (r *Rank) goLive() {
 func (rs *replayState) replayNext(kind uint8, what string) *traceEvent {
 	ev := &rs.tape.events[rs.pos]
 	if ev.kind != kind {
-		panic(fmt.Sprintf("fork replay divergence: %s at tape position %d holds kind %d", what, rs.pos, ev.kind))
+		panic(Divergence{Detail: fmt.Sprintf("%s at tape position %d holds kind %d", what, rs.pos, ev.kind)})
 	}
 	rs.pos++
 	return ev
@@ -277,7 +286,7 @@ func (r *Rank) replayCollectiveBytes(t CollType, comm Comm) []byte {
 	r.Tick(collectiveWorkCharge)
 	ev := r.replay.replayNext(evColl, t.String())
 	if ev.coll != t {
-		panic(fmt.Sprintf("fork replay divergence: tape holds %v, application called %v", ev.coll, t))
+		panic(Divergence{Detail: fmt.Sprintf("tape holds %v, application called %v", ev.coll, t)})
 	}
 	r.invents[ev.site]++
 	r.nextSeq(comm)
@@ -321,9 +330,10 @@ func (r *Rank) replayCollectiveBytes(t CollType, comm Comm) []byte {
 // A flip that outlives the call in application memory fails condition 3 on
 // its own: an application-owned send buffer, a counts[] vector (the slices
 // alias the caller's), a receive-buffer bit the call never writes (non-root
-// Reduce/Gather). The convenience wrappers' send buffers are runtime
-// temporaries, released before the wrapper returns and never read by the
-// application; they are marked (Buffer.temp) and not compared.
+// Reduce/Gather). The convenience wrappers' send buffers, and the receive
+// buffer of ReduceFloat64s on a non-root, are runtime temporaries, released
+// before the wrapper returns and never read by the application; they are
+// marked (Buffer.temp) and not compared.
 //
 // The contract this rests on is Fork's: a hook run with RunOptions.Fork
 // mutates only the call the fork was built for.
@@ -348,7 +358,8 @@ func resultBuffer(t CollType, a *Args) *Buffer {
 // callSnapshot is the faulted rank's pre-hook record of the application
 // memory the faulted call can reach, less the result span, which the tape
 // holds. other is the buffer that is not the result buffer: nil for Bcast,
-// which has one, and for a runtime temporary, which nobody reads again.
+// which has one. Either is nil when it is a runtime temporary, which nobody
+// reads again.
 type callSnapshot struct {
 	result, other *Buffer
 	tail          []byte // result's bytes past the span
@@ -365,6 +376,9 @@ func (r *Rank) snapshotFaultedCall(t CollType, a *Args) {
 		return
 	}
 	s := &callSnapshot{result: resultBuffer(t, a), vecs: [4][]int32{a.SendCounts, a.SendDispls, a.RecvCounts, a.RecvDispls}}
+	if s.result != nil && s.result.temp {
+		s.result = nil
+	}
 	if t != CollBcast && a.Send != nil && !a.Send.temp {
 		s.other = a.Send
 	}

@@ -362,6 +362,9 @@ func TestForkReconvergenceNamedCases(t *testing.T) {
 		// ... and an Allreduce wrapper's MAX ignores rank 0's second operand
 		// bit; the flip dies with the temporary.
 		{"wrapper send temporary", 0, wAllreduceI, fault.TargetSendBuf, 64, true, true},
+		// A non-root's ReduceFloat64s receive buffer is never written and
+		// never returned: the flip dies with the temporary.
+		{"wrapper Reduce recv on a non-root", 2, wReduce, fault.TargetRecvBuf, 5, true, true},
 	} {
 		c := h.call(tc.rank, 0, tc.kind)
 		forked, full := h.trial(t, tc.rank, c, tc.target, tc.bit)

@@ -55,10 +55,13 @@ type traceEvent struct {
 	seq  int64
 }
 
-// rankTape is one rank's recorded event sequence plus its payload arena.
+// rankTape is one rank's recorded event sequence plus its payload arena,
+// and the checkpoints the application took along it, in tape order
+// (checkpoint.go).
 type rankTape struct {
 	events []traceEvent
 	data   []byte
+	ckpts  []checkpoint
 }
 
 func (t *rankTape) span(off, n int32) []byte {

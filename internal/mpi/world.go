@@ -62,13 +62,14 @@ type RunOptions struct {
 	// (AliveAtStart is false). Out-of-range entries are ignored.
 	CrashedRanks []int
 	// Record captures the run's communication as a Trace (see trace.go)
-	// returned in RunResult.Trace, from which injection-prefix Forks are
-	// built. Meaningful only on golden (fault-free, reliable-network) runs:
+	// returned in RunResult.Trace, with the application's checkpoints (see
+	// checkpoint.go), from which injection-prefix Forks are built. Meaningful only on golden (fault-free, reliable-network) runs:
 	// a run with a Network or CrashedRanks yields an unforkable trace.
 	Record bool
 	// Fork, when non-nil, serves each rank's pre-injection communication
 	// prefix from a recorded golden trace instead of executing it (see
-	// fork.go). Mutually exclusive with Record. The Hook then mutates only
+	// fork.go), and lets a rank that asks (Rank.Resume) skip the prefix's
+	// computation up to its last checkpoint. Mutually exclusive with Record. The Hook then mutates only
 	// the collective the fork was cut for, and sees only the fork's rank's
 	// live collectives up to and including that one.
 	Fork *Fork
@@ -93,8 +94,13 @@ type RunResult struct {
 	// collective: every rank left the call holding what the golden run held
 	// there, so Ranks are the recording run's own (see fork.go, part 3).
 	Reconverged bool
+	// Divergence is set when a forked rank's replayed prefix left the tape
+	// (see Divergence): a fault of the harness, after which Ranks say
+	// nothing about the application.
+	Divergence error
 
 	meetings meetCounts // how the run's rendezvous instances ended (tests)
+	why      string     // the kill reason, "" when nothing killed the run (tests)
 }
 
 // FirstError returns the highest-priority error across ranks, or nil. The
@@ -219,6 +225,7 @@ const (
 	whyTimeout     = "wall-clock timeout"
 	whyCancelled   = "run cancelled"
 	whyReconverged = "reconverged: the rest of the run is the golden suffix"
+	whyDiverged    = "harness fault: fork replay divergence"
 )
 
 // kill ends the run with the first reason given and wakes every parked
@@ -268,14 +275,19 @@ func (w *World) decide() {
 // rank never matches a reconvergence tally (TestSegFaultOutranksEveryFailure
 // pins the first two). An MPI or application error is not final in the same
 // way, since a rank still running could yet segfault, so it only counts.
+// A Divergence ends the run as well: it has no outcome to wait for.
 func (w *World) exit(rank int, err error) {
 	w.mu.Lock()
-	if _, crashed := err.(NodeCrashed); crashed && w.faulty {
-		w.dead[rank] = true
-		w.wakeAll()
-	}
-	if _, seg := err.(SegFault); seg {
+	switch err.(type) {
+	case NodeCrashed:
+		if w.faulty {
+			w.dead[rank] = true
+			w.wakeAll()
+		}
+	case SegFault:
 		w.kill(whyCrash)
+	case Divergence:
+		w.kill(whyDiverged)
 	}
 	if err != nil {
 		w.failed++
@@ -413,6 +425,9 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 				w.exit(rk.id, err)
 			}()
 			err = fn(rk)
+			if rs := rk.replay; rs != nil && rs.pos < rs.cut {
+				panic(Divergence{Detail: fmt.Sprintf("returned at tape position %d, before its cut at %d", rs.pos, rs.cut)})
+			}
 		}()
 	}
 
@@ -445,6 +460,13 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		Cancelled: w.why == whyCancelled,
 		Elapsed:   time.Since(start),
 		meetings:  w.met,
+		why:       w.why,
+	}
+	for _, rr := range results {
+		if d, ok := rr.Err.(Divergence); ok {
+			res.Divergence = d
+			break
+		}
 	}
 	if w.matched == n {
 		// Decided by the tally, not by which kill came first: a run whose
@@ -494,6 +516,9 @@ func panicToError(rank int, p any) error {
 	case Killed:
 		return e
 	case NodeCrashed:
+		return e
+	case Divergence:
+		e.Rank = rank
 		return e
 	case error:
 		// A genuine Go runtime panic (index out of range, nil deref, ...)
