@@ -98,8 +98,8 @@ type PlanInfo struct {
 	Points      int
 }
 
-// PlanInfo profiles (once — the profile is cached) and prunes the campaign,
-// returning its fingerprint and index-space size. The distributed
+// PlanInfo profiles (a lookup once the workload has its golden run) and
+// prunes the campaign, returning its fingerprint and index-space size. The
 // coordinator calls it to open a campaign; workers call it implicitly
 // through RunRange and cross-check the fingerprint against their lease.
 func (e *Engine) PlanInfo() (PlanInfo, error) {

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/classify"
@@ -25,9 +26,9 @@ type Engine struct {
 	// observation; New seeds it from Options.Observer.
 	events emitter
 
-	prof   *profile.Profile
-	golden mpi.RunResult
-	digest *classify.Digest
+	// gold is the workload's golden run (fork.go), resolved by the first
+	// Profile and shared with every engine of the same fingerprint.
+	gold atomic.Pointer[goldenRun]
 
 	// unpooled runs the simulated runtime without its buffer arena
 	// (mpi.RunOptions.DisablePooling) and classifies by the full golden
@@ -42,10 +43,9 @@ type Engine struct {
 	topo    mpi.Topology
 	netErr  error
 
-	// Fork-at-injection-site state (fork.go): the workload's snapshot
-	// store, resolved once, plus the campaign's fork accounting.
-	forkOnce sync.Once
-	forkSt   *forkState
+	// noteOnce guards the one Note saying the golden run's tape was
+	// refused (trialFork); stats is the campaign's fork accounting.
+	noteOnce sync.Once
 	stats    snapshotStats
 }
 
@@ -131,36 +131,26 @@ func (e *Engine) trialNetwork() (*mpi.Network, []int) {
 	return net, crashed
 }
 
-// Profile runs the application once fault-free, collecting the
-// communication, call-graph and call-stack profiles and the golden results
-// used for WRONG_ANS detection. It is idempotent: repeated calls reuse the
-// first profile (the paper notes profiling is a one-time cost reusable
-// across campaigns).
+// Profile returns the communication, call-graph and call-stack profiles of
+// the workload's golden run, the fault-free run that also yields the golden
+// results for WRONG_ANS detection and the tape trials fork from. Every
+// engine of a workload shares that one run (the paper notes profiling is a
+// one-time cost reusable across campaigns).
 func (e *Engine) Profile() (*profile.Profile, error) {
-	if e.prof != nil {
-		return e.prof, nil
+	g, err := e.loadGolden()
+	if err != nil {
+		return nil, err
 	}
-	if err := e.netSetup(); err != nil {
-		return nil, fmt.Errorf("network fault domain of %s: %w", e.app.Name(), err)
-	}
-	col := profile.NewCollector(e.cfg.Ranks)
-	res := e.run(col)
-	if err := res.FirstError(); err != nil {
-		return nil, fmt.Errorf("profiling run of %s failed: %w", e.app.Name(), err)
-	}
-	if res.Deadlock || res.TimedOut {
-		return nil, fmt.Errorf("profiling run of %s hung (deadlock=%v timeout=%v)", e.app.Name(), res.Deadlock, res.TimedOut)
-	}
-	e.prof = col.Finish()
-	e.golden = res
-	if !e.unpooled {
-		e.digest = classify.NewDigest(res, classify.DefaultTolerance)
-	}
-	return e.prof, nil
+	return g.prof, nil
 }
 
-// Golden returns the fault-free reference run (Profile must have run).
-func (e *Engine) Golden() mpi.RunResult { return e.golden }
+// Golden returns the fault-free reference run (zero before Profile).
+func (e *Engine) Golden() (res mpi.RunResult) {
+	if g := e.gold.Load(); g != nil {
+		res = g.res
+	}
+	return res
+}
 
 // Points enumerates the full fault-injection space from the profile.
 func (e *Engine) Points() ([]Point, error) {
@@ -169,11 +159,6 @@ func (e *Engine) Points() ([]Point, error) {
 		return nil, err
 	}
 	return enumeratePoints(p), nil
-}
-
-// run executes the application once with the given hook.
-func (e *Engine) run(hook mpi.Hook) mpi.RunResult {
-	return e.exec(mpi.RunOptions{Hook: hook})
 }
 
 // exec runs the application once under ro, after filling in what every
@@ -188,7 +173,8 @@ func (e *Engine) exec(ro mpi.RunOptions) mpi.RunResult {
 }
 
 // RunOnce executes the application with the given faults injected and
-// classifies the outcome against the golden run.
+// classifies the outcome against the golden run, profiling the engine first
+// if nothing has; it panics with Profile's error when that fails.
 func (e *Engine) RunOnce(faults ...fault.Fault) (classify.Outcome, mpi.RunResult) {
 	return e.RunOnceCtx(context.Background(), faults...)
 }
@@ -217,15 +203,19 @@ func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classif
 // execute runs the application with the faults injected, classifies the
 // run and reports which way it ran; the caller does the accounting.
 func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.Outcome, mpi.RunResult, trialHow) {
+	g, err := e.loadGolden()
+	if err != nil {
+		panic(err)
+	}
 	inj := fault.NewInjector(nil, faults...)
 	if len(faults) == 1 {
-		if fk := e.trialFork(faults[0]); fk != nil {
+		if fk := e.trialFork(g, faults[0]); fk != nil {
 			res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Fork: fk})
 			how := howForked
 			if res.Reconverged {
 				how = howReconverged
 			}
-			return e.classifyRun(res), res, how
+			return e.classifyRun(g, res), res, how
 		}
 	}
 	net, crashed := e.trialNetwork()
@@ -233,18 +223,18 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 		inj.AttachNetwork(net)
 	}
 	res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Network: net, CrashedRanks: crashed})
-	return e.classifyRun(res), res, howReplayed
+	return e.classifyRun(g, res), res, howReplayed
 }
 
 // classifyRun classifies one run against the golden reference, through the
-// precomputed digest when Profile built one (the campaign hot path) and
-// the full comparison otherwise. The two are outcome-identical; the
+// precomputed digest (the campaign hot path) and, on the unpooled reference
+// engine, the full comparison. The two are outcome-identical; the
 // differential tests pin it.
-func (e *Engine) classifyRun(res mpi.RunResult) classify.Outcome {
-	if e.digest != nil {
-		return e.digest.Classify(res)
+func (e *Engine) classifyRun(g *goldenRun, res mpi.RunResult) classify.Outcome {
+	if e.unpooled {
+		return classify.Classify(g.res, res)
 	}
-	return classify.Classify(e.golden, res)
+	return g.digest.Classify(res)
 }
 
 // trialSeed derives a deterministic seed for one trial of one point.
@@ -326,10 +316,11 @@ type effectiveFault struct {
 // which an injected run does not reach the point along the golden run's
 // prefix and may meet other arguments there.
 func (e *Engine) pointWidths(p Point) (fault.Widths, bool) {
-	if e.prof == nil || e.netSetup() != nil || e.topo != nil {
+	g := e.gold.Load()
+	if g == nil || e.netSetup() != nil || e.topo != nil {
 		return fault.Widths{}, false
 	}
-	return e.prof.Widths(p.Rank, p.Site, p.Invocation)
+	return g.prof.Widths(p.Rank, p.Site, p.Invocation)
 }
 
 // FaultSpace returns the number of distinct effective faults the engine's

@@ -5,14 +5,17 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
+	"github.com/fastfit/fastfit/internal/profile"
 )
 
 // Fork-at-injection-site trial execution. Every trial of a point injects at
 // the same (rank, site, invocation) prefix, so everything a trial simulates
 // before the faulted call is byte-identical to the golden run. The engine
-// records one extra golden run per workload (mpi.RunOptions.Record), cuts a
+// records the golden run itself — the one fault-free run that also yields
+// the profile and the reference results (mpi.RunOptions.Record) — cuts a
 // causally consistent snapshot per distinct injection prefix (mpi.Trace.Fork)
 // and runs trials from the snapshot: pre-cut communication is served from the
 // tape while the app's compute executes live, which skips the pre-injection
@@ -27,6 +30,21 @@ import (
 // differential suite pins that both paths classify identically, so outcomes
 // stay pure functions of (seed, plan, algorithm) either way.
 
+// goldenRun is a workload's one fault-free run: its profile, its results
+// and their digest, and its tape (res.Trace; unforkable, with a Reason, when
+// the recorder refused it) with the forks cut from it, one per injection
+// prefix (nil entries cache "this prefix has no snapshot").
+type goldenRun struct {
+	once   sync.Once // runs it; err is set when it failed or hung
+	err    error
+	prof   *profile.Profile
+	res    mpi.RunResult
+	digest *classify.Digest
+
+	mu    sync.Mutex
+	forks map[forkKey]*mpi.Fork
+}
+
 // forkKey identifies one distinct injection prefix: all trials of a point
 // share it, so one snapshot serves the whole trial budget.
 type forkKey struct {
@@ -35,138 +53,121 @@ type forkKey struct {
 	inv  int
 }
 
-// forkState is the snapshot store of one workload fingerprint: the recorded
-// golden trace plus the forks cut from it, one per injection prefix. A nil
-// trace means "no snapshot store" — every trial replays in full — and
-// reason says why; nil fork entries cache "this prefix has no snapshot".
-type forkState struct {
-	trace  *mpi.Trace
-	reason string // why trace is nil
-
-	mu    sync.Mutex
-	forks map[forkKey]*mpi.Fork
-}
-
-// fork returns the snapshot for one injection prefix, cutting and caching it
-// on first use.
-func (st *forkState) fork(key forkKey) *mpi.Fork {
-	if st == nil || st.trace == nil {
-		return nil
-	}
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	fk, ok := st.forks[key]
-	if !ok {
-		if len(st.forks) >= forkStateCap {
-			return nil // cap reached: over-cap prefixes fall back to full replay
-		}
-		fk = st.trace.Fork(key.rank, key.site, key.inv)
-		st.forks[key] = fk
-	}
-	return fk
-}
-
 const (
-	// forkCacheCap bounds the workload fingerprints whose traces stay
-	// resident; campaigns beyond it evict an arbitrary older entry.
-	forkCacheCap = 8
-	// forkStateCap bounds the snapshots cut per fingerprint. Campaign point
-	// counts sit far below it; it exists so a pathological sweep cannot hold
-	// an unbounded number of cut/prestock slices.
-	forkStateCap = 4096
+	goldenCacheCap = 8    // fingerprints resident; one more evicts an arbitrary older entry
+	forkCap        = 4096 // snapshots per golden run, far above any campaign's point count
 )
 
-// forkCache shares snapshot stores across engines of the same workload
-// fingerprint, so a sweep that builds one engine per campaign (ffexp,
-// resumed supervisors) records the golden tape once, not once per campaign.
-// Fingerprints cover everything the tape depends on — app identity and the
-// full apps.Config — so cross-fingerprint campaigns never share snapshots.
-var forkCache = struct {
+// goldens shares golden runs across engines of one workload fingerprint, so
+// a sweep that builds one engine per campaign (ffexp's figures, ffd's
+// coordinator and shards, resumed supervisors) runs the application
+// fault-free once. Fingerprints cover app identity and the full
+// apps.Config, so workloads never share a reference or a snapshot.
+var goldens = struct {
 	sync.Mutex
-	m map[string]*forkState
-}{m: map[string]*forkState{}}
+	m map[string]*goldenRun
+}{m: map[string]*goldenRun{}}
 
-// forkFingerprint keys the shared snapshot cache. Any Config field changes
-// the simulated communication schedule, so all of them participate.
+// forkFingerprint keys the golden-run cache. Any Config field changes the
+// simulated communication schedule, so all of them participate.
 func (e *Engine) forkFingerprint() string {
 	return fmt.Sprintf("%s|ranks=%d|scale=%d|iters=%d|seed=%d|alg=%s",
 		e.app.Name(), e.cfg.Ranks, e.cfg.Scale, e.cfg.Iters, e.cfg.Seed, e.cfg.Algorithm)
 }
 
-// forkSetup resolves the engine's snapshot store once: it consults the
-// shared cache and, on a miss, records one extra golden run with the tape
-// recorder attached. Nil when forking is disabled or the campaign has a
-// network fault domain (those plans perturb delivery before the injection
-// site, so prefixes are unsnapshottable and every trial replays in full).
-//
-// A recording that yields no usable tape costs every trial its full prefix,
-// so it is never silent: the engine emits one Note with the cause. Only a
-// cause that is a property of the application (the recorder poisoned the
-// tape: wildcard receives, derived communicators, ...) is cached under the
-// fingerprint. A recording run that merely did not finish — an error, a
-// timeout, a deadlock verdict, on a workload whose profiling run had just
-// finished cleanly — says nothing about the next attempt, so the next engine
-// of the fingerprint records again.
-func (e *Engine) forkSetup() *forkState {
-	e.forkOnce.Do(func() {
-		if e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
-			return
-		}
-		fp := e.forkFingerprint()
-		forkCache.Lock()
-		st, ok := forkCache.m[fp]
-		forkCache.Unlock()
-		if !ok {
-			var keep bool
-			if st, keep = e.recordTape(); keep {
-				forkCache.Lock()
-				if len(forkCache.m) >= forkCacheCap {
-					for k := range forkCache.m {
-						delete(forkCache.m, k)
-						break
-					}
+// loadGolden returns the engine's golden run. On a miss in the shared cache
+// one engine runs the application while the others of the fingerprint wait
+// for that run; a run that fails or hangs is an error and leaves the cache.
+// The unpooled reference engine runs its own, uncached.
+func (e *Engine) loadGolden() (*goldenRun, error) {
+	if g := e.gold.Load(); g != nil {
+		return g, nil
+	}
+	if err := e.netSetup(); err != nil {
+		return nil, fmt.Errorf("network fault domain of %s: %w", e.app.Name(), err)
+	}
+	fp, g := e.forkFingerprint(), &goldenRun{}
+	if !e.unpooled {
+		goldens.Lock()
+		if cached := goldens.m[fp]; cached != nil {
+			g = cached
+		} else {
+			for k := range goldens.m {
+				if len(goldens.m) < goldenCacheCap {
+					break
 				}
-				forkCache.m[fp] = st
-				forkCache.Unlock()
+				delete(goldens.m, k)
 			}
+			goldens.m[fp] = g
 		}
-		if st.trace == nil {
-			e.logf("no snapshot store for %s: %s; every trial replays from t=0", fp, st.reason)
+		goldens.Unlock()
+	}
+	g.once.Do(func() {
+		if g.err = e.runGolden(g); g.err != nil && !e.unpooled {
+			goldens.Lock()
+			if goldens.m[fp] == g {
+				delete(goldens.m, fp)
+			}
+			goldens.Unlock()
 		}
-		e.forkSt = st
 	})
-	return e.forkSt
+	if g.err != nil {
+		return nil, g.err
+	}
+	e.gold.CompareAndSwap(nil, g)
+	return e.gold.Load(), nil
 }
 
-// recordTape runs the application once more, fault-free, with the tape
-// recorder attached. keep reports whether the result holds for every later
-// engine of the fingerprint (a tape, or a refusal the application caused)
-// or only for this attempt (the run did not finish).
-func (e *Engine) recordTape() (st *forkState, keep bool) {
-	res := e.exec(mpi.RunOptions{Record: true})
-	st = &forkState{forks: map[forkKey]*mpi.Fork{}}
-	switch err := res.FirstError(); {
-	case err != nil:
-		st.reason = fmt.Sprintf("the recording run failed: %v", err)
-	case res.TimedOut || res.Deadlock:
-		st.reason = fmt.Sprintf("the recording run hung (deadlock=%v timeout=%v)", res.Deadlock, res.TimedOut)
-	case !res.Trace.Forkable():
-		st.reason, keep = res.Trace.Reason(), true
-	default:
-		st.trace, keep = res.Trace, true
+// runGolden runs the application fault-free with the profile collector
+// hooked and the tape recorder attached, and fills g from the run.
+func (e *Engine) runGolden(g *goldenRun) error {
+	col := profile.NewCollector(e.cfg.Ranks)
+	res := e.exec(mpi.RunOptions{Hook: col, Record: true})
+	if err := res.FirstError(); err != nil {
+		return fmt.Errorf("profiling run of %s failed: %w", e.app.Name(), err)
 	}
-	return st, keep
+	if res.Deadlock || res.TimedOut {
+		return fmt.Errorf("profiling run of %s hung (deadlock=%v timeout=%v)", e.app.Name(), res.Deadlock, res.TimedOut)
+	}
+	g.prof, g.res, g.forks = col.Finish(), res, map[forkKey]*mpi.Fork{}
+	g.digest = classify.NewDigest(res, classify.DefaultTolerance)
+	return nil
+}
+
+// fork returns the snapshot for one injection prefix, cutting and caching it
+// on first use; nil when the trace is unforkable or has no such prefix.
+func (g *goldenRun) fork(key forkKey) *mpi.Fork {
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	fk, ok := g.forks[key]
+	if !ok {
+		if len(g.forks) >= forkCap {
+			return nil // cap reached: over-cap prefixes fall back to full replay
+		}
+		fk = g.res.Trace.Fork(key.rank, key.site, key.inv)
+		g.forks[key] = fk
+	}
+	return fk
 }
 
 // trialFork returns the snapshot one trial forks from, or nil when the
-// trial must replay in full. It also maintains the campaign's snapshot
-// accounting (SnapshotStats).
-func (e *Engine) trialFork(f fault.Fault) *mpi.Fork {
-	if f.Target.IsNet() {
+// trial must replay in full, and keeps the campaign's snapshot accounting
+// (SnapshotStats). Forking does not apply under Fork.Disable or with a
+// network fault domain (its plans perturb delivery before the injection
+// site). Where it applies but the recorder refused the tape, every trial
+// pays its full prefix, so the engine says so once, with the cause.
+func (e *Engine) trialFork(g *goldenRun, f fault.Fault) *mpi.Fork {
+	if f.Target.IsNet() || e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
+		return nil
+	}
+	if !g.res.Trace.Forkable() {
+		e.noteOnce.Do(func() {
+			e.logf("no snapshot store for %s: %s; every trial replays from t=0", e.forkFingerprint(), g.res.Trace.Reason())
+		})
 		return nil
 	}
 	key := forkKey{rank: f.Rank, site: f.Site, inv: f.Invocation}
-	fk := e.forkSetup().fork(key)
+	fk := g.fork(key)
 	if fk != nil {
 		e.stats.noteSnapshot(key)
 	}

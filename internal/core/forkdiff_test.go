@@ -110,16 +110,14 @@ func TestForkFallbackNetworkPlan(t *testing.T) {
 
 // TestForkCacheCrossFingerprint pins cache isolation: engines whose
 // workload fingerprints differ (here, by config seed) must resolve distinct
-// snapshot stores, so a snapshot cut for one configuration can never serve
-// trials of another.
+// golden runs, so a reference or a snapshot cut for one configuration can
+// never serve trials of another.
 func TestForkCacheCrossFingerprint(t *testing.T) {
-	// Earlier tests leave the process-wide cache near forkCacheCap, where
+	// Earlier tests leave the process-wide cache near goldenCacheCap, where
 	// inserting one more fingerprint evicts an arbitrary entry — possibly
 	// one of this test's own. Start from an empty cache so the sharing
 	// assertions below are deterministic.
-	forkCache.Lock()
-	forkCache.m = map[string]*forkState{}
-	forkCache.Unlock()
+	resetGoldens()
 
 	optsA, optsB := diffTestOptions(101), diffTestOptions(102)
 	ea, eb := diffTestEngine(t, optsA), diffTestEngine(t, optsB)
@@ -131,17 +129,17 @@ func TestForkCacheCrossFingerprint(t *testing.T) {
 		t.Fatalf("identical configs disagree on fingerprint: %s vs %s",
 			ea.forkFingerprint(), ea2.forkFingerprint())
 	}
-	sa, sb, sa2 := ea.forkSetup(), eb.forkSetup(), ea2.forkSetup()
-	if sa == nil || sb == nil || sa2 == nil {
-		t.Fatalf("fork setup unavailable for a forkable workload: %v %v %v", sa, sb, sa2)
+	ga, gb, ga2 := mustLoadGolden(t, ea), mustLoadGolden(t, eb), mustLoadGolden(t, ea2)
+	if !ga.res.Trace.Forkable() || !gb.res.Trace.Forkable() {
+		t.Fatalf("no snapshot store for a forkable workload: %q %q", ga.res.Trace.Reason(), gb.res.Trace.Reason())
 	}
-	if sa == sb {
-		t.Fatal("engines with different fingerprints share one snapshot store")
+	if ga == gb {
+		t.Fatal("engines with different fingerprints share one golden run")
 	}
-	if sa != sa2 {
-		t.Fatal("engines with the same fingerprint did not share the snapshot store")
+	if ga != ga2 {
+		t.Fatal("engines with the same fingerprint did not share the golden run")
 	}
-	if sa.trace == sb.trace {
+	if ga.res.Trace == gb.res.Trace {
 		t.Fatal("distinct fingerprints share one recorded trace")
 	}
 }

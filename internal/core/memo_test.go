@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"github.com/fastfit/fastfit/internal/apps"
@@ -32,7 +33,7 @@ func recordedFault(p Point, tr TrialResult) fault.Fault {
 func wantMemoised(t *testing.T, e *Engine, measured []PointResult) (memoised, total int) {
 	t.Helper()
 	for _, pr := range measured {
-		w, ok := e.prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
+		w, ok := e.gold.Load().prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
 		if !ok {
 			t.Fatalf("no widths recorded for %s", pr.Point.String())
 		}
@@ -225,9 +226,9 @@ func TestMemoExemptions(t *testing.T) {
 }
 
 // TestTapeRecordingFailureIsReportedAndNotCached: an engine that ends up
-// without a snapshot store says so, once, with the cause; a cause that is a
-// property of the application is cached for the fingerprint, a recording
-// run that merely did not finish is not.
+// without a snapshot store says so, once, with the cause, and a cause that
+// is a property of the application is cached for the fingerprint; a golden
+// run that merely did not finish fails Profile and is not cached.
 func TestTapeRecordingFailureIsReportedAndNotCached(t *testing.T) {
 	notes := func(e *Engine) (texts []string) {
 		e.events.attach(ObserverFunc(func(ev Event) {
@@ -246,9 +247,9 @@ func TestTapeRecordingFailureIsReportedAndNotCached(t *testing.T) {
 		return texts
 	}
 	cached := func(e *Engine) bool {
-		forkCache.Lock()
-		defer forkCache.Unlock()
-		_, ok := forkCache.m[e.forkFingerprint()]
+		goldens.Lock()
+		defer goldens.Unlock()
+		_, ok := goldens.m[e.forkFingerprint()]
 		return ok
 	}
 
@@ -264,15 +265,17 @@ func TestTapeRecordingFailureIsReportedAndNotCached(t *testing.T) {
 		}
 	}
 
-	// The run's doing: the recording run (the engine's second run, after
-	// profiling) fails; the next engine's recording succeeds and forks.
-	app := &recordShyApp{name: "fails-once", failRun: 2}
+	// The run's doing: the golden run (the application's first) aborts.
+	// Profile fails with the cause and caches nothing; the next engine
+	// profiles and forks.
+	resetGoldens()
+	app := &recordShyApp{name: "fails-once", failRun: 1}
 	e := New(app, apps.Config{Ranks: 2, Seed: 1}, diffTestOptions(1))
-	if got := notes(e); len(got) != 1 || !strings.Contains(got[0], "recording run failed") {
-		t.Fatalf("failed recording: notes %q, want one naming the failed run", got)
+	if _, err := e.Profile(); err == nil || !strings.Contains(err.Error(), "transient failure") {
+		t.Fatalf("aborted golden run: Profile returned %v, want an error naming the abort", err)
 	}
 	if cached(e) {
-		t.Fatal("a recording run that did not finish was cached as the fingerprint's verdict")
+		t.Fatal("a golden run that did not finish was cached as the fingerprint's reference")
 	}
 	e = New(app, apps.Config{Ranks: 2, Seed: 1}, diffTestOptions(1))
 	points, err := e.Points()
@@ -281,24 +284,25 @@ func TestTapeRecordingFailureIsReportedAndNotCached(t *testing.T) {
 	}
 	e.InjectPoint(points[0], 0, 3)
 	if st := e.SnapshotStats(); st.Forked == 0 {
-		t.Fatalf("engine after a transient recording failure did not fork: %+v", st)
+		t.Fatalf("engine after an aborted golden run did not fork: %+v", st)
 	}
 }
 
 // recordShyApp is a two-collective workload whose tape recording can be made
 // to fail: by duplicating a communicator (name "dup-comm": the recorder
-// refuses, every time) or by aborting its failRun-th run on rank 0.
+// refuses, every time) or by aborting its failRun-th run on rank 0. It
+// counts the runs it starts.
 type recordShyApp struct {
 	name    string
-	failRun int
-	runs    int // runs started, counted on rank 0
+	failRun int64
+	runs    atomic.Int64 // runs started, counted on rank 0
 }
 
 func (a *recordShyApp) Name() string               { return a.name }
 func (a *recordShyApp) DefaultConfig() apps.Config { return apps.Config{Ranks: 2, Seed: 1} }
 func (a *recordShyApp) Main(r *mpi.Rank, cfg apps.Config) error {
 	if r.ID() == 0 {
-		if a.runs++; a.runs == a.failRun {
+		if a.runs.Add(1) == a.failRun {
 			r.Abort("transient failure")
 		}
 	}

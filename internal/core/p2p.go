@@ -113,15 +113,20 @@ func ContextPruneP2P(points []P2PPoint) ([]P2PPoint, float64) {
 	return kept, reduction(len(points), len(kept))
 }
 
-// InjectP2PPoint performs n random injection tests at a p2p point.
+// InjectP2PPoint performs n random injection tests at a p2p point; like
+// RunOnce, it panics when Profile fails.
 func (e *Engine) InjectP2PPoint(p P2PPoint, pointIdx, n int) P2PPointResult {
+	g, err := e.loadGolden()
+	if err != nil {
+		panic(err)
+	}
 	pr := P2PPointResult{Point: p, Trials: make([]P2PTrialResult, 0, n)}
 	for t := 0; t < n; t++ {
 		rng := newRand(e.trialSeed(pointIdx+1<<20, t))
 		f := fault.RandomP2PFault(rng, p.Rank, p.Site, p.Invocation, p.Kind)
 		inj := fault.NewP2PInjector(nil, f)
-		res := e.run(inj)
-		outcome := e.classifyRun(res)
+		res := e.exec(mpi.RunOptions{Hook: inj})
+		outcome := e.classifyRun(g, res)
 		pr.Trials = append(pr.Trials, P2PTrialResult{Target: f.Target, Bit: f.Bit, Outcome: outcome})
 		pr.Counts.Add(outcome)
 	}

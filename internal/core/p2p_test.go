@@ -146,7 +146,7 @@ func TestP2PTagFaultDeadlocksOrErrors(t *testing.T) {
 	// Flip a low tag bit: the receive waits for a message nobody sends.
 	f := fault.P2PFault{Rank: recv.Rank, Site: recv.Site, Invocation: 0, Target: fault.P2PTargetTag, Bit: 1}
 	inj := fault.NewP2PInjector(nil, f)
-	res := e.run(inj)
+	res := e.exec(mpi.RunOptions{Hook: inj})
 	outcome := classify.Classify(e.Golden(), res)
 	if outcome != classify.InfLoop && outcome != classify.MPIErr {
 		t.Fatalf("mismatched tag should hang or error, got %v", outcome)
@@ -160,7 +160,7 @@ func TestP2PInjectorLeavesCollectivesAlone(t *testing.T) {
 	e := ringEngine(t)
 	// A p2p injector with no faults must not perturb the run at all.
 	inj := fault.NewP2PInjector(nil)
-	res := e.run(inj)
+	res := e.exec(mpi.RunOptions{Hook: inj})
 	if outcome := classify.Classify(e.Golden(), res); outcome != classify.Success {
 		t.Fatalf("no-fault p2p run should be SUCCESS, got %v", outcome)
 	}

@@ -114,7 +114,7 @@ func TestReconvOracle(t *testing.T) {
 
 				recount := 0
 				for _, pr := range res.Measured {
-					w, ok := e.prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
+					w, ok := e.gold.Load().prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
 					if !ok {
 						t.Fatalf("%s: no widths recorded for %s", leg, pr.Point.String())
 					}
@@ -142,7 +142,7 @@ func TestReconvOracle(t *testing.T) {
 							// SUCCESS tolerates small differences; the cut's claim
 							// is stronger: run to the end, the trial reports the
 							// golden run's values bit for bit.
-							if want, got := ranksText(e.golden), ranksText(run); got != want {
+							if want, got := ranksText(e.Golden()), ranksText(run); got != want {
 								t.Errorf("%s: %s trial %d (%v bit %d) is cut, but run to the end it is not the golden run:\n%s\ngolden:\n%s",
 									leg, pr.Point.String(), i, tr.Target, tr.Bit, got, want)
 							}

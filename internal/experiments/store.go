@@ -29,7 +29,6 @@ type Store struct {
 
 	mu        sync.Mutex
 	campaigns map[string]*core.CampaignResult // by app name, "|mode"-suffixed for the variants
-	engines   map[string]*core.Engine
 }
 
 // NewStore builds a Store at the given scale.
@@ -37,7 +36,6 @@ func NewStore(scale Scale) *Store {
 	return &Store{
 		Scale:     scale,
 		campaigns: map[string]*core.CampaignResult{},
-		engines:   map[string]*core.Engine{},
 	}
 }
 
@@ -96,21 +94,12 @@ func policyFor(app string) core.FaultPolicy {
 	return core.PolicyAllParams
 }
 
-// Engine returns a cached engine whose campaign measures every pruned
-// point (ML pruning off), the configuration behind the sensitivity
-// figures.
+// Engine returns a new engine whose campaign measures every pruned point
+// (ML pruning off), the configuration behind the sensitivity figures.
+// Engines of one app share its golden run, so a fresh one costs no second
+// profile.
 func (st *Store) Engine(name string) (*core.Engine, error) {
-	st.mu.Lock()
-	defer st.mu.Unlock()
-	if e, ok := st.engines[name]; ok {
-		return e, nil
-	}
-	e, err := st.newEngine(name, false, st.Scale.Adaptive)
-	if err != nil {
-		return nil, err
-	}
-	st.engines[name] = e
-	return e, nil
+	return st.newEngine(name, false, st.Scale.Adaptive)
 }
 
 // cached returns the campaign stored under key, running it on the engine

@@ -20,7 +20,8 @@ import (
 // from the tape (fork.go) and go live at the cut.
 //
 // The trace is immutable once recorded and shared by every trial of every
-// point, so recording costs one extra golden-speed run per campaign.
+// point. It is taken on the engine's one golden run, which also yields the
+// profile and the reference results, so recording costs no run of its own.
 
 // traceEvent kinds.
 const (

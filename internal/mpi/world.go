@@ -63,8 +63,10 @@ type RunOptions struct {
 	CrashedRanks []int
 	// Record captures the run's communication as a Trace (see trace.go)
 	// returned in RunResult.Trace, with the application's checkpoints (see
-	// checkpoint.go), from which injection-prefix Forks are built. Meaningful only on golden (fault-free, reliable-network) runs:
-	// a run with a Network or CrashedRanks yields an unforkable trace.
+	// checkpoint.go), from which injection-prefix Forks are built. It
+	// combines with a Hook, so one golden run can be profiled and recorded
+	// at once. Meaningful only on golden (fault-free, reliable-network)
+	// runs: a run with a Network or CrashedRanks yields an unforkable trace.
 	Record bool
 	// Fork, when non-nil, serves each rank's pre-injection communication
 	// prefix from a recorded golden trace instead of executing it (see
