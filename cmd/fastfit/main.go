@@ -196,7 +196,7 @@ func run() error {
 		fmt.Printf("  %-18s %6.2f%% over %d tests\n", t, 100*c.ErrorRate(), c.Total())
 	}
 
-	if res.Learn != nil {
+	if opts.ML.Pruning {
 		fmt.Printf("\nML: injected %d points, predicted %d (verify accuracy %.0f%%)\n",
 			res.Injected, res.PredictedN, 100*res.VerifyAccuracy)
 	}

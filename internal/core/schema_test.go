@@ -82,7 +82,6 @@ func TestGoldenWireSchema(t *testing.T) {
 		Measured:       []PointResult{schemaResult()},
 		Predicted:      []Prediction{{Point: schemaPoint(), Level: 3}},
 		SenseAdvised:   []SenseAdvice{{Point: schemaPoint(), Outcome: classify.WrongAns, Confidence: 0.75}},
-		Learn:          &LearnResult{Reduction: 0.5}, // never persisted
 	}
 	out.WriteString("# campaign document\n")
 	check(full.WriteJSON(&out))

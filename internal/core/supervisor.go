@@ -130,9 +130,7 @@ func (h harnessError) Error() string { return "harness failure: " + h.Reason }
 // error; the checkpoint journal, if any, holds everything completed so far.
 func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 	e := s.eng
-	e.emitCampaignStarted()
-
-	plan, err := s.planWithRetry(ctx)
+	plan, err := s.open(ctx)
 	if err != nil {
 		return nil, err
 	}
@@ -143,9 +141,8 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 	var ckpt *Checkpoint
 	state := newCheckpointState()
 	if s.opts.Checkpoint != "" {
-		fp := CampaignFingerprint(e.App().Name(), e.Config(), e.Options(), plan.points)
 		if _, statErr := os.Stat(s.opts.Checkpoint); statErr == nil {
-			ckpt, state, err = OpenCheckpoint(s.opts.Checkpoint, fp)
+			ckpt, state, err = OpenCheckpoint(s.opts.Checkpoint, plan.fp)
 			if err != nil {
 				return nil, err
 			}
@@ -153,7 +150,7 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 			e.logf("resuming from checkpoint %s: %d points done, %d quarantined",
 				s.opts.Checkpoint, len(state.Results), len(state.Quarantined))
 		} else {
-			ckpt, err = CreateCheckpoint(s.opts.Checkpoint, fp, e.App().Name(), e.Config().Ranks, len(plan.points))
+			ckpt, err = CreateCheckpoint(s.opts.Checkpoint, plan.fp, e.App().Name(), e.Config().Ranks, len(plan.order))
 			if err != nil {
 				return nil, err
 			}
@@ -167,7 +164,7 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 		results: state.Results,
 		quar:    state.Quarantined,
 		base:    state.BaseTrials,
-		total:   len(plan.points),
+		total:   len(plan.order),
 	}
 	// Replay restored progress into the event stream (in index order, with
 	// FromCheckpoint set) so streaming consumers of a resumed campaign
@@ -195,14 +192,7 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 		}
 	}
 
-	if e.Options().ML.Pruning {
-		s.runML(ctx, plan, run)
-	} else {
-		s.runDirect(ctx, plan.points, run)
-		if e.Options().Adaptive.Enabled && ctx.Err() == nil && run.err() == nil {
-			s.refinePass(ctx, run, func(idx int) Point { return plan.points[idx] }, nil)
-		}
-	}
+	s.measure(ctx, plan, run)
 
 	if err := run.err(); err != nil {
 		return nil, err
@@ -212,32 +202,24 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 	for _, idx := range sortedIdxs(run.quar) {
 		sup.Quarantined = append(sup.Quarantined, run.quar[idx])
 	}
-	if !e.Options().ML.Pruning {
-		// Deterministic assembly: measured results in injection order,
-		// regardless of which worker finished first — a resumed campaign
-		// is bit-identical to an uninterrupted one.
-		for _, idx := range sortedIdxs(run.results) {
-			plan.res.Measured = append(plan.res.Measured, run.results[idx])
-		}
+	// Deterministic assembly: measured results in injection order,
+	// regardless of which worker finished first — a resumed campaign is
+	// bit-identical to an uninterrupted one, and a cancelled one reports
+	// every point its journal holds.
+	for _, idx := range sortedIdxs(run.results) {
+		plan.res.Measured = append(plan.res.Measured, run.results[idx])
 	}
 	fin := plan.finish()
-	e.emit(e.stats.snapshot())
-	e.emit(CampaignFinished{
-		App:         fin.AppName,
-		Injected:    fin.Injected,
-		Predicted:   fin.PredictedN,
-		Quarantined: len(sup.Quarantined),
-		Counts:      OutcomeBreakdown(fin.Measured),
-		Cancelled:   sup.Cancelled,
-	})
+	s.close(fin.Measured, fin.PredictedN, len(sup.Quarantined), sup.Cancelled)
 	return sup, nil
 }
 
-// planWithRetry profiles and prunes the campaign, treating a hung or
-// failed profile run as a harness action: retried with backoff before
-// giving up on the whole campaign.
-func (s *Supervisor) planWithRetry(ctx context.Context) (*campaignPlan, error) {
+// open starts a campaign's event stream and plans it: profile and prune,
+// treating a hung or failed profile run as a harness action — retried with
+// backoff before giving up on the whole campaign.
+func (s *Supervisor) open(ctx context.Context) (*campaignPlan, error) {
 	e := s.eng
+	e.emitCampaignStarted()
 	for attempt := 1; ; attempt++ {
 		plan, err := e.planCampaign()
 		if err == nil {
@@ -251,6 +233,21 @@ func (s *Supervisor) planWithRetry(ctx context.Context) (*campaignPlan, error) {
 			return nil, ctx.Err()
 		}
 	}
+}
+
+// close ends a campaign's (or a shard range's) event stream: the trial
+// statistics, then CampaignFinished over the measured points.
+func (s *Supervisor) close(measured []PointResult, predicted, quarantined int, cancelled bool) {
+	e := s.eng
+	e.emit(e.stats.snapshot())
+	e.emit(CampaignFinished{
+		App:         e.app.Name(),
+		Injected:    len(measured),
+		Predicted:   predicted,
+		Quarantined: quarantined,
+		Counts:      OutcomeBreakdown(measured),
+		Cancelled:   cancelled,
+	})
 }
 
 // supervisedRun is the mutable shared state of one Run call.
@@ -356,12 +353,6 @@ func (r *supervisedRun) refined(idx int) bool {
 	return len(r.results[idx].Trials) > r.base[idx]
 }
 
-func (r *supervisedRun) result(idx int) PointResult {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.results[idx]
-}
-
 // quarantine journals and stores one poison point.
 func (r *supervisedRun) quarantine(q QuarantinedPoint) {
 	r.mu.Lock()
@@ -418,86 +409,60 @@ func (r *supervisedRun) pending(lo, hi int) []int {
 	return todo
 }
 
-// runDirect injects every point (no ML pruning) through the worker pool.
-func (s *Supervisor) runDirect(ctx context.Context, points []Point, run *supervisedRun) {
-	s.eng.emit(PhaseChanged{Phase: CampaignInjecting, Points: run.total})
-	pool(ctx, run, run.pending(0, len(points)), func(idx int) { s.runPoint(ctx, points[idx], idx, run) })
-}
-
-// runML drives the injection/learning feedback loop, parallelising each
-// batch through the pool and replaying checkpointed results so a resumed
-// ML campaign retraces the exact path of an uninterrupted one.
-func (s *Supervisor) runML(ctx context.Context, plan *campaignPlan, run *supervisedRun) {
-	res := plan.res
-	lr, abortedLoop := s.eng.learnCampaignBatched(plan.points, func(ps []Point, idxs []int) []*PointResult {
-		// idxs is a contiguous run of the shuffled order, ps its points.
-		lo := idxs[0]
-		pool(ctx, run, run.pending(lo, lo+len(idxs)), func(idx int) { s.runPoint(ctx, ps[idx-lo], idx, run) })
-		if ctx.Err() != nil || run.err() != nil {
-			return nil
-		}
-		out := make([]*PointResult, len(ps))
-		run.mu.Lock()
-		defer run.mu.Unlock()
-		for i, idx := range idxs {
-			if pr, ok := run.results[idx]; ok {
-				// A resumed journal may already hold the refined record;
-				// the learn loop must train on the phase-1 prefix to
-				// retrace the uninterrupted run's path.
-				p1 := phase1Result(pr, run.base[idx])
-				out[i] = &p1
-			} // else quarantined → nil entry, skipped by the learner
-		}
-		return out
-	})
-	res.Learn = &lr
-	res.Measured = lr.Measured
-	res.Predicted = lr.Predicted
-	res.MLReduction = lr.Reduction
-	res.VerifyAccuracy = lr.VerifyAccuracy
-
-	if s.eng.Options().Adaptive.Enabled && !abortedLoop && ctx.Err() == nil && run.err() == nil {
-		// Refine over the measured subset only, then install the refined
-		// records back into Measured at their loop positions.
-		pos := make(map[int]int, len(lr.MeasuredIdx))
-		for p, idx := range lr.MeasuredIdx {
-			pos[idx] = p
-		}
-		shuffled := shuffledPoints(s.eng, plan.points)
-		s.refinePass(ctx, run, func(idx int) Point { return shuffled[idx] }, pos)
-		for idx, p := range pos {
-			lr.Measured[p] = run.result(idx)
-		}
+// measure injects the plan's points — all of them, or the learn loop's
+// batches under ML pruning — then respends the trials reclaimed by early
+// stopping in one refinement pass, unless the run stopped early. The learn
+// loop replays checkpointed results, so a resumed ML campaign retraces the
+// exact path of an uninterrupted one.
+func (s *Supervisor) measure(ctx context.Context, plan *campaignPlan, run *supervisedRun) {
+	e := s.eng
+	if e.opts.ML.Pruning {
+		plan.res.Predicted, plan.res.VerifyAccuracy = e.learnCampaignBatched(plan.order, func(lo, hi int) []*PointResult {
+			s.injectRange(ctx, run, plan.order, lo, hi)
+			if ctx.Err() != nil || run.err() != nil {
+				return nil
+			}
+			out := make([]*PointResult, hi-lo)
+			run.mu.Lock()
+			defer run.mu.Unlock()
+			for idx := lo; idx < hi; idx++ {
+				if pr, ok := run.results[idx]; ok {
+					// A resumed journal may already hold the refined
+					// record; the learn loop must train on the phase-1
+					// prefix to retrace the uninterrupted run's path.
+					p1 := phase1Result(pr, run.base[idx])
+					out[idx-lo] = &p1
+				} // else quarantined → nil entry, skipped by the learner
+			}
+			return out
+		})
+	} else {
+		e.emit(PhaseChanged{Phase: CampaignInjecting, Points: run.total})
+		s.injectRange(ctx, run, plan.order, 0, len(plan.order))
+	}
+	// An aborted learn loop means cancellation or a run error, so this
+	// check also keeps a half-measured ML campaign unrefined.
+	if e.opts.Adaptive.Enabled && ctx.Err() == nil && run.err() == nil {
+		s.refinePass(ctx, run, plan.order)
 	}
 }
 
-// shuffledPoints reproduces the learn loop's shuffled campaign order, the
-// index space its trial seeds and journal records use.
-func shuffledPoints(e *Engine, points []Point) []Point {
-	pts := append([]Point(nil), points...)
-	rng := newRand(e.Options().Seed*31 + 7)
-	rng.Shuffle(len(pts), func(i, j int) { pts[i], pts[j] = pts[j], pts[i] })
-	return pts
+// injectRange injects positions [lo, hi) of the campaign order that the
+// run has neither measured nor quarantined yet, through the worker pool.
+func (s *Supervisor) injectRange(ctx context.Context, run *supervisedRun, order []Point, lo, hi int) {
+	pool(ctx, run, run.pending(lo, hi), func(idx int) { s.runPoint(ctx, order[idx], idx, run) })
 }
 
 // refinePass respends the trials reclaimed by early stopping: grants are
-// computed from the phase-1 results (a pure function, so every execution
-// path allocates identically), then granted points are extended through
-// the worker pool. only, when non-nil, restricts candidates to those
-// indices (the ML path refines measured points only). Already-refined
-// points — restored from a journal or completed by an earlier interrupted
+// computed from the phase-1 results of every measured point (a pure
+// function, so every execution path allocates identically), then granted
+// points are extended through the worker pool. Already-refined points —
+// restored from a journal or completed by an earlier interrupted
 // refinement — are skipped, which is what makes the pass idempotent under
 // interrupt/resume.
-func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, pointAt func(int) Point, only map[int]int) {
+func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, order []Point) {
 	e := s.eng
 	phase1 := run.phase1()
-	if only != nil {
-		for idx := range phase1 {
-			if _, ok := only[idx]; !ok {
-				delete(phase1, idx)
-			}
-		}
-	}
 	grants := e.refineGrants(phase1)
 	if len(grants) == 0 {
 		return
@@ -511,7 +476,7 @@ func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, pointAt
 	}
 	pool(ctx, run, todo, func(g refineGrant) {
 		prior := phase1[g.Idx]
-		pr, err := e.RefinePoint(ctx, pointAt(g.Idx), g.Idx, prior, g.Extra)
+		pr, err := e.RefinePoint(ctx, order[g.Idx], g.Idx, prior, g.Extra)
 		if h := (harnessError{}); errors.As(err, &h) {
 			run.fail(fmt.Errorf("refining point %d: %w", g.Idx, h))
 		}

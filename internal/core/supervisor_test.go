@@ -158,9 +158,13 @@ func TestSupervisorMLResumeDeterminism(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	intOpts := opts
+	var finished CampaignFinished
 	intOpts.Observer = ObserverFunc(func(ev Event) {
 		if pc, ok := ev.(PointCompleted); ok && pc.Completed == 2 {
 			cancel()
+		}
+		if cf, ok := ev.(CampaignFinished); ok {
+			finished = cf
 		}
 	})
 	part, err := NewSupervisor(supTestEngine(t, intOpts), SupervisorOptions{
@@ -175,6 +179,20 @@ func TestSupervisorMLResumeDeterminism(t *testing.T) {
 	}
 	if len(part.Predicted) != 0 {
 		t.Fatal("a cancelled ML campaign must not fabricate predictions")
+	}
+	// The cancel lands mid-batch: the points of that batch already
+	// journalled are part of the result, as on the direct path.
+	info, err := supTestEngine(t, opts).PlanInfo()
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, err := LoadCheckpointState(ckpt, info.Fingerprint)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := len(st.Results); n == 0 || len(part.Measured) != n || part.Injected != n || finished.Injected != n {
+		t.Fatalf("cancelled ML campaign: journal holds %d points, result measures %d, Injected %d, CampaignFinished.Injected %d",
+			n, len(part.Measured), part.Injected, finished.Injected)
 	}
 
 	res, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{
@@ -384,20 +402,16 @@ func TestJournalFailureStopsInjection(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if len(plan.points) < k+3 {
-				t.Fatalf("campaign of %d points is too small to break after %d", len(plan.points), k)
+			if len(plan.order) < k+3 {
+				t.Fatalf("campaign of %d points is too small to break after %d", len(plan.order), k)
 			}
-			if ck, err = CreateCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"), "fp", "is", 8, len(plan.points)); err != nil {
+			if ck, err = CreateCheckpoint(filepath.Join(t.TempDir(), "c.ckpt"), "fp", "is", 8, len(plan.order)); err != nil {
 				t.Fatal(err)
 			}
 			st := newCheckpointState()
 			run := &supervisedRun{sup: s, ckpt: ck, results: st.Results, quar: st.Quarantined,
-				base: st.BaseTrials, total: len(plan.points)}
-			if opts.ML.Pruning {
-				s.runML(context.Background(), plan, run)
-			} else {
-				s.runDirect(context.Background(), plan.points, run)
-			}
+				base: st.BaseTrials, total: len(plan.order)}
+			s.measure(context.Background(), plan, run)
 			if err := run.err(); err == nil || !strings.Contains(err.Error(), "closed") {
 				t.Fatalf("run error = %v, want the failed append", err)
 			}

@@ -171,13 +171,13 @@ func newCoordinator(eng *core.Engine, opts CoordinatorOptions, spec CampaignSpec
 	// A recovered record store replays on the fresh feed the way
 	// checkpoint-restored points do on a resumed serial campaign, so a
 	// reattached dashboard tallies the same progress.
-	for _, idx := range sortedRecordIdxs(c.records) {
+	for _, idx := range sortedKeys(c.records) {
 		rec := c.records[idx]
 		c.arrivals++
 		c.emitLocked(core.PointCompleted{Index: rec.Index, Result: rec.Result,
 			Completed: c.arrivals, Total: c.spec.Points, FromCheckpoint: true})
 	}
-	for _, idx := range sortedQuarIdxs(c.quar) {
+	for _, idx := range sortedKeys(c.quar) {
 		c.arrivals++
 		c.emitLocked(core.PointQuarantined{Point: c.quar[idx], Completed: c.arrivals,
 			Total: c.spec.Points, FromCheckpoint: true})
@@ -189,16 +189,8 @@ func newCoordinator(eng *core.Engine, opts CoordinatorOptions, spec CampaignSpec
 	return c, nil
 }
 
-func sortedRecordIdxs(m map[int]core.PointRecord) []int {
-	idxs := make([]int, 0, len(m))
-	for idx := range m {
-		idxs = append(idxs, idx)
-	}
-	sort.Ints(idxs)
-	return idxs
-}
-
-func sortedQuarIdxs(m map[int]core.QuarantinedPoint) []int {
+// sortedKeys returns a map's index keys in ascending order.
+func sortedKeys[V any](m map[int]V) []int {
 	idxs := make([]int, 0, len(m))
 	for idx := range m {
 		idxs = append(idxs, idx)
