@@ -14,6 +14,10 @@ func (w *World) parkedCount() int {
 	return w.parked
 }
 
+// WhyDecided is the kill reason of a forked run whose faulted rank failed
+// while the other ranks were held (fork.go, part 5).
+const WhyDecided = whyDecided
+
 // KillReason is why the run was killed, "" when nothing killed it.
 func (r RunResult) KillReason() string { return r.why }
 
@@ -51,7 +55,8 @@ func BooksOf(r *Rank) Books { return Books{r.work, maps.Clone(r.invents), r.phas
 // RanksSettled reports whether every rank's end is a function of the
 // program alone: nothing killed the run, or it froze (a deadlock, or peers
 // starved behind a failed rank). A kill by a segfault, a reconvergence, a
-// divergence or a clock stops the other ranks wherever they happen to be.
+// divergence or a clock stops the other ranks wherever they happen to be,
+// and a decided kill (WhyDecided) before they ever started.
 func (r RunResult) RanksSettled() bool {
 	return r.why == "" || r.why == whyDeadlock || r.why == whyAbort
 }

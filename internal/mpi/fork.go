@@ -433,3 +433,26 @@ func (r *Rank) reconverge(c *collCall) {
 	}
 	w.mu.Unlock()
 }
+
+// Fork-at-injection-site execution, part 5: start on demand.
+//
+// A launcher reports a job by its first failure. In a forked run whose
+// faulted rank fails before it sends a byte, the other ranks could only
+// ever see golden data, so that rank's error is the verdict, and running
+// them first is wasted. Run therefore starts the fork's rank alone
+// (World.held). The tape serves its prefix, so it never waits on a peer.
+// The first time it posts a message, parks — every live receive and every
+// rendezvous wait goes through park — or returns cleanly, release starts
+// the others, each resuming from its own checkpoint (part 4) as before.
+//
+// If it exits with an error instead, exit kills the run as decided, after
+// the segfault and divergence kills, which keep precedence, and Run reports
+// every held rank Killed with the run's reason. A clock or a cancellation
+// before the release keeps its own reason, which the held ranks carry.
+//
+// No verdict can move: the classifier reads FirstError, Deadlock and
+// TimedOut only, and a held rank's Killed ranks below the faulted rank's
+// SegFault, MPIError or AppError; a faulted rank killed by its work budget
+// is INF_LOOP either way. While ranks are held nothing can read as frozen,
+// since the faulted rank releases them before it parks, and a held rank
+// never replays its prefix, so it cannot diverge.

@@ -251,6 +251,12 @@ func (h *cutHarness) trial(t *testing.T, rank int, c cutCall, target fault.Targe
 		t.Fatalf("%v (%v): a full replay reports Reconverged", f, c.typ)
 	}
 	full = cutDigest(replayed)
+	if forked.KillReason() == mpi.WhyDecided {
+		if d := decidedDiff(forked, replayed, rank); d != "" {
+			t.Fatalf("%v (%v): decided run differs from full replay: %s\nforked:\n%sreplayed:\n%s", f, c.typ, d, cutDigest(forked), full)
+		}
+		return forked, full
+	}
 	if got := cutDigest(forked); got != full {
 		t.Fatalf("%v (%v), cut=%t: forked run differs from full replay\nforked:\n%sreplayed:\n%s", f, c.typ, forked.Reconverged, got, full)
 	}
@@ -260,13 +266,48 @@ func (h *cutHarness) trial(t *testing.T, rank int, c cutCall, target fault.Targe
 func cutDigest(res mpi.RunResult) string {
 	s := fmt.Sprintf("deadlock=%v timedout=%v\n", res.Deadlock, res.TimedOut)
 	for _, rr := range res.Ranks {
-		errs := ""
-		if rr.Err != nil {
-			errs = rr.Err.Error()
-		}
-		s += fmt.Sprintf("rank %d err=%q values=%v\n", rr.Rank, errs, rr.Values)
+		s += rankDigest(rr)
 	}
 	return s
+}
+
+func rankDigest(rr mpi.RankResult) string {
+	errs := ""
+	if rr.Err != nil {
+		errs = rr.Err.Error()
+	}
+	return fmt.Sprintf("rank %d err=%q values=%v\n", rr.Rank, errs, rr.Values)
+}
+
+// decidedDiff says how a decided forked run — its faulted rank failed while
+// the others were held, and they never ran (fork.go, part 5) — differs from
+// the same fault replayed in full, "" when it does not. The held ranks'
+// errors name the decided kill where the full replay's starved peers name
+// theirs, so per rank only the faulted one is compared; the verdict inputs
+// (Deadlock, TimedOut, FirstError) are compared whole. Every held rank must
+// be killed for the decision, and no rank of the full replay but the
+// faulted one may fail on its own: it could only ever see golden data.
+func decidedDiff(forked, full mpi.RunResult, faulted int) string {
+	if a, b := fmt.Sprintf("deadlock=%v timedout=%v first=%v", forked.Deadlock, forked.TimedOut, forked.FirstError()),
+		fmt.Sprintf("deadlock=%v timedout=%v first=%v", full.Deadlock, full.TimedOut, full.FirstError()); a != b {
+		return a + " vs " + b
+	}
+	if a, b := rankDigest(forked.Ranks[faulted]), rankDigest(full.Ranks[faulted]); a != b {
+		return "faulted " + a + " vs " + b
+	}
+	for i := range forked.Ranks {
+		if i == faulted {
+			continue
+		}
+		if err := forked.Ranks[i].Err; err != (mpi.Killed{Reason: mpi.WhyDecided}) {
+			return fmt.Sprintf("held rank %d ended with %v", i, err)
+		}
+		switch err := full.Ranks[i].Err.(type) {
+		case mpi.SegFault, mpi.MPIError, mpi.AppError:
+			return fmt.Sprintf("rank %d of the full replay failed on its own: %v", i, err)
+		}
+	}
+	return ""
 }
 
 // cutBits picks, for one target of one call, a bit inside the part of the

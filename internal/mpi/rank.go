@@ -155,10 +155,15 @@ type Rank struct {
 // rank. It counts the rank parked first, so the park that freezes the run is
 // the one that ends it. A killed world's rank dies here, before it would
 // sleep and after it wakes; kill wakes every parked rank, so the one-slot
-// wake channel is all a rank sleeps on.
+// wake channel is all a rank sleeps on. A forked run's rank parks only
+// once its held peers run (fork.go, part 5), so a held run never reads as
+// frozen.
 func (r *Rank) park() {
 	w := r.world
 	if w.why == "" {
+		if w.held {
+			w.release()
+		}
 		r.parked = true
 		w.parked++
 		w.decide()
@@ -479,6 +484,9 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 	msg := message{comm: comm, src: me, tag: tag, data: cp, pooled: pooled, tracePos: tracePos}
 	target := w.ranks[wdst]
 	w.mu.Lock()
+	if w.held && w.why == "" {
+		w.release()
+	}
 	for len(target.inbox) >= w.mailbox {
 		if w.faulty && w.dead[wdst] {
 			w.mu.Unlock()

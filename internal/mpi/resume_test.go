@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"fmt"
 	"math"
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/lu"
 	"github.com/fastfit/fastfit/internal/apps/mg"
 	"github.com/fastfit/fastfit/internal/apps/minimd"
+	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
 )
@@ -138,50 +140,61 @@ func resumeBits(width int) []int {
 	return []int{5 % width, width - 3}
 }
 
-// resumeSweep records fn on ranks ranks and runs every fork of the trace
-// that resumes some rank, under a fixed set of faults — every target of the
-// faulted call at resumeBits — once resumed and once replayed from t=0. It
-// returns the faults whose two runs differ and how many forks resumed.
-func resumeSweep(t *testing.T, ranks int, fn func(*mpi.Rank) error) (diffs []string, resumed int) {
+// forkSweep profiles and records fn under opts and calls each with every
+// collective call of the golden run, its rank and its fork. It returns the
+// golden run.
+func forkSweep(t *testing.T, opts mpi.RunOptions, fn func(*mpi.Rank) error, each func(rank int, c cutCall, fk *mpi.Fork)) mpi.RunResult {
 	t.Helper()
-	opts := mpi.RunOptions{NumRanks: ranks, Seed: 5}
-	log := &callLog{calls: make([][]cutCall, ranks)}
+	log := &callLog{calls: make([][]cutCall, opts.NumRanks)}
 	prof := opts
 	prof.Hook = log
 	mpi.Run(prof, fn)
 	rec := opts
 	rec.Record = true
-	trace := mpi.Run(rec, fn).Trace
-	if !trace.Forkable() {
-		t.Fatalf("trace not forkable: %s", trace.Reason())
+	golden := mpi.Run(rec, fn)
+	if !golden.Trace.Forkable() {
+		t.Fatalf("trace not forkable: %s", golden.Trace.Reason())
 	}
 	for rank, calls := range log.calls {
 		for _, c := range calls {
-			fk := trace.Fork(rank, c.site, c.inv)
+			fk := golden.Trace.Fork(rank, c.site, c.inv)
 			if fk == nil {
 				t.Fatalf("no fork for rank %d %v invocation %d", rank, c.typ, c.inv)
 			}
-			if fk.Resumes() == 0 {
-				continue // every rank replays from t=0 either way
-			}
-			resumed++
-			for _, target := range fault.TargetsFor(c.typ) {
-				for _, bit := range resumeBits(c.widths.Of(target)) {
-					f := fault.Fault{Rank: rank, Site: c.site, Invocation: c.inv, Target: target, Bit: bit}
-					run := func(fk *mpi.Fork) (mpi.RunResult, []mpi.Books) {
-						o := opts
-						o.Hook, o.Fork = fault.NewInjector(nil, f), fk
-						return runBooked(o, fn)
-					}
-					a, ba := run(fk)
-					b, bb := run(fk.WithoutResume())
-					if d := resumeDiff(a, b, ba, bb); d != "" {
-						diffs = append(diffs, fmt.Sprintf("rank %d %v inv %d %v bit %d: %s", rank, c.typ, c.inv, target, bit, d))
-					}
+			each(rank, c, fk)
+		}
+	}
+	return golden
+}
+
+// resumeSweep runs every fork of fn's trace that resumes some rank, under a
+// fixed set of faults — every target of the faulted call at resumeBits —
+// once resumed and once replayed from t=0. It returns the faults whose two
+// runs differ and how many forks resumed.
+func resumeSweep(t *testing.T, ranks int, fn func(*mpi.Rank) error) (diffs []string, resumed int) {
+	t.Helper()
+	opts := mpi.RunOptions{NumRanks: ranks, Seed: 5}
+	forkSweep(t, opts, fn, func(rank int, c cutCall, fk *mpi.Fork) {
+		if fk.Resumes() == 0 {
+			return // every rank replays from t=0 either way
+		}
+		resumed++
+		for _, target := range fault.TargetsFor(c.typ) {
+			for _, bit := range resumeBits(c.widths.Of(target)) {
+				f := fault.Fault{Rank: rank, Site: c.site, Invocation: c.inv, Target: target, Bit: bit}
+				run := func(fk *mpi.Fork) (mpi.RunResult, []mpi.Books) {
+					o := opts
+					o.Hook, o.Fork = fault.NewInjector(nil, f), fk
+					return runBooked(o, fn)
+				}
+				a, ba := run(fk)
+				b, bb := run(fk.WithoutResume())
+				if d := resumeDiff(a, b, ba, bb); d != "" {
+					diffs = append(diffs, fmt.Sprintf("rank %d %v inv %d %v bit %d: %s", rank, c.typ, c.inv, target, bit, d))
 				}
 			}
 		}
-	}
+	})
 	return diffs, resumed
 }
 
@@ -228,6 +241,66 @@ func TestResumeNegativeControl(t *testing.T) {
 	diffs, _ := resumeSweep(t, 4, randApp(true))
 	if len(diffs) == 0 {
 		t.Fatal("the sweep did not tell a checkpoint that forgets the running value from a whole one")
+	}
+}
+
+// TestDecidedMatchesReplay: a forked trial of mg, lu or minimd at 8 ranks
+// whose faulted rank fails before communicating is decided with the other
+// ranks never started (fork.go, part 5); run in full from t=0, the same
+// fault must be classified the same, with the same first error, deadlock
+// and timeout flags, and the same faulted rank (decidedDiff). Every fork is
+// tried under a fixed sample of the allparams policy's faults.
+func TestDecidedMatchesReplay(t *testing.T) {
+	faultsPerFork := 8
+	if testing.Short() || mpi.RaceEnabled {
+		faultsPerFork = 2
+	}
+	for _, tc := range []struct {
+		name  string
+		fn    func(*mpi.Rank) error
+		floor int // decided trials the sweep must see per fault drawn at each fork
+	}{
+		{"mg", appMain(mg.New(), 8, 2), 5},
+		{"lu", appMain(lu.New(), 8, 3), 10},
+		{"minimd", appMain(minimd.New(), 8, 2), 15},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			opts := mpi.RunOptions{NumRanks: 8, Seed: 5}
+			type pair struct {
+				f            fault.Fault
+				forked, full mpi.RunResult
+			}
+			var decided []pair
+			trials := 0
+			rng := rand.New(rand.NewSource(1))
+			golden := forkSweep(t, opts, tc.fn, func(rank int, c cutCall, fk *mpi.Fork) {
+				for range faultsPerFork {
+					f := fault.RandomFault(rng, rank, c.site, c.inv, c.typ)
+					run := func(fk *mpi.Fork) mpi.RunResult {
+						o := opts
+						o.Hook, o.Fork = fault.NewInjector(nil, f), fk
+						return mpi.Run(o, tc.fn)
+					}
+					trials++
+					if forked := run(fk); forked.KillReason() == mpi.WhyDecided {
+						decided = append(decided, pair{f, forked, run(nil)})
+					}
+				}
+			})
+			for _, p := range decided {
+				d := decidedDiff(p.forked, p.full, p.f.Rank)
+				if a, b := classify.Classify(golden, p.forked), classify.Classify(golden, p.full); a != b {
+					d = fmt.Sprintf("class %v vs %v", a, b)
+				}
+				if d != "" {
+					t.Errorf("%v: decided run differs from the full replay: %s", p.f, d)
+				}
+			}
+			if floor := tc.floor * faultsPerFork; len(decided) < floor {
+				t.Fatalf("%d of %d trials decided, want at least %d: the oracle compared too little", len(decided), trials, floor)
+			}
+			t.Logf("%d of %d trials decided", len(decided), trials)
+		})
 	}
 }
 

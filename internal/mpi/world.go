@@ -71,9 +71,12 @@ type RunOptions struct {
 	// Fork, when non-nil, serves each rank's pre-injection communication
 	// prefix from a recorded golden trace instead of executing it (see
 	// fork.go), and lets a rank that asks (Rank.Resume) skip the prefix's
-	// computation up to its last checkpoint. Mutually exclusive with Record. The Hook then mutates only
-	// the collective the fork was cut for, and sees only the fork's rank's
-	// live collectives up to and including that one.
+	// computation up to its last checkpoint. The Hook then mutates only the
+	// collective the fork was cut for, and sees only the fork's rank's live
+	// collectives up to and including that one. Only the fork's rank starts
+	// with the run; the others start once it first needs a peer (fork.go,
+	// part 5). Mutually exclusive with Record, Network and CrashedRanks:
+	// Run panics on any of those with a Fork.
 	Fork *Fork
 }
 
@@ -195,6 +198,12 @@ type World struct {
 	snap    *callSnapshot
 	matched int
 
+	// Start on demand (fork.go, part 5): while held, under mu, only the
+	// fork's rank runs, and release hands every other rank to launch, which
+	// starts its goroutine.
+	held   bool
+	launch func(*Rank)
+
 	// Network fault domain (nil/false on the default reliable network, so
 	// the no-fault hot path pays a single branch in post).
 	faulty      bool
@@ -228,6 +237,7 @@ const (
 	whyCancelled   = "run cancelled"
 	whyReconverged = "reconverged: the rest of the run is the golden suffix"
 	whyDiverged    = "harness fault: fork replay divergence"
+	whyDecided     = "decided: the faulted rank failed before communicating"
 )
 
 // kill ends the run with the first reason given and wakes every parked
@@ -278,6 +288,9 @@ func (w *World) decide() {
 // pins the first two). An MPI or application error is not final in the same
 // way, since a rank still running could yet segfault, so it only counts.
 // A Divergence ends the run as well: it has no outcome to wait for.
+// So does any error of a forked run's faulted rank while the others are
+// held (fork.go, part 5), which are counted finished and failed; a clean
+// exit releases them instead.
 func (w *World) exit(rank int, err error) {
 	w.mu.Lock()
 	switch err.(type) {
@@ -290,6 +303,15 @@ func (w *World) exit(rank int, err error) {
 		w.kill(whyCrash)
 	case Divergence:
 		w.kill(whyDiverged)
+	}
+	if w.held {
+		if err == nil && w.why == "" {
+			w.release()
+		} else {
+			w.kill(whyDecided)
+			w.finished += w.size - 1
+			w.failed += w.size - 1
+		}
 	}
 	if err != nil {
 		w.failed++
@@ -321,6 +343,18 @@ func (rk *Rank) signal() {
 	}
 }
 
+// release starts the ranks a forked run holds (fork.go, part 5): the fork's
+// rank is about to post, park or return, the first act of its that a peer
+// could see. Called under mu, before the act.
+func (w *World) release() {
+	w.held = false
+	for _, rk := range w.ranks {
+		if rk.id != w.fork.rank {
+			w.launch(rk)
+		}
+	}
+}
+
 // wakeAll wakes every parked rank to re-check what it waits for. Called
 // under mu on a death mark, on a kill and when a full inbox is drained.
 func (w *World) wakeAll() {
@@ -335,6 +369,9 @@ func (w *World) wakeAll() {
 // per-rank outcomes. fn must be safe for concurrent execution; each rank
 // receives its own *Rank handle.
 func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
+	if opts.Fork != nil && (opts.Record || opts.Network != nil || len(opts.CrashedRanks) > 0) {
+		panic("mpi: RunOptions.Fork cannot be combined with Record, Network or CrashedRanks")
+	}
 	n := opts.NumRanks
 	if n <= 0 {
 		n = 1
@@ -410,11 +447,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	}
 
 	var wg sync.WaitGroup
-	start := time.Now()
-	for _, rk := range w.ranks {
-		if w.faulty && w.deadAtStart[rk.id] {
-			continue
-		}
+	w.launch = func(rk *Rank) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -432,6 +465,16 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 			}
 		}()
 	}
+	start := time.Now()
+	// Read from a copy: once the fork's rank runs, w.held is its under mu.
+	held := w.fork != nil && n > 1
+	w.held = held
+	for _, rk := range w.ranks {
+		if w.faulty && w.deadAtStart[rk.id] || held && rk.id != w.fork.rank {
+			continue
+		}
+		w.launch(rk)
+	}
 
 	allDone := make(chan struct{})
 	go func() {
@@ -444,6 +487,13 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 		ctxDone = opts.Context.Done()
 	}
 	w.supervise(allDone, ctxDone, timeout)
+	if w.held {
+		for _, rk := range w.ranks {
+			if rk.id != w.fork.rank {
+				results[rk.id] = RankResult{Rank: rk.id, Err: w.killedBy()}
+			}
+		}
+	}
 
 	if pooling {
 		w.closeMeetings()
