@@ -19,13 +19,14 @@ func (c Comm) index() int { return int(uint32(c) & 0xFFFF) }
 
 // commDeref resolves a communicator handle, applying the library's handle
 // discipline: pointer-like values are dereferenced (simulated SIGSEGV),
-// handle-space values are validated against the communicator table.
+// handle-space values are validated against the communicator table. It
+// reads the table under World.mu, so it is never called with mu held.
 func (r *Rank) commDeref(c Comm) *commInfo {
 	if !c.kindOK() {
 		panic(SegFault{Op: "dereference of corrupted communicator handle", Offset: int(c), Length: 1})
 	}
-	r.world.commMu.Lock()
-	defer r.world.commMu.Unlock()
+	r.world.mu.Lock()
+	defer r.world.mu.Unlock()
 	if c.index() >= len(r.world.comms) {
 		abortf(r.id, "communicator lookup", ErrComm, "invalid communicator handle index %d", c.index())
 	}
@@ -142,18 +143,19 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 	return handles[0]
 }
 
-// addComm registers a new communicator and returns its handle.
+// addComm registers a new communicator and returns its handle. It grows the
+// table under World.mu, so it is never called with mu held.
 func (w *World) addComm(members []int) Comm {
 	rankOf := make(map[int]int, len(members))
 	for i, m := range members {
 		rankOf[m] = i
 	}
-	w.commMu.Lock()
-	defer w.commMu.Unlock()
+	w.mu.Lock()
+	defer w.mu.Unlock()
 	h := commKind | Comm(len(w.comms))
 	ci := &commInfo{handle: h, members: members, rankOf: rankOf}
 	if w.meetOn {
-		ci.arrived = make([]progress, len(members))
+		ci.arrived = make([]int64, len(members))
 	}
 	w.comms = append(w.comms, ci)
 	return h

@@ -188,7 +188,7 @@ func newShell(n int) *runShell {
 	sh := &runShell{
 		n:      n,
 		ranks:  make([]*Rank, n),
-		world0: &commInfo{handle: CommWorld, members: members, rankOf: rankOf, arrived: make([]progress, n)},
+		world0: &commInfo{handle: CommWorld, members: members, rankOf: rankOf, arrived: make([]int64, n)},
 	}
 	for i := 0; i < n; i++ {
 		sh.ranks[i] = &Rank{

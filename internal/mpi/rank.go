@@ -96,7 +96,7 @@ type Rank struct {
 
 	// meeting is how the rendezvous the rank waits in ended (rendezvous.go),
 	// set under World.mu by the rank that ended it; woken is that rank's
-	// scratch list of the ranks to tell.
+	// scratch list of the ranks it un-parked, to signal after unlocking.
 	meeting meetState
 	woken   []*Rank
 

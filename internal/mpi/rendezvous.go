@@ -1,7 +1,5 @@
 package mpi
 
-import "sync/atomic"
-
 // The shared-memory rendezvous of the synchronizing collectives.
 //
 // Every rank of a simulated world shares one address space, so a collective
@@ -19,21 +17,17 @@ import "sync/atomic"
 // and every rank runs the message algorithm from its first round. Once every
 // member has arrived at a clean instance its last arrival completes it.
 //
-// Every live entry books its arrival: the thirteen collectives through enter
-// (joinSeq) or, for a rendezvous call, meet, and CommDup and CommSplit through
-// joinSeq. A member's booking is its progress on the communicator
-// (commInfo.arrived), an atomic store; only a clean instance has a record, in
-// a table under World.meetMu. A rendezvous call opening a record flips the
-// instance instead when some member has already passed it, since that member
-// can only have come through another call; any other arrival takes the lock
-// only while the communicator has a clean instance open, and flips the one at
-// its seq. Each side publishes before it looks — the progress store before
-// the load of commInfo.clean, the count before the progress scan — so one of
-// the two sees the other. A loop of Bcasts thus books without a lock. A
-// caller outside the communicator publishes nothing: it flips a clean
-// instance it finds open, and one it precedes may still complete clean, which
-// is the schedule in which its messages, addressed to members that never look
-// for them, arrive after theirs.
+// Every live entry books its arrival, under World.mu: the thirteen
+// collectives through enter (joinSeq) or, for a rendezvous call, meet, and
+// CommDup and CommSplit through joinSeq. A member's booking is its progress
+// on the communicator (commInfo.arrived); only a clean instance has a record.
+// A rendezvous call opening a record flips the instance instead when some
+// member has already passed it, since that member can only have come through
+// another call; any other arrival flips the clean instance open at its seq,
+// if there is one. A caller outside the communicator books nothing: it flips
+// a clean instance it finds open, and one it precedes may still complete
+// clean, which is the schedule in which its messages, addressed to members
+// that never look for them, arrive after theirs.
 //
 // No verdict can move. An instance's messages carry its (comm, seq) tags, so
 // only ranks at that instance ever consume them, and holding them all back
@@ -45,10 +39,8 @@ import "sync/atomic"
 // making those ranks wait would remove schedules in which they go on to
 // unblock a peer.
 //
-// The table has a lock of its own, so bookings do not contend with message
-// traffic on World.mu; a rank waits in park, under World.mu, as every waiting
-// rank does, and takes delivery of its messages meanwhile as a receive would.
-// The two locks are never held together.
+// A rank waits in park, as every waiting rank does, and takes delivery of
+// its messages meanwhile as a receive would.
 //
 // The rendezvous is off on a faulty world (a Network or CrashedRanks), whose
 // messages can be lost, and with DisablePooling, which keeps the runtime's
@@ -75,13 +67,6 @@ type meeting struct {
 	accs    [][]byte // by comm rank: an Allreduce arrival's accumulator
 }
 
-// progress is one member's count of the instances it has entered on a
-// communicator, on a cache line of its own.
-type progress struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
 // meetState is how the meeting a rank waits in ended, set under World.mu by
 // the rank that ended it.
 type meetState uint8
@@ -94,7 +79,7 @@ const (
 
 // meetCounts tallies a run's rendezvous calls, for the tests: instances
 // completed in memory, and arrivals that ran on messages. Guarded by
-// World.meetMu.
+// World.mu.
 type meetCounts struct {
 	clean, flipped int
 }
@@ -106,27 +91,25 @@ func (w *World) rendezvous(t CollType, size int) bool {
 }
 
 // joinSeq takes the rank's next sequence number on comm for a live entry and
-// books the arrival there, unless the call meets: a rendezvous call's
-// arrival is booked by meet, with its accumulator. Nothing runs in between
-// but the read of its send buffer, and a segfault there ends the job.
+// books the arrival there, flipping the clean instance open at that seq,
+// unless the call meets: a rendezvous call's arrival is booked by meet, with
+// its accumulator. Nothing runs in between but the read of its send buffer,
+// and a segfault there ends the job.
 func (r *Rank) joinSeq(ci *commInfo, comm Comm, me int, meets bool) int64 {
 	seq := r.nextSeq(comm)
 	w := r.world
 	if !w.meetOn || meets {
 		return seq
 	}
-	member := ci.members[me] == r.id
-	if member {
-		ci.arrived[me].n.Store(seq + 1)
+	w.mu.Lock()
+	if ci.members[me] == r.id {
+		ci.arrived[me] = seq + 1
 	}
-	if !member || ci.clean.Load() > 0 {
-		w.meetMu.Lock()
-		if m := w.find(comm, seq); m != nil {
-			w.flip(r, ci, m)
-		}
-		w.meetMu.Unlock()
-		r.settle(meetFlipped)
+	if m := w.find(comm, seq); m != nil {
+		w.end(r, m, meetFlipped)
 	}
+	w.mu.Unlock()
+	r.wakeWoken()
 	return seq
 }
 
@@ -145,38 +128,31 @@ func (c *collCall) meet(acc []byte) bool {
 		sig.count, sig.dt, sig.op = c.Count, c.Dtype, c.Op
 	}
 	member := ci.members[me] == r.id
-	w.meetMu.Lock()
+	w.mu.Lock()
 	m := w.find(c.Comm, c.seq)
 	switch {
-	case m == nil && member:
-		ci.clean.Add(1)
-		if !w.passed(ci, c.seq) {
-			m = w.open(c.Comm, c.seq, len(ci.members), sig)
-			break
-		}
-		ci.clean.Add(-1)
+	case m == nil && member && !w.passed(ci, c.seq):
+		m = w.open(c.Comm, c.seq, len(ci.members), sig)
 	case m != nil && (!member || sig != m.sig):
-		w.flip(r, ci, m)
+		w.end(r, m, meetFlipped)
 		m = nil
 	}
 	if member {
-		ci.arrived[me].n.Store(c.seq + 1)
+		ci.arrived[me] = c.seq + 1
 	}
 	if m == nil {
 		w.met.flipped++
-		w.meetMu.Unlock()
-		r.settle(meetFlipped)
+		w.mu.Unlock()
+		r.wakeWoken()
 		return false
 	}
 	m.slots[me], m.accs[me] = r, acc
 	m.claimed++
 	if m.claimed < len(m.slots) {
-		w.meetMu.Unlock()
 		// A waiter takes delivery as a receive on messages would: what
 		// arrives moves to pending, and draining a full inbox wakes the
 		// sender parked on it. No message matches tag -1.
 		none := matcher{tag: -1}
-		w.mu.Lock()
 		for r.meeting == meetPending {
 			r.take(&none)
 			r.park()
@@ -189,7 +165,10 @@ func (c *collCall) meet(acc []byte) bool {
 	if acc != nil {
 		// Recursive doubling: in round mask, ranks p and p^mask each combine
 		// their own accumulator with the other's as it stood before the
-		// round, in that operand order.
+		// round, in that operand order. It runs under mu, which is safe:
+		// every other member waits in this instance, validate has checked
+		// the count, datatype and op, and each accumulator is exactly
+		// count×size bytes, so combinePair cannot panic holding the lock.
 		for mask := 1; mask < len(m.accs); mask <<= 1 {
 			for p := range m.accs {
 				if q := p ^ mask; p < q {
@@ -198,60 +177,49 @@ func (c *collCall) meet(acc []byte) bool {
 			}
 		}
 	}
-	for _, rk := range m.slots {
-		if rk != r {
-			r.woken = append(r.woken, rk)
-		}
-	}
-	w.met.clean++
-	w.close(ci, m)
-	w.meetMu.Unlock()
-	r.settle(meetDone)
+	w.end(r, m, meetDone)
+	w.mu.Unlock()
+	r.wakeWoken()
 	return true
 }
 
 // passed reports whether some member of ci has entered instance seq: with
-// no record of it open, through a call that flipped it. Called under meetMu.
+// no record of it open, through a call that flipped it. Called under mu.
 func (w *World) passed(ci *commInfo, seq int64) bool {
-	for i := range ci.arrived {
-		if ci.arrived[i].n.Load() > seq {
+	for _, n := range ci.arrived {
+		if n > seq {
 			return true
 		}
 	}
 	return false
 }
 
-// flip ends clean instance m on messages: its ranks, all waiting, go into
-// r.woken for r to settle. Called under meetMu.
-func (w *World) flip(r *Rank, ci *commInfo, m *meeting) {
+// end retires clean instance m, completed (meetDone) or flipped to messages,
+// and tells each rank waiting there how it ended: it un-parks the parked
+// ones into r.woken, for r to signal once it has let go of mu (wakeWoken).
+// Called under mu.
+func (w *World) end(r *Rank, m *meeting, how meetState) {
 	for _, rk := range m.slots {
-		if rk != nil {
-			r.woken = append(r.woken, rk)
+		if rk != nil && rk != r {
+			rk.meeting = how
+			if w.unpark(rk) {
+				r.woken = append(r.woken, rk)
+			}
 		}
 	}
-	w.met.flipped += m.claimed
-	w.close(ci, m)
+	if how == meetDone {
+		w.met.clean++
+	} else {
+		w.met.flipped += m.claimed
+	}
+	w.close(m)
 }
 
-// settle tells the ranks in r.woken, which waited in a meeting r ended, how
-// it ended, and wakes the parked ones once r has let go of World.mu: a woken
-// rank does not wake into a lock its waker still holds.
-func (r *Rank) settle(how meetState) {
-	if len(r.woken) == 0 {
-		return
-	}
-	w := r.world
-	w.mu.Lock()
-	n := 0
+// wakeWoken signals the ranks end un-parked into r.woken. Called after r lets
+// go of World.mu, so a woken rank does not wake into a lock its waker still
+// holds.
+func (r *Rank) wakeWoken() {
 	for _, rk := range r.woken {
-		rk.meeting = how
-		if w.unpark(rk) {
-			r.woken[n] = rk
-			n++
-		}
-	}
-	w.mu.Unlock()
-	for _, rk := range r.woken[:n] {
 		rk.signal()
 	}
 	clear(r.woken)
@@ -259,7 +227,7 @@ func (r *Rank) settle(how meetState) {
 }
 
 // find returns the record of clean instance (comm, seq), or nil. There are
-// at most as many as ranks waiting. Called under meetMu.
+// at most as many as ranks waiting. Called under mu.
 func (w *World) find(comm Comm, seq int64) *meeting {
 	for _, m := range w.meetings {
 		if m.seq == seq && m.comm == comm {
@@ -270,7 +238,7 @@ func (w *World) find(comm Comm, seq int64) *meeting {
 }
 
 // open records clean instance (comm, seq) with its first arrival's
-// signature. Called under meetMu, with ci.clean already counting it.
+// signature. Called under mu.
 func (w *World) open(comm Comm, seq int64, size int, sig signature) *meeting {
 	var m *meeting
 	if k := len(w.spare); k > 0 {
@@ -288,8 +256,8 @@ func (w *World) open(comm Comm, seq int64, size int, sig signature) *meeting {
 }
 
 // close retires m's record, completed or flipped, and keeps it for reuse.
-// Called under meetMu.
-func (w *World) close(ci *commInfo, m *meeting) {
+// Called under mu.
+func (w *World) close(m *meeting) {
 	i := 0
 	for w.meetings[i] != m {
 		i++
@@ -297,7 +265,6 @@ func (w *World) close(ci *commInfo, m *meeting) {
 	last := len(w.meetings) - 1
 	w.meetings[i], w.meetings[last] = w.meetings[last], nil
 	w.meetings = w.meetings[:last]
-	ci.clean.Add(-1)
 	clear(m.slots)
 	clear(m.accs)
 	w.spare = append(w.spare, m)
@@ -308,10 +275,7 @@ func (w *World) close(ci *commInfo, m *meeting) {
 // Called once every rank goroutine has been joined.
 func (w *World) closeMeetings() {
 	for len(w.meetings) > 0 {
-		m := w.meetings[0]
-		w.close(w.comms[m.comm.index()], m)
+		w.close(w.meetings[0])
 	}
-	for i := range w.comms[0].arrived {
-		w.comms[0].arrived[i].n.Store(0)
-	}
+	clear(w.comms[0].arrived)
 }

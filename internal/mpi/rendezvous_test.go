@@ -117,9 +117,10 @@ func sameBits(a, b []float64) bool {
 
 // Every way an instance can go — clean, or flipped by a mismatched count,
 // datatype or op, another collective or a CommSplit at the same seq, a caller
-// outside the communicator it names, a rank that never arrives, a segfault or
-// a timeout while ranks wait, a sender blocked on a waiting rank's full inbox
-// — ends exactly as it does on messages alone: the
+// outside the communicator it names, a member already past it, a rank that
+// never arrives, a segfault or a timeout while ranks wait, a sender blocked
+// on a waiting rank's full inbox — and the bookings of a loop of calls that
+// never meet, ends exactly as it does on messages alone: the
 // DisablePooling reference, which has no rendezvous. Each case also pins how
 // its instances ended, so a case that stopped meeting in memory fails too.
 func TestRendezvousMatchesMessages(t *testing.T) {
@@ -240,6 +241,37 @@ func TestRendezvousMatchesMessages(t *testing.T) {
 			for i := 0; i < 3; i++ {
 				r.ReportResult(float64(r.Recv(CommWorld, 1, i)[0]))
 			}
+			return nil
+		}, want{1, 0}},
+		{"passed-before-open", n, 0, 0, func(r *Rank) error {
+			// Rank 0 books past seq 0 through a Bcast it roots, which
+			// returns at once, and only then messages each peer: the peers'
+			// Allreduce at seq 0 finds a member already past it and opens no
+			// record.
+			buf := r.NewFloat64Buffer(n)
+			if r.ID() == 0 {
+				r.Bcast(buf, n, Float64, 0, CommWorld)
+				for p := 1; p < n; p++ {
+					r.Send(CommWorld, p, 0, []byte{1})
+				}
+				return nil
+			}
+			r.Recv(CommWorld, 0, 0)
+			allreduceOf(r, n, Float64, OpSum, CommWorld)
+			return nil
+		}, want{0, n - 1}},
+		{"bcast-loop-ahead", n, 0, 0, func(r *Rank) error {
+			// The root's bookings of the Bcasts run ahead of its peers'; none
+			// flips the Allreduce after them.
+			buf := r.NewFloat64Buffer(1)
+			for i := 0; i < 64; i++ {
+				if r.ID() == 0 {
+					buf.SetFloat64(0, float64(i))
+				}
+				r.Bcast(buf, 1, Float64, 0, CommWorld)
+				r.ReportResult(buf.Float64(0))
+			}
+			allreduceOf(r, n, Float64, OpSum, CommWorld)
 			return nil
 		}, want{1, 0}},
 	}

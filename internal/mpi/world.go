@@ -159,18 +159,17 @@ type World struct {
 	pooling bool // buffer arena active for this run (see pool.go)
 	mailbox int  // bound on each rank's inbox (RunOptions.MailboxCap)
 
-	commMu sync.Mutex // guards comms growth (Comm split/dup)
-
 	// rec, when non-nil, records the run's communication (see trace.go).
 	rec *traceRecorder
 
-	// mu guards every rank's inbox, parked flag and meeting state, the
-	// counts and death mask below, and the kill reason. Only a
-	// running rank can wake a parked one, and every wake un-counts its rank
-	// under mu before the waker lets go, so the run is frozen exactly when
-	// parked+finished == size with some rank unfinished. The park or exit
-	// that completes that sum sees it under mu and ends the run there
-	// (decide).
+	// mu, the world's one lock, guards every rank's inbox, parked flag and
+	// meeting state, the counts and death mask below, the kill reason, the
+	// rendezvous (its records and tally below, commInfo.arrived) and the
+	// communicator table. Only a running rank can wake a parked one, and
+	// every wake un-counts its rank under mu before the waker lets go, so
+	// the run is frozen exactly when parked+finished == size with some rank
+	// unfinished. The park or exit that completes that sum sees it under mu
+	// and ends the run there (decide).
 	mu       sync.Mutex
 	parked   int
 	finished int
@@ -180,10 +179,9 @@ type World struct {
 	stopped  atomic.Bool // set with why, for Tick's check outside mu
 
 	// The shared-memory rendezvous of the synchronizing collectives
-	// (rendezvous.go): on when meetOn; meetMu guards the records of the
-	// clean instances open, the records to reuse and the tally.
+	// (rendezvous.go), on when meetOn: the records of the clean instances
+	// open, the records to reuse and the tally.
 	meetOn   bool
-	meetMu   sync.Mutex
 	meetings []*meeting
 	spare    []*meeting
 	met      meetCounts
@@ -220,11 +218,10 @@ type commInfo struct {
 	members []int // world ranks, index = rank within this communicator
 	rankOf  map[int]int
 
-	// The rendezvous bookings (rendezvous.go): each member's progress, which
-	// a split or duplicate has only where the rendezvous is on, and the
-	// clean instances open on the communicator.
-	arrived []progress
-	clean   atomic.Int32
+	// The rendezvous bookings (rendezvous.go), under World.mu: each member's
+	// count of the instances it has entered, which a split or duplicate has
+	// only where the rendezvous is on.
+	arrived []int64
 }
 
 // Kill reasons. The first kill of a run is the one that counts, and
