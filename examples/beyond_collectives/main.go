@@ -35,7 +35,7 @@ func main() {
 	}
 	fmt.Printf("point-to-point injection space: %d points\n", len(points))
 
-	pruned, reduction := core.ContextPruneP2P(points)
+	pruned, reduction := core.ContextPrune(points)
 	fmt.Printf("after context-driven pruning:   %d points (%.1f%% eliminated)\n\n",
 		len(pruned), 100*reduction)
 

@@ -165,19 +165,6 @@ type P2PPoint = core.P2PPoint
 // P2PPointResult aggregates a p2p point's injection tests.
 type P2PPointResult = core.P2PPointResult
 
-// P2PFault is a planned bit flip in a Send/Recv call.
-type P2PFault = fault.P2PFault
-
-// P2PTarget names the corrupted p2p parameter.
-type P2PTarget = fault.P2PTarget
-
-// Point-to-point injection targets.
-const (
-	P2PTargetData = fault.P2PTargetData
-	P2PTargetTag  = fault.P2PTargetTag
-	P2PTargetPeer = fault.P2PTargetPeer
-)
-
 // Request is a pending nonblocking point-to-point operation.
 type Request = mpi.Request
 
@@ -401,9 +388,6 @@ type StreamStats = core.StreamStats
 // StreamSnapshot is a point-in-time view of a campaign's running
 // statistics.
 type StreamSnapshot = core.StreamSnapshot
-
-// SiteRate is one call site's running error rate.
-type SiteRate = core.SiteRate
 
 // NewStreamStats builds an empty statistics observer.
 func NewStreamStats() *StreamStats { return core.NewStreamStats() }
@@ -636,14 +620,9 @@ func NetPlanString(plan []NetFault) string { return fault.NetPlanString(plan) }
 // Config.Algorithm (see the shoot workload and examples/algorithm_shootout).
 type Algorithm = resilient.Algorithm
 
-// AlgorithmNames returns the registered variant names, sorted: baseline,
-// checksum, voted, corrected, hbreorg, ftring (plus any registered by the
-// embedding program).
+// AlgorithmNames returns the variant names, sorted: baseline, checksum,
+// corrected, ftring, hbreorg, voted.
 func AlgorithmNames() []string { return resilient.Names() }
 
 // LookupAlgorithm resolves a variant by name; "" means "baseline".
 func LookupAlgorithm(name string) (Algorithm, error) { return resilient.Get(name) }
-
-// RegisterAlgorithm adds a variant under its Name, replacing any previous
-// entry.
-func RegisterAlgorithm(a Algorithm) { resilient.Register(a) }

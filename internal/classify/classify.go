@@ -221,8 +221,3 @@ func Level3(rate float64) int {
 		return 2
 	}
 }
-
-// Level3Name names Level3 bands.
-func Level3Name(l int) string {
-	return [...]string{"low", "med", "high"}[l]
-}

@@ -197,9 +197,6 @@ func TestLevel3Bands(t *testing.T) {
 			t.Errorf("Level3(%v) = %d, want %d", c.rate, got, c.want)
 		}
 	}
-	if Level3Name(0) != "low" || Level3Name(1) != "med" || Level3Name(2) != "high" {
-		t.Error("level names wrong")
-	}
 }
 
 // TestSegFaultOutranksEveryFailure guards the premise on which the runtime

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
@@ -54,84 +53,14 @@ func (e *Engine) newSettle() *stats.SettleTest {
 }
 
 // replaySettle reconstructs the settling test's state after observing the
-// given trials in order — the mechanism by which resumed campaigns and the
-// refinement pass recover stopping decisions from journaled results.
+// given trials in order — the mechanism by which runTrials resumes a
+// sequence and the refinement pass ranks journaled results.
 func (e *Engine) replaySettle(trials []TrialResult) *stats.SettleTest {
 	st := e.newSettle()
 	for _, t := range trials {
 		st.Observe(int(t.Outcome))
 	}
 	return st
-}
-
-// InjectPointAdaptive injects a point under the sequential settling rule:
-// up to TrialsPerPoint trials, stopping early once the dominant outcome is
-// settled. The recorded trial list is the exact prefix an all-serial run
-// would record, regardless of Parallelism.
-func (e *Engine) InjectPointAdaptive(ctx context.Context, p Point, pointIdx int) (PointResult, error) {
-	trials, how, err := e.runTrialsAdaptive(ctx, p, pointIdx, e.opts.TrialsPerPoint)
-	if err != nil {
-		return PointResult{Point: p}, err
-	}
-	return e.pointResult(p, trials, how), nil
-}
-
-// injectAuto dispatches to the adaptive or fixed-budget injector according
-// to Options.Adaptive.Enabled.
-func (e *Engine) injectAuto(ctx context.Context, p Point, pointIdx int) (PointResult, error) {
-	if e.opts.Adaptive.Enabled {
-		return e.InjectPointAdaptive(ctx, p, pointIdx)
-	}
-	return e.injectPointFiltered(ctx, p, pointIdx, e.opts.TrialsPerPoint, nil)
-}
-
-// runTrialsAdaptive executes a point's first trials, up to budget, in waves,
-// feeding each outcome to the settling test in trial order and stopping at
-// the first firing. Trials a wave produced beyond the stopping index are
-// discarded — side-effect-free in the simulated world, and absent from the
-// returned accounting — so the recorded prefix is independent of the wave
-// size and of Parallelism.
-func (e *Engine) runTrialsAdaptive(ctx context.Context, p Point, pointIdx, budget int) ([]TrialResult, []trialHow, error) {
-	st, par := e.newSettle(), e.parallelism()
-	out, outHow := make([]TrialResult, 0, budget), make([]trialHow, 0, budget)
-	for len(out) < budget && !st.Settled() {
-		wave := par
-		// The rule cannot fire before EarliestFire observations, so the
-		// opening wave safely runs up to that point in one batch.
-		if lead := st.EarliestFire() - st.N(); lead > wave {
-			wave = lead
-		}
-		if len(out)+wave > budget {
-			wave = budget - len(out)
-		}
-		trs, how, err := e.runTrialWave(ctx, p, pointIdx, out, wave, nil)
-		if err != nil {
-			return nil, nil, err
-		}
-		for t, tr := range trs {
-			out, outHow = append(out, tr), append(outHow, how[t])
-			if st.Observe(int(tr.Outcome)) {
-				return out, outHow, nil
-			}
-		}
-	}
-	return out, outHow, nil
-}
-
-// RefinePoint extends a point's trial sequence by exactly extra trials,
-// continuing where the prior result stopped (trial seeds continue the same
-// sequence, so the extension is the same trials a fixed-budget run would
-// have executed next). The settling rule has already fired for refinement
-// candidates; the extra trials only narrow the dominant outcome's interval.
-func (e *Engine) RefinePoint(ctx context.Context, p Point, pointIdx int, prior PointResult, extra int) (PointResult, error) {
-	more, how, err := e.runTrialWave(ctx, p, pointIdx, prior.Trials, extra, nil)
-	if err != nil {
-		return PointResult{Point: p}, err
-	}
-	trials := make([]TrialResult, 0, len(prior.Trials)+len(more))
-	trials = append(trials, prior.Trials...)
-	trials = append(trials, more...)
-	return e.pointResult(prior.Point, trials, how), nil
 }
 
 // refineGrant is one point's share of the reclaimed trial budget.
@@ -236,11 +165,7 @@ func phase1Result(pr PointResult, base int) PointResult {
 	if base <= 0 || base >= len(pr.Trials) {
 		return pr
 	}
-	out := PointResult{Point: pr.Point, Trials: pr.Trials[:base:base]}
-	for _, t := range out.Trials {
-		out.Counts.Add(t.Outcome)
-	}
-	return out
+	return newPointResult(pr.Point, pr.Trials[:base:base])
 }
 
 // emitSettled reports a point that stopped before its full budget.

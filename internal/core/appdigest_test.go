@@ -82,7 +82,7 @@ func TestGoldenAppOutcomes(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		points, _ = ContextPruneP2P(points)
+		points, _ = ContextPrune(points)
 		if len(points) == 0 {
 			t.Fatalf("%s has no p2p points", app.Name())
 		}

@@ -184,6 +184,7 @@ func TestCheckpointRejectsMissingHeaderAndBadRecords(t *testing.T) {
 		"bad outcome":    {framedJournal(header, `{"kind":"point","index":0,"result":{"point":{},"trials":[{"outcome":99}]}}`), "outcome"},
 		"negative bit":   {framedJournal(header, strings.Replace(point, `{"outcome":0}`, `{"bit":-3,"outcome":0}`, 1)), "invalid fault bit -3"},
 		"bit past range": {framedJournal(header, strings.Replace(point, `{"outcome":0}`, `{"bit":1048576,"outcome":0}`, 1)), "invalid fault bit 1048576"},
+		"p2p target":     {framedJournal(header, strings.Replace(point, `{"outcome":0}`, `{"target":11,"outcome":0}`, 1)), "point-to-point fault target 11 (data)"},
 		"negative index": {framedJournal(header, strings.Replace(point, `"index":0`, `"index":-1`, 1)), "negative index -1"},
 		"negative quarantine index": {framedJournal(header, `{"kind":"quarantine","index":-2,"point":{},"attempts":1,"error":"x"}`),
 			"negative index -2"},

@@ -13,6 +13,7 @@ import (
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
 	"github.com/fastfit/fastfit/internal/profile"
+	"github.com/fastfit/fastfit/internal/stats"
 )
 
 // Engine drives FastFIT's three phases — profiling, injection and learning
@@ -210,7 +211,7 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 	inj := fault.NewInjector(nil, faults...)
 	if len(faults) == 1 {
 		if fk := e.trialFork(g, faults[0]); fk != nil {
-			res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Fork: fk})
+			res := e.exec(mpi.RunOptions{Hook: inj.Hook(), Context: ctx, Fork: fk})
 			how := howForked
 			if res.Reconverged {
 				how = howReconverged
@@ -222,7 +223,7 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 	if net != nil {
 		inj.AttachNetwork(net)
 	}
-	res := e.exec(mpi.RunOptions{Hook: inj, Context: ctx, Network: net, CrashedRanks: crashed})
+	res := e.exec(mpi.RunOptions{Hook: inj.Hook(), Context: ctx, Network: net, CrashedRanks: crashed})
 	return e.classifyRun(g, res), res, howReplayed
 }
 
@@ -250,29 +251,19 @@ func (e *Engine) trialSeed(pointIdx, trial int) int64 {
 // the corrupted parameter and bit uniformly per test (the paper's basic
 // methodology, §II).
 func (e *Engine) InjectPoint(p Point, pointIdx, n int) PointResult {
-	pr, _ := e.injectPointFiltered(context.Background(), p, pointIdx, n, nil)
-	return pr
+	trials, _ := e.runTrials(context.Background(), e.pointSeq(p, pointIdx, nil), nil, n, false)
+	return newPointResult(p, trials)
 }
 
 // InjectPointTarget performs n tests at a point, all on one parameter
 // (used by the per-parameter studies, paper Fig. 9).
 func (e *Engine) InjectPointTarget(p Point, pointIdx, n int, target fault.Target) PointResult {
-	pr, _ := e.injectPointFiltered(context.Background(), p, pointIdx, n, &target)
-	return pr
+	trials, _ := e.runTrials(context.Background(), e.pointSeq(p, pointIdx, &target), nil, n, false)
+	return newPointResult(p, trials)
 }
 
-func (e *Engine) injectPointFiltered(ctx context.Context, p Point, pointIdx, n int, target *fault.Target) (PointResult, error) {
-	trials, how, err := e.runTrialWave(ctx, p, pointIdx, nil, n, target)
-	if err != nil {
-		return PointResult{Point: p}, err
-	}
-	return e.pointResult(p, trials, how), nil
-}
-
-// pointResult assembles a point's record from its trials in order, and
-// books how the newly run ones — the last len(ran) — came by their outcomes.
-func (e *Engine) pointResult(p Point, trials []TrialResult, ran []trialHow) PointResult {
-	e.stats.count(ran...)
+// newPointResult assembles a point's record from its trials in order.
+func newPointResult(p Point, trials []TrialResult) PointResult {
 	pr := PointResult{Point: p, Trials: trials}
 	for _, t := range trials {
 		pr.Counts.Add(t.Outcome)
@@ -280,18 +271,73 @@ func (e *Engine) pointResult(p Point, trials []TrialResult, ran []trialHow) Poin
 	return pr
 }
 
-// trialFault picks the fault one trial injects, given the trial's rng.
-func (e *Engine) trialFault(rng *rand.Rand, p Point, target *fault.Target) fault.Fault {
-	switch {
-	case target != nil:
-		return fault.RandomFaultOn(rng, p.Rank, p.Site, p.Invocation, *target)
-	case e.opts.Policy == PolicyAllParams:
-		return fault.RandomFault(rng, p.Rank, p.Site, p.Invocation, p.Type)
-	case e.opts.Policy == PolicyNetwork:
-		return fault.RandomNetFault(rng, p.Rank, p.Site, p.Invocation, e.cfg.Ranks)
-	default:
-		return fault.DataBufferFault(rng, p.Rank, p.Site, p.Invocation, p.Type)
+// trialSeq is one injection point's trial sequence: trial t injects the
+// fault draw picks from a generator seeded by (seed, t), and, when keyed,
+// trials that agree on their effective fault at widths w share one run.
+type trialSeq struct {
+	seed  int
+	draw  func(*rand.Rand) fault.Fault
+	w     fault.Widths
+	keyed bool
+}
+
+// pointSeq returns the trial sequence of a collective point under the
+// engine's policy, or restricted to one parameter when target is set.
+func (e *Engine) pointSeq(p Point, pointIdx int, target *fault.Target) trialSeq {
+	w, keyed := e.pointWidths(p)
+	return trialSeq{seed: pointIdx, w: w, keyed: keyed, draw: func(rng *rand.Rand) fault.Fault {
+		switch {
+		case target != nil:
+			return fault.RandomFaultOn(rng, p.Rank, p.Site, p.Invocation, *target)
+		case e.opts.Policy == PolicyAllParams:
+			return fault.RandomFault(rng, p.Rank, p.Site, p.Invocation, p.Type)
+		case e.opts.Policy == PolicyNetwork:
+			return fault.RandomNetFault(rng, p.Rank, p.Site, p.Invocation, e.cfg.Ranks)
+		default:
+			return fault.DataBufferFault(rng, p.Rank, p.Site, p.Invocation, p.Type)
+		}
+	}}
+}
+
+// runTrials extends a point's trial sequence from prior by n trials and
+// returns the whole sequence, booking how the new trials came by their
+// outcomes. Without settle the n trials are one wave. With settle (adaptive
+// budgets) they run in waves, each outcome fed in trial order to the
+// settling test, and stop at its first firing; trials a wave produced past
+// that index are discarded — side-effect-free in the simulated world, and
+// absent from the accounting — so the recorded prefix is independent of the
+// wave size and of Parallelism.
+func (e *Engine) runTrials(ctx context.Context, seq trialSeq, prior []TrialResult, n int, settle bool) ([]TrialResult, error) {
+	budget := len(prior) + n
+	out, ran := append(make([]TrialResult, 0, budget), prior...), make([]trialHow, 0, n)
+	var st *stats.SettleTest
+	if settle {
+		st = e.replaySettle(prior)
 	}
+waves:
+	for len(out) < budget {
+		wave := budget - len(out)
+		if st != nil {
+			if st.Settled() {
+				break
+			}
+			// The rule cannot fire before EarliestFire observations, so
+			// the opening wave safely runs up to that point in one batch.
+			wave = min(wave, max(e.parallelism(), st.EarliestFire()-st.N()))
+		}
+		trs, how, err := e.runTrialWave(ctx, seq, out, wave)
+		if err != nil {
+			return nil, err
+		}
+		for t, tr := range trs {
+			out, ran = append(out, tr), append(ran, how[t])
+			if st != nil && st.Observe(int(tr.Outcome)) {
+				break waves
+			}
+		}
+	}
+	e.stats.count(ran...)
+	return out, nil
 }
 
 // parallelism is the number of a point's trials in flight at once.
@@ -344,9 +390,10 @@ func (e *Engine) FaultSpace(p Point) (int, bool) {
 	return w.Space(p.Type), true
 }
 
-// runTrialWave produces trials [len(prior), len(prior)+n) of a point, in
-// trial order, given the trials the point has already recorded. It draws
-// the wave's faults first, executes — concurrently, bounded by
+// runTrialWave produces trials [len(prior), len(prior)+n) of a point's
+// sequence, in trial order, given the trials the point has already
+// recorded. It is the one loop every injection runs its trials through. It
+// draws the wave's faults first, executes — concurrently, bounded by
 // Options.Parallelism — only those whose effective fault occurs neither in
 // prior nor earlier in the wave, and gives every other trial the outcome of
 // its effective fault's first occurrence. A trial's seed depends only on
@@ -354,7 +401,7 @@ func (e *Engine) FaultSpace(p Point) (int, bool) {
 // any partition of the trial sequence into waves yields identical results,
 // and which trials execute is a function of the sequence alone. how[t] says
 // which of the three ways trial t came by its outcome.
-func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior []TrialResult, n int, target *fault.Target) (trials []TrialResult, how []trialHow, err error) {
+func (e *Engine) runTrialWave(ctx context.Context, seq trialSeq, prior []TrialResult, n int) (trials []TrialResult, how []trialHow, err error) {
 	from := len(prior)
 	trials, how = make([]TrialResult, n), make([]trialHow, n)
 	faults := make([]fault.Fault, n)
@@ -366,12 +413,11 @@ func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior 
 	// sequence. Network-target trials are never keyed: their Bit addresses
 	// a link and a burst length, not a parameter bit.
 	first := map[effectiveFault]int{}
-	w, keyed := e.pointWidths(p)
 	occurs := func(i int, tr TrialResult) int {
-		if !keyed || tr.Target.IsNet() {
+		if !seq.keyed || tr.Target.IsNet() {
 			return i
 		}
-		k := effectiveFault{tr.Target, w.EffectiveBit(tr.Target, tr.Bit)}
+		k := effectiveFault{tr.Target, seq.w.EffectiveBit(tr.Target, tr.Bit)}
 		if j, seen := first[k]; seen {
 			return j
 		}
@@ -382,7 +428,7 @@ func (e *Engine) runTrialWave(ctx context.Context, p Point, pointIdx int, prior 
 		occurs(i, tr)
 	}
 	for t := range faults {
-		f := e.trialFault(newRand(e.trialSeed(pointIdx, from+t)), p, target)
+		f := seq.draw(newRand(e.trialSeed(seq.seed, from+t)))
 		faults[t], trials[t] = f, TrialResult{Target: f.Target, Bit: f.Bit}
 		if src[t] = occurs(from+t, trials[t]); src[t] != from+t {
 			how[t] = howMemoised

@@ -152,12 +152,12 @@ func (g *goldenRun) fork(key forkKey) *mpi.Fork {
 
 // trialFork returns the snapshot one trial forks from, or nil when the
 // trial must replay in full, and keeps the campaign's snapshot accounting
-// (SnapshotStats). Forking does not apply under Fork.Disable or with a
-// network fault domain (its plans perturb delivery before the injection
-// site). Where it applies but the recorder refused the tape, every trial
+// (SnapshotStats). Forking does not apply to a point-to-point fault (the
+// tape is cut at collectives), under Fork.Disable or with a network fault
+// domain (its plans perturb delivery before the injection site). Where it applies but the recorder refused the tape, every trial
 // pays its full prefix, so the engine says so once, with the cause.
 func (e *Engine) trialFork(g *goldenRun, f fault.Fault) *mpi.Fork {
-	if f.Target.IsNet() || e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
+	if f.Target.IsNet() || f.Target.IsP2P() || e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
 		return nil
 	}
 	if !g.res.Trace.Forkable() {

@@ -48,6 +48,8 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	// Out-of-range outcome enum, negative baseTrials, negative index.
 	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[{"target":0,"bit":0,"outcome":999}]}}`))
 	f.Add(fuzzJournal(`{"kind":"point","index":0,"result":{"point":{},"trials":[]},"baseTrials":-1}`))
+	// A point-to-point target has no place in a collective point's record.
+	f.Add(fuzzJournal(strings.Replace(fuzzPointRecord, `"target":1,`, `"target":11,`, 1)))
 	f.Add(fuzzJournal(strings.Replace(fuzzPointRecord, `"index":0`, `"index":-3`, 1)))
 	// Interior corruption: a flipped payload byte under an intact frame.
 	flipped := fuzzJournal(fuzzPointRecord, fuzzPointRecord)
@@ -98,6 +100,7 @@ func FuzzLoadCampaignJSON(f *testing.F) {
 	f.Add([]byte(`{}`))
 	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"outcome":-5}]}]}`))
 	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"target":77}]}]}`))
+	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"target":13}]}]}`))
 	f.Add([]byte(`{"version":1}{"version":1}`)) // trailing data
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))

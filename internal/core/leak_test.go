@@ -72,11 +72,11 @@ func TestGoroutineLeakAdaptiveEarlySettle(t *testing.T) {
 	base := runtime.NumGoroutine()
 	settled := 0
 	for i, p := range points {
-		pr, err := e.InjectPointAdaptive(context.Background(), p, i)
+		trials, err := e.runTrials(context.Background(), e.pointSeq(p, i, nil), nil, opts.TrialsPerPoint, true)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if len(pr.Trials) < opts.TrialsPerPoint {
+		if len(trials) < opts.TrialsPerPoint {
 			settled++
 		}
 	}

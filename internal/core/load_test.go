@@ -41,7 +41,7 @@ func TestLoadedTrialVerdict(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	f := eng.trialFault(newRand(eng.trialSeed(0, 1)), plan.order[0], nil)
+	f := eng.pointSeq(plan.order[0], 0, nil).draw(newRand(eng.trialSeed(0, 1)))
 
 	deadline := time.Now().Add(loadTestDuration(t))
 	var wg sync.WaitGroup

@@ -1,7 +1,9 @@
 package core
 
 import (
+	"context"
 	"fmt"
+	"math/rand"
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
@@ -11,8 +13,9 @@ import (
 
 // Point-to-point injection: the beyond-collectives extension the paper's
 // conclusion sketches. The same pipeline applies — profile, prune
-// invocations by call stack, inject, classify — with the fault model of
-// fault.P2PFault.
+// invocations by call stack (ContextPrune), inject, classify — with the
+// p2p targets of the one fault model (fault.TargetP2PData/Tag/Peer), and a
+// point's trials run through the same loop as a collective point's.
 
 // P2PPoint is one point-to-point fault injection point with its features.
 type P2PPoint struct {
@@ -37,15 +40,8 @@ func (p *P2PPoint) String() string {
 // P2PPointResult aggregates one p2p point's injection tests.
 type P2PPointResult struct {
 	Point  P2PPoint
-	Trials []P2PTrialResult
+	Trials []TrialResult
 	Counts classify.Counts
-}
-
-// P2PTrialResult is one p2p injection test.
-type P2PTrialResult struct {
-	Target  fault.P2PTarget
-	Bit     int
-	Outcome classify.Outcome
 }
 
 // ErrorRate returns the fraction of non-SUCCESS trials.
@@ -89,46 +85,18 @@ func (e *Engine) P2PPoints() ([]P2PPoint, error) {
 	return out, nil
 }
 
-// ContextPruneP2P keeps one representative invocation per distinct call
-// stack of each (rank, site) — context-driven pruning applied to the p2p
-// space.
-func ContextPruneP2P(points []P2PPoint) ([]P2PPoint, float64) {
-	if len(points) == 0 {
-		return nil, 0
-	}
-	type stackKey struct {
-		rank  int
-		site  uintptr
-		stack uint64
-	}
-	seen := make(map[stackKey]bool)
-	var kept []P2PPoint
-	for _, p := range points {
-		k := stackKey{rank: p.Rank, site: p.Site, stack: p.StackHash}
-		if !seen[k] {
-			seen[k] = true
-			kept = append(kept, p)
-		}
-	}
-	return kept, reduction(len(points), len(kept))
-}
-
 // InjectP2PPoint performs n random injection tests at a p2p point; like
-// RunOnce, it panics when Profile fails.
+// RunOnce, it panics when Profile fails. Its trials are one wave, never
+// forked (the tape is cut at collectives) and never keyed by effective
+// fault, seeded apart from every collective point's.
 func (e *Engine) InjectP2PPoint(p P2PPoint, pointIdx, n int) P2PPointResult {
-	g, err := e.loadGolden()
-	if err != nil {
-		panic(err)
-	}
-	pr := P2PPointResult{Point: p, Trials: make([]P2PTrialResult, 0, n)}
-	for t := 0; t < n; t++ {
-		rng := newRand(e.trialSeed(pointIdx+1<<20, t))
-		f := fault.RandomP2PFault(rng, p.Rank, p.Site, p.Invocation, p.Kind)
-		inj := fault.NewP2PInjector(nil, f)
-		res := e.exec(mpi.RunOptions{Hook: inj})
-		outcome := e.classifyRun(g, res)
-		pr.Trials = append(pr.Trials, P2PTrialResult{Target: f.Target, Bit: f.Bit, Outcome: outcome})
-		pr.Counts.Add(outcome)
+	seq := trialSeq{seed: pointIdx + 1<<20, draw: func(rng *rand.Rand) fault.Fault {
+		return fault.RandomP2PFault(rng, p.Rank, p.Site, p.Invocation, p.Kind)
+	}}
+	trials, _ := e.runTrials(context.Background(), seq, nil, n, false)
+	pr := P2PPointResult{Point: p, Trials: trials}
+	for _, t := range trials {
+		pr.Counts.Add(t.Outcome)
 	}
 	return pr
 }

@@ -91,7 +91,7 @@ func TestContextPruneP2P(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	kept, red := ContextPruneP2P(points)
+	kept, red := ContextPrune(points)
 	if red <= 0.5 {
 		t.Fatalf("loop invocations share stacks; reduction = %v", red)
 	}
@@ -144,9 +144,9 @@ func TestP2PTagFaultDeadlocksOrErrors(t *testing.T) {
 		}
 	}
 	// Flip a low tag bit: the receive waits for a message nobody sends.
-	f := fault.P2PFault{Rank: recv.Rank, Site: recv.Site, Invocation: 0, Target: fault.P2PTargetTag, Bit: 1}
-	inj := fault.NewP2PInjector(nil, f)
-	res := e.exec(mpi.RunOptions{Hook: inj})
+	f := fault.Fault{Rank: recv.Rank, Site: recv.Site, Invocation: 0, Target: fault.TargetP2PTag, Bit: 1}
+	inj := fault.NewInjector(nil, f)
+	res := e.exec(mpi.RunOptions{Hook: inj.Hook()})
 	outcome := classify.Classify(e.Golden(), res)
 	if outcome != classify.InfLoop && outcome != classify.MPIErr {
 		t.Fatalf("mismatched tag should hang or error, got %v", outcome)
@@ -154,13 +154,22 @@ func TestP2PTagFaultDeadlocksOrErrors(t *testing.T) {
 	if len(inj.Applied()) != 1 {
 		t.Fatalf("fault not applied")
 	}
+	// The engine runs the same fault the same way: a p2p fault is an
+	// ordinary Fault, replayed in full (never forked).
+	if got, _ := e.RunOnce(f); got != outcome {
+		t.Fatalf("RunOnce of the tag fault = %v, the injector's run = %v", got, outcome)
+	}
+	if s := e.stats.snapshot(); s.Forked != 0 || s.Replayed != 1 {
+		t.Fatalf("a p2p trial must replay in full: %+v", s)
+	}
 }
 
 func TestP2PInjectorLeavesCollectivesAlone(t *testing.T) {
 	e := ringEngine(t)
-	// A p2p injector with no faults must not perturb the run at all.
-	inj := fault.NewP2PInjector(nil)
-	res := e.exec(mpi.RunOptions{Hook: inj})
+	// A p2p view with a fault no call is addressed by must not perturb
+	// the run at all.
+	inj := fault.NewInjector(nil, fault.Fault{Rank: -1, Target: fault.TargetP2PTag})
+	res := e.exec(mpi.RunOptions{Hook: inj.Hook()})
 	if outcome := classify.Classify(e.Golden(), res); outcome != classify.Success {
 		t.Fatalf("no-fault p2p run should be SUCCESS, got %v", outcome)
 	}
@@ -173,7 +182,16 @@ func TestP2PTargets(t *testing.T) {
 	if got := fault.P2PTargetsFor(mpi.P2PRecv); len(got) != 2 {
 		t.Fatalf("recv targets = %v (no payload to corrupt)", got)
 	}
-	if fault.P2PTargetData.String() != "data" || fault.P2PTargetTag.String() != "tag" {
-		t.Fatal("target names wrong")
+	for _, tc := range []struct {
+		t    fault.Target
+		name string
+	}{{fault.TargetP2PData, "data"}, {fault.TargetP2PTag, "tag"}, {fault.TargetP2PPeer, "peer"}} {
+		if tc.t.String() != tc.name || !tc.t.IsP2P() || tc.t.IsNet() {
+			t.Errorf("%d: String %q IsP2P %t IsNet %t, want %q true false", int(tc.t), tc.t.String(), tc.t.IsP2P(), tc.t.IsNet(), tc.name)
+		}
+	}
+	// Appended after the net targets: every persisted target keeps its number.
+	if fault.TargetP2PData != fault.TargetNetNode+1 || fault.NumTargets != fault.TargetP2PPeer+1 {
+		t.Fatalf("p2p targets not appended: data=%d numTargets=%d", fault.TargetP2PData, fault.NumTargets)
 	}
 }

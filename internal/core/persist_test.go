@@ -112,6 +112,7 @@ func TestCampaignJSONRejectsBadInput(t *testing.T) {
 		{"invalid outcome", `{"version":1,"measured":[{"point":{},"trials":[{"outcome":42}]}]}`, "invalid outcome 42"},
 		{"negative outcome", `{"version":1,"measured":[{"point":{},"trials":[{"outcome":-1}]}]}`, "invalid outcome -1"},
 		{"invalid target", `{"version":1,"measured":[{"point":{},"trials":[{"target":77}]}]}`, "invalid fault target 77"},
+		{"p2p target in a collective point", `{"version":1,"measured":[{"point":{},"trials":[{"target":0},{"target":12}]}]}`, "trial 1: point-to-point fault target 12 (tag)"},
 		{"negative bit", `{"version":1,"measured":[{"point":{},"trials":[{"bit":-1}]}]}`, "invalid fault bit -1"},
 		{"bit past the drawn range", `{"version":1,"measured":[{"point":{},"trials":[{"bit":1048576}]}]}`, "invalid fault bit 1048576"},
 		{"trailing garbage", strings.TrimRight(valid, "\n") + `{"version":1}`, "trailing data"},

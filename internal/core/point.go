@@ -80,7 +80,10 @@ func (p *Point) String() string {
 	return fmt.Sprintf("rank %d %s inv %d (%v, phase %v)", p.Rank, p.SiteName, p.Invocation, p.Type, p.Phase)
 }
 
-// TrialResult is one fault-injection test at a point.
+// TrialResult is one fault-injection test at a point: the fault's target
+// and raw bit, and the outcome. A collective point's trials carry a
+// collective or network target (validate refuses any other); a p2p point's
+// (P2PPointResult) carry a point-to-point one.
 type TrialResult struct {
 	Target  fault.Target     `json:"target"`
 	Bit     int              `json:"bit"`
@@ -110,6 +113,8 @@ func (pr *PointResult) validate() error {
 			return fmt.Errorf("trial %d: invalid outcome %d (valid range 0..%d)", i, tr.Outcome, int(classify.NumOutcomes)-1)
 		case tr.Target < 0 || tr.Target >= fault.NumTargets:
 			return fmt.Errorf("trial %d: invalid fault target %d (valid range 0..%d)", i, tr.Target, int(fault.NumTargets)-1)
+		case tr.Target.IsP2P():
+			return fmt.Errorf("trial %d: point-to-point fault target %d (%v) in a collective point's record", i, tr.Target, tr.Target)
 		case tr.Bit < 0 || tr.Bit >= fault.BitSpace:
 			return fmt.Errorf("trial %d: invalid fault bit %d (valid range 0..%d)", i, tr.Bit, fault.BitSpace-1)
 		}

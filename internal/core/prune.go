@@ -53,25 +53,31 @@ func SemanticPrune(prof *profile.Profile, points []Point) ([]Point, float64) {
 	return kept, reduction(len(points), len(kept))
 }
 
+// contextKey is what context-driven pruning groups a point by: its rank,
+// call site and call stack.
+type contextKey struct {
+	rank  int
+	site  uintptr
+	stack uint64
+}
+
+func (p Point) contextKey() contextKey    { return contextKey{p.Rank, p.Site, p.StackHash} }
+func (p P2PPoint) contextKey() contextKey { return contextKey{p.Rank, p.Site, p.StackHash} }
+
 // ContextPrune implements Application Context Driven Fault Injection
 // (paper §III-B): invocations of a call site that share a call stack
 // respond alike, so one representative invocation per distinct stack
-// suffices. It returns the surviving points and the reduction ratio
-// relative to the input.
-func ContextPrune(points []Point) ([]Point, float64) {
+// suffices. It prunes collective and point-to-point points alike, and
+// returns the surviving points and the reduction ratio relative to the
+// input.
+func ContextPrune[P interface{ contextKey() contextKey }](points []P) ([]P, float64) {
 	if len(points) == 0 {
 		return nil, 0
 	}
-	type stackKey struct {
-		rank  int
-		site  uintptr
-		stack uint64
-	}
-	seen := make(map[stackKey]bool)
-	var kept []Point
+	seen := make(map[contextKey]bool)
+	var kept []P
 	for _, p := range points { // points are sorted, so the first invocation wins
-		k := stackKey{rank: p.Rank, site: p.Site, stack: p.StackHash}
-		if !seen[k] {
+		if k := p.contextKey(); !seen[k] {
 			seen[k] = true
 			kept = append(kept, p)
 		}

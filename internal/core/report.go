@@ -4,7 +4,6 @@ import (
 	"sort"
 
 	"github.com/fastfit/fastfit/internal/classify"
-	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/ml"
 	"github.com/fastfit/fastfit/internal/mpi"
 )
@@ -44,20 +43,6 @@ func LevelsByCollective(measured []PointResult) map[mpi.CollType][3]int {
 	return out
 }
 
-// OutcomeByTarget splits the trial tallies by the injected parameter — the
-// paper's Fig. 9.
-func OutcomeByTarget(measured []PointResult) map[fault.Target]classify.Counts {
-	out := make(map[fault.Target]classify.Counts)
-	for _, pr := range measured {
-		for t, c := range pr.CountsByTarget() {
-			acc := out[t]
-			acc.Merge(c)
-			out[t] = acc
-		}
-	}
-	return out
-}
-
 // CorrelationTable computes the paper's Table IV: Eq. 1 correlations
 // between the indicator-expanded application features and the error-rate
 // level across measured points.
@@ -70,16 +55,6 @@ func CorrelationTable(measured []PointResult, levels int) map[string]float64 {
 // report rendering.
 func SortedCollTypes[V any](m map[mpi.CollType]V) []mpi.CollType {
 	keys := make([]mpi.CollType, 0, len(m))
-	for k := range m {
-		keys = append(keys, k)
-	}
-	sort.Slice(keys, func(i, j int) bool { return keys[i] < keys[j] })
-	return keys
-}
-
-// SortedTargets returns the map keys in enum order.
-func SortedTargets[V any](m map[fault.Target]V) []fault.Target {
-	keys := make([]fault.Target, 0, len(m))
 	for k := range m {
 		keys = append(keys, k)
 	}

@@ -6,7 +6,6 @@ import (
 	"io"
 	"os"
 	"reflect"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -270,30 +269,6 @@ func (sn StreamSnapshot) ProgressLine() string {
 		}
 	}
 	return sb.String()
-}
-
-// SiteErrorRates returns per-site error rates sorted by descending rate —
-// the live view of the paper's per-site sensitivity ranking.
-func (s *StreamStats) SiteErrorRates() []SiteRate {
-	sites := s.SiteCounts()
-	out := make([]SiteRate, 0, len(sites))
-	for name, c := range sites {
-		out = append(out, SiteRate{Site: name, ErrorRate: c.ErrorRate(), Trials: c.Total()})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].ErrorRate != out[j].ErrorRate {
-			return out[i].ErrorRate > out[j].ErrorRate
-		}
-		return out[i].Site < out[j].Site
-	})
-	return out
-}
-
-// SiteRate is one call site's running error rate.
-type SiteRate struct {
-	Site      string
-	ErrorRate float64
-	Trials    int
 }
 
 // JSONLObserver appends every event as one JSON line — the machine-readable

@@ -50,8 +50,8 @@ type SupervisorOptions struct {
 	// Inject overrides the injection function — the seam tests use to
 	// simulate harness panics and hangs deterministically, and replays
 	// (dist.Merge, the Fig. 6 threshold sweep) use to answer points from
-	// recorded results while the learn loop runs for real. Nil uses the
-	// engine's injectAuto.
+	// recorded results while the learn loop runs for real. Nil runs the
+	// point's trial sequence under the engine's (fixed or adaptive) budget.
 	Inject func(ctx context.Context, p Point, pointIdx, trials int) (PointResult, error)
 }
 
@@ -475,15 +475,17 @@ func (s *Supervisor) refinePass(ctx context.Context, run *supervisedRun, order [
 		}
 	}
 	pool(ctx, run, todo, func(g refineGrant) {
+		// One more wave of the same sequence: the extension is the trials a
+		// fixed-budget run would have executed next.
 		prior := phase1[g.Idx]
-		pr, err := e.RefinePoint(ctx, order[g.Idx], g.Idx, prior, g.Extra)
+		trials, err := e.runTrials(ctx, e.pointSeq(order[g.Idx], g.Idx, nil), prior.Trials, g.Extra, false)
 		if h := (harnessError{}); errors.As(err, &h) {
 			run.fail(fmt.Errorf("refining point %d: %w", g.Idx, h))
 		}
 		if err != nil {
 			return // cancelled: the point resumes unrefined
 		}
-		run.recordRefined(g.Idx, pr, prior)
+		run.recordRefined(g.Idx, newPointResult(prior.Point, trials), prior)
 	})
 }
 
@@ -550,7 +552,9 @@ func (s *Supervisor) inject(ctx context.Context, p Point, idx int) (PointResult,
 	if s.opts.Inject != nil {
 		return s.opts.Inject(ctx, p, idx, s.eng.Options().TrialsPerPoint)
 	}
-	return s.eng.injectAuto(ctx, p, idx)
+	e := s.eng
+	trials, err := e.runTrials(ctx, e.pointSeq(p, idx, nil), nil, e.opts.TrialsPerPoint, e.opts.Adaptive.Enabled)
+	return newPointResult(p, trials), err
 }
 
 // backoff returns the exponential retry delay for the given attempt number.

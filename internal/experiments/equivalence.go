@@ -20,18 +20,48 @@ func findPoint(points []core.Point, pred func(core.Point) bool) (core.Point, boo
 	return core.Point{}, false
 }
 
-// perParamRates injects every parameter of a point's collective separately
-// and returns the per-parameter error rates and outcome tallies.
-func perParamRates(e *core.Engine, p core.Point, trials, seedBase int) ([]fault.Target, []float64, []classify.Counts) {
-	targets := fault.TargetsFor(p.Type)
-	rates := make([]float64, len(targets))
-	tallies := make([]classify.Counts, len(targets))
-	for i, target := range targets {
-		pr := e.InjectPointTarget(p, seedBase+i, trials, target)
-		rates[i] = pr.ErrorRate()
-		tallies[i] = pr.Counts
+// side is one of the two points a Fig. 1/2 comparison injects.
+type side struct {
+	p      core.Point
+	seed   int    // seed base of its per-parameter sweeps
+	series string // its Series key
+	column string // its table column
+}
+
+// comparePoints injects every parameter of two points of one collective
+// separately and compares them parameter by parameter. It fills r with
+// their per-parameter error rates (Series a.series, b.series), outcome
+// fractions (a.series+":"+parameter) and largest rate difference
+// ("maxDiff"), and returns the rendered table and that difference.
+func comparePoints(r *Result, e *core.Engine, trials int, a, b side) (string, float64) {
+	targets := fault.TargetsFor(a.p.Type)
+	rates := func(s side) ([]float64, []classify.Counts) {
+		rs, tallies := make([]float64, len(targets)), make([]classify.Counts, len(targets))
+		for i, target := range targets {
+			pr := e.InjectPointTarget(s.p, s.seed+i, trials, target)
+			rs[i], tallies[i] = pr.ErrorRate(), pr.Counts
+		}
+		return rs, tallies
 	}
-	return targets, rates, tallies
+	ratesA, talliesA := rates(a)
+	ratesB, talliesB := rates(b)
+
+	var labels []string
+	var rows [][]string
+	maxDiff := 0.0
+	for i, target := range targets {
+		labels = append(labels, target.String())
+		d := math.Abs(ratesA[i] - ratesB[i])
+		maxDiff = max(maxDiff, d)
+		rows = append(rows, []string{target.String(), pct(ratesA[i]), pct(ratesB[i]), pct(d)})
+		r.Series[a.series+":"+target.String()] = outcomeFractions(talliesA[i])
+		r.Series[b.series+":"+target.String()] = outcomeFractions(talliesB[i])
+	}
+	r.Series[a.series], r.Series[b.series] = ratesA, ratesB
+	r.Series["maxDiff"] = []float64{maxDiff}
+	r.Labels["params"] = labels
+	r.Labels["outcomes"] = outcomeLabels()
+	return table([]string{"parameter", a.column, b.column, "|diff|"}, rows), maxDiff
 }
 
 // Fig1 regenerates the semantic-equivalence validation (paper Fig. 1):
@@ -60,35 +90,11 @@ func Fig1(st *Store) (*Result, error) {
 		return nil, fmt.Errorf("no matching LU Allreduce points found")
 	}
 
-	targets, ratesA, talliesA := perParamRates(e, pa, st.Scale.TrialsPerPoint, 11000)
-	_, ratesB, talliesB := perParamRates(e, pb, st.Scale.TrialsPerPoint, 12000)
-
-	var labels []string
-	var rows [][]string
-	maxDiff := 0.0
-	for i, target := range targets {
-		labels = append(labels, target.String())
-		d := math.Abs(ratesA[i] - ratesB[i])
-		if d > maxDiff {
-			maxDiff = d
-		}
-		rows = append(rows, []string{
-			target.String(), pct(ratesA[i]), pct(ratesB[i]), pct(d),
-		})
-	}
-	r.Series["rand1"] = ratesA
-	r.Series["rand2"] = ratesB
-	r.Series["maxDiff"] = []float64{maxDiff}
-	r.Labels["params"] = labels
-	r.Labels["outcomes"] = outcomeLabels()
-	for i, target := range targets {
-		r.Series["rand1:"+target.String()] = outcomeFractions(talliesA[i])
-		r.Series["rand2:"+target.String()] = outcomeFractions(talliesB[i])
-	}
+	tbl, maxDiff := comparePoints(r, e, st.Scale.TrialsPerPoint,
+		side{pa, 11000, "rand1", fmt.Sprintf("rank %d err", rankA)},
+		side{pb, 12000, "rand2", fmt.Sprintf("rank %d err", rankB)})
 	r.Text = fmt.Sprintf("site: %s\nranks compared: %d vs %d\n\n%s\nmax per-parameter error-rate difference: %s\n",
-		pa.SiteName, rankA, rankB,
-		table([]string{"parameter", "rank " + fmt.Sprint(rankA) + " err", "rank " + fmt.Sprint(rankB) + " err", "|diff|"}, rows),
-		pct(maxDiff))
+		pa.SiteName, rankA, rankB, tbl, pct(maxDiff))
 	r.Notes = append(r.Notes,
 		"Paper shape: the two equivalent processes display very similar sensitivity across all parameters.")
 	return r, nil
@@ -117,33 +123,11 @@ func Fig2(st *Store) (*Result, error) {
 		return nil, fmt.Errorf("no matching FT Reduce points found")
 	}
 
-	targets, ratesRoot, talliesRoot := perParamRates(e, proot, st.Scale.TrialsPerPoint, 21000)
-	_, ratesNon, talliesNon := perParamRates(e, pnon, st.Scale.TrialsPerPoint, 22000)
-
-	var labels []string
-	var rows [][]string
-	maxDiff := 0.0
-	for i, target := range targets {
-		labels = append(labels, target.String())
-		d := math.Abs(ratesRoot[i] - ratesNon[i])
-		if d > maxDiff {
-			maxDiff = d
-		}
-		rows = append(rows, []string{target.String(), pct(ratesRoot[i]), pct(ratesNon[i]), pct(d)})
-	}
-	r.Series["root"] = ratesRoot
-	r.Series["nonroot"] = ratesNon
-	r.Series["maxDiff"] = []float64{maxDiff}
-	r.Labels["params"] = labels
-	r.Labels["outcomes"] = outcomeLabels()
-	for i, target := range targets {
-		r.Series["root:"+target.String()] = outcomeFractions(talliesRoot[i])
-		r.Series["nonroot:"+target.String()] = outcomeFractions(talliesNon[i])
-	}
+	tbl, maxDiff := comparePoints(r, e, st.Scale.TrialsPerPoint,
+		side{proot, 21000, "root", "root err"},
+		side{pnon, 22000, "nonroot", "non-root err"})
 	r.Text = fmt.Sprintf("site: %s\nroot rank %d vs non-root rank %d\n\n%s\nmax per-parameter error-rate difference: %s\n",
-		proot.SiteName, proot.Rank, pnon.Rank,
-		table([]string{"parameter", "root err", "non-root err", "|diff|"}, rows),
-		pct(maxDiff))
+		proot.SiteName, proot.Rank, pnon.Rank, tbl, pct(maxDiff))
 	r.Notes = append(r.Notes,
 		"Paper shape: the root and non-root processes reveal different sensitivities, so rooted collectives need both roles injected.")
 	return r, nil

@@ -110,48 +110,52 @@ func (r *Result) WriteCSV(w io.Writer) error {
 // shared Store for cached campaigns.
 type Generator func(st *Store) (*Result, error)
 
-// registry maps experiment ids to generators, in presentation order.
-var registryOrder = []string{
-	"table1", "table2", "fig1", "fig2", "fig3", "fig4", "fig5", "fig6",
-	"table3", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "fig13",
-	"table4", "ablation", "adaptive", "topology", "transfer", "summary",
-}
-
-var registry = map[string]Generator{
-	"table1":   Table1,
-	"table2":   Table2,
-	"fig1":     Fig1,
-	"fig2":     Fig2,
-	"fig3":     Fig3,
-	"fig4":     Fig4,
-	"fig5":     Fig5,
-	"fig6":     Fig6,
-	"table3":   Table3,
-	"fig7":     Fig7,
-	"fig8":     Fig8,
-	"fig9":     Fig9,
-	"fig10":    Fig10,
-	"fig11":    Fig11,
-	"fig12":    Fig12,
-	"fig13":    Fig13,
-	"table4":   Table4,
-	"ablation": Ablation,
-	"adaptive": AdaptiveBudget,
-	"topology": Topology,
-	"transfer": Transfer,
-	"summary":  Summary,
+// registry lists every experiment by id, in presentation order.
+var registry = []struct {
+	id  string
+	gen Generator
+}{
+	{"table1", Table1},
+	{"table2", Table2},
+	{"fig1", Fig1},
+	{"fig2", Fig2},
+	{"fig3", Fig3},
+	{"fig4", Fig4},
+	{"fig5", Fig5},
+	{"fig6", Fig6},
+	{"table3", Table3},
+	{"fig7", Fig7},
+	{"fig8", Fig8},
+	{"fig9", Fig9},
+	{"fig10", Fig10},
+	{"fig11", Fig11},
+	{"fig12", Fig12},
+	{"fig13", Fig13},
+	{"table4", Table4},
+	{"ablation", Ablation},
+	{"adaptive", AdaptiveBudget},
+	{"topology", Topology},
+	{"transfer", Transfer},
+	{"summary", Summary},
 }
 
 // IDs returns the experiment identifiers in presentation order.
-func IDs() []string { return append([]string(nil), registryOrder...) }
+func IDs() []string {
+	ids := make([]string, len(registry))
+	for i, x := range registry {
+		ids[i] = x.id
+	}
+	return ids
+}
 
 // Run generates one experiment by id.
 func Run(id string, st *Store) (*Result, error) {
-	gen, ok := registry[id]
-	if !ok {
-		return nil, fmt.Errorf("unknown experiment %q (have %v)", id, IDs())
+	for _, x := range registry {
+		if x.id == id {
+			return x.gen(st)
+		}
 	}
-	return gen(st)
+	return nil, fmt.Errorf("unknown experiment %q (have %v)", id, IDs())
 }
 
 // ---- small rendering helpers ----

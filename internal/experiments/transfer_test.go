@@ -3,9 +3,6 @@ package experiments
 import (
 	"strings"
 	"testing"
-
-	"github.com/fastfit/fastfit/internal/core"
-	"github.com/fastfit/fastfit/internal/sense"
 )
 
 // transferSeeds returns the seeds of the leave-one-app-out sweep. The full
@@ -23,60 +20,37 @@ func transferSeeds() []int64 {
 	return seeds
 }
 
-// TestTransferLeaveOneAppOut is the transfer-accuracy harness: across the
-// suite seeds, every workload is held out in turn, a model is trained on
-// the remaining workloads' pooled campaign records, and each confident
-// (above-gate) zero-trial prediction is scored against the pooled dominant
-// outcome the held-out campaign measured. The suite pins three properties:
+// TestTransferLeaveOneAppOut is the transfer-accuracy harness: it runs the
+// Transfer generator (every workload held out in turn, a model trained on
+// the remaining workloads' pooled campaign records, each confident
+// zero-trial prediction scored against the held-out campaign's pooled
+// dominant outcome) once per suite seed. The suite pins three properties:
 // confident predictions agree with injection at or above the pinned floor,
-// every wrong confident prediction is counted and surfaced (never silently
-// absorbed), and the out-of-distribution workload (minimd, trained under a
-// different fault policy) is never served at all.
+// every wrong confident prediction is counted and surfaced in Notes (never
+// silently absorbed), and the out-of-distribution workload (minimd, trained
+// under a different fault policy) is never served at all.
 func TestTransferLeaveOneAppOut(t *testing.T) {
-	totalServed, totalAgree, oodServed := 0, 0, 0
+	totalServed, totalWrong, oodServed := 0, 0, 0
 	for _, seed := range transferSeeds() {
 		sc := QuickScale()
 		sc.Seed = seed
-		st := NewStore(sc)
-		records := map[string][]sense.Record{}
-		for _, name := range AllApps {
-			c, err := st.Campaign(name)
-			if err != nil {
-				t.Fatalf("seed %d: campaign %s: %v", seed, name, err)
-			}
-			records[name] = sense.PoolBySubspace(core.SenseRecords(c))
+		r, err := Transfer(NewStore(sc))
+		if err != nil {
+			t.Fatalf("seed %d: %v", seed, err)
 		}
-		for _, heldOut := range AllApps {
-			var train []sense.Record
-			for _, name := range AllApps {
-				if name != heldOut {
-					train = append(train, records[name]...)
-				}
+		served, wrong := int(r.Series["total"][1]), int(r.Series["total"][4])
+		totalServed += served
+		totalWrong += wrong
+		oodServed += int(r.Series["minimd"][1])
+		surfaced := 0
+		for _, n := range r.Notes {
+			if strings.HasPrefix(n, "wrong confident prediction: ") {
+				surfaced++
+				t.Logf("seed %d: %s", seed, n)
 			}
-			model, err := sense.Train(train, sense.TrainConfig{Seed: seed})
-			if err != nil {
-				t.Fatalf("seed %d: training without %s: %v", seed, heldOut, err)
-			}
-			advisor := sense.NewAdvisor(model, sense.AdvisorConfig{Gate: TransferGate})
-			for _, rec := range records[heldOut] {
-				ad, ok := advisor.Advise(rec.Features)
-				if !ok {
-					continue
-				}
-				totalServed++
-				if heldOut == "minimd" {
-					oodServed++
-				}
-				if ad.Outcome == rec.Dominant() {
-					totalAgree++
-				} else {
-					// Every wrong confident prediction is surfaced; the
-					// floor below decides whether their count is a failure.
-					t.Logf("wrong confident prediction: seed %d app %s coll=%d phase=%d errh=%v root=%v: predicted %d at confidence %.2f, injection measured %d (counts %v)",
-						seed, heldOut, rec.CollType, rec.Phase, rec.ErrHandling, rec.IsRoot,
-						ad.Outcome, ad.Confidence, rec.Dominant(), rec.Counts)
-				}
-			}
+		}
+		if surfaced != wrong {
+			t.Errorf("seed %d: %d wrong confident predictions counted but %d surfaced in Notes", seed, wrong, surfaced)
 		}
 	}
 	if oodServed != 0 {
@@ -85,6 +59,7 @@ func TestTransferLeaveOneAppOut(t *testing.T) {
 	if totalServed == 0 {
 		t.Fatalf("no confident predictions served at gate %.2f across the suite; the agreement floor is vacuous", TransferGate)
 	}
+	totalAgree := totalServed - totalWrong
 	agreement := float64(totalAgree) / float64(totalServed)
 	t.Logf("transfer agreement: %d/%d = %.3f at gate %.2f (floor %.2f)",
 		totalAgree, totalServed, agreement, TransferGate, TransferAgreementFloor)

@@ -161,9 +161,9 @@ func TestNegativeBitDoesNotPanic(t *testing.T) {
 			t.Errorf("%v: a negative bit on a present parameter did not flip", target)
 		}
 	}
-	for _, target := range []P2PTarget{P2PTargetData, P2PTargetTag, P2PTargetPeer} {
+	for _, target := range []Target{TargetP2PData, TargetP2PTag, TargetP2PPeer} {
 		call := &mpi.P2PCall{Kind: mpi.P2PSend, Args: &mpi.P2PArgs{Data: []byte{1, 2, 3}, Tag: 5, Peer: 1}}
-		if !(P2PFault{Target: target, Bit: -7}).Apply(call) {
+		if !(Fault{Target: target, Bit: -7}).ApplyP2P(call) {
 			t.Errorf("p2p %v: a negative bit on a present parameter did not flip", target)
 		}
 	}

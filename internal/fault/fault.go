@@ -3,7 +3,9 @@
 // receive data buffers, the element count (or count vectors for v-variant
 // collectives), the datatype, reduction-op and communicator handles, and
 // the root rank. A fault is addressed to one (rank, call site, invocation)
-// triple, the unit the paper calls a fault injection point.
+// triple, the unit the paper calls a fault injection point. The same Fault
+// also carries the two domains beyond the paper's: mid-run network faults
+// (netfault.go) and flips in user Send/Recv calls (p2p.go).
 package fault
 
 import (
@@ -13,7 +15,10 @@ import (
 	"github.com/fastfit/fastfit/internal/mpi"
 )
 
-// Target names the collective input parameter a fault corrupts.
+// Target names what a fault corrupts. It is one space for every fault
+// domain: the collective input parameters, then the network targets, then
+// the point-to-point parameters. Values are persisted in journals and
+// campaign files, so a new target is only ever appended.
 type Target int
 
 const (
@@ -34,18 +39,31 @@ const (
 	TargetNetLink // permanent egress link failure at the faulted rank
 	TargetNetDrop // transient egress message drops at the faulted rank
 	TargetNetNode // the faulted rank's node crashes mid-collective
+
+	// Point-to-point targets (see p2p.go): flips in a user Send or Recv,
+	// addressed to the call's (rank, site, invocation) triple.
+	TargetP2PData // a bit of a Send's payload
+	TargetP2PTag  // the message tag
+	TargetP2PPeer // the destination (Send) or source (Recv) rank
 	NumTargets
 )
 
 var targetNames = [NumTargets]string{
 	"sendbuf", "recvbuf", "count", "counts[]", "datatype", "op", "root", "comm",
 	"net:link", "net:drop", "net:node",
+	"data", "tag", "peer",
 }
 
 // IsNet reports whether the target belongs to the network fault domain
 // (applied to the interconnect, not to call arguments).
 func (t Target) IsNet() bool {
 	return t == TargetNetLink || t == TargetNetDrop || t == TargetNetNode
+}
+
+// IsP2P reports whether the target is a point-to-point parameter (applied to
+// a Send or Recv, never to a collective call).
+func (t Target) IsP2P() bool {
+	return t == TargetP2PData || t == TargetP2PTag || t == TargetP2PPeer
 }
 
 func (t Target) String() string {
@@ -121,8 +139,8 @@ func WidthsOf(a *mpi.Args) Widths {
 }
 
 // Of returns the width of one target: the number of distinct faults it has
-// on a call of these widths. Network targets are not parameter flips and
-// have none.
+// on a call of these widths. Network and point-to-point targets are not
+// collective parameter flips and have none.
 func (w Widths) Of(t Target) int {
 	switch t {
 	case TargetSendBuf:
@@ -152,7 +170,8 @@ func (w Widths) Space(collType mpi.CollType) int {
 	return n
 }
 
-// Fault is one planned bit flip, addressed to a fault injection point.
+// Fault is one planned fault, addressed to a fault injection point: a bit
+// flip in a collective's or a Send/Recv's inputs, or a network fault.
 type Fault struct {
 	Rank       int     // world rank to corrupt
 	Site       uintptr // call-site PC, from the profiling run

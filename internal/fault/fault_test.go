@@ -236,6 +236,56 @@ func TestInjectorChainsDownstreamHook(t *testing.T) {
 	}
 }
 
+// TestP2PHookOnlyWithP2PTarget pins both sides of the P2P hook rule: a
+// world whose hook is an mpi.P2PHook captures a call stack at every Send
+// and Recv, so an injector without a p2p target must not be one, and an
+// injector with one must be served through a view that is.
+func TestP2PHookOnlyWithP2PTarget(t *testing.T) {
+	plans := map[string][]Fault{
+		"empty":      nil,
+		"collective": {{Target: TargetSendBuf}, {Target: TargetComm}},
+		"net":        {{Target: TargetNetLink}, {Target: TargetNetDrop}, {Target: TargetNetNode}},
+	}
+	for name, faults := range plans {
+		inj := NewInjector(nil, faults...)
+		if _, ok := any(inj).(mpi.P2PHook); ok {
+			t.Errorf("%s plan: the injector implements mpi.P2PHook", name)
+		}
+		if _, ok := inj.Hook().(mpi.P2PHook); ok {
+			t.Errorf("%s plan: the injector's hook implements mpi.P2PHook", name)
+		}
+	}
+	for _, target := range []Target{TargetP2PData, TargetP2PTag, TargetP2PPeer} {
+		inj := NewInjector(nil, Fault{Target: TargetSendBuf}, Fault{Rank: 1, Site: 0x10, Invocation: 2, Target: target})
+		p, ok := inj.Hook().(mpi.P2PHook)
+		if !ok {
+			t.Fatalf("%v plan: the injector's hook does not implement mpi.P2PHook", target)
+		}
+		miss := &mpi.P2PCall{Rank: 1, Site: 0x10, Invocation: 1, Args: &mpi.P2PArgs{Data: []byte{1}, Tag: 5, Peer: 1}}
+		p.BeforeP2P(miss)
+		hit := &mpi.P2PCall{Rank: 1, Site: 0x10, Invocation: 2, Args: &mpi.P2PArgs{Data: []byte{1}, Tag: 5, Peer: 1}}
+		p.BeforeP2P(hit)
+		if got := inj.Applied(); len(got) != 1 || got[0].Target != target {
+			t.Fatalf("%v plan: applied %v, want the one p2p fault", target, got)
+		}
+		if miss.Args.Tag != 5 || miss.Args.Peer != 1 || miss.Args.Data[0] != 1 {
+			t.Fatalf("%v plan: a call at another invocation was corrupted: %+v", target, miss.Args)
+		}
+	}
+}
+
+// TestP2PTargetsNeverTouchCollectives: a p2p fault addressed to the triple a
+// collective call comes up at leaves the call alone.
+func TestP2PTargetsNeverTouchCollectives(t *testing.T) {
+	inj := NewInjector(nil, Fault{Target: TargetP2PTag}, Fault{Target: TargetP2PPeer}, Fault{Target: TargetP2PData})
+	call := mkCall(mpi.CollAllreduce)
+	before := *call.Args
+	inj.Hook().BeforeCollective(call)
+	if len(inj.Applied())+len(inj.Missed()) != 0 || call.Args.Count != before.Count || call.Args.Root != before.Root {
+		t.Fatalf("p2p faults acted on a collective: applied=%v missed=%v", inj.Applied(), inj.Missed())
+	}
+}
+
 type countingHook struct {
 	mpi.NopHook
 	n *int

@@ -9,6 +9,11 @@ import (
 // Injector is an mpi.Hook that applies planned faults when the addressed
 // (rank, site, invocation) triples come up during execution. It is safe for
 // concurrent use by all ranks of a world.
+//
+// The Injector itself is not an mpi.P2PHook: a world whose hook is one
+// captures a call stack at every Send and Recv, and every application
+// point-to-points. A plan that holds a p2p target is served through the
+// view Hook returns instead.
 type Injector struct {
 	mu      sync.Mutex
 	faults  []Fault
@@ -18,12 +23,47 @@ type Injector struct {
 	net     *mpi.Network
 }
 
-var _ mpi.Hook = (*Injector)(nil)
+var (
+	_ mpi.Hook    = (*Injector)(nil)
+	_ mpi.P2PHook = p2pView{}
+)
 
 // NewInjector builds an injector for the given faults. chain, if non-nil,
-// receives every hook event after injection has been considered.
+// receives every collective hook event after injection has been considered.
 func NewInjector(chain mpi.Hook, faults ...Fault) *Injector {
 	return &Injector{faults: faults, chain: chain}
+}
+
+// Hook returns the hook a run installs to execute the plan: the injector
+// itself, or, when the plan holds a point-to-point target, a view of it that
+// also implements mpi.P2PHook.
+func (in *Injector) Hook() mpi.Hook {
+	for _, f := range in.faults {
+		if f.Target.IsP2P() {
+			return p2pView{in}
+		}
+	}
+	return in
+}
+
+// p2pView is an Injector that also sees user Send/Recv calls.
+type p2pView struct{ *Injector }
+
+// BeforeP2P implements mpi.P2PHook.
+func (v p2pView) BeforeP2P(call *mpi.P2PCall) {
+	in := v.Injector
+	in.mu.Lock()
+	for _, f := range in.faults {
+		if !f.Target.IsP2P() || f.Rank != call.Rank || f.Site != call.Site || f.Invocation != call.Invocation {
+			continue
+		}
+		if f.ApplyP2P(call) {
+			in.applied = append(in.applied, f)
+		} else {
+			in.misses = append(in.misses, f)
+		}
+	}
+	in.mu.Unlock()
 }
 
 // AttachNetwork routes this run's net-target faults (TargetNetLink/NetDrop/
@@ -45,7 +85,7 @@ func (in *Injector) BeforeCollective(call *mpi.CollectiveCall) {
 	in.mu.Lock()
 	for i := range in.faults {
 		f := in.faults[i]
-		if f.Rank != call.Rank || f.Site != call.Site || f.Invocation != call.Invocation {
+		if f.Target.IsP2P() || f.Rank != call.Rank || f.Site != call.Site || f.Invocation != call.Invocation {
 			continue
 		}
 		if f.Target.IsNet() {

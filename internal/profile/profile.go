@@ -54,33 +54,6 @@ func (s *Site) Invocations() int { return len(s.Invs) }
 // DistinctStacks returns the number of distinct call stacks observed.
 func (s *Site) DistinctStacks() int { return len(s.numStack) }
 
-// MeanStackDepth returns the average call-stack depth at the site.
-func (s *Site) MeanStackDepth() float64 {
-	if len(s.Invs) == 0 {
-		return 0
-	}
-	sum := 0
-	for _, iv := range s.Invs {
-		sum += iv.StackDepth
-	}
-	return float64(sum) / float64(len(s.Invs))
-}
-
-// ErrHandlingFraction returns the fraction of invocations annotated as
-// error-handling code.
-func (s *Site) ErrHandlingFraction() float64 {
-	if len(s.Invs) == 0 {
-		return 0
-	}
-	n := 0
-	for _, iv := range s.Invs {
-		if iv.ErrHandling {
-			n++
-		}
-	}
-	return float64(n) / float64(len(s.Invs))
-}
-
 // SiteKey identifies a call site on a rank.
 type SiteKey struct {
 	Rank int

@@ -1,7 +1,7 @@
 package resilient
 
 // The algorithm zoo. Each protected-collective scheme in this package is
-// registered behind the common Algorithm interface so campaigns can sweep
+// listed behind the common Algorithm interface so campaigns can sweep
 // *algorithm variant x fault model* as a first-class parameter axis: the
 // same application binary, the same fault plan, one campaign per variant,
 // and the shift in the Table I outcome distribution is the measurement
@@ -21,8 +21,6 @@ package resilient
 
 import (
 	"fmt"
-	"sort"
-	"sync"
 
 	"github.com/fastfit/fastfit/internal/mpi"
 )
@@ -32,7 +30,7 @@ import (
 // mpi.CommWorld (the reorganizing variants compute survivor sets in world
 // ranks).
 type Algorithm interface {
-	// Name is the registry key, e.g. "corrected".
+	// Name is the variant's name in the zoo, e.g. "corrected".
 	Name() string
 	// Allreduce computes recv = op-reduction of send across live ranks.
 	Allreduce(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, op mpi.Op, comm mpi.Comm)
@@ -41,42 +39,44 @@ type Algorithm interface {
 	Alltoall(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, comm mpi.Comm)
 }
 
-var (
-	regMu    sync.RWMutex
-	registry = map[string]Algorithm{}
-)
-
-// Register adds an algorithm under its Name, replacing any previous entry.
-func Register(a Algorithm) {
-	regMu.Lock()
-	defer regMu.Unlock()
-	registry[a.Name()] = a
+// algorithms is the zoo, sorted by name.
+var algorithms = []Algorithm{
+	funcAlg{
+		name: "baseline",
+		allreduce: func(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, op mpi.Op, comm mpi.Comm) {
+			r.Allreduce(send, recv, count, dt, op, comm)
+		},
+		alltoall: func(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, comm mpi.Comm) {
+			r.Alltoall(send, recv, count, dt, comm)
+		},
+	},
+	funcAlg{name: "checksum", allreduce: ChecksummedAllreduce, alltoall: ChecksummedAlltoall},
+	funcAlg{name: "corrected", allreduce: CorrectedAllreduce, alltoall: ChecksummedAlltoall},
+	funcAlg{name: "ftring", allreduce: FTRingAllreduce, alltoall: FTRingAlltoall},
+	funcAlg{name: "hbreorg", allreduce: HeartbeatAllreduce, alltoall: HeartbeatAlltoall},
+	funcAlg{name: "voted", allreduce: VotedAllreduce, alltoall: ChecksummedAlltoall},
 }
 
 // Get resolves an algorithm by name; "" means "baseline". Unknown names
-// return an error listing the registered variants.
+// return an error listing the variants.
 func Get(name string) (Algorithm, error) {
 	if name == "" {
 		name = "baseline"
 	}
-	regMu.RLock()
-	a := registry[name]
-	regMu.RUnlock()
-	if a == nil {
-		return nil, fmt.Errorf("resilient: unknown algorithm %q (have %v)", name, Names())
+	for _, a := range algorithms {
+		if a.Name() == name {
+			return a, nil
+		}
 	}
-	return a, nil
+	return nil, fmt.Errorf("resilient: unknown algorithm %q (have %v)", name, Names())
 }
 
-// Names returns the registered algorithm names, sorted.
+// Names returns the algorithm names, sorted.
 func Names() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, 0, len(registry))
-	for n := range registry {
-		out = append(out, n)
+	out := make([]string, len(algorithms))
+	for i, a := range algorithms {
+		out[i] = a.Name()
 	}
-	sort.Strings(out)
 	return out
 }
 
@@ -111,21 +111,4 @@ func ChecksummedAlltoall(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.
 			panic(mpi.AppError{Rank: r.ID(), Message: DetectedCorruption{Op: "MPI_Alltoall"}.Error()})
 		}
 	})
-}
-
-func init() {
-	Register(funcAlg{
-		name: "baseline",
-		allreduce: func(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, op mpi.Op, comm mpi.Comm) {
-			r.Allreduce(send, recv, count, dt, op, comm)
-		},
-		alltoall: func(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi.Datatype, comm mpi.Comm) {
-			r.Alltoall(send, recv, count, dt, comm)
-		},
-	})
-	Register(funcAlg{name: "checksum", allreduce: ChecksummedAllreduce, alltoall: ChecksummedAlltoall})
-	Register(funcAlg{name: "voted", allreduce: VotedAllreduce, alltoall: ChecksummedAlltoall})
-	Register(funcAlg{name: "corrected", allreduce: CorrectedAllreduce, alltoall: ChecksummedAlltoall})
-	Register(funcAlg{name: "hbreorg", allreduce: HeartbeatAllreduce, alltoall: HeartbeatAlltoall})
-	Register(funcAlg{name: "ftring", allreduce: FTRingAllreduce, alltoall: FTRingAlltoall})
 }

@@ -5,7 +5,7 @@
 // ("more than 20% error rate → enforce fault-tolerance") is exactly what
 // core.Advise computes. This package supplies the enforcement side:
 //
-//   - ChecksummedAllreduce / ChecksummedBcast detect payload corruption by
+//   - ChecksummedAllreduce / ChecksummedAlltoall detect payload corruption by
 //     carrying a CRC alongside the data (detection: turns silent
 //     corruption into a visible, attributable error).
 //   - VotedAllreduce executes the collective redundantly and majority-
@@ -62,27 +62,6 @@ func ChecksummedAllreduce(r *mpi.Rank, send, recv *mpi.Buffer, count int, dt mpi
 	r.ErrCheck(func() {
 		if r.AllreduceInt64(flag, mpi.OpLor, comm) != 0 {
 			panic(mpi.AppError{Rank: r.ID(), Message: DetectedCorruption{Op: "MPI_Allreduce"}.Error()})
-		}
-	})
-}
-
-// ChecksummedBcast broadcasts buf and verifies every rank received bytes
-// matching the root's CRC; a mismatch aborts with DetectedCorruption.
-func ChecksummedBcast(r *mpi.Rank, buf *mpi.Buffer, count int, dt mpi.Datatype, root int, comm mpi.Comm) {
-	r.Bcast(buf, count, dt, root, comm)
-	// The root broadcasts its payload CRC through a second (tiny) bcast;
-	// every rank compares against what it actually holds.
-	crcBuf := r.FromInt64s([]int64{int64(crcOf(buf.Bytes()))})
-	r.Bcast(crcBuf, 1, mpi.Int64, root, comm)
-	want := uint32(crcBuf.Int64(0))
-	crcBuf.Release()
-	flag := int64(0)
-	if crcOf(buf.Bytes()) != want {
-		flag = 1
-	}
-	r.ErrCheck(func() {
-		if r.AllreduceInt64(flag, mpi.OpLor, comm) != 0 {
-			panic(mpi.AppError{Rank: r.ID(), Message: DetectedCorruption{Op: "MPI_Bcast"}.Error()})
 		}
 	})
 }

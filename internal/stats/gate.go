@@ -23,17 +23,3 @@ func WilsonLower(k, n int, confidence float64) float64 {
 	lo, _ := WilsonInterval(k, n, confidence)
 	return lo
 }
-
-// ConfidentAbove reports whether k successes in n trials demonstrate, at
-// the given confidence, that the underlying proportion exceeds floor.
-//
-// Degenerate parameters never report confidence: n <= 0 (no evidence),
-// floor >= 1 (unreachable — the gate-disabled setting), and confidence >= 1
-// (WilsonInterval would silently fall back to 0.95, which must not turn an
-// impossible demand into a satisfiable one).
-func ConfidentAbove(k, n int, confidence, floor float64) bool {
-	if n <= 0 || floor >= 1 || confidence >= 1 {
-		return false
-	}
-	return WilsonLower(k, n, confidence) > floor
-}

@@ -25,35 +25,6 @@ func TestWilsonLowerBasics(t *testing.T) {
 	}
 }
 
-func TestConfidentAboveDegenerateParameters(t *testing.T) {
-	cases := []struct {
-		name            string
-		k, n            int
-		confidence, flr float64
-	}{
-		{"no-evidence", 0, 0, 0.95, 0.5},
-		{"negative-n", 3, -1, 0.95, 0.5},
-		{"floor-one", 100, 100, 0.95, 1.0},
-		{"floor-above-one", 100, 100, 0.95, 1.5},
-		{"confidence-one", 100, 100, 1.0, 0.5},
-		{"confidence-above-one", 100, 100, 2.0, 0.5},
-	}
-	for _, tc := range cases {
-		if ConfidentAbove(tc.k, tc.n, tc.confidence, tc.flr) {
-			t.Errorf("%s: ConfidentAbove(%d, %d, %v, %v) fired", tc.name, tc.k, tc.n, tc.confidence, tc.flr)
-		}
-	}
-}
-
-func TestConfidentAboveFiresOnStrongEvidence(t *testing.T) {
-	if !ConfidentAbove(98, 100, 0.95, 0.75) {
-		t.Fatal("98/100 should clear a 0.75 floor at 95% confidence")
-	}
-	if ConfidentAbove(8, 10, 0.95, 0.75) {
-		t.Fatal("8/10 should not clear a 0.75 floor at 95% confidence")
-	}
-}
-
 // TestGateFalseConfidenceRate is the gate's analogue of the settling test's
 // false-stop bound: across 1,000 seeded synthetic outcome streams whose true
 // proportion sits exactly at the floor, the claim "proportion > floor" is
@@ -76,7 +47,7 @@ func TestGateFalseConfidenceRate(t *testing.T) {
 					k++
 				}
 			}
-			if ConfidentAbove(k, n, confidence, floor) {
+			if WilsonLower(k, n, confidence) > floor {
 				wrong++
 			}
 		}

@@ -7,7 +7,6 @@ package stats
 import (
 	"fmt"
 	"math"
-	"sort"
 )
 
 // Mean returns the arithmetic mean of xs (0 for an empty slice).
@@ -39,37 +38,6 @@ func Variance(xs []float64) float64 {
 // StdDev returns the population standard deviation of xs.
 func StdDev(xs []float64) float64 { return math.Sqrt(Variance(xs)) }
 
-// Median returns the median of xs (0 for an empty slice).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// MinMax returns the extrema of xs.
-func MinMax(xs []float64) (lo, hi float64) {
-	if len(xs) == 0 {
-		return 0, 0
-	}
-	lo, hi = xs[0], xs[0]
-	for _, x := range xs[1:] {
-		if x < lo {
-			lo = x
-		}
-		if x > hi {
-			hi = x
-		}
-	}
-	return lo, hi
-}
-
 // Gaussian is a fitted normal distribution.
 type Gaussian struct {
 	Mu    float64
@@ -81,18 +49,6 @@ type Gaussian struct {
 // for the per-invocation error-rate distribution.
 func FitGaussian(xs []float64) Gaussian {
 	return Gaussian{Mu: Mean(xs), Sigma: StdDev(xs)}
-}
-
-// PDF evaluates the density at x.
-func (g Gaussian) PDF(x float64) float64 {
-	if g.Sigma == 0 {
-		if x == g.Mu {
-			return math.Inf(1)
-		}
-		return 0
-	}
-	z := (x - g.Mu) / g.Sigma
-	return math.Exp(-0.5*z*z) / (g.Sigma * math.Sqrt(2*math.Pi))
 }
 
 func (g Gaussian) String() string {
@@ -140,18 +96,6 @@ func (h *Histogram) Add(x float64) {
 func (h *Histogram) BinCenter(i int) float64 {
 	w := (h.Hi - h.Lo) / float64(len(h.Counts))
 	return h.Lo + (float64(i)+0.5)*w
-}
-
-// Mode returns the index of the fullest bin.
-func (h *Histogram) Mode() int {
-	best := 0
-	for i, c := range h.Counts {
-		if c > h.Counts[best] {
-			best = i
-		}
-	}
-	_ = best
-	return best
 }
 
 // Pearson returns the Pearson correlation coefficient of the paired samples

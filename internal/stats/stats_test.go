@@ -23,37 +23,11 @@ func TestMeanVarianceKnownValues(t *testing.T) {
 }
 
 func TestEmptyInputs(t *testing.T) {
-	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev(nil) != 0 || Median(nil) != 0 {
+	if Mean(nil) != 0 || Variance(nil) != 0 || StdDev(nil) != 0 {
 		t.Errorf("empty-input statistics should be zero")
-	}
-	lo, hi := MinMax(nil)
-	if lo != 0 || hi != 0 {
-		t.Errorf("empty MinMax should be zero")
 	}
 	if Pearson(nil, nil) != 0 {
 		t.Errorf("empty Pearson should be 0")
-	}
-}
-
-func TestMedian(t *testing.T) {
-	if got := Median([]float64{3, 1, 2}); got != 2 {
-		t.Errorf("odd median = %v", got)
-	}
-	if got := Median([]float64{4, 1, 3, 2}); got != 2.5 {
-		t.Errorf("even median = %v", got)
-	}
-	// Median must not mutate its argument.
-	xs := []float64{3, 1, 2}
-	Median(xs)
-	if xs[0] != 3 || xs[1] != 1 || xs[2] != 2 {
-		t.Errorf("median mutated input: %v", xs)
-	}
-}
-
-func TestMinMax(t *testing.T) {
-	lo, hi := MinMax([]float64{3, -1, 4, 1, 5})
-	if lo != -1 || hi != 5 {
-		t.Errorf("MinMax = %v,%v", lo, hi)
 	}
 }
 
@@ -69,33 +43,6 @@ func TestGaussianFitRecoversParameters(t *testing.T) {
 	}
 	if !almost(g.Sigma, 8, 0.5) {
 		t.Errorf("sigma = %v, want ~8", g.Sigma)
-	}
-}
-
-func TestGaussianPDF(t *testing.T) {
-	g := Gaussian{Mu: 0, Sigma: 1}
-	if !almost(g.PDF(0), 1/math.Sqrt(2*math.Pi), 1e-12) {
-		t.Errorf("standard normal peak wrong: %v", g.PDF(0))
-	}
-	if g.PDF(1) >= g.PDF(0) {
-		t.Errorf("pdf should decrease away from the mean")
-	}
-	// Degenerate sigma.
-	d := Gaussian{Mu: 2, Sigma: 0}
-	if !math.IsInf(d.PDF(2), 1) || d.PDF(3) != 0 {
-		t.Errorf("degenerate pdf wrong")
-	}
-}
-
-func TestGaussianPDFSymmetryProperty(t *testing.T) {
-	f := func(mu, x float64) bool {
-		mu = math.Mod(mu, 100)
-		x = math.Mod(x, 100)
-		g := Gaussian{Mu: mu, Sigma: 3}
-		return almost(g.PDF(mu+x), g.PDF(mu-x), 1e-12)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 
