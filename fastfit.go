@@ -68,7 +68,9 @@ type Rank = mpi.Rank
 
 // State is an application's state at a checkpoint (Rank.Checkpoint): a
 // forked trial resumes each rank from its last one before the fault
-// (Rank.Resume) instead of recomputing the prefix.
+// (Rank.Resume) instead of recomputing the prefix, and ends at a later one
+// that every rank reaches in the golden run's state (State.Equal, which
+// compares floats by their bits).
 type State = mpi.State
 
 // Comm is a communicator handle.

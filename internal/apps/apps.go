@@ -44,7 +44,10 @@ type App interface {
 	// An app may checkpoint, so that a forked trial need not recompute the
 	// prefix before its fault. It names its state as an mpi.State — a
 	// struct of everything the rest of the run reads of what the run so far
-	// computed, with a Clone that copies whatever the run still writes —
+	// computed, with a Clone that copies whatever the run still writes and
+	// an Equal that compares every field, floats by their bits
+	// (mpi.EqualBits), so that a trial whose every rank reaches a later
+	// checkpoint in the golden state can end there —
 	// and calls r.Checkpoint(s) at the top of every outer iteration but
 	// the first (which only the input phase precedes) and once before the
 	// end phase. Main's first call is r.Resume(): a non-nil

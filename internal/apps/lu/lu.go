@@ -53,6 +53,15 @@ func (s *state) Clone() mpi.State {
 	return &c
 }
 
+// Equal implements mpi.State; a clone's shared right-hand side compares
+// equal at once.
+func (s *state) Equal(o mpi.State) bool {
+	t := o.(*state)
+	return s.n == t.n && s.iters == t.iters && s.it == t.it &&
+		mpi.EqualBits([]float64{s.omega, s.rsdnm}, []float64{t.omega, t.rsdnm}) &&
+		mpi.EqualBits(s.u, t.u) && mpi.EqualBits(s.b, t.b)
+}
+
 // Main implements apps.App.
 func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()

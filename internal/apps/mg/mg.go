@@ -89,6 +89,15 @@ func (s *state) Clone() mpi.State {
 	return &c
 }
 
+// Equal implements mpi.State; a clone's shared right-hand side compares
+// equal at once.
+func (s *state) Equal(o mpi.State) bool {
+	t := o.(*state)
+	return s.n == t.n && s.cycles == t.cycles && s.c == t.c &&
+		math.Float64bits(s.rnorm) == math.Float64bits(t.rnorm) &&
+		mpi.EqualBits(s.u, t.u) && mpi.EqualBits(s.b, t.b)
+}
+
 // Main implements apps.App.
 func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()

@@ -60,6 +60,23 @@ func (s *state) Clone() mpi.State {
 	return &c
 }
 
+// Equal implements mpi.State.
+func (s *state) Equal(o mpi.State) bool {
+	t := o.(*state)
+	return s.perRank == t.perRank && s.steps == t.steps && s.step == t.step &&
+		mpi.EqualBits([]float64{s.dt, s.rc, s.lxy, s.slab, s.t0, s.lastKE, s.lastPE},
+			[]float64{t.dt, t.rc, t.lxy, t.slab, t.t0, t.lastKE, t.lastPE}) &&
+		slices.EqualFunc(s.atoms, t.atoms, func(a, b atom) bool { return a.bits() == b.bits() })
+}
+
+// bits is the atom's six floats as their bits.
+func (a atom) bits() [atomFloats]uint64 {
+	return [atomFloats]uint64{
+		math.Float64bits(a.x), math.Float64bits(a.y), math.Float64bits(a.z),
+		math.Float64bits(a.vx), math.Float64bits(a.vy), math.Float64bits(a.vz),
+	}
+}
+
 // Main implements apps.App.
 func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()

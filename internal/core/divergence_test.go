@@ -20,7 +20,8 @@ type divergentApp struct{}
 
 type divergentState struct{ it int }
 
-func (s *divergentState) Clone() mpi.State { c := *s; return &c }
+func (s *divergentState) Clone() mpi.State       { c := *s; return &c }
+func (s *divergentState) Equal(o mpi.State) bool { return *s == *o.(*divergentState) }
 
 func (divergentApp) Name() string               { return "divergent" }
 func (divergentApp) DefaultConfig() apps.Config { return apps.Config{Ranks: 4, Iters: 3, Seed: 1} }

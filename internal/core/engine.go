@@ -191,10 +191,12 @@ func (e *Engine) RunOnce(faults ...fault.Fault) (classify.Outcome, mpi.RunResult
 // classification-identical, so which one a trial takes is invisible outside
 // the SnapshotStats accounting. RunOnce always executes the faults it is
 // given: only a point's trial sequence (runTrialWave) reuses outcomes. A
-// forked trial whose fault is masked at the call — every rank leaves the
-// faulted collective holding the golden run's result — is ended there
-// (mpi/fork.go, part 3) and returns the golden run's ranks with
-// res.Reconverged set; it classifies SUCCESS through the ordinary path.
+// forked trial whose fault is masked — every rank leaves the faulted
+// collective holding the golden run's result (mpi/fork.go, part 3), or
+// reaches a later checkpoint in the golden run's state (mpi/checkpoint.go,
+// part 6) — is ended there and returns the golden run's ranks with
+// res.Reconverged set and res.Provenance naming the cut; it classifies
+// SUCCESS through the ordinary path.
 func (e *Engine) RunOnceCtx(ctx context.Context, faults ...fault.Fault) (classify.Outcome, mpi.RunResult) {
 	outcome, res, how := e.execute(ctx, faults...)
 	e.stats.count(how)
@@ -213,8 +215,11 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 		if fk := e.trialFork(g, faults[0]); fk != nil {
 			res := e.exec(mpi.RunOptions{Hook: inj.Hook(), Context: ctx, Fork: fk})
 			how := howForked
-			if res.Reconverged {
+			switch res.Provenance {
+			case mpi.Reconverged:
 				how = howReconverged
+			case mpi.ReconvergedAtCheckpoint:
+				how = howAtCheckpoint
 			}
 			return e.classifyRun(g, res), res, how
 		}

@@ -235,15 +235,18 @@ type CheckpointAppended struct {
 // which always execute); Forked + Replayed is the simulated-run total,
 // excluding profiling and tape recording. Snapshots counts the distinct
 // injection prefixes forked from. Reconverged is not a fourth term but a
-// count inside Forked: the forked trials that were ended at the faulted
-// collective because every rank left it holding the golden run's result
-// (mpi.RunResult.Reconverged), every one of them a SUCCESS.
+// count inside Forked: the forked trials that were cut short because the
+// rest of the run was the golden suffix (mpi.RunResult.Reconverged), every
+// one of them a SUCCESS. AtCheckpoint counts, inside Reconverged, those cut
+// at a checkpoint after the faulted collective rather than at the
+// collective itself.
 type SnapshotStats struct {
-	Snapshots   int `json:"snapshots"`
-	Forked      int `json:"forked"`
-	Replayed    int `json:"replayed"`
-	Memoised    int `json:"memoised"`
-	Reconverged int `json:"reconverged"`
+	Snapshots    int `json:"snapshots"`
+	Forked       int `json:"forked"`
+	Replayed     int `json:"replayed"`
+	Memoised     int `json:"memoised"`
+	Reconverged  int `json:"reconverged"`
+	AtCheckpoint int `json:"atCheckpoint"`
 }
 
 // SenseStats reports the cross-campaign advisor's traffic during planning

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"path/filepath"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -221,7 +222,7 @@ func TestStreamStatsResetsEveryField(t *testing.T) {
 		PointRetried{},
 		PointQuarantined{Completed: 3, Total: 4},
 		BatchVerified{Accuracy: 0.9},
-		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4, Reconverged: 1},
+		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4, Reconverged: 2, AtCheckpoint: 1},
 		SenseStats{Served: 1, Fallback: 2, CacheHits: 3},
 		PhaseChanged{Phase: CampaignRefining},
 		PointRefined{Result: res, Added: added, Extra: 2},
@@ -234,6 +235,9 @@ func TestStreamStatsResetsEveryField(t *testing.T) {
 		if before.Field(i).IsZero() {
 			t.Errorf("the event sequence leaves StreamSnapshot.%s at zero; extend it", before.Type().Field(i).Name)
 		}
+	}
+	if line := stats.Snapshot().ProgressLine(); !strings.Contains(line, " | cut 2 (1 at checkpoint)") {
+		t.Errorf("ProgressLine does not show the checkpoint cuts beside the cut count: %q", line)
 	}
 
 	stats.now = func() time.Time { return clock }

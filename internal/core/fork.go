@@ -175,15 +175,17 @@ func (e *Engine) trialFork(g *goldenRun, f fault.Fault) *mpi.Fork {
 }
 
 // trialHow is how a trial came by its outcome. SnapshotStats reports the
-// three-way partition forked / replayed / memoised, and the forked trials
-// that reconverged as a count inside the first.
+// three-way partition forked / replayed / memoised, the forked trials that
+// reconverged as a count inside the first, and those cut at a checkpoint as
+// a count inside that.
 type trialHow uint8
 
 const (
-	howForked      trialHow = iota // executed from a prefix snapshot, to the end
-	howReconverged                 // executed from a prefix snapshot, ended at the faulted call
-	howReplayed                    // executed by full replay from t=0
-	howMemoised                    // copied from the point's first trial of the same effective fault
+	howForked       trialHow = iota // executed from a prefix snapshot, to the end
+	howReconverged                  // executed from a prefix snapshot, ended at the faulted call
+	howAtCheckpoint                 // executed from a prefix snapshot, ended at a later checkpoint
+	howReplayed                     // executed by full replay from t=0
+	howMemoised                     // copied from the point's first trial of the same effective fault
 	numTrialHow
 )
 
@@ -234,12 +236,14 @@ func (s *snapshotStats) snapshot() SnapshotStats {
 	s.mu.Lock()
 	used := len(s.used)
 	s.mu.Unlock()
-	cut := int(s.trials[howReconverged].Load())
+	atCk := int(s.trials[howAtCheckpoint].Load())
+	cut := int(s.trials[howReconverged].Load()) + atCk
 	return SnapshotStats{
-		Snapshots:   used,
-		Forked:      int(s.trials[howForked].Load()) + cut,
-		Replayed:    int(s.trials[howReplayed].Load()),
-		Memoised:    int(s.trials[howMemoised].Load()),
-		Reconverged: cut,
+		Snapshots:    used,
+		Forked:       int(s.trials[howForked].Load()) + cut,
+		Replayed:     int(s.trials[howReplayed].Load()),
+		Memoised:     int(s.trials[howMemoised].Load()),
+		Reconverged:  cut,
+		AtCheckpoint: atCk,
 	}
 }

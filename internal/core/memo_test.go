@@ -117,23 +117,35 @@ func TestMemoOracle(t *testing.T) {
 // memoLeg is one execution of the pinned campaign: its bytes and its trial
 // accounting, summed over the legs of an interrupted run.
 type memoLeg struct {
-	json                                    []byte
-	forked, replayed, memoised, reconverged int
+	json                                                  []byte
+	forked, replayed, memoised, reconverged, atCheckpoint int
 }
 
 func (l *memoLeg) add(st SnapshotStats) {
 	l.forked, l.replayed, l.memoised = l.forked+st.Forked, l.replayed+st.Replayed, l.memoised+st.Memoised
-	l.reconverged += st.Reconverged
+	l.reconverged, l.atCheckpoint = l.reconverged+st.Reconverged, l.atCheckpoint+st.AtCheckpoint
 }
 
 // TestMemoDeterminism: which trials execute is a function of the trial
 // sequence alone. The same adaptive campaign run one trial at a time, four
 // trials at a time (waves that overrun the stopping index), on three point
 // workers, and killed after k points then resumed from the journal, reports
-// the same Forked/Replayed/Memoised, the same Reconverged inside Forked (a
-// run is cut when its last rank matches the tape, not when the supervisor
-// happens to read the signal) and the same campaign bytes.
+// the same Forked/Replayed/Memoised, the same Reconverged inside Forked and
+// AtCheckpoint inside that (a run is cut when its last rank matches the
+// tape, not when the supervisor happens to read the signal) and the same
+// campaign bytes. It runs is, and lu, whose checkpoints is lacks.
 func TestMemoDeterminism(t *testing.T) {
+	t.Run("is", func(t *testing.T) {
+		memoDeterminism(t, false, func(o Options) *Engine { return diffTestEngine(t, o) })
+	})
+	t.Run("lu", func(t *testing.T) {
+		memoDeterminism(t, true, func(o Options) *Engine { return appDigestEngine(lu.New(), o.Seed, o) })
+	})
+}
+
+// memoDeterminism is TestMemoDeterminism on one application; checkpoints
+// says whether its campaign must cut some trial at a checkpoint.
+func memoDeterminism(t *testing.T, checkpoints bool, engine func(Options) *Engine) {
 	opts := diffTestOptions(5)
 	opts.Adaptive.Enabled = true
 	opts.TrialsPerPoint = 32
@@ -141,7 +153,7 @@ func TestMemoDeterminism(t *testing.T) {
 
 	run := func(t *testing.T, o Options, so SupervisorOptions) memoLeg {
 		t.Helper()
-		e := diffTestEngine(t, o)
+		e := engine(o)
 		res, err := NewSupervisor(e, so).Run(context.Background())
 		if err != nil {
 			t.Fatal(err)
@@ -159,15 +171,15 @@ func TestMemoDeterminism(t *testing.T) {
 	}
 
 	ref := run(t, opts, SupervisorOptions{Workers: 1})
-	if ref.memoised == 0 || ref.forked == 0 || ref.reconverged == 0 {
-		t.Fatalf("reference leg memoised %d, forked %d and cut %d trials; the campaign does not exercise the memo and the cut",
-			ref.memoised, ref.forked, ref.reconverged)
+	if ref.memoised == 0 || ref.forked == 0 || ref.reconverged == 0 || checkpoints && ref.atCheckpoint == 0 {
+		t.Fatalf("reference leg memoised %d, forked %d and cut %d trials, %d at a checkpoint; the campaign does not exercise the memo and the cuts",
+			ref.memoised, ref.forked, ref.reconverged, ref.atCheckpoint)
 	}
 	same := func(t *testing.T, name string, got memoLeg) {
 		t.Helper()
-		if got.forked != ref.forked || got.replayed != ref.replayed || got.memoised != ref.memoised || got.reconverged != ref.reconverged {
-			t.Errorf("%s: forked/replayed/memoised/reconverged %d/%d/%d/%d, reference %d/%d/%d/%d", name,
-				got.forked, got.replayed, got.memoised, got.reconverged, ref.forked, ref.replayed, ref.memoised, ref.reconverged)
+		if got.forked != ref.forked || got.replayed != ref.replayed || got.memoised != ref.memoised || got.reconverged != ref.reconverged || got.atCheckpoint != ref.atCheckpoint {
+			t.Errorf("%s: forked/replayed/memoised/reconverged/atCheckpoint %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d", name,
+				got.forked, got.replayed, got.memoised, got.reconverged, got.atCheckpoint, ref.forked, ref.replayed, ref.memoised, ref.reconverged, ref.atCheckpoint)
 		}
 		if !bytes.Equal(got.json, ref.json) {
 			t.Errorf("%s: campaign JSON differs from the one-trial-at-a-time reference", name)
@@ -188,7 +200,7 @@ func TestMemoDeterminism(t *testing.T) {
 				cancel()
 			}
 		})
-		killed := diffTestEngine(t, killOpts)
+		killed := engine(killOpts)
 		part, err := NewSupervisor(killed, SupervisorOptions{Workers: 1, Checkpoint: ckpt}).Run(ctx)
 		cancel()
 		if err != nil {

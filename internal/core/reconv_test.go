@@ -16,10 +16,12 @@ import (
 )
 
 // A forked trial whose ranks all leave the faulted collective holding the
-// golden run's result is ended there and handed the golden run's ranks
-// (mpi/fork.go, part 3). Like the memo, the cut has no off switch to diff
-// against on the same engine, so the oracle is an engine that cannot cut at
-// all: Fork.Disable replays every trial from t=0 to its end.
+// golden run's result, or all reach a later checkpoint in the golden run's
+// state, is ended there and handed the golden run's ranks (mpi/fork.go,
+// part 3; mpi/checkpoint.go, part 6). Like the memo, the cuts have no off
+// switch to diff against on the same engine, so the oracle is an engine
+// that cannot cut at all: Fork.Disable replays every trial from t=0 to its
+// end.
 
 // ranksText renders what a run reported, rank by rank, with float64 values
 // as their bits.
@@ -78,16 +80,18 @@ func (keepsFlipApp) Main(r *mpi.Rank, cfg apps.Config) error {
 // Alltoall[v], and of keepsFlipApp, under both policies, and requires of
 // every recorded trial that running its fault to the end gives the recorded
 // outcome. It recounts
-// Reconverged from the recorded trials alone — one execution per effective
-// fault, asked whether it was cut — and requires every cut trial to be a
-// SUCCESS and the three halo applications to have cut something.
+// Reconverged and AtCheckpoint from the recorded trials alone — one
+// execution per effective fault, asked whether and where it was cut — and
+// requires every cut trial, at the call or at a checkpoint, to be a SUCCESS
+// that runs to the golden run's values, and the three halo applications to
+// have cut something at each.
 func TestReconvOracle(t *testing.T) {
 	seeds := int64(3)
 	if raceEnabled || testing.Short() {
 		seeds = 1
 	}
 	for _, app := range []apps.App{lu.New(), mg.New(), minimd.New(), is.New(), keepsFlipApp{}} {
-		cutByApp := 0
+		cutByApp, atCkByApp := 0, 0
 		for seed := int64(1); seed <= seeds; seed++ {
 			for _, mode := range []string{"allparams", "databuffer-adaptive"} {
 				opts := diffTestOptions(seed)
@@ -112,7 +116,7 @@ func TestReconvOracle(t *testing.T) {
 					t.Fatalf("%s: %v", leg, err)
 				}
 
-				recount := 0
+				recount, atCk := 0, 0
 				for _, pr := range res.Measured {
 					w, ok := e.gold.Load().prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
 					if !ok {
@@ -136,6 +140,9 @@ func TestReconvOracle(t *testing.T) {
 						seen[k] = true
 						if _, cut := e.RunOnce(f); cut.Reconverged {
 							recount++
+							if cut.Provenance == mpi.ReconvergedAtCheckpoint {
+								atCk++
+							}
 							if tr.Outcome != classify.Success {
 								t.Errorf("%s: %s trial %d (%v bit %d) is cut but recorded %v", leg, pr.Point.String(), i, tr.Target, tr.Bit, tr.Outcome)
 							}
@@ -149,18 +156,26 @@ func TestReconvOracle(t *testing.T) {
 						}
 					}
 				}
-				if st.Reconverged != recount || st.Reconverged > st.Forked {
-					t.Errorf("%s: accounting %+v, recount of cut trials %d", leg, st, recount)
+				if st.Reconverged != recount || st.AtCheckpoint != atCk || st.Reconverged > st.Forked {
+					t.Errorf("%s: accounting %+v, recount of cut trials %d, %d at a checkpoint", leg, st, recount, atCk)
 				}
 				if fs := full.SnapshotStats(); fs.Forked != 0 || fs.Reconverged != 0 {
 					t.Errorf("%s: the oracle engine forked: %+v", leg, fs)
 				}
 				cutByApp += recount
+				atCkByApp += atCk
 			}
 		}
-		if cutByApp == 0 && app.Name() != "is" {
-			t.Errorf("%s: no trial was cut; the oracle compared nothing the cut produced", app.Name())
+		switch app.Name() {
+		case "lu", "mg", "minimd":
+			if cutByApp == atCkByApp || atCkByApp == 0 {
+				t.Errorf("%s: %d trials cut, %d at a checkpoint; the oracle compared too little of one cut", app.Name(), cutByApp, atCkByApp)
+			}
+		case "keeps-flip":
+			if cutByApp == 0 {
+				t.Errorf("%s: no trial was cut; the oracle compared nothing the cut produced", app.Name())
+			}
 		}
-		t.Logf("%s: %d trials cut", app.Name(), cutByApp)
+		t.Logf("%s: %d trials cut, %d of them at a checkpoint", app.Name(), cutByApp, atCkByApp)
 	}
 }

@@ -51,7 +51,7 @@ func schemaEvents() []Event {
 		PointQuarantined{Point: QuarantinedPoint{Point: p, Index: 5, Attempts: 3, Err: "wedged"},
 			Completed: 7, Total: 10, FromCheckpoint: true},
 		CheckpointAppended{Path: "c.ckpt", Index: 5, Records: 6},
-		SnapshotStats{Snapshots: 2, Forked: 20, Replayed: 3, Memoised: 7, Reconverged: 5},
+		SnapshotStats{Snapshots: 2, Forked: 20, Replayed: 3, Memoised: 7, Reconverged: 5, AtCheckpoint: 2},
 		SenseStats{Served: 4, Fallback: 6, CacheHits: 2},
 		ShardLease{Kind: "granted", Lease: "L1", Worker: "shard-1", Lo: 0, Hi: 4},
 		CampaignFinished{App: "toy", Injected: 9, Predicted: 1, Quarantined: 1, Counts: pr.Counts, Cancelled: true},

@@ -96,7 +96,7 @@ func (s *StreamStats) OnEvent(ev Event) {
 	case BatchVerified:
 		sn.VerifyAccuracy = ev.Accuracy
 	case SnapshotStats:
-		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised, sn.Reconverged = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised, ev.Reconverged
+		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised, sn.Reconverged, sn.AtCheckpoint = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised, ev.Reconverged, ev.AtCheckpoint
 	case SenseStats:
 		sn.SenseServed, sn.SenseFallback, sn.SenseCacheHits = ev.Served, ev.Fallback, ev.CacheHits
 	case ShardLease:
@@ -166,7 +166,8 @@ type StreamSnapshot struct {
 	Forked         int // trials run from a prefix snapshot
 	Replayed       int // trials that fell back to full replay
 	Memoised       int // trials that reused an earlier trial's outcome
-	Reconverged    int // forked trials ended at the faulted collective
+	Reconverged    int // forked trials cut short as the golden suffix
+	AtCheckpoint   int // of which cut at a later checkpoint
 	SenseServed    int // points answered zero-trial by the sense advisor
 	SenseFallback  int // advisor queries that fell back to real injection
 	SenseCacheHits int // advisor queries answered from the subspace cache
@@ -254,6 +255,9 @@ func (sn StreamSnapshot) ProgressLine() string {
 	}
 	if sn.Reconverged > 0 {
 		fmt.Fprintf(&sb, " | cut %d", sn.Reconverged)
+		if sn.AtCheckpoint > 0 {
+			fmt.Fprintf(&sb, " (%d at checkpoint)", sn.AtCheckpoint)
+		}
 	}
 	if sn.Quarantined > 0 {
 		fmt.Fprintf(&sb, " | quarantined %d", sn.Quarantined)

@@ -15,6 +15,10 @@ type gateState struct {
 }
 
 func (s *gateState) Clone() State { c := *s; return &c }
+func (s *gateState) Equal(o State) bool {
+	t := o.(*gateState)
+	return s.it == t.it && EqualBits([]float64{s.acc}, []float64{t.acc})
+}
 
 // gateRun is one run of gateApp: how many rank goroutines entered it, and
 // the handle of the last rank to enter, which a stalling hook reads the
@@ -133,22 +137,22 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		act  func(*gateRun, *CollectiveCall)
-		why  string
+		why  Provenance
 	}{
-		{"MPI error", negCount, whyDecided},
-		{"segfault", func(_ *gateRun, c *CollectiveCall) { c.Args.Dtype = Datatype(1 << 16) }, whyCrash},
-		{"application error", abort, whyDecided},
+		{"MPI error", negCount, Decided},
+		{"segfault", func(_ *gateRun, c *CollectiveCall) { c.Args.Dtype = Datatype(1 << 16) }, SegFaulted},
+		{"application error", abort, Decided},
 	} {
 		c := gateCase{rank: 3, act: tc.act}
 		forked, full := trial(c, RunOptions{}, true), trial(c, RunOptions{}, false)
 		if forked.entered != 1 {
 			t.Errorf("%s: %d ranks entered the decided run, want 1", tc.name, forked.entered)
 		}
-		if forked.res.why != tc.why {
-			t.Errorf("%s: kill reason %q, want %q", tc.name, forked.res.why, tc.why)
+		if forked.res.Provenance != tc.why {
+			t.Errorf("%s: kill reason %q, want %q", tc.name, forked.res.Provenance, tc.why)
 		}
 		for i, rr := range forked.res.Ranks[:3] {
-			if rr.Err != (Killed{Reason: tc.why}) {
+			if rr.Err != (Killed{Reason: tc.why.String()}) {
 				t.Errorf("%s: held rank %d ended with %v", tc.name, i, rr.Err)
 			}
 		}
@@ -178,8 +182,8 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 		if forked.entered != n {
 			t.Errorf("%s: %d ranks entered, want %d", tc.name, forked.entered, n)
 		}
-		if a, b := runDigest(forked.res), runDigest(full.res); a != b || forked.res.why == whyDecided {
-			t.Errorf("%s: forked run differs from the full replay (kill %q):\n%s\n%s", tc.name, forked.res.why, a, b)
+		if a, b := runDigest(forked.res), runDigest(full.res); a != b || forked.res.Provenance == Decided {
+			t.Errorf("%s: forked run differs from the full replay (kill %q):\n%s\n%s", tc.name, forked.res.Provenance, a, b)
 		}
 	}
 
@@ -201,18 +205,18 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 		name string
 		o    RunOptions
 		act  func(*gateRun, *CollectiveCall)
-		why  string
+		why  Provenance
 	}{
-		{"timeout", RunOptions{Timeout: 20 * time.Millisecond}, stall(nil), whyTimeout},
-		{"cancellation", RunOptions{Timeout: time.Minute, Context: ctx}, stall(cancel), whyCancelled},
+		{"timeout", RunOptions{Timeout: 20 * time.Millisecond}, stall(nil), TimedOut},
+		{"cancellation", RunOptions{Timeout: time.Minute, Context: ctx}, stall(cancel), Cancelled},
 	} {
 		got := trial(gateCase{rank: 3, act: tc.act}, tc.o, true)
 		res := got.res
-		if got.entered != 1 || res.why != tc.why || res.TimedOut != (tc.why == whyTimeout) || res.Cancelled != (tc.why == whyCancelled) {
-			t.Errorf("%s while held: entered %d, kill %q, timedout=%v cancelled=%v", tc.name, got.entered, res.why, res.TimedOut, res.Cancelled)
+		if got.entered != 1 || res.Provenance != tc.why || res.TimedOut != (tc.why == TimedOut) || res.Cancelled != (tc.why == Cancelled) {
+			t.Errorf("%s while held: entered %d, kill %q, timedout=%v cancelled=%v", tc.name, got.entered, res.Provenance, res.TimedOut, res.Cancelled)
 		}
 		for _, rr := range res.Ranks {
-			if rr.Err != (Killed{Reason: tc.why}) {
+			if rr.Err != (Killed{Reason: tc.why.String()}) {
 				t.Errorf("%s while held: rank %d ended with %v", tc.name, rr.Rank, rr.Err)
 			}
 		}

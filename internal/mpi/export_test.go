@@ -14,13 +14,6 @@ func (w *World) parkedCount() int {
 	return w.parked
 }
 
-// WhyDecided is the kill reason of a forked run whose faulted rank failed
-// while the other ranks were held (fork.go, part 5).
-const WhyDecided = whyDecided
-
-// KillReason is why the run was killed, "" when nothing killed it.
-func (r RunResult) KillReason() string { return r.why }
-
 // WithoutResume returns a copy of f whose ranks all replay from t=0: the
 // reference a resumed run is compared with (resume_test.go).
 func (f *Fork) WithoutResume() *Fork {
@@ -40,6 +33,16 @@ func (f *Fork) Resumes() int {
 	return n
 }
 
+// Eligible lists, by their index on every rank, the checkpoints a forked
+// run of t may end at (checkpoint.go, part 6).
+func (t *Trace) Eligible() []int {
+	var ks []int
+	for _, e := range t.eligible {
+		ks = append(ks, e.k)
+	}
+	return ks
+}
+
 // Books is what a rank has booked by the time it stops: its work, its
 // per-site invocation counts, its phase and its error-handling mark.
 type Books struct {
@@ -56,7 +59,7 @@ func BooksOf(r *Rank) Books { return Books{r.work, maps.Clone(r.invents), r.phas
 // program alone: nothing killed the run, or it froze (a deadlock, or peers
 // starved behind a failed rank). A kill by a segfault, a reconvergence, a
 // divergence or a clock stops the other ranks wherever they happen to be,
-// and a decided kill (WhyDecided) before they ever started.
+// and a decided kill (Decided) before they ever started.
 func (r RunResult) RanksSettled() bool {
-	return r.why == "" || r.why == whyDeadlock || r.why == whyAbort
+	return r.Provenance == NotKilled || r.Provenance == Deadlocked || r.Provenance == Aborted
 }

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"slices"
+	"sort"
 )
 
 // Fork-at-injection-site execution, part 2: the consistent cut and replay.
@@ -64,6 +65,10 @@ type Fork struct {
 	rank int
 	seq  int64
 	at   []int
+	// ckFrom indexes the first of the trace's eligible checkpoints past the
+	// faulted instance, which the run may end at (checkpoint.go, part 6);
+	// it is past the list's end when the fork never ends a run early.
+	ckFrom int
 }
 
 // Cut returns rank's first live tape position (diagnostics).
@@ -168,6 +173,10 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 		}
 		f.at[r] = p
 	}
+	f.ckFrom = len(t.eligible)
+	if f.at != nil {
+		f.ckFrom = sort.Search(len(t.eligible), func(j int) bool { return t.eligible[j].seq > f.seq })
+	}
 	return f
 }
 
@@ -183,16 +192,21 @@ type replayState struct {
 }
 
 // bindFork arms every rank of a freshly bound world to replay its prefix
-// and, where the fork allows it, to end the run at the faulted collective.
+// and, where the fork allows it, to end the run at the faulted collective
+// or at a later checkpoint.
 func (w *World) bindFork(f *Fork) {
 	w.fork = f
-	cutSeq := int64(-1)
+	cutSeq, ckNext := int64(-1), -1
 	if f.at != nil {
 		cutSeq = f.seq
 	}
+	if f.ckFrom < len(f.trace.eligible) {
+		ckNext = f.ckFrom
+		w.tally = make([]int32, len(f.trace.eligible))
+	}
 	for i, rk := range w.ranks {
 		rk.replay = &replayState{fork: f, tape: &f.trace.ranks[i], cut: f.cut[i], resume: f.resume[i]}
-		rk.cutSeq = cutSeq
+		rk.cutSeq, rk.ckNext = cutSeq, ckNext
 	}
 }
 
@@ -429,7 +443,7 @@ func (r *Rank) reconverge(c *collCall) {
 	w.mu.Lock()
 	w.matched++
 	if w.matched == w.size {
-		w.kill(whyReconverged)
+		w.cutRun(Reconverged)
 	}
 	w.mu.Unlock()
 }

@@ -3,6 +3,7 @@ package mpi_test
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 	"testing"
 
@@ -44,26 +45,56 @@ const (
 
 const cutTestIters = 2
 
+// cutState is cutTestApp's checkpoint: the iteration to run, the value it
+// reports and the count vectors it reuses.
+type cutState struct {
+	iter           int
+	acc            float64
+	sc, sd, rc, rd []int32
+}
+
+func (s *cutState) Clone() mpi.State {
+	c := *s
+	c.sc, c.sd, c.rc, c.rd = slices.Clone(s.sc), slices.Clone(s.sd), slices.Clone(s.rc), slices.Clone(s.rd)
+	return &c
+}
+
+func (s *cutState) Equal(o mpi.State) bool {
+	t := o.(*cutState)
+	return s.iter == t.iter && mpi.EqualBits([]float64{s.acc}, []float64{t.acc}) &&
+		slices.Equal(s.sc, t.sc) && slices.Equal(s.sd, t.sd) && slices.Equal(s.rc, t.rc) && slices.Equal(s.rd, t.rd)
+}
+
 // cutTestApp calls all thirteen collectives, through the wrappers and raw on
 // buffers and count vectors it owns and reuses, with point-to-point traffic
 // crossing them. After every raw call it folds everything the call could
 // have touched — both whole buffers, every vector — into the value it
 // reports, so a flip that outlives a call anywhere in application memory
-// changes the run's result.
+// changes the run's result. It checkpoints at the top of every iteration
+// and before its last Barrier, so a run may also end at a checkpoint.
 func cutTestApp(r *mpi.Rank) error {
 	me, n := r.ID(), r.NumRanks()
 	const W = mpi.CommWorld
-	r.SetPhase(mpi.PhaseCompute)
-	acc := float64(me + 1)
+	s, resumed := r.Resume().(*cutState)
+	if !resumed {
+		r.SetPhase(mpi.PhaseCompute)
+		s = &cutState{acc: float64(me + 1)}
+		twos, displs := make([]int32, n), make([]int32, n)
+		for p := range twos {
+			twos[p], displs[p] = 2, int32(2*p)
+		}
+		s.sc, s.sd = slices.Clone(twos), slices.Clone(displs)
+		s.rc, s.rd = slices.Clone(twos), slices.Clone(displs)
+	}
 	fold := func(b *mpi.Buffer) {
 		for i, x := range b.Bytes() {
-			acc += float64(x) * float64(i%7+1)
+			s.acc += float64(x) * float64(i%7+1)
 		}
 	}
 	foldv := func(vs ...[]int32) {
 		for _, v := range vs {
 			for i, x := range v {
-				acc += float64(x) * float64(i+1)
+				s.acc += float64(x) * float64(i+1)
 			}
 		}
 	}
@@ -73,7 +104,7 @@ func cutTestApp(r *mpi.Rank) error {
 	stage := func() {
 		// Ordered by rank (rank 0 never holds a maximum), coupled to acc.
 		for i := 0; i < send.Len()/8; i++ {
-			send.SetFloat64(i, float64(10*(me+1)+i)+math.Mod(math.Abs(acc), 1))
+			send.SetFloat64(i, float64(10*(me+1)+i)+math.Mod(math.Abs(s.acc), 1))
 			recv.SetFloat64(i, -7.25)
 		}
 	}
@@ -82,45 +113,41 @@ func cutTestApp(r *mpi.Rank) error {
 		fold(recv)
 		foldv(vs...)
 	}
-	twos, displs := make([]int32, n), make([]int32, n)
-	for p := range twos {
-		twos[p], displs[p] = 2, int32(2*p)
-	}
-	sc, sd := append([]int32(nil), twos...), append([]int32(nil), displs...)
-	rc, rd := append([]int32(nil), twos...), append([]int32(nil), displs...)
+	sc, sd, rc, rd := s.sc, s.sd, s.rc, s.rd
 	right, left := (me+1)%n, (me-1+n)%n
 	halo := make([]float64, 2)
 
-	for iter := 0; iter < cutTestIters; iter++ {
+	for ; s.iter < cutTestIters; s.iter++ {
+		r.Checkpoint(s)
 		r.Tick(100)
-		root := iter % n
-		small := math.Mod(math.Abs(acc), 3)
+		root := s.iter % n
+		small := math.Mod(math.Abs(s.acc), 3)
 
 		for _, v := range r.AllreduceFloat64s([]float64{small, float64(me)}, mpi.OpSum, W) {
-			acc += v
+			s.acc += v
 		}
-		acc += float64(r.AllreduceInt64s([]int64{int64(me), 5}, mpi.OpMax, W)[0])
+		s.acc += float64(r.AllreduceInt64s([]int64{int64(me), 5}, mpi.OpMax, W)[0])
 		for _, v := range r.ReduceFloat64s([]float64{small, 1}, mpi.OpSum, root, W) {
-			acc += v
+			s.acc += v
 		}
-		acc += r.BcastFloat64s([]float64{small, float64(me)}, root, W)[1]
-		acc += float64(r.BcastInt64s([]int64{int64(me) + 3}, root, W)[0])
+		s.acc += r.BcastFloat64s([]float64{small, float64(me)}, root, W)[1]
+		s.acc += float64(r.BcastInt64s([]int64{int64(me) + 3}, root, W)[0])
 		for _, v := range r.AllgatherInt64s(int64(me)*3, W) {
-			acc += float64(v)
+			s.acc += float64(v)
 		}
 		for _, v := range r.AllgatherFloat64s([]float64{small}, W) {
-			acc += v
+			s.acc += v
 		}
 		for _, v := range r.GatherFloat64s([]float64{small, 2}, root, W) {
-			acc += v
+			s.acc += v
 		}
 
 		// A ring shift whose receive follows the barrier: a fault at the
 		// barrier makes it a prestocked message.
-		r.SendFloat64s(W, right, 7, []float64{acc, small})
+		r.SendFloat64s(W, right, 7, []float64{s.acc, small})
 		r.Barrier(W)
 		for _, v := range r.RecvFloat64sInto(W, left, 7, halo) {
-			acc += math.Mod(v, 5)
+			s.acc += math.Mod(v, 5)
 		}
 
 		stage()
@@ -160,8 +187,9 @@ func cutTestApp(r *mpi.Rank) error {
 		r.Gatherv(send, 2, recv, rc, rd, mpi.Float64, root, W)
 		after(rc, rd)
 	}
+	r.Checkpoint(s)
 	r.Barrier(W)
-	r.ReportResult(acc)
+	r.ReportResult(s.acc)
 	return nil
 }
 
@@ -187,25 +215,26 @@ func (l *callLog) BeforeCollective(c *mpi.CollectiveCall) {
 	l.mu.Unlock()
 }
 
-// cutHarness is one recorded configuration of cutTestApp.
+// cutHarness is one recorded configuration of an application.
 type cutHarness struct {
 	opts   mpi.RunOptions
+	fn     func(*mpi.Rank) error
 	trace  *mpi.Trace
 	golden string
 	calls  [][]cutCall
 }
 
-func newCutHarness(t *testing.T, ranks int, unpooled bool) *cutHarness {
+func newHarness(t *testing.T, opts mpi.RunOptions, fn func(*mpi.Rank) error) *cutHarness {
 	t.Helper()
-	h := &cutHarness{opts: mpi.RunOptions{NumRanks: ranks, Seed: 3, DisablePooling: unpooled}}
-	log := &callLog{calls: make([][]cutCall, ranks)}
+	h := &cutHarness{opts: opts, fn: fn}
+	log := &callLog{calls: make([][]cutCall, opts.NumRanks)}
 	prof := h.opts
 	prof.Hook = log
-	h.golden = cutDigest(mpi.Run(prof, cutTestApp))
+	h.golden = cutDigest(mpi.Run(prof, fn))
 	h.calls = log.calls
 	rec := h.opts
 	rec.Record = true
-	res := mpi.Run(rec, cutTestApp)
+	res := mpi.Run(rec, fn)
 	if !res.Trace.Forkable() {
 		t.Fatalf("golden trace not forkable: %s", res.Trace.Reason())
 	}
@@ -213,6 +242,12 @@ func newCutHarness(t *testing.T, ranks int, unpooled bool) *cutHarness {
 		t.Fatalf("recording run differs from the profiling run:\n%s\n%s", got, h.golden)
 	}
 	h.trace = res.Trace
+	return h
+}
+
+func newCutHarness(t *testing.T, ranks int, unpooled bool) *cutHarness {
+	t.Helper()
+	h := newHarness(t, mpi.RunOptions{NumRanks: ranks, Seed: 3, DisablePooling: unpooled}, cutTestApp)
 	for rank, cs := range h.calls {
 		if len(cs) != cutTestIters*callsPerIter+1 {
 			t.Fatalf("rank %d made %d collective calls, the call index assumes %d", rank, len(cs), cutTestIters*callsPerIter+1)
@@ -230,6 +265,17 @@ func (h *cutHarness) call(rank, iter, kind int) cutCall {
 // the run may be cut, and replayed in full from t=0, where it cannot.
 func (h *cutHarness) trial(t *testing.T, rank int, c cutCall, target fault.Target, bit int) (forked mpi.RunResult, full string) {
 	t.Helper()
+	forked, full, diff := h.compare(t, rank, c, target, bit)
+	if diff != "" {
+		t.Fatal(diff)
+	}
+	return forked, full
+}
+
+// compare is trial's oracle: diff says how the forked run differs from the
+// full replay, "" when it does not.
+func (h *cutHarness) compare(t *testing.T, rank int, c cutCall, target fault.Target, bit int) (forked mpi.RunResult, full, diff string) {
+	t.Helper()
 	f := fault.Fault{Rank: rank, Site: c.site, Invocation: c.inv, Target: target, Bit: bit}
 	fk := h.trace.Fork(rank, c.site, c.inv)
 	if fk == nil {
@@ -239,7 +285,7 @@ func (h *cutHarness) trial(t *testing.T, rank int, c cutCall, target fault.Targe
 		o := h.opts
 		inj := fault.NewInjector(nil, f)
 		o.Hook, o.Fork = inj, fk
-		res := mpi.Run(o, cutTestApp)
+		res := mpi.Run(o, h.fn)
 		if len(inj.Applied())+len(inj.Missed()) != 1 {
 			t.Fatalf("%v (%v): the injector did not reach its call", f, c.typ)
 		}
@@ -251,18 +297,18 @@ func (h *cutHarness) trial(t *testing.T, rank int, c cutCall, target fault.Targe
 		t.Fatalf("%v (%v): a full replay reports Reconverged", f, c.typ)
 	}
 	full = cutDigest(replayed)
-	if forked.KillReason() == mpi.WhyDecided {
+	if forked.Provenance == mpi.Decided {
 		if d := decidedDiff(forked, replayed, rank); d != "" {
-			t.Fatalf("%v (%v): decided run differs from full replay: %s\nforked:\n%sreplayed:\n%s", f, c.typ, d, cutDigest(forked), full)
+			diff = fmt.Sprintf("%v (%v): decided run differs from full replay: %s\nforked:\n%sreplayed:\n%s", f, c.typ, d, cutDigest(forked), full)
 		}
-		return forked, full
+	} else if got := cutDigest(forked); got != full {
+		diff = fmt.Sprintf("%v (%v), %v: forked run differs from full replay\nforked:\n%sreplayed:\n%s", f, c.typ, forked.Provenance, got, full)
 	}
-	if got := cutDigest(forked); got != full {
-		t.Fatalf("%v (%v), cut=%t: forked run differs from full replay\nforked:\n%sreplayed:\n%s", f, c.typ, forked.Reconverged, got, full)
-	}
-	return forked, full
+	return forked, full, diff
 }
 
+// cutDigest renders a run's verdict flags and every rank's error and
+// values, the values as bits.
 func cutDigest(res mpi.RunResult) string {
 	s := fmt.Sprintf("deadlock=%v timedout=%v\n", res.Deadlock, res.TimedOut)
 	for _, rr := range res.Ranks {
@@ -276,7 +322,11 @@ func rankDigest(rr mpi.RankResult) string {
 	if rr.Err != nil {
 		errs = rr.Err.Error()
 	}
-	return fmt.Sprintf("rank %d err=%q values=%v\n", rr.Rank, errs, rr.Values)
+	s := fmt.Sprintf("rank %d err=%q values=", rr.Rank, errs)
+	for _, v := range rr.Values {
+		s += fmt.Sprintf(" %016x", math.Float64bits(v))
+	}
+	return s + "\n"
 }
 
 // decidedDiff says how a decided forked run — its faulted rank failed while
@@ -299,7 +349,7 @@ func decidedDiff(forked, full mpi.RunResult, faulted int) string {
 		if i == faulted {
 			continue
 		}
-		if err := forked.Ranks[i].Err; err != (mpi.Killed{Reason: mpi.WhyDecided}) {
+		if err := forked.Ranks[i].Err; err != (mpi.Killed{Reason: mpi.Decided.String()}) {
 			return fmt.Sprintf("held rank %d ended with %v", i, err)
 		}
 		switch err := full.Ranks[i].Err.(type) {
@@ -334,7 +384,7 @@ func TestForkReconvergenceProperty(t *testing.T) {
 		h := newCutHarness(t, cfg.ranks, cfg.unpooled)
 		cut := map[mpi.CollType]int{}
 		seen := map[mpi.CollType]bool{}
-		trials, cuts := 0, 0
+		trials, cuts, atCk := 0, 0, 0
 		iters := cutTestIters
 		if testing.Short() || mpi.RaceEnabled {
 			iters = 1
@@ -349,6 +399,9 @@ func TestForkReconvergenceProperty(t *testing.T) {
 						if forked.Reconverged {
 							cuts++
 							cut[c.typ]++
+							if forked.Provenance == mpi.ReconvergedAtCheckpoint {
+								atCk++
+							}
 							if full != h.golden {
 								t.Fatalf("%v %v bit %d on rank %d was cut, but the full replay is not the golden run:\n%s", c.typ, target, bit, rank, full)
 							}
@@ -360,10 +413,10 @@ func TestForkReconvergenceProperty(t *testing.T) {
 		if len(seen) != int(mpi.NumCollTypes) {
 			t.Fatalf("the sweep reached %d collective types of %d", len(seen), mpi.NumCollTypes)
 		}
-		if cuts == 0 || cuts == trials {
-			t.Fatalf("%d of %d trials were cut; the sweep must see both kinds", cuts, trials)
+		if cuts == 0 || cuts == trials || atCk == 0 || atCk == cuts {
+			t.Fatalf("%d of %d trials were cut, %d at a checkpoint; the sweep must see every kind", cuts, trials, atCk)
 		}
-		t.Logf("%d ranks: %d of %d trials cut, by type %v", cfg.ranks, cuts, trials, cut)
+		t.Logf("%d ranks: %d of %d trials cut, %d at a checkpoint, by type %v", cfg.ranks, cuts, trials, atCk, cut)
 	}
 }
 
@@ -409,8 +462,8 @@ func TestForkReconvergenceNamedCases(t *testing.T) {
 	} {
 		c := h.call(tc.rank, 0, tc.kind)
 		forked, full := h.trial(t, tc.rank, c, tc.target, tc.bit)
-		if forked.Reconverged != tc.cut {
-			t.Errorf("%s: cut=%t, want %t", tc.name, forked.Reconverged, tc.cut)
+		if forked.Reconverged != tc.cut || tc.cut && forked.Provenance != mpi.Reconverged {
+			t.Errorf("%s: %v, want cut=%t at the call", tc.name, forked.Provenance, tc.cut)
 		}
 		if (full == h.golden) != tc.golden {
 			t.Errorf("%s: full replay equals the golden run: %t, want %t (the case does not test what it names)\n%s", tc.name, full == h.golden, tc.golden, full)
@@ -437,5 +490,263 @@ func TestForkReconvergenceNamedCases(t *testing.T) {
 	}
 	if !failedPeer {
 		t.Errorf("count flip on rank 0's Allreduce failed no peer: %s", cutDigest(forked))
+	}
+}
+
+// The cut at a checkpoint (checkpoint.go, part 6) against the same oracle.
+// maskApp's one Allreduce per iteration sums operands whose golden total is
+// a whole number, and the application keeps only the rounded sum: a flip of
+// a low operand bit perturbs every rank's result, so the call cut refuses
+// it, and is rounded away before the next checkpoint. Each variant adds one
+// way the perturbation can survive the rounding that only the checkpoint
+// cut's rules see.
+const (
+	maskBase     = iota
+	maskNegZero  // z becomes -0 for a sum above its rounding, where the golden z is +0
+	maskNaN      // z is a NaN whose payload holds the sum's low bits
+	maskWork     // a sum off its rounding costs one work unit more
+	maskCrossed  // the unrounded sum goes to a neighbour across the next checkpoint
+	maskStray    // a sum off its rounding is also sent early, before the next checkpoint
+	maskRelay    // as maskStray, but received past the checkpoint before the last rank reaches it
+	maskVariants // count
+)
+
+const maskIters = 3
+
+// maskState is maskApp's checkpoint. sloppy makes Equal leave z out: the
+// negative control's broken equality.
+type maskState struct {
+	it     int
+	acc, z float64
+	sloppy bool
+}
+
+func (s *maskState) Clone() mpi.State { c := *s; return &c }
+
+func (s *maskState) Equal(o mpi.State) bool {
+	t := o.(*maskState)
+	return s.it == t.it && s.sloppy == t.sloppy && mpi.EqualBits([]float64{s.acc}, []float64{t.acc}) &&
+		(s.sloppy || mpi.EqualBits([]float64{s.z}, []float64{t.z}))
+}
+
+// maskApp is the application of one variant. books, when not nil, receives
+// every rank's books right after its checkpoint of iteration 1. It is never
+// inlined, so that every run executes the one closure and a call site
+// recorded in one run addresses the same call in another.
+//
+//go:noinline
+func maskApp(variant int, sloppy bool, books []mpi.Books) func(*mpi.Rank) error {
+	return func(r *mpi.Rank) error {
+		me, n := r.ID(), r.NumRanks()
+		right, left := (me+1)%n, (me-1+n)%n
+		const W = mpi.CommWorld
+		s, resumed := r.Resume().(*maskState)
+		if !resumed {
+			r.SetPhase(mpi.PhaseCompute)
+			s = &maskState{acc: 1, sloppy: sloppy}
+			if variant == maskNaN {
+				s.z = math.Float64frombits(0x7ff8000000000001)
+			}
+		}
+		for ; s.it < maskIters; s.it++ {
+			r.Checkpoint(s)
+			if books != nil && s.it == 1 {
+				books[me] = mpi.BooksOf(r)
+			}
+			r.Tick(100)
+			switch {
+			case variant == maskCrossed && s.it > 0:
+				y := r.RecvFloat64sInto(W, left, 5, nil)[0]
+				s.z += y - math.Round(y)
+			case variant == maskStray && s.it > 0:
+				r.SendFloat64s(W, right, 6, []float64{s.acc})
+			case variant == maskRelay && s.it > 0:
+				// A chain: rank 0 sends its rounded sum to rank 1, and each
+				// rank releases the next one into this iteration's
+				// checkpoint only once it has done its part here.
+				switch me {
+				case 0:
+					r.SendFloat64s(W, 1, 6, []float64{s.acc})
+				case 1:
+					s.z += r.RecvFloat64sInto(W, 0, 6, nil)[0] - s.acc
+				}
+				if me < n-1 {
+					r.SendFloat64s(W, me+1, 8, nil)
+				}
+			}
+			x := r.AllreduceFloat64s([]float64{s.acc + 0.5}, mpi.OpSum, W)[0]
+			off := x != math.Round(x)
+			switch variant {
+			case maskNegZero:
+				s.z *= math.Copysign(1, math.Round(x)-x)
+			case maskNaN:
+				if off {
+					s.z = math.Float64frombits(0x7ff8000000000000 | math.Float64bits(x)&0xffff)
+				}
+			case maskWork:
+				if off {
+					r.Tick(1)
+				}
+			case maskCrossed:
+				if s.it < maskIters-1 {
+					r.SendFloat64s(W, right, 5, []float64{x})
+				}
+			case maskStray:
+				if s.it > 0 {
+					// Golden: the neighbour's rounded sum, sent after this
+					// iteration's checkpoint, equal to this rank's.
+					s.z += r.RecvFloat64sInto(W, left, 6, nil)[0] - s.acc
+				}
+				if off {
+					r.SendFloat64s(W, right, 6, []float64{x})
+				}
+			case maskRelay:
+				if me == 0 && off {
+					r.SendFloat64s(W, 1, 6, []float64{x})
+				}
+				if me > 0 && s.it < maskIters-1 {
+					r.RecvFloat64sInto(W, me-1, 8, nil)
+				}
+			}
+			s.acc = math.Round(x)
+		}
+		r.Checkpoint(s)
+		r.ReportResult(s.acc, 1/s.z, float64(math.Float64bits(s.z)&0xffff))
+		return nil
+	}
+}
+
+// newMaskHarness records variant's application at 4 ranks. maskWork's runs
+// get a work budget the golden run exactly exhausts.
+func newMaskHarness(t *testing.T, variant int, sloppy bool) *cutHarness {
+	t.Helper()
+	opts := mpi.RunOptions{NumRanks: 4, Seed: 2}
+	if variant == maskWork {
+		_, books := runBooked(opts, maskApp(variant, sloppy, nil))
+		opts.WorkBudget = books[0].Work
+	}
+	return newHarness(t, opts, maskApp(variant, sloppy, nil))
+}
+
+// maskBit is a low mantissa bit of maskApp's float64 operand: the flip its
+// rounding masks. maskHigh is an exponent bit, which nothing masks.
+const (
+	maskBit  = 5
+	maskHigh = 61
+)
+
+// TestCheckpointCutNamedCases pins the rules of the cut at a checkpoint:
+// one run that must be cut there, with only the invocation counts
+// differing from the golden run's books, and runs the golden run would
+// take for masked at the next checkpoint but whose full replays are not
+// golden, each refused by one rule.
+func TestCheckpointCutNamedCases(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		variant int
+		iter    int // the faulted Allreduce's iteration
+		bit     int
+		cut     bool
+	}{
+		{"state and bookkeeping golden, invocation counts not", maskBase, 0, maskBit, true},
+		{"-0 against +0", maskNegZero, 0, maskBit, false},
+		{"another NaN payload", maskNaN, 0, maskBit, false},
+		{"work", maskWork, 0, maskBit, false},
+		{"a message crosses the checkpoint", maskCrossed, 0, maskBit, false},
+		{"a stray message sent before the checkpoint is queued", maskStray, 1, maskBit, false},
+		{"a stray message sent before the checkpoint is received past it", maskRelay, 0, maskBit, false},
+		{"a resumed rank's own checkpoint, before the fault", maskBase, 1, maskHigh, false},
+	} {
+		h := newMaskHarness(t, tc.variant, false)
+		c := h.calls[0][tc.iter]
+		forked, full := h.trial(t, 0, c, fault.TargetSendBuf, tc.bit)
+		if got := forked.Provenance == mpi.ReconvergedAtCheckpoint; got != tc.cut || forked.Provenance == mpi.Reconverged {
+			t.Errorf("%s: %v, want a cut at a checkpoint: %t", tc.name, forked.Provenance, tc.cut)
+		}
+		if (full == h.golden) != tc.cut {
+			t.Errorf("%s: full replay equals the golden run: %t (the case does not test what it names)\n%s", tc.name, full == h.golden, full)
+		}
+		// Every checkpoint is eligible but those a recorded message crosses:
+		// the ones at the top of the iterations that receive.
+		want := []int{0, 1, 2, 3}
+		if tc.variant == maskCrossed {
+			want = []int{0, 3}
+		}
+		if got := h.trace.Eligible(); !slices.Equal(got, want) {
+			t.Errorf("%s: eligible checkpoints %v, want %v", tc.name, got, want)
+		}
+		if tc.iter > 0 {
+			if fk := h.trace.Fork(0, c.site, c.inv); fk.Resumes() != 4 {
+				t.Errorf("%s: %d ranks resume, want every rank resumed at the faulted iteration's checkpoint", tc.name, fk.Resumes())
+			}
+		}
+	}
+
+	// The cut run's books at the checkpoint it ended at, against the
+	// golden run's: only the invocation counts differ.
+	h := newMaskHarness(t, maskBase, false)
+	c := h.calls[0][0]
+	golden, forked := make([]mpi.Books, 4), make([]mpi.Books, 4)
+	mpi.Run(h.opts, maskApp(maskBase, false, golden))
+	o := h.opts
+	o.Hook = fault.NewInjector(nil, fault.Fault{Rank: 0, Site: c.site, Invocation: c.inv, Target: fault.TargetSendBuf, Bit: maskBit})
+	o.Fork = h.trace.Fork(0, c.site, c.inv)
+	if res := mpi.Run(o, maskApp(maskBase, false, forked)); res.Provenance != mpi.ReconvergedAtCheckpoint {
+		t.Fatalf("the must-cut fault ended %v", res.Provenance)
+	}
+	countsDiffer := false
+	for i := range golden {
+		g, f := golden[i], forked[i]
+		if g.Work != f.Work || g.Phase != f.Phase || g.ErrHandling != f.ErrHandling {
+			t.Errorf("rank %d books %+v at the cut, golden %+v", i, f, g)
+		}
+		countsDiffer = countsDiffer || fmt.Sprint(g.Invents) != fmt.Sprint(f.Invents)
+	}
+	if !countsDiffer {
+		t.Error("no rank's invocation counts differ from the golden run's: the case does not show they are left out")
+	}
+}
+
+// ckOracle runs every fault of a fixed set — every target of every call at
+// resumeBits — of h forked and replayed in full, and returns how the two
+// differed and how many forked runs were cut at a checkpoint.
+func ckOracle(t *testing.T, h *cutHarness) (diffs []string, atCk int) {
+	t.Helper()
+	for rank, calls := range h.calls {
+		for _, c := range calls {
+			for _, target := range fault.TargetsFor(c.typ) {
+				for _, bit := range resumeBits(c.widths.Of(target)) {
+					forked, full, diff := h.compare(t, rank, c, target, bit)
+					if forked.Provenance == mpi.ReconvergedAtCheckpoint {
+						atCk++
+						if full != h.golden {
+							diff = fmt.Sprintf("rank %d %v %v bit %d was cut at a checkpoint, but the full replay is not the golden run:\n%s", rank, c.typ, target, bit, full)
+						}
+					}
+					if diff != "" {
+						diffs = append(diffs, diff)
+					}
+				}
+			}
+		}
+	}
+	return diffs, atCk
+}
+
+// TestCheckpointCutNegativeControl: the oracle passes every variant of
+// maskApp, cutting some runs of the base one at a checkpoint, and catches
+// an Equal that leaves out the field a -0 lives in.
+func TestCheckpointCutNegativeControl(t *testing.T) {
+	for v := range maskVariants {
+		diffs, atCk := ckOracle(t, newMaskHarness(t, v, false))
+		for _, d := range diffs {
+			t.Errorf("variant %d: %s", v, d)
+		}
+		if v == maskBase && atCk == 0 {
+			t.Errorf("variant %d: no run was cut at a checkpoint; the oracle compared nothing the cut produced", v)
+		}
+	}
+	if diffs, _ := ckOracle(t, newMaskHarness(t, maskNegZero, true)); len(diffs) == 0 {
+		t.Fatal("the oracle did not tell an Equal that leaves a field out from a whole one")
 	}
 }

@@ -226,6 +226,8 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.reported = nil // escapes into RankResult.Values; never recycled
 	rk.replay = nil   // armed by bindFork after every rank is bound
 	rk.cutSeq = -1    // likewise
+	rk.ckNext = -1    // likewise
+	rk.ckEpoch = 0
 	rk.meeting = meetPending
 }
 

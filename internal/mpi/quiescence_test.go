@@ -57,11 +57,11 @@ func TestSuperviseWaitsForWokenReceiver(t *testing.T) {
 			t.Fatal("frozen run not ended by the park that froze it")
 		}
 	}
-	if w.why != whyDeadlock {
+	if w.why != Deadlocked {
 		t.Fatalf("kill reason = %q", w.why)
 	}
 	for i := 0; i < 2; i++ {
-		if v := <-died; v != (Killed{Reason: whyDeadlock}) {
+		if v := <-died; v != (Killed{Reason: Deadlocked.String()}) {
 			t.Fatalf("parked rank ended with %v, want Killed by the deadlock verdict", v)
 		}
 	}

@@ -52,6 +52,9 @@ type message struct {
 	// immutable golden tape (see goLive): readable in place, never handed
 	// to the application.
 	tape bool
+	// ck is the sender's checkpoint epoch when it sent the message (see
+	// Rank.ckEpoch); 0 for a prestocked one, sent before the fork's fault.
+	ck int64
 }
 
 // recycle returns the message's pooled payload to the arena. Safe to call
@@ -145,6 +148,14 @@ type Rank struct {
 	// in every other run, and on a rank that has passed the instance.
 	cutSeq int64
 
+	// ckEpoch is the CommWorld sequence number of the rank's last
+	// checkpoint plus one, 0 before its first; every message it sends
+	// carries it. ckNext, in a forked run that may end at a checkpoint, is
+	// the next of the trace's eligible checkpoints the rank may match; -1
+	// in every other run (checkpoint.go, part 6).
+	ckEpoch int64
+	ckNext  int
+
 	// appRand/appSrc back SeededRand, the cheap per-run application RNG.
 	appRand *rand.Rand
 	appSrc  fibSource
@@ -160,7 +171,7 @@ type Rank struct {
 // frozen.
 func (r *Rank) park() {
 	w := r.world
-	if w.why == "" {
+	if w.why == NotKilled {
 		if w.held {
 			w.release()
 		}
@@ -171,7 +182,7 @@ func (r *Rank) park() {
 		<-r.wake
 		w.mu.Lock()
 	}
-	if w.why != "" {
+	if w.why != NotKilled {
 		w.mu.Unlock()
 		panic(w.killedBy())
 	}
@@ -481,10 +492,10 @@ func (r *Rank) post(ci *commInfo, comm Comm, dst int, tag int64, data []byte, ow
 	if w.rec != nil && tag >= 0 && tag < maxUserTag {
 		tracePos = w.rec.recordSend(r.id, comm, dst, tag)
 	}
-	msg := message{comm: comm, src: me, tag: tag, data: cp, pooled: pooled, tracePos: tracePos}
+	msg := message{comm: comm, src: me, tag: tag, data: cp, pooled: pooled, tracePos: tracePos, ck: r.ckEpoch}
 	target := w.ranks[wdst]
 	w.mu.Lock()
-	if w.held && w.why == "" {
+	if w.held && w.why == NotKilled {
 		w.release()
 	}
 	for len(target.inbox) >= w.mailbox {
@@ -529,11 +540,16 @@ func (want *matcher) ok(m *message) bool {
 // once the rank is dead and nothing matches, recvMatch returns false. A
 // dying rank's sends reach the inbox under World.mu before its death mark
 // does, so that verdict depends on the dying rank's program order alone.
+// A user message sent before a checkpoint this rank has passed refuses that
+// checkpoint's cut (checkpoint.go, part 6).
 func (r *Rank) recvMatch(want matcher, watch int) (message, bool) {
 	w := r.world
 	w.mu.Lock()
 	for {
 		if m, ok := r.take(&want); ok {
+			if r.ckNext >= 0 && m.ck < r.ckEpoch && m.tag < maxUserTag {
+				w.refuse(m.ck, r.ckEpoch-1)
+			}
 			w.mu.Unlock()
 			return m, true
 		}

@@ -29,6 +29,11 @@ type ckptState struct {
 	forget bool
 }
 
+func (s *ckptState) Equal(o mpi.State) bool {
+	t := o.(*ckptState)
+	return s.it == t.it && s.forget == t.forget && mpi.EqualBits([]float64{s.acc}, []float64{t.acc})
+}
+
 func (s *ckptState) Clone() mpi.State {
 	c := *s
 	if s.forget {
@@ -95,7 +100,7 @@ func runBooked(o mpi.RunOptions, fn func(*mpi.Rank) error) (mpi.RunResult, []mpi
 func resumeDiff(a, b mpi.RunResult, ba, bb []mpi.Books) string {
 	flags := func(r mpi.RunResult) string {
 		return fmt.Sprintf("deadlock=%v timedout=%v reconverged=%v divergence=%v kill=%q",
-			r.Deadlock, r.TimedOut, r.Reconverged, r.Divergence, r.KillReason())
+			r.Deadlock, r.TimedOut, r.Reconverged, r.Divergence, r.Provenance)
 	}
 	if fa, fb := flags(a), flags(b); fa != fb {
 		return fa + " vs " + fb
@@ -282,7 +287,7 @@ func TestDecidedMatchesReplay(t *testing.T) {
 						return mpi.Run(o, tc.fn)
 					}
 					trials++
-					if forked := run(fk); forked.KillReason() == mpi.WhyDecided {
+					if forked := run(fk); forked.Provenance == mpi.Decided {
 						decided = append(decided, pair{f, forked, run(nil)})
 					}
 				}

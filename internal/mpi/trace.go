@@ -76,8 +76,10 @@ type Trace struct {
 	broken bool
 	reason string
 	// golden is the recording run's per-rank results: what a forked run
-	// that reconverges at its faulted call returns (fork.go, part 3).
+	// that reconverges returns (fork.go, part 3; checkpoint.go, part 6).
 	golden []RankResult
+	// eligible lists the checkpoints a forked run may end at.
+	eligible []eligibleCkpt
 }
 
 // Forkable reports whether the trace can serve forked trials. Traces of
@@ -136,6 +138,8 @@ func (rec *traceRecorder) finish(results []RankResult) *Trace {
 	t := &Trace{ranks: rec.ranks, broken: rec.dead.Load(), reason: rec.reason, golden: results}
 	if t.broken {
 		t.ranks, t.golden = nil, nil // the partial tapes are unusable; don't retain them
+	} else {
+		t.eligible = eligibleCheckpoints(t.ranks)
 	}
 	return t
 }

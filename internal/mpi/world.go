@@ -95,17 +95,21 @@ type RunResult struct {
 	Cancelled bool // RunOptions.Context was done before completion
 	Elapsed   time.Duration
 	Trace     *Trace // recorded communication, when RunOptions.Record was set
-	// Reconverged reports that a forked run was ended at its faulted
-	// collective: every rank left the call holding what the golden run held
-	// there, so Ranks are the recording run's own (see fork.go, part 3).
+	// Reconverged reports that a forked run was cut short because the rest
+	// of it is the golden suffix: every rank left the faulted collective
+	// holding what the golden run held there (fork.go, part 3), or reached
+	// a later checkpoint in the golden run's state (checkpoint.go). Ranks
+	// are then the recording run's own, and Provenance says which cut it was.
 	Reconverged bool
 	// Divergence is set when a forked rank's replayed prefix left the tape
 	// (see Divergence): a fault of the harness, after which Ranks say
 	// nothing about the application.
 	Divergence error
+	// Provenance is what ended the run: the first kill, or the cut of a
+	// reconverged run, or NotKilled.
+	Provenance Provenance
 
 	meetings meetCounts // how the run's rendezvous instances ended (tests)
-	why      string     // the kill reason, "" when nothing killed the run (tests)
 }
 
 // FirstError returns the highest-priority error across ranks, or nil. The
@@ -175,7 +179,7 @@ type World struct {
 	finished int
 	failed   int         // ranks that ended in a panic or error
 	dead     []bool      // world-rank death mask; nil on the reliable network
-	why      string      // the first kill's reason; written once, under mu
+	why      Provenance  // the first kill's reason; written once, under mu
 	stopped  atomic.Bool // set with why, for Tick's check outside mu
 
 	// The shared-memory rendezvous of the synchronizing collectives
@@ -187,14 +191,17 @@ type World struct {
 	met      meetCounts
 
 	// A forked run's snapshot, which also scopes the hook (Rank.observed),
-	// and its reconvergence cut (fork.go, part 3): matched counts, under
-	// mu, the ranks that left the faulted collective in the golden run's
-	// state, and the one that completes the world ends the run. snap
-	// belongs to the faulted rank's goroutine, between its hook and the end
-	// of its call.
+	// and its reconvergence cuts: matched counts, under mu, the ranks that
+	// left the faulted collective in the golden run's state (fork.go, part
+	// 3), and tally[j] the ranks that reached the trace's eligible
+	// checkpoint j in it (checkpoint.go); the rank that completes either
+	// ends the run, and cut records which. snap belongs to the faulted
+	// rank's goroutine, between its hook and the end of its call.
 	fork    *Fork
 	snap    *callSnapshot
 	matched int
+	tally   []int32
+	cut     Provenance
 
 	// Start on demand (fork.go, part 5): while held, under mu, only the
 	// fork's rank runs, and release hands every other rank to launch, which
@@ -224,24 +231,45 @@ type commInfo struct {
 	arrived []int64
 }
 
-// Kill reasons. The first kill of a run is the one that counts, and
-// RunResult's Deadlock, TimedOut and Cancelled say which it was.
+// Provenance is what ended a run: nothing, when every rank returned or
+// failed on its own, or the first kill, which is the one that counts. A
+// killed world's ranks die with Killed{Reason: p.String()}, and RunResult's
+// Deadlock, TimedOut, Cancelled and Reconverged say which kill it was.
+type Provenance uint8
+
 const (
-	whyDeadlock    = "deadlock: all surviving ranks blocked with no progress"
-	whyAbort       = "job abort: peers starved by a failed rank"
-	whyCrash       = "job abort: a rank segfaulted"
-	whyTimeout     = "wall-clock timeout"
-	whyCancelled   = "run cancelled"
-	whyReconverged = "reconverged: the rest of the run is the golden suffix"
-	whyDiverged    = "harness fault: fork replay divergence"
-	whyDecided     = "decided: the faulted rank failed before communicating"
+	NotKilled               Provenance = iota
+	Deadlocked                         // every surviving rank blocked, and none had failed
+	Aborted                            // peers starved behind a failed rank
+	SegFaulted                         // a rank segfaulted, which ends the job
+	TimedOut                           // the wall-clock timeout
+	Cancelled                          // RunOptions.Context was done
+	Reconverged                        // cut at the faulted collective (fork.go, part 3)
+	ReconvergedAtCheckpoint            // cut at a later checkpoint (checkpoint.go)
+	Diverged                           // a forked prefix left its tape
+	Decided                            // the faulted rank failed while the others were held
 )
+
+var provenanceText = [...]string{
+	NotKilled:               "not killed",
+	Deadlocked:              "deadlock: all surviving ranks blocked with no progress",
+	Aborted:                 "job abort: peers starved by a failed rank",
+	SegFaulted:              "job abort: a rank segfaulted",
+	TimedOut:                "wall-clock timeout",
+	Cancelled:               "run cancelled",
+	Reconverged:             "reconverged: the rest of the run is the golden suffix",
+	ReconvergedAtCheckpoint: "reconverged at a checkpoint: the rest of the run is the golden suffix",
+	Diverged:                "harness fault: fork replay divergence",
+	Decided:                 "decided: the faulted rank failed before communicating",
+}
+
+func (p Provenance) String() string { return provenanceText[p] }
 
 // kill ends the run with the first reason given and wakes every parked
 // rank, which dies in park (Killed). A running rank dies at its next park
 // or Tick. Called under mu.
-func (w *World) kill(why string) {
-	if w.why != "" {
+func (w *World) kill(why Provenance) {
+	if w.why != NotKilled {
 		return
 	}
 	w.why = why
@@ -249,8 +277,17 @@ func (w *World) kill(why string) {
 	w.wakeAll()
 }
 
+// cutRun ends the run as a cut: Run returns the golden ranks whatever
+// kill came first. Called under mu by the rank that completes a tally.
+func (w *World) cutRun(cut Provenance) {
+	if w.cut == NotKilled {
+		w.cut = cut
+	}
+	w.kill(cut)
+}
+
 // killedBy is what a rank dies with once the world is killed.
-func (w *World) killedBy() Killed { return Killed{Reason: w.why} }
+func (w *World) killedBy() Killed { return Killed{Reason: w.why.String()} }
 
 func (w *World) killed() bool { return w.stopped.Load() }
 
@@ -265,9 +302,9 @@ func (w *World) decide() {
 		return
 	}
 	if w.failed > 0 {
-		w.kill(whyAbort)
+		w.kill(Aborted)
 	} else {
-		w.kill(whyDeadlock)
+		w.kill(Deadlocked)
 	}
 }
 
@@ -297,15 +334,15 @@ func (w *World) exit(rank int, err error) {
 			w.wakeAll()
 		}
 	case SegFault:
-		w.kill(whyCrash)
+		w.kill(SegFaulted)
 	case Divergence:
-		w.kill(whyDiverged)
+		w.kill(Diverged)
 	}
 	if w.held {
-		if err == nil && w.why == "" {
+		if err == nil && w.why == NotKilled {
 			w.release()
 		} else {
-			w.kill(whyDecided)
+			w.kill(Decided)
 			w.finished += w.size - 1
 			w.failed += w.size - 1
 		}
@@ -503,13 +540,13 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	}
 
 	res := RunResult{
-		Ranks:     results,
-		Deadlock:  w.why == whyDeadlock,
-		TimedOut:  w.why == whyTimeout,
-		Cancelled: w.why == whyCancelled,
-		Elapsed:   time.Since(start),
-		meetings:  w.met,
-		why:       w.why,
+		Ranks:      results,
+		Deadlock:   w.why == Deadlocked,
+		TimedOut:   w.why == TimedOut,
+		Cancelled:  w.why == Cancelled,
+		Elapsed:    time.Since(start),
+		Provenance: w.why,
+		meetings:   w.met,
 	}
 	for _, rr := range results {
 		if d, ok := rr.Err.(Divergence); ok {
@@ -517,11 +554,12 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 			break
 		}
 	}
-	if w.matched == n {
+	if w.cut != NotKilled {
 		// Decided by the tally, not by which kill came first: a run whose
 		// deadline raced its last matching rank reconverged all the same,
 		// and its outcome is the golden run's either way.
 		res.Ranks, res.Reconverged, res.TimedOut = slices.Clone(w.fork.trace.golden), true, false
+		res.Provenance = w.cut
 	}
 	if w.rec != nil {
 		if res.Deadlock || res.TimedOut || res.Cancelled {
@@ -544,11 +582,11 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 		return
 	case <-deadline.C:
 		w.mu.Lock()
-		w.kill(whyTimeout)
+		w.kill(TimedOut)
 		w.mu.Unlock()
 	case <-ctxDone:
 		w.mu.Lock()
-		w.kill(whyCancelled)
+		w.kill(Cancelled)
 		w.mu.Unlock()
 	}
 	<-allDone
