@@ -13,15 +13,6 @@
 //	fastfit -app lu -events lu.events.jsonl      # JSONL event stream
 //	fastfit -app shoot -algorithm ftring -topology ring -netplan link:1-2
 //	fastfit -app shoot -topology torus:4x4 -policy network
-//	fastfit -app is -sense-store ./sensedb               # ingest results
-//	fastfit -app ft -sense-store ./sensedb -sense-train sense.model
-//	fastfit -app lu -sense-predict sense.model -sense-gate 0.5
-//
-// The -sense-* flags drive the cross-campaign sensitivity loop: finished
-// campaigns are ingested into a durable feature store, a random-forest
-// model with per-app transfer calibration is trained over the store, and a
-// later campaign can consult the model to answer points whose predicted
-// outcome clears the confidence gate with zero injection trials.
 //
 // Campaigns run under a supervisor: points are injected by a worker pool,
 // every completed point is journalled to the -checkpoint file (when given),
@@ -44,7 +35,6 @@ import (
 	"os"
 	"os/signal"
 	"sort"
-	"strings"
 	"syscall"
 	"time"
 
@@ -54,7 +44,6 @@ import (
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/ml"
-	"github.com/fastfit/fastfit/internal/sense"
 )
 
 // errInterrupted marks a campaign stopped by SIGINT/SIGTERM; main exits
@@ -86,16 +75,8 @@ func run() error {
 		retries    = flag.Int("retries", 0, "harness attempts per point before quarantine (0 = default 3)")
 		pointTmo   = flag.Duration("point-timeout", 0, "per-point watchdog (0 = derive from -trials and run timeout)")
 		envConfig  = flag.Bool("env-config", false, "run a single injection from Table II env vars instead of a campaign")
-
-		senseStore   = flag.String("sense-store", "", "feature store directory; the finished campaign is ingested into DIR/"+sense.StoreFileName)
-		senseTrain   = flag.String("sense-train", "", "after ingesting, train a cross-campaign model over the -sense-store records and save it to this file")
-		sensePredict = flag.String("sense-predict", "", "load a trained cross-campaign model and answer confident points with zero trials")
-		senseGate    = flag.Float64("sense-gate", 0.5, "confidence floor a prediction must clear to replace injection (with -sense-predict; 1.0 disables serving)")
 	)
 	flag.Parse()
-	if *senseTrain != "" && *senseStore == "" {
-		return errors.New("-sense-train requires -sense-store (the model is trained from the store's records)")
-	}
 
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
@@ -114,16 +95,6 @@ func run() error {
 	}
 	defer closeEvents()
 	opts.Observer = observer
-
-	var advisor *sense.Advisor
-	if *sensePredict != "" {
-		model, err := sense.LoadModel(*sensePredict)
-		if err != nil {
-			return err
-		}
-		advisor = sense.NewAdvisor(model, sense.AdvisorConfig{Gate: *senseGate})
-		opts.Sense.Advisor = advisor
-	}
 
 	engine := fastfit.New(app, cfg, opts)
 
@@ -227,67 +198,12 @@ func run() error {
 		fmt.Print(core.RenderAdvice(core.Advise(res.Measured, core.AdviceThresholds{})))
 	}
 
-	if advisor != nil {
-		st := advisor.Stats()
-		fmt.Printf("\nsense: %d points answered zero-trial, %d fell back to injection (%d cache hits, gate %.2f)\n",
-			st.Served, st.Fallback, st.CacheHits, advisor.Gate())
-	}
-
 	if *saveJSON != "" {
 		if err := res.SaveJSON(*saveJSON); err != nil {
 			return err
 		}
 		fmt.Printf("\ncampaign result saved to %s\n", *saveJSON)
 	}
-
-	if *senseStore != "" {
-		if err := senseIngest(res, *senseStore, *senseTrain, opts.Seed); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// senseIngest appends the finished campaign's feature records to the
-// durable store (idempotently — re-running the same campaign is a no-op
-// thanks to fingerprint dedup) and, when modelPath is given, retrains the
-// cross-campaign model over the whole store.
-func senseIngest(res *fastfit.CampaignResult, dir, modelPath string, seed int64) error {
-	store, err := sense.OpenStore(dir)
-	if err != nil {
-		return err
-	}
-	defer store.Close()
-	recs := core.SenseRecords(res)
-	if len(recs) == 0 {
-		return fmt.Errorf("sense store: campaign produced no feature records to ingest")
-	}
-	added, err := store.AddCampaign(sense.Fingerprint(res.AppName, recs), recs)
-	if err != nil {
-		return err
-	}
-	if added == 0 {
-		fmt.Printf("\nsense store: campaign already present in %s (fingerprint dedup)\n", store.Path())
-	} else {
-		fmt.Printf("\nsense store: ingested %d records into %s\n", added, store.Path())
-	}
-	fmt.Printf("sense store: %d records from %d campaigns across %d app(s): %s\n",
-		len(store.Records()), store.Campaigns(), len(store.Apps()), strings.Join(store.Apps(), ", "))
-	if err := store.Sync(); err != nil {
-		return err
-	}
-	if modelPath == "" {
-		return nil
-	}
-	model, err := sense.Train(store.Records(), sense.TrainConfig{Seed: seed})
-	if err != nil {
-		return fmt.Errorf("sense train: %w", err)
-	}
-	if err := model.Save(modelPath); err != nil {
-		return err
-	}
-	fmt.Printf("sense model: trained on %d records from %s, saved to %s\n",
-		model.Records, strings.Join(model.Apps, "+"), modelPath)
 	return nil
 }
 

@@ -47,7 +47,7 @@ func main() {
 func run() error {
 	obsFlags := cliconf.RegisterObserver(flag.CommandLine, "ffexp", false)
 	var (
-		runID      = flag.String("run", "", "experiment id (fig1..fig13, table1..table4, ablation, adaptive, topology, transfer, summary) or 'all'")
+		runID      = flag.String("run", "", "experiment id ("+strings.Join(experiments.IDs(), ", ")+") or 'all'")
 		scale      = flag.String("scale", "quick", "experiment scale: quick or paper")
 		trials     = flag.Int("trials", 0, "override trials per point (0 = scale default)")
 		ranks      = flag.Int("ranks", 0, "override rank count (0 = scale default)")

@@ -16,6 +16,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 
 	"github.com/fastfit/fastfit"
 	"github.com/fastfit/fastfit/internal/core"
@@ -30,7 +31,7 @@ func main() {
 
 func run() error {
 	var (
-		appName = flag.String("app", "minimd", "workload to profile (is, ft, mg, lu, minimd)")
+		appName = flag.String("app", "minimd", "workload to profile ("+strings.Join(fastfit.AppNames(), ", ")+")")
 		ranks   = flag.Int("ranks", 0, "number of MPI ranks (0 = app default)")
 		scale   = flag.Int("scale", 0, "problem-size knob (0 = app default)")
 		iters   = flag.Int("iters", 0, "outer iterations (0 = app default)")

@@ -55,7 +55,6 @@ import (
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
 	"github.com/fastfit/fastfit/internal/resilient"
-	"github.com/fastfit/fastfit/internal/sense"
 )
 
 // ---- simulated MPI runtime ----
@@ -309,10 +308,11 @@ func New(app App, cfg Config, opts Options) *Engine { return core.New(app, cfg, 
 // ---- campaign observation (typed event stream) ----
 
 // Event is one record in a campaign's observation stream — the sum type
-// whose concrete members are CampaignStarted, PhaseChanged, PointStarted,
-// PointCompleted, PointSettled, PointRefined, BatchVerified, PointRetried,
-// PointQuarantined, CheckpointAppended, SnapshotStats, SenseStats,
-// CampaignFinished and Note.
+// whose concrete members are CampaignStarted, FaultDomainEvent,
+// PhaseChanged, PointStarted, PointCompleted, PointSettled, PointRefined,
+// BatchVerified, PointRetried, PointQuarantined, CheckpointAppended,
+// SnapshotStats, CampaignFinished and Note (and, on a distributed
+// coordinator's stream, ShardLease).
 type Event = core.Event
 
 // Observer receives campaign events via Options.Observer. Delivery is
@@ -372,10 +372,6 @@ type (
 	// snapshots, forked trials, full-replay trials), emitted once right
 	// before CampaignFinished.
 	SnapshotStats = core.SnapshotStats
-	// SenseStats reports the cross-campaign advisor's traffic (points
-	// answered zero-trial vs. falling back to injection), emitted during
-	// planning on campaigns that served at least one prediction.
-	SenseStats = core.SenseStats
 	// CampaignFinished closes the stream with the final accounting.
 	CampaignFinished = core.CampaignFinished
 	// Note is a free-text progress line.
@@ -483,84 +479,6 @@ func Advise(measured []PointResult, th AdviceThresholds) []Advice {
 // CampaignResult.SaveJSON.
 func LoadCampaignJSON(path string) (*CampaignResult, error) {
 	return core.LoadCampaignJSON(path)
-}
-
-// ---- cross-campaign sensitivity (zero-trial prediction) ----
-
-// SenseOptions groups the cross-campaign sensitivity options — the Sense
-// sub-struct of Options. Attach a SenseAdvisor to answer points whose
-// predicted outcome clears the confidence gate with zero injection trials.
-type SenseOptions = core.Sense
-
-// SenseAdvice is one campaign point answered from the cross-campaign model
-// instead of injection (CampaignResult.SenseAdvised).
-type SenseAdvice = core.SenseAdvice
-
-// SenseFeatures is the transferable feature subspace the cross-campaign
-// model predicts over: fault policy plus the application features that
-// travel between workloads (collective type, phase, error handling, root
-// role, invocation and call-stack structure).
-type SenseFeatures = sense.Features
-
-// SenseRecord is one feature subspace with its measured outcome tallies —
-// the unit of the durable feature store.
-type SenseRecord = sense.Record
-
-// SenseRecords converts a finished campaign's measured points into feature
-// store records.
-func SenseRecords(res *CampaignResult) []SenseRecord { return core.SenseRecords(res) }
-
-// PoolSenseRecords merges records sharing a feature subspace by summing
-// their outcome tallies — the granularity models train and predict at.
-func PoolSenseRecords(recs []SenseRecord) []SenseRecord { return sense.PoolBySubspace(recs) }
-
-// SenseStore is the durable, fingerprint-deduplicated feature store;
-// campaigns append once, models train over the union.
-type SenseStore = sense.Store
-
-// OpenSenseStore opens (creating if needed) the feature store in dir.
-func OpenSenseStore(dir string) (*SenseStore, error) { return sense.OpenStore(dir) }
-
-// SenseFingerprint derives the store dedup key for one campaign's records.
-func SenseFingerprint(app string, recs []SenseRecord) string { return sense.Fingerprint(app, recs) }
-
-// SenseModel is a trained cross-campaign sensitivity model: a random
-// forest over the transferable features, a worst-leg holdout calibration
-// stating its transfer precision, and the training support envelope that
-// refuses out-of-distribution queries.
-type SenseModel = sense.Model
-
-// SenseTrainConfig parameterises cross-campaign training.
-type SenseTrainConfig = sense.TrainConfig
-
-// TrainSenseModel fits a model over records from at least two apps (one
-// app leaves nothing to calibrate transfer against).
-func TrainSenseModel(recs []SenseRecord, cfg SenseTrainConfig) (*SenseModel, error) {
-	return sense.Train(recs, cfg)
-}
-
-// LoadSenseModel reads a model saved with SenseModel.Save, refusing files
-// whose schema, version or calibration drifted.
-func LoadSenseModel(path string) (*SenseModel, error) { return sense.LoadModel(path) }
-
-// SenseAdvisor is the concurrency-safe prediction cache consulted via
-// Options.Sense: subspaces whose prediction clears the gate are served,
-// everything else falls back to real injection.
-type SenseAdvisor = sense.Advisor
-
-// SenseAdvisorConfig sets the advisor's confidence gate.
-type SenseAdvisorConfig = sense.AdvisorConfig
-
-// SensePrediction is one served zero-trial prediction.
-type SensePrediction = sense.Advice
-
-// SenseAdvisorStats counts served predictions, injection fallbacks and
-// cache hits.
-type SenseAdvisorStats = sense.AdvisorStats
-
-// NewSenseAdvisor builds a prediction cache over a trained model.
-func NewSenseAdvisor(m *SenseModel, cfg SenseAdvisorConfig) *SenseAdvisor {
-	return sense.NewAdvisor(m, cfg)
 }
 
 // ---- topology and network faults ----

@@ -12,6 +12,7 @@ package cliconf
 import (
 	"flag"
 	"fmt"
+	"strings"
 
 	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/apps/all"
@@ -70,7 +71,7 @@ func (c *Campaign) Explicit(fs *flag.FlagSet) bool {
 // campaignFlagNames).
 func Register(fs *flag.FlagSet) *Campaign {
 	c := &Campaign{}
-	fs.StringVar(&c.App, "app", "minimd", "workload to study (is, ft, mg, lu, minimd, shoot)")
+	fs.StringVar(&c.App, "app", "minimd", "workload to study ("+strings.Join(all.Names(), ", ")+")")
 	fs.IntVar(&c.Ranks, "ranks", 0, "number of MPI ranks (0 = app default)")
 	fs.IntVar(&c.Scale, "scale", 0, "problem-size knob (0 = app default)")
 	fs.IntVar(&c.Iters, "iters", 0, "outer iterations (0 = app default)")

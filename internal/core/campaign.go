@@ -35,12 +35,6 @@ type CampaignResult struct {
 
 	Measured  []PointResult `json:"measured"`
 	Predicted []Prediction  `json:"predictions,omitempty"`
-
-	// SenseAdvised holds the points answered from the cross-campaign model
-	// with zero trials (Options.Sense). Empty on campaigns that never
-	// served a prediction — and then omitted from the file — so never-sensed
-	// and gate-disabled runs persist byte-identically.
-	SenseAdvised []SenseAdvice `json:"senseAdvised,omitempty"`
 }
 
 // campaignPlan is the profiled-and-pruned injection space of one campaign:
@@ -90,21 +84,6 @@ func (e *Engine) planCampaign() (*campaignPlan, error) {
 	}
 	res.AfterContext = len(points)
 
-	if adv := e.opts.Sense.Advisor; adv != nil {
-		before := adv.Stats()
-		kept, advised := e.senseFilter(points)
-		if len(advised) > 0 {
-			points = kept
-			res.SenseAdvised = advised
-			after := adv.Stats()
-			e.emit(SenseStats{
-				Served:    len(advised),
-				Fallback:  after.Fallback - before.Fallback,
-				CacheHits: after.CacheHits - before.CacheHits,
-			})
-			e.logf("sense: %d points answered zero-trial, %d fall back to injection", len(advised), len(points))
-		}
-	}
 	fp := CampaignFingerprint(e.app.Name(), e.cfg, e.opts, points)
 	if e.opts.ML.Pruning {
 		rng := newRand(e.opts.Seed*31 + 7)
@@ -155,9 +134,6 @@ func (r *CampaignResult) Summary() string {
 	fmt.Fprintf(&sb, "%s: points %d", r.AppName, r.TotalPoints)
 	fmt.Fprintf(&sb, " -> semantic %d (%.2f%%)", r.AfterSemantic, 100*r.SemanticReduction)
 	fmt.Fprintf(&sb, " -> context %d (%.2f%%)", r.AfterContext, 100*r.ContextReduction)
-	if len(r.SenseAdvised) > 0 {
-		fmt.Fprintf(&sb, " -> sense advised %d", len(r.SenseAdvised))
-	}
 	if r.PredictedN > 0 || r.MLReduction > 0 {
 		fmt.Fprintf(&sb, " -> ML injected %d predicted %d (%.2f%%)", r.Injected, r.PredictedN, 100*r.MLReduction)
 	}

@@ -44,13 +44,13 @@ func CampaignFingerprint(appName string, cfg apps.Config, opts Options, points [
 	o := opts.withDefaults()
 	h := fnv.New64a()
 	// The v1 tag versions the fingerprint recipe, not the journal file:
-	// WAL store directories and sense keys are named by this value.
+	// WAL store directories are named by this value.
 	fmt.Fprintf(h, "v1|app=%s|ranks=%d|scale=%d|iters=%d|appseed=%d|",
 		appName, cfg.Ranks, cfg.Scale, cfg.Iters, cfg.Seed)
 	fmt.Fprintf(h, "trials=%d|seed=%d|policy=%d|sem=%t|ctx=%t|ml=%t|",
 		o.TrialsPerPoint, o.Seed, o.Policy, o.Pruning.Semantic, o.Pruning.Context, o.ML.Pruning)
 	// trees=0|depth=0: the forest bounds were options nobody set; the
-	// literals keep every existing fingerprint (WAL directory, sense key).
+	// literals keep every existing fingerprint (WAL directory).
 	fmt.Fprintf(h, "acc=%g|batch=%d|mintrain=%d|levels=%d|trees=0|depth=0|",
 		o.AccuracyThreshold, o.ML.Batch, o.ML.MinTrain, o.Levels)
 	fmt.Fprintf(h, "adaptive=%t|conf=%g|", o.Adaptive.Enabled, o.Confidence)

@@ -227,9 +227,9 @@ func TestCheckpointRefusesUnframedV1(t *testing.T) {
 	}
 }
 
-// TestCampaignFingerprintPinned: fingerprints name WAL store directories,
-// key sense records and bind journals to campaigns, so the recipe must not
-// drift — in particular not with the journal's file version.
+// TestCampaignFingerprintPinned: fingerprints name WAL store directories
+// and bind journals to campaigns, so the recipe must not drift — in
+// particular not with the journal's file version.
 func TestCampaignFingerprintPinned(t *testing.T) {
 	got := CampaignFingerprint("toy", apps.Config{Ranks: 4}, Options{}, ckptTestPoints())
 	if want := "1fa17c6e60a9f62c"; got != want {

@@ -117,10 +117,10 @@ type Fork struct {
 //
 // The options are grouped into embedded sub-structs by concern: Exec
 // (trial execution), Pruning (static pruning), ML (learning loop),
-// Adaptive (early stopping), Network (standing fault environment), Fork
-// (fork-at-injection-site execution) and Sense (cross-campaign
-// zero-trial prediction). Unambiguous fields read through Go's
-// embedded-field promotion (opts.Seed, opts.TrialsPerPoint, ...).
+// Adaptive (early stopping), Network (standing fault environment) and
+// Fork (fork-at-injection-site execution). Unambiguous fields read
+// through Go's embedded-field promotion (opts.Seed, opts.TrialsPerPoint,
+// ...).
 type Options struct {
 	Exec
 	Pruning
@@ -128,7 +128,6 @@ type Options struct {
 	Adaptive
 	Network
 	Fork
-	Sense
 
 	// Observer, when set, receives the campaign's typed event stream:
 	// CampaignStarted, phase changes, per-point results, ML batch

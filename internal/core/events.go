@@ -28,7 +28,7 @@ import (
 // types below form a closed sum: CampaignStarted, FaultDomainEvent,
 // PhaseChanged, PointStarted, PointCompleted, PointSettled, PointRefined,
 // BatchVerified, PointRetried, PointQuarantined, CheckpointAppended,
-// SnapshotStats, SenseStats, ShardLease, CampaignFinished and Note.
+// SnapshotStats, ShardLease, CampaignFinished and Note.
 type Event interface{ event() }
 
 // Observer receives campaign events. Events are delivered serially (never
@@ -249,20 +249,6 @@ type SnapshotStats struct {
 	AtCheckpoint int `json:"atCheckpoint"`
 }
 
-// SenseStats reports the cross-campaign advisor's traffic during planning
-// (Options.Sense): Served points were answered from the model with zero
-// trials and withdrawn from the injection plan, Fallback points fell below
-// the confidence gate and proceed to real injection, and CacheHits queries
-// were answered from the advisor's subspace cache. Emitted once, after
-// pruning and before the injection phase — and only when at least one
-// point was served, so never-sensed and gate-disabled campaigns produce
-// byte-identical event streams.
-type SenseStats struct {
-	Served    int `json:"served"`
-	Fallback  int `json:"fallback"`
-	CacheHits int `json:"cacheHits"`
-}
-
 // ShardLease reports a distributed lease transition on the coordinator's
 // event stream (internal/dist): Kind is "granted", "renewed", "completed"
 // or "expired", Lease the lease ID, Worker the shard that held it and
@@ -308,7 +294,6 @@ func (PointRetried) event()       {}
 func (PointQuarantined) event()   {}
 func (CheckpointAppended) event() {}
 func (SnapshotStats) event()      {}
-func (SenseStats) event()         {}
 func (ShardLease) event()         {}
 func (CampaignFinished) event()   {}
 func (Note) event()               {}

@@ -196,8 +196,8 @@ func TestStreamStatsMatchesBreakdownML(t *testing.T) {
 
 // TestStreamStatsResetsEveryField: one StreamStats observes a sequence of
 // campaigns (ffexp), so CampaignStarted must clear everything the previous
-// one tallied. The sequence below is an adaptive, sense-gated, sharded,
-// interrupted campaign on a faulted fabric — it must move every
+// one tallied. The sequence below is an adaptive, sharded, interrupted
+// campaign on a faulted fabric — it must move every
 // StreamSnapshot field off zero, so a field added without an event here
 // fails the first loop and a field the reset misses fails the second.
 func TestStreamStatsResetsEveryField(t *testing.T) {
@@ -223,7 +223,6 @@ func TestStreamStatsResetsEveryField(t *testing.T) {
 		PointQuarantined{Completed: 3, Total: 4},
 		BatchVerified{Accuracy: 0.9},
 		SnapshotStats{Snapshots: 1, Forked: 2, Replayed: 3, Memoised: 4, Reconverged: 2, AtCheckpoint: 1},
-		SenseStats{Served: 1, Fallback: 2, CacheHits: 3},
 		PhaseChanged{Phase: CampaignRefining},
 		PointRefined{Result: res, Added: added, Extra: 2},
 		CampaignFinished{Predicted: 1, Cancelled: true},

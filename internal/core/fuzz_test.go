@@ -101,7 +101,8 @@ func FuzzLoadCampaignJSON(f *testing.F) {
 	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"outcome":-5}]}]}`))
 	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"target":77}]}]}`))
 	f.Add([]byte(`{"version":1,"measured":[{"point":{},"trials":[{"target":13}]}]}`))
-	f.Add([]byte(`{"version":1}{"version":1}`)) // trailing data
+	f.Add([]byte(`{"version":1}{"version":1}`))      // trailing data
+	f.Add([]byte(`{"version":1,"senseAdvised":[]}`)) // unknown field
 	f.Add([]byte(``))
 	f.Add([]byte(`[1,2,3]`))
 	f.Add([]byte(`"just a string"`))

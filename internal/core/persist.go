@@ -5,8 +5,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-
-	"github.com/fastfit/fastfit/internal/classify"
 )
 
 // Campaigns are expensive; persisting their results lets analyses (and the
@@ -43,9 +41,11 @@ func (r *CampaignResult) SaveJSON(path string) error {
 
 // ReadCampaignJSON deserialises a campaign result written by WriteJSON. It
 // fails with a descriptive error on truncated, corrupt or
-// version-mismatched input rather than silently mis-loading it.
+// version-mismatched input, and on a field this schema does not know,
+// rather than silently mis-loading it.
 func ReadCampaignJSON(rd io.Reader) (*CampaignResult, error) {
 	dec := json.NewDecoder(rd)
+	dec.DisallowUnknownFields()
 	in := campaignFile{CampaignResult: &CampaignResult{}}
 	switch err := dec.Decode(&in); {
 	case err == io.EOF:
@@ -71,15 +71,6 @@ func ReadCampaignJSON(rd io.Reader) (*CampaignResult, error) {
 	for i := range res.Measured {
 		if err := res.Measured[i].validate(); err != nil {
 			return nil, fmt.Errorf("campaign file measured[%d]: %w", i, err)
-		}
-	}
-	for i, a := range res.SenseAdvised {
-		if a.Outcome < 0 || a.Outcome >= classify.NumOutcomes {
-			return nil, fmt.Errorf("campaign file senseAdvised[%d]: invalid outcome %d (valid range 0..%d)",
-				i, a.Outcome, int(classify.NumOutcomes)-1)
-		}
-		if a.Confidence < 0 || a.Confidence >= 1 {
-			return nil, fmt.Errorf("campaign file senseAdvised[%d]: confidence %v outside [0,1)", i, a.Confidence)
 		}
 	}
 	return res, nil

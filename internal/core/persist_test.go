@@ -116,6 +116,7 @@ func TestCampaignJSONRejectsBadInput(t *testing.T) {
 		{"negative bit", `{"version":1,"measured":[{"point":{},"trials":[{"bit":-1}]}]}`, "invalid fault bit -1"},
 		{"bit past the drawn range", `{"version":1,"measured":[{"point":{},"trials":[{"bit":1048576}]}]}`, "invalid fault bit 1048576"},
 		{"trailing garbage", strings.TrimRight(valid, "\n") + `{"version":1}`, "trailing data"},
+		{"unknown field", strings.Replace(valid, "{", `{"senseAdvised":[{"point":{},"outcome":4,"confidence":0.75}],`, 1), `unknown field "senseAdvised"`},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -52,7 +52,6 @@ func schemaEvents() []Event {
 			Completed: 7, Total: 10, FromCheckpoint: true},
 		CheckpointAppended{Path: "c.ckpt", Index: 5, Records: 6},
 		SnapshotStats{Snapshots: 2, Forked: 20, Replayed: 3, Memoised: 7, Reconverged: 5, AtCheckpoint: 2},
-		SenseStats{Served: 4, Fallback: 6, CacheHits: 2},
 		ShardLease{Kind: "granted", Lease: "L1", Worker: "shard-1", Lo: 0, Hi: 4},
 		CampaignFinished{App: "toy", Injected: 9, Predicted: 1, Quarantined: 1, Counts: pr.Counts, Cancelled: true},
 		Note{Text: "profiled toy: 100 injection points"},
@@ -81,7 +80,6 @@ func TestGoldenWireSchema(t *testing.T) {
 		VerifyAccuracy: 0.7,
 		Measured:       []PointResult{schemaResult()},
 		Predicted:      []Prediction{{Point: schemaPoint(), Level: 3}},
-		SenseAdvised:   []SenseAdvice{{Point: schemaPoint(), Outcome: classify.WrongAns, Confidence: 0.75}},
 	}
 	out.WriteString("# campaign document\n")
 	check(full.WriteJSON(&out))
@@ -99,16 +97,25 @@ func TestGoldenWireSchema(t *testing.T) {
 	check(err)
 	fmt.Fprintf(&out, "%s\n", line)
 
+	// The envelopes number the schema events from 1, skipping 13: that was
+	// a retired event type's, and leaving it unused keeps every other line
+	// of the golden as it was.
+	seq := func(i int) int {
+		if i >= 12 {
+			return i + 2
+		}
+		return i + 1
+	}
 	out.WriteString("# event envelopes\n")
 	events := schemaEvents()
 	for i, ev := range events {
-		line, err := EventEnvelope(i+1, ev)
+		line, err := EventEnvelope(seq(i), ev)
 		check(err)
 		fmt.Fprintf(&out, "%s\n", line)
 	}
 	out.WriteString("# event envelopes, zero values\n")
 	for i, ev := range events {
-		line, err := EventEnvelope(i+1, reflect.Zero(reflect.TypeOf(ev)).Interface().(Event))
+		line, err := EventEnvelope(seq(i), reflect.Zero(reflect.TypeOf(ev)).Interface().(Event))
 		check(err)
 		fmt.Fprintf(&out, "%s\n", line)
 	}
@@ -152,7 +159,7 @@ func TestWireTypesTagEveryField(t *testing.T) {
 	for _, r := range roots {
 		walk(reflect.TypeOf(r))
 	}
-	for _, typ := range []any{CampaignResult{}, PointRecord{}, Point{}, TrialResult{}, Prediction{}, SenseAdvice{}, Note{}} {
+	for _, typ := range []any{CampaignResult{}, PointRecord{}, Point{}, TrialResult{}, Prediction{}, Note{}} {
 		if !seen[reflect.TypeOf(typ)] {
 			t.Errorf("the walk never reached %T", typ)
 		}

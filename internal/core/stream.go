@@ -97,8 +97,6 @@ func (s *StreamStats) OnEvent(ev Event) {
 		sn.VerifyAccuracy = ev.Accuracy
 	case SnapshotStats:
 		sn.Snapshots, sn.Forked, sn.Replayed, sn.Memoised, sn.Reconverged, sn.AtCheckpoint = ev.Snapshots, ev.Forked, ev.Replayed, ev.Memoised, ev.Reconverged, ev.AtCheckpoint
-	case SenseStats:
-		sn.SenseServed, sn.SenseFallback, sn.SenseCacheHits = ev.Served, ev.Fallback, ev.CacheHits
 	case ShardLease:
 		switch ev.Kind {
 		case "granted":
@@ -168,9 +166,6 @@ type StreamSnapshot struct {
 	Memoised       int // trials that reused an earlier trial's outcome
 	Reconverged    int // forked trials cut short as the golden suffix
 	AtCheckpoint   int // of which cut at a later checkpoint
-	SenseServed    int // points answered zero-trial by the sense advisor
-	SenseFallback  int // advisor queries that fell back to real injection
-	SenseCacheHits int // advisor queries answered from the subspace cache
 	Topology       string
 	LinksDown      int // standing permanent link failures in the fault plan
 	DropBursts     int // standing transient drop bursts in the fault plan
@@ -240,9 +235,6 @@ func (sn StreamSnapshot) ProgressLine() string {
 	}
 	if sn.ETA > 0 {
 		fmt.Fprintf(&sb, " | ETA %v", sn.ETA.Round(time.Second))
-	}
-	if sn.SenseServed > 0 {
-		fmt.Fprintf(&sb, " | sense %d zero-trial (%d fallback)", sn.SenseServed, sn.SenseFallback)
 	}
 	if sn.Settled > 0 {
 		fmt.Fprintf(&sb, " | settled %d (saved %d)", sn.Settled, sn.TrialsSaved-sn.TrialsRefined)

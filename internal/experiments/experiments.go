@@ -135,7 +135,6 @@ var registry = []struct {
 	{"ablation", Ablation},
 	{"adaptive", AdaptiveBudget},
 	{"topology", Topology},
-	{"transfer", Transfer},
 	{"summary", Summary},
 }
 

@@ -128,6 +128,9 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 			}
 		}
 		res := Run(o, gateApp(g, c.recoverErr))
+		if d := res.FlagsDisagree(); d != "" {
+			t.Errorf("rank %d's Bcast fault (fork %t): %s", c.rank, fork, d)
+		}
 		return run{res, int(g.entered.Load())}
 	}
 	negCount := func(_ *gateRun, c *CollectiveCall) { c.Args.Count = -1 }
@@ -220,6 +223,52 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 				t.Errorf("%s while held: rank %d ended with %v", tc.name, rr.Rank, rr.Err)
 			}
 		}
+	}
+}
+
+// TestCutOutranksARacingCancel: a cancellation that lands after every
+// other rank has matched the golden run at the faulted call, but before the
+// faulted rank completes the tally, ends the run as Reconverged, and the
+// run says so in every flag: not Cancelled.
+func TestCutOutranksARacingCancel(t *testing.T) {
+	const n, seed = 4, int64(9)
+	var rec gateRun
+	golden := Run(RunOptions{NumRanks: n, Seed: seed, Record: true}, gateApp(&rec, false))
+	ev := golden.Trace.ranks[0].events[0]
+	if ev.kind != evColl || ev.coll != CollAllreduce {
+		t.Fatal("rank 0's first tape event is not the Allreduce")
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	g := &gateRun{}
+	// Rank 0's hook runs before its own match is counted: it waits for the
+	// other ranks' matches, cancels the run and waits for the kill.
+	stall := func(*CollectiveCall) {
+		w := g.last.Load().world
+		for {
+			w.mu.Lock()
+			matched := w.matched
+			w.mu.Unlock()
+			if matched == n-1 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		cancel()
+		for !w.killed() {
+			time.Sleep(time.Millisecond)
+		}
+	}
+	res := Run(RunOptions{
+		NumRanks: n, Seed: seed, Timeout: time.Minute, Context: ctx,
+		Hook: &gateHook{rank: 0, site: ev.site, inv: int(ev.inv), after: true, act: stall},
+		Fork: golden.Trace.Fork(0, ev.site, int(ev.inv)),
+	}, gateApp(g, false))
+	if res.Provenance != Reconverged || !res.Reconverged {
+		t.Fatalf("run ended %q (reconverged %t), want a cut at the call", res.Provenance, res.Reconverged)
+	}
+	if d := res.FlagsDisagree(); d != "" {
+		t.Error(d)
 	}
 }
 

@@ -1,6 +1,9 @@
 package mpi
 
-import "maps"
+import (
+	"fmt"
+	"maps"
+)
 
 // RaceEnabled lets the external test package (fork_reconverge_test.go) trim
 // its sweep under the race detector, as the in-package tests do.
@@ -62,4 +65,13 @@ func BooksOf(r *Rank) Books { return Books{r.work, maps.Clone(r.invents), r.phas
 // and a decided kill (Decided) before they ever started.
 func (r RunResult) RanksSettled() bool {
 	return r.Provenance == NotKilled || r.Provenance == Deadlocked || r.Provenance == Aborted
+}
+
+// FlagsDisagree says how r's Deadlock, TimedOut and Cancelled differ from
+// what its Provenance says, "" when they agree.
+func (r RunResult) FlagsDisagree() string {
+	if r.Deadlock == (r.Provenance == Deadlocked) && r.TimedOut == (r.Provenance == TimedOut) && r.Cancelled == (r.Provenance == Cancelled) {
+		return ""
+	}
+	return fmt.Sprintf("deadlock=%t timedout=%t cancelled=%t, but provenance %q", r.Deadlock, r.TimedOut, r.Cancelled, r.Provenance)
 }

@@ -289,6 +289,9 @@ func (h *cutHarness) compare(t *testing.T, rank int, c cutCall, target fault.Tar
 		if len(inj.Applied())+len(inj.Missed()) != 1 {
 			t.Fatalf("%v (%v): the injector did not reach its call", f, c.typ)
 		}
+		if d := res.FlagsDisagree(); d != "" {
+			t.Errorf("%v (%v, forked %t): %s", f, c.typ, fk != nil, d)
+		}
 		return res
 	}
 	forked = run(fk)
@@ -691,8 +694,8 @@ func TestCheckpointCutNamedCases(t *testing.T) {
 	o := h.opts
 	o.Hook = fault.NewInjector(nil, fault.Fault{Rank: 0, Site: c.site, Invocation: c.inv, Target: fault.TargetSendBuf, Bit: maskBit})
 	o.Fork = h.trace.Fork(0, c.site, c.inv)
-	if res := mpi.Run(o, maskApp(maskBase, false, forked)); res.Provenance != mpi.ReconvergedAtCheckpoint {
-		t.Fatalf("the must-cut fault ended %v", res.Provenance)
+	if res := mpi.Run(o, maskApp(maskBase, false, forked)); res.Provenance != mpi.ReconvergedAtCheckpoint || res.FlagsDisagree() != "" {
+		t.Fatalf("the must-cut fault ended %v (%s)", res.Provenance, res.FlagsDisagree())
 	}
 	countsDiffer := false
 	for i := range golden {

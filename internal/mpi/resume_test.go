@@ -284,7 +284,11 @@ func TestDecidedMatchesReplay(t *testing.T) {
 					run := func(fk *mpi.Fork) mpi.RunResult {
 						o := opts
 						o.Hook, o.Fork = fault.NewInjector(nil, f), fk
-						return mpi.Run(o, tc.fn)
+						res := mpi.Run(o, tc.fn)
+						if d := res.FlagsDisagree(); d != "" {
+							t.Errorf("%v (forked %t): %s", f, fk != nil, d)
+						}
+						return res
 					}
 					trials++
 					if forked := run(fk); forked.Provenance == mpi.Decided {

@@ -541,9 +541,6 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 
 	res := RunResult{
 		Ranks:      results,
-		Deadlock:   w.why == Deadlocked,
-		TimedOut:   w.why == TimedOut,
-		Cancelled:  w.why == Cancelled,
 		Elapsed:    time.Since(start),
 		Provenance: w.why,
 		meetings:   w.met,
@@ -556,11 +553,12 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	}
 	if w.cut != NotKilled {
 		// Decided by the tally, not by which kill came first: a run whose
-		// deadline raced its last matching rank reconverged all the same,
-		// and its outcome is the golden run's either way.
-		res.Ranks, res.Reconverged, res.TimedOut = slices.Clone(w.fork.trace.golden), true, false
+		// deadline or cancellation raced its last matching rank reconverged
+		// all the same, and its outcome is the golden run's either way.
+		res.Ranks, res.Reconverged = slices.Clone(w.fork.trace.golden), true
 		res.Provenance = w.cut
 	}
+	res.Deadlock, res.TimedOut, res.Cancelled = res.Provenance == Deadlocked, res.Provenance == TimedOut, res.Provenance == Cancelled
 	if w.rec != nil {
 		if res.Deadlock || res.TimedOut || res.Cancelled {
 			w.rec.poison("recording run did not complete cleanly")
