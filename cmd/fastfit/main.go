@@ -64,6 +64,8 @@ func main() {
 
 func run() error {
 	camp := cliconf.Register(flag.CommandLine)
+	appFlag := flag.Lookup("app") // fastfit alone also takes -app all (runAllApps)
+	appFlag.Usage = appFlag.Usage[:len(appFlag.Usage)-1] + ", all)"
 	obsFlags := cliconf.RegisterObserver(flag.CommandLine, "fastfit", true)
 	var (
 		corr       = flag.Bool("correlations", false, "print the Table IV feature correlations")

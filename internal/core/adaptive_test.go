@@ -1,9 +1,6 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"path/filepath"
 	"testing"
 	"time"
 
@@ -109,138 +106,6 @@ func TestAdaptiveSavesTrials(t *testing.T) {
 	}
 	t.Logf("ran %d of %d budgeted trials (%.1f%% saved)",
 		total, budget, 100*(1-float64(total)/float64(budget)))
-}
-
-// TestAdaptiveSerialMatchesSupervised: with adaptive budgets on, a
-// Workers:4 campaign (including its pooled refinement pass) must be
-// bit-identical to RunCampaign's Workers:1 run of the same driver.
-func TestAdaptiveSerialMatchesSupervised(t *testing.T) {
-	opts := adaptiveTestOptions()
-	serial, err := supTestEngine(t, opts).RunCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
-		t.Fatalf("adaptive supervised campaign diverged from serial:\nserial:     %s\nsupervised: %s",
-			serial.Summary(), sup.Summary())
-	}
-}
-
-// TestAdaptiveInterruptResumeDeterminism: an adaptive campaign cancelled
-// mid-run and resumed from its journal must reproduce the uninterrupted
-// result byte for byte, including per-point early-stop decisions and the
-// refinement grants.
-func TestAdaptiveInterruptResumeDeterminism(t *testing.T) {
-	opts := adaptiveTestOptions()
-	dir := t.TempDir()
-
-	full, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: filepath.Join(dir, "full.ckpt"),
-	}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Cancelled {
-		t.Fatal("reference run cancelled?")
-	}
-
-	ckpt := filepath.Join(dir, "interrupted.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	intOpts := opts
-	intOpts.Observer = ObserverFunc(func(ev Event) {
-		if pc, ok := ev.(PointCompleted); ok && pc.Completed == 3 {
-			cancel()
-		}
-	})
-	part, err := NewSupervisor(supTestEngine(t, intOpts), SupervisorOptions{
-		Workers:    2,
-		Checkpoint: ckpt,
-	}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Cancelled {
-		t.Fatal("interrupted run not marked Cancelled")
-	}
-
-	res, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: ckpt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.FromCheckpoint == 0 {
-		t.Fatal("resume restored nothing from the checkpoint")
-	}
-	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
-		t.Fatalf("resumed adaptive campaign diverged from uninterrupted run:\nfull:    %s\nresumed: %s",
-			full.Summary(), res.Summary())
-	}
-}
-
-// TestAdaptiveMLSerialSupervisedResumeIdentity covers the ML path: the
-// Workers:1 run, the Workers:4 run, and interrupt/resume must all yield
-// byte-identical CampaignResults with adaptive budgets on. This exercises
-// the phase-1/refined split in the journal: the resumed learner must
-// retrain on the phase-1 trial prefix even when the journal already holds
-// refined records.
-func TestAdaptiveMLSerialSupervisedResumeIdentity(t *testing.T) {
-	opts := adaptiveTestOptions()
-	opts.ML.Pruning = true
-	opts.ML.Batch = 4
-	dir := t.TempDir()
-
-	serial, err := supTestEngine(t, opts).RunCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	full, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: filepath.Join(dir, "full.ckpt"),
-	}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, full.CampaignResult)) {
-		t.Fatalf("adaptive ML supervised run diverged from serial:\nserial:     %s\nsupervised: %s",
-			serial.Summary(), full.Summary())
-	}
-
-	ckpt := filepath.Join(dir, "interrupted.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	intOpts := opts
-	intOpts.Observer = ObserverFunc(func(ev Event) {
-		if pc, ok := ev.(PointCompleted); ok && pc.Completed == 2 {
-			cancel()
-		}
-	})
-	part, err := NewSupervisor(supTestEngine(t, intOpts), SupervisorOptions{
-		Workers:    2,
-		Checkpoint: ckpt,
-	}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Cancelled {
-		t.Fatal("interrupted adaptive ML run not marked Cancelled")
-	}
-
-	res, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: ckpt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
-		t.Fatalf("resumed adaptive ML campaign diverged:\nfull:    %s\nresumed: %s",
-			full.Summary(), res.Summary())
-	}
 }
 
 // TestAdaptiveRefinementCappedByBudget: refinement extends a point's trial

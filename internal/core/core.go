@@ -105,11 +105,11 @@ type Network struct {
 // internal/mpi trace.go/fork.go), falling back to full from-t=0 replay
 // whenever a trial is not forkable (multi-fault plans, network faults, or
 // an application using unreplayable features). Forked and replayed trials
-// are byte-identical; the differential suite pins it.
+// are byte-identical; the execution-mode matrix pins it.
 type Fork struct {
 	// Disable turns forking off, executing every trial from t=0. The
 	// campaign outcome is identical either way; this knob exists for
-	// differential testing and ablation benchmarks.
+	// ablation benchmarks.
 	Disable bool
 }
 

@@ -31,11 +31,11 @@ type Engine struct {
 	// Profile and shared with every engine of the same fingerprint.
 	gold atomic.Pointer[goldenRun]
 
-	// unpooled runs the simulated runtime without its buffer arena
-	// (mpi.RunOptions.DisablePooling) and classifies by the full golden
-	// walk instead of the digest: the reference this package's
-	// differential and leak tests hold the default fast paths to.
-	unpooled bool
+	// reference turns every shortcut off: no arena (DisablePooling, so no
+	// rendezvous either), fork or memo, and the full golden comparison on its
+	// own uncached golden run instead of the digest. The execution-mode
+	// matrix holds every other engine to it.
+	reference bool
 
 	// Network-fault-domain configuration, resolved once (netSetup): the
 	// parsed topology shared by every injected run, or nil when the
@@ -169,7 +169,7 @@ func (e *Engine) exec(ro mpi.RunOptions) mpi.RunResult {
 	ro.NumRanks = e.cfg.Ranks
 	ro.Seed = e.cfg.Seed
 	ro.Timeout = e.opts.RunTimeout
-	ro.DisablePooling = e.unpooled
+	ro.DisablePooling = e.reference
 	return mpi.Run(ro, func(r *mpi.Rank) error { return e.app.Main(r, e.cfg) })
 }
 
@@ -233,11 +233,11 @@ func (e *Engine) execute(ctx context.Context, faults ...fault.Fault) (classify.O
 }
 
 // classifyRun classifies one run against the golden reference, through the
-// precomputed digest (the campaign hot path) and, on the unpooled reference
-// engine, the full comparison. The two are outcome-identical; the
-// differential tests pin it.
+// precomputed digest (the campaign hot path) and, on the reference engine,
+// the full comparison. The two are outcome-identical; the execution-mode
+// matrix pins it.
 func (e *Engine) classifyRun(g *goldenRun, res mpi.RunResult) classify.Outcome {
-	if e.unpooled {
+	if e.reference {
 		return classify.Classify(g.res, res)
 	}
 	return g.digest.Classify(res)
@@ -290,7 +290,7 @@ type trialSeq struct {
 // engine's policy, or restricted to one parameter when target is set.
 func (e *Engine) pointSeq(p Point, pointIdx int, target *fault.Target) trialSeq {
 	w, keyed := e.pointWidths(p)
-	return trialSeq{seed: pointIdx, w: w, keyed: keyed, draw: func(rng *rand.Rand) fault.Fault {
+	return trialSeq{seed: pointIdx, w: w, keyed: keyed && !e.reference, draw: func(rng *rand.Rand) fault.Fault {
 		switch {
 		case target != nil:
 			return fault.RandomFaultOn(rng, p.Rank, p.Site, p.Invocation, *target)

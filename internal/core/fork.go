@@ -26,9 +26,9 @@ import (
 // is not forkable: multi-fault runs, network fault-domain campaigns
 // (topologies and plans perturb delivery before the injection site), traces
 // the recorder poisoned (wildcard receives, derived communicators, ...), or
-// prefixes whose faulted call never appears on the tape. The forked≡replayed
-// differential suite pins that both paths classify identically, so outcomes
-// stay pure functions of (seed, plan, algorithm) either way.
+// prefixes whose faulted call never appears on the tape. The execution-mode
+// matrix (equivalence_test.go) pins that both paths classify identically, so
+// outcomes stay pure functions of (seed, plan, algorithm) either way.
 
 // goldenRun is a workload's one fault-free run: its profile, its results
 // and their digest, and its tape (res.Trace; unforkable, with a Reason, when
@@ -78,7 +78,7 @@ func (e *Engine) forkFingerprint() string {
 // loadGolden returns the engine's golden run. On a miss in the shared cache
 // one engine runs the application while the others of the fingerprint wait
 // for that run; a run that fails or hangs is an error and leaves the cache.
-// The unpooled reference engine runs its own, uncached.
+// The reference engine runs its own, uncached.
 func (e *Engine) loadGolden() (*goldenRun, error) {
 	if g := e.gold.Load(); g != nil {
 		return g, nil
@@ -87,7 +87,7 @@ func (e *Engine) loadGolden() (*goldenRun, error) {
 		return nil, fmt.Errorf("network fault domain of %s: %w", e.app.Name(), err)
 	}
 	fp, g := e.forkFingerprint(), &goldenRun{}
-	if !e.unpooled {
+	if !e.reference {
 		goldens.Lock()
 		if cached := goldens.m[fp]; cached != nil {
 			g = cached
@@ -103,7 +103,7 @@ func (e *Engine) loadGolden() (*goldenRun, error) {
 		goldens.Unlock()
 	}
 	g.once.Do(func() {
-		if g.err = e.runGolden(g); g.err != nil && !e.unpooled {
+		if g.err = e.runGolden(g); g.err != nil && !e.reference {
 			goldens.Lock()
 			if goldens.m[fp] == g {
 				delete(goldens.m, fp)
@@ -153,11 +153,12 @@ func (g *goldenRun) fork(key forkKey) *mpi.Fork {
 // trialFork returns the snapshot one trial forks from, or nil when the
 // trial must replay in full, and keeps the campaign's snapshot accounting
 // (SnapshotStats). Forking does not apply to a point-to-point fault (the
-// tape is cut at collectives), under Fork.Disable or with a network fault
-// domain (its plans perturb delivery before the injection site). Where it applies but the recorder refused the tape, every trial
-// pays its full prefix, so the engine says so once, with the cause.
+// tape is cut at collectives), under Fork.Disable, on the reference engine
+// or with a network fault domain (its plans perturb delivery before the
+// injection site). Where it applies but the recorder refused the tape, every
+// trial pays its full prefix, so the engine says so once, with the cause.
 func (e *Engine) trialFork(g *goldenRun, f fault.Fault) *mpi.Fork {
-	if f.Target.IsNet() || f.Target.IsP2P() || e.opts.Fork.Disable || e.netSetup() != nil || e.topo != nil {
+	if f.Target.IsNet() || f.Target.IsP2P() || e.opts.Fork.Disable || e.reference || e.netSetup() != nil || e.topo != nil {
 		return nil
 	}
 	if !g.res.Trace.Forkable() {

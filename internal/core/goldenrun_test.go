@@ -101,24 +101,24 @@ func TestOneGoldenRunPerFingerprint(t *testing.T) {
 		t.Fatalf("a second fingerprint: %d fault-free runs in all, want 2", got)
 	}
 
-	// The unpooled reference engine runs its own and leaves the cache alone.
+	// The reference engine runs its own and leaves the cache alone.
 	fp := New(app, cfg, diffTestOptions(1)).forkFingerprint()
 	goldens.Lock()
 	before, entries := goldens.m[fp], len(goldens.m)
 	goldens.Unlock()
 	ref := New(app, cfg, diffTestOptions(1))
-	ref.unpooled = true
+	ref.reference = true
 	if g := mustLoadGolden(t, ref); g == before {
-		t.Fatal("the unpooled engine took the pooled engines' golden run")
+		t.Fatal("the reference engine took the pooled engines' golden run")
 	}
 	if got := goldenRuns(); got != 3 {
-		t.Fatalf("the unpooled engine: %d fault-free runs in all, want 3", got)
+		t.Fatalf("the reference engine: %d fault-free runs in all, want 3", got)
 	}
 	goldens.Lock()
 	after, entriesAfter := goldens.m[fp], len(goldens.m)
 	goldens.Unlock()
 	if after != before || entriesAfter != entries {
-		t.Fatalf("the unpooled engine changed the cache: %d entries, want %d, entry replaced %t", entriesAfter, entries, after != before)
+		t.Fatalf("the reference engine changed the cache: %d entries, want %d, entry replaced %t", entriesAfter, entries, after != before)
 	}
 
 	// Eight engines of a new fingerprint profiling at once wait for one run.

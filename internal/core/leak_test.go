@@ -92,6 +92,55 @@ func TestGoroutineLeakAdaptiveEarlySettle(t *testing.T) {
 	}
 }
 
+// TestSupervisorPaperScalePooled runs a supervised adaptive campaign at
+// paper-scale rank count with pooling on and concurrent workers — the
+// configuration the arena exists for — and checks it against the
+// one-worker unpooled campaign. Under -race this doubles as the data-race proof for
+// the shell/slab pools; the sizes shrink there to keep it affordable.
+func TestSupervisorPaperScalePooled(t *testing.T) {
+	app := lu.New()
+	cfg := app.DefaultConfig()
+	cfg.Ranks = 32
+	cfg.Scale = 48
+	opts := DefaultOptions()
+	opts.TrialsPerPoint = 32 // enough headroom for the settling rule to fire
+	opts.ML.Pruning = false
+	opts.Adaptive.Enabled = true
+	opts.RunTimeout = 30 * time.Second
+	if raceEnabled || testing.Short() {
+		cfg.Ranks = 16
+		cfg.Scale = 32
+	}
+
+	ref := New(app, cfg, opts)
+	ref.reference = true
+	serial, err := ref.RunCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	sup, err := NewSupervisor(New(app, cfg, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if sup.Cancelled || len(sup.Quarantined) != 0 {
+		t.Fatalf("unexpected supervision events: %+v", sup)
+	}
+	settled := 0
+	for _, pr := range sup.Measured {
+		if len(pr.Trials) < opts.TrialsPerPoint {
+			settled++
+		}
+	}
+	if settled == 0 {
+		t.Fatal("campaign settled no points early; the pooled early-settle path is untested")
+	}
+	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
+		t.Fatalf("pooled supervised campaign diverged from unpooled serial campaign:\nserial: %s\nsupervised: %s",
+			serial.Summary(), sup.Summary())
+	}
+}
+
 // TestPooledBufferAliasingAcrossConcurrentRuns drives many injected runs
 // of a pooled engine from concurrent workers — the supervisor's memory
 // shape, where several simulated worlds recycle the same arena at once —
@@ -109,7 +158,7 @@ func TestPooledBufferAliasingAcrossConcurrentRuns(t *testing.T) {
 		opts := DefaultOptions()
 		opts.RunTimeout = 10 * time.Second
 		e := New(app, cfg, opts)
-		e.unpooled = disablePooling
+		e.reference = disablePooling
 		if _, err := e.Profile(); err != nil {
 			t.Fatal(err)
 		}
@@ -160,54 +209,5 @@ func TestPooledBufferAliasingAcrossConcurrentRuns(t *testing.T) {
 			t.Errorf("trial %d: pooled concurrent outcome %v != serial unpooled %v (cross-run aliasing of pooled memory)",
 				i, got[i], want[i])
 		}
-	}
-}
-
-// TestSupervisorPaperScalePooled runs a supervised adaptive campaign at
-// paper-scale rank count with pooling on and concurrent workers — the
-// configuration the arena exists for — and checks it against the
-// one-worker unpooled campaign. Under -race this doubles as the data-race proof for
-// the shell/slab pools; the sizes shrink there to keep it affordable.
-func TestSupervisorPaperScalePooled(t *testing.T) {
-	app := lu.New()
-	cfg := app.DefaultConfig()
-	cfg.Ranks = 32
-	cfg.Scale = 48
-	opts := DefaultOptions()
-	opts.TrialsPerPoint = 32 // enough headroom for the settling rule to fire
-	opts.ML.Pruning = false
-	opts.Adaptive.Enabled = true
-	opts.RunTimeout = 30 * time.Second
-	if raceEnabled || testing.Short() {
-		cfg.Ranks = 16
-		cfg.Scale = 32
-	}
-
-	unpooled := New(app, cfg, opts)
-	unpooled.unpooled = true
-	serial, err := unpooled.RunCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	sup, err := NewSupervisor(New(app, cfg, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup.Cancelled || len(sup.Quarantined) != 0 {
-		t.Fatalf("unexpected supervision events: %+v", sup)
-	}
-	settled := 0
-	for _, pr := range sup.Measured {
-		if len(pr.Trials) < opts.TrialsPerPoint {
-			settled++
-		}
-	}
-	if settled == 0 {
-		t.Fatal("campaign settled no points early; the pooled early-settle path is untested")
-	}
-	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
-		t.Fatalf("pooled supervised campaign diverged from unpooled serial campaign:\nserial: %s\nsupervised: %s",
-			serial.Summary(), sup.Summary())
 	}
 }

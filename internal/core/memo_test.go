@@ -1,219 +1,13 @@
 package core
 
 import (
-	"bytes"
-	"context"
-	"fmt"
-	"path/filepath"
 	"strings"
 	"sync/atomic"
 	"testing"
 
 	"github.com/fastfit/fastfit/internal/apps"
-	"github.com/fastfit/fastfit/internal/apps/lu"
-	"github.com/fastfit/fastfit/internal/apps/mg"
-	"github.com/fastfit/fastfit/internal/apps/minimd"
-	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
 )
-
-// A point's trial sequence runs each effective fault once and reuses that
-// outcome for the repeats (runTrialWave). There is no switch that turns the
-// reuse off to compare against, so these tests check it against the thing it
-// stands in for: actually running the fault.
-
-func recordedFault(p Point, tr TrialResult) fault.Fault {
-	return fault.Fault{Rank: p.Rank, Site: p.Site, Invocation: p.Invocation, Target: tr.Target, Bit: tr.Bit}
-}
-
-// wantMemoised recomputes, from a campaign's recorded trials and the
-// profile's widths alone, how many trials repeat an earlier effective fault
-// of their point — the number the engine must report as Memoised, whatever
-// the execution mode.
-func wantMemoised(t *testing.T, e *Engine, measured []PointResult) (memoised, total int) {
-	t.Helper()
-	for _, pr := range measured {
-		w, ok := e.gold.Load().prof.Widths(pr.Point.Rank, pr.Point.Site, pr.Point.Invocation)
-		if !ok {
-			t.Fatalf("no widths recorded for %s", pr.Point.String())
-		}
-		seen := map[effectiveFault]bool{}
-		for _, tr := range pr.Trials {
-			k := effectiveFault{tr.Target, w.EffectiveBit(tr.Target, tr.Bit)}
-			if seen[k] {
-				memoised++
-			}
-			seen[k] = true
-		}
-		total += len(pr.Trials)
-	}
-	return memoised, total
-}
-
-// TestMemoOracle runs memoised campaigns of the three halo applications,
-// direct and adaptive-with-refinement, and then executes every recorded
-// trial for real through RunOnce — which never reuses anything — requiring
-// the same outcome trial by trial. It also requires the accounting to be
-// the three-way partition of the recorded trials, with Memoised exactly the
-// repeats of an effective fault in trial order.
-func TestMemoOracle(t *testing.T) {
-	seeds := int64(3)
-	if raceEnabled || testing.Short() {
-		seeds = 1
-	}
-	reused := 0
-	for _, app := range []apps.App{mg.New(), lu.New(), minimd.New()} {
-		for seed := int64(1); seed <= seeds; seed++ {
-			for _, mode := range []string{"direct", "adaptive"} {
-				opts := diffTestOptions(seed)
-				opts.TrialsPerPoint = 16
-				if mode == "adaptive" {
-					opts.Adaptive.Enabled = true
-				} else {
-					opts.Policy = PolicyAllParams
-				}
-				leg := fmt.Sprintf("%s/seed=%d/%s", app.Name(), seed, mode)
-				e := appDigestEngine(app, seed, opts)
-				refinedPoints := 0
-				e.events.attach(ObserverFunc(func(ev Event) {
-					if _, ok := ev.(PointRefined); ok {
-						refinedPoints++
-					}
-				}))
-				res, err := e.RunCampaign()
-				if err != nil {
-					t.Fatalf("%s: %v", leg, err)
-				}
-				st := e.SnapshotStats()
-				memoised, total := wantMemoised(t, e, res.Measured)
-				if st.Forked+st.Replayed+st.Memoised != total || st.Memoised != memoised || st.Replayed != 0 {
-					t.Errorf("%s: accounting %+v, want forked+memoised = %d trials with %d memoised and none replayed",
-						leg, st, total, memoised)
-				}
-				if mode == "adaptive" && refinedPoints == 0 {
-					t.Errorf("%s: no point was refined; the prior-trials path of the memo is untested", leg)
-				}
-				reused += st.Memoised
-
-				for _, pr := range res.Measured {
-					for i, tr := range pr.Trials {
-						if got, _ := e.RunOnce(recordedFault(pr.Point, tr)); got != tr.Outcome {
-							t.Errorf("%s: %s trial %d (%v bit %d): campaign recorded %v, running the fault gives %v",
-								leg, pr.Point.String(), i, tr.Target, tr.Bit, tr.Outcome, got)
-						}
-					}
-				}
-				if after := e.SnapshotStats(); after.Memoised != st.Memoised || after.Forked != st.Forked+total {
-					t.Errorf("%s: RunOnce did not execute every fault it was given: %+v after %d calls on top of %+v", leg, after, total, st)
-				}
-			}
-		}
-	}
-	if reused == 0 {
-		t.Fatal("no campaign reused an outcome; the oracle compared nothing the memo produced")
-	}
-}
-
-// memoLeg is one execution of the pinned campaign: its bytes and its trial
-// accounting, summed over the legs of an interrupted run.
-type memoLeg struct {
-	json                                                  []byte
-	forked, replayed, memoised, reconverged, atCheckpoint int
-}
-
-func (l *memoLeg) add(st SnapshotStats) {
-	l.forked, l.replayed, l.memoised = l.forked+st.Forked, l.replayed+st.Replayed, l.memoised+st.Memoised
-	l.reconverged, l.atCheckpoint = l.reconverged+st.Reconverged, l.atCheckpoint+st.AtCheckpoint
-}
-
-// TestMemoDeterminism: which trials execute is a function of the trial
-// sequence alone. The same adaptive campaign run one trial at a time, four
-// trials at a time (waves that overrun the stopping index), on three point
-// workers, and killed after k points then resumed from the journal, reports
-// the same Forked/Replayed/Memoised, the same Reconverged inside Forked and
-// AtCheckpoint inside that (a run is cut when its last rank matches the
-// tape, not when the supervisor happens to read the signal) and the same
-// campaign bytes. It runs is, and lu, whose checkpoints is lacks.
-func TestMemoDeterminism(t *testing.T) {
-	t.Run("is", func(t *testing.T) {
-		memoDeterminism(t, false, func(o Options) *Engine { return diffTestEngine(t, o) })
-	})
-	t.Run("lu", func(t *testing.T) {
-		memoDeterminism(t, true, func(o Options) *Engine { return appDigestEngine(lu.New(), o.Seed, o) })
-	})
-}
-
-// memoDeterminism is TestMemoDeterminism on one application; checkpoints
-// says whether its campaign must cut some trial at a checkpoint.
-func memoDeterminism(t *testing.T, checkpoints bool, engine func(Options) *Engine) {
-	opts := diffTestOptions(5)
-	opts.Adaptive.Enabled = true
-	opts.TrialsPerPoint = 32
-	opts.Parallelism = 1
-
-	run := func(t *testing.T, o Options, so SupervisorOptions) memoLeg {
-		t.Helper()
-		e := engine(o)
-		res, err := NewSupervisor(e, so).Run(context.Background())
-		if err != nil {
-			t.Fatal(err)
-		}
-		if res.Cancelled || len(res.Quarantined) != 0 {
-			t.Fatalf("leg not clean: %+v", res)
-		}
-		leg := memoLeg{json: campaignBytes(t, res.CampaignResult)}
-		leg.add(e.SnapshotStats())
-		if memoised, total := wantMemoised(t, e, res.Measured); res.FromCheckpoint == 0 &&
-			(leg.memoised != memoised || leg.forked+leg.replayed+leg.memoised != total) {
-			t.Fatalf("accounting %+v is not the partition of %d recorded trials with %d repeats", leg, total, memoised)
-		}
-		return leg
-	}
-
-	ref := run(t, opts, SupervisorOptions{Workers: 1})
-	if ref.memoised == 0 || ref.forked == 0 || ref.reconverged == 0 || checkpoints && ref.atCheckpoint == 0 {
-		t.Fatalf("reference leg memoised %d, forked %d and cut %d trials, %d at a checkpoint; the campaign does not exercise the memo and the cuts",
-			ref.memoised, ref.forked, ref.reconverged, ref.atCheckpoint)
-	}
-	same := func(t *testing.T, name string, got memoLeg) {
-		t.Helper()
-		if got.forked != ref.forked || got.replayed != ref.replayed || got.memoised != ref.memoised || got.reconverged != ref.reconverged || got.atCheckpoint != ref.atCheckpoint {
-			t.Errorf("%s: forked/replayed/memoised/reconverged/atCheckpoint %d/%d/%d/%d/%d, reference %d/%d/%d/%d/%d", name,
-				got.forked, got.replayed, got.memoised, got.reconverged, got.atCheckpoint, ref.forked, ref.replayed, ref.memoised, ref.reconverged, ref.atCheckpoint)
-		}
-		if !bytes.Equal(got.json, ref.json) {
-			t.Errorf("%s: campaign JSON differs from the one-trial-at-a-time reference", name)
-		}
-	}
-
-	par4 := opts
-	par4.Parallelism = 4
-	same(t, "Parallelism:4", run(t, par4, SupervisorOptions{Workers: 1}))
-	same(t, "Workers:3", run(t, opts, SupervisorOptions{Workers: 3}))
-
-	for _, k := range []int{1, 5} {
-		ckpt := filepath.Join(t.TempDir(), "memo.ckpt")
-		ctx, cancel := context.WithCancel(context.Background())
-		killOpts := opts
-		killOpts.Observer = ObserverFunc(func(ev Event) {
-			if pc, ok := ev.(PointCompleted); ok && pc.Completed == k {
-				cancel()
-			}
-		})
-		killed := engine(killOpts)
-		part, err := NewSupervisor(killed, SupervisorOptions{Workers: 1, Checkpoint: ckpt}).Run(ctx)
-		cancel()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !part.Cancelled || len(part.Measured) != k {
-			t.Fatalf("kill at point %d: cancelled=%t with %d points measured", k, part.Cancelled, len(part.Measured))
-		}
-		resumed := run(t, opts, SupervisorOptions{Workers: 1, Checkpoint: ckpt})
-		resumed.add(killed.SnapshotStats())
-		same(t, fmt.Sprintf("killed at point %d and resumed", k), resumed)
-	}
-}
 
 // TestMemoExemptions: trials that are not one parameter flip at a point the
 // golden run reached are never keyed — network-target trials (Bit addresses

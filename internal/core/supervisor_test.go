@@ -45,168 +45,6 @@ func campaignBytes(t *testing.T, res *CampaignResult) []byte {
 	return buf.Bytes()
 }
 
-// TestSupervisorMatchesRunCampaign: a Workers:4 campaign must be
-// bit-identical to RunCampaign — the same driver at Workers:1 — on the
-// same configuration: the worker count never reaches the result.
-func TestSupervisorMatchesRunCampaign(t *testing.T) {
-	opts := supTestOptions()
-	serial, err := supTestEngine(t, opts).RunCampaign()
-	if err != nil {
-		t.Fatal(err)
-	}
-	sup, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{Workers: 4}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if sup.Cancelled || len(sup.Quarantined) != 0 {
-		t.Fatalf("unexpected supervision events: %+v", sup)
-	}
-	if !bytes.Equal(campaignBytes(t, serial), campaignBytes(t, sup.CampaignResult)) {
-		t.Fatalf("supervised campaign diverged from serial campaign:\nserial: %s\nsupervised: %s",
-			serial.Summary(), sup.Summary())
-	}
-}
-
-// TestSupervisorInterruptResumeDeterminism is the acceptance criterion: a
-// campaign cancelled mid-run and resumed from its checkpoint must yield a
-// CampaignResult identical to the uninterrupted run with the same seed.
-func TestSupervisorInterruptResumeDeterminism(t *testing.T) {
-	opts := supTestOptions()
-	dir := t.TempDir()
-
-	// Reference: uninterrupted supervised run.
-	full, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: filepath.Join(dir, "full.ckpt"),
-	}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if full.Cancelled {
-		t.Fatal("reference run cancelled?")
-	}
-	total := len(full.Measured)
-	if total < 4 {
-		t.Fatalf("campaign too small to interrupt meaningfully: %d points", total)
-	}
-
-	// Interrupted run: cancel after 3 completed points.
-	ckpt := filepath.Join(dir, "interrupted.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	intOpts := opts
-	intOpts.Observer = ObserverFunc(func(ev Event) {
-		if pc, ok := ev.(PointCompleted); ok && pc.Completed == 3 {
-			cancel()
-		}
-	})
-	part, err := NewSupervisor(supTestEngine(t, intOpts), SupervisorOptions{
-		Workers:    2,
-		Checkpoint: ckpt,
-	}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Cancelled {
-		t.Fatal("interrupted run not marked Cancelled")
-	}
-	if len(part.Measured) >= total {
-		t.Fatalf("cancellation had no effect: %d/%d points", len(part.Measured), total)
-	}
-
-	// Resume in a "new process" (fresh engine) from the journal.
-	res, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: ckpt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Cancelled {
-		t.Fatal("resumed run cancelled?")
-	}
-	if res.FromCheckpoint == 0 {
-		t.Fatal("resume restored nothing from the checkpoint")
-	}
-	if res.FromCheckpoint+0 >= total {
-		t.Fatalf("resume had nothing left to inject (%d restored of %d)", res.FromCheckpoint, total)
-	}
-	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
-		t.Fatalf("resumed campaign diverged from uninterrupted run:\nfull:    %s\nresumed: %s",
-			full.Summary(), res.Summary())
-	}
-}
-
-// TestSupervisorMLResumeDeterminism covers the ML feedback loop: resuming
-// replays checkpointed injections so the learner retraces the exact path.
-func TestSupervisorMLResumeDeterminism(t *testing.T) {
-	opts := supTestOptions()
-	opts.ML.Pruning = true
-	opts.TrialsPerPoint = 4
-	opts.ML.Batch = 4
-	dir := t.TempDir()
-
-	full, err := NewSupervisor(supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: filepath.Join(dir, "full.ckpt"),
-	}).Run(context.Background())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(full.Measured) < 3 {
-		t.Fatalf("ML campaign measured too little: %d", len(full.Measured))
-	}
-
-	ckpt := filepath.Join(dir, "interrupted.ckpt")
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	intOpts := opts
-	var finished CampaignFinished
-	intOpts.Observer = ObserverFunc(func(ev Event) {
-		if pc, ok := ev.(PointCompleted); ok && pc.Completed == 2 {
-			cancel()
-		}
-		if cf, ok := ev.(CampaignFinished); ok {
-			finished = cf
-		}
-	})
-	part, err := NewSupervisor(supTestEngine(t, intOpts), SupervisorOptions{
-		Workers:    2,
-		Checkpoint: ckpt,
-	}).Run(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !part.Cancelled {
-		t.Fatal("interrupted ML run not marked Cancelled")
-	}
-	if len(part.Predicted) != 0 {
-		t.Fatal("a cancelled ML campaign must not fabricate predictions")
-	}
-	// The cancel lands mid-batch: the points of that batch already
-	// journalled are part of the result, as on the direct path.
-	info, err := supTestEngine(t, opts).PlanInfo()
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, err := LoadCheckpointState(ckpt, info.Fingerprint)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if n := len(st.Results); n == 0 || len(part.Measured) != n || part.Injected != n || finished.Injected != n {
-		t.Fatalf("cancelled ML campaign: journal holds %d points, result measures %d, Injected %d, CampaignFinished.Injected %d",
-			n, len(part.Measured), part.Injected, finished.Injected)
-	}
-
-	res, err := ResumeCampaign(context.Background(), supTestEngine(t, opts), SupervisorOptions{
-		Workers: 4, Checkpoint: ckpt,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(campaignBytes(t, full.CampaignResult), campaignBytes(t, res.CampaignResult)) {
-		t.Fatalf("resumed ML campaign diverged:\nfull:    %s\nresumed: %s",
-			full.Summary(), res.Summary())
-	}
-}
-
 // fakeInject fabricates a deterministic PointResult without running the
 // simulator, so harness-failure tests are fast and timing-independent.
 func fakeInject(p Point, trials int) PointResult {

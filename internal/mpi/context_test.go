@@ -37,17 +37,25 @@ func TestRunContextCancelKillsBlockedRanks(t *testing.T) {
 	}
 }
 
+// TestRunContextAlreadyDone: a run whose context is done before it starts
+// launches no rank and is Cancelled, every rank killed for it; it never
+// reports the deadlock its ranks would freeze into before the
+// cancellation was read.
 func TestRunContextAlreadyDone(t *testing.T) {
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
 	res := Run(RunOptions{NumRanks: 2, Timeout: 30 * time.Second, Context: ctx}, func(r *Rank) error {
-		// Both ranks block on a message that never arrives, so the run
-		// can only end via the already-cancelled context.
+		t.Errorf("rank %d ran", r.ID())
 		r.Recv(CommWorld, r.ID()^1, 99)
 		return nil
 	})
-	if !res.Cancelled {
+	if !res.Cancelled || res.Provenance != Cancelled || res.Deadlock {
 		t.Fatalf("expected Cancelled for pre-cancelled context, got %+v", res)
+	}
+	for i, rr := range res.Ranks {
+		if rr.Rank != i || rr.Err != (Killed{Reason: Cancelled.String()}) {
+			t.Errorf("rank %d ended %+v", i, rr)
+		}
 	}
 }
 

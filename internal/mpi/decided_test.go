@@ -1,10 +1,12 @@
-package mpi
+package mpi_test
 
 import (
 	"context"
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"github.com/fastfit/fastfit/internal/mpi"
 )
 
 // gateState is gateApp's checkpoint: the iteration to run and the running
@@ -14,10 +16,10 @@ type gateState struct {
 	acc float64
 }
 
-func (s *gateState) Clone() State { c := *s; return &c }
-func (s *gateState) Equal(o State) bool {
+func (s *gateState) Clone() mpi.State { c := *s; return &c }
+func (s *gateState) Equal(o mpi.State) bool {
 	t := o.(*gateState)
-	return s.it == t.it && EqualBits([]float64{s.acc}, []float64{t.acc})
+	return s.it == t.it && mpi.EqualBits([]float64{s.acc}, []float64{t.acc})
 }
 
 // gateRun is one run of gateApp: how many rank goroutines entered it, and
@@ -25,16 +27,19 @@ func (s *gateState) Equal(o State) bool {
 // world's kill from.
 type gateRun struct {
 	entered atomic.Int32
-	last    atomic.Pointer[Rank]
+	last    atomic.Pointer[mpi.Rank]
 }
 
 // gateApp checkpoints at the top of each of three iterations, each an
 // Allreduce, and ends in a Bcast from rank 0, in which rank 3 of four is a
 // leaf that only receives. With recoverErr a rank that meets an MPI error in
 // the Bcast takes it as an error return and returns cleanly, and its peers,
-// which need nothing more from it, run to the end.
-func gateApp(g *gateRun, recoverErr bool) func(*Rank) error {
-	return func(r *Rank) (err error) {
+// which need nothing more from it, run to the end. It is never inlined, so
+// that every run executes the one closure.
+//
+//go:noinline
+func gateApp(g *gateRun, recoverErr bool) func(*mpi.Rank) error {
+	return func(r *mpi.Rank) (err error) {
 		g.entered.Add(1)
 		g.last.Store(r)
 		s, resumed := r.Resume().(*gateState)
@@ -44,20 +49,20 @@ func gateApp(g *gateRun, recoverErr bool) func(*Rank) error {
 		for ; s.it < 3; s.it++ {
 			r.Checkpoint(s)
 			r.Tick(10)
-			s.acc = r.AllreduceFloat64(s.acc*0.5, OpSum, CommWorld)
+			s.acc = r.AllreduceFloat64(s.acc*0.5, mpi.OpSum, mpi.CommWorld)
 		}
 		r.Checkpoint(s)
 		if recoverErr {
 			defer func() {
 				if p := recover(); p != nil {
-					if _, ok := p.(MPIError); !ok {
+					if _, ok := p.(mpi.MPIError); !ok {
 						panic(p)
 					}
 				}
 			}()
 		}
 		buf := r.FromFloat64s([]float64{s.acc})
-		r.Bcast(buf, 1, Float64, 0, CommWorld)
+		r.Bcast(buf, 1, mpi.Float64, 0, mpi.CommWorld)
 		r.ReportResult(buf.Float64s()...)
 		return nil
 	}
@@ -66,47 +71,51 @@ func gateApp(g *gateRun, recoverErr bool) func(*Rank) error {
 // gateHook acts on one collective call, as it enters or, with after, as
 // it returns.
 type gateHook struct {
-	NopHook
+	mpi.NopHook
+	c     cutCall
 	rank  int
-	site  uintptr
-	inv   int
 	after bool
-	act   func(*CollectiveCall)
+	act   func(*mpi.CollectiveCall)
 }
 
-func (h *gateHook) BeforeCollective(c *CollectiveCall) { h.on(c, false) }
-func (h *gateHook) AfterCollective(c *CollectiveCall)  { h.on(c, true) }
+func (h *gateHook) BeforeCollective(c *mpi.CollectiveCall) { h.on(c, false) }
+func (h *gateHook) AfterCollective(c *mpi.CollectiveCall)  { h.on(c, true) }
 
-func (h *gateHook) on(c *CollectiveCall, after bool) {
-	if after == h.after && c.Rank == h.rank && c.Site == h.site && c.Invocation == h.inv {
+func (h *gateHook) on(c *mpi.CollectiveCall, after bool) {
+	if after == h.after && c.Rank == h.rank && c.Site == h.c.site && c.Invocation == h.c.inv {
 		h.act(c)
 	}
+}
+
+// gateGolden records gateApp at four ranks and returns the recording run
+// and every rank's calls.
+func gateGolden(t *testing.T) (mpi.RunOptions, mpi.RunResult, [][]cutCall) {
+	t.Helper()
+	opts := mpi.RunOptions{NumRanks: 4, Seed: 9}
+	golden, calls := record(t, opts, gateApp(&gateRun{}, false))
+	return opts, golden, calls
 }
 
 // TestDecidedRunStartsOneRank: a forked run starts only its faulted rank
 // and starts the others the first time that rank could affect them. A
 // faulted rank that fails before communicating decides the run alone, as
-// the full replay decides it; one that communicates, or returns cleanly,
-// runs the world to the full replay's end; a clock or a cancellation
-// before the release kills the held ranks with its own reason.
+// the reference run decides it; one that communicates, or returns cleanly,
+// runs the world to the reference's end; a clock or a cancellation
+// before the release kills the held ranks with its own reason. Every run
+// is compared with the reference through equivalent.
 func TestDecidedRunStartsOneRank(t *testing.T) {
-	const n, seed = 4, int64(9)
-	var rec gateRun
-	golden := Run(RunOptions{NumRanks: n, Seed: seed, Record: true}, gateApp(&rec, false))
-	if !golden.Trace.Forkable() {
-		t.Fatalf("golden trace not forkable: %s", golden.Trace.Reason())
-	}
-	// Every rank's last collective is the Bcast; find each one's call.
-	bcast := func(rank int) (uintptr, int) {
-		evs := golden.Trace.ranks[rank].events
-		ev := evs[len(evs)-1]
-		if ev.kind != evColl || ev.coll != CollBcast {
-			t.Fatalf("rank %d's last tape event is not the Bcast", rank)
+	opts, golden, calls := gateGolden(t)
+	n := opts.NumRanks
+	// Every rank's last collective is the Bcast.
+	bcast := func(rank int) cutCall {
+		c := calls[rank][len(calls[rank])-1]
+		if c.typ != mpi.CollBcast {
+			t.Fatalf("rank %d's last collective is %v, not the Bcast", rank, c.typ)
 		}
-		return ev.site, int(ev.inv)
+		return c
 	}
 	type run struct {
-		res     RunResult
+		res     mpi.RunResult
 		entered int
 	}
 	// gateCase is one fault: act, on rank's Bcast as it enters or, with
@@ -114,40 +123,43 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 	type gateCase struct {
 		rank              int
 		after, recoverErr bool
-		act               func(*gateRun, *CollectiveCall)
+		act               func(*gateRun, *mpi.CollectiveCall)
 	}
-	trial := func(c gateCase, o RunOptions, fork bool) run {
-		site, inv := bcast(c.rank)
+	// trial runs c forked, or without fork as the reference run.
+	trial := func(c gateCase, o mpi.RunOptions, fork bool) run {
 		g := &gateRun{}
-		o.NumRanks, o.Seed = n, seed
-		o.Hook = &gateHook{rank: c.rank, site: site, inv: inv, after: c.after, act: func(cc *CollectiveCall) { c.act(g, cc) }}
+		call := bcast(c.rank)
+		o.NumRanks, o.Seed = n, opts.Seed
+		o.Hook = &gateHook{c: call, rank: c.rank, after: c.after, act: func(cc *mpi.CollectiveCall) { c.act(g, cc) }}
 		if fork {
-			o.Fork = golden.Trace.Fork(c.rank, site, inv)
+			o.Fork = golden.Trace.Fork(c.rank, call.site, call.inv)
 			if o.Fork.Resumes() != n {
 				t.Fatalf("the fork at rank %d's Bcast does not resume every rank", c.rank)
 			}
+		} else {
+			o.DisablePooling = true
 		}
-		res := Run(o, gateApp(g, c.recoverErr))
+		res := mpi.Run(o, gateApp(g, c.recoverErr))
 		if d := res.FlagsDisagree(); d != "" {
 			t.Errorf("rank %d's Bcast fault (fork %t): %s", c.rank, fork, d)
 		}
 		return run{res, int(g.entered.Load())}
 	}
-	negCount := func(_ *gateRun, c *CollectiveCall) { c.Args.Count = -1 }
-	abort := func(_ *gateRun, c *CollectiveCall) { panic(AppError{Rank: c.Rank, Message: "check failed"}) }
+	negCount := func(_ *gateRun, c *mpi.CollectiveCall) { c.Args.Count = -1 }
+	abort := func(_ *gateRun, c *mpi.CollectiveCall) { panic(mpi.AppError{Rank: c.Rank, Message: "check failed"}) }
 
 	// Rank 3, a leaf, fails before it receives.
 	for _, tc := range []struct {
 		name string
-		act  func(*gateRun, *CollectiveCall)
-		why  Provenance
+		act  func(*gateRun, *mpi.CollectiveCall)
+		why  mpi.Provenance
 	}{
-		{"MPI error", negCount, Decided},
-		{"segfault", func(_ *gateRun, c *CollectiveCall) { c.Args.Dtype = Datatype(1 << 16) }, SegFaulted},
-		{"application error", abort, Decided},
+		{"MPI error", negCount, mpi.Decided},
+		{"segfault", func(_ *gateRun, c *mpi.CollectiveCall) { c.Args.Dtype = mpi.Datatype(1 << 16) }, mpi.SegFaulted},
+		{"application error", abort, mpi.Decided},
 	} {
 		c := gateCase{rank: 3, act: tc.act}
-		forked, full := trial(c, RunOptions{}, true), trial(c, RunOptions{}, false)
+		forked, ref := trial(c, mpi.RunOptions{}, true), trial(c, mpi.RunOptions{}, false)
 		if forked.entered != 1 {
 			t.Errorf("%s: %d ranks entered the decided run, want 1", tc.name, forked.entered)
 		}
@@ -155,18 +167,18 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 			t.Errorf("%s: kill reason %q, want %q", tc.name, forked.res.Provenance, tc.why)
 		}
 		for i, rr := range forked.res.Ranks[:3] {
-			if rr.Err != (Killed{Reason: tc.why.String()}) {
+			if rr.Err != (mpi.Killed{Reason: tc.why.String()}) {
 				t.Errorf("%s: held rank %d ended with %v", tc.name, i, rr.Err)
 			}
 		}
-		if a, b := forked.res.FirstError(), full.res.FirstError(); a == nil || a.Error() != b.Error() || forked.res.Deadlock != full.res.Deadlock || forked.res.TimedOut {
-			t.Errorf("%s: decided run's verdict differs from the full replay's:\n%s\n%s", tc.name, runDigest(forked.res), runDigest(full.res))
+		if d := equivalent(golden, ref.res, forked.res, 3); d != "" {
+			t.Errorf("%s: %s", tc.name, d)
 		}
 	}
 
 	// The faulted rank posts, parks or returns cleanly: every rank starts,
-	// and the run ends as the full replay ends.
-	flip := func(_ *gateRun, c *CollectiveCall) { c.Args.Send.FlipBit(3) }
+	// and the run ends as the reference ends.
+	flip := func(_ *gateRun, c *mpi.CollectiveCall) { c.Args.Send.FlipBit(3) }
 	for _, tc := range []struct {
 		name string
 		c    gateCase
@@ -181,23 +193,26 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 		// the Bcast without it.
 		{"clean return", gateCase{rank: 3, recoverErr: true, act: negCount}},
 	} {
-		forked, full := trial(tc.c, RunOptions{}, true), trial(tc.c, RunOptions{}, false)
+		forked, ref := trial(tc.c, mpi.RunOptions{}, true), trial(tc.c, mpi.RunOptions{}, false)
 		if forked.entered != n {
 			t.Errorf("%s: %d ranks entered, want %d", tc.name, forked.entered, n)
 		}
-		if a, b := runDigest(forked.res), runDigest(full.res); a != b || forked.res.Provenance == Decided {
-			t.Errorf("%s: forked run differs from the full replay (kill %q):\n%s\n%s", tc.name, forked.res.Provenance, a, b)
+		if forked.res.Provenance == mpi.Decided {
+			t.Errorf("%s: forked run was decided", tc.name)
+		}
+		if d := equivalent(golden, ref.res, forked.res, tc.c.rank); d != "" {
+			t.Errorf("%s: %s", tc.name, d)
 		}
 	}
 
 	// A clock or a cancellation while the faulted rank's hook stalls: the
 	// faulted rank dies at its next park, and the held ranks never start.
-	stall := func(cancel func()) func(*gateRun, *CollectiveCall) {
-		return func(g *gateRun, _ *CollectiveCall) {
+	stall := func(cancel func()) func(*gateRun, *mpi.CollectiveCall) {
+		return func(g *gateRun, _ *mpi.CollectiveCall) {
 			if cancel != nil {
 				cancel()
 			}
-			for !g.last.Load().world.killed() {
+			for !mpi.Stopped(g.last.Load()) {
 				time.Sleep(time.Millisecond)
 			}
 		}
@@ -206,20 +221,20 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 	defer cancel()
 	for _, tc := range []struct {
 		name string
-		o    RunOptions
-		act  func(*gateRun, *CollectiveCall)
-		why  Provenance
+		o    mpi.RunOptions
+		act  func(*gateRun, *mpi.CollectiveCall)
+		why  mpi.Provenance
 	}{
-		{"timeout", RunOptions{Timeout: 20 * time.Millisecond}, stall(nil), TimedOut},
-		{"cancellation", RunOptions{Timeout: time.Minute, Context: ctx}, stall(cancel), Cancelled},
+		{"timeout", mpi.RunOptions{Timeout: 20 * time.Millisecond}, stall(nil), mpi.TimedOut},
+		{"cancellation", mpi.RunOptions{Timeout: time.Minute, Context: ctx}, stall(cancel), mpi.Cancelled},
 	} {
 		got := trial(gateCase{rank: 3, act: tc.act}, tc.o, true)
 		res := got.res
-		if got.entered != 1 || res.Provenance != tc.why || res.TimedOut != (tc.why == TimedOut) || res.Cancelled != (tc.why == Cancelled) {
+		if got.entered != 1 || res.Provenance != tc.why || res.TimedOut != (tc.why == mpi.TimedOut) || res.Cancelled != (tc.why == mpi.Cancelled) {
 			t.Errorf("%s while held: entered %d, kill %q, timedout=%v cancelled=%v", tc.name, got.entered, res.Provenance, res.TimedOut, res.Cancelled)
 		}
 		for _, rr := range res.Ranks {
-			if rr.Err != (Killed{Reason: tc.why.String()}) {
+			if rr.Err != (mpi.Killed{Reason: tc.why.String()}) {
 				t.Errorf("%s while held: rank %d ended with %v", tc.name, rr.Rank, rr.Err)
 			}
 		}
@@ -231,75 +246,36 @@ func TestDecidedRunStartsOneRank(t *testing.T) {
 // faulted rank completes the tally, ends the run as Reconverged, and the
 // run says so in every flag: not Cancelled.
 func TestCutOutranksARacingCancel(t *testing.T) {
-	const n, seed = 4, int64(9)
-	var rec gateRun
-	golden := Run(RunOptions{NumRanks: n, Seed: seed, Record: true}, gateApp(&rec, false))
-	ev := golden.Trace.ranks[0].events[0]
-	if ev.kind != evColl || ev.coll != CollAllreduce {
-		t.Fatal("rank 0's first tape event is not the Allreduce")
+	opts, golden, calls := gateGolden(t)
+	n := opts.NumRanks
+	first := calls[0][0]
+	if first.typ != mpi.CollAllreduce {
+		t.Fatal("rank 0's first collective is not the Allreduce")
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	g := &gateRun{}
 	// Rank 0's hook runs before its own match is counted: it waits for the
 	// other ranks' matches, cancels the run and waits for the kill.
-	stall := func(*CollectiveCall) {
-		w := g.last.Load().world
-		for {
-			w.mu.Lock()
-			matched := w.matched
-			w.mu.Unlock()
-			if matched == n-1 {
-				break
-			}
+	stall := func(*mpi.CollectiveCall) {
+		r := g.last.Load()
+		for mpi.Matched(r) != n-1 {
 			time.Sleep(time.Millisecond)
 		}
 		cancel()
-		for !w.killed() {
+		for !mpi.Stopped(r) {
 			time.Sleep(time.Millisecond)
 		}
 	}
-	res := Run(RunOptions{
-		NumRanks: n, Seed: seed, Timeout: time.Minute, Context: ctx,
-		Hook: &gateHook{rank: 0, site: ev.site, inv: int(ev.inv), after: true, act: stall},
-		Fork: golden.Trace.Fork(0, ev.site, int(ev.inv)),
-	}, gateApp(g, false))
-	if res.Provenance != Reconverged || !res.Reconverged {
+	o := opts
+	o.Timeout, o.Context = time.Minute, ctx
+	o.Hook = &gateHook{c: first, rank: 0, after: true, act: stall}
+	o.Fork = golden.Trace.Fork(0, first.site, first.inv)
+	res := mpi.Run(o, gateApp(g, false))
+	if res.Provenance != mpi.Reconverged || !res.Reconverged {
 		t.Fatalf("run ended %q (reconverged %t), want a cut at the call", res.Provenance, res.Reconverged)
 	}
 	if d := res.FlagsDisagree(); d != "" {
 		t.Error(d)
-	}
-}
-
-// TestForkExcludesRecordNetworkCrashes: a Fork with any of the options its
-// doc names exclusive is a programming error of the harness, refused
-// before a rank runs.
-func TestForkExcludesRecordNetworkCrashes(t *testing.T) {
-	rec := Run(RunOptions{NumRanks: 2, Record: true}, forkTestApp)
-	evs := rec.Trace.ranks[0].events
-	last := evs[len(evs)-1]
-	fk := rec.Trace.Fork(0, last.site, int(last.inv))
-	if fk == nil {
-		t.Fatal("no fork at rank 0's final Barrier")
-	}
-	for _, tc := range []struct {
-		name string
-		o    RunOptions
-	}{
-		{"Record", RunOptions{Record: true}},
-		{"Network", RunOptions{Network: NewNetwork(flatTopo{n: 2})}},
-		{"CrashedRanks", RunOptions{CrashedRanks: []int{1}}},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("Run accepted a Fork with %s", tc.name)
-				}
-			}()
-			o := tc.o
-			o.NumRanks, o.Fork = 2, fk
-			Run(o, func(r *Rank) error { t.Errorf("%s: rank %d ran", tc.name, r.ID()); return nil })
-		}()
 	}
 }

@@ -5,8 +5,8 @@ import (
 	"maps"
 )
 
-// RaceEnabled lets the external test package (fork_reconverge_test.go) trim
-// its sweep under the race detector, as the in-package tests do.
+// RaceEnabled lets the external test package trim its sweeps under the race
+// detector, as the in-package tests do.
 const RaceEnabled = raceEnabled
 
 // parkedCount reads how many ranks of the world are parked, under the lock
@@ -17,8 +17,7 @@ func (w *World) parkedCount() int {
 	return w.parked
 }
 
-// WithoutResume returns a copy of f whose ranks all replay from t=0: the
-// reference a resumed run is compared with (resume_test.go).
+// WithoutResume returns a copy of f whose ranks all replay from t=0.
 func (f *Fork) WithoutResume() *Fork {
 	g := *f
 	g.resume = make([]*checkpoint, len(f.resume))
@@ -75,3 +74,22 @@ func (r RunResult) FlagsDisagree() string {
 	}
 	return fmt.Sprintf("deadlock=%t timedout=%t cancelled=%t, but provenance %q", r.Deadlock, r.TimedOut, r.Cancelled, r.Provenance)
 }
+
+// Meetings reports how r's rendezvous instances ended: how many met in
+// memory and how many rendezvous-call arrivals ran on messages.
+func (r RunResult) Meetings() (met, flipped int) { return r.meetings.clean, r.meetings.flipped }
+
+// Stopped reports whether r's world has been killed.
+func Stopped(r *Rank) bool { return r.world.killed() }
+
+// Matched reads how many ranks of r's world have matched the golden run at
+// the faulted call, under the lock that guards the count.
+func Matched(r *Rank) int {
+	w := r.world
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return w.matched
+}
+
+// ForkTestApp lets the execution-mode table run forkTestApp.
+var ForkTestApp = forkTestApp

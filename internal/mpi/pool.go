@@ -42,9 +42,9 @@ package mpi
 //
 // Everything here is disabled by RunOptions.DisablePooling, which restores
 // the original allocate-per-run behaviour. It is the runtime's reference
-// seam, not a campaign option: internal/core's differential and leak tests
-// reach it through an unexported engine field to prove the two paths
-// outcome-identical.
+// seam, not a campaign option: internal/core's reference engine reaches it
+// through an unexported field, and the execution-mode tables prove the two
+// paths outcome-identical.
 
 import (
 	"math/bits"

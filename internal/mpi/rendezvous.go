@@ -44,8 +44,8 @@ package mpi
 //
 // The rendezvous is off on a faulty world (a Network or CrashedRanks), whose
 // messages can be lost, and with DisablePooling, which keeps the runtime's
-// reference path: there the pooled ≡ unpooled differential suites prove
-// rendezvous ≡ messages.
+// reference path: the execution-mode table (equivalence_test.go) holds the
+// rendezvous to it.
 
 // signature is what an arrival must share with an instance's first to keep
 // it clean. Barrier reads no count, datatype or op, so its signature carries

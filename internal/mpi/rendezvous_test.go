@@ -1,10 +1,7 @@
 package mpi
 
 import (
-	"fmt"
 	"math"
-	"reflect"
-	"testing"
 	"time"
 )
 
@@ -91,220 +88,166 @@ func allreduceOf(r *Rank, count int, dt Datatype, op Op, comm Comm) {
 	r.ReportResult(recv.Float64s()...)
 }
 
-// killReasons lists the reasons the run's killed ranks died with, by rank.
-func killReasons(res RunResult) []string {
-	var out []string
-	for _, rr := range res.Ranks {
-		if k, ok := rr.Err.(Killed); ok {
-			out = append(out, fmt.Sprintf("%d:%s", rr.Rank, k.Reason))
-		}
-	}
-	return out
+// RendezvousCase is one way a rendezvous instance can go: clean, or
+// flipped by a mismatched count, datatype or op, another collective or a
+// CommSplit at the same seq, a caller outside the communicator it names, a
+// member already past it, a rank that never arrives, a segfault or a
+// timeout while ranks wait, a sender blocked on a waiting rank's full
+// inbox, and the bookings of a loop of calls that never meet. The
+// execution-mode table (equivalence_test.go) runs each against the
+// message-only reference, which has no rendezvous, and pins how its
+// instances ended, so a case that stopped meeting in memory fails too.
+type RendezvousCase struct {
+	Name    string
+	Ranks   int
+	Timeout time.Duration
+	Mailbox int
+	App     func(r *Rank) error
+	// Met counts the instances that met in memory, Flipped the
+	// rendezvous-call arrivals that ran on messages; -1 is any number.
+	Met, Flipped int
 }
 
-// sameBits compares reported values bit for bit, so NaNs compare too.
-func sameBits(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
-			return false
-		}
-	}
-	return true
-}
+const rvRanks = 8
 
-// Every way an instance can go — clean, or flipped by a mismatched count,
-// datatype or op, another collective or a CommSplit at the same seq, a caller
-// outside the communicator it names, a member already past it, a rank that
-// never arrives, a segfault or a timeout while ranks wait, a sender blocked
-// on a waiting rank's full inbox — and the bookings of a loop of calls that
-// never meet, ends exactly as it does on messages alone: the
-// DisablePooling reference, which has no rendezvous. Each case also pins how
-// its instances ended, so a case that stopped meeting in memory fails too.
-func TestRendezvousMatchesMessages(t *testing.T) {
-	const n = 8
-	// Instances that met, and rendezvous-call arrivals that ran on
-	// messages; -1 is any number.
-	type want struct{ clean, flipped int }
-	cases := []struct {
-		name    string
-		ranks   int
-		timeout time.Duration
-		mailbox int
-		app     func(r *Rank) error
-		want    want
-	}{
-		// World: 2 Barriers + 10 Allreduces; each half: 10 Allreduces + 1
-		// Barrier.
-		{"clean/32", 32, 0, 0, cleanApp, want{2 + 10 + 2*11, 0}},
-		{"clean/4", 4, 0, 0, cleanApp, want{2 + 10 + 2*11, 0}},
-		// Six ranks: the Barriers meet; the world's Allreduces, and the
-		// halves' of three ranks each, never try.
-		{"clean/6", 6, 0, 0, cleanApp, want{2 + 2, 0}},
-		{"mismatch/count", n, 0, 0, func(r *Rank) error {
-			count := n
-			if r.ID() == 2 {
-				count = n - 1
-			}
-			allreduceOf(r, count, Float64, OpSum, CommWorld)
+// RendezvousBattery is every RendezvousCase the table runs.
+var RendezvousBattery = []RendezvousCase{
+	// World: 2 Barriers + 10 Allreduces; each half: 10 Allreduces + 1
+	// Barrier.
+	{"clean/32", 32, 0, 0, cleanApp, 2 + 10 + 2*11, 0},
+	{"clean/4", 4, 0, 0, cleanApp, 2 + 10 + 2*11, 0},
+	// Six ranks: the Barriers meet; the world's Allreduces, and the
+	// halves' of three ranks each, never try.
+	{"clean/6", 6, 0, 0, cleanApp, 2 + 2, 0},
+	{"mismatch/count", rvRanks, 0, 0, func(r *Rank) error {
+		count := rvRanks
+		if r.ID() == 2 {
+			count = rvRanks - 1
+		}
+		allreduceOf(r, count, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, rvRanks},
+	{"mismatch/datatype", rvRanks, 0, 0, func(r *Rank) error {
+		dt := Float64
+		if r.ID() == 5 {
+			dt = Int64
+		}
+		allreduceOf(r, rvRanks, dt, OpSum, CommWorld)
+		return nil
+	}, 0, rvRanks},
+	{"mismatch/op", rvRanks, 0, 0, func(r *Rank) error {
+		op := OpSum
+		if r.ID() == 0 {
+			op = OpMax
+		}
+		allreduceOf(r, rvRanks, Float64, op, CommWorld)
+		return nil
+	}, 0, rvRanks},
+	{"bcast-at-same-seq", rvRanks, 0, 0, func(r *Rank) error {
+		if r.ID() == 3 {
+			buf := r.NewFloat64Buffer(rvRanks)
+			r.Bcast(buf, rvRanks, Float64, 0, CommWorld)
+			r.ReportResult(buf.Float64s()...)
 			return nil
-		}, want{0, n}},
-		{"mismatch/datatype", n, 0, 0, func(r *Rank) error {
-			dt := Float64
-			if r.ID() == 5 {
-				dt = Int64
-			}
-			allreduceOf(r, n, dt, OpSum, CommWorld)
+		}
+		allreduceOf(r, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, rvRanks - 1},
+	{"commsplit-at-same-seq", rvRanks, 0, 0, func(r *Rank) error {
+		if r.ID() == 3 {
+			r.CommSplit(CommWorld, 0, 0)
 			return nil
-		}, want{0, n}},
-		{"mismatch/op", n, 0, 0, func(r *Rank) error {
-			op := OpSum
-			if r.ID() == 0 {
-				op = OpMax
-			}
-			allreduceOf(r, n, Float64, op, CommWorld)
+		}
+		allreduceOf(r, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, rvRanks - 1},
+	{"caller-outside-comm", rvRanks, 0, 0, func(r *Rank) error {
+		// Rank 0's handle is corrupted into the next communicator's,
+		// the other half, where rankOf misses and it acts as that
+		// half's rank 0. Its operands equal that rank's, so the half's
+		// result does not depend on whose message arrives first.
+		comm := r.CommSplit(CommWorld, r.ID()/(rvRanks/2), r.ID())
+		if r.ID() == 0 {
+			comm++
+		}
+		send, recv := r.NewFloat64Buffer(2), r.NewFloat64Buffer(2)
+		send.SetFloat64(0, float64(r.ID()%(rvRanks/2)+1))
+		send.SetFloat64(1, 0.1)
+		r.Allreduce(send, recv, 2, Float64, OpSum, comm)
+		r.ReportResult(recv.Float64s()...)
+		return nil
+	}, -1, -1},
+	{"never-arrives", rvRanks, 0, 0, func(r *Rank) error {
+		if r.ID() == 6 {
 			return nil
-		}, want{0, n}},
-		{"bcast-at-same-seq", n, 0, 0, func(r *Rank) error {
-			if r.ID() == 3 {
-				buf := r.NewFloat64Buffer(n)
-				r.Bcast(buf, n, Float64, 0, CommWorld)
-				r.ReportResult(buf.Float64s()...)
-				return nil
-			}
-			allreduceOf(r, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{0, n - 1}},
-		{"commsplit-at-same-seq", n, 0, 0, func(r *Rank) error {
-			if r.ID() == 3 {
-				r.CommSplit(CommWorld, 0, 0)
-				return nil
-			}
-			allreduceOf(r, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{0, n - 1}},
-		{"caller-outside-comm", n, 0, 0, func(r *Rank) error {
-			// Rank 0's handle is corrupted into the next communicator's,
-			// the other half, where rankOf misses and it acts as that
-			// half's rank 0. Its operands equal that rank's, so the half's
-			// result does not depend on whose message arrives first.
-			comm := r.CommSplit(CommWorld, r.ID()/(n/2), r.ID())
-			if r.ID() == 0 {
-				comm++
-			}
-			send, recv := r.NewFloat64Buffer(2), r.NewFloat64Buffer(2)
-			send.SetFloat64(0, float64(r.ID()%(n/2)+1))
-			send.SetFloat64(1, 0.1)
-			r.Allreduce(send, recv, 2, Float64, OpSum, comm)
-			r.ReportResult(recv.Float64s()...)
-			return nil
-		}, want{-1, -1}},
-		{"never-arrives", n, 0, 0, func(r *Rank) error {
-			if r.ID() == 6 {
-				return nil
-			}
-			r.Barrier(CommWorld)
-			return nil
-		}, want{0, 0}},
-		{"segfault-while-waiting", n, 0, 0, func(r *Rank) error {
-			send := r.NewFloat64Buffer(n)
-			if r.ID() == 1 {
-				time.Sleep(5 * time.Millisecond) // let the others wait first
-				send = nil                       // reading it faults
-			}
-			recv := r.NewFloat64Buffer(n)
-			r.Allreduce(send, recv, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{0, 0}},
-		{"timeout-while-waiting", n, 50 * time.Millisecond, 0, func(r *Rank) error {
-			if r.ID() == 4 {
-				time.Sleep(200 * time.Millisecond)
-			}
-			allreduceOf(r, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{0, 0}},
-		{"full-inbox-while-waiting", 2, 0, 2, func(r *Rank) error {
-			// Rank 1 sends three messages into rank 0's two-message inbox
-			// before its Barrier; rank 0 reads them only after its own. The
-			// third send waits until rank 0, waiting in the Barrier, makes
-			// room, as a receive on messages would.
-			if r.ID() == 1 {
-				for i := 0; i < 3; i++ {
-					r.Send(CommWorld, 0, i, []byte{byte(i + 1)})
-				}
-				r.Barrier(CommWorld)
-				return nil
-			}
-			r.Barrier(CommWorld)
+		}
+		r.Barrier(CommWorld)
+		return nil
+	}, 0, 0},
+	{"segfault-while-waiting", rvRanks, 0, 0, func(r *Rank) error {
+		send := r.NewFloat64Buffer(rvRanks)
+		if r.ID() == 1 {
+			time.Sleep(5 * time.Millisecond) // let the others wait first
+			send = nil                       // reading it faults
+		}
+		recv := r.NewFloat64Buffer(rvRanks)
+		r.Allreduce(send, recv, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, 0},
+	{"timeout-while-waiting", rvRanks, 50 * time.Millisecond, 0, func(r *Rank) error {
+		if r.ID() == 4 {
+			time.Sleep(200 * time.Millisecond)
+		}
+		allreduceOf(r, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, 0},
+	{"full-inbox-while-waiting", 2, 0, 2, func(r *Rank) error {
+		// Rank 1 sends three messages into rank 0's two-message inbox
+		// before its Barrier; rank 0 reads them only after its own. The
+		// third send waits until rank 0, waiting in the Barrier, makes
+		// room, as a receive on messages would.
+		if r.ID() == 1 {
 			for i := 0; i < 3; i++ {
-				r.ReportResult(float64(r.Recv(CommWorld, 1, i)[0]))
+				r.Send(CommWorld, 0, i, []byte{byte(i + 1)})
+			}
+			r.Barrier(CommWorld)
+			return nil
+		}
+		r.Barrier(CommWorld)
+		for i := 0; i < 3; i++ {
+			r.ReportResult(float64(r.Recv(CommWorld, 1, i)[0]))
+		}
+		return nil
+	}, 1, 0},
+	{"passed-before-open", rvRanks, 0, 0, func(r *Rank) error {
+		// Rank 0 books past seq 0 through a Bcast it roots, which
+		// returns at once, and only then messages each peer: the peers'
+		// Allreduce at seq 0 finds a member already past it and opens no
+		// record.
+		buf := r.NewFloat64Buffer(rvRanks)
+		if r.ID() == 0 {
+			r.Bcast(buf, rvRanks, Float64, 0, CommWorld)
+			for p := 1; p < rvRanks; p++ {
+				r.Send(CommWorld, p, 0, []byte{1})
 			}
 			return nil
-		}, want{1, 0}},
-		{"passed-before-open", n, 0, 0, func(r *Rank) error {
-			// Rank 0 books past seq 0 through a Bcast it roots, which
-			// returns at once, and only then messages each peer: the peers'
-			// Allreduce at seq 0 finds a member already past it and opens no
-			// record.
-			buf := r.NewFloat64Buffer(n)
+		}
+		r.Recv(CommWorld, 0, 0)
+		allreduceOf(r, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 0, rvRanks - 1},
+	{"bcast-loop-ahead", rvRanks, 0, 0, func(r *Rank) error {
+		// The root's bookings of the Bcasts run ahead of its peers'; none
+		// flips the Allreduce after them.
+		buf := r.NewFloat64Buffer(1)
+		for i := 0; i < 64; i++ {
 			if r.ID() == 0 {
-				r.Bcast(buf, n, Float64, 0, CommWorld)
-				for p := 1; p < n; p++ {
-					r.Send(CommWorld, p, 0, []byte{1})
-				}
-				return nil
+				buf.SetFloat64(0, float64(i))
 			}
-			r.Recv(CommWorld, 0, 0)
-			allreduceOf(r, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{0, n - 1}},
-		{"bcast-loop-ahead", n, 0, 0, func(r *Rank) error {
-			// The root's bookings of the Bcasts run ahead of its peers'; none
-			// flips the Allreduce after them.
-			buf := r.NewFloat64Buffer(1)
-			for i := 0; i < 64; i++ {
-				if r.ID() == 0 {
-					buf.SetFloat64(0, float64(i))
-				}
-				r.Bcast(buf, 1, Float64, 0, CommWorld)
-				r.ReportResult(buf.Float64(0))
-			}
-			allreduceOf(r, n, Float64, OpSum, CommWorld)
-			return nil
-		}, want{1, 0}},
-	}
-	for _, tc := range cases {
-		t.Run(tc.name, func(t *testing.T) {
-			timeout := tc.timeout
-			if timeout == 0 {
-				timeout = 30 * time.Second
-			}
-			opts := RunOptions{NumRanks: tc.ranks, Seed: 3, Timeout: timeout, MailboxCap: tc.mailbox}
-			got := Run(opts, tc.app)
-			opts.DisablePooling = true
-			ref := Run(opts, tc.app)
-
-			if ref.meetings != (meetCounts{}) {
-				t.Fatalf("the reference run met in memory: %+v", ref.meetings)
-			}
-			if (tc.want.clean >= 0 && got.meetings.clean != tc.want.clean) || (tc.want.flipped >= 0 && got.meetings.flipped != tc.want.flipped) {
-				t.Errorf("instances clean %d, flipped %d; want %+v", got.meetings.clean, got.meetings.flipped, tc.want)
-			}
-			if got.Deadlock != ref.Deadlock || got.TimedOut != ref.TimedOut || got.Cancelled != ref.Cancelled {
-				t.Errorf("Deadlock/TimedOut/Cancelled %v/%v/%v, messages %v/%v/%v",
-					got.Deadlock, got.TimedOut, got.Cancelled, ref.Deadlock, ref.TimedOut, ref.Cancelled)
-			}
-			if g, r := killReasons(got), killReasons(ref); !reflect.DeepEqual(g, r) {
-				t.Errorf("kill reasons %q, messages %q", g, r)
-			}
-			for i := range ref.Ranks {
-				g, r := got.Ranks[i], ref.Ranks[i]
-				if !reflect.DeepEqual(g.Err, r.Err) || !sameBits(g.Values, r.Values) {
-					t.Errorf("rank %d: %v %v, messages %v %v", i, g.Err, g.Values, r.Err, r.Values)
-				}
-			}
-		})
-	}
+			r.Bcast(buf, 1, Float64, 0, CommWorld)
+			r.ReportResult(buf.Float64(0))
+		}
+		allreduceOf(r, rvRanks, Float64, OpSum, CommWorld)
+		return nil
+	}, 1, 0},
 }

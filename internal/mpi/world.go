@@ -39,17 +39,18 @@ type RunOptions struct {
 	MailboxCap int
 	// Context, when non-nil, cancels the run early: once it is done the
 	// world is killed and blocked ranks die with Killed, exactly as on a
-	// wall-clock timeout. Campaign supervisors use this to stop in-flight
-	// injected runs promptly on Ctrl-C.
+	// wall-clock timeout; a run whose Context is done on entry starts no
+	// rank. Campaign supervisors use this to stop in-flight injected runs
+	// promptly on Ctrl-C.
 	Context context.Context
 	// DisablePooling turns off the buffer arena (see pool.go) that
 	// recycles rank state, message payloads, collective scratch and
 	// simulated-memory buffers across runs, and the shared-memory
 	// rendezvous (see rendezvous.go) that completes a Barrier or Allreduce
 	// without messages: every collective then runs on messages alone. Both
-	// are on by default; the differential test harness uses this switch to
-	// prove the pooled and unpooled paths, and the rendezvous and message
-	// paths, outcome-identical.
+	// are on by default; the execution-mode tables run it as the reference
+	// that proves the pooled and unpooled paths, and the rendezvous and
+	// message paths, outcome-identical.
 	DisablePooling bool
 	// Network, when non-nil, routes every point-to-point message (and the
 	// internal traffic of every collective) through a simulated
@@ -409,6 +410,14 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	n := opts.NumRanks
 	if n <= 0 {
 		n = 1
+	}
+	if opts.Context != nil && opts.Context.Err() != nil {
+		// Done before launch: no rank runs, so none parks into a deadlock first.
+		res := RunResult{Ranks: make([]RankResult, n), Cancelled: true, Provenance: Cancelled}
+		for i := range res.Ranks {
+			res.Ranks[i] = RankResult{Rank: i, Err: Killed{Reason: Cancelled.String()}}
+		}
+		return res
 	}
 	timeout := opts.Timeout
 	if timeout <= 0 {
