@@ -83,19 +83,19 @@ func run() error {
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 
+	observer, closeEvents, err := obsFlags.Build()
+	if err != nil {
+		return err
+	}
+	defer closeEvents()
 	if camp.App == "all" {
-		return runAllApps(ctx, camp.Ranks, camp.Trials, camp.Seed, camp.Policy)
+		return runAllApps(ctx, camp, observer)
 	}
 
 	app, cfg, opts, err := camp.Build()
 	if err != nil {
 		return err
 	}
-	observer, closeEvents, err := obsFlags.Build()
-	if err != nil {
-		return err
-	}
-	defer closeEvents()
 	opts.Observer = observer
 
 	engine := fastfit.New(app, cfg, opts)
@@ -244,30 +244,27 @@ func runEnvConfigured(engine *fastfit.Engine) error {
 	return nil
 }
 
-// runAllApps executes a pruned campaign for every bundled workload and
-// prints a Table III-style summary.
-func runAllApps(ctx context.Context, ranks, trials int, seed int64, policy string) error {
+// runAllApps executes the campaign the flags describe for every bundled
+// workload and prints a Table III-style summary. Every workload's flags are
+// resolved before the first campaign runs.
+func runAllApps(ctx context.Context, camp *cliconf.Campaign, observer fastfit.Observer) error {
+	var engines []*fastfit.Engine
+	for _, name := range fastfit.AppNames() {
+		camp.App = name
+		app, cfg, opts, err := camp.Build()
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		opts.Observer = observer
+		engines = append(engines, fastfit.New(app, cfg, opts))
+	}
 	fmt.Printf("%-10s %8s %10s %9s %9s %9s %9s\n",
 		"app", "points", "injected", "semantic", "context", "ML", "total")
-	for _, name := range fastfit.AppNames() {
+	for _, engine := range engines {
 		if ctx.Err() != nil {
 			return errInterrupted
 		}
-		app, err := fastfit.LookupApp(name)
-		if err != nil {
-			return err
-		}
-		cfg := app.DefaultConfig()
-		if ranks > 0 {
-			cfg.Ranks = ranks
-		}
-		opts := fastfit.DefaultOptions()
-		opts.TrialsPerPoint = trials
-		opts.Seed = seed
-		if policy == "allparams" {
-			opts.Policy = fastfit.PolicyAllParams
-		}
-		engine := fastfit.New(app, cfg, opts)
+		name := engine.App().Name()
 		sup, err := fastfit.NewSupervisor(engine, fastfit.SupervisorOptions{}).Run(ctx)
 		if err != nil {
 			return fmt.Errorf("%s: %w", name, err)

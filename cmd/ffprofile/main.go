@@ -16,9 +16,9 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"strings"
 
 	"github.com/fastfit/fastfit"
+	"github.com/fastfit/fastfit/internal/cliconf"
 	"github.com/fastfit/fastfit/internal/core"
 )
 
@@ -30,30 +30,14 @@ func main() {
 }
 
 func run() error {
-	var (
-		appName = flag.String("app", "minimd", "workload to profile ("+strings.Join(fastfit.AppNames(), ", ")+")")
-		ranks   = flag.Int("ranks", 0, "number of MPI ranks (0 = app default)")
-		scale   = flag.Int("scale", 0, "problem-size knob (0 = app default)")
-		iters   = flag.Int("iters", 0, "outer iterations (0 = app default)")
-		points  = flag.Bool("points", false, "also list the pruned injection points")
-	)
+	workload := cliconf.RegisterWorkload(flag.CommandLine)
+	points := flag.Bool("points", false, "also list the pruned injection points")
 	flag.Parse()
 
-	app, err := fastfit.LookupApp(*appName)
+	app, cfg, err := workload.Config()
 	if err != nil {
 		return err
 	}
-	cfg := app.DefaultConfig()
-	if *ranks > 0 {
-		cfg.Ranks = *ranks
-	}
-	if *scale > 0 {
-		cfg.Scale = *scale
-	}
-	if *iters > 0 {
-		cfg.Iters = *iters
-	}
-
 	engine := fastfit.New(app, cfg, fastfit.DefaultOptions())
 	prof, err := engine.Profile()
 	if err != nil {

@@ -1,6 +1,7 @@
 package all
 
 import (
+	"errors"
 	"testing"
 	"time"
 
@@ -65,22 +66,45 @@ func TestAllAppsRunAtSmallRankCounts(t *testing.T) {
 		name, a := name, a
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
-			cfg := a.DefaultConfig()
-			cfg.Ranks = 8
-			// Keep per-rank divisibility constraints satisfied.
-			switch name {
-			case "ft":
-				cfg.Scale = 8
-			case "mg":
-				cfg.Scale = 16
-			case "lu":
-				cfg.Scale = 32
-			}
-			res := runApp(t, a, cfg)
-			if err := res.FirstError(); err != nil {
-				t.Fatalf("%s failed at 8 ranks: %v", name, err)
+			for _, ranks := range []int{8, 32} {
+				cfg, err := apps.ConfigFor(a, ranks)
+				if err != nil {
+					t.Fatal(err)
+				}
+				res := runApp(t, a, cfg)
+				if err := res.FirstError(); err != nil {
+					t.Fatalf("%s failed at %d ranks, scale %d: %v", name, ranks, cfg.Scale, err)
+				}
 			}
 		})
+	}
+}
+
+// TestConfigFor pins the size ConfigFor gives each app at the paper's rank
+// counts, and its refusal of a rank count no doubling of the size fits.
+func TestConfigFor(t *testing.T) {
+	want := map[string][3]int{ // scale at 8, 16 and 32 ranks
+		"ft": {16, 16, 32}, "mg": {32, 32, 64}, "lu": {64, 64, 64},
+		"is": {512, 512, 512}, "minimd": {24, 24, 24}, "shoot": {64, 64, 64},
+	}
+	for name, a := range Registry() {
+		if err := apps.Check(a, a.DefaultConfig()); err != nil {
+			t.Errorf("%s refuses its DefaultConfig: %v", name, err)
+		}
+		for i, ranks := range []int{8, 16, 32} {
+			cfg, err := apps.ConfigFor(a, ranks)
+			if err != nil || cfg.Ranks != ranks || cfg.Scale != want[name][i] {
+				t.Errorf("ConfigFor(%s, %d) = %+v, %v; want scale %d", name, ranks, cfg, err, want[name][i])
+			}
+		}
+	}
+	mg, _ := Lookup("mg")
+	if _, err := apps.ConfigFor(mg, 6); !errors.Is(err, apps.ErrRefused) {
+		t.Errorf("ConfigFor(mg, 6) = %v, want a refusal", err)
+	}
+	lu, _ := Lookup("lu")
+	if cfg, err := apps.ConfigFor(lu, 128); err != nil || cfg.Scale != 128 {
+		t.Errorf("ConfigFor(lu, 128) = %+v, %v; want scale 128", cfg, err)
 	}
 }
 

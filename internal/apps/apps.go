@@ -8,7 +8,12 @@
 // molecular-dynamics application — the workloads of the paper's evaluation.
 package apps
 
-import "github.com/fastfit/fastfit/internal/mpi"
+import (
+	"errors"
+	"fmt"
+
+	"github.com/fastfit/fastfit/internal/mpi"
+)
 
 // Config parameterises one application execution. The zero value is not
 // usable; start from an App's DefaultConfig.
@@ -35,7 +40,8 @@ type App interface {
 	// Name returns the short identifier used by CLIs and reports.
 	Name() string
 	// DefaultConfig returns a configuration matching the paper's setup in
-	// miniature (problem scaled to run in milliseconds).
+	// miniature (problem scaled to run in milliseconds). An app that is a
+	// Checker accepts it.
 	DefaultConfig() Config
 	// Main is the per-rank entry point. It must be deterministic given
 	// (cfg, rank id) and must report its final results through
@@ -58,4 +64,51 @@ type App interface {
 	// by PC. mg, lu and minimd checkpoint; an app that does not runs every
 	// trial's prefix from t=0.
 	Main(r *mpi.Rank, cfg Config) error
+}
+
+// ErrRefused is wrapped by every refusal of a config an app's Main cannot
+// run as the workload it models; no engine runs it, no supervisor retries it.
+var ErrRefused = errors.New("configuration refused")
+
+// Checker is an App that states which configurations its Main can run, as
+// every bundled workload does; an App that is not one accepts them all.
+type Checker interface {
+	// Check returns nil or a refusal (Require) naming the rule cfg breaks.
+	Check(cfg Config) error
+}
+
+// Check returns a's refusal of cfg, if a is a Checker and refuses it.
+func Check(a App, cfg Config) error {
+	if c, ok := a.(Checker); ok {
+		return c.Check(cfg)
+	}
+	return nil
+}
+
+// Require returns a's refusal of cfg when cfg lacks a rank, a unit of
+// problem size or an iteration, which no bundled app runs without, or else
+// when ok is false, naming rule.
+func Require(a App, cfg Config, ok bool, rule string) error {
+	if cfg.Ranks < 1 || cfg.Scale < 1 || cfg.Iters < 1 {
+		ok, rule = false, "needs at least one rank, a scale of at least 1 and one iteration"
+	}
+	if ok {
+		return nil
+	}
+	return fmt.Errorf("%w: %s at %d ranks, scale %d, %d iters: %s",
+		ErrRefused, a.Name(), cfg.Ranks, cfg.Scale, cfg.Iters, rule)
+}
+
+// ConfigFor returns a's DefaultConfig at the given rank count, its Scale
+// doubled until a accepts it. A rank count that no size up to 2^10 times
+// the default fits is refused.
+func ConfigFor(a App, ranks int) (Config, error) {
+	cfg := a.DefaultConfig()
+	cfg.Ranks = ranks
+	for try, i := cfg, 0; i <= 10; i, try.Scale = i+1, try.Scale*2 {
+		if Check(a, try) == nil {
+			return try, nil
+		}
+	}
+	return Config{}, fmt.Errorf("%w (nor does any scale up to %d)", Check(a, cfg), cfg.Scale<<10)
 }

@@ -30,9 +30,16 @@ func New() apps.App { return FT{} }
 // Name implements apps.App.
 func (FT) Name() string { return "ft" }
 
-// DefaultConfig implements apps.App: Scale is the (power-of-two) grid edge.
+// DefaultConfig implements apps.App: Scale is the grid edge.
 func (FT) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 16, Iters: 3, Seed: 271828}
+}
+
+// Check implements apps.Checker: radix-2 FFTs need a power-of-two edge, and
+// the transposes split its planes and x-columns evenly among the ranks.
+func (a FT) Check(cfg apps.Config) error {
+	return apps.Require(a, cfg, cfg.Ranks > 0 && cfg.Scale&(cfg.Scale-1) == 0 && cfg.Scale%cfg.Ranks == 0,
+		"needs a power-of-two scale (the grid edge) that is a multiple of ranks")
 }
 
 // Main implements apps.App.
@@ -40,14 +47,7 @@ func (FT) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
 
 	// Compile-time problem class: static array dimensions.
-	nStatic := cfg.Scale
-	if nStatic <= 0 {
-		nStatic = 16
-	}
-	itersStatic := cfg.Iters
-	if itersStatic <= 0 {
-		itersStatic = 3
-	}
+	nStatic, itersStatic := cfg.Scale, cfg.Iters
 	planesStatic := nStatic / p
 	chunkStatic := nStatic / p
 	blockStatic := chunkStatic * nStatic * planesStatic
@@ -241,7 +241,7 @@ func (FT) Main(r *mpi.Rank, cfg apps.Config) error {
 	}
 	norm := r.AllreduceFloat64(local, mpi.OpSum, mpi.CommWorld)
 	if r.ID() == 0 {
-		r.ReportResult(roundSig(norm, 9), roundSig(lastRe, 9), roundSig(lastIm, 9))
+		r.ReportResult(apps.RoundSig(norm, 9), apps.RoundSig(lastRe, 9), apps.RoundSig(lastIm, 9))
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil
@@ -298,14 +298,4 @@ func fft(a []complex128, inv bool) {
 			a[i] /= complex(float64(n), 0)
 		}
 	}
-}
-
-// roundSig rounds v to sig significant decimal digits, mirroring the
-// limited precision of a benchmark's printed output.
-func roundSig(v float64, sig int) float64 {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
-	mag := math.Pow(10, float64(sig)-math.Ceil(math.Log10(math.Abs(v))))
-	return math.Round(v*mag) / mag
 }

@@ -91,17 +91,17 @@ func TestWaveSqWrapAround(t *testing.T) {
 }
 
 func TestRoundSig(t *testing.T) {
-	if got := roundSig(123.456789, 4); got != 123.5 {
+	if got := apps.RoundSig(123.456789, 4); got != 123.5 {
 		t.Errorf("roundSig = %v", got)
 	}
-	if got := roundSig(-0.00123456, 3); got != -0.00123 {
+	if got := apps.RoundSig(-0.00123456, 3); got != -0.00123 {
 		t.Errorf("roundSig negative = %v", got)
 	}
-	if roundSig(0, 5) != 0 {
-		t.Errorf("roundSig(0)")
+	if apps.RoundSig(0, 5) != 0 {
+		t.Errorf("apps.RoundSig(0)")
 	}
-	if !math.IsNaN(roundSig(math.NaN(), 3)) {
-		t.Errorf("roundSig(NaN) should stay NaN")
+	if !math.IsNaN(apps.RoundSig(math.NaN(), 3)) {
+		t.Errorf("apps.RoundSig(NaN) should stay NaN")
 	}
 }
 

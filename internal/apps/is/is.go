@@ -36,6 +36,9 @@ func (IS) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 512, Iters: 3, Seed: 314159}
 }
 
+// Check implements apps.Checker: IS runs any positive size.
+func (a IS) Check(cfg apps.Config) error { return apps.Require(a, cfg, true, "") }
+
 // strayWriteLimit emulates the heap slack around the statically allocated
 // key-count array: NPB IS class B ranks keys in a 2^23-entry table, so a
 // corrupted key usually lands in allocated memory (a silent stray write)
@@ -48,18 +51,11 @@ func (IS) Main(r *mpi.Rank, cfg apps.Config) error {
 
 	// Static ("compile-time") problem dimensions, as in the Fortran/C
 	// original: array sizes never change, whatever the broadcast says.
-	nkeysStatic := cfg.Scale
-	if nkeysStatic <= 0 {
-		nkeysStatic = 512
-	}
+	nkeysStatic, itersStatic := cfg.Scale, cfg.Iters
 	maxKeyStatic := 4 * nkeysStatic
 	// NPB IS uses 2^10 buckets; many buckets per rank keep the greedy
 	// bucket-to-rank assignment balanced.
 	nbucketsStatic := 8 * nproc
-	itersStatic := cfg.Iters
-	if itersStatic <= 0 {
-		itersStatic = 3
-	}
 
 	// --- init phase: distribute runtime parameters from rank 0 ---
 	r.SetPhase(mpi.PhaseInit)

@@ -35,6 +35,14 @@ func (LU) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 64, Iters: 5, Seed: 141421}
 }
 
+// Check implements apps.Checker: the pipeline passes on each strip's last
+// row, so each rank needs one; no rank indexes a global row, so strips of
+// Scale/Ranks rows need not tile the grid.
+func (a LU) Check(cfg apps.Config) error {
+	return apps.Require(a, cfg, cfg.Scale >= cfg.Ranks,
+		"needs a scale (the grid edge) of at least ranks: a row per rank")
+}
+
 // state is what an SSOR iteration reads of the run before it, checkpointed
 // at the top of every iteration but the first and once before the end
 // phase: the broadcast input deck, the iteration to run, the last residual
@@ -67,14 +75,7 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
 
 	// Compile-time problem class.
-	nStatic := cfg.Scale
-	if nStatic <= 0 {
-		nStatic = 64
-	}
-	itersStatic := cfg.Iters
-	if itersStatic <= 0 {
-		itersStatic = 5
-	}
+	nStatic, itersStatic := cfg.Scale, cfg.Iters
 
 	// A forked run starts from the last checkpoint before its cut, if any.
 	s, resumed := r.Resume().(*state)
@@ -195,16 +196,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	// deterministic stand-in reduces the iteration count.
 	tmax := r.ReduceFloat64s([]float64{float64(s.iters)}, mpi.OpMax, 0, mpi.CommWorld)
 	if r.ID() == 0 {
-		r.ReportResult(roundSig(s.rsdnm, 9), roundSig(total[0], 9), tmax[0])
+		r.ReportResult(apps.RoundSig(s.rsdnm, 9), apps.RoundSig(total[0], 9), tmax[0])
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil
-}
-
-func roundSig(v float64, sig int) float64 {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
-	mag := math.Pow(10, float64(sig)-math.Ceil(math.Log10(math.Abs(v))))
-	return math.Round(v*mag) / mag
 }

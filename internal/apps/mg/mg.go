@@ -29,10 +29,16 @@ func New() apps.App { return MG{} }
 // Name implements apps.App.
 func (MG) Name() string { return "mg" }
 
-// DefaultConfig implements apps.App: Scale is the fine-grid edge (power of
-// two, with Scale/Ranks >= 2 so one coarsening level stays distributed).
+// DefaultConfig implements apps.App: Scale is the fine-grid edge.
 func (MG) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 32, Iters: 4, Seed: 161803}
+}
+
+// Check implements apps.Checker: a power-of-two edge and an even number of
+// planes per rank, so restriction stays on-rank and no coarse slab is empty.
+func (a MG) Check(cfg apps.Config) error {
+	return apps.Require(a, cfg, cfg.Ranks > 0 && cfg.Scale&(cfg.Scale-1) == 0 && cfg.Scale%(2*cfg.Ranks) == 0,
+		"needs a power-of-two scale (the grid edge) that is a multiple of 2·ranks")
 }
 
 // grid is one level's distributed field. The backing arrays are sized once
@@ -103,14 +109,7 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
 
 	// Compile-time problem class.
-	nStatic := cfg.Scale
-	if nStatic <= 0 {
-		nStatic = 32
-	}
-	cyclesStatic := cfg.Iters
-	if cyclesStatic <= 0 {
-		cyclesStatic = 4
-	}
+	nStatic, cyclesStatic := cfg.Scale, cfg.Iters
 
 	// A forked run starts from the last checkpoint before its cut, if any.
 	s, resumed := r.Resume().(*state)
@@ -131,12 +130,12 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	if !resumed {
 		// --- input phase: sparse random right-hand side (NPB MG style) ---
 		r.SetPhase(mpi.PhaseInput)
-		r.Tick(n*n*maxI(fine.planes, 1)*2 + 10)
+		r.Tick(n*n*max(fine.planes, 1)*2 + 10)
 		rng := r.SeededRand(cfg.Seed) // same stream everywhere: global charges
 		for k := 0; k < 20; k++ {
-			x := 1 + rng.Intn(maxI(n-2, 1))
-			y := 1 + rng.Intn(maxI(n-2, 1))
-			z := rng.Intn(maxI(n, 1))
+			x := 1 + rng.Intn(max(n-2, 1))
+			y := 1 + rng.Intn(max(n-2, 1))
+			z := rng.Intn(max(n, 1))
 			val := 1.0
 			if k%2 == 1 {
 				val = -1.0
@@ -196,17 +195,10 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	}
 	got := r.ReduceFloat64s([]float64{usum}, mpi.OpSum, 0, mpi.CommWorld)
 	if r.ID() == 0 {
-		r.ReportResult(roundSig(s.rnorm, 9), roundSig(got[0], 9))
+		r.ReportResult(apps.RoundSig(s.rnorm, 9), apps.RoundSig(got[0], 9))
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil
-}
-
-func maxI(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // haloExchange sends the top plane to the rank above and the bottom plane
@@ -329,12 +321,4 @@ func prolongate(coarse, fine *grid) {
 			}
 		}
 	}
-}
-
-func roundSig(v float64, sig int) float64 {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
-	mag := math.Pow(10, float64(sig)-math.Ceil(math.Log10(math.Abs(v))))
-	return math.Round(v*mag) / mag
 }

@@ -35,6 +35,12 @@ func (MiniMD) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 16, Scale: 24, Iters: 6, Seed: 577215}
 }
 
+// Check implements apps.Checker: a rank's atoms must fit the simulated
+// memory.
+func (a MiniMD) Check(cfg apps.Config) error {
+	return apps.Require(a, cfg, cfg.Scale <= apps.MemLimitElems, "needs at most 4194304 atoms per rank (scale)")
+}
+
 type atom struct {
 	x, y, z    float64
 	vx, vy, vz float64
@@ -81,22 +87,15 @@ func (a atom) bits() [atomFloats]uint64 {
 func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	p := r.NumRanks()
 	perRankStatic := cfg.Scale
-	if perRankStatic <= 0 {
-		perRankStatic = 24
-	}
 
 	// A forked run starts from the last checkpoint before its cut, if any.
 	s, resumed := r.Resume().(*state)
 	if !resumed {
 		// --- init phase: broadcast the input deck ---
 		r.SetPhase(mpi.PhaseInit)
-		steps := cfg.Iters
-		if steps <= 0 {
-			steps = 6
-		}
 		deck := []float64{
 			float64(perRankStatic), // atoms per rank
-			float64(steps),         // time steps
+			float64(cfg.Iters),     // time steps
 			0.002,                  // dt
 			1.5,                    // cutoff
 			4.0,                    // box edge in x and y
@@ -407,7 +406,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		for _, c := range counts {
 			sum += c
 		}
-		r.ReportResult(roundSig(final[0], 6), final[1], sum)
+		r.ReportResult(apps.RoundSig(final[0], 6), final[1], sum)
 	}
 	r.Barrier(mpi.CommWorld)
 	return nil
@@ -460,12 +459,4 @@ func ownerOf(z, slab float64, p int) int {
 		return -1
 	}
 	return o
-}
-
-func roundSig(v float64, sig int) float64 {
-	if v == 0 || math.IsNaN(v) || math.IsInf(v, 0) {
-		return v
-	}
-	mag := math.Pow(10, float64(sig)-math.Ceil(math.Log10(math.Abs(v))))
-	return math.Round(v*mag) / mag
 }

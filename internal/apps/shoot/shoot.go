@@ -35,6 +35,13 @@ func (App) DefaultConfig() apps.Config {
 	return apps.Config{Ranks: 8, Scale: 64, Iters: 3, Seed: 271828}
 }
 
+// Check implements apps.Checker: Main's input-deck check aborts past 4096
+// iterations, and a rank's state of Scale·Ranks elements fits the memory.
+func (a App) Check(cfg apps.Config) error {
+	return apps.Require(a, cfg, cfg.Iters <= 1<<12 && cfg.Scale*cfg.Ranks <= apps.MemLimitElems,
+		"runs at most 4096 iterations on at most 4194304 state elements (scale·ranks)")
+}
+
 // splitmix advances a deterministic per-rank generator; the same stream
 // seeds the initial state on every run, so golden and injected executions
 // agree up to the fault.
@@ -59,15 +66,7 @@ func (App) Main(r *mpi.Rank, cfg apps.Config) error {
 
 	r.SetPhase(mpi.PhaseInit)
 	nproc := r.Size(mpi.CommWorld)
-	blockStatic := cfg.Scale
-	if blockStatic <= 0 {
-		blockStatic = 64
-	}
-	itersStatic := cfg.Iters
-	if itersStatic <= 0 {
-		itersStatic = 3
-	}
-	apps.GuardAlloc("shoot state", blockStatic*nproc)
+	blockStatic, itersStatic := cfg.Scale, cfg.Iters
 	// Rank 0 distributes the run parameters through the variant's own
 	// allreduce (root contributes, the rest add zero), so the init phase is
 	// exactly as fault-tolerant as the variant under study — an unprotected

@@ -6,7 +6,7 @@
 // campaign the same flags would run in-process under `fastfit` — same
 // flag names, same defaults, same fingerprint. The event-stream flags
 // (-v, -progress, -events) those two share with ffexp live here too
-// (observer.go).
+// (observer.go), and ffprofile takes the four workload flags.
 package cliconf
 
 import (
@@ -41,40 +41,56 @@ type Campaign struct {
 	NoML       bool
 }
 
-// campaignFlagNames is the exact set Register installs — kept adjacent so
-// Explicit can tell campaign-describing flags from a command's own flags.
-var campaignFlagNames = map[string]bool{
-	"app": true, "ranks": true, "scale": true, "iters": true,
-	"trials": true, "seed": true, "adaptive": true, "confidence": true,
-	"threshold": true, "levels": true, "policy": true, "topology": true,
-	"netplan": true, "algorithm": true,
-	"no-semantic": true, "no-context": true, "no-ml": true,
-}
-
 // Explicit reports whether any campaign flag was set on the command line
 // (fs must already be parsed). `ffd serve -store DIR` uses this to
 // distinguish "serve this campaign" from "just reopen whatever the store
 // holds" — defaults alone don't describe an intended campaign.
 func (c *Campaign) Explicit(fs *flag.FlagSet) bool {
-	explicit := false
-	fs.Visit(func(f *flag.Flag) {
-		if campaignFlagNames[f.Name] {
-			explicit = true
-		}
-	})
+	own, explicit := flag.NewFlagSet("", flag.ContinueOnError), false
+	Register(own)
+	fs.Visit(func(f *flag.Flag) { explicit = explicit || own.Lookup(f.Name) != nil })
 	return explicit
+}
+
+// RegisterWorkload installs the four flags that pick and size a workload
+// (-app, -ranks, -scale, -iters) on fs; Config resolves them.
+func RegisterWorkload(fs *flag.FlagSet) *Campaign {
+	c := &Campaign{}
+	fs.StringVar(&c.App, "app", "minimd", "workload to study ("+strings.Join(all.Names(), ", ")+")")
+	fs.IntVar(&c.Ranks, "ranks", 0, "number of MPI ranks (0 = app default)")
+	fs.IntVar(&c.Scale, "scale", 0, "problem-size knob (0 = the app's default, doubled until it fits -ranks)")
+	fs.IntVar(&c.Iters, "iters", 0, "outer iterations (0 = app default)")
+	return c
+}
+
+// Config resolves the workload flags: the app's DefaultConfig at -ranks,
+// sized by apps.ConfigFor unless -scale is given, and refused (an error
+// wrapping apps.ErrRefused) if the app cannot run it.
+func (c *Campaign) Config() (apps.App, apps.Config, error) {
+	app, err := all.Lookup(c.App)
+	if err != nil {
+		return nil, apps.Config{}, err
+	}
+	cfg := app.DefaultConfig()
+	if c.Ranks != 0 {
+		cfg.Ranks = c.Ranks
+	}
+	if c.Scale != 0 {
+		cfg.Scale = c.Scale
+	} else if cfg, err = apps.ConfigFor(app, cfg.Ranks); err != nil {
+		return nil, apps.Config{}, err
+	}
+	if c.Iters != 0 {
+		cfg.Iters = c.Iters
+	}
+	return app, cfg, apps.Check(app, cfg)
 }
 
 // Register installs the shared campaign flags on fs and returns the struct
 // they parse into. Flag names and defaults are the CLI contract — both
-// fastfit and ffd register this exact set (mirrored in
-// campaignFlagNames).
+// fastfit and ffd register this exact set.
 func Register(fs *flag.FlagSet) *Campaign {
-	c := &Campaign{}
-	fs.StringVar(&c.App, "app", "minimd", "workload to study ("+strings.Join(all.Names(), ", ")+")")
-	fs.IntVar(&c.Ranks, "ranks", 0, "number of MPI ranks (0 = app default)")
-	fs.IntVar(&c.Scale, "scale", 0, "problem-size knob (0 = app default)")
-	fs.IntVar(&c.Iters, "iters", 0, "outer iterations (0 = app default)")
+	c := RegisterWorkload(fs)
 	fs.IntVar(&c.Trials, "trials", 100, "fault-injection tests per point")
 	fs.Int64Var(&c.Seed, "seed", 1, "campaign seed")
 	fs.BoolVar(&c.Adaptive, "adaptive", false, "adaptive trial budgets: stop a point early once its outcome settles, respend savings on uncertain points")
@@ -94,19 +110,9 @@ func Register(fs *flag.FlagSet) *Campaign {
 // Build resolves the parsed flags into the workload and the engine
 // configuration (no Observer attached — callers layer their own).
 func (c *Campaign) Build() (apps.App, apps.Config, core.Options, error) {
-	app, err := all.Lookup(c.App)
+	app, cfg, err := c.Config()
 	if err != nil {
 		return nil, apps.Config{}, core.Options{}, err
-	}
-	cfg := app.DefaultConfig()
-	if c.Ranks > 0 {
-		cfg.Ranks = c.Ranks
-	}
-	if c.Scale > 0 {
-		cfg.Scale = c.Scale
-	}
-	if c.Iters > 0 {
-		cfg.Iters = c.Iters
 	}
 	cfg.Algorithm = c.Algorithm
 

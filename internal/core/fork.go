@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"github.com/fastfit/fastfit/internal/apps"
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
@@ -78,10 +79,13 @@ func (e *Engine) forkFingerprint() string {
 // loadGolden returns the engine's golden run. On a miss in the shared cache
 // one engine runs the application while the others of the fingerprint wait
 // for that run; a run that fails or hangs is an error and leaves the cache.
-// The reference engine runs its own, uncached.
+// The reference engine runs its own, uncached. A refused config runs nothing.
 func (e *Engine) loadGolden() (*goldenRun, error) {
 	if g := e.gold.Load(); g != nil {
 		return g, nil
+	}
+	if err := apps.Check(e.app, e.cfg); err != nil {
+		return nil, err
 	}
 	if err := e.netSetup(); err != nil {
 		return nil, fmt.Errorf("network fault domain of %s: %w", e.app.Name(), err)

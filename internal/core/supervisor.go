@@ -9,6 +9,8 @@ import (
 	"sort"
 	"sync"
 	"time"
+
+	"github.com/fastfit/fastfit/internal/apps"
 )
 
 // Supervisor is the campaign driver — the one place the profile → prune →
@@ -216,14 +218,14 @@ func (s *Supervisor) Run(ctx context.Context) (*SupervisedResult, error) {
 
 // open starts a campaign's event stream and plans it: profile and prune,
 // treating a hung or failed profile run as a harness action — retried with
-// backoff before giving up on the whole campaign.
+// backoff before giving up on the whole campaign; a refused config at once.
 func (s *Supervisor) open(ctx context.Context) (*campaignPlan, error) {
 	e := s.eng
 	e.emitCampaignStarted()
 	for attempt := 1; ; attempt++ {
 		plan, err := e.planCampaign()
-		if err == nil {
-			return plan, nil
+		if err == nil || errors.Is(err, apps.ErrRefused) {
+			return plan, err
 		}
 		if attempt >= s.opts.MaxAttempts || ctx.Err() != nil {
 			return nil, fmt.Errorf("campaign profiling failed after %d attempts: %w", attempt, err)

@@ -11,9 +11,16 @@ import (
 	"testing"
 	"time"
 
+	"github.com/fastfit/fastfit/internal/apps"
+	"github.com/fastfit/fastfit/internal/apps/ft"
 	"github.com/fastfit/fastfit/internal/apps/is"
+	"github.com/fastfit/fastfit/internal/apps/lu"
+	"github.com/fastfit/fastfit/internal/apps/mg"
+	"github.com/fastfit/fastfit/internal/apps/minimd"
+	"github.com/fastfit/fastfit/internal/apps/shoot"
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
+	"github.com/fastfit/fastfit/internal/mpi"
 )
 
 // supTestOptions is a small, fast, fully-deterministic direct-injection
@@ -334,5 +341,61 @@ func TestRunCampaignRefusesQuarantine(t *testing.T) {
 	res, err := e.RunCampaign()
 	if err == nil || res != nil || !strings.Contains(err.Error(), "harness failure") || !strings.Contains(err.Error(), "point 0") {
 		t.Fatalf("RunCampaign = %v, %v; want no result and an error naming the first harness failure", res, err)
+	}
+}
+
+// countedApp counts the runs of the app it wraps, keeping its Check.
+type countedApp struct {
+	apps.App
+	mains *atomic.Int64
+}
+
+func (a countedApp) Check(cfg apps.Config) error { return apps.Check(a.App, cfg) }
+
+func (a countedApp) Main(r *mpi.Rank, cfg apps.Config) error {
+	a.mains.Add(1)
+	return a.App.Main(r, cfg)
+}
+
+// TestRefusedConfigIsNotRetried: a configuration its app refuses is a
+// named error from Check, and Supervisor.Run returns that error after one
+// profiling attempt that runs nothing, instead of retrying a crashing
+// fault-free run as a harness failure.
+func TestRefusedConfigIsNotRetried(t *testing.T) {
+	for _, c := range []struct {
+		app               apps.App
+		ranks, scale, its int
+		rule              string
+	}{
+		{mg.New(), 32, 32, 4, "multiple of 2·ranks"},
+		{lu.New(), 128, 64, 5, "at least ranks"},
+		{ft.New(), 32, 16, 3, "multiple of ranks"},
+		{is.New(), 4, 0, 3, "a scale of at least 1 and one iteration"},
+		{minimd.New(), 4, 24, 0, "a scale of at least 1 and one iteration"},
+		{shoot.New(), 8, 64, 5000, "at most 4096 iterations"},
+		{minimd.New(), 4, 1 << 23, 6, "at most 4194304 atoms per rank"},
+	} {
+		cfg := c.app.DefaultConfig()
+		cfg.Ranks, cfg.Scale, cfg.Iters = c.ranks, c.scale, c.its
+		err := apps.Check(c.app, cfg)
+		if !errors.Is(err, apps.ErrRefused) || !strings.Contains(err.Error(), c.rule) {
+			t.Errorf("Check(%s, %+v) = %v, want a refusal naming %q", c.app.Name(), cfg, err, c.rule)
+			continue
+		}
+		var mains atomic.Int64
+		profiles := 0
+		opts := supTestOptions()
+		opts.Observer = ObserverFunc(func(ev Event) {
+			if ev == (PhaseChanged{Phase: CampaignProfiling}) {
+				profiles++
+			}
+		})
+		sup := NewSupervisor(New(countedApp{c.app, &mains}, cfg, opts), SupervisorOptions{MaxAttempts: 3, RetryBackoff: time.Millisecond})
+		if _, got := sup.Run(context.Background()); got == nil || got.Error() != err.Error() {
+			t.Errorf("%s: Supervisor.Run = %v, want %v", c.app.Name(), got, err)
+		}
+		if profiles != 1 || mains.Load() != 0 {
+			t.Errorf("%s: %d profiling attempts ran the app %d times, want 1 attempt and no run", c.app.Name(), profiles, mains.Load())
+		}
 	}
 }

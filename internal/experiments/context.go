@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"github.com/fastfit/fastfit/internal/apps/minimd"
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/mpi"
 	"github.com/fastfit/fastfit/internal/stats"
@@ -21,9 +20,10 @@ func Fig3(st *Store) (*Result, error) {
 	r := newResult("fig3", "Fig. 3: Error-rate distribution across same-stack invocations of an MPI_Allreduce in LAMMPS (miniMD)")
 
 	// A dedicated long run gives the call site enough invocations.
-	app := minimd.New()
-	cfg := app.DefaultConfig()
-	cfg.Ranks = st.Scale.Ranks
+	app, cfg, err := st.AppConfig("minimd")
+	if err != nil {
+		return nil, err
+	}
 	cfg.Iters = st.Scale.Fig3Invocations + 4
 	opts := st.Options()
 	opts.TrialsPerPoint = st.Scale.Fig3Trials

@@ -46,30 +46,15 @@ func (st *Store) logf(format string, args ...any) {
 }
 
 // AppConfig returns the application configuration used at the store's
-// scale, honouring each app's divisibility constraints.
+// scale: the app's default sized for the store's rank count
+// (apps.ConfigFor).
 func (st *Store) AppConfig(name string) (apps.App, apps.Config, error) {
 	app, err := all.Lookup(name)
 	if err != nil {
 		return nil, apps.Config{}, err
 	}
-	cfg := app.DefaultConfig()
-	cfg.Ranks = st.Scale.Ranks
-	switch name {
-	case "ft": // power-of-two edge divisible by ranks
-		cfg.Scale = maxInt(16, cfg.Ranks)
-	case "mg": // edge divisible by 2*ranks
-		cfg.Scale = maxInt(32, 2*cfg.Ranks)
-	case "lu": // edge divisible by ranks
-		cfg.Scale = maxInt(64, cfg.Ranks)
-	}
-	return app, cfg, nil
-}
-
-func maxInt(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
+	cfg, err := apps.ConfigFor(app, st.Scale.Ranks)
+	return app, cfg, err
 }
 
 // Options returns the campaign options at the store's scale.

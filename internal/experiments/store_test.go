@@ -7,7 +7,11 @@ import (
 )
 
 func TestAppConfigHonoursDivisibilityConstraints(t *testing.T) {
-	for _, ranks := range []int{8, 16, 32} {
+	want := map[string][3]int{ // scale at 8, 16 and 32 ranks
+		"is": {512, 512, 512}, "ft": {16, 16, 32}, "mg": {32, 32, 64},
+		"lu": {64, 64, 64}, "minimd": {24, 24, 24},
+	}
+	for i, ranks := range []int{8, 16, 32} {
 		st := NewStore(Scale{Name: "t", Ranks: ranks, TrialsPerPoint: 1, Seed: 1})
 		for _, name := range AllApps {
 			_, cfg, err := st.AppConfig(name)
@@ -16,6 +20,9 @@ func TestAppConfigHonoursDivisibilityConstraints(t *testing.T) {
 			}
 			if cfg.Ranks != ranks {
 				t.Errorf("%s ranks = %d", name, cfg.Ranks)
+			}
+			if cfg.Scale != want[name][i] {
+				t.Errorf("%s scale = %d at %d ranks, want %d", name, cfg.Scale, ranks, want[name][i])
 			}
 			switch name {
 			case "ft":

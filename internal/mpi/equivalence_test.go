@@ -204,14 +204,10 @@ func sampleBits(width int) []int {
 	return []int{5 % width, width - 3}
 }
 
-// appMain runs a bundled application at the given size; scale 0 keeps the
-// application's default.
+// appMain runs a bundled application at the given size.
 func appMain(app apps.App, ranks, scale, iters int) func(*mpi.Rank) error {
 	cfg := app.DefaultConfig()
-	cfg.Ranks, cfg.Iters = ranks, iters
-	if scale > 0 {
-		cfg.Scale = scale
-	}
+	cfg.Ranks, cfg.Scale, cfg.Iters = ranks, scale, iters
 	return func(r *mpi.Rank) error { return app.Main(r, cfg) }
 }
 
@@ -390,7 +386,7 @@ func rendezvousRows() []trialRow {
 // maskApp variant (TestTrialEquivalence).
 func equivalenceRows() []trialRow {
 	rows := []trialRow{
-		sweptRow("is/4", 4, appMain(is.New(), 4, 32, 0), forked, decided, reconverged, met, flipped),
+		sweptRow("is/4", 4, appMain(is.New(), 4, 32, 3), forked, decided, reconverged, met, flipped),
 		sweptRow("gate/4", 4, gateApp(&gateRun{}, false), forked, resumed, decided, reconverged, met, flipped),
 	}
 	// Every maskApp variant but the base one refuses the checkpoint cut
