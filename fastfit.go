@@ -527,9 +527,6 @@ const (
 // apply it at the start of every injected run.
 func ParseNetPlan(spec string) ([]NetFault, error) { return fault.ParseNetPlan(spec) }
 
-// LoadNetPlanJSON parses a JSON-encoded fault plan ([]NetFault).
-func LoadNetPlanJSON(data []byte) ([]NetFault, error) { return fault.LoadNetPlanJSON(data) }
-
 // NetPlanString renders a plan in ParseNetPlan syntax.
 func NetPlanString(plan []NetFault) string { return fault.NetPlanString(plan) }
 

@@ -70,27 +70,38 @@ func (e *Engine) logf(format string, args ...any) {
 	}
 }
 
-// emitCampaignStarted opens a campaign's event stream, followed by one
-// FaultDomainEvent per element of the standing network fault environment so
-// stream consumers know what every injected run executes under before the
-// first point completes.
-func (e *Engine) emitCampaignStarted() {
-	e.stats.reset()
-	e.emit(CampaignStarted{
+// OpeningEvents returns the events that open a campaign's stream: its
+// CampaignStarted, followed by one FaultDomainEvent per element of the
+// standing network fault environment so stream consumers know what every
+// injected run executes under before the first point completes. The
+// engine's own stream and a distributed coordinator's feed both open with
+// them.
+func (e *Engine) OpeningEvents() []Event {
+	evs := []Event{CampaignStarted{
 		App:            e.app.Name(),
 		Ranks:          e.cfg.Ranks,
 		TrialsPerPoint: e.opts.TrialsPerPoint,
 		MLPruning:      e.opts.ML.Pruning,
 		Algorithm:      e.cfg.Algorithm,
-	})
+	}}
 	if e.netSetup() == nil && e.topo != nil {
-		e.emit(FaultDomainEvent{Kind: "topology", Spec: e.topo.Name()})
+		evs = append(evs, FaultDomainEvent{Kind: "topology", Spec: e.topo.Name()})
 		for _, nf := range e.opts.Network.Plan {
-			e.emit(FaultDomainEvent{
+			evs = append(evs, FaultDomainEvent{
 				Kind: nf.Kind.String(), Spec: nf.String(),
 				Rank: nf.Rank, Peer: nf.Peer, Count: nf.Count,
 			})
 		}
+	}
+	return evs
+}
+
+// emitCampaignStarted resets the run's snapshot counters and emits the
+// campaign's OpeningEvents.
+func (e *Engine) emitCampaignStarted() {
+	e.stats.reset()
+	for _, ev := range e.OpeningEvents() {
+		e.emit(ev)
 	}
 }
 

@@ -132,18 +132,18 @@ func FuzzLoadCampaignJSON(f *testing.F) {
 // internally consistent (routing stays on links, plans validate against
 // the rank count they were validated for).
 func FuzzTopologyConfig(f *testing.F) {
-	f.Add("flat", "link:1-2,drop:0-3:2,crash:5", []byte(`[{"Kind":0,"Rank":1,"Peer":2}]`), 8)
-	f.Add("ring", "drop:0-1", []byte(`[{"Kind":2,"Rank":3}]`), 4)
-	f.Add("torus:4x2", "", []byte(`[]`), 8)
-	f.Add("Torus:2X2", "crash:0", []byte(`null`), 4)
-	f.Add("torus:3x3", "link:1-1", []byte(`[{"Kind":99}]`), 8)    // dims mismatch, self-link
-	f.Add("torus:0x0", "link:a-b", []byte(`{"not":"a plan"}`), 0) // zero everything
-	f.Add("mesh", "drop:1-2:-4", []byte("\x00\x01"), -3)          // unknown kind, bad count
-	f.Add("torus:", "gremlin:9", []byte(`[{"Kind":1,"Count":-1}]`), 1)
-	f.Add("", ",,link:,", []byte(`[1,2,3]`), 2)
-	f.Add("torus:9999999999x9999999999", "crash:", []byte(``), 1<<30)
+	f.Add("flat", "link:1-2,drop:0-3:2,crash:5", 8)
+	f.Add("ring", "drop:0-1", 4)
+	f.Add("torus:4x2", "", 8)
+	f.Add("Torus:2X2", "crash:0", 4)
+	f.Add("torus:3x3", "link:1-1", 8) // dims mismatch, self-link
+	f.Add("torus:0x0", "link:a-b", 0) // zero everything
+	f.Add("mesh", "drop:1-2:-4", -3)  // unknown kind, bad count
+	f.Add("torus:", "gremlin:9", 1)
+	f.Add("", ",,link:,", 2)
+	f.Add("torus:9999999999x9999999999", "crash:", 1<<30)
 
-	f.Fuzz(func(t *testing.T, topoSpec, planSpec string, planJSON []byte, ranks int) {
+	f.Fuzz(func(t *testing.T, topoSpec, planSpec string, ranks int) {
 		topo, err := mpi.ParseTopology(topoSpec, ranks)
 		if err == nil {
 			if topo.Nodes() != ranks {
@@ -175,23 +175,18 @@ func FuzzTopologyConfig(f *testing.F) {
 			t.Fatal("topology error with empty message")
 		}
 
-		for _, parse := range []func() ([]fault.NetFault, error){
-			func() ([]fault.NetFault, error) { return fault.ParseNetPlan(planSpec) },
-			func() ([]fault.NetFault, error) { return fault.LoadNetPlanJSON(planJSON) },
-		} {
-			plan, err := parse()
-			if err != nil {
-				if err.Error() == "" {
-					t.Fatal("net plan error with empty message")
-				}
-				continue
+		plan, err := fault.ParseNetPlan(planSpec)
+		if err != nil {
+			if err.Error() == "" {
+				t.Fatal("net plan error with empty message")
 			}
-			// A parsed plan validated against an accepted topology must apply
-			// to a fresh network without panicking.
-			if topo != nil && ranks >= 1 && ranks <= 16 {
-				if fault.ValidateNetPlan(plan, ranks) == nil {
-					fault.ApplyNetPlan(mpi.NewNetwork(topo), plan)
-				}
+			return
+		}
+		// A parsed plan validated against an accepted topology must apply
+		// to a fresh network without panicking.
+		if topo != nil && ranks >= 1 && ranks <= 16 {
+			if fault.ValidateNetPlan(plan, ranks) == nil {
+				fault.ApplyNetPlan(mpi.NewNetwork(topo), plan)
 			}
 		}
 	})

@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 	"time"
@@ -30,7 +31,7 @@ type CoordinatorOptions struct {
 	Now func() time.Time
 	// Store, when non-empty, is the campaign's durable state directory: a
 	// write-ahead log there records the spec at open and every applied
-	// batch, quarantine and frontier advance before it is acknowledged, so
+	// batch of records and quarantines before it is acknowledged, so
 	// a SIGKILLed coordinator recovers (RecoverCoordinator) with the same
 	// record store it crashed with. Empty keeps the coordinator in-memory
 	// only, exactly as before.
@@ -131,20 +132,14 @@ func NewCoordinator(eng *core.Engine, opts CoordinatorOptions) (*Coordinator, er
 			return nil, err
 		}
 	}
-	return newCoordinator(eng, opts, spec, wal, 1, nil, nil)
+	return newCoordinator(eng, opts, spec, wal, 1, map[int]core.PointRecord{}, map[int]core.QuarantinedPoint{})
 }
 
 // newCoordinator is the construction path NewCoordinator and
 // RecoverCoordinator share: opts must already have defaults applied, and
-// records/quars (nil for a fresh campaign) seed the record store.
+// records/quars (empty for a fresh campaign) seed the record store.
 func newCoordinator(eng *core.Engine, opts CoordinatorOptions, spec CampaignSpec, wal *WAL, epoch int,
 	records map[int]core.PointRecord, quars map[int]core.QuarantinedPoint) (*Coordinator, error) {
-	if records == nil {
-		records = map[int]core.PointRecord{}
-	}
-	if quars == nil {
-		quars = map[int]core.QuarantinedPoint{}
-	}
 	c := &Coordinator{
 		eng:     eng,
 		opts:    opts,
@@ -160,13 +155,9 @@ func newCoordinator(eng *core.Engine, opts CoordinatorOptions, spec CampaignSpec
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.emitLocked(core.CampaignStarted{
-		App:            c.spec.App,
-		Ranks:          c.spec.Config.Ranks,
-		TrialsPerPoint: c.spec.Options.TrialsPerPoint,
-		MLPruning:      c.spec.Options.ML.Pruning,
-		Algorithm:      c.spec.Config.Algorithm,
-	})
+	for _, ev := range eng.OpeningEvents() {
+		c.emitLocked(ev)
+	}
 	c.emitLocked(core.PhaseChanged{Phase: core.CampaignInjecting, Points: spec.Points})
 	// A recovered record store replays on the fresh feed the way
 	// checkpoint-restored points do on a resumed serial campaign, so a
@@ -259,18 +250,12 @@ func (c *Coordinator) refrontierLocked() error {
 	if err != nil {
 		return fmt.Errorf("ML frontier replay: %w", err)
 	}
-	prevNeeded, prevDone := c.needed, c.frontierDone
 	if finished {
 		c.needed = needed
 	} else {
 		c.needed = min(c.spec.Points, needed+c.opts.Lookahead)
 	}
 	c.frontierDone = finished
-	if c.wal != nil && (c.needed != prevNeeded || c.frontierDone != prevDone) {
-		if err := c.wal.AppendFrontier(c.needed, c.frontierDone); err != nil {
-			return err
-		}
-	}
 	return nil
 }
 
@@ -396,10 +381,11 @@ func (c *Coordinator) Renew(req RenewRequest) RenewReply {
 // Journal applies one batch of shard records. Batches for expired or
 // unknown leases are rejected whole (Expired reply): their range is being
 // re-leased, and the determinism contract makes the re-measurement
-// byte-identical, so nothing is lost. With a Store, the batch's
-// newly-accepted records go to the write-ahead log *before* the in-memory
-// store mutates or the shard is acked — a crash at any instant leaves the
-// WAL a prefix of what workers were told was accepted.
+// byte-identical, so nothing is lost. The batch lands by landing's rule,
+// and with a Store what it newly settles goes to the write-ahead log
+// *before* the in-memory store mutates or the shard is acked — a crash at
+// any instant leaves the WAL a prefix of what workers were told was
+// accepted.
 func (c *Coordinator) Journal(batch JournalBatch, recs []core.PointRecord, quars []core.QuarantinedPoint) (JournalReply, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -408,45 +394,36 @@ func (c *Coordinator) Journal(batch JournalBatch, recs []core.PointRecord, quars
 	if !ok {
 		return JournalReply{Expired: true}, nil
 	}
-	fresh := make([]core.PointRecord, 0, len(recs))
 	for _, rec := range recs {
 		if rec.Index < l.lo || rec.Index >= l.hi {
 			return JournalReply{}, fmt.Errorf("lease %s: record index %d outside leased range [%d,%d)",
 				l.id, rec.Index, l.lo, l.hi)
 		}
-		if _, dup := c.records[rec.Index]; !dup {
-			fresh = append(fresh, rec)
-		}
 	}
-	freshQ := make([]core.QuarantinedPoint, 0, len(quars))
 	for _, q := range quars {
 		if q.Index < l.lo || q.Index >= l.hi {
 			return JournalReply{}, fmt.Errorf("lease %s: quarantine index %d outside leased range [%d,%d)",
 				l.id, q.Index, l.lo, l.hi)
 		}
-		if _, dup := c.quar[q.Index]; !dup {
-			freshQ = append(freshQ, q)
-		}
 	}
+	fresh, freshQ := landing(c.records, c.quar, recs, quars)
 	if c.wal != nil && (len(fresh) > 0 || len(freshQ) > 0) {
 		if err := c.wal.AppendBatch(l.id, l.worker, fresh, freshQ); err != nil {
 			return JournalReply{}, err
 		}
 	}
-	acked := 0
 	for _, rec := range fresh {
 		c.records[rec.Index] = rec
 		c.arrivals++
-		acked++
 		c.emitLocked(core.PointCompleted{Index: rec.Index, Result: rec.Result,
 			Completed: c.arrivals, Total: c.spec.Points})
 	}
 	for _, q := range freshQ {
 		c.quar[q.Index] = q
 		c.arrivals++
-		acked++
 		c.emitLocked(core.PointQuarantined{Point: q, Completed: c.arrivals, Total: c.spec.Points})
 	}
+	acked := len(fresh) + len(freshQ)
 	// Completed work extends the lease: a live streaming shard is not dead.
 	// A range settled whole is released with the batch that settles it, not
 	// with the shard's trailing Done batch, which may arrive after the
@@ -465,6 +442,35 @@ func (c *Coordinator) Journal(batch JournalBatch, recs []core.PointRecord, quars
 	return JournalReply{Acked: acked}, nil
 }
 
+// landing selects what a shard batch newly settles in a record store: the
+// first write of an index wins, within the batch as across batches, and an
+// index is settled once, whether by a record or by a quarantine. It is the
+// one rule for a landing batch — the live journal endpoint applies it
+// before the WAL append, and WAL replay applies it to every batch line —
+// so a recovered store is the live one.
+func landing(records map[int]core.PointRecord, quar map[int]core.QuarantinedPoint,
+	recs []core.PointRecord, quars []core.QuarantinedPoint) (fresh []core.PointRecord, freshQ []core.QuarantinedPoint) {
+	batch := make(map[int]bool, len(recs)+len(quars))
+	isNew := func(idx int) bool {
+		_, rec := records[idx]
+		_, q := quar[idx]
+		isNew := !rec && !q && !batch[idx]
+		batch[idx] = true
+		return isNew
+	}
+	for _, rec := range recs {
+		if isNew(rec.Index) {
+			fresh = append(fresh, rec)
+		}
+	}
+	for _, q := range quars {
+		if isNew(q.Index) {
+			freshQ = append(freshQ, q)
+		}
+	}
+	return fresh, freshQ
+}
+
 // rangeSettledLocked reports whether every index of l's range is settled.
 func (c *Coordinator) rangeSettledLocked(l *lease) bool {
 	for idx := l.lo; idx < l.hi; idx++ {
@@ -481,7 +487,7 @@ func (c *Coordinator) Done() <-chan struct{} { return c.done }
 // Result blocks until the record store is complete, then performs the
 // deterministic merge (once — later calls return the same result). The
 // merged journal is written to Supervisor.Checkpoint, and the feed closes
-// with SnapshotStats/CampaignFinished events mirroring the merged run.
+// with a CampaignFinished event summarising the merged run.
 func (c *Coordinator) Result(ctx context.Context) (*core.SupervisedResult, error) {
 	select {
 	case <-ctx.Done():
@@ -490,16 +496,7 @@ func (c *Coordinator) Result(ctx context.Context) (*core.SupervisedResult, error
 	}
 	c.mergeOnce.Do(func() {
 		c.mu.Lock()
-		in := MergeInput{
-			Records:     make(map[int]core.PointRecord, len(c.records)),
-			Quarantined: make(map[int]core.QuarantinedPoint, len(c.quar)),
-		}
-		for idx, rec := range c.records {
-			in.Records[idx] = rec
-		}
-		for idx, q := range c.quar {
-			in.Quarantined[idx] = q
-		}
+		in := MergeInput{Records: maps.Clone(c.records), Quarantined: maps.Clone(c.quar)}
 		supOpts := c.opts.Supervisor
 		c.mu.Unlock()
 		// The merge replays the single-process supervisor outside the lock:

@@ -13,8 +13,8 @@ import (
 
 // The coordinator's write-ahead log makes the control plane crash-durable:
 // the campaign spec (with its plan fingerprint) is written when the WAL is
-// opened, and every applied journal batch, quarantine and frontier advance
-// is appended before it is acknowledged, so SIGKILLing the coordinator at
+// opened, and every applied journal batch of records and quarantines is
+// appended before it is acknowledged, so SIGKILLing the coordinator at
 // any instant loses at most work that was never acked — work the lease
 // protocol re-measures byte-identically anyway. Leases are deliberately
 // NOT logged: they are soft state (a relative-TTL promise), so recovery
@@ -60,16 +60,6 @@ type walBatch struct {
 	Worker      string            `json:"worker,omitempty"`
 	Records     []json.RawMessage `json:"records,omitempty"`
 	Quarantines []json.RawMessage `json:"quarantines,omitempty"`
-}
-
-// walFrontier records an ML lease-frontier advance. Recovery recomputes
-// the frontier from the records (it is a pure function of them), so these
-// records are an audit trail, not load-bearing state — but they make a WAL
-// humanly readable as a campaign history.
-type walFrontier struct {
-	Kind   string `json:"kind"` // "frontier"
-	Needed int    `json:"needed"`
-	Done   bool   `json:"done"`
 }
 
 // walMerged marks the campaign's deterministic merge as completed and
@@ -142,9 +132,9 @@ func (st *WALState) complete(path string) error {
 	return nil
 }
 
-// fold applies one log record to the state. Batches dedupe
-// first-write-wins, like the coordinator's record store, so a replayed
-// append changes nothing.
+// fold applies one log record to the state. A batch line lands by the
+// live journal endpoint's rule (landing), so a replayed append changes
+// nothing and a recovered store is the one the coordinator acked.
 func (st *WALState) fold(rec recfile.Record) error {
 	switch rec.Kind {
 	case "open":
@@ -174,6 +164,7 @@ func (st *WALState) fold(rec recfile.Record) error {
 		if err := json.Unmarshal(rec.Payload, &batch); err != nil {
 			return fmt.Errorf("corrupt batch record: %w", err)
 		}
+		recs := make([]core.PointRecord, len(batch.Records))
 		for j, line := range batch.Records {
 			pr, err := core.DecodeJournalPoint(line)
 			if err != nil {
@@ -182,10 +173,9 @@ func (st *WALState) fold(rec recfile.Record) error {
 			if pr.Index >= st.Spec.Points {
 				return fmt.Errorf("point index %d outside campaign of %d points", pr.Index, st.Spec.Points)
 			}
-			if _, dup := st.Records[pr.Index]; !dup {
-				st.Records[pr.Index] = pr
-			}
+			recs[j] = pr
 		}
+		quars := make([]core.QuarantinedPoint, len(batch.Quarantines))
 		for j, line := range batch.Quarantines {
 			q, err := core.DecodeJournalQuarantine(line)
 			if err != nil {
@@ -194,18 +184,18 @@ func (st *WALState) fold(rec recfile.Record) error {
 			if q.Index >= st.Spec.Points {
 				return fmt.Errorf("quarantine index %d outside campaign of %d points", q.Index, st.Spec.Points)
 			}
-			if _, dup := st.Quarantined[q.Index]; !dup {
-				st.Quarantined[q.Index] = q
-			}
+			quars[j] = q
+		}
+		fresh, freshQ := landing(st.Records, st.Quarantined, recs, quars)
+		for _, pr := range fresh {
+			st.Records[pr.Index] = pr
+		}
+		for _, q := range freshQ {
+			st.Quarantined[q.Index] = q
 		}
 	case "frontier":
-		var fr walFrontier
-		if err := json.Unmarshal(rec.Payload, &fr); err != nil {
-			return fmt.Errorf("corrupt frontier record: %w", err)
-		}
-		if fr.Needed < 0 || fr.Needed > st.Spec.Points {
-			return fmt.Errorf("frontier %d outside campaign of %d points", fr.Needed, st.Spec.Points)
-		}
+		// Older builds logged each ML frontier advance; recovery recomputes
+		// the frontier from the records, so the line is read past.
 	case "merged":
 		st.Merged = true
 	default:
@@ -266,11 +256,6 @@ func (w *WAL) AppendBatch(leaseID, worker string, recs []core.PointRecord, quars
 		b.Quarantines = append(b.Quarantines, line)
 	}
 	return w.log.Append(b)
-}
-
-// AppendFrontier logs an ML lease-frontier advance.
-func (w *WAL) AppendFrontier(needed int, done bool) error {
-	return w.log.Append(walFrontier{Kind: "frontier", Needed: needed, Done: done})
 }
 
 // AppendMerged marks the campaign merged; a later recovery refuses the log

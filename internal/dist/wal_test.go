@@ -3,6 +3,7 @@ package dist_test
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"fmt"
 	"net/http/httptest"
@@ -15,12 +16,13 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/all"
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/dist"
+	"github.com/fastfit/fastfit/internal/recfile"
 )
 
 // buildPartialWAL runs a real campaign against a durable coordinator until
 // a chaos-killed worker has streamed exactly `records` records, then kills
 // the coordinator. What's left on disk is a genuine mid-crash WAL: open +
-// epoch + batch (+ frontier) lines, nothing synthetic.
+// epoch + batch lines, nothing synthetic.
 func buildPartialWAL(t testing.TB, seed int64, records int) (string, dist.CampaignSpec) {
 	dir := filepath.Join(t.TempDir(), "campaign")
 	coord, err := dist.NewCoordinator(testEngine(t, testOptions(seed)), dist.CoordinatorOptions{
@@ -147,7 +149,7 @@ func TestWALTornTailRepair(t *testing.T) {
 	if !st2.TornTail {
 		t.Error("open did not report the torn tail it repaired")
 	}
-	if err := wal.AppendFrontier(1, false); err != nil {
+	if err := wal.AppendMerged(); err != nil {
 		t.Fatalf("append after repair: %v", err)
 	}
 	if err := wal.Close(); err != nil {
@@ -159,6 +161,9 @@ func TestWALTornTailRepair(t *testing.T) {
 	}
 	if st3.TornTail {
 		t.Error("tail still torn after repair")
+	}
+	if !st3.Merged {
+		t.Error("the record appended after repair was lost")
 	}
 	repaired, err := os.ReadFile(path)
 	if err != nil {
@@ -265,6 +270,30 @@ func FuzzRecoverWAL(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte("not a wal\n"))
 	f.Add([]byte("00000002 00000000 {}\n"))
+	// Batches the landing rule settles: one naming an index twice, and one
+	// that records and quarantines an index. A frontier line, which older
+	// builds logged, is read past.
+	point := fuzzJournalPointLine(f, 3)
+	twice, err := core.EncodeJournalPoint(core.PointRecord{Index: 3,
+		Result: core.PointResult{Trials: []core.TrialResult{{}}}})
+	if err != nil {
+		f.Fatal(err)
+	}
+	quar, err := core.EncodeJournalQuarantine(core.QuarantinedPoint{Index: 3, Attempts: 2, Err: "wedged"})
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, extra := range []any{
+		map[string]any{"kind": "batch", "records": []json.RawMessage{point, twice}},
+		map[string]any{"kind": "batch", "records": []json.RawMessage{point}, "quarantines": []json.RawMessage{quar}},
+		map[string]any{"kind": "frontier", "needed": 4, "done": false},
+	} {
+		line, err := recfile.Marshal(extra)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append(append([]byte{}, real...), line...))
+	}
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		path := filepath.Join(t.TempDir(), dist.WALFileName)
@@ -292,6 +321,9 @@ func FuzzRecoverWAL(f *testing.F) {
 		for idx := range st.Quarantined {
 			if idx < 0 || idx >= st.Spec.Points {
 				t.Fatalf("accepted quarantine index %d outside plan of %d points", idx, st.Spec.Points)
+			}
+			if _, ok := st.Records[idx]; ok {
+				t.Fatalf("accepted state both records and quarantines index %d", idx)
 			}
 		}
 	})

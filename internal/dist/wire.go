@@ -206,9 +206,10 @@ func DecodeJournalBatch(data []byte) (JournalBatch, []core.PointRecord, []core.Q
 	return b, recs, quars, nil
 }
 
-// JournalReply acknowledges a batch. Acked counts records newly applied by
-// this batch; Expired reports the lease is no longer held (the batch was
-// discarded — its range has been or will be re-leased).
+// JournalReply acknowledges a batch. Acked counts the indexes this batch
+// newly settled, by a record or a quarantine; Expired reports the lease is
+// no longer held (the batch was discarded — its range has been or will be
+// re-leased).
 type JournalReply struct {
 	Acked   int  `json:"acked"`
 	Expired bool `json:"expired,omitempty"`

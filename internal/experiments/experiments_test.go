@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -381,6 +382,38 @@ func TestSummaryAggregates(t *testing.T) {
 	if res.Series["minTotalReduction"][0] < 0.8 {
 		t.Errorf("minimum total reduction = %v", res.Series["minTotalReduction"][0])
 	}
+}
+
+// The summary's LAMMPS line reports the ML campaign's injected count, the
+// campaign its reduction percentage comes from. It runs at the quick scale
+// of results/quick, where the ML loop predicts some of the points.
+func TestSummaryInjectedMatchesMLCampaign(t *testing.T) {
+	st := NewStore(QuickScale())
+	res, err := Summary(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := st.Campaign("minimd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	mc, err := st.MLCampaign("minimd")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if mc.Injected == c.AfterContext {
+		t.Fatalf("the ML campaign injects all %d points; the check needs one that predicts some", mc.Injected)
+	}
+	want := fmt.Sprintf("(%d points -> %d injected)", c.TotalPoints, mc.Injected)
+	for _, line := range strings.Split(res.Text, "\n") {
+		if strings.Contains(line, displayName("minimd")) && strings.Contains(line, "injected") {
+			if !strings.Contains(line, want) {
+				t.Errorf("summary line %q, want it to end %q", line, want)
+			}
+			return
+		}
+	}
+	t.Errorf("summary has no injected count for minimd:\n%s", res.Text)
 }
 
 func TestTopologyShootoutMatrix(t *testing.T) {

@@ -163,6 +163,18 @@ func (st *Store) MLCampaign(name string) (*core.CampaignResult, error) {
 		func() (*core.Engine, error) { return st.newEngine(name, true, st.Scale.Adaptive) })
 }
 
+// pruned returns the campaign that injects what every pruning technique
+// applied to an app leaves of its space, the campaign its total reduction
+// and injected count are read from: following the paper, ML-driven pruning
+// is applied to the LAMMPS stand-in only — the NPB spaces are already
+// small after semantic and context pruning.
+func (st *Store) pruned(name string) (*core.CampaignResult, error) {
+	if name == "minimd" {
+		return st.MLCampaign(name)
+	}
+	return st.Campaign(name)
+}
+
 // MeasuredAcross concatenates the measured point results of the given
 // apps' full campaigns.
 func (st *Store) MeasuredAcross(names []string) ([]core.PointResult, error) {

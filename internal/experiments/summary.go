@@ -19,22 +19,14 @@ func Summary(st *Store) (*Result, error) {
 	fmt.Fprintf(&sb, "FastFIT reduction of fault injection points:\n")
 	var worstTotal = 1.0
 	for _, name := range AllApps {
-		c, err := st.Campaign(name)
+		c, err := st.pruned(name)
 		if err != nil {
 			return nil, err
 		}
-		total := 1 - float64(c.AfterContext)/float64(c.TotalPoints)
-		if name == "minimd" {
-			if mc, err := st.MLCampaign(name); err == nil {
-				total = mc.TotalReduction
-			}
-		}
-		if total < worstTotal {
-			worstTotal = total
-		}
+		worstTotal = min(worstTotal, c.TotalReduction)
 		fmt.Fprintf(&sb, "  %-18s %6.2f%%  (%d points -> %d injected)\n",
-			displayName(name), 100*total, c.TotalPoints, c.AfterContext)
-		r.Series[name] = []float64{total}
+			displayName(name), 100*c.TotalReduction, c.TotalPoints, c.Injected)
+		r.Series[name] = []float64{c.TotalReduction}
 	}
 	fmt.Fprintf(&sb, "  minimum across workloads: %.2f%% (paper: >97%% at 32 ranks)\n", 100*worstTotal)
 	r.Series["minTotalReduction"] = []float64{worstTotal}

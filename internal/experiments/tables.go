@@ -49,36 +49,26 @@ func Table2(st *Store) (*Result, error) {
 
 // Table3 regenerates the reduction-ratio table (paper Table III): the
 // semantic (MPI), context (App) and ML reductions per workload, and the
-// total. Following the paper, ML-driven pruning is applied to the LAMMPS
-// stand-in only — the NPB spaces are already small after the first two
-// techniques.
+// total, each read from the app's pruned campaign.
 func Table3(st *Store) (*Result, error) {
 	r := newResult("table3", "Table III: Reduction ratio after applying the three techniques with FastFIT")
 	header := []string{"", "MPI", "App", "ML", "Total"}
 	var rows [][]string
 	var appLabels []string
 	for _, name := range AllApps {
-		c, err := st.Campaign(name)
+		c, err := st.pruned(name)
 		if err != nil {
 			return nil, err
 		}
 		mlCell := "NA"
-		mlVal := 0.0
-		totalRed := 1 - float64(c.AfterContext)/float64(c.TotalPoints)
 		if name == "minimd" {
-			mc, err := st.MLCampaign(name)
-			if err != nil {
-				return nil, err
-			}
-			mlVal = mc.MLReduction
-			mlCell = pct(mlVal)
-			totalRed = mc.TotalReduction
+			mlCell = pct(c.MLReduction)
 		}
 		rows = append(rows, []string{
-			displayName(name), pct(c.SemanticReduction), pct(c.ContextReduction), mlCell, pct(totalRed),
+			displayName(name), pct(c.SemanticReduction), pct(c.ContextReduction), mlCell, pct(c.TotalReduction),
 		})
 		appLabels = append(appLabels, displayName(name))
-		r.Series[name] = []float64{c.SemanticReduction, c.ContextReduction, mlVal, totalRed}
+		r.Series[name] = []float64{c.SemanticReduction, c.ContextReduction, c.MLReduction, c.TotalReduction}
 	}
 	r.Labels["apps"] = appLabels
 	r.Labels["columns"] = []string{"MPI", "App", "ML", "Total"}

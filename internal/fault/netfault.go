@@ -14,7 +14,6 @@ package fault
 // campaign JSON shape-compatible across the fault domains.
 
 import (
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"strconv"
@@ -177,22 +176,6 @@ func ParseNetPlan(spec string) ([]NetFault, error) {
 			return nil, fmt.Errorf("net plan %q: unknown kind %q (want link, drop or crash)", part, fields[0])
 		}
 		plan = append(plan, f)
-	}
-	return plan, nil
-}
-
-// LoadNetPlanJSON parses a JSON-encoded plan ([]NetFault). Like
-// ParseNetPlan it never panics on mangled input (FuzzTopologyConfig pins
-// this).
-func LoadNetPlanJSON(data []byte) ([]NetFault, error) {
-	var plan []NetFault
-	if err := json.Unmarshal(data, &plan); err != nil {
-		return nil, fmt.Errorf("net plan json: %w", err)
-	}
-	for i := range plan {
-		if plan[i].Kind < 0 || plan[i].Kind >= numNetFaultKinds {
-			return nil, fmt.Errorf("net plan json entry %d: unknown kind %d", i, int(plan[i].Kind))
-		}
 	}
 	return plan, nil
 }
