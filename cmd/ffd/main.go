@@ -258,6 +258,9 @@ func runServe(args []string) error {
 		}
 	}
 	fmt.Printf("campaign wall-clock: %v\n", time.Since(start).Round(time.Millisecond))
+	if err := svc.Shutdown(ctx, srv); err != nil && ctx.Err() == nil {
+		return err
+	}
 	return nil
 }
 

@@ -63,11 +63,11 @@ func (FT) Main(r *mpi.Rank, cfg apps.Config) error {
 	r.Barrier(mpi.CommWorld)
 
 	// Static arrays, sized by the problem class regardless of the
-	// broadcast values.
-	field := make([]complex128, planesStatic*nStatic*nStatic)
-	pdata := make([]complex128, chunkStatic*nStatic*nStatic)
-	sendVals := make([]complex128, blockStatic*p)
-	work := make([]complex128, nStatic)
+	// broadcast values; the rank's run shell keeps them (mpi.Static).
+	field := static(r, planesStatic*nStatic*nStatic)
+	pdata := static(r, chunkStatic*nStatic*nStatic)
+	sendVals := static(r, blockStatic*p)
+	work := static(r, nStatic)
 
 	// Index helpers use the *runtime* edge length, like Fortran dimension
 	// statements bound to broadcast values: corrupted values walk off the
@@ -299,3 +299,6 @@ func fft(a []complex128, inv bool) {
 		}
 	}
 }
+
+// static is a zeroed array of n values in r's static memory.
+func static(r *mpi.Rank, n int) []complex128 { return mpi.Static[complex128](r, n, n) }

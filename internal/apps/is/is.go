@@ -66,12 +66,12 @@ func (IS) Main(r *mpi.Rank, cfg apps.Config) error {
 	iters := int(params[3])
 	r.Barrier(mpi.CommWorld)
 
-	// Static arrays (generous factors mirror NPB's SIZE_OF_BUFFERS slack).
-	keys := make([]int32, nkeysStatic)
-	localHist := make([]int32, nbucketsStatic)
-	sortBuf := make([]int32, 4*nkeysStatic) // received keys (key_buff2)
-	countArr := make([]int32, maxKeyStatic) // ranking array (key_buff1)
-	outKeys := make([]int32, 2*nkeysStatic) // send staging
+	keys := static(r, nkeysStatic) // static arrays; factors mirror NPB's SIZE_OF_BUFFERS slack
+	localHist := static(r, nbucketsStatic)
+	sortBuf := static(r, 4*nkeysStatic)                           // received keys (key_buff2)
+	countArr := static(r, maxKeyStatic)                           // ranking array (key_buff1)
+	outKeys := static(r, 2*nkeysStatic)                           // send staging
+	ownerOf := mpi.Static[int](r, nbucketsStatic, nbucketsStatic) // bucket owners
 
 	// --- input phase: pseudo-random key generation ---
 	r.SetPhase(mpi.PhaseInput)
@@ -128,7 +128,7 @@ func (IS) Main(r *mpi.Rank, cfg apps.Config) error {
 		for b := 0; b < nbuckets; b++ {
 			total += int64(global[b])
 		}
-		ownerOf := make([]int, nbucketsStatic) // static; corrupted nbuckets faults on indexing
+		clear(ownerOf) // static; corrupted nbuckets faults on indexing
 		perRank := total/int64(nproc) + 1
 		owner, acc := 0, int64(0)
 		for b := 0; b < nbuckets; b++ {
@@ -277,3 +277,6 @@ func (IS) Main(r *mpi.Rank, cfg apps.Config) error {
 	}
 	return nil
 }
+
+// static is a zeroed array of n keys in r's static memory (mpi.Static).
+func static(r *mpi.Rank, n int) []int32 { return mpi.Static[int32](r, n, n) }

@@ -87,8 +87,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 		r.Barrier(mpi.CommWorld)
 
 		// Static arrays.
-		s.u = make([]float64, (nStatic/p)*nStatic)
-		s.b = make([]float64, (nStatic/p)*nStatic)
+		s.u = mpi.Static[float64](r, (nStatic/p)*nStatic, (nStatic/p)*nStatic)
+		s.b = mpi.Static[float64](r, (nStatic/p)*nStatic, (nStatic/p)*nStatic)
 
 		// --- input phase: random right-hand side, zero initial guess ---
 		r.SetPhase(mpi.PhaseInput)
@@ -104,8 +104,8 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	// strip at either end of the pipeline never receives into its outer
 	// one, which therefore stays the zero boundary row. Every other rank
 	// receives into a row before it reads it, so the rows are scratch.
-	south := make([]float64, nStatic)
-	north := make([]float64, nStatic)
+	south := mpi.Static[float64](r, nStatic, nStatic)
+	north := mpi.Static[float64](r, nStatic, nStatic)
 	at := func(y, x int) int { return y*n + x }
 
 	// --- compute phase: pipelined SSOR sweeps ---

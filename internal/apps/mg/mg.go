@@ -55,22 +55,22 @@ type grid struct {
 }
 
 // newGrid allocates a level for the static problem class — edge x edge
-// planes, slab of them per rank — indexed with the runtime n and planes.
-// u and b, when not nil, are the level's solution and right-hand side,
-// taken over from a checkpoint.
-func newGrid(n, planes, edge, slab int, u, b []float64) *grid {
-	plane := edge * edge
+// planes, slab of them per rank — indexed with the runtime n and planes,
+// in the rank's static memory (mpi.Static). u and b, when not nil, are the
+// level's solution and right-hand side, taken over from a checkpoint.
+func newGrid(r *mpi.Rank, n, planes, edge, slab int, u, b []float64) *grid {
+	plane, cells := edge*edge, slab*edge*edge
 	if u == nil {
-		u, b = make([]float64, slab*plane), make([]float64, slab*plane)
+		u, b = mpi.Static[float64](r, cells, cells), mpi.Static[float64](r, cells, cells)
 	}
 	return &grid{
 		n: n, planes: planes,
 		u:     u,
 		b:     b,
-		res:   make([]float64, slab*plane),
-		next:  make([]float64, slab*plane),
-		below: make([]float64, plane),
-		above: make([]float64, plane),
+		res:   mpi.Static[float64](r, cells, cells),
+		next:  mpi.Static[float64](r, cells, cells),
+		below: mpi.Static[float64](r, plane, plane),
+		above: mpi.Static[float64](r, plane, plane),
 	}
 }
 
@@ -123,8 +123,8 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	n := s.n
 
 	// Static allocations; runtime dimensions for indexing.
-	fine := newGrid(n, n/p, nStatic, nStatic/p, s.u, s.b)
-	coarse := newGrid(n/2, n/(2*p), nStatic/2, nStatic/(2*p), nil, nil)
+	fine := newGrid(r, n, n/p, nStatic, nStatic/p, s.u, s.b)
+	coarse := newGrid(r, n/2, n/(2*p), nStatic/2, nStatic/(2*p), nil, nil)
 	s.u, s.b = fine.u, fine.b
 
 	if !resumed {

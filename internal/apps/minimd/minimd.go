@@ -149,18 +149,18 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	left := (r.ID() - 1 + p) % p
 	right := (r.ID() + 1) % p
 
-	// Per-rank exchange and force scratch, sized from the compile-time
-	// problem class and reused every step: pack buffers for the two
-	// neighbours, their receive buffers (recvL also holds the concatenation
-	// of both, hence twice the room), the unpacked ghosts, the atoms that
-	// stay, and the force accumulators.
+	// Per-rank exchange scratch in static memory (mpi.Static), sized from
+	// the problem class and reused every step: pack buffers for the two
+	// neighbours, their receive buffers (recvL also holds both, hence twice
+	// the room), the unpacked ghosts and the atoms that stay. The atom list
+	// and force accumulators follow the broadcast atom count, so they don't.
 	room := perRankStatic * 2 * atomFloats
-	packL := make([]float64, 0, room)
-	packR := make([]float64, 0, room)
-	recvL := make([]float64, 0, 2*room)
-	recvR := make([]float64, 0, room)
-	ghosts := make([]atom, 0, perRankStatic*2)
-	stay := make([]atom, 0, perRankStatic*2)
+	packL := mpi.Static[float64](r, 0, room)
+	packR := mpi.Static[float64](r, 0, room)
+	recvL := mpi.Static[float64](r, 0, 2*room)
+	recvR := mpi.Static[float64](r, 0, room)
+	ghosts := mpi.Static[atom](r, 0, perRankStatic*2)
+	stay := mpi.Static[atom](r, 0, perRankStatic*2)
 	var fx, fy, fz []float64
 	for ; s.step < s.steps; s.step++ {
 		if s.step > 0 { // resuming at the first step would skip only the input phase

@@ -97,7 +97,7 @@ func (App) Main(r *mpi.Rank, cfg apps.Config) error {
 	}
 
 	// Per-rank state: nproc blocks of `block` int64s, seeded deterministically.
-	state := make([]int64, blockStatic*nproc)
+	state := mpi.Static[int64](r, blockStatic*nproc, blockStatic*nproc)
 	z := uint64(seed)*0xBF58476D1CE4E5B9 + uint64(r.ID()+1)
 	for i := range state {
 		z = splitmix(z)

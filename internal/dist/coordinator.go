@@ -99,6 +99,11 @@ type Coordinator struct {
 	arrivals      int // records+quarantines applied, in arrival order
 	complete      bool
 	done          chan struct{} // closed once the record store is complete
+	// workers maps every worker name that has asked for a lease to whether
+	// it has since been answered Finished; drained is closed once the
+	// campaign is complete and every one of them has (Service.Shutdown).
+	workers map[string]bool
+	drained chan struct{}
 
 	mergeOnce sync.Once
 	merged    *core.SupervisedResult
@@ -152,6 +157,8 @@ func newCoordinator(eng *core.Engine, opts CoordinatorOptions, spec CampaignSpec
 		quar:    quars,
 		leases:  map[string]*lease{},
 		done:    make(chan struct{}),
+		workers: map[string]bool{},
+		drained: make(chan struct{}),
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -272,6 +279,26 @@ func (c *Coordinator) checkCompleteLocked() {
 	}
 	c.complete = true
 	close(c.done)
+	c.checkDrainedLocked()
+}
+
+// checkDrainedLocked closes drained once the campaign is complete and every
+// worker that asked for a lease has been answered Finished.
+func (c *Coordinator) checkDrainedLocked() {
+	select {
+	case <-c.drained:
+		return
+	default:
+	}
+	if !c.complete {
+		return
+	}
+	for _, told := range c.workers {
+		if !told {
+			return
+		}
+	}
+	close(c.drained)
 }
 
 // settledLocked reports whether idx is recorded or quarantined.
@@ -305,7 +332,9 @@ func (c *Coordinator) Lease(req LeaseRequest) (LeaseGrant, error) {
 			req.Worker, req.Fingerprint, c.spec.Fingerprint)
 	}
 	c.reapLocked()
+	c.workers[req.Worker] = c.complete
 	if c.complete {
+		c.checkDrainedLocked()
 		return LeaseGrant{Finished: true, Fingerprint: c.spec.Fingerprint, Total: c.spec.Points}, nil
 	}
 	// First wanted index that is neither settled nor under an active lease.

@@ -1,6 +1,7 @@
 package dist
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"net/http"
@@ -9,6 +10,7 @@ import (
 	"sort"
 	"strings"
 	"sync"
+	"time"
 
 	"github.com/fastfit/fastfit/internal/core"
 )
@@ -213,6 +215,32 @@ func (s *Service) Handler() http.Handler {
 	})
 	registerCampaignRoutes(mux, "/v1", func(r *http.Request) (*Coordinator, error) { return s.sole() })
 	return mux
+}
+
+// Shutdown stops srv, which serves s's Handler, once the shards have heard
+// the end: it keeps answering until every worker that asked a campaign for
+// a lease has been told that campaign is finished, for at most the longest
+// lease TTL (a shard that died asks no more), then ends the event feeds and
+// shuts srv down, letting the replies in flight finish. Closing sooner
+// leaves a shard that is polling for work retrying a closed port.
+func (s *Service) Shutdown(ctx context.Context, srv *http.Server) error {
+	camps := s.Campaigns()
+	var ttl time.Duration
+	for _, c := range camps {
+		ttl = max(ttl, c.opts.LeaseTTL)
+	}
+	wait, cancel := context.WithTimeout(ctx, ttl)
+	defer cancel()
+	for _, c := range camps {
+		select {
+		case <-c.drained:
+		case <-wait.Done():
+		}
+	}
+	for _, c := range camps {
+		c.hub.Close()
+	}
+	return srv.Shutdown(ctx)
 }
 
 // campaignsReply snapshots the registry for the /v1/campaigns listing.

@@ -406,3 +406,35 @@ func recvIntoSemantics(t *testing.T, disablePooling bool) {
 		t.Errorf("substituted payload: received %v, want [1]", got)
 	}
 }
+
+// TestKilledRanksShareOneError: the ranks a kill wakes all die with one
+// boxed Killed. A pooled 32-rank run in which k ranks park on a receive
+// that never comes and the rest return is a deadlock that kills the k. A
+// killed rank's panic costs the one record the runtime allocates to
+// recover it (savedOpenDeferState); boxing a Killed per rank in park and
+// again in panicToError cost two allocations more.
+func TestKilledRanksShareOneError(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; budgets are meaningless under -race")
+	}
+	run := func(k int) float64 {
+		return testing.AllocsPerRun(5, func() {
+			res := Run(RunOptions{NumRanks: allocRanks, Seed: 1}, func(r *Rank) error {
+				if r.ID() >= allocRanks-k {
+					r.Recv(CommWorld, 0, 1)
+				}
+				return nil
+			})
+			if !res.Deadlock {
+				t.Fatalf("%d parked ranks: provenance %q, want a deadlock", k, res.Provenance)
+			}
+		})
+	}
+	run(allocRanks - 1) // warm the shell pool
+	a1, a31 := run(1), run(allocRanks-1)
+	slope := (a31 - a1) / float64(allocRanks-2)
+	t.Logf("%.0f allocs with 1 killed rank, %.0f with %d: %.2f per killed rank", a1, a31, allocRanks-1, slope)
+	if slope > 1.5 {
+		t.Errorf("a killed rank costs %.2f allocations, more than its recover; its error must be the world's one boxed Killed", slope)
+	}
+}

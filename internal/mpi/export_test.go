@@ -93,3 +93,13 @@ func Matched(r *Rank) int {
 
 // ForkTestApp lets the execution-mode table run forkTestApp.
 var ForkTestApp = forkTestApp
+
+// CheckpointStates lists the application states rank r checkpointed on t,
+// in tape order.
+func (t *Trace) CheckpointStates(r int) []State {
+	var out []State
+	for _, ck := range t.ranks[r].ckpts {
+		out = append(out, ck.state)
+	}
+	return out
+}

@@ -13,7 +13,9 @@ package mpi
 //     collective scratch accumulators and pooled Buffers;
 //   - run shells: the whole per-rank skeleton of a World (inbox and
 //     pending slices, wake channel, rand source, bookkeeping maps, reusable
-//     hook records and memoised call stacks), keyed by rank count.
+//     hook records and memoised call stacks), keyed by rank count;
+//   - static memory: the application's own arrays sized by its problem
+//     class, which Static hands out from the rank's shell.
 //
 // Lifetime discipline is what makes this safe:
 //
@@ -39,6 +41,15 @@ package mpi
 //   - Pooled Buffers are tracked per rank and swept back into the arena at
 //     the end of the run; convenience wrappers that know their buffers do
 //     not escape release them early via (*Buffer).Release.
+//   - A static array belongs to the rank's shell, is handed out to at most
+//     one Static call of a run and is free again once the run's ranks have
+//     been joined (reclaim), so it lives exactly as long as the run that
+//     asked for it. Two kinds of run fall back to make: a recording run,
+//     whose checkpoints keep application memory past the run (mg's and lu's
+//     clones share the right-hand side), and a run with pooling off. Only
+//     a size the application fixed before it communicated may be pooled: a
+//     size taken from a received value could be corrupted, and the shell
+//     would keep the huge array it asked for.
 //
 // Everything here is disabled by RunOptions.DisablePooling, which restores
 // the original allocate-per-run behaviour. It is the runtime's reference
@@ -49,6 +60,7 @@ package mpi
 import (
 	"math/bits"
 	"sync"
+	"unsafe"
 )
 
 // slab is a pooled byte region. Its backing array always has the exact
@@ -254,6 +266,9 @@ func (sh *runShell) reclaim() {
 			rk.owned[i] = nil
 		}
 		rk.owned = rk.owned[:0]
+		for i := range rk.statics {
+			rk.statics[i].used = false
+		}
 		rk.world = nil
 	}
 }
@@ -266,6 +281,68 @@ func recycleAll(q []message) []message {
 	}
 	clear(q)
 	return q[:0]
+}
+
+// static is one backing array Static handed out from a rank's shell: mem
+// holds a []T of n elements, in use by the run that asked for it until
+// reclaim frees it.
+type static struct {
+	mem  any
+	n    int
+	used bool
+}
+
+// Static is make([]T, n, capacity) for an application array sized by its
+// problem class (its configuration and rank count, never a communicated
+// value): the same length and capacity, zeroed over the whole capacity, so
+// indexing, reslicing and append behave exactly as on make's slice. Its
+// backing array belongs to the rank's run shell and serves the rank's next
+// run once this one ends, so a trial does not allocate it again. Among the
+// shell's free arrays of that element type it takes the smallest that fits,
+// so which arrays a run asks for, and in what order, does not matter (a
+// resumed run skips the ones its checkpoint supplies). It is plain make
+// when pooling is off, in a recording run, and above the arena's size
+// bound.
+func Static[T any](r *Rank, n, capacity int) []T {
+	var zero T
+	w := r.world
+	if !w.pooling || w.rec != nil || n < 0 || n > capacity || capacity == 0 ||
+		unsafe.Sizeof(zero) > 0 && uintptr(capacity) > maxSlabBytes/unsafe.Sizeof(zero) {
+		return make([]T, n, capacity)
+	}
+	best, small := -1, -1
+	for i, st := range r.statics {
+		if st.used {
+			continue
+		}
+		if _, ok := st.mem.([]T); !ok {
+			continue
+		}
+		if st.n < capacity {
+			small = i
+		} else if best < 0 || st.n < r.statics[best].n {
+			best = i
+		}
+	}
+	var mem []T
+	switch {
+	case best >= 0:
+		mem = r.statics[best].mem.([]T)[:capacity]
+		clear(mem)
+		r.statics[best].used = true
+	default:
+		// Nothing free fits: a free array of the type that is too small
+		// gives up its place, so the shell keeps at most as many arrays of
+		// a type as one run used at once.
+		mem = make([]T, capacity)
+		st := static{mem: mem, n: capacity, used: true}
+		if small >= 0 {
+			r.statics[small] = st
+		} else {
+			r.statics = append(r.statics, st)
+		}
+	}
+	return mem[:n:capacity]
 }
 
 // allocBuffer hands out an n-byte buffer from the arena (zeroed when zero

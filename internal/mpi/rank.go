@@ -126,10 +126,12 @@ type Rank struct {
 	reported []float64
 
 	// Arena state (see pool.go). owned tracks pooled Buffers handed out
-	// this run; bufFree recycles Buffer headers across runs; frame/p2p are
-	// the reusable hook records; stacks memoises trimmed call stacks.
+	// this run; bufFree recycles Buffer headers across runs; statics are
+	// the application's class-sized arrays (Static); frame/p2p are the
+	// reusable hook records; stacks memoises trimmed call stacks.
 	owned   []*Buffer
 	bufFree []*Buffer
+	statics []static
 	frame   collFrame
 	p2p     p2pFrame
 	stacks  map[uint64]stackEntry
@@ -184,7 +186,7 @@ func (r *Rank) park() {
 	}
 	if w.why != NotKilled {
 		w.mu.Unlock()
-		panic(w.killedBy())
+		panic(w.killErr)
 	}
 }
 
@@ -197,7 +199,7 @@ func (r *Rank) park() {
 // ranks terminate promptly when a peer has already crashed.
 func (r *Rank) Tick(units int) {
 	if r.world.killed() {
-		panic(r.world.killedBy())
+		panic(r.world.killErr)
 	}
 	r.work += int64(units)
 	if r.budget > 0 && r.work > r.budget {

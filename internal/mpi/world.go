@@ -181,7 +181,8 @@ type World struct {
 	failed   int         // ranks that ended in a panic or error
 	dead     []bool      // world-rank death mask; nil on the reliable network
 	why      Provenance  // the first kill's reason; written once, under mu
-	stopped  atomic.Bool // set with why, for Tick's check outside mu
+	killErr  error       // Killed{why}: what every rank the kill ends dies with, boxed once
+	stopped  atomic.Bool // set with why and killErr, for Tick's check outside mu
 
 	// The shared-memory rendezvous of the synchronizing collectives
 	// (rendezvous.go), on when meetOn: the records of the clean instances
@@ -274,6 +275,7 @@ func (w *World) kill(why Provenance) {
 		return
 	}
 	w.why = why
+	w.killErr = Killed{Reason: why.String()}
 	w.stopped.Store(true)
 	w.wakeAll()
 }
@@ -286,9 +288,6 @@ func (w *World) cutRun(cut Provenance) {
 	}
 	w.kill(cut)
 }
-
-// killedBy is what a rank dies with once the world is killed.
-func (w *World) killedBy() Killed { return Killed{Reason: w.why.String()} }
 
 func (w *World) killed() bool { return w.stopped.Load() }
 
@@ -533,7 +532,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	if w.held {
 		for _, rk := range w.ranks {
 			if rk.id != w.fork.rank {
-				results[rk.id] = RankResult{Rank: rk.id, Err: w.killedBy()}
+				results[rk.id] = RankResult{Rank: rk.id, Err: w.killErr}
 			}
 		}
 	}
@@ -601,16 +600,8 @@ func (w *World) supervise(allDone chan struct{}, ctxDone <-chan struct{}, timeou
 
 func panicToError(rank int, p any) error {
 	switch e := p.(type) {
-	case MPIError:
-		return e
-	case SegFault:
-		return e
-	case AppError:
-		return e
-	case Killed:
-		return e
-	case NodeCrashed:
-		return e
+	case MPIError, SegFault, AppError, Killed, NodeCrashed:
+		return e.(error) // already boxed: no copy per rank
 	case Divergence:
 		e.Rank = rank
 		return e
