@@ -44,12 +44,18 @@ func (a LU) Check(cfg apps.Config) error {
 }
 
 // state is what an SSOR iteration reads of the run before it, checkpointed
-// at the top of every iteration but the first and once before the end
-// phase: the broadcast input deck, the iteration to run, the last residual
-// norm, the solution and the right-hand side.
+// at the top of every iteration but the first, again just before the
+// iteration's residual-norm Allreduce, and once before the end phase: the
+// broadcast input deck, the iteration to run, the last residual norm, the
+// solution and the right-hand side. At the second checkpoint it also holds
+// the local norms the Allreduce reduces, and atNorm, which tells a run
+// resumed there to skip the iteration's sweeps and go straight to its
+// collectives.
 type state struct {
 	n, iters, it int
 	omega, rsdnm float64
+	local        [2]float64
+	atNorm       bool
 	u, b         []float64
 }
 
@@ -65,8 +71,8 @@ func (s *state) Clone() mpi.State {
 // equal at once.
 func (s *state) Equal(o mpi.State) bool {
 	t := o.(*state)
-	return s.n == t.n && s.iters == t.iters && s.it == t.it &&
-		mpi.EqualBits([]float64{s.omega, s.rsdnm}, []float64{t.omega, t.rsdnm}) &&
+	return s.n == t.n && s.iters == t.iters && s.it == t.it && s.atNorm == t.atNorm &&
+		mpi.EqualBits([]float64{s.omega, s.rsdnm, s.local[0], s.local[1]}, []float64{t.omega, t.rsdnm, t.local[0], t.local[1]}) &&
 		mpi.EqualBits(s.u, t.u) && mpi.EqualBits(s.b, t.b)
 }
 
@@ -111,64 +117,71 @@ func (LU) Main(r *mpi.Rank, cfg apps.Config) error {
 	// --- compute phase: pipelined SSOR sweeps ---
 	r.SetPhase(mpi.PhaseCompute)
 	for ; s.it < s.iters; s.it++ {
-		if s.it > 0 { // resuming at the first iteration would skip only the input phase
+		if !s.atNorm { // a run resumed at the norm has swept the iteration
+			if s.it > 0 { // resuming at the first iteration would skip only the input phase
+				r.Checkpoint(s)
+			}
+			// Work-budget charge for both sweeps and the norm computation.
+			r.Tick(rows*n*12 + 200)
+
+			// Lower sweep: dependencies flow from smaller y and x, so the
+			// pipeline runs rank 0 -> rank p-1.
+			if r.ID() > 0 {
+				south = r.RecvFloat64sInto(mpi.CommWorld, r.ID()-1, 31, south)
+			}
+			for y := 0; y < rows; y++ {
+				for x := 1; x < n-1; x++ {
+					var below float64
+					if y == 0 {
+						below = south[x]
+					} else {
+						below = u[at(y-1, x)]
+					}
+					v := (u[at(y, x-1)] + below + b[at(y, x)]) / 4.0
+					u[at(y, x)] += omega * (v - u[at(y, x)])
+				}
+			}
+			if r.ID() < p-1 {
+				r.SendFloat64s(mpi.CommWorld, r.ID()+1, 31, u[at(rows-1, 0):at(rows-1, 0)+n])
+			}
+
+			// Upper sweep: dependencies flow from larger y and x, pipeline
+			// runs rank p-1 -> rank 0.
+			if r.ID() < p-1 {
+				north = r.RecvFloat64sInto(mpi.CommWorld, r.ID()+1, 32, north)
+			}
+			for y := rows - 1; y >= 0; y-- {
+				for x := n - 2; x >= 1; x-- {
+					var abovev float64
+					if y == rows-1 {
+						abovev = north[x]
+					} else {
+						abovev = u[at(y+1, x)]
+					}
+					v := (u[at(y, x+1)] + abovev + b[at(y, x)]) / 4.0
+					u[at(y, x)] += omega * (v - u[at(y, x)])
+				}
+			}
+			if r.ID() > 0 {
+				r.SendFloat64s(mpi.CommWorld, r.ID()-1, 32, u[:n])
+			}
+
+			// This strip's share of the residual norms.
+			s.local = [2]float64{}
+			for y := 0; y < rows; y++ {
+				for x := 1; x < n-1; x++ {
+					d := b[at(y, x)] - u[at(y, x)]
+					s.local[0] += d * d
+					s.local[1] += math.Abs(d)
+				}
+			}
+			s.atNorm = true
 			r.Checkpoint(s)
 		}
-		// Work-budget charge for both sweeps and the norm computation.
-		r.Tick(rows*n*12 + 200)
-
-		// Lower sweep: dependencies flow from smaller y and x, so the
-		// pipeline runs rank 0 -> rank p-1.
-		if r.ID() > 0 {
-			south = r.RecvFloat64sInto(mpi.CommWorld, r.ID()-1, 31, south)
-		}
-		for y := 0; y < rows; y++ {
-			for x := 1; x < n-1; x++ {
-				var below float64
-				if y == 0 {
-					below = south[x]
-				} else {
-					below = u[at(y-1, x)]
-				}
-				v := (u[at(y, x-1)] + below + b[at(y, x)]) / 4.0
-				u[at(y, x)] += omega * (v - u[at(y, x)])
-			}
-		}
-		if r.ID() < p-1 {
-			r.SendFloat64s(mpi.CommWorld, r.ID()+1, 31, u[at(rows-1, 0):at(rows-1, 0)+n])
-		}
-
-		// Upper sweep: dependencies flow from larger y and x, pipeline
-		// runs rank p-1 -> rank 0.
-		if r.ID() < p-1 {
-			north = r.RecvFloat64sInto(mpi.CommWorld, r.ID()+1, 32, north)
-		}
-		for y := rows - 1; y >= 0; y-- {
-			for x := n - 2; x >= 1; x-- {
-				var abovev float64
-				if y == rows-1 {
-					abovev = north[x]
-				} else {
-					abovev = u[at(y+1, x)]
-				}
-				v := (u[at(y, x+1)] + abovev + b[at(y, x)]) / 4.0
-				u[at(y, x)] += omega * (v - u[at(y, x)])
-			}
-		}
-		if r.ID() > 0 {
-			r.SendFloat64s(mpi.CommWorld, r.ID()-1, 32, u[:n])
-		}
+		s.atNorm = false
 
 		// RSDNM: the residual-norm Allreduce of NPB LU (paper Fig. 1).
-		var local [2]float64
-		for y := 0; y < rows; y++ {
-			for x := 1; x < n-1; x++ {
-				d := b[at(y, x)] - u[at(y, x)]
-				local[0] += d * d
-				local[1] += math.Abs(d)
-			}
-		}
-		norms := r.AllreduceFloat64s(local[:], mpi.OpSum, mpi.CommWorld)
+		norms := r.AllreduceFloat64s(s.local[:], mpi.OpSum, mpi.CommWorld)
 		s.rsdnm = math.Sqrt(norms[0])
 
 		// Divergence check: LU verifies its norms stay finite.

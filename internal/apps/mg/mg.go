@@ -77,13 +77,18 @@ func newGrid(r *mpi.Rank, n, planes, edge, slab int, u, b []float64) *grid {
 func (g *grid) at(zl, y, x int) int { return (zl*g.n+y)*g.n + x }
 
 // state is what a V-cycle reads of the run before it, checkpointed at the
-// top of every cycle but the first and once before the end phase: the
-// broadcast runtime parameters, the cycle to run, the last residual norm
-// and the fine level's solution and right-hand side. Everything else on
-// both levels is scratch a cycle writes before it reads.
+// top of every cycle but the first, again just before the cycle's
+// residual-norm Allreduce, and once before the end phase: the broadcast
+// runtime parameters, the cycle to run, the last residual norm and the fine
+// level's solution and right-hand side. At the second checkpoint it also
+// holds the local sum the Allreduce reduces, and atNorm, which tells a run
+// resumed there to skip the cycle's compute and go straight to its
+// collectives. Everything else on both levels is scratch a cycle writes
+// before it reads.
 type state struct {
 	n, cycles, c int
-	rnorm        float64
+	rnorm, local float64
+	atNorm       bool
 	u, b         []float64
 }
 
@@ -99,8 +104,8 @@ func (s *state) Clone() mpi.State {
 // equal at once.
 func (s *state) Equal(o mpi.State) bool {
 	t := o.(*state)
-	return s.n == t.n && s.cycles == t.cycles && s.c == t.c &&
-		math.Float64bits(s.rnorm) == math.Float64bits(t.rnorm) &&
+	return s.n == t.n && s.cycles == t.cycles && s.c == t.c && s.atNorm == t.atNorm &&
+		mpi.EqualBits([]float64{s.rnorm, s.local}, []float64{t.rnorm, t.local}) &&
 		mpi.EqualBits(s.u, t.u) && mpi.EqualBits(s.b, t.b)
 }
 
@@ -149,29 +154,34 @@ func (MG) Main(r *mpi.Rank, cfg apps.Config) error {
 	// --- compute phase: V-cycles with residual monitoring ---
 	r.SetPhase(mpi.PhaseCompute)
 	for ; s.c < s.cycles; s.c++ {
-		if s.c > 0 { // resuming at the first cycle would skip only the input phase
+		if !s.atNorm { // a run resumed at the norm has computed the cycle
+			if s.c > 0 { // resuming at the first cycle would skip only the input phase
+				r.Checkpoint(s)
+			}
+			// Work-budget charge for the V-cycle's smoothing sweeps.
+			r.Tick(fine.planes*n*n*60 + 200)
+
+			// pre-smooth, restrict, coarse smooth, prolongate, post-smooth
+			smooth(r, fine, 2)
+			residual(r, fine)
+			restrict(fine, coarse)
+			for i := range coarse.u {
+				coarse.u[i] = 0
+			}
+			smooth(r, coarse, 4)
+			prolongate(coarse, fine)
+			smooth(r, fine, 2)
+
+			residual(r, fine)
+			s.local = 0
+			for _, v := range fine.res {
+				s.local += v * v
+			}
+			s.atNorm = true
 			r.Checkpoint(s)
 		}
-		// Work-budget charge for the V-cycle's smoothing sweeps.
-		r.Tick(fine.planes*n*n*60 + 200)
-
-		// pre-smooth, restrict, coarse smooth, prolongate, post-smooth
-		smooth(r, fine, 2)
-		residual(r, fine)
-		restrict(fine, coarse)
-		for i := range coarse.u {
-			coarse.u[i] = 0
-		}
-		smooth(r, coarse, 4)
-		prolongate(coarse, fine)
-		smooth(r, fine, 2)
-
-		residual(r, fine)
-		local := 0.0
-		for _, v := range fine.res {
-			local += v * v
-		}
-		s.rnorm = math.Sqrt(r.AllreduceFloat64(local, mpi.OpSum, mpi.CommWorld))
+		s.atNorm = false
+		s.rnorm = math.Sqrt(r.AllreduceFloat64(s.local, mpi.OpSum, mpi.CommWorld))
 
 		// Divergence detection: MG's error handling.
 		r.ErrCheck(func() {

@@ -49,13 +49,20 @@ type atom struct {
 const atomFloats = 6
 
 // state is what a time step reads of the run before it, checkpointed at the
-// top of every step but the first and once before the end phase: the
+// top of every step but the first, again just before the step's first
+// collective (the lost-atom check), and once before the end phase: the
 // broadcast input deck, the step to run, the last step's energies and the
-// atoms this rank owns.
+// atoms this rank owns. At the second checkpoint it also holds the step's
+// local kinetic and potential energy and virial, which its collectives
+// reduce, and atChecks, which tells a run resumed there to skip the step's
+// force computation, integration and exchanges and go straight to its
+// collectives.
 type state struct {
 	perRank, steps, step  int
 	dt, rc, lxy, slab, t0 float64
 	lastKE, lastPE        float64
+	ke, pe, virial        float64
+	atChecks              bool
 	atoms                 []atom
 }
 
@@ -69,9 +76,9 @@ func (s *state) Clone() mpi.State {
 // Equal implements mpi.State.
 func (s *state) Equal(o mpi.State) bool {
 	t := o.(*state)
-	return s.perRank == t.perRank && s.steps == t.steps && s.step == t.step &&
-		mpi.EqualBits([]float64{s.dt, s.rc, s.lxy, s.slab, s.t0, s.lastKE, s.lastPE},
-			[]float64{t.dt, t.rc, t.lxy, t.slab, t.t0, t.lastKE, t.lastPE}) &&
+	return s.perRank == t.perRank && s.steps == t.steps && s.step == t.step && s.atChecks == t.atChecks &&
+		mpi.EqualBits([]float64{s.dt, s.rc, s.lxy, s.slab, s.t0, s.lastKE, s.lastPE, s.ke, s.pe, s.virial},
+			[]float64{t.dt, t.rc, t.lxy, t.slab, t.t0, t.lastKE, t.lastPE, t.ke, t.pe, t.virial}) &&
 		slices.EqualFunc(s.atoms, t.atoms, func(a, b atom) bool { return a.bits() == b.bits() })
 }
 
@@ -163,144 +170,150 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 	stay := mpi.Static[atom](r, 0, perRankStatic*2)
 	var fx, fy, fz []float64
 	for ; s.step < s.steps; s.step++ {
-		if s.step > 0 { // resuming at the first step would skip only the input phase
+		if !s.atChecks { // a run resumed at the checks has computed the step
+			if s.step > 0 { // resuming at the first step would skip only the input phase
+				r.Checkpoint(s)
+			}
+			// Charge this step's estimated cost against the work budget: a
+			// corrupted step count or atom count turns into a scheduler kill
+			// (INF_LOOP) instead of hours of simulation.
+			la := len(atoms)
+			r.Tick(la*la/2 + la*50 + 200)
+
+			// Ghost-atom exchange with the two z-neighbours.
+			toLeft, toRight := packL[:0], packR[:0]
+			for _, a := range atoms {
+				if a.z < lo+rc {
+					g := a
+					if r.ID() == 0 {
+						g.z += lz // periodic image
+					}
+					toLeft = append(toLeft, g.x, g.y, g.z, g.vx, g.vy, g.vz)
+				}
+				if a.z >= hi-rc {
+					g := a
+					if r.ID() == p-1 {
+						g.z -= lz
+					}
+					toRight = append(toRight, g.x, g.y, g.z, g.vx, g.vy, g.vz)
+				}
+			}
+			r.SendFloat64s(mpi.CommWorld, left, 41, toLeft)
+			r.SendFloat64s(mpi.CommWorld, right, 42, toRight)
+			fromRight := r.RecvFloat64sInto(mpi.CommWorld, right, 41, recvR)
+			fromLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 42, recvL)
+			ghosts = unpackAtoms(ghosts[:0], append(fromLeft, fromRight...))
+			r.Tick(la * len(ghosts))
+
+			// Lennard-Jones forces with a softened core (deterministic and
+			// stable at this miniature scale).
+			fx, fy, fz = zeroed(fx, la), zeroed(fy, la), zeroed(fz, la)
+			pe := 0.0
+			virial := 0.0
+			pair := func(i int, bx, by, bz float64, full bool) {
+				a := &atoms[i]
+				dx := minImage(a.x-bx, lxy)
+				dy := minImage(a.y-by, lxy)
+				dz := a.z - bz
+				r2 := dx*dx + dy*dy + dz*dz
+				if r2 >= rc*rc {
+					return
+				}
+				if r2 < 0.04 {
+					r2 = 0.04 // softened core
+				}
+				inv2 := 1.0 / r2
+				inv6 := inv2 * inv2 * inv2
+				f := 24 * inv2 * inv6 * (2*inv6 - 1)
+				fx[i] += f * dx
+				fy[i] += f * dy
+				fz[i] += f * dz
+				e := 4 * inv6 * (inv6 - 1)
+				if full {
+					pe += e
+					virial += f * r2
+				} else {
+					pe += e / 2
+					virial += f * r2 / 2
+				}
+			}
+			for i := range atoms {
+				for j := i + 1; j < len(atoms); j++ {
+					b := atoms[j]
+					pair(i, b.x, b.y, b.z, true)
+					// Newton's third law for the local pair.
+					dx := minImage(atoms[i].x-b.x, lxy)
+					dy := minImage(atoms[i].y-b.y, lxy)
+					dz := atoms[i].z - b.z
+					r2 := dx*dx + dy*dy + dz*dz
+					if r2 < rc*rc {
+						if r2 < 0.04 {
+							r2 = 0.04
+						}
+						inv2 := 1.0 / r2
+						inv6 := inv2 * inv2 * inv2
+						f := 24 * inv2 * inv6 * (2*inv6 - 1)
+						fx[j] -= f * dx
+						fy[j] -= f * dy
+						fz[j] -= f * dz
+					}
+				}
+				for _, g := range ghosts {
+					pair(i, g.x, g.y, g.z, false)
+				}
+			}
+
+			// Integrate and wrap.
+			ke := 0.0
+			for i := range atoms {
+				a := &atoms[i]
+				a.vx += fx[i] * dt
+				a.vy += fy[i] * dt
+				a.vz += fz[i] * dt
+				a.x = wrap(a.x+a.vx*dt, lxy)
+				a.y = wrap(a.y+a.vy*dt, lxy)
+				a.z += a.vz * dt
+				ke += 0.5 * (a.vx*a.vx + a.vy*a.vy + a.vz*a.vz)
+			}
+
+			// Migrate atoms that crossed a slab boundary (periodic in z).
+			stay = stay[:0]
+			migLeft, migRight := packL[:0], packR[:0]
+			lost := int64(0)
+			for _, a := range atoms {
+				z := a.z
+				if z < 0 {
+					z += lz
+				} else if z >= lz {
+					z -= lz
+				}
+				a.z = z
+				switch {
+				case z >= lo && z < hi:
+					stay = append(stay, a)
+				case ownerOf(z, slab, p) == left:
+					migLeft = append(migLeft, a.x, a.y, a.z, a.vx, a.vy, a.vz)
+				case ownerOf(z, slab, p) == right:
+					migRight = append(migRight, a.x, a.y, a.z, a.vx, a.vy, a.vz)
+				default:
+					// Moved more than one slab in a single step: the atom is
+					// lost, exactly like LAMMPS's "Lost atoms" condition.
+					lost++
+				}
+			}
+			r.SendFloat64s(mpi.CommWorld, left, 43, migLeft)
+			r.SendFloat64s(mpi.CommWorld, right, 44, migRight)
+			inRight := r.RecvFloat64sInto(mpi.CommWorld, right, 43, recvR)
+			inLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 44, recvL)
+			// The new atom list grows in stay's storage; the old one becomes
+			// the next step's stay.
+			atoms, stay = unpackAtoms(stay, append(inLeft, inRight...)), atoms
+			s.atoms = atoms
+			_ = lost
+			s.ke, s.pe, s.virial, s.atChecks = ke, pe, virial, true
 			r.Checkpoint(s)
 		}
-		// Charge this step's estimated cost against the work budget: a
-		// corrupted step count or atom count turns into a scheduler kill
-		// (INF_LOOP) instead of hours of simulation.
-		la := len(atoms)
-		r.Tick(la*la/2 + la*50 + 200)
-
-		// Ghost-atom exchange with the two z-neighbours.
-		toLeft, toRight := packL[:0], packR[:0]
-		for _, a := range atoms {
-			if a.z < lo+rc {
-				g := a
-				if r.ID() == 0 {
-					g.z += lz // periodic image
-				}
-				toLeft = append(toLeft, g.x, g.y, g.z, g.vx, g.vy, g.vz)
-			}
-			if a.z >= hi-rc {
-				g := a
-				if r.ID() == p-1 {
-					g.z -= lz
-				}
-				toRight = append(toRight, g.x, g.y, g.z, g.vx, g.vy, g.vz)
-			}
-		}
-		r.SendFloat64s(mpi.CommWorld, left, 41, toLeft)
-		r.SendFloat64s(mpi.CommWorld, right, 42, toRight)
-		fromRight := r.RecvFloat64sInto(mpi.CommWorld, right, 41, recvR)
-		fromLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 42, recvL)
-		ghosts = unpackAtoms(ghosts[:0], append(fromLeft, fromRight...))
-		r.Tick(la * len(ghosts))
-
-		// Lennard-Jones forces with a softened core (deterministic and
-		// stable at this miniature scale).
-		fx, fy, fz = zeroed(fx, la), zeroed(fy, la), zeroed(fz, la)
-		pe := 0.0
-		virial := 0.0
-		pair := func(i int, bx, by, bz float64, full bool) {
-			a := &atoms[i]
-			dx := minImage(a.x-bx, lxy)
-			dy := minImage(a.y-by, lxy)
-			dz := a.z - bz
-			r2 := dx*dx + dy*dy + dz*dz
-			if r2 >= rc*rc {
-				return
-			}
-			if r2 < 0.04 {
-				r2 = 0.04 // softened core
-			}
-			inv2 := 1.0 / r2
-			inv6 := inv2 * inv2 * inv2
-			f := 24 * inv2 * inv6 * (2*inv6 - 1)
-			fx[i] += f * dx
-			fy[i] += f * dy
-			fz[i] += f * dz
-			e := 4 * inv6 * (inv6 - 1)
-			if full {
-				pe += e
-				virial += f * r2
-			} else {
-				pe += e / 2
-				virial += f * r2 / 2
-			}
-		}
-		for i := range atoms {
-			for j := i + 1; j < len(atoms); j++ {
-				b := atoms[j]
-				pair(i, b.x, b.y, b.z, true)
-				// Newton's third law for the local pair.
-				dx := minImage(atoms[i].x-b.x, lxy)
-				dy := minImage(atoms[i].y-b.y, lxy)
-				dz := atoms[i].z - b.z
-				r2 := dx*dx + dy*dy + dz*dz
-				if r2 < rc*rc {
-					if r2 < 0.04 {
-						r2 = 0.04
-					}
-					inv2 := 1.0 / r2
-					inv6 := inv2 * inv2 * inv2
-					f := 24 * inv2 * inv6 * (2*inv6 - 1)
-					fx[j] -= f * dx
-					fy[j] -= f * dy
-					fz[j] -= f * dz
-				}
-			}
-			for _, g := range ghosts {
-				pair(i, g.x, g.y, g.z, false)
-			}
-		}
-
-		// Integrate and wrap.
-		ke := 0.0
-		for i := range atoms {
-			a := &atoms[i]
-			a.vx += fx[i] * dt
-			a.vy += fy[i] * dt
-			a.vz += fz[i] * dt
-			a.x = wrap(a.x+a.vx*dt, lxy)
-			a.y = wrap(a.y+a.vy*dt, lxy)
-			a.z += a.vz * dt
-			ke += 0.5 * (a.vx*a.vx + a.vy*a.vy + a.vz*a.vz)
-		}
-
-		// Migrate atoms that crossed a slab boundary (periodic in z).
-		stay = stay[:0]
-		migLeft, migRight := packL[:0], packR[:0]
-		lost := int64(0)
-		for _, a := range atoms {
-			z := a.z
-			if z < 0 {
-				z += lz
-			} else if z >= lz {
-				z -= lz
-			}
-			a.z = z
-			switch {
-			case z >= lo && z < hi:
-				stay = append(stay, a)
-			case ownerOf(z, slab, p) == left:
-				migLeft = append(migLeft, a.x, a.y, a.z, a.vx, a.vy, a.vz)
-			case ownerOf(z, slab, p) == right:
-				migRight = append(migRight, a.x, a.y, a.z, a.vx, a.vy, a.vz)
-			default:
-				// Moved more than one slab in a single step: the atom is
-				// lost, exactly like LAMMPS's "Lost atoms" condition.
-				lost++
-			}
-		}
-		r.SendFloat64s(mpi.CommWorld, left, 43, migLeft)
-		r.SendFloat64s(mpi.CommWorld, right, 44, migRight)
-		inRight := r.RecvFloat64sInto(mpi.CommWorld, right, 43, recvR)
-		inLeft := r.RecvFloat64sInto(mpi.CommWorld, left, 44, recvL)
-		// The new atom list grows in stay's storage; the old one becomes the
-		// next step's stay.
-		atoms, stay = unpackAtoms(stay, append(inLeft, inRight...)), atoms
-		s.atoms = atoms
+		s.atChecks = false
 
 		// Error handling 1: global lost-atom check (LAMMPS Error::all).
 		r.ErrCheck(func() {
@@ -309,7 +322,6 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 				r.Abort("Lost atoms: original count does not match current count")
 			}
 		})
-		_ = lost
 
 		// Error handling 2: NaN/instability consistency flag.
 		r.ErrCheck(func() {
@@ -341,16 +353,16 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 		})
 
 		// Thermo output: energies and virial (diagnostics only).
-		th := r.AllreduceFloat64s([]float64{ke, pe, virial}, mpi.OpSum, mpi.CommWorld)
+		th := r.AllreduceFloat64s([]float64{s.ke, s.pe, s.virial}, mpi.OpSum, mpi.CommWorld)
 		s.lastKE, s.lastPE = th[0], th[1]
 
 		// Temperature (diagnostic Allreduce, like compute_temp).
-		tSum := r.AllreduceFloat64(ke, mpi.OpSum, mpi.CommWorld)
+		tSum := r.AllreduceFloat64(s.ke, mpi.OpSum, mpi.CommWorld)
 		temp := 2 * tSum / (3 * float64(nTotal))
 		_ = temp
 
 		// Pressure from the virial (diagnostic, like compute_pressure).
-		vSum := r.AllreduceFloat64(virial, mpi.OpSum, mpi.CommWorld)
+		vSum := r.AllreduceFloat64(s.virial, mpi.OpSum, mpi.CommWorld)
 		press := (2*tSum + vSum) / (3 * lxy * lxy * lz)
 		_ = press
 
@@ -367,7 +379,7 @@ func (MiniMD) Main(r *mpi.Rank, cfg apps.Config) error {
 
 		// Thermostat: velocity rescale toward t0; this Allreduce result
 		// feeds back into the trajectory.
-		keTot := r.AllreduceFloat64(ke, mpi.OpSum, mpi.CommWorld)
+		keTot := r.AllreduceFloat64(s.ke, mpi.OpSum, mpi.CommWorld)
 		if keTot > 0 {
 			lambda := math.Sqrt(t0 * 1.5 * float64(nTotal) / keTot)
 			// Gentle nudging, as LAMMPS's fix temp/rescale does.

@@ -53,11 +53,38 @@ type campaignPlan struct {
 	fp string
 }
 
-// planCampaign profiles the application and applies the semantic and
-// context pruning passes, returning the surviving points in injection
-// order with accounting.
+// planCampaign returns the campaign's plan with a fresh CampaignResult.
+// The engine plans once (prune) and keeps the plan: a shard plans again on
+// every lease, and re-enumerating the points and hashing the fingerprint
+// would cost each lease as much as the first. A failed plan is not kept.
+// Every call emits the planning phases and log lines, so event streams do
+// not depend on whether the plan was kept.
 func (e *Engine) planCampaign() (*campaignPlan, error) {
 	e.emit(PhaseChanged{Phase: CampaignProfiling})
+	p := e.plan.Load()
+	if p == nil {
+		var err error
+		if p, err = e.prune(); err != nil {
+			return nil, err
+		}
+		e.plan.Store(p)
+	}
+	res := *p.res
+	e.emit(PhaseChanged{Phase: CampaignPruning, Points: res.TotalPoints})
+	e.logf("profiled %s: %d injection points", e.app.Name(), res.TotalPoints)
+	if e.opts.Pruning.Semantic {
+		e.logf("semantic pruning: %d points (%.1f%% eliminated)", res.AfterSemantic, 100*res.SemanticReduction)
+	}
+	if e.opts.Pruning.Context {
+		e.logf("context pruning: %d points (%.1f%% eliminated)", res.AfterContext, 100*res.ContextReduction)
+	}
+	return &campaignPlan{res: &res, order: p.order, fp: p.fp}, nil
+}
+
+// prune profiles the application and applies the semantic and context
+// pruning passes, returning the surviving points in injection order with
+// the pruning accounting.
+func (e *Engine) prune() (*campaignPlan, error) {
 	prof, err := e.Profile()
 	if err != nil {
 		return nil, err
@@ -69,18 +96,12 @@ func (e *Engine) planCampaign() (*campaignPlan, error) {
 		Policy:      e.opts.Policy,
 		TotalPoints: len(points),
 	}
-
-	e.emit(PhaseChanged{Phase: CampaignPruning, Points: len(points)})
-	e.logf("profiled %s: %d injection points", e.app.Name(), len(points))
 	if e.opts.Pruning.Semantic {
 		points, res.SemanticReduction = SemanticPrune(prof, points)
-		e.logf("semantic pruning: %d points (%.1f%% eliminated)", len(points), 100*res.SemanticReduction)
 	}
 	res.AfterSemantic = len(points)
-
 	if e.opts.Pruning.Context {
 		points, res.ContextReduction = ContextPrune(points)
-		e.logf("context pruning: %d points (%.1f%% eliminated)", len(points), 100*res.ContextReduction)
 	}
 	res.AfterContext = len(points)
 

@@ -31,6 +31,10 @@ type Engine struct {
 	// Profile and shared with every engine of the same fingerprint.
 	gold atomic.Pointer[goldenRun]
 
+	// plan is the campaign's plan once one succeeded (planCampaign); its
+	// CampaignResult holds only the pruning accounting.
+	plan atomic.Pointer[campaignPlan]
+
 	// reference turns every shortcut off: no arena (DisablePooling, so no
 	// rendezvous either), fork or memo, and the full golden comparison on its
 	// own uncached golden run instead of the digest. The execution-mode

@@ -7,6 +7,7 @@ import (
 	"fmt"
 	"path/filepath"
 	"strings"
+	"sync"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -341,6 +342,57 @@ func TestRunCampaignRefusesQuarantine(t *testing.T) {
 	res, err := e.RunCampaign()
 	if err == nil || res != nil || !strings.Contains(err.Error(), "harness failure") || !strings.Contains(err.Error(), "point 0") {
 		t.Fatalf("RunCampaign = %v, %v; want no result and an error naming the first harness failure", res, err)
+	}
+}
+
+// TestPlanCampaignPlansOnce: an engine keeps the plan it made, since a
+// shard plans again on every lease. Every call still emits the planning
+// events and log lines, and hands out a CampaignResult of its own.
+func TestPlanCampaignPlansOnce(t *testing.T) {
+	rec := &eventRecorder{}
+	opts := supTestOptions()
+	opts.ML.Pruning = true
+	opts.Observer = rec
+	e := supTestEngine(t, opts)
+	first, err := e.planCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	opening := rec.all()
+	first.res.Measured = append(first.res.Measured, PointResult{})
+	second, err := e.planCampaign()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if &second.order[0] != &first.order[0] || second.fp != first.fp {
+		t.Error("the second call planned the campaign again")
+	}
+	if second.res == first.res || len(second.res.Measured) != 0 || second.res.AfterContext != first.res.AfterContext {
+		t.Errorf("the second call's result %+v is not a fresh copy of the plan's accounting", *second.res)
+	}
+	if again := rec.all()[len(opening):]; fmt.Sprint(again) != fmt.Sprint(opening) {
+		t.Errorf("the second call emitted %v, the first %v", again, opening)
+	}
+
+	// Shards lease concurrently: calls racing to make the first plan agree.
+	e = supTestEngine(t, supTestOptions())
+	plans := make([]*campaignPlan, 4)
+	var wg sync.WaitGroup
+	for i := range plans {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			plans[i], _ = e.planCampaign()
+		}()
+	}
+	wg.Wait()
+	for i, p := range plans {
+		if p == nil || p.fp != plans[0].fp || len(p.order) != len(plans[0].order) {
+			t.Fatalf("concurrent call %d planned differently from call 0", i)
+		}
+		if i > 0 && p.res == plans[0].res {
+			t.Fatalf("concurrent calls 0 and %d share a result", i)
+		}
 	}
 }
 

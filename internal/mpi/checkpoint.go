@@ -12,7 +12,8 @@ import (
 // The tape serves a forked run's prefix communication, but every rank still
 // recomputes its prefix from t=0, and for a fault late in the run that is
 // nearly a whole golden run. An application that can name its state at a
-// program point — the top of an outer iteration — checkpoints it there. The
+// program point — the top of an outer iteration, and just before the
+// iteration's first collective — checkpoints it there. The
 // recording run keeps a copy of each rank's state with the runtime's own
 // bookkeeping at that point (Checkpoint); Trace.Fork picks, for every rank,
 // the latest one at or before the rank's cut; and a forked rank that asks
@@ -61,8 +62,13 @@ type checkpoint struct {
 // Checkpoint records s as the rank's state at this point of the run. Only a
 // recording run keeps it (RunOptions.Record); every other run ignores the
 // call, so applications checkpoint unconditionally. Call it where the
-// program can restart: at the top of an outer iteration, outside any
-// collective or ErrCheck region.
+// program can restart, outside any collective or ErrCheck region: at the top
+// of an outer iteration, and again just before the iteration's first
+// collective. A fork cut at a collective resumes from the second with no
+// compute or receive of the iteration left to replay; point-to-point forks
+// resume from the first, and a masked fault in the previous iteration's
+// collectives ends there (part 6). The State marks which of the two it is,
+// so a run resumed at the second skips the iteration's compute.
 func (r *Rank) Checkpoint(s State) {
 	seq := r.collSeq[CommWorld]
 	r.ckEpoch = seq + 1

@@ -103,3 +103,22 @@ func (t *Trace) CheckpointStates(r int) []State {
 	}
 	return out
 }
+
+// ReplayedRecvs counts, over every rank of f, the receives its prefix
+// replays between the checkpoint it resumes from (t=0 when none) and its
+// cut, and the messages prestocked for it at its cut.
+func (f *Fork) ReplayedRecvs() (recvs, prestocked int) {
+	for r, cut := range f.cut {
+		from := 0
+		if ck := f.resume[r]; ck != nil {
+			from = ck.pos
+		}
+		for _, ev := range f.trace.ranks[r].events[from:cut] {
+			if ev.kind == evRecv {
+				recvs++
+			}
+		}
+		prestocked += len(f.prestock[r])
+	}
+	return recvs, prestocked
+}

@@ -115,3 +115,36 @@ func TestForkedMiniMDTrialBytes(t *testing.T) {
 		t.Errorf("a forked 32-rank miniMD trial allocates %.0f KB; budget %d KB", kb, budgetKB)
 	}
 }
+
+// TestForksResumeAtTheirCollective: mg, lu and miniMD checkpoint just before
+// each iteration's first collective as well as at its top, so a fork cut at
+// any collective resumes every rank past the iteration's point-to-point
+// traffic. No rank replays a receive between the checkpoint it resumes from
+// and its cut, and no message is prestocked.
+func TestForksResumeAtTheirCollective(t *testing.T) {
+	for _, app := range []apps.App{mg.New(), lu.New(), minimd.New()} {
+		t.Run(app.Name(), func(t *testing.T) {
+			cfg, err := apps.ConfigFor(app, 8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if app.Name() == "minimd" {
+				cfg.Iters = 2
+			}
+			opts := mpi.RunOptions{NumRanks: cfg.Ranks, Seed: 5}
+			golden, calls := record(t, opts, func(r *mpi.Rank) error { return app.Main(r, cfg) })
+			for rank := 0; rank < 2; rank++ {
+				for i, c := range calls[rank] {
+					fk := golden.Trace.Fork(rank, c.site, c.inv)
+					if fk == nil {
+						t.Fatalf("rank %d's call %d (%v) does not fork", rank, i, c.typ)
+					}
+					if recvs, prestocked := fk.ReplayedRecvs(); recvs > 0 || prestocked > 0 {
+						t.Errorf("fork at rank %d's call %d (%v, invocation %d): %d receives replayed past the resume checkpoints, %d prestocked",
+							rank, i, c.typ, c.inv, recvs, prestocked)
+					}
+				}
+			}
+		})
+	}
+}
