@@ -11,8 +11,8 @@
 //	fastfit -app lu -checkpoint lu.ckpt -resume  # continue after Ctrl-C
 //	fastfit -app lu -progress                    # live stats line on stderr
 //	fastfit -app lu -events lu.events.jsonl      # JSONL event stream
-//	fastfit -app shoot -algorithm ftring -topology ring -netplan link:1-2
-//	fastfit -app shoot -topology torus:4x4 -policy network
+//	fastfit -app is -topology ring -netplan link:1-2
+//	fastfit -app is -ranks 16 -topology torus:4x4 -policy network
 //
 // Campaigns run under a supervisor: points are injected by a worker pool,
 // every completed point is journalled to the -checkpoint file (when given),

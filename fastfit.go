@@ -54,7 +54,6 @@ import (
 	"github.com/fastfit/fastfit/internal/core"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
-	"github.com/fastfit/fastfit/internal/resilient"
 )
 
 // ---- simulated MPI runtime ----
@@ -494,17 +493,13 @@ type Topology = mpi.Topology
 // spec means flat.
 func ParseTopology(spec string, n int) (Topology, error) { return mpi.ParseTopology(spec, n) }
 
-// Network overlays link/egress fault state and message accounting on a
-// Topology; pass one to RunOptions.Network to route a simulated run's
-// point-to-point traffic through it.
+// Network overlays link/egress fault state on a Topology; pass one to
+// RunOptions.Network to route a simulated run's point-to-point traffic
+// through it.
 type Network = mpi.Network
 
 // NewNetwork builds a fault-free network over a topology.
 func NewNetwork(topo Topology) *Network { return mpi.NewNetwork(topo) }
-
-// NetStats is a network's message/hop/latency accounting, the overhead
-// side of the algorithm-shootout comparison.
-type NetStats = mpi.NetStats
 
 // NetFault is one element of a structured network fault plan.
 type NetFault = fault.NetFault
@@ -529,17 +524,3 @@ func ParseNetPlan(spec string) ([]NetFault, error) { return fault.ParseNetPlan(s
 
 // NetPlanString renders a plan in ParseNetPlan syntax.
 func NetPlanString(plan []NetFault) string { return fault.NetPlanString(plan) }
-
-// ---- resilient collective algorithms ----
-
-// Algorithm is one collective-implementation variant from the resilient
-// zoo; campaigns sweep variants against a fixed fault plan via
-// Config.Algorithm (see the shoot workload and examples/algorithm_shootout).
-type Algorithm = resilient.Algorithm
-
-// AlgorithmNames returns the variant names, sorted: baseline, checksum,
-// corrected, ftring, hbreorg, voted.
-func AlgorithmNames() []string { return resilient.Names() }
-
-// LookupAlgorithm resolves a variant by name; "" means "baseline".
-func LookupAlgorithm(name string) (Algorithm, error) { return resilient.Get(name) }

@@ -38,10 +38,10 @@ func TestPublicAPIQuickCampaign(t *testing.T) {
 
 func TestPublicAPIBundledApps(t *testing.T) {
 	names := fastfit.AppNames()
-	if len(names) != 6 {
+	if len(names) != 5 {
 		t.Fatalf("bundled apps = %v", names)
 	}
-	if len(fastfit.Apps()) != 6 {
+	if len(fastfit.Apps()) != 5 {
 		t.Fatal("registry size mismatch")
 	}
 	if _, err := fastfit.LookupApp("bogus"); err == nil {

@@ -13,13 +13,12 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/lu"
 	"github.com/fastfit/fastfit/internal/apps/mg"
 	"github.com/fastfit/fastfit/internal/apps/minimd"
-	"github.com/fastfit/fastfit/internal/apps/shoot"
 )
 
 // Registry returns the bundled workloads keyed by name.
 func Registry() map[string]apps.App {
 	reg := map[string]apps.App{}
-	for _, a := range []apps.App{is.New(), ft.New(), mg.New(), lu.New(), minimd.New(), shoot.New()} {
+	for _, a := range []apps.App{is.New(), ft.New(), mg.New(), lu.New(), minimd.New()} {
 		reg[a.Name()] = a
 	}
 	return reg

@@ -85,7 +85,7 @@ func TestAllAppsRunAtSmallRankCounts(t *testing.T) {
 func TestConfigFor(t *testing.T) {
 	want := map[string][3]int{ // scale at 8, 16 and 32 ranks
 		"ft": {16, 16, 32}, "mg": {32, 32, 64}, "lu": {64, 64, 64},
-		"is": {512, 512, 512}, "minimd": {24, 24, 24}, "shoot": {64, 64, 64},
+		"is": {512, 512, 512}, "minimd": {24, 24, 24},
 	}
 	for name, a := range Registry() {
 		if err := apps.Check(a, a.DefaultConfig()); err != nil {
@@ -115,7 +115,7 @@ func TestLookup(t *testing.T) {
 	if _, err := Lookup("nope"); err == nil {
 		t.Fatalf("lookup nope should fail")
 	}
-	if len(Names()) != 6 {
-		t.Fatalf("expected 6 apps, got %v", Names())
+	if len(Names()) != 5 {
+		t.Fatalf("expected 5 apps, got %v", Names())
 	}
 }

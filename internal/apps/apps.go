@@ -28,11 +28,6 @@ type Config struct {
 	// Seed drives all application randomness; a fixed seed makes golden
 	// and injected runs follow identical control flow up to the fault.
 	Seed int64
-	// Algorithm selects the collective-implementation variant for workloads
-	// that consult the resilient-algorithm registry (the shoot workload
-	// sweeps it); "" means the unprotected baseline. Workloads that call the
-	// runtime's collectives directly ignore it.
-	Algorithm string
 }
 
 // App is one workload known to FastFIT.

@@ -35,7 +35,6 @@ type Campaign struct {
 	Policy     string
 	Topology   string
 	NetPlan    string
-	Algorithm  string
 	NoSemantic bool
 	NoContext  bool
 	NoML       bool
@@ -100,7 +99,6 @@ func Register(fs *flag.FlagSet) *Campaign {
 	fs.StringVar(&c.Policy, "policy", "databuffer", "injection policy: databuffer, allparams or network")
 	fs.StringVar(&c.Topology, "topology", "", "interconnect topology: flat, ring, torus or torus:XxY (empty = paper's reliable flat fabric)")
 	fs.StringVar(&c.NetPlan, "netplan", "", "structured network fault plan applied to every injected run, e.g. \"link:1-2,drop:0-3:2,crash:5\"")
-	fs.StringVar(&c.Algorithm, "algorithm", "", "resilient collective variant for registry-aware workloads (empty = baseline; see -app shoot)")
 	fs.BoolVar(&c.NoSemantic, "no-semantic", false, "disable semantic-driven pruning")
 	fs.BoolVar(&c.NoContext, "no-context", false, "disable context-driven pruning")
 	fs.BoolVar(&c.NoML, "no-ml", false, "disable ML-driven pruning")
@@ -114,8 +112,6 @@ func (c *Campaign) Build() (apps.App, apps.Config, core.Options, error) {
 	if err != nil {
 		return nil, apps.Config{}, core.Options{}, err
 	}
-	cfg.Algorithm = c.Algorithm
-
 	opts := core.DefaultOptions()
 	opts.TrialsPerPoint = c.Trials
 	opts.Seed = c.Seed

@@ -15,7 +15,10 @@ import (
 // fault-tolerance" (§III-C), and the per-collective variance "indicates
 // that there is a need for adaptive fault-tolerance mechanism rather than
 // a single uniform fault-tolerant mechanism across all collectives"
-// (§V-C). This file turns campaign results into that decision.
+// (§V-C). This file turns campaign results into that decision and stops
+// there, as the paper does: an Advice names a protection level for a call
+// site, and applying it is left to the application (nothing here wraps or
+// replaces a collective).
 
 // Action is the recommended protection level for a call site.
 type Action int
@@ -23,11 +26,13 @@ type Action int
 const (
 	// ActionNone: faults are tolerated or benign; no protection needed.
 	ActionNone Action = iota
-	// ActionDetect: add detection (checksums, sanity checks) — errors are
-	// frequent but mostly visible or recoverable.
+	// ActionDetect: the application should add detection (checksums,
+	// sanity checks) — errors are frequent but mostly visible or
+	// recoverable.
 	ActionDetect
-	// ActionProtect: enforce full fault tolerance (replication or
-	// protected collectives) — faults are frequent and severe.
+	// ActionProtect: the application should add full fault tolerance
+	// (replication or protected collectives) — faults are frequent and
+	// severe.
 	ActionProtect
 )
 

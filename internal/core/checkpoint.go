@@ -54,12 +54,8 @@ func CampaignFingerprint(appName string, cfg apps.Config, opts Options, points [
 	fmt.Fprintf(h, "acc=%g|batch=%d|mintrain=%d|levels=%d|trees=0|depth=0|",
 		o.AccuracyThreshold, o.ML.Batch, o.ML.MinTrain, o.Levels)
 	fmt.Fprintf(h, "adaptive=%t|conf=%g|", o.Adaptive.Enabled, o.Confidence)
-	// The network fault domain and algorithm variant are appended only when
-	// set, so fingerprints of classic campaigns (and their existing
-	// checkpoints) are unchanged.
-	if cfg.Algorithm != "" {
-		fmt.Fprintf(h, "alg=%s|", cfg.Algorithm)
-	}
+	// The network fault domain is appended only when set, so fingerprints
+	// of classic campaigns (and their existing checkpoints) are unchanged.
 	if o.Topology != "" || len(o.Network.Plan) > 0 {
 		fmt.Fprintf(h, "topo=%s|netplan=%s|", o.Topology, fault.NetPlanString(o.Network.Plan))
 	}

@@ -93,9 +93,9 @@ type Network struct {
 	// failures, egress drop bursts and node crashes (fault.ParseNetPlan) —
 	// applied at the start of every *injected* run. The golden and profiling
 	// runs stay fault-free: the plan is part of the fault model under study,
-	// not of the reference behaviour, so a campaign measures how each
-	// algorithm variant's outcome distribution shifts under the same
-	// standing fault environment.
+	// not of the reference behaviour, so a campaign measures how the
+	// application's outcome distribution shifts under a standing fault
+	// environment.
 	Plan []fault.NetFault
 }
 

@@ -86,7 +86,6 @@ func (e *Engine) OpeningEvents() []Event {
 		Ranks:          e.cfg.Ranks,
 		TrialsPerPoint: e.opts.TrialsPerPoint,
 		MLPruning:      e.opts.ML.Pruning,
-		Algorithm:      e.cfg.Algorithm,
 	}}
 	if e.netSetup() == nil && e.topo != nil {
 		evs = append(evs, FaultDomainEvent{Kind: "topology", Spec: e.topo.Name()})

@@ -103,10 +103,6 @@ type CampaignStarted struct {
 	Ranks          int    `json:"ranks"`
 	TrialsPerPoint int    `json:"trialsPerPoint"`
 	MLPruning      bool   `json:"mlPruning"`
-	// Algorithm is the collective-implementation variant the workload runs
-	// (apps.Config.Algorithm); empty for apps that don't consult the
-	// resilient-algorithm registry.
-	Algorithm string `json:"algorithm,omitempty"`
 }
 
 // FaultDomainEvent reports one element of the campaign's standing network

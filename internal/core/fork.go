@@ -72,8 +72,8 @@ var goldens = struct {
 // forkFingerprint keys the golden-run cache. Any Config field changes the
 // simulated communication schedule, so all of them participate.
 func (e *Engine) forkFingerprint() string {
-	return fmt.Sprintf("%s|ranks=%d|scale=%d|iters=%d|seed=%d|alg=%s",
-		e.app.Name(), e.cfg.Ranks, e.cfg.Scale, e.cfg.Iters, e.cfg.Seed, e.cfg.Algorithm)
+	return fmt.Sprintf("%s|ranks=%d|scale=%d|iters=%d|seed=%d",
+		e.app.Name(), e.cfg.Ranks, e.cfg.Scale, e.cfg.Iters, e.cfg.Seed)
 }
 
 // loadGolden returns the engine's golden run. On a miss in the shared cache

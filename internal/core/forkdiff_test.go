@@ -10,7 +10,7 @@ import (
 // unsnapshottable) while still completing normally.
 func TestForkFallbackNetworkPlan(t *testing.T) {
 	opts := netDiffOptions(t, 1)
-	eng := netDiffEngine(t, opts, "baseline")
+	eng := diffTestEngine(t, opts)
 	res, err := eng.RunCampaign()
 	if err != nil {
 		t.Fatal(err)

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"slices"
 	"strings"
 	"sync/atomic"
 	"testing"
@@ -19,12 +20,16 @@ func TestMemoExemptions(t *testing.T) {
 		opts := netDiffOptions(t, 1)
 		opts.Policy = policy
 		opts.TrialsPerPoint = 40 // a Barrier point has 32 parameter flips: repeats are certain
-		e := netDiffEngine(t, opts, "baseline")
+		e := diffTestEngine(t, opts)
 		points, err := e.Points()
 		if err != nil {
 			t.Fatal(err)
 		}
-		pr := e.InjectPoint(points[0], 0, opts.TrialsPerPoint)
+		i := slices.IndexFunc(points, func(p Point) bool { return p.Type == mpi.CollBarrier })
+		if i < 0 {
+			t.Fatal("the campaign has no Barrier point")
+		}
+		pr := e.InjectPoint(points[i], i, opts.TrialsPerPoint)
 		if st := e.SnapshotStats(); len(pr.Trials) != opts.TrialsPerPoint || st.Memoised != 0 || st.Replayed != len(pr.Trials) {
 			t.Errorf("%s: %+v over %d trials, want %d, every one replayed and none memoised", name, st, len(pr.Trials), opts.TrialsPerPoint)
 		}

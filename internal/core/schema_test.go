@@ -39,7 +39,7 @@ func schemaEvents() []Event {
 	var added classify.Counts
 	added.Add(classify.WrongAns)
 	return []Event{
-		CampaignStarted{App: "toy", Ranks: 8, TrialsPerPoint: 3, MLPruning: true, Algorithm: "ftring"},
+		CampaignStarted{App: "toy", Ranks: 8, TrialsPerPoint: 3, MLPruning: true},
 		FaultDomainEvent{Kind: "drop", Spec: "drop:1-2:4", Rank: 1, Peer: 2, Count: 4},
 		PhaseChanged{Phase: CampaignLearning, Points: 10},
 		PointStarted{Index: 5, Point: p},

@@ -18,7 +18,6 @@ import (
 	"github.com/fastfit/fastfit/internal/apps/lu"
 	"github.com/fastfit/fastfit/internal/apps/mg"
 	"github.com/fastfit/fastfit/internal/apps/minimd"
-	"github.com/fastfit/fastfit/internal/apps/shoot"
 	"github.com/fastfit/fastfit/internal/classify"
 	"github.com/fastfit/fastfit/internal/fault"
 	"github.com/fastfit/fastfit/internal/mpi"
@@ -424,7 +423,6 @@ func TestRefusedConfigIsNotRetried(t *testing.T) {
 		{ft.New(), 32, 16, 3, "multiple of ranks"},
 		{is.New(), 4, 0, 3, "a scale of at least 1 and one iteration"},
 		{minimd.New(), 4, 24, 0, "a scale of at least 1 and one iteration"},
-		{shoot.New(), 8, 64, 5000, "at most 4096 iterations"},
 		{minimd.New(), 4, 1 << 23, 6, "at most 4194304 atoms per rank"},
 	} {
 		cfg := c.app.DefaultConfig()

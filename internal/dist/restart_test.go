@@ -8,6 +8,7 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"path/filepath"
 	"regexp"
 	"strings"
@@ -164,7 +165,8 @@ func TestChaosRestartIdentity(t *testing.T) {
 // TestChaosDoubleRestart kills the coordinator twice: crash, recover,
 // crash the recovery, recover again (epoch 3) and finish. Identity must
 // survive arbitrarily many generations — and a first generation whose WAL
-// carries an option later builds no longer have.
+// carries an option and a config field later builds no longer have. The
+// same log naming a collective variant those builds cannot run is refused.
 func TestChaosDoubleRestart(t *testing.T) {
 	opts := testOptions(5)
 	serial := runSerial(t, opts)
@@ -197,7 +199,27 @@ func TestChaosDoubleRestart(t *testing.T) {
 		t.Fatalf("doomed worker 1: %v", err)
 	}
 	killCoordinator(srv1, coord1)
-	addRemovedPoolingOption(t, dir)
+
+	// Builds with a resilient-collective zoo wrote apps.Config.Algorithm
+	// into every spec and hashed "alg=" into the fingerprint when it was
+	// set: 78084383559d9fac is this campaign's under the ftring variant.
+	// Decoding drops the field, so only the fingerprint cross-check keeps
+	// such a log from recovering as the baseline campaign.
+	ftring := filepath.Join(t.TempDir(), "ftring")
+	if err := os.MkdirAll(ftring, 0o755); err != nil {
+		t.Fatal(err)
+	}
+	if err := recfile.WriteFile(filepath.Join(ftring, dist.WALFileName), readFile(t, filepath.Join(dir, dist.WALFileName))); err != nil {
+		t.Fatal(err)
+	}
+	editOpenRecord(t, ftring, func(open []byte) []byte {
+		open = regexp.MustCompile(`"config":\{[^}]*`).ReplaceAll(open, []byte(`${0},"Algorithm":"ftring"`))
+		return regexp.MustCompile(`"fingerprint":"[0-9a-f]+"`).ReplaceAll(open, []byte(`"fingerprint":"78084383559d9fac"`))
+	})
+	if _, err := dist.RecoverCoordinator(ftring, all.Lookup, copts()); err == nil || !strings.Contains(err.Error(), "replanned fingerprint") {
+		t.Fatalf("recovering a campaign of the ftring variant: got %v, want the fingerprint cross-check's refusal", err)
+	}
+	editOpenRecord(t, dir, addRemovedFields)
 
 	coord2, err := dist.RecoverCoordinator(dir, all.Lookup, copts())
 	if err != nil {
@@ -252,11 +274,19 @@ func TestChaosDoubleRestart(t *testing.T) {
 	}
 }
 
-// addRemovedPoolingOption rewrites the WAL's open record the way builds
-// that still had core.Exec.DisablePooling wrote it: the campaign options
-// carried "DisablePooling":false. Such a log must still recover — the field
-// never entered the fingerprint.
-func addRemovedPoolingOption(t *testing.T, dir string) {
+// addRemovedFields writes the open record the way older builds did: the
+// campaign options of builds that still had core.Exec.DisablePooling
+// carried "DisablePooling":false, and the config of builds that still had
+// apps.Config.Algorithm carried "Algorithm":"". Such a log must still
+// recover — neither field entered the fingerprint.
+func addRemovedFields(open []byte) []byte {
+	open = regexp.MustCompile(`"Parallelism":\d+,`).ReplaceAll(open, []byte(`${0}"DisablePooling":false,`))
+	return regexp.MustCompile(`"config":\{[^}]*`).ReplaceAll(open, []byte(`${0},"Algorithm":""`))
+}
+
+// editOpenRecord rewrites the open record of the WAL in dir with edit,
+// which must change it.
+func editOpenRecord(t *testing.T, dir string, edit func([]byte) []byte) {
 	t.Helper()
 	path := filepath.Join(dir, dist.WALFileName)
 	lines, _, _ := recfile.Split(readFile(t, path))
@@ -264,9 +294,9 @@ func addRemovedPoolingOption(t *testing.T, dir string) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	legacy := regexp.MustCompile(`"Parallelism":\d+,`).ReplaceAll(open, []byte(`${0}"DisablePooling":false,`))
+	legacy := edit(bytes.Clone(open))
 	if bytes.Equal(legacy, open) {
-		t.Fatalf("open record has no Parallelism option to insert the field after: %s", open)
+		t.Fatalf("the edit left the open record as it was: %s", open)
 	}
 	data := recfile.EncodeLine(legacy)
 	for _, line := range lines[1:] {

@@ -134,7 +134,6 @@ var registry = []struct {
 	{"table4", Table4},
 	{"ablation", Ablation},
 	{"adaptive", AdaptiveBudget},
-	{"topology", Topology},
 	{"summary", Summary},
 }
 

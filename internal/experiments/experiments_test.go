@@ -416,41 +416,6 @@ func TestSummaryInjectedMatchesMLCampaign(t *testing.T) {
 	t.Errorf("summary has no injected count for minimd:\n%s", res.Text)
 }
 
-func TestTopologyShootoutMatrix(t *testing.T) {
-	res, err := Run("topology", testStore(t))
-	if err != nil {
-		t.Fatal(err)
-	}
-	// The verdict series is [link loss, node crash] per variant; the cells
-	// are deterministic, so the shootout's separation of the zoo's three
-	// strategies is a hard assertion, not a tendency.
-	verdicts := func(name string) (classify.Outcome, classify.Outcome) {
-		v := res.Series["verdict:"+name]
-		if len(v) != 2 {
-			t.Fatalf("verdict:%s = %v", name, v)
-		}
-		return classify.Outcome(v[0]), classify.Outcome(v[1])
-	}
-	for _, name := range []string{"baseline", "checksum", "voted", "corrected"} {
-		if link, crash := verdicts(name); link != classify.InfLoop || crash != classify.InfLoop {
-			t.Errorf("%s verdicts = %v/%v, want INF_LOOP/INF_LOOP (payload protection cannot restore liveness)", name, link, crash)
-		}
-	}
-	if link, crash := verdicts("ftring"); link != classify.Success || crash != classify.AppDetected {
-		t.Errorf("ftring verdicts = %v/%v, want SUCCESS/APP_DETECTED", link, crash)
-	}
-	if _, crash := verdicts("hbreorg"); crash != classify.WrongAns {
-		t.Errorf("hbreorg crash verdict = %v, want WRONG_ANS (degraded survivor sum)", crash)
-	}
-	// Overhead accounting: every variant reports a positive message count,
-	// and the ring specialist must not cost more messages than baseline.
-	base := res.Series["msgs:baseline"][0]
-	ring := res.Series["msgs:ftring"][0]
-	if base <= 0 || ring <= 0 || ring > base {
-		t.Errorf("message accounting: baseline %v, ftring %v", base, ring)
-	}
-}
-
 func TestAblationComposition(t *testing.T) {
 	res, err := Run("ablation", testStore(t))
 	if err != nil {

@@ -52,7 +52,6 @@ type checkpoint struct {
 	work        int64
 	invents     map[uintptr]int
 	collSeq     map[Comm]int64
-	libSeq      map[string]int
 	phase       Phase
 	errHandling bool
 	rng         *fibSource // the default Rand stream, when it is live
@@ -86,7 +85,6 @@ func (r *Rank) Checkpoint(s State) {
 		work:        r.work,
 		invents:     maps.Clone(r.invents),
 		collSeq:     maps.Clone(r.collSeq),
-		libSeq:      maps.Clone(r.libSeq),
 		phase:       r.phase,
 		errHandling: r.errHandling,
 		reported:    slices.Clone(r.reported),
@@ -116,7 +114,6 @@ func (r *Rank) Resume() State {
 	r.work = ck.work
 	r.invents = copyInto(r.invents, ck.invents)
 	r.collSeq = copyInto(r.collSeq, ck.collSeq)
-	r.libSeq = copyInto(r.libSeq, ck.libSeq)
 	r.phase, r.errHandling = ck.phase, ck.errHandling
 	if ck.rng != nil {
 		r.Rand() // seeds the generator for this run, then takes the stream's state
@@ -160,9 +157,9 @@ func resumeFrom(ckpts []checkpoint, cut int) *checkpoint {
 // At each Checkpoint whose CommWorld sequence number is past the faulted
 // instance, a live rank compares itself with the recording run's checkpoint
 // at the same sequence number: the application state by State.Equal, and
-// the bookkeeping Resume restores — work, collective and library sequence
-// numbers, phase, error-handling mark, reported values (by their bits) and
-// the default random stream. The per-site invocation counts are left out: a
+// the bookkeeping Resume restores — work, collective sequence numbers,
+// phase, error-handling mark, reported values (by their bits) and the
+// default random stream. The per-site invocation counts are left out: a
 // forked run counts only the calls its hook observes, so they never equal
 // the recording run's, and past the faulted instance no hook reads them.
 // By the State contract (part 4) a rank resumed from that checkpoint runs
@@ -280,7 +277,7 @@ func (r *Rank) reconvergeAt(s State, seq int64) {
 // ck, invocation counts aside.
 func (r *Rank) atCheckpoint(ck *checkpoint, s State) bool {
 	if r.work != ck.work || r.phase != ck.phase || r.errHandling != ck.errHandling ||
-		!maps.Equal(r.collSeq, ck.collSeq) || !maps.Equal(r.libSeq, ck.libSeq) ||
+		!maps.Equal(r.collSeq, ck.collSeq) ||
 		!EqualBits(r.reported, ck.reported) || r.rndLive != (ck.rng != nil) {
 		return false
 	}

@@ -138,7 +138,7 @@ func (c *collCall) sendTo(dst, round int, data []byte) {
 // as-is. The caller owns the returned message and recycles its pooled
 // payload once the data has been consumed.
 func (c *collCall) recvFrom(src, round, want int) message {
-	m, _ := c.r.recvMatch(matcher{c.Comm, src, internalTag(c.seq, round)}, -1)
+	m := c.r.recvMatch(matcher{c.Comm, src, internalTag(c.seq, round)})
 	if len(m.data) > want {
 		abortf(c.r.id, c.t.String(), ErrTruncate, "message of %d bytes truncated to receive of %d bytes", len(m.data), want)
 	}
@@ -170,7 +170,7 @@ func (r *Rank) Barrier(comm Comm) {
 	round := 0
 	for mask := 1; mask < c.size; mask <<= 1 {
 		c.sendTo((c.me+mask)%c.size, round, nil)
-		m, _ := r.recvMatch(matcher{c.Comm, (c.me - mask + c.size) % c.size, internalTag(c.seq, round)}, -1)
+		m := r.recvMatch(matcher{c.Comm, (c.me - mask + c.size) % c.size, internalTag(c.seq, round)})
 		m.recycle()
 		round++
 	}

@@ -66,7 +66,7 @@ func (r *Rank) CommDup(comm Comm) Comm {
 		}
 		return h
 	}
-	m, _ := r.recvMatch(matcher{comm, 0, internalTag(seq, 0)}, -1)
+	m := r.recvMatch(matcher{comm, 0, internalTag(seq, 0)})
 	h := Comm((&Buffer{mem: m.data}).Int64(0))
 	m.recycle()
 	return h
@@ -87,7 +87,7 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 	// Gather (color, key) pairs at rank 0 of the parent communicator.
 	if me != 0 {
 		r.post(ci, comm, 0, internalTag(seq, 0), FromInt64s([]int64{int64(color), int64(key)}).Bytes(), nil)
-		m, _ := r.recvMatch(matcher{comm, 0, internalTag(seq, 1)}, -1)
+		m := r.recvMatch(matcher{comm, 0, internalTag(seq, 1)})
 		h := Comm((&Buffer{mem: m.data}).Int64(0))
 		m.recycle()
 		return h
@@ -97,7 +97,7 @@ func (r *Rank) CommSplit(comm Comm, color, key int) Comm {
 	keys := make([]int, size)
 	colors[0], keys[0] = color, key
 	for p := 1; p < size; p++ {
-		m, _ := r.recvMatch(matcher{comm, p, internalTag(seq, 0)}, -1)
+		m := r.recvMatch(matcher{comm, p, internalTag(seq, 0)})
 		b := &Buffer{mem: m.data}
 		colors[p], keys[p] = int(b.Int64(0)), int(b.Int64(1))
 		m.recycle()

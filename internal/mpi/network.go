@@ -1,9 +1,8 @@
 package mpi
 
-// Network overlays fault state and accounting on a Topology. It is the
-// runtime half of the network fault domain: the injector flips link and
-// egress bits here, and post consults deliver() before enqueueing a
-// message at its destination.
+// Network overlays fault state on a Topology. It is the runtime half of the
+// network fault domain: the injector flips link and egress bits here, and
+// post consults deliver() before enqueueing a message at its destination.
 //
 // Determinism contract ("anything time-varying is origin-scoped"):
 //
@@ -20,21 +19,8 @@ package mpi
 //     Globally-visible time-varying state would make drops depend on the
 //     scheduler's interleaving, and classification would stop being
 //     deterministic.
-//
-// Stats are plain aggregate counters intended for overhead reporting on
-// fault-free runs (where they are exactly reproducible); on faulty runs the
-// message counts can vary with scheduling (e.g. sends racing a crashing
-// destination) and must not feed classification.
 
 import "sync/atomic"
-
-// NetStats aggregates a run's simulated network traffic.
-type NetStats struct {
-	Messages  int64 // messages handed to the fabric
-	Dropped   int64 // messages discarded by link/egress faults
-	Hops      int64 // total link traversals of delivered messages
-	LatencyNs int64 // total simulated link latency of delivered messages
-}
 
 // Network is the faultable interconnect for one run. Build one per run with
 // NewNetwork and pass it via RunOptions.Network; at-start faults are applied
@@ -45,7 +31,7 @@ type Network struct {
 
 	// linkDown marks permanently failed directed links [u*n+v]. Written
 	// only before the run starts (FailLink); constant during the run, so
-	// every rank may consult it (route traversal, PathBlocked).
+	// every sender may walk its route against it.
 	linkDown []atomic.Bool
 	// egressDown marks mid-run egress failures [src*n+firstHop]: messages
 	// originated by src whose route leaves via firstHop are dropped.
@@ -56,11 +42,6 @@ type Network struct {
 	egressDrop []atomic.Int32
 
 	linksDown atomic.Int64 // undirected down links (for progress display)
-
-	msgs    atomic.Int64
-	dropped atomic.Int64
-	hops    atomic.Int64
-	latency atomic.Int64
 }
 
 // NewNetwork builds a clean (fault-free) network over topo.
@@ -120,193 +101,39 @@ func (nw *Network) DropEgress(src, firstHop, count int) {
 // links plus mid-run egress failures).
 func (nw *Network) LinksDown() int { return int(nw.linksDown.Load()) }
 
-// PathBlocked reports whether the deterministic route from src to dst
-// crosses a permanently failed at-start link. It consults only constant
-// state, so every rank computes the same answer at any point in the run —
-// topology-aware algorithms use it to agree on re-routing without
-// communicating.
-func (nw *Network) PathBlocked(src, dst int) bool {
-	if !nw.valid(src) || !nw.valid(dst) || src == dst {
-		return false
-	}
-	u := src
-	for steps := 0; u != dst && steps < nw.n; steps++ {
-		v := nw.topo.NextHop(u, dst)
-		if !nw.valid(v) || v == u {
-			return true // malformed route: treat as unreachable
-		}
-		if nw.linkDown[u*nw.n+v].Load() {
-			return true
-		}
-		u = v
-	}
-	return u != dst
-}
-
-// deliver routes one message from src to dst, applying fault state and
-// accounting. It returns false when the message is dropped. Called from the
-// sending rank's goroutine.
+// deliver routes one message from src to dst, applying fault state. It
+// returns false when the message is dropped. Called from the sending rank's
+// goroutine.
 func (nw *Network) deliver(src, dst int) bool {
-	nw.msgs.Add(1)
 	if src == dst {
 		return true
 	}
 	if !nw.valid(src) || !nw.valid(dst) {
-		nw.dropped.Add(1)
 		return false
 	}
 	first := nw.topo.NextHop(src, dst)
 	if !nw.valid(first) || first == src {
-		nw.dropped.Add(1)
 		return false
 	}
 	// Origin-scoped egress faults apply at the first hop only.
 	ei := src*nw.n + first
 	if nw.egressDown[ei].Load() {
-		nw.dropped.Add(1)
 		return false
 	}
 	if nw.egressDrop[ei].Load() > 0 && nw.egressDrop[ei].Add(-1) >= 0 {
-		nw.dropped.Add(1)
 		return false
 	}
 	// Walk the full route against constant at-start link state.
 	u := src
-	hops := int64(0)
-	lat := int64(0)
 	for steps := 0; u != dst; steps++ {
 		if steps >= nw.n {
-			nw.dropped.Add(1)
 			return false
 		}
 		v := nw.topo.NextHop(u, dst)
 		if !nw.valid(v) || v == u || nw.linkDown[u*nw.n+v].Load() {
-			nw.dropped.Add(1)
 			return false
 		}
-		hops++
-		lat += nw.topo.LinkLatencyNs(u, v)
 		u = v
 	}
-	nw.hops.Add(hops)
-	nw.latency.Add(lat)
 	return true
-}
-
-// Stats snapshots the traffic counters.
-func (nw *Network) Stats() NetStats {
-	return NetStats{
-		Messages:  nw.msgs.Load(),
-		Dropped:   nw.dropped.Load(),
-		Hops:      nw.hops.Load(),
-		LatencyNs: nw.latency.Load(),
-	}
-}
-
-// ---- rank-side fault-domain API ----
-//
-// These are the primitives the resilient algorithm zoo builds on. They are
-// all deterministic given the run's fault plan: AliveAtStart and
-// PathBlocked consult only constant at-start state, and RecvOrFail detects
-// mid-run deaths at the message-consumption point (a dying rank's sends
-// reach their inboxes before its death mark, so "dead and nothing matching"
-// is a stable, schedule-independent verdict).
-
-// AliveAtStart reports whether world rank `rank` was alive when the run
-// started. Constant for the whole run and identical on every rank, so
-// algorithms can independently compute the same survivor set.
-func (r *Rank) AliveAtStart(rank int) bool {
-	w := r.world
-	if !w.faulty || rank < 0 || rank >= w.size {
-		return true
-	}
-	return !w.deadAtStart[rank]
-}
-
-// InitialLiveRanks returns the world ranks alive at run start, ascending.
-// Every rank computes the identical slice.
-func (r *Rank) InitialLiveRanks() []int {
-	w := r.world
-	out := make([]int, 0, w.size)
-	for i := 0; i < w.size; i++ {
-		if !w.faulty || !w.deadAtStart[i] {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// PathBlocked reports whether the route between world ranks a and b crosses
-// a permanently failed at-start link. Nil-safe: without a network it is
-// always false.
-func (r *Rank) PathBlocked(a, b int) bool {
-	w := r.world
-	if !w.faulty || w.net == nil {
-		return false
-	}
-	return w.net.PathBlocked(a, b)
-}
-
-// NetStats snapshots the run's network counters (zero without a network).
-func (r *Rank) NetStats() NetStats {
-	w := r.world
-	if w.net == nil {
-		return NetStats{}
-	}
-	return w.net.Stats()
-}
-
-// libTagBase is the bottom of the tag range [1<<19, 1<<20) reserved by
-// convention for resilient-library point-to-point traffic. It sits inside
-// the user tag space (so Send/Recv accept it) but far above tags
-// applications use in practice.
-const libTagBase = 1 << 19
-
-// LibTag maps a (sequence, round) pair into the reserved library tag range.
-// seq should come from LibSeq so back-to-back invocations of the same
-// algorithm cannot steal each other's messages; round distinguishes message
-// kinds within one invocation (round < 1024).
-func LibTag(seq, round int) int {
-	if round < 0 {
-		round = 0
-	}
-	return libTagBase + (seq%(1<<9))*1024 + round%1024
-}
-
-// LibSeq returns a per-rank, per-key invocation counter (0, 1, 2, ... in
-// program order), reset at the start of every run. Resilient collectives use
-// it to derive fresh LibTag namespaces per invocation.
-func (r *Rank) LibSeq(key string) int {
-	if r.libSeq == nil {
-		r.libSeq = make(map[string]int)
-	}
-	s := r.libSeq[key]
-	r.libSeq[key] = s + 1
-	return s
-}
-
-// RecvOrFail receives a message from src (rank within comm) with the given
-// tag, or reports that src has died. It returns (payload, true) on receipt
-// and (nil, false) when src is dead and no matching message is pending —
-// the failure-detection primitive surviving collectives are built on. It is
-// an ordinary receive with a death watch on src (recvMatch).
-//
-// Determinism: a dying rank's sends are enqueued, under World.mu, before its
-// death mark is, and the mark wakes RecvOrFail, which looks at everything
-// queued for it before it reads the mark; "message was sent" vs "rank died
-// first" is therefore decided by src's program order alone. A message lost
-// to a *link* fault with src still alive blocks forever, as a real receiver
-// would, and the run ends as a deadlock once every rank waits (INF_LOOP).
-func (r *Rank) RecvOrFail(comm Comm, src, tag int) ([]byte, bool) {
-	if r.world.rec != nil {
-		// Failure-detecting receives consume messages outside the recorded
-		// Recv path; such apps use full replay.
-		r.world.rec.poison("failure-detecting receive (RecvOrFail)")
-	}
-	ci, want := r.recvArgs("RecvOrFail", comm, src, tag, false)
-	m, ok := r.recvMatch(want, ci.members[src])
-	if !ok {
-		return nil, false
-	}
-	return m.payload(), true
 }

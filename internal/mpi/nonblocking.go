@@ -45,7 +45,7 @@ func (req *Request) Wait() []byte {
 		return req.data
 	}
 	if req.isRecv {
-		m, _ := req.rank.recvMatch(req.want, -1)
+		m := req.rank.recvMatch(req.want)
 		req.data = m.payload()
 	}
 	req.completed = true

@@ -56,22 +56,6 @@ func checkOp(rank int, opName string, o Op) {
 	}
 }
 
-// Combine applies op element-wise over raw little-endian bytes:
-// acc[i] = op(acc[i], in[i]) for count elements of dt. It is the exported
-// building block for hand-rolled reduction trees in the resilient
-// algorithm zoo; op and dt must be valid handles and both slices must hold
-// at least count elements (validated here so a corrupted caller aborts
-// instead of corrupting memory).
-func Combine(op Op, dt Datatype, acc, in []byte, count int) {
-	checkOp(-1, "Combine", op)
-	checkDtype(-1, "Combine", dt)
-	size := dt.Size()
-	if count < 0 || count*size > len(acc) || count*size > len(in) {
-		panic(SegFault{Op: "Combine", Offset: 0, Length: count * size, Bound: min(len(acc), len(in))})
-	}
-	combine(op, dt, acc, in, count)
-}
-
 // combine applies op element-wise: acc[i] = op(acc[i], in[i]) for count
 // elements of datatype dt. Both slices are raw little-endian bytes; the
 // caller has validated the handles and bounds-checked the slices.

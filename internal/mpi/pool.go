@@ -26,7 +26,7 @@ package mpi
 //     sender until the message is enqueued, then whoever dequeues it — and
 //     the consumer settles it. An internal collective, or a typed receive
 //     (RecvFloat64sInto), reads the bytes and recycles the slab: nothing
-//     else ever saw them. A raw Recv (and RecvOrFail, Wait, Test) gives the
+//     else ever saw them. A raw Recv (and Wait, Test) gives the
 //     bytes to the application, which may keep and mutate them for as long
 //     as it likes, so it never recycles: the slab leaves the arena with
 //     them, and a slab never returned to the pool is an ordinary GC object.
@@ -230,7 +230,6 @@ func (rk *Rank) bind(w *World, seed, budget int64) {
 	rk.rndLive = false
 	clear(rk.invents)
 	clear(rk.collSeq)
-	clear(rk.libSeq)
 	rk.phase = PhaseInit
 	rk.errHandling = false
 	rk.work = 0

@@ -34,7 +34,7 @@ func TestSuperviseWaitsForWokenReceiver(t *testing.T) {
 	died := make(chan any, 2)
 	wait := func(rk *Rank, want matcher) {
 		defer func() { died <- recover() }()
-		rk.recvMatch(want, -1)
+		rk.recvMatch(want)
 	}
 	go wait(sender, matcher{CommWorld, 1, 8})
 	for w.parkedCount() != n-1 {
@@ -158,8 +158,8 @@ func TestSegFaultEndsTheJob(t *testing.T) {
 }
 
 // booksApp drives every way a message can leave an inbox: Recv, Irecv with
-// Wait and with Test, RecvOrFail (behind a death watch, on a faulty
-// network), CommSplit and all thirteen collectives. It ends by sending
+// Wait and with Test, CommSplit and all thirteen collectives, on a faulty
+// network. It ends by sending
 // messages nobody receives, so the inboxes are left holding some.
 func booksApp(r *Rank) error {
 	me, n := r.ID(), r.NumRanks()
@@ -173,10 +173,6 @@ func booksApp(r *Rank) error {
 	}
 	r.Send(CommWorld, next, 3, []byte{3})
 	r.Irecv(CommWorld, AnySource, 3).Wait()
-	r.Send(CommWorld, next, 4, []byte{4})
-	if _, ok := r.RecvOrFail(CommWorld, prev, 4); !ok {
-		r.Abort("RecvOrFail found a live source dead")
-	}
 	r.Barrier(r.CommSplit(CommWorld, me%2, me))
 
 	const k = 2
@@ -205,7 +201,7 @@ func booksApp(r *Rank) error {
 	return nil
 }
 
-// Every receive path, a death watch among them, leaves the run live until
+// Every receive path leaves the run live until
 // its ranks return: a path that took a message without waking or counting
 // its rank right would freeze the run early or hang it.
 func TestEveryReceivePathFinishesClean(t *testing.T) {

@@ -118,7 +118,6 @@ type Rank struct {
 
 	collSeq map[Comm]int64 // per-communicator collective sequence numbers
 	invents map[uintptr]int
-	libSeq  map[string]int // resilient-library invocation counters (see LibSeq)
 
 	work   int64 // accumulated work units (see Tick)
 	budget int64
@@ -364,15 +363,14 @@ func (r *Rank) recvUser(comm Comm, src, tag int) message {
 		// per-rank cut cannot reconstruct; such apps use full replay.
 		r.world.rec.poison("wildcard receive (AnySource/AnyTag)")
 	}
-	m, _ := r.recvMatch(want, -1)
+	m := r.recvMatch(want)
 	if r.world.rec != nil {
 		r.world.rec.recordRecv(r.id, want.comm, m.src, ci.members[m.src], m.tag, m.tracePos, m.data)
 	}
 	return m
 }
 
-// recvArgs is the argument check of every user receive (Recv, Irecv,
-// RecvOrFail): a tag outside the user range or a source outside the
+// recvArgs is the argument check of every user receive (Recv, Irecv): a tag outside the user range or a source outside the
 // communicator is an MPI error, and AnyTag/AnySource pass only where wild
 // allows them. It returns the communicator and what the receive waits for.
 func (r *Rank) recvArgs(op string, comm Comm, src, tag int, wild bool) (*commInfo, matcher) {
@@ -537,14 +535,9 @@ func (want *matcher) ok(m *message) bool {
 }
 
 // recvMatch returns the first message want accepts (take), parking until one
-// arrives. watch, when not negative, is a death watch on that world rank
-// (RecvOrFail's source), kept only on a faulty network, where ranks can die:
-// once the rank is dead and nothing matches, recvMatch returns false. A
-// dying rank's sends reach the inbox under World.mu before its death mark
-// does, so that verdict depends on the dying rank's program order alone.
-// A user message sent before a checkpoint this rank has passed refuses that
-// checkpoint's cut (checkpoint.go, part 6).
-func (r *Rank) recvMatch(want matcher, watch int) (message, bool) {
+// arrives. A user message sent before a checkpoint this rank has passed
+// refuses that checkpoint's cut (checkpoint.go, part 6).
+func (r *Rank) recvMatch(want matcher) message {
 	w := r.world
 	w.mu.Lock()
 	for {
@@ -553,11 +546,7 @@ func (r *Rank) recvMatch(want matcher, watch int) (message, bool) {
 				w.refuse(m.ck, r.ckEpoch-1)
 			}
 			w.mu.Unlock()
-			return m, true
-		}
-		if watch >= 0 && w.faulty && w.dead[watch] {
-			w.mu.Unlock()
-			return message{}, false
+			return m
 		}
 		r.park()
 	}

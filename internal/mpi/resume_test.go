@@ -14,18 +14,25 @@ import (
 // every resumed fork of its rows to that. These are the resume's negative
 // control and the report of a prefix that leaves its tape.
 
-// ckptState is the test applications' checkpoint: the iteration to run and
-// the running value every rank reports. forget makes Clone leave the value
-// out — the negative control's broken checkpoint.
+// ckptState is the test applications' checkpoint: the iteration to run, the
+// running value every rank reports and a call counter. forget makes Clone
+// leave the value out — the negative control's broken checkpoint.
 type ckptState struct {
 	it     int
 	acc    float64
+	calls  int
 	forget bool
 }
 
 func (s *ckptState) Equal(o mpi.State) bool {
 	t := o.(*ckptState)
-	return s.it == t.it && s.forget == t.forget && mpi.EqualBits([]float64{s.acc}, []float64{t.acc})
+	return s.it == t.it && s.calls == t.calls && s.forget == t.forget && mpi.EqualBits([]float64{s.acc}, []float64{t.acc})
+}
+
+// next returns the number of earlier calls, 0, 1, 2, ... in program order.
+func (s *ckptState) next() int {
+	s.calls++
+	return s.calls - 1
 }
 
 func (s *ckptState) Clone() mpi.State {
@@ -37,8 +44,8 @@ func (s *ckptState) Clone() mpi.State {
 }
 
 // randApp leans on every piece of bookkeeping a checkpoint carries for the
-// application: it draws from the rank's default random stream and counts a
-// library key on both sides of its checkpoints, reports a value every
+// application: it draws from the rank's default random stream and counts
+// calls in its state on both sides of its checkpoints, reports a value every
 // iteration and sets its phase and error-handling mark only before the
 // first. Its ring shift
 // crosses the collectives, so cuts prestock.
@@ -50,12 +57,13 @@ func randApp(forget bool) func(*mpi.Rank) error {
 		if !resumed {
 			r.SetPhase(mpi.PhaseCompute)
 			r.SetErrHandling(true)
-			s = &ckptState{forget: forget, acc: r.Rand().Float64() + float64(r.LibSeq("rand"))}
+			s = &ckptState{forget: forget}
+			s.acc = r.Rand().Float64() + float64(s.next())
 		}
 		for ; s.it < 4; s.it++ {
 			r.Checkpoint(s)
 			r.Tick(100)
-			x := r.Rand().Float64() + s.acc + float64(r.LibSeq("rand"))
+			x := r.Rand().Float64() + s.acc + float64(s.next())
 			r.SendFloat64s(W, (me+1)%n, 3, []float64{x})
 			r.Barrier(W)
 			in := r.RecvFloat64sInto(W, (me-1+n)%n, 3, nil)

@@ -5,7 +5,7 @@ package mpi
 // topology layer makes the interconnect itself a first-class, faultable
 // object. A Topology describes which directed links exist and how a message
 // from rank a to rank b is routed across them; the Network (network.go)
-// overlays link/egress fault state and accounting on top of it.
+// overlays link/egress fault state on top of it.
 //
 // Routing is deliberately deterministic: NextHop is a pure function of
 // (from, to), so the set of links a message crosses — and therefore whether
@@ -34,9 +34,6 @@ type Topology interface {
 	// of from, and repeated application reaches `to` in at most Nodes()
 	// steps. Pure function of its arguments.
 	NextHop(from, to int) int
-	// LinkLatencyNs is the simulated latency of the direct link from -> to
-	// in nanoseconds, used only for overhead accounting (Network.Stats).
-	LinkLatencyNs(from, to int) int64
 }
 
 // flatTopo is the paper's implicit network: every pair of ranks is directly
@@ -54,8 +51,7 @@ func (t flatTopo) Neighbors(rank int) []int {
 	}
 	return out
 }
-func (t flatTopo) NextHop(from, to int) int         { return to }
-func (t flatTopo) LinkLatencyNs(from, to int) int64 { return 100 }
+func (t flatTopo) NextHop(from, to int) int { return to }
 
 // ringTopo is a bidirectional ring; messages take the shorter direction,
 // breaking ties clockwise (toward (rank+1) % n).
@@ -79,7 +75,6 @@ func (t ringTopo) NextHop(from, to int) int {
 	}
 	return (from + t.n - 1) % t.n
 }
-func (t ringTopo) LinkLatencyNs(from, to int) int64 { return 40 }
 
 // torusTopo is a 2-D torus of X columns by Y rows with dimension-order
 // routing: a message first corrects its X coordinate (shorter wrap
@@ -133,7 +128,6 @@ func (t torusTopo) NextHop(from, to int) int {
 	dy := torusStep(fy, ty, t.y)
 	return ((fy+dy+t.y)%t.y)*t.x + fx
 }
-func (t torusTopo) LinkLatencyNs(from, to int) int64 { return 60 }
 
 // ParseTopology builds a topology over n ranks from a spec string:
 //

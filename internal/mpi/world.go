@@ -59,8 +59,8 @@ type RunOptions struct {
 	Network *Network
 	// CrashedRanks lists world ranks whose node failed before launch:
 	// their goroutines never start, their results carry NodeCrashed, and
-	// the surviving ranks see them dead from the first instruction
-	// (AliveAtStart is false). Out-of-range entries are ignored.
+	// the surviving ranks see them dead from the first instruction. Out-of-
+	// range entries are ignored.
 	CrashedRanks []int
 	// Record captures the run's communication as a Trace (see trace.go)
 	// returned in RunResult.Trace, with the application's checkpoints (see
@@ -213,9 +213,8 @@ type World struct {
 
 	// Network fault domain (nil/false on the default reliable network, so
 	// the no-fault hot path pays a single branch in post).
-	faulty      bool
-	net         *Network
-	deadAtStart []bool // immutable after launch
+	faulty bool
+	net    *Network
 }
 
 // commInfo is the runtime's communicator descriptor. The comms table is
@@ -309,8 +308,8 @@ func (w *World) decide() {
 }
 
 // exit books a rank's end under mu. A node crash marks the rank dead and
-// wakes every parked rank to re-check its death watch or blocked send; the
-// crashed rank's sends were all enqueued before, under the same lock. The
+// wakes every parked rank to re-check its blocked send; the crashed rank's
+// sends were all enqueued before, under the same lock. The
 // failure and the finish are counted in one step, so a frozen run that
 // counts a failed rank finished is always a job abort, never a deadlock.
 //
@@ -468,16 +467,17 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	}
 
 	results := make([]RankResult, n)
+	var crashed []bool // ranks whose node failed before launch
 	if opts.Network != nil || len(opts.CrashedRanks) > 0 {
 		w.faulty = true
 		w.net = opts.Network
 		w.dead = make([]bool, n)
-		w.deadAtStart = make([]bool, n)
+		crashed = make([]bool, n)
 		for _, cr := range opts.CrashedRanks {
 			if cr >= 0 && cr < n && !w.dead[cr] {
 				// The node failed before launch: its goroutine never starts,
 				// and it is counted finished and failed before any rank runs.
-				w.dead[cr], w.deadAtStart[cr] = true, true
+				w.dead[cr], crashed[cr] = true, true
 				w.finished++
 				w.failed++
 				results[cr] = RankResult{Rank: cr, Err: NodeCrashed{Rank: cr, Reason: "node failed before launch"}}
@@ -512,7 +512,7 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 	held := w.fork != nil && n > 1
 	w.held = held
 	for _, rk := range w.ranks {
-		if w.faulty && w.deadAtStart[rk.id] || held && rk.id != w.fork.rank {
+		if crashed != nil && crashed[rk.id] || held && rk.id != w.fork.rank {
 			continue
 		}
 		w.launch(rk)
