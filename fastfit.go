@@ -518,7 +518,7 @@ const (
 )
 
 // ParseNetPlan parses a comma-separated fault plan such as
-// "link:1-2,drop:0-3:2,crash:5". Set the result as Options.Network.Plan to
+// "link:1-2,drop:0-1:2,crash:5". Set the result as Options.Network.Plan to
 // apply it at the start of every injected run.
 func ParseNetPlan(spec string) ([]NetFault, error) { return fault.ParseNetPlan(spec) }
 

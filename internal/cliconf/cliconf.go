@@ -98,7 +98,7 @@ func Register(fs *flag.FlagSet) *Campaign {
 	fs.IntVar(&c.Levels, "levels", 4, "error-rate levels for the ML label")
 	fs.StringVar(&c.Policy, "policy", "databuffer", "injection policy: databuffer, allparams or network")
 	fs.StringVar(&c.Topology, "topology", "", "interconnect topology: flat, ring, torus or torus:XxY (empty = paper's reliable flat fabric)")
-	fs.StringVar(&c.NetPlan, "netplan", "", "structured network fault plan applied to every injected run, e.g. \"link:1-2,drop:0-3:2,crash:5\"")
+	fs.StringVar(&c.NetPlan, "netplan", "", "structured network fault plan applied to every injected run, e.g. \"link:1-2,drop:0-1:2,crash:5\"; a link or drop pair must be a link of -topology")
 	fs.BoolVar(&c.NoSemantic, "no-semantic", false, "disable semantic-driven pruning")
 	fs.BoolVar(&c.NoContext, "no-context", false, "disable context-driven pruning")
 	fs.BoolVar(&c.NoML, "no-ml", false, "disable ML-driven pruning")

@@ -123,7 +123,7 @@ func (e *Engine) netSetup() error {
 			e.netErr = err
 			return
 		}
-		if err := fault.ValidateNetPlan(e.opts.Network.Plan, e.cfg.Ranks); err != nil {
+		if err := fault.ValidateNetPlan(e.opts.Network.Plan, topo); err != nil {
 			e.netErr = err
 			return
 		}

@@ -42,12 +42,13 @@ func diffTestOptions(seed int64) Options {
 }
 
 // netDiffOptions are the network fault domain's campaign options: the
-// matrix's is workload on a 2x2 torus under a standing link/drop/crash plan.
+// matrix's is workload on a 2x2 torus under a standing link/drop/crash plan
+// whose every entry acts (internal/mpi's TestMatrixNetPlanEveryEntryActs).
 func netDiffOptions(t *testing.T, seed int64) Options {
 	t.Helper()
 	opts := diffTestOptions(seed)
 	opts.Topology = "torus:2x2"
-	plan, err := fault.ParseNetPlan("link:1-2,drop:0-3:2,crash:3")
+	plan, err := fault.ParseNetPlan("link:0-2,drop:0-1:2,crash:3")
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -29,7 +29,7 @@ import (
 // the recorder poisoned (wildcard receives, derived communicators, ...), or
 // prefixes whose faulted call never appears on the tape. The execution-mode
 // matrix (equivalence_test.go) pins that both paths classify identically, so
-// outcomes stay pure functions of (seed, plan, algorithm) either way.
+// outcomes stay pure functions of (seed, plan) either way.
 
 // goldenRun is a workload's one fault-free run: its profile, its results
 // and their digest, and its tape (res.Trace; unforkable, with a Reason, when

@@ -185,7 +185,7 @@ func FuzzTopologyConfig(f *testing.F) {
 		// A parsed plan validated against an accepted topology must apply
 		// to a fresh network without panicking.
 		if topo != nil && ranks >= 1 && ranks <= 16 {
-			if fault.ValidateNetPlan(plan, ranks) == nil {
+			if fault.ValidateNetPlan(plan, topo) == nil {
 				fault.ApplyNetPlan(mpi.NewNetwork(topo), plan)
 			}
 		}

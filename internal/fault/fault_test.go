@@ -1,6 +1,7 @@
 package fault
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -368,5 +369,29 @@ func TestConfigFaultsRangeErrors(t *testing.T) {
 	}
 	if fs, err := (Config{NumInj: 0}).Faults(sites, rng); err != nil || fs != nil {
 		t.Error("NUM_INJ=0 should expand to nothing")
+	}
+}
+
+// A link or drop entry acts only on a link of the topology, so a plan
+// naming any other pair is refused, naming the entry: among them the
+// campaign matrix's old torus plan, whose 1-2 and 0-3 are no links of a
+// 2x2 torus. A flat fabric links every pair.
+func TestValidateNetPlanRefusesNonLinks(t *testing.T) {
+	for _, c := range []struct{ topo, plan, want string }{
+		{"torus:2x2", "link:1-2,drop:0-3:2,crash:3", "net plan entry 0: net fault link:1-2: 1-2 is not a link of torus:2x2"},
+		{"torus:2x2", "crash:3,drop:0-3:2", "net plan entry 1: net fault drop:0-3:2: 0-3 is not a link of torus:2x2"},
+		{"flat", "link:1-2,drop:0-3:2,crash:3", "<nil>"},
+	} {
+		topo, err := mpi.ParseTopology(c.topo, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		plan, err := ParseNetPlan(c.plan)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ValidateNetPlan(plan, topo); fmt.Sprint(err) != c.want {
+			t.Errorf("%s on %s: %v, want %s", c.plan, c.topo, err, c.want)
+		}
 	}
 }

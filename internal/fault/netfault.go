@@ -16,6 +16,7 @@ package fault
 import (
 	"fmt"
 	"math/rand"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -93,10 +94,16 @@ func (f NetFault) Validate(n int) error {
 	return nil
 }
 
-// ValidateNetPlan validates every entry of a plan against n ranks.
-func ValidateNetPlan(plan []NetFault, n int) error {
+// ValidateNetPlan validates every entry of a plan against topo: its ranks
+// must lie in the topology, and the pair of a link or drop entry must be
+// one of its links, which is the only place such an entry acts.
+func ValidateNetPlan(plan []NetFault, topo mpi.Topology) error {
 	for i, f := range plan {
-		if err := f.Validate(n); err != nil {
+		err := f.Validate(topo.Nodes())
+		if err == nil && f.Kind != NodeCrash && !slices.Contains(topo.Neighbors(f.Rank), f.Peer) {
+			err = fmt.Errorf("net fault %s: %d-%d is not a link of %s", f, f.Rank, f.Peer, topo.Name())
+		}
+		if err != nil {
 			return fmt.Errorf("net plan entry %d: %w", i, err)
 		}
 	}
@@ -120,7 +127,8 @@ func NetPlanString(plan []NetFault) string {
 //	drop:A-B:N    drop the next N messages rank A sends toward B (N default 1)
 //	crash:R       rank R's node is dead before launch
 //
-// e.g. "link:1-2,drop:0-3:2,crash:5". It never panics; malformed specs
+// e.g. "link:1-2,drop:0-1:2,crash:5". A link or drop pair must be a link
+// of the topology (ValidateNetPlan). It never panics; malformed specs
 // return errors.
 func ParseNetPlan(spec string) ([]NetFault, error) {
 	s := strings.TrimSpace(spec)

@@ -282,13 +282,15 @@ type trialRow struct {
 }
 
 // sweptRow is a row that is swept with the fixed sample and the usual
-// number of draws.
+// number of draws. Its wall clock is one the work budget always beats, so
+// a runaway trial ends by the budget on both runs of a pair however busy
+// the host is.
 func sweptRow(name string, n int, fn func(*mpi.Rank) error, want ...shortcut) trialRow {
 	draws := 2
 	if testing.Short() || mpi.RaceEnabled {
 		draws = 1
 	}
-	return trialRow{name: name, opts: mpi.RunOptions{NumRanks: n, Seed: 5}, fn: fn, fork: true, draws: draws, want: want, met: -1, flipped: -1}
+	return trialRow{name: name, opts: mpi.RunOptions{NumRanks: n, Seed: 5, Timeout: 30 * time.Second}, fn: fn, fork: true, draws: draws, want: want, met: -1, flipped: -1}
 }
 
 var allShortcuts = []shortcut{forked, resumed, decided, reconverged, atCheckpoint, met, flipped}

@@ -122,3 +122,7 @@ func (f *Fork) ReplayedRecvs() (recvs, prestocked int) {
 	}
 	return recvs, prestocked
 }
+
+// Deliver routes one message from src to dst against nw's fault state, as
+// a send does (deliver); false when it is dropped.
+func (nw *Network) Deliver(src, dst int) bool { return nw.deliver(src, dst) }
