@@ -88,7 +88,7 @@ func (e *Engine) loadGolden() (*goldenRun, error) {
 		return nil, err
 	}
 	if err := e.netSetup(); err != nil {
-		return nil, fmt.Errorf("network fault domain of %s: %w", e.app.Name(), err)
+		return nil, fmt.Errorf("%w: network fault domain of %s: %w", apps.ErrRefused, e.app.Name(), err)
 	}
 	fp, g := e.forkFingerprint(), &goldenRun{}
 	if !e.reference {

@@ -409,26 +409,34 @@ func (a countedApp) Main(r *mpi.Rank, cfg apps.Config) error {
 }
 
 // TestRefusedConfigIsNotRetried: a configuration its app refuses is a
-// named error from Check, and Supervisor.Run returns that error after one
-// profiling attempt that runs nothing, instead of retrying a crashing
-// fault-free run as a harness failure.
+// named error from Check, and so is a network fault domain that does not
+// parse or does not fit the topology; Supervisor.Run returns that error
+// after one profiling attempt that runs nothing, instead of retrying a
+// crashing fault-free run or a cached refusal as a harness failure.
 func TestRefusedConfigIsNotRetried(t *testing.T) {
 	for _, c := range []struct {
 		app               apps.App
 		ranks, scale, its int
+		topology, plan    string
 		rule              string
 	}{
-		{mg.New(), 32, 32, 4, "multiple of 2·ranks"},
-		{lu.New(), 128, 64, 5, "at least ranks"},
-		{ft.New(), 32, 16, 3, "multiple of ranks"},
-		{is.New(), 4, 0, 3, "a scale of at least 1 and one iteration"},
-		{minimd.New(), 4, 24, 0, "a scale of at least 1 and one iteration"},
-		{minimd.New(), 4, 1 << 23, 6, "at most 4194304 atoms per rank"},
+		{mg.New(), 32, 32, 4, "", "", "multiple of 2·ranks"},
+		{lu.New(), 128, 64, 5, "", "", "at least ranks"},
+		{ft.New(), 32, 16, 3, "", "", "multiple of ranks"},
+		{is.New(), 4, 0, 3, "", "", "a scale of at least 1 and one iteration"},
+		{minimd.New(), 4, 24, 0, "", "", "a scale of at least 1 and one iteration"},
+		{minimd.New(), 4, 1 << 23, 6, "", "", "at most 4194304 atoms per rank"},
+		{is.New(), 4, 32, 3, "ring", "crash:99", "net plan entry 0: net fault crash:99"},
+		{is.New(), 4, 32, 3, "bogus", "", `topology: unknown spec "bogus"`},
 	} {
 		cfg := c.app.DefaultConfig()
 		cfg.Ranks, cfg.Scale, cfg.Iters = c.ranks, c.scale, c.its
 		err := apps.Check(c.app, cfg)
-		if !errors.Is(err, apps.ErrRefused) || !strings.Contains(err.Error(), c.rule) {
+		if c.topology != "" {
+			if err != nil {
+				t.Fatalf("Check(%s, %+v) = %v, want the network row's app config accepted", c.app.Name(), cfg, err)
+			}
+		} else if !errors.Is(err, apps.ErrRefused) || !strings.Contains(err.Error(), c.rule) {
 			t.Errorf("Check(%s, %+v) = %v, want a refusal naming %q", c.app.Name(), cfg, err, c.rule)
 			continue
 		}
@@ -440,9 +448,18 @@ func TestRefusedConfigIsNotRetried(t *testing.T) {
 				profiles++
 			}
 		})
+		opts.Network.Topology = c.topology
+		if c.plan != "" {
+			plan, perr := fault.ParseNetPlan(c.plan)
+			if perr != nil {
+				t.Fatal(perr)
+			}
+			opts.Network.Plan = plan
+		}
 		sup := NewSupervisor(New(countedApp{c.app, &mains}, cfg, opts), SupervisorOptions{MaxAttempts: 3, RetryBackoff: time.Millisecond})
-		if _, got := sup.Run(context.Background()); got == nil || got.Error() != err.Error() {
-			t.Errorf("%s: Supervisor.Run = %v, want %v", c.app.Name(), got, err)
+		_, got := sup.Run(context.Background())
+		if !errors.Is(got, apps.ErrRefused) || !strings.Contains(fmt.Sprint(got), c.rule) || err != nil && got.Error() != err.Error() {
+			t.Errorf("%s: Supervisor.Run = %v, want a refusal naming %q", c.app.Name(), got, c.rule)
 		}
 		if profiles != 1 || mains.Load() != 0 {
 			t.Errorf("%s: %d profiling attempts ran the app %d times, want 1 attempt and no run", c.app.Name(), profiles, mains.Load())

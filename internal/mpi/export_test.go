@@ -17,10 +17,14 @@ func (w *World) parkedCount() int {
 	return w.parked
 }
 
-// WithoutResume returns a copy of f whose ranks all replay from t=0.
+// WithoutResume returns a copy of f whose ranks all replay from t=0. It
+// serves its purpose only on traces without point-to-point traffic: a rank
+// replayed from t=0 may read receive payloads the tape dropped, and every
+// run of such a copy is then a Divergence (Lost says which).
 func (f *Fork) WithoutResume() *Fork {
 	g := *f
 	g.resume = make([]*checkpoint, len(f.resume))
+	g.lost = g.readsDropped()
 	return &g
 }
 
@@ -126,3 +130,23 @@ func (f *Fork) ReplayedRecvs() (recvs, prestocked int) {
 // Deliver routes one message from src to dst against nw's fault state, as
 // a send does (deliver); false when it is dropped.
 func (nw *Network) Deliver(src, dst int) bool { return nw.deliver(src, dst) }
+
+// Lost names a payload f would read that the tape dropped, "" when f reads
+// only what the tape kept.
+func (f *Fork) Lost() string { return f.lost }
+
+// RecvBytes sums the receive payloads of t's golden run and those the tape
+// kept.
+func (t *Trace) RecvBytes() (kept, total int) {
+	for r := range t.ranks {
+		for _, ev := range t.ranks[r].events {
+			if ev.kind == evRecv {
+				total += int(ev.n)
+				if ev.off != dropped {
+					kept += int(ev.n)
+				}
+			}
+		}
+	}
+	return kept, total
+}

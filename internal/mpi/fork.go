@@ -69,6 +69,9 @@ type Fork struct {
 	// faulted instance, which the run may end at (checkpoint.go, part 6);
 	// it is past the list's end when the fork never ends a run early.
 	ckFrom int
+	// lost names a payload the fork would read that the tape dropped, ""
+	// when there is none; every run of such a fork is a Divergence.
+	lost string
 }
 
 // Cut returns rank's first live tape position (diagnostics).
@@ -164,6 +167,7 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 		resume[r] = resumeFrom(t.ranks[r].ckpts, cut[r])
 	}
 	f := &Fork{trace: t, cut: cut, prestock: prestock, resume: resume, rank: rank, seq: t.ranks[rank].events[pos].seq}
+	f.lost = f.readsDropped()
 	f.at = make([]int, n)
 	for r := range f.at {
 		p, ok := collPos[r][f.seq]
@@ -178,6 +182,24 @@ func (t *Trace) Fork(rank int, site uintptr, invocation int) *Fork {
 		f.ckFrom = sort.Search(len(t.eligible), func(j int) bool { return t.eligible[j].seq > f.seq })
 	}
 	return f
+}
+
+// readsDropped names the first receive f replays, from a rank's resume
+// checkpoint to its cut, or prestocks, whose payload the tape dropped
+// (dropUnread); "" when f reads only what the tape kept.
+func (f *Fork) readsDropped() string {
+	for r, cut := range f.cut {
+		from := 0
+		if ck := f.resume[r]; ck != nil {
+			from = ck.pos
+		}
+		for i, ev := range f.trace.ranks[r].events[from:] {
+			if ev.kind == evRecv && ev.off == dropped && (from+i < cut || int(ev.sendPos) < f.cut[ev.sender]) {
+				return fmt.Sprintf("rank %d's receive at tape position %d was dropped from the tape", r, from+i)
+			}
+		}
+	}
+	return ""
 }
 
 // replayState is one rank's in-progress prefix replay. It lives on the

@@ -5,9 +5,12 @@ import (
 	"math/rand"
 	"runtime"
 	"runtime/debug"
+	"strings"
 	"testing"
 
 	"github.com/fastfit/fastfit/internal/apps"
+	"github.com/fastfit/fastfit/internal/apps/ft"
+	"github.com/fastfit/fastfit/internal/apps/is"
 	"github.com/fastfit/fastfit/internal/apps/lu"
 	"github.com/fastfit/fastfit/internal/apps/mg"
 	"github.com/fastfit/fastfit/internal/apps/minimd"
@@ -147,4 +150,115 @@ func TestForksResumeAtTheirCollective(t *testing.T) {
 			}
 		})
 	}
+}
+
+// TestTapeKeepsWhatForksRead: a golden tape keeps the receive payloads some
+// fork can read and drops the rest, and no fork cut at any CommWorld
+// instance reads one it dropped. mg, lu and miniMD checkpoint before each
+// iteration's first collective, so no fork of theirs reads a receive
+// payload; is never checkpoints, so its forks replay every receive from
+// t=0; ft sends none. A fork of theirs replayed from t=0 instead reads
+// dropped payloads and runs as a Divergence. The controls keep every
+// payload: ForkTestApp and randApp prestock messages sent before a
+// collective and received after it, and bcastThenSend sends a message
+// after an instance its receiver has not entered, which moves a fork's cut
+// before a checkpoint.
+func TestTapeKeepsWhatForksRead(t *testing.T) {
+	const (
+		none = iota // the tape keeps no receive payload
+		all         // the tape keeps every receive payload
+		zero        // the run receives nothing
+	)
+	type tapeCase struct {
+		name  string
+		ranks int
+		fn    func(*mpi.Rank) error
+		keeps int
+	}
+	cases := []tapeCase{
+		{"fork", 4, mpi.ForkTestApp, all},
+		{"rand", 4, randApp(false), all},
+		{"bcast-then-send", 2, bcastThenSend, all},
+	}
+	for _, c := range []struct {
+		app   apps.App
+		ranks int
+		keeps int
+	}{{mg.New(), 8, none}, {mg.New(), 32, none}, {lu.New(), 8, none}, {minimd.New(), 8, none}, {is.New(), 8, all}, {ft.New(), 8, zero}} {
+		if c.ranks > 8 && (testing.Short() || mpi.RaceEnabled) {
+			continue
+		}
+		cfg, err := apps.ConfigFor(c.app, c.ranks)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if c.app.Name() == "minimd" {
+			cfg.Iters = 2
+		}
+		app := c.app
+		cases = append(cases, tapeCase{fmt.Sprintf("%s/%d", app.Name(), c.ranks), c.ranks, func(r *mpi.Rank) error { return app.Main(r, cfg) }, c.keeps})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			golden, calls := record(t, mpi.RunOptions{NumRanks: c.ranks, Seed: 5}, c.fn)
+			kept, total := golden.Trace.RecvBytes()
+			t.Logf("%v keeps %d of %d receive payload bytes", golden.Trace, kept, total)
+			want := 0
+			if c.keeps == all {
+				want = total
+			}
+			if kept != want || (total == 0) != (c.keeps == zero) {
+				t.Errorf("the tape keeps %d of %d receive payload bytes; want %d of a nonzero total, or a zero total for a run that receives nothing", kept, total, want)
+			}
+			for i, call := range calls[0] {
+				fk := golden.Trace.Fork(0, call.site, call.inv)
+				if fk == nil {
+					t.Fatalf("rank 0's call %d (%v) does not fork", i, call.typ)
+				}
+				if lost := fk.Lost(); lost != "" {
+					t.Errorf("the fork at rank 0's call %d (%v): %s", i, call.typ, lost)
+				}
+			}
+			if c.keeps == none {
+				// Replayed from t=0, a fork reads payloads the tape dropped:
+				// its run is a Divergence, never an outcome.
+				last := calls[0][len(calls[0])-1]
+				o := mpi.RunOptions{NumRanks: c.ranks, Seed: 5, Fork: golden.Trace.Fork(0, last.site, last.inv).WithoutResume()}
+				if res := mpi.Run(o, c.fn); res.Divergence == nil || !strings.Contains(res.Divergence.Error(), "dropped from the tape") {
+					t.Errorf("a fork replayed from t=0 over dropped payloads ended %q, divergence %v", res.Provenance, res.Divergence)
+				}
+			}
+		})
+	}
+	runRows(t, []trialRow{sweptRow("bcast-then-send/forks", 2, bcastThenSend, forked, resumed, decided)})
+}
+
+// bcastThenSend is the tape's late-message control. Root 0 broadcasts and
+// then sends; rank 1 receives that message before its own Bcast, after
+// one that rank 0 sent before it. A fork at the Bcast cuts rank 1 before
+// the late receive and resumes it from its first checkpoint, so it replays
+// the early one, which rank 1's second checkpoint, taken before its Bcast,
+// would otherwise make droppable.
+func bcastThenSend(r *mpi.Rank) error {
+	const W = mpi.CommWorld
+	s, resumed := r.Resume().(*ckptState)
+	if !resumed {
+		s = &ckptState{}
+	}
+	if s.it == 0 {
+		r.Checkpoint(s)
+		if r.ID() == 0 {
+			r.SendFloat64s(W, 1, 1, []float64{3})
+		} else {
+			s.acc = r.RecvFloat64s(W, 0, 1)[0] + r.RecvFloat64s(W, 0, 2)[0]
+		}
+		s.it = 1
+		r.Checkpoint(s)
+	}
+	v := r.BcastFloat64s([]float64{s.acc + 1}, 0, W)
+	if r.ID() == 0 {
+		r.SendFloat64s(W, 1, 2, v)
+	}
+	r.ReportResult(s.acc, v[0])
+	return nil
 }

@@ -2,6 +2,7 @@ package mpi
 
 import (
 	"fmt"
+	"sort"
 	"sync"
 	"sync/atomic"
 )
@@ -22,6 +23,8 @@ import (
 // The trace is immutable once recorded and shared by every trial of every
 // point. It is taken on the engine's one golden run, which also yields the
 // profile and the reference results, so recording costs no run of its own.
+// Once recorded, the tape keeps only what forks can read: every collective
+// result, and the receive payloads a fork replays or prestocks (dropUnread).
 
 // traceEvent kinds.
 const (
@@ -58,7 +61,7 @@ type traceEvent struct {
 
 // rankTape is one rank's recorded event sequence plus its payload arena,
 // and the checkpoints the application took along it, in tape order
-// (checkpoint.go).
+// (checkpoint.go). A receive no fork reads keeps no payload (off dropped).
 type rankTape struct {
 	events []traceEvent
 	data   []byte
@@ -97,7 +100,8 @@ func (t *Trace) Reason() string {
 	return t.reason
 }
 
-// DataBytes returns the total payload bytes captured across all tapes.
+// DataBytes returns the payload bytes the tapes keep: every collective
+// result span and the receive payloads forks can read.
 func (t *Trace) DataBytes() int {
 	if t == nil {
 		return 0
@@ -140,8 +144,74 @@ func (rec *traceRecorder) finish(results []RankResult) *Trace {
 		t.ranks, t.golden = nil, nil // the partial tapes are unusable; don't retain them
 	} else {
 		t.eligible = eligibleCheckpoints(t.ranks)
+		dropUnread(t.ranks)
 	}
 	return t
+}
+
+// dropped is the off of a receive whose payload the tape did not keep.
+const dropped = -1
+
+// dropUnread drops every receive payload no fork can read and copies each
+// rank's kept bytes into an arena of their exact size. Let a receive come
+// after a of its rank's collectives and its message be sent after b of its
+// sender's (counts: a forkable trace's sequence number is the index). If
+// any message has b > a, some fork's cut moves by Trace.Fork's rule 1, and
+// every payload is kept. Otherwise every fork cuts each rank at its
+// instance, and a payload is read only when b < a (prestocked) or when no
+// checkpoint lies between the receive and the rank's next collective
+// (replayed from an earlier one). Trace.Fork checks each cut against the
+// result (Fork.readsDropped).
+func dropUnread(ranks []rankTape) {
+	colls := make([][]int, len(ranks)) // each rank's collective positions, then its tape's length
+	for r := range ranks {
+		for i, ev := range ranks[r].events {
+			if ev.kind == evColl {
+				if ev.seq != int64(len(colls[r])) {
+					return
+				}
+				colls[r] = append(colls[r], i)
+			}
+		}
+		colls[r] = append(colls[r], len(ranks[r].events))
+	}
+	var drop []*traceEvent
+	size := make([]int, len(ranks))
+	for r := range ranks {
+		t, a := &ranks[r], 0
+		for i := range t.events {
+			ev := &t.events[i]
+			switch ev.kind {
+			case evColl:
+				a++
+				size[r] += int(ev.n)
+			case evRecv:
+				b := sort.SearchInts(colls[ev.sender], int(ev.sendPos))
+				if b > a {
+					return
+				}
+				if k := ckptsUpTo(t.ckpts, i); b == a && k < len(t.ckpts) && t.ckpts[k].pos <= colls[r][a] {
+					drop = append(drop, ev)
+				} else {
+					size[r] += int(ev.n)
+				}
+			}
+		}
+	}
+	for _, ev := range drop {
+		ev.off = dropped
+	}
+	for r := range ranks {
+		t := &ranks[r]
+		data := make([]byte, 0, size[r])
+		for i := range t.events {
+			if ev := &t.events[i]; ev.kind != evSend && ev.off != dropped {
+				data = append(data, t.span(ev.off, ev.n)...)
+				ev.off = int32(len(data)) - ev.n
+			}
+		}
+		t.data = data
+	}
 }
 
 // recordSend appends a send event on the sender's tape and returns its
@@ -274,7 +344,8 @@ func collResultSpan(r *Rank, call *CollectiveCall) (*Buffer, int) {
 	return nil, 0
 }
 
-// String summarises the trace for diagnostics.
+// String summarises the trace for diagnostics, counting the payload bytes
+// the tape keeps.
 func (t *Trace) String() string {
 	if t == nil {
 		return "Trace(nil)"

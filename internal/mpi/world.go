@@ -501,6 +501,9 @@ func Run(opts RunOptions, fn func(r *Rank) error) RunResult {
 				results[rk.id] = RankResult{Rank: rk.id, Err: err, Values: rk.reported}
 				w.exit(rk.id, err)
 			}()
+			if rs := rk.replay; rs != nil && rs.fork.lost != "" {
+				panic(Divergence{Detail: rs.fork.lost})
+			}
 			err = fn(rk)
 			if rs := rk.replay; rs != nil && rs.pos < rs.cut {
 				panic(Divergence{Detail: fmt.Sprintf("returned at tape position %d, before its cut at %d", rs.pos, rs.cut)})
